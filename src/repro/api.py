@@ -24,8 +24,14 @@ Sessions own three resources:
 * a **decomposition cache** (``cache=``) — shared across every run the
   session executes (``None`` uses the process-wide cache);
 * a **worker budget** (``max_workers=``) — ``run`` partitions plans across
-  a process pool when the budget exceeds one, and ``submit`` sizes its
-  thread pool from it for async multiplexing.
+  the session's process pool when the budget exceeds one, and ``submit``
+  sizes its thread pool from it for async multiplexing.
+
+Both pools are built lazily and belong to the session: the process pool's
+workers start once, on the first partitioned run, each builds its own
+engine once, and every later run reuses them (and their warm caches).
+``close()`` — or ``with Simulator(...) as sim:`` — shuts both down; a
+session nobody closed reaps its workers when it is garbage-collected.
 
 ``await sim.submit(plan, n)`` makes the session awaitable-friendly: many
 concurrent studies can be multiplexed over one session with
@@ -44,7 +50,9 @@ from __future__ import annotations
 import asyncio
 import functools
 import threading
+import weakref
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Union
 
@@ -71,45 +79,54 @@ __all__ = ["Simulator", "default_simulator"]
 RunnableWork = Union[SimulationPlan, CompiledPlan, "ScenarioSweepLike"]
 
 
-def _run_subplan(
-    subplan: SimulationPlan,
-    n_samples: int,
+#: This process's engine when it is a session pool worker (built once by
+#: :func:`_init_worker`); ``None`` everywhere else.
+_WORKER_ENGINE: Optional[SimulationEngine] = None
+
+
+def _init_worker(
     backend: LinalgBackend,
     cache_dir: Optional[str] = None,
     plan_cache_dir: Optional[str] = None,
-) -> BatchResult:
-    """Worker: compile and execute one sub-plan with a private engine.
+) -> None:
+    """Pool initializer: build the worker's private engine once.
 
-    Module-level so it is picklable by :class:`ProcessPoolExecutor`.  The
-    backend instance itself travels to the worker (the built-in backends
-    reduce to their constructor arguments), so unregistered instances —
-    custom subclasses, non-default scipy drivers — work identically in
-    parallel and in-process runs.  Each worker uses its own in-memory
-    decomposition cache (process-wide caches are not shared across
-    processes), but when the parent session has a persistent ``cache_dir``
-    every worker attaches the same disk tier, so workers *do* share
-    decompositions, Doppler filters, and compiled sub-plan artifacts
-    through the filesystem (disk writes are atomic and corrupt reads
-    degrade to misses).  The parent decides
-    what to forward — explicit argument, an explicit cache's own disk
-    tier, or ``REPRO_CACHE_DIR`` for default-cache sessions — so an
-    explicitly memory-only session stays memory-only in workers too.
+    Module-level so :class:`ProcessPoolExecutor` can run it in every worker.
+    The backend instance travels to the worker once, with the initializer
+    arguments (the built-in backends reduce to their constructor
+    arguments), so unregistered instances — custom subclasses, non-default
+    scipy drivers — work identically in parallel and in-process runs.  The
+    engine and its caches live as long as the worker, so a covariance one
+    run decomposed is a memory hit for every later sub-plan this worker
+    compiles.  Process-wide caches are not shared across processes, but
+    when the parent session has a persistent ``cache_dir`` every worker
+    attaches the same disk tier, so workers *do* share decompositions,
+    Doppler filters, and compiled sub-plan artifacts through the filesystem
+    (disk writes are atomic and corrupt reads degrade to misses).  The
+    parent decides what to forward — explicit argument, an explicit cache's
+    own disk tier, or ``REPRO_CACHE_DIR`` for default-cache sessions — so
+    an explicitly memory-only session stays memory-only in workers too.
     ``plan_cache_dir`` mirrors the *parent engine's* compiled-plan tier
     separately, so a session whose plan tier is detached (an explicitly
     hand-configured cache) keeps it detached in workers instead of
     silently gaining whole-plan short-circuits only when a run happens to
     parallelize.
     """
+    global _WORKER_ENGINE
     if cache_dir is None:
-        engine = SimulationEngine(cache=DecompositionCache(), backend=backend)
+        _WORKER_ENGINE = SimulationEngine(cache=DecompositionCache(), backend=backend)
     else:
-        engine = SimulationEngine(
+        _WORKER_ENGINE = SimulationEngine(
             cache=DecompositionCache(cache_dir=cache_dir),
             filter_cache=DopplerFilterCache(cache_dir=cache_dir),
             plan_cache=CompiledPlanCache(plan_cache_dir),
             backend=backend,
         )
-    return engine.run(subplan, n_samples)
+
+
+def _run_subplan(subplan: SimulationPlan, n_samples: int) -> BatchResult:
+    """Worker task: compile and execute one sub-plan on the worker's engine."""
+    return _WORKER_ENGINE.run(subplan, n_samples)
 
 
 def _merge_results(
@@ -175,8 +192,12 @@ class Simulator:
     max_workers:
         Worker budget.  ``None`` or 1 keeps everything in-process;
         larger values let :meth:`run` partition plans across a process pool
-        (the old ``run_plan_parallel``) and size :meth:`submit`'s thread
-        pool for async multiplexing.
+        of that many workers (the old ``run_plan_parallel``) and size
+        :meth:`submit`'s thread pool for async multiplexing.  The pool is
+        built on the first partitioned run and reused until :meth:`close`;
+        if a worker dies, that run raises
+        :class:`~repro.exceptions.ParallelExecutionError` and the next run
+        builds a fresh pool.
     defaults:
         Numeric tolerance bundle for the decomposition pipeline.
 
@@ -223,6 +244,8 @@ class Simulator:
         self._defaults = defaults
         self._max_workers = max_workers
         self._thread_pool: Optional[ThreadPoolExecutor] = None
+        self._process_pool: Optional[ProcessPoolExecutor] = None
+        self._process_pool_finalizer: Optional[weakref.finalize] = None
         self._pool_lock = threading.Lock()
         self._pending_submissions = 0
         self._closed = False
@@ -315,9 +338,10 @@ class Simulator:
         """Execute a plan, compiled plan, or scenario sweep as one batch.
 
         With ``max_workers > 1`` and a multi-entry (un-compiled) plan, the
-        plan is partitioned into contiguous sub-plans executed across a
-        process pool — the session form of the old ``run_plan_parallel`` —
-        and the blocks are reassembled in plan order.  Results are
+        plan is partitioned into contiguous sub-plans executed across the
+        session's process pool — the session form of the old
+        ``run_plan_parallel`` — and the blocks are reassembled in plan
+        order; a closed session runs the plan in-process.  Results are
         bit-identical to the in-process path because every entry draws from
         its own seeded stream; the worker count is a pure throughput knob.
 
@@ -346,35 +370,61 @@ class Simulator:
             return self._engine.run(plan, n_samples)
         return self._run_parallel(plan, n_samples, workers)
 
+    def _worker_pool(self) -> Optional[ProcessPoolExecutor]:
+        """The session's process pool, built on first use; ``None`` once closed."""
+        with self._pool_lock:
+            if self._closed:
+                return None
+            if self._process_pool is None:
+                pool = ProcessPoolExecutor(
+                    max_workers=self._max_workers,
+                    initializer=_init_worker,
+                    initargs=(self.backend, self._cache_dir, self._plan_cache_dir),
+                )
+                self._process_pool = pool
+                # Reaps the workers of a session nobody closed.  The callback
+                # holds the pool, never the session, so it cannot keep the
+                # session alive.
+                self._process_pool_finalizer = weakref.finalize(
+                    self, pool.shutdown, wait=False
+                )
+            return self._process_pool
+
+    def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Drop a broken ``pool`` so the next run builds a fresh one."""
+        with self._pool_lock:
+            if self._process_pool is not pool:
+                return  # a concurrent run (or close) already dropped it
+            finalizer = self._process_pool_finalizer
+            self._process_pool = None
+            self._process_pool_finalizer = None
+        finalizer()  # shutdown(wait=False): the workers are gone or going
+
     def _run_parallel(
         self, plan: SimulationPlan, n_samples: int, workers: int
     ) -> BatchResult:
-        """Partition ``plan`` across a process pool and merge the results."""
+        """Partition ``plan`` across the session's pool and merge the results."""
         import time
 
         if n_samples < 1:
             raise ParallelExecutionError(f"n_samples must be >= 1, got {n_samples}")
+        pool = self._worker_pool()
+        if pool is None:
+            # A closed session runs in-process: bit-identical by invariant 1.
+            return self._engine.run(plan, n_samples)
         subplans = plan.partition(int(workers))
-        backend = self.backend
         start = time.perf_counter()
         try:
-            with ProcessPoolExecutor(max_workers=len(subplans)) as pool:
-                futures = [
-                    pool.submit(
-                        _run_subplan,
-                        subplan,
-                        n_samples,
-                        backend,
-                        self._cache_dir,
-                        self._plan_cache_dir,
-                    )
-                    for subplan in subplans
-                ]
-                partials = [future.result() for future in futures]
-        except Exception as exc:  # pragma: no cover - depends on pool environment
+            futures = [
+                pool.submit(_run_subplan, subplan, n_samples) for subplan in subplans
+            ]
+            partials = [future.result() for future in futures]
+        except Exception as exc:
+            if isinstance(exc, BrokenProcessPool):
+                self._discard_pool(pool)
             raise ParallelExecutionError(f"parallel plan execution failed: {exc}") from exc
         return _merge_results(
-            partials, n_samples, time.perf_counter() - start, backend.name
+            partials, n_samples, time.perf_counter() - start, self.backend.name
         )
 
     def stream(
@@ -641,16 +691,22 @@ class Simulator:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut down the session's thread pool (idempotent).
+        """Shut down the session's thread and process pools (idempotent).
 
-        Closed sessions still :meth:`run` synchronously — only
-        :meth:`submit` needs the pool.
+        Waits for running submissions, then for the process-pool workers to
+        exit.  Closed sessions still :meth:`run`, in-process — bit-identical
+        to a pooled run — while :meth:`submit` raises.
         """
         with self._pool_lock:
-            pool, self._thread_pool = self._thread_pool, None
+            threads, self._thread_pool = self._thread_pool, None
+            processes, self._process_pool = self._process_pool, None
+            finalizer, self._process_pool_finalizer = self._process_pool_finalizer, None
             self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True)
+        if threads is not None:
+            threads.shutdown(wait=True)
+        if processes is not None:
+            finalizer.detach()
+            processes.shutdown(wait=True)
 
     def __enter__(self) -> "Simulator":
         return self

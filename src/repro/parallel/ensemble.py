@@ -230,5 +230,5 @@ def run_plan_parallel(
     if n_samples < 1:
         raise ParallelExecutionError(f"n_samples must be >= 1, got {n_samples}")
 
-    simulator = Simulator(max_workers=n_workers, backend=backend)
-    return list(simulator.run(plan, n_samples).blocks)
+    with Simulator(max_workers=n_workers, backend=backend) as simulator:
+        return list(simulator.run(plan, n_samples).blocks)

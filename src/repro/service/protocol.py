@@ -47,6 +47,9 @@ __all__ = [
 #: Version stamped on every payload; decoding rejects unknown versions.
 PROTOCOL_VERSION = 1
 
+#: The numpy bit generators a seed payload may name.
+BIT_GENERATORS = frozenset({"PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"})
+
 
 def encode_array(array: np.ndarray) -> str:
     """Base64 ``.npy`` serialization of one array (exact bytes)."""
@@ -120,13 +123,14 @@ def seed_from_payload(raw: Any) -> Any:
             raise SpecificationError(f"malformed seed payload: {raw!r}")
         state = raw["state"]
         name = state.get("bit_generator")
-        bit_generator_cls = getattr(np.random, str(name), None)
-        if bit_generator_cls is None:
+        # A whitelist, never getattr(np.random, name): a client-chosen name
+        # could otherwise call np.random.seed and reseed this process.
+        if not isinstance(name, str) or name not in BIT_GENERATORS:
             raise SpecificationError(f"unknown bit generator {name!r} in seed payload")
-        generator = np.random.Generator(bit_generator_cls())
+        generator = np.random.Generator(getattr(np.random, name)())
         try:
             generator.bit_generator.state = state
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecificationError(f"malformed generator state: {exc}") from exc
         return generator
     return int(raw)

@@ -8,6 +8,11 @@ synchronous ``sim.run(...)``.
 """
 
 import asyncio
+import gc
+import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -80,28 +85,33 @@ class TestConstruction:
     def test_explicit_cache_with_disk_tier_reaches_workers(self, tmp_path):
         # The documented "mix" route: a hand-built persistent cache must
         # hand its directory to process-pool workers too.
-        sim = Simulator(cache=DecompositionCache(cache_dir=tmp_path), max_workers=2)
-        assert sim.cache_dir == str(tmp_path)
-        # ... but NOT the compiled-plan tier: an explicitly hand-configured
-        # cache keeps the plan tier detached in the parent, so workers must
-        # keep it detached too (serial and parallel runs agree on whether
-        # whole-plan short-circuits may happen).
-        assert sim.engine.plan_cache.cache_dir is None
-        assert sim._plan_cache_dir is None
+        with Simulator(
+            cache=DecompositionCache(cache_dir=tmp_path), max_workers=2
+        ) as sim:
+            assert sim.cache_dir == str(tmp_path)
+            # ... but NOT the compiled-plan tier: an explicitly hand-configured
+            # cache keeps the plan tier detached in the parent, so workers must
+            # keep it detached too (serial and parallel runs agree on whether
+            # whole-plan short-circuits may happen).
+            assert sim.engine.plan_cache.cache_dir is None
+            assert sim._plan_cache_dir is None
 
-    def test_worker_engine_mirrors_parent_plan_tier(self, tmp_path):
-        # Exercise the worker entry point directly (no pool needed): the
+    def test_worker_engine_mirrors_parent_plan_tier(self, tmp_path, monkeypatch):
+        # Exercise the worker entry points directly (no pool needed): the
         # plan tier attaches in the worker exactly when the parent forwards
         # its plan-cache directory.
-        from repro.api import _run_subplan
+        from repro import api
         from repro.engine import resolve_backend
 
+        monkeypatch.setattr(api, "_WORKER_ENGINE", None)
         backend = resolve_backend(None)
-        _run_subplan(_plan(2), 8, backend, str(tmp_path / "a"), None)
+        api._init_worker(backend, str(tmp_path / "a"), None)
+        api._run_subplan(_plan(2), 8)
         assert (tmp_path / "a" / "decompositions").is_dir()
         assert not (tmp_path / "a" / "plans").exists()
 
-        _run_subplan(_plan(2), 8, backend, str(tmp_path / "b"), str(tmp_path / "b"))
+        api._init_worker(backend, str(tmp_path / "b"), str(tmp_path / "b"))
+        api._run_subplan(_plan(2), 8)
         assert (tmp_path / "b" / "plans").is_dir()
 
     def test_explicit_memory_only_cache_overrides_env_for_workers(
@@ -111,15 +121,15 @@ class TestConstruction:
         # REPRO_CACHE_DIR is exported: parallel runs may not silently gain
         # a disk tier the caller disabled.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        sim = Simulator(cache=DecompositionCache(maxsize=0), max_workers=2)
-        assert sim.cache_dir is None
+        with Simulator(cache=DecompositionCache(maxsize=0), max_workers=2) as sim:
+            assert sim.cache_dir is None
 
     def test_default_session_forwards_env_dir_to_workers(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        sim = Simulator(max_workers=2)
-        assert sim.cache_dir == str(tmp_path)
+        with Simulator(max_workers=2) as sim:
+            assert sim.cache_dir == str(tmp_path)
 
 
 class TestEnvelopes:
@@ -224,7 +234,8 @@ class TestRun:
     def test_parallel_run_bit_identical_to_in_process(self):
         plan = _plan(6)
         sequential = Simulator(cache=DecompositionCache()).run(plan, 24)
-        parallel = Simulator(cache=DecompositionCache(), max_workers=2).run(plan, 24)
+        with Simulator(cache=DecompositionCache(), max_workers=2) as sim:
+            parallel = sim.run(plan, 24)
         assert isinstance(parallel, BatchResult)
         assert parallel.compile_report.n_entries == plan.n_entries
         for seq_block, par_block in zip(sequential.blocks, parallel.blocks):
@@ -237,9 +248,10 @@ class TestRun:
 
         backend = ScipyBackend(driver="evd")
         plan = _plan(4)
-        parallel = Simulator(
+        with Simulator(
             cache=DecompositionCache(), backend=backend, max_workers=2
-        ).run(plan, 12)
+        ) as sim:
+            parallel = sim.run(plan, 12)
         sequential = Simulator(cache=DecompositionCache(), backend=backend).run(plan, 12)
         for par_block, seq_block in zip(parallel.blocks, sequential.blocks):
             assert np.array_equal(par_block.samples, seq_block.samples)
@@ -265,7 +277,9 @@ class TestRun:
     def test_single_entry_plan_stays_in_process(self):
         # No pool spin-up for B=1; result identical either way.
         plan = _plan(1)
-        a = Simulator(cache=DecompositionCache(), max_workers=4).run(plan, 8)
+        with Simulator(cache=DecompositionCache(), max_workers=4) as sim:
+            a = sim.run(plan, 8)
+            assert sim._process_pool is None
         b = Simulator(cache=DecompositionCache()).run(plan, 8)
         assert np.array_equal(a.blocks[0].samples, b.blocks[0].samples)
 
@@ -277,6 +291,132 @@ class TestRun:
         assert "3 hits" in summary
         assert "hit rate" in summary
         assert "backend=numpy" in summary
+
+
+def _same_bytes(result, reference):
+    assert len(result.blocks) == len(reference.blocks)
+    for block, expected in zip(result.blocks, reference.blocks):
+        assert block.samples.tobytes() == expected.samples.tobytes()
+
+
+def _pool_workers(sim):
+    """The live session pool's worker processes."""
+    return list(sim._process_pool._processes.values())
+
+
+def _wait_exited(processes, timeout=30.0):
+    # Poll: the pool's own manager thread may reap a worker between our
+    # wake-up and our waitpid, and only its bookkeeping then sets exitcode.
+    deadline = time.monotonic() + timeout
+    for process in processes:
+        while process.exitcode is None and time.monotonic() < deadline:
+            process.join(0.05)
+        assert process.exitcode is not None, f"worker {process.pid} still running"
+
+
+@pytest.fixture
+def built_pools(monkeypatch):
+    """Every process pool a session builds during the test, in order."""
+    from repro import api
+
+    built = []
+
+    class CountingPool(api.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(api, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
+class TestSessionPool:
+    """The process pool is a session resource: built once, closed with it."""
+
+    def test_one_pool_serves_every_run_bit_identically(self, built_pools):
+        plans = [_plan(4, seed=seed) for seed in (11, 12, 13)]
+        with Simulator(cache=DecompositionCache(), max_workers=2) as sim:
+            assert sim._process_pool is None  # lazy: nothing started yet
+            worker_pids = set()
+            for plan in plans + plans:
+                reference = Simulator(cache=DecompositionCache()).run(plan, 16)
+                _same_bytes(sim.run(plan, 16), reference)
+                worker_pids.add(frozenset(p.pid for p in _pool_workers(sim)))
+        assert len(worker_pids) == 1  # the same workers served every run
+        assert len(built_pools) == 1
+
+    def test_concurrent_runs_share_one_pool(self, built_pools):
+        # More workers and threads than cores, with a short switch interval,
+        # so lazy pool creation and submits from many threads interleave.
+        plans = [_plan(3, seed=seed) for seed in range(6)]
+        references = [Simulator(cache=DecompositionCache()).run(p, 16) for p in plans]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Simulator(cache=DecompositionCache(), max_workers=4) as sim:
+                with ThreadPoolExecutor(max_workers=8) as threads:
+                    futures = [threads.submit(sim.run, p, 16) for p in plans * 2]
+                    results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result, reference in zip(results, references * 2):
+            _same_bytes(result, reference)
+        assert len(built_pools) == 1
+
+    def test_repeated_plan_hits_warm_worker_caches(self):
+        # Four entries over one matrix: each sub-plan compiles one unique
+        # matrix, and each worker decomposes it at most once in its life.
+        # Run 1 misses at least once, so of run 2's two sub-plans at most
+        # one can miss — whichever workers the pool hands them to.
+        spec = _plan(1).entries[0].spec
+        plan = SimulationPlan.from_specs([spec] * 4, seed=5)
+        with Simulator(cache=DecompositionCache(), max_workers=2) as sim:
+            first = sim.run(plan, 8).compile_report
+            second = sim.run(plan, 8).compile_report
+        assert first.cache_misses >= 1
+        assert second.cache_hits >= 1
+        assert first.cache_misses + second.cache_misses <= 2
+
+    def test_close_reaps_workers_and_later_runs_stay_in_process(self):
+        plan = _plan(4)
+        reference = Simulator(cache=DecompositionCache()).run(plan, 16)
+        sim = Simulator(cache=DecompositionCache(), max_workers=2)
+        _same_bytes(sim.run(plan, 16), reference)
+        workers = _pool_workers(sim)
+        assert workers
+        sim.close()
+        assert all(process.exitcode is not None for process in workers)
+        assert sim._process_pool is None
+        _same_bytes(sim.run(plan, 16), reference)
+        assert sim._process_pool is None  # no pool rebuilt after close
+
+    def test_killed_worker_fails_one_run_then_pool_is_rebuilt(self):
+        import signal
+
+        plan = _plan(4)
+        reference = Simulator(cache=DecompositionCache()).run(plan, 16)
+        with Simulator(cache=DecompositionCache(), max_workers=2) as sim:
+            _same_bytes(sim.run(plan, 16), reference)
+            broken = sim._process_pool
+            workers = _pool_workers(sim)
+            os.kill(workers[0].pid, signal.SIGKILL)
+            # The pool notices the death and terminates the survivors; once
+            # every worker is gone it refuses new work.
+            _wait_exited(workers)
+            with pytest.raises(ParallelExecutionError, match="parallel plan"):
+                sim.run(plan, 16)
+            assert sim._process_pool is None
+            _same_bytes(sim.run(plan, 16), reference)
+            assert sim._process_pool is not None
+            assert sim._process_pool is not broken
+
+    def test_unclosed_session_reaps_workers_when_collected(self):
+        sim = Simulator(cache=DecompositionCache(), max_workers=2)
+        sim.run(_plan(4), 8)
+        workers = _pool_workers(sim)
+        del sim
+        gc.collect()
+        _wait_exited(workers)
 
 
 class TestStream:

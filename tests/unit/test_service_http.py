@@ -257,6 +257,33 @@ class TestRoutes:
         asyncio.run(scenario())
 
 
+    def test_hostile_seed_names_map_to_400_without_touching_global_rng(self):
+        """Names that are not bit generators are client errors, not 500s."""
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (service, server):
+                for name in ("seed", "Generator"):
+                    payload = plan_to_payload(_plan(), 32)
+                    payload["entries"][0]["seed"] = {
+                        "kind": "generator",
+                        "state": {"bit_generator": name},
+                    }
+                    before = np.random.get_state()
+                    status, _headers, raw = await _request(
+                        server.port, "POST", "/v1/plans", body=payload
+                    )
+                    after = np.random.get_state()
+                    assert status == 400
+                    assert "bit generator" in json.loads(raw)["error"]
+                    assert after[1].tobytes() == before[1].tobytes()
+                    assert after[2:] == before[2:]
+                assert service.metrics()["requests_submitted"] == 0
+            sim.close()
+
+        asyncio.run(scenario())
+
+
 class TestBackpressureAndCancellation:
     def test_full_queue_429_with_retry_after(self):
         backend = GatedBackend()

@@ -28,6 +28,7 @@ from repro.service import (
     result_from_lines,
     result_to_lines,
 )
+from repro.service.protocol import BIT_GENERATORS, seed_from_payload, seed_to_payload
 
 BASE = np.array(
     [
@@ -142,6 +143,53 @@ class TestPlanPayload:
         del payload["entries"][1]["matrix"]
         with pytest.raises(SpecificationError, match="index 1"):
             plan_from_payload(payload)
+
+
+
+def _global_rng_state():
+    state = np.random.get_state()
+    return (state[0], state[1].tobytes()) + tuple(state[2:])
+
+
+def _payload_with_bit_generator(name):
+    payload = plan_to_payload(_rich_plan(), 64)
+    payload["entries"][0]["seed"] = {
+        "kind": "generator",
+        "state": {"bit_generator": name},
+    }
+    return payload
+
+
+class TestSeedPayloadTrustBoundary:
+    """Client-chosen bit-generator names never reach ``getattr(np.random)``."""
+
+    HOSTILE = ["seed", "Generator", "default_rng", "RandomState", "__class__", 7, ["PCG64"]]
+
+    @pytest.mark.parametrize("name", HOSTILE)
+    def test_non_bit_generator_names_are_specification_errors(self, name):
+        before = _global_rng_state()
+        with pytest.raises(SpecificationError, match="bit generator"):
+            seed_from_payload({"kind": "generator", "state": {"bit_generator": name}})
+        with pytest.raises(SpecificationError):
+            plan_from_payload(_payload_with_bit_generator(name))
+        assert _global_rng_state() == before
+
+    @pytest.mark.parametrize("family", sorted(BIT_GENERATORS))
+    def test_every_whitelisted_family_round_trips(self, family):
+        source = np.random.Generator(getattr(np.random, family)(17))
+        source.standard_normal(5)
+        restored = seed_from_payload(json.loads(json.dumps(seed_to_payload(source))))
+        assert restored.standard_normal(8).tobytes() == source.standard_normal(8).tobytes()
+
+    def test_out_of_range_state_is_a_specification_error(self):
+        state = {
+            "bit_generator": "PCG64",
+            "state": {"state": -1, "inc": 1},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        with pytest.raises(SpecificationError, match="malformed generator state"):
+            seed_from_payload({"kind": "generator", "state": state})
 
 
 class TestResultStream:

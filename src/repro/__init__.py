@@ -44,67 +44,140 @@ Package map
     ``python -m repro``.
 """
 
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 from ._version import __version__
-from .config import DEFAULTS, NumericDefaults
-from .exceptions import (
-    ReproError,
-    SpecificationError,
-    CovarianceError,
-    NotPositiveSemiDefiniteError,
-    CholeskyError,
-    ColoringError,
-    DopplerError,
-    GenerationError,
-    ValidationError,
+
+# Names resolve on first read (PEP 562), so ``import repro`` stays cheap and
+# a process loads only the subpackages it uses.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("DEFAULTS", "NumericDefaults"),
+        ".exceptions": (
+            "ReproError",
+            "SpecificationError",
+            "CovarianceError",
+            "NotPositiveSemiDefiniteError",
+            "CholeskyError",
+            "ColoringError",
+            "DopplerError",
+            "GenerationError",
+            "ValidationError",
+        ),
+        ".types": ("EnvelopeBlock", "GaussianBlock"),
+        ".core": (
+            "CovarianceSpec",
+            "RayleighFadingGenerator",
+            "RealTimeRayleighGenerator",
+            "RicianFadingGenerator",
+            "build_covariance_matrix",
+            "correlation_coefficient_matrix",
+            "envelope_power_to_gaussian_power",
+            "gaussian_power_to_envelope_power",
+            "envelope_correlation_from_gaussian",
+            "gaussian_correlation_from_envelope",
+            "gaussian_correlation_matrix_from_envelope",
+            "force_positive_semidefinite",
+            "compute_coloring",
+            "generate_correlated_envelopes",
+            "generate_from_scenario",
+            "covariance_match_report",
+            "envelope_power_report",
+        ),
+        ".channels": (
+            "OFDMScenario",
+            "MIMOArrayScenario",
+            "CustomScenario",
+            "DopplerSettings",
+            "ScenarioSweep",
+            "SpectralCorrelationModel",
+            "SpatialCorrelationModel",
+            "IDFTRayleighGenerator",
+            "SumOfSinusoidsGenerator",
+        ),
+        ".engine": (
+            "BatchResult",
+            "CacheStats",
+            "DecompositionCache",
+            "DopplerFilterCache",
+            "DopplerSpec",
+            "FadingSpec",
+            "LinalgBackend",
+            "PlanEntry",
+            "SimulationEngine",
+            "SimulationPlan",
+            "available_backends",
+            "default_engine",
+            "get_backend",
+            "register_backend",
+        ),
+        ".api": ("Simulator", "default_simulator"),
+    },
 )
-from .types import EnvelopeBlock, GaussianBlock
-from .core import (
-    CovarianceSpec,
-    RayleighFadingGenerator,
-    RealTimeRayleighGenerator,
-    RicianFadingGenerator,
-    build_covariance_matrix,
-    correlation_coefficient_matrix,
-    envelope_power_to_gaussian_power,
-    gaussian_power_to_envelope_power,
-    envelope_correlation_from_gaussian,
-    gaussian_correlation_from_envelope,
-    gaussian_correlation_matrix_from_envelope,
-    force_positive_semidefinite,
-    compute_coloring,
-    generate_correlated_envelopes,
-    generate_from_scenario,
-    covariance_match_report,
-    envelope_power_report,
-)
-from .channels import (
-    OFDMScenario,
-    MIMOArrayScenario,
-    CustomScenario,
-    DopplerSettings,
-    ScenarioSweep,
-    SpectralCorrelationModel,
-    SpatialCorrelationModel,
-    IDFTRayleighGenerator,
-    SumOfSinusoidsGenerator,
-)
-from .engine import (
-    BatchResult,
-    CacheStats,
-    DecompositionCache,
-    DopplerFilterCache,
-    DopplerSpec,
-    FadingSpec,
-    LinalgBackend,
-    PlanEntry,
-    SimulationEngine,
-    SimulationPlan,
-    available_backends,
-    default_engine,
-    get_backend,
-    register_backend,
-)
-from .api import Simulator, default_simulator
+
+if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
+    from .api import Simulator, default_simulator
+    from .channels import (
+        CustomScenario,
+        DopplerSettings,
+        IDFTRayleighGenerator,
+        MIMOArrayScenario,
+        OFDMScenario,
+        ScenarioSweep,
+        SpatialCorrelationModel,
+        SpectralCorrelationModel,
+        SumOfSinusoidsGenerator,
+    )
+    from .config import DEFAULTS, NumericDefaults
+    from .core import (
+        CovarianceSpec,
+        RayleighFadingGenerator,
+        RealTimeRayleighGenerator,
+        RicianFadingGenerator,
+        build_covariance_matrix,
+        compute_coloring,
+        correlation_coefficient_matrix,
+        covariance_match_report,
+        envelope_correlation_from_gaussian,
+        envelope_power_report,
+        envelope_power_to_gaussian_power,
+        force_positive_semidefinite,
+        gaussian_correlation_from_envelope,
+        gaussian_correlation_matrix_from_envelope,
+        gaussian_power_to_envelope_power,
+        generate_correlated_envelopes,
+        generate_from_scenario,
+    )
+    from .engine import (
+        BatchResult,
+        CacheStats,
+        DecompositionCache,
+        DopplerFilterCache,
+        DopplerSpec,
+        FadingSpec,
+        LinalgBackend,
+        PlanEntry,
+        SimulationEngine,
+        SimulationPlan,
+        available_backends,
+        default_engine,
+        get_backend,
+        register_backend,
+    )
+    from .exceptions import (
+        CholeskyError,
+        ColoringError,
+        CovarianceError,
+        DopplerError,
+        GenerationError,
+        NotPositiveSemiDefiniteError,
+        ReproError,
+        SpecificationError,
+        ValidationError,
+    )
+    from .types import EnvelopeBlock, GaussianBlock
 
 __all__ = [
     "__version__",

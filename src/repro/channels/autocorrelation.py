@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.special import j0
 
 from ..exceptions import DopplerError
 
@@ -33,6 +32,8 @@ def clarke_autocorrelation(lags: np.ndarray, normalized_doppler: float) -> np.nd
         raise DopplerError(
             f"normalized_doppler must be non-negative, got {normalized_doppler}"
         )
+    from scipy.special import j0
+
     lags = np.asarray(lags, dtype=float)
     return j0(2.0 * np.pi * normalized_doppler * lags)
 

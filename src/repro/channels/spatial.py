@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import jv
 
 from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import DimensionError, SpecificationError
@@ -85,6 +84,8 @@ def spatial_correlation_real(
         raise SpecificationError(
             f"antenna spacing must be non-negative, got {spacing_wavelengths}"
         )
+    from scipy.special import jv
+
     z = 2.0 * np.pi * spacing_wavelengths
     argument = z * float(element_separation)
     total = float(jv(0, argument))
@@ -118,6 +119,8 @@ def spatial_correlation_imag(
         raise SpecificationError(
             f"antenna spacing must be non-negative, got {spacing_wavelengths}"
         )
+    from scipy.special import jv
+
     z = 2.0 * np.pi * spacing_wavelengths
     argument = z * float(element_separation)
     total = 0.0

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import j0
 
 from ..exceptions import DimensionError, SpecificationError
 
@@ -82,6 +81,8 @@ def spectral_covariance_pair(
         raise SpecificationError(
             f"rms delay spread must be non-negative, got {rms_delay_spread_s}"
         )
+    from scipy.special import j0
+
     delta_omega_sigma = 2.0 * np.pi * float(frequency_separation_hz) * float(rms_delay_spread_s)
     rxx = (
         float(power)
@@ -151,6 +152,8 @@ def spectral_covariance_components(
     delta_omega_sigma = (
         2.0 * np.pi * (frequencies_hz[:, None] - frequencies_hz[None, :]) * rms_delay_spread_s
     )
+    from scipy.special import j0
+
     bessel = j0(2.0 * np.pi * max_doppler_hz * delays_s)
     rxx = pair_power * bessel / (2.0 * (1.0 + delta_omega_sigma**2))
     rxy = -delta_omega_sigma * rxx

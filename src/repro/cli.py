@@ -71,7 +71,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from ._version import __version__
-from .experiments import list_experiments, run_experiment
 
 __all__ = ["main", "build_parser"]
 
@@ -570,6 +569,8 @@ def _run_shard_command(args) -> int:
 
 
 def _run_ids(requested: List[str]) -> List[str]:
+    from .experiments import list_experiments
+
     if len(requested) == 1 and requested[0] == "all":
         return list_experiments()
     unknown = [name for name in requested if name not in list_experiments()]
@@ -586,6 +587,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
+        from .experiments import list_experiments
+
         for experiment_id in list_experiments():
             print(experiment_id)
         return 0
@@ -676,6 +679,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return lint_main(lint_argv)
 
     if args.command == "run":
+        from .experiments import run_experiment
+
         _attach_cache_dir(args.cache_dir)
         exit_code = 0
         for experiment_id in _run_ids(list(args.experiments)):
@@ -780,6 +785,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if result.passed else 1
 
     if args.command == "export":
+        from .experiments import run_experiment
+
         kwargs = {} if args.seed is None else {"seed": args.seed}
         result = run_experiment(args.experiment, **kwargs)
         output_dir: Path = args.output

@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Union
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from ..exceptions import SpecificationError
 from ..linalg import assert_hermitian
@@ -78,6 +77,8 @@ def envelope_correlation_from_gaussian(gaussian_correlation: ArrayOrFloat) -> np
     numpy.ndarray
         Envelope correlation coefficient(s) in ``[0, 1]``.
     """
+    from scipy.special import hyp2f1
+
     magnitude = np.abs(np.asarray(gaussian_correlation))
     magnitude = _validate_magnitude(magnitude, "|gaussian correlation|", upper_inclusive=True)
     cross_moment_factor = hyp2f1(-0.5, -0.5, 1.0, magnitude**2)

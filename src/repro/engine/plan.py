@@ -24,7 +24,7 @@ and the unit the parallel layer partitions across processes
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,8 +40,10 @@ _PSD_METHODS = ("clip", "epsilon", "higham")
 
 #: What callers may pass wherever a Doppler mode is expected: a ready
 #: :class:`DopplerSpec`, a bare normalized Doppler frequency (defaults for
-#: everything else), or ``None`` for snapshot mode.
-DopplerLike = Union[None, float, "DopplerSpec"]
+#: everything else), the wire mapping of :mod:`repro.service.protocol`
+#: (the :class:`DopplerSpec` field names, ``normalized_doppler`` required),
+#: or ``None`` for snapshot mode.
+DopplerLike = Union[None, float, "DopplerSpec", Mapping[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -101,15 +103,44 @@ class DopplerSpec:
         return (self.n_points, self.normalized_doppler, self.input_variance_per_dim)
 
 
+_DOPPLER_FIELDS = (
+    "normalized_doppler",
+    "n_points",
+    "input_variance_per_dim",
+    "compensate_variance",
+)
+
+
 def coerce_doppler(doppler: DopplerLike) -> Optional[DopplerSpec]:
-    """Normalize a :data:`DopplerLike` value into an optional :class:`DopplerSpec`."""
+    """Normalize a :data:`DopplerLike` value into an optional :class:`DopplerSpec`.
+
+    A mapping is decoded field by field with the :class:`DopplerSpec`
+    defaults; any problem with it (unknown or missing field, a value of
+    the wrong type or out of range) raises
+    :class:`~repro.exceptions.SpecificationError`.
+    """
     if doppler is None or isinstance(doppler, DopplerSpec):
         return doppler
     if isinstance(doppler, (int, float, np.floating)) and not isinstance(doppler, bool):
         return DopplerSpec(normalized_doppler=float(doppler))
+    if isinstance(doppler, Mapping):
+        unknown = sorted(set(doppler) - set(_DOPPLER_FIELDS), key=str)
+        if unknown:
+            raise SpecificationError(
+                f"unknown doppler field(s) {unknown}; expected {list(_DOPPLER_FIELDS)}"
+            )
+        try:
+            return DopplerSpec(
+                normalized_doppler=float(doppler["normalized_doppler"]),
+                n_points=int(doppler.get("n_points", 4096)),
+                input_variance_per_dim=float(doppler.get("input_variance_per_dim", 0.5)),
+                compensate_variance=bool(doppler.get("compensate_variance", True)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecificationError(f"malformed doppler mapping: {exc}") from exc
     raise SpecificationError(
-        "doppler must be None, a normalized Doppler frequency, or a DopplerSpec; "
-        f"got {type(doppler).__name__}"
+        "doppler must be None, a normalized Doppler frequency, a mapping, or a "
+        f"DopplerSpec; got {type(doppler).__name__}"
     )
 
 

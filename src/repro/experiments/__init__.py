@@ -25,8 +25,23 @@ Experiments
 ``scaling-doppler-batch``      Batched Doppler substrate vs. looped real-time generation.
 """
 
-from .reporting import ExperimentResult, Table
-from .runner import EXPERIMENTS, run_experiment, list_experiments, run_all
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+# Lazy (PEP 562): importing one experiment module (``scaling``,
+# ``paper_values``) does not load the registry and with it every experiment.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".reporting": ("ExperimentResult", "Table"),
+        ".runner": ("EXPERIMENTS", "run_experiment", "list_experiments", "run_all"),
+    },
+)
+
+if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
+    from .reporting import ExperimentResult, Table
+    from .runner import EXPERIMENTS, list_experiments, run_all, run_experiment
 
 __all__ = [
     "ExperimentResult",

@@ -28,6 +28,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..engine import DopplerSpec, FadingSpec, SimulationPlan
+from ..engine.plan import coerce_doppler
 from ..engine.result import BatchResult
 from ..exceptions import SpecificationError
 from ..models.fading import coerce_fading
@@ -226,21 +227,6 @@ def plan_from_payload(payload: Dict[str, Any]) -> Tuple[SimulationPlan, int]:
             matrix_obj = raw["matrix"]
             real = np.asarray(matrix_obj["re"], dtype=float)
             imag = np.asarray(matrix_obj["im"], dtype=float)
-            doppler_obj = raw.get("doppler")
-            doppler = (
-                None
-                if doppler_obj is None
-                else DopplerSpec(
-                    normalized_doppler=float(doppler_obj["normalized_doppler"]),
-                    n_points=int(doppler_obj.get("n_points", 4096)),
-                    input_variance_per_dim=float(
-                        doppler_obj.get("input_variance_per_dim", 0.5)
-                    ),
-                    compensate_variance=bool(
-                        doppler_obj.get("compensate_variance", True)
-                    ),
-                )
-            )
             plan.add(
                 real + 1j * imag,
                 seed=seed_from_payload(raw.get("seed")),
@@ -248,7 +234,7 @@ def plan_from_payload(payload: Dict[str, Any]) -> Tuple[SimulationPlan, int]:
                 psd_method=str(raw.get("psd_method", "clip")),
                 epsilon=float(raw.get("epsilon", 1e-6)),
                 sample_variance=float(raw.get("sample_variance", 1.0)),
-                doppler=doppler,
+                doppler=coerce_doppler(raw.get("doppler")),
                 fading=coerce_fading(raw.get("fading")),
                 label=raw.get("label"),
             )

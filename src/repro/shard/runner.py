@@ -207,20 +207,30 @@ def _drain(
     progress: Optional[ProgressFn],
     timeout: float,
 ) -> int:
-    """Stream a worker's stdout to ``progress`` and return its exit code."""
-    deadline = time.monotonic() + timeout
-    assert process.stdout is not None
-    for line in process.stdout:
-        if progress is not None:
-            progress(index, line.rstrip("\n"))
-        if time.monotonic() > deadline:
-            break
-    try:
-        return process.wait(timeout=max(0.0, deadline - time.monotonic()))
-    except subprocess.TimeoutExpired:
+    """Stream a worker's stdout to ``progress`` and return its exit code.
+
+    The deadline is enforced by a timer that kills the worker, so a worker
+    that goes silent cannot hold the read loop past ``timeout``; a killed
+    worker returns -1.
+    """
+    expired = threading.Event()
+
+    def _expire() -> None:
+        expired.set()
         process.kill()
-        process.wait()
-        return -1
+
+    timer = threading.Timer(max(0.0, timeout), _expire)
+    timer.daemon = True
+    timer.start()
+    try:
+        assert process.stdout is not None
+        for line in process.stdout:
+            if progress is not None:
+                progress(index, line.rstrip("\n"))
+        code = process.wait()
+    finally:
+        timer.cancel()
+    return -1 if expired.is_set() else code
 
 
 def run_sharded(

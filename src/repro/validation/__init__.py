@@ -15,26 +15,58 @@ The checks return structured result objects rather than booleans so reports
 can show *how close* a run was, not only whether it passed.
 """
 
-from .metrics import relative_frobenius_error, max_absolute_error, normalized_covariance_error
-from .empirical import (
-    empirical_correlation_coefficients,
-    empirical_envelope_correlation,
-    branch_powers,
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+# Lazy (PEP 562): the checks load scipy.stats only when a test runs.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": (
+            "relative_frobenius_error",
+            "max_absolute_error",
+            "normalized_covariance_error",
+        ),
+        ".empirical": (
+            "empirical_correlation_coefficients",
+            "empirical_envelope_correlation",
+            "branch_powers",
+        ),
+        ".hypothesis_tests": ("rayleigh_ks_test", "phase_uniformity_test", "KSTestResult"),
+        ".reports": (
+            "CheckResult",
+            "ValidationReport",
+            "check_covariance",
+            "check_envelope_powers",
+            "check_rayleigh_fit",
+            "check_autocorrelation",
+            "validate_block",
+        ),
+    },
 )
-from .hypothesis_tests import (
-    rayleigh_ks_test,
-    phase_uniformity_test,
-    KSTestResult,
-)
-from .reports import (
-    CheckResult,
-    ValidationReport,
-    check_covariance,
-    check_envelope_powers,
-    check_rayleigh_fit,
-    check_autocorrelation,
-    validate_block,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
+    from .empirical import (
+        branch_powers,
+        empirical_correlation_coefficients,
+        empirical_envelope_correlation,
+    )
+    from .hypothesis_tests import KSTestResult, phase_uniformity_test, rayleigh_ks_test
+    from .metrics import (
+        max_absolute_error,
+        normalized_covariance_error,
+        relative_frobenius_error,
+    )
+    from .reports import (
+        CheckResult,
+        ValidationReport,
+        check_autocorrelation,
+        check_covariance,
+        check_envelope_powers,
+        check_rayleigh_fit,
+        validate_block,
+    )
 
 __all__ = [
     "relative_frobenius_error",

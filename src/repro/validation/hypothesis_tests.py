@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..exceptions import DimensionError
 
@@ -78,6 +77,8 @@ def rayleigh_ks_test(
         raise DimensionError("rayleigh_ks_test expects a 1-D sequence of length >= 8")
     if gaussian_variance <= 0:
         raise ValueError(f"gaussian_variance must be positive, got {gaussian_variance}")
+    from scipy import stats
+
     scale = np.sqrt(gaussian_variance / 2.0)
     statistic, p_value = stats.kstest(arr, "rayleigh", args=(0.0, scale))
     return KSTestResult(
@@ -105,6 +106,8 @@ def phase_uniformity_test(
     arr = np.asarray(complex_samples)
     if arr.ndim != 1 or arr.shape[0] < 8:
         raise DimensionError("phase_uniformity_test expects a 1-D sequence of length >= 8")
+    from scipy import stats
+
     phases = np.angle(arr)  # in (-pi, pi]
     statistic, p_value = stats.kstest(phases, "uniform", args=(-np.pi, 2.0 * np.pi))
     return KSTestResult(

@@ -6,6 +6,7 @@ import pytest
 from repro.channels import MIMOArrayScenario, ScenarioSweep
 from repro.core import CovarianceSpec
 from repro.engine import DopplerSpec, PlanEntry, SimulationPlan
+from repro.engine.plan import coerce_doppler
 from repro.exceptions import DopplerError, FilterDesignError, SpecificationError
 
 
@@ -95,6 +96,45 @@ class TestDopplerSpec:
         plan = SimulationPlan()
         with pytest.raises(SpecificationError, match="doppler"):
             plan.add(spec, doppler="fast")
+
+    def test_plan_add_coerces_wire_mapping(self, spec):
+        """The mapping of the wire protocol, with DopplerSpec's defaults."""
+        plan = SimulationPlan()
+        plan.add(spec, doppler={"normalized_doppler": 0.05, "n_points": 128})
+        plan.add(
+            spec,
+            doppler={
+                "normalized_doppler": 0.1,
+                "n_points": 64,
+                "input_variance_per_dim": 0.25,
+                "compensate_variance": False,
+            },
+        )
+        assert plan[0].doppler == DopplerSpec(normalized_doppler=0.05, n_points=128)
+        assert plan[1].doppler == DopplerSpec(
+            normalized_doppler=0.1,
+            n_points=64,
+            input_variance_per_dim=0.25,
+            compensate_variance=False,
+        )
+        assert coerce_doppler({"normalized_doppler": 0.05}) == DopplerSpec(0.05)
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {},
+            {"n_points": 64},
+            {"normalized_doppler": 0.05, "n_points": 64, "speed": 3},
+            {"normalized_doppler": "fast", "n_points": 64},
+            {"normalized_doppler": 0.05, "n_points": [64]},
+            {"normalized_doppler": 0.7, "n_points": 64},
+            {"normalized_doppler": 0.05, "n_points": 64, "input_variance_per_dim": 0},
+        ],
+    )
+    def test_malformed_mapping_is_a_specification_error(self, spec, mapping):
+        plan = SimulationPlan()
+        with pytest.raises(SpecificationError, match="doppler"):
+            plan.add(spec, doppler=mapping)
 
     def test_from_specs_applies_doppler_to_every_entry(self, spec):
         doppler = DopplerSpec(normalized_doppler=0.1, n_points=128)

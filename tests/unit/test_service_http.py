@@ -257,6 +257,23 @@ class TestRoutes:
         asyncio.run(scenario())
 
 
+    def test_malformed_doppler_maps_to_400_not_500(self):
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (service, server):
+                for doppler in ({"n_points": 64}, {"normalized_doppler": "x"}, 0.9):
+                    payload = plan_to_payload(_plan(), 32)
+                    payload["entries"][0]["doppler"] = doppler
+                    status, _headers, raw = await _request(
+                        server.port, "POST", "/v1/plans", body=payload
+                    )
+                    assert status == 400
+                    assert "doppler" in json.loads(raw)["error"].lower()
+                assert service.metrics()["requests_submitted"] == 0
+            sim.close()
+
+        asyncio.run(scenario())
+
     def test_hostile_seed_names_map_to_400_without_touching_global_rng(self):
         """Names that are not bit generators are client errors, not 500s."""
 

@@ -144,6 +144,47 @@ class TestPlanPayload:
         with pytest.raises(SpecificationError, match="index 1"):
             plan_from_payload(payload)
 
+    def test_payload_round_trip_is_byte_identical(self):
+        """Decode then re-encode reproduces the submitted JSON text exactly."""
+        plan = _rich_plan()
+        plan.add(
+            BASE,
+            seed=404,
+            doppler=DopplerSpec(
+                normalized_doppler=0.1,
+                n_points=512,
+                input_variance_per_dim=0.25,
+                compensate_variance=False,
+            ),
+            label="doppler-custom",
+        )
+        text = json.dumps(plan_to_payload(plan, 64), sort_keys=True)
+        decoded, n_samples = plan_from_payload(json.loads(text))
+        assert json.dumps(plan_to_payload(decoded, n_samples), sort_keys=True) == text
+
+    def test_doppler_mapping_defaults_match_dopplerspec(self):
+        payload = plan_to_payload(_rich_plan(), 64)
+        payload["entries"][2]["doppler"] = {"normalized_doppler": 0.05}
+        decoded, _ = plan_from_payload(payload)
+        assert decoded[2].doppler == DopplerSpec(normalized_doppler=0.05)
+
+    @pytest.mark.parametrize(
+        "doppler",
+        [
+            {"n_points": 64},
+            {"normalized_doppler": 0.05, "n_points": "many"},
+            {"normalized_doppler": 0.05, "n_points": 64, "unknown": 1},
+            {"normalized_doppler": 0.9, "n_points": 64},
+            "fast",
+            [0.05],
+        ],
+    )
+    def test_malformed_doppler_is_a_specification_error(self, doppler):
+        payload = plan_to_payload(_rich_plan(), 64)
+        payload["entries"][2]["doppler"] = doppler
+        with pytest.raises(SpecificationError, match="doppler"):
+            plan_from_payload(payload)
+
 
 
 def _global_rng_state():

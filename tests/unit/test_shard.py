@@ -395,3 +395,80 @@ class TestShardCLI:
         ):
             with pytest.raises(SystemExit):
                 main(argv + ["--cache-dir", str(tmp_path)])
+
+
+class TestWorkerTimeout:
+    """``run_sharded(timeout=)`` holds even when a worker stops printing."""
+
+    @staticmethod
+    def _sleeper(script):
+        import subprocess
+        import sys
+
+        return subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "import time; print('shard 0/1: start', flush=True); time.sleep(30)",
+            "import time; time.sleep(30)",
+        ],
+        ids=["prints-then-sleeps", "silent"],
+    )
+    def test_drain_kills_a_silent_worker_at_the_deadline(self, script):
+        import time
+
+        from repro.shard.runner import _drain
+
+        process = self._sleeper(script)
+        lines = []
+        started = time.monotonic()
+        try:
+            code = _drain(process, 0, lambda index, line: lines.append(line), 1.0)
+        finally:
+            process.kill()
+            process.wait()
+        assert time.monotonic() - started < 10.0
+        assert code == -1
+        assert process.returncode != 0
+        if "print" in script:
+            assert lines == ["shard 0/1: start"]
+
+    def test_drain_returns_the_exit_code_within_the_deadline(self):
+        from repro.shard.runner import _drain
+
+        process = self._sleeper("import sys; print('done', flush=True); sys.exit(3)")
+        assert _drain(process, 0, None, 30.0) == 3
+
+    def test_timed_out_slice_is_reported_failed(self, tmp_path, monkeypatch):
+        import time
+
+        from repro.shard import runner
+
+        spawned = []
+
+        def fake_spawn(slice_path, out_prefix, **_kwargs):
+            process = self._sleeper(
+                "import time; print('shard: start', flush=True); time.sleep(30)"
+            )
+            spawned.append(process)
+            return process
+
+        monkeypatch.setattr(runner, "_spawn", fake_spawn)
+        started = time.monotonic()
+        try:
+            result = runner.run_sharded(
+                _sweep_plan(4), 8, n_shards=2, work_dir=tmp_path, timeout=1.0
+            )
+        finally:
+            for process in spawned:
+                process.kill()
+                process.wait()
+        assert time.monotonic() - started < 15.0
+        assert result.failed == (0, 1)
+        assert not result.ok and result.merged is None

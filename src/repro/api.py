@@ -54,7 +54,7 @@ import weakref
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -127,38 +127,6 @@ def _init_worker(
 def _run_subplan(subplan: SimulationPlan, n_samples: int) -> BatchResult:
     """Worker task: compile and execute one sub-plan on the worker's engine."""
     return _WORKER_ENGINE.run(subplan, n_samples)
-
-
-def _merge_results(
-    partials: Sequence[BatchResult],
-    n_samples: int,
-    wall_seconds: float,
-    backend_name: str,
-) -> BatchResult:
-    """Reassemble worker results into one plan-ordered :class:`BatchResult`.
-
-    Cache and dedup counters are summed across workers (each worker compiled
-    against a private cache); ``compile_seconds`` is the maximum over
-    workers because the compiles ran concurrently, and ``execute_seconds``
-    is the caller-observed wall clock of the whole pool.
-    """
-    from .shard import merge_compile_reports
-
-    blocks: List[GaussianBlock] = []
-    for partial in partials:
-        blocks.extend(partial.blocks)
-    # Workers saw sub-plan-local indices; restore whole-plan indexing so
-    # metadata maps blocks back to the caller's plan entries.
-    for index, block in enumerate(blocks):
-        block.metadata["plan_index"] = index
-    report = merge_compile_reports([p.compile_report for p in partials])
-    return BatchResult(
-        blocks=tuple(blocks),
-        n_samples=int(n_samples),
-        compile_report=report,
-        execute_seconds=wall_seconds,
-        backend=backend_name,
-    )
 
 
 class Simulator:
@@ -412,19 +380,28 @@ class Simulator:
         if pool is None:
             # A closed session runs in-process: bit-identical by invariant 1.
             return self._engine.run(plan, n_samples)
-        subplans = plan.partition(int(workers))
+        from .shard.slicing import merge_results, partition_plan
+
+        slices = partition_plan(plan, int(workers))
         start = time.perf_counter()
         try:
             futures = [
-                pool.submit(_run_subplan, subplan, n_samples) for subplan in subplans
+                pool.submit(_run_subplan, plan_slice.plan, n_samples)
+                for plan_slice in slices
             ]
             partials = [future.result() for future in futures]
         except Exception as exc:
             if isinstance(exc, BrokenProcessPool):
                 self._discard_pool(pool)
             raise ParallelExecutionError(f"parallel plan execution failed: {exc}") from exc
-        return _merge_results(
-            partials, n_samples, time.perf_counter() - start, self.backend.name
+        # The same merge as sharded runs: plan order, whole-plan indices,
+        # summed compile counters, and a contiguity/block-count check.
+        return merge_results(
+            slices,
+            partials,
+            n_samples=n_samples,
+            wall_seconds=time.perf_counter() - start,
+            backend=self.backend.name,
         )
 
     def stream(

@@ -436,36 +436,34 @@ def _run_cache_command(action: str, cache_dir: Optional[Path]) -> int:
     from .engine import CompiledPlanCache, DecompositionCache, DopplerFilterCache
 
     resolved = _resolved_cache_dir(cache_dir)
-    # maxsize=0: these handles only inspect/maintain the disk tier; nothing
-    # is promoted into (or counted against) an in-memory LRU.
-    decompositions = DecompositionCache(maxsize=0, cache_dir=resolved)
+    decompositions = DecompositionCache(cache_dir=resolved)
     filters = DopplerFilterCache(cache_dir=resolved)
     plans = CompiledPlanCache(cache_dir=resolved)
+    # (label, cache, unit of its memory bound and weight)
+    tiers = (
+        ("decompositions", decompositions, "entries"),
+        ("doppler filters", filters, "bytes"),
+        ("compiled plans", plans, "bytes"),
+    )
 
     if action == "clear":
-        removed = (
-            decompositions.clear_disk() + filters.clear_disk() + plans.clear_disk()
-        )
+        removed = sum(cache.clear_disk() for _, cache, _ in tiers)
         print(f"cache cleared: removed {removed} entries under {resolved}")
         return 0
 
     print(f"cache directory: {resolved}")
-    for label, (entries, n_bytes) in (
-        ("decompositions", decompositions.disk_usage()),
-        ("doppler filters", filters.disk_usage()),
-        ("compiled plans", plans.disk_usage()),
-    ):
+    # Memory tiers are per process (they front the disk tier inside a live
+    # engine); each handle reports its default bound and this process's
+    # counters.
+    for label, cache, unit in tiers:
+        entries, n_bytes = cache.disk_usage()
+        stats = cache.stats
         print(f"  {label}: {entries} entries, {n_bytes / 1024:.1f} KiB")
-    # The plan memory tier is per-process (it fronts the disk tier inside a
-    # live engine); this handle reports its configuration and the counters
-    # accumulated in this process.
-    stats = plans.stats
-    print(
-        f"  plan memory tier: bound {plans.memory_max_bytes / (1024 * 1024):.0f} MiB, "
-        f"{stats.memory_entries} resident entries "
-        f"({stats.memory_bytes / 1024:.1f} KiB), "
-        f"{stats.memory_hits} hits / {stats.memory_misses} misses this process"
-    )
+        print(
+            f"    memory tier: {stats.size} resident entries, weight "
+            f"{stats.weight} of {cache.memory_bound} {unit}, "
+            f"{stats.memory_hits} hits / {stats.misses} misses this process"
+        )
     return 0
 
 

@@ -82,6 +82,7 @@ from .plancache import (
     default_plan_cache,
 )
 from .store import ArtifactStore, StoreStats
+from .tiered import TieredCache, TierStats
 from .compile import CompiledGroup, CompiledPlan, CompileReport, compile_plan
 from .execute import execute_plan, stream_plan
 from .result import BatchResult
@@ -107,6 +108,8 @@ __all__ = [
     "default_filter_cache",
     "ArtifactStore",
     "StoreStats",
+    "TieredCache",
+    "TierStats",
     "CompiledPlanCache",
     "PlanCacheStats",
     "compiled_plan_cache_key",

@@ -16,33 +16,32 @@ spill, so:
 * repeated *processes* (CLI sweeps with ``--cache-dir``, CI phases) load the
   coefficients from ``<cache_dir>/filters/*.npz`` instead of rebuilding.
 
-The disk tier is one namespace (``filters/``) of the unified
-:class:`repro.engine.store.ArtifactStore`, which owns the persistence
-protocol — atomic writes, digest verification, quarantine-on-corrupt,
-stale-file sweeping, eviction; this module only defines what a filter looks
-like on disk (a single coefficient array).  Cached coefficient arrays are
-frozen read-only — they are shared across compiles and generators.  A cache
-hit is bit-identical to a fresh
+Both tiers are the shared :class:`repro.engine.tiered.TieredCache`: a
+memory LRU bounded to :data:`FILTER_MEMORY_MAX_BYTES` of coefficients (so
+client-chosen Doppler frequencies cannot grow it without bound) over the
+``filters/`` namespace of the unified
+:class:`repro.engine.store.ArtifactStore`; this module only defines the key
+and what a filter looks like on disk (a single coefficient array).  Cached
+coefficient arrays are frozen read-only — they are shared across compiles
+and generators.  A cache hit is bit-identical to a fresh
 :func:`repro.channels.doppler.young_beaulieu_filter` build: the disk
 round-trip stores the raw float64 binary, and the output variance is
-recomputed from the verified coefficients rather than trusted from the
-file.  A corrupt or truncated file is a miss, never an error.
+recomputed from the coefficients on every request rather than stored.  A
+corrupt or truncated file is a miss, never an error.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 import numpy as np
 
-from ..config import cache_dir_from_env
-from .store import ArtifactStore
+from .tiered import TieredCache, TierStats, process_default
 
 __all__ = [
+    "FILTER_MEMORY_MAX_BYTES",
     "FilterCacheStats",
     "DopplerFilterCache",
     "default_filter_cache",
@@ -51,47 +50,19 @@ __all__ = [
 #: On-disk payload-layout version (bumped in PR 5: store-envelope format).
 _DISK_FORMAT_VERSION = 2
 
+#: Byte bound of the filter memory tier.  Fixed, not a parameter: every
+#: client-chosen ``f_m`` of a served request adds one filter, so the tier
+#: must stay bounded whatever the input.  64 MiB holds about 2,000 filters
+#: at ``M = 4096``.
+FILTER_MEMORY_MAX_BYTES = 64 * 1024 * 1024
+
 #: A filter key: ``(M, f_m, sigma_orig^2)``, matching
 #: :attr:`repro.engine.plan.DopplerSpec.filter_key`.
 FilterKey = Tuple[int, float, float]
 
-
-@dataclass(frozen=True)
-class FilterCacheStats:
-    """Immutable snapshot of filter-cache activity counters.
-
-    Attributes
-    ----------
-    hits:
-        Lookups served without building (memory or disk).
-    misses:
-        Lookups that built the filter.
-    disk_hits:
-        Hits served by loading (and verifying) a disk entry.
-    disk_misses:
-        Disk probes that found no usable entry (absent or corrupt).
-    disk_corruptions:
-        Disk entries rejected by digest verification (files quarantined).
-    size:
-        Filters currently held in memory.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    disk_corruptions: int = 0
-    size: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups served."""
-        return self.hits + self.misses
-
-    @property
-    def builds(self) -> int:
-        """Filters actually constructed (alias of ``misses``)."""
-        return self.misses
+#: Snapshot type of :attr:`DopplerFilterCache.stats` (the shared
+#: :class:`~repro.engine.tiered.TierStats`).
+FilterCacheStats = TierStats
 
 
 def _key_hash(key: FilterKey) -> str:
@@ -119,13 +90,24 @@ def _load_filter(arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> np.ndar
     return arrays["coefficients"]
 
 
-class DopplerFilterCache:
-    """Thread-safe cache of Young–Beaulieu filters and their output variances.
+def _freeze_filter(coefficients: np.ndarray) -> np.ndarray:
+    """Coefficient arrays are shared across compiles and generators."""
+    coefficients.flags.writeable = False
+    return coefficients
 
-    The memory tier is a plain dict keyed by ``(M, f_m, sigma_orig^2)``; the
-    optional disk tier lives next to the decomposition spill, so one
-    ``cache_dir`` (CLI ``--cache-dir``, env ``REPRO_CACHE_DIR``, or
-    ``Simulator(cache_dir=...)``) configures every artifact cache at once.
+
+def _filter_nbytes(coefficients: np.ndarray) -> int:
+    return int(coefficients.nbytes)
+
+
+class DopplerFilterCache(TieredCache[np.ndarray]):
+    """Thread-safe cache of Young–Beaulieu filter coefficients.
+
+    A byte-bounded memory LRU (:data:`FILTER_MEMORY_MAX_BYTES`) over the
+    ``filters/`` disk namespace, which lives next to the decomposition
+    spill, so one ``cache_dir`` (CLI ``--cache-dir``, env
+    ``REPRO_CACHE_DIR``, or ``Simulator(cache_dir=...)``) configures every
+    artifact cache at once.
 
     Parameters
     ----------
@@ -135,56 +117,17 @@ class DopplerFilterCache:
     """
 
     def __init__(self, cache_dir: Union[None, str, Path] = None) -> None:
-        self._entries: Dict[FilterKey, Tuple[np.ndarray, float]] = {}
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._store = ArtifactStore(
+        super().__init__(
             "filters",
             dump=_dump_filter,
             load=_load_filter,
-            cache_dir=cache_dir,
+            freeze=_freeze_filter,
+            size_of=_filter_nbytes,
+            memory_bound=FILTER_MEMORY_MAX_BYTES,
             format_version=_DISK_FORMAT_VERSION,
+            cache_dir=cache_dir,
         )
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def cache_dir(self) -> Optional[Path]:
-        """Root directory of the disk tier (``None`` when memory-only)."""
-        return self._store.cache_dir
-
-    @property
-    def artifact_store(self) -> ArtifactStore:
-        """The underlying artifact store of the disk tier."""
-        return self._store
-
-    @property
-    def stats(self) -> FilterCacheStats:
-        """Snapshot of the hit/miss counters."""
-        disk = self._store.stats
-        with self._lock:
-            return FilterCacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                disk_hits=disk.hits,
-                disk_misses=disk.misses,
-                disk_corruptions=disk.corruptions,
-                size=len(self._entries),
-            )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def set_cache_dir(self, cache_dir: Union[None, str, Path]) -> None:
-        """Attach (or detach, with ``None``) the persistent disk tier."""
-        self._store.set_cache_dir(cache_dir)
-
-    # ------------------------------------------------------------------ #
-    # Core operation
-    # ------------------------------------------------------------------ #
     def get(
         self,
         n_points: int,
@@ -211,79 +154,14 @@ class DopplerFilterCache:
             float(normalized_doppler),
             float(input_variance_per_dim),
         )
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._hits += 1
-        if cached is not None:
-            coefficients, variance = cached
-            if self._store.attached:
-                # Spill entries that predate the disk tier, so attaching a
-                # cache_dir to a warm cache still persists them; the store
-                # makes repeat calls free for keys already persisted (or
-                # unwritable).  Guarded so the common memory-only
-                # configuration pays no key hashing on its hot path.
-                self._store.put(_key_hash(key), coefficients)
-            return coefficients, variance, True
-
-        coefficients = self._store.lookup(_key_hash(key))
-        if coefficients is not None:
-            coefficients.flags.writeable = False
-            variance = filter_output_variance(coefficients, key[2])
-            with self._lock:
-                # Raced with a concurrent build/load of the same key: keep
-                # handing out the already-shared tuple.
-                coefficients, variance = self._entries.setdefault(
-                    key, (coefficients, variance)
-                )
-                self._hits += 1
-            return coefficients, variance, True
-
-        with self._lock:
-            self._misses += 1
-        # Build outside the lock: validation may raise, and concurrent
-        # builders of the same key produce identical bytes anyway.
-        coefficients = young_beaulieu_filter(key[0], key[1])
-        coefficients.flags.writeable = False
-        variance = filter_output_variance(coefficients, key[2])
-        with self._lock:
-            coefficients, variance = self._entries.setdefault(
-                key, (coefficients, variance)
-            )
-        if self._store.attached:
-            self._store.put(_key_hash(key), coefficients)
-        return coefficients, variance, False
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-    def disk_usage(self) -> Tuple[int, int]:
-        """``(n_files, total_bytes)`` of the disk tier (``(0, 0)`` if none)."""
-        return self._store.usage()
-
-    def clear(self) -> None:
-        """Drop every filter held in memory (counters and disk kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    def clear_disk(self) -> int:
-        """Remove every file of the disk tier (``.tmp`` and quarantine
-        leftovers included); returns the number of entries removed."""
-        return self._store.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters (entries are kept)."""
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-        self._store.reset_stats()
-
-
-#: Process-wide filter cache (created lazily so ``REPRO_CACHE_DIR`` is
-#: honored at first use), shared by plan compilation and the standalone
-#: real-time generator.
-_DEFAULT_FILTER_CACHE: Optional[DopplerFilterCache] = None
-_DEFAULT_FILTER_LOCK = threading.Lock()
+        digest = _key_hash(key)
+        coefficients = self._lookup(digest)
+        was_cached = coefficients is not None
+        if coefficients is None:
+            # Validation may raise; concurrent builders of one key produce
+            # identical bytes, and the first insert is what both hand out.
+            coefficients, _ = self._put(digest, young_beaulieu_filter(key[0], key[1]))
+        return coefficients, filter_output_variance(coefficients, key[2]), was_cached
 
 
 def default_filter_cache() -> DopplerFilterCache:
@@ -295,8 +173,4 @@ def default_filter_cache() -> DopplerFilterCache:
     once per process — and, with ``REPRO_CACHE_DIR`` / ``--cache-dir``, once
     ever.
     """
-    global _DEFAULT_FILTER_CACHE
-    with _DEFAULT_FILTER_LOCK:
-        if _DEFAULT_FILTER_CACHE is None:
-            _DEFAULT_FILTER_CACHE = DopplerFilterCache(cache_dir=cache_dir_from_env())
-        return _DEFAULT_FILTER_CACHE
+    return process_default(DopplerFilterCache)

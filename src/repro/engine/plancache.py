@@ -21,10 +21,13 @@ Two tiers, probed memory-first:
   arrays are the very objects of the original compile, shared read-only.
   This is what makes a warm ``run(plan)``/``stream(plan)`` on one engine a
   hash-plus-rebind, nothing more.
-* the **disk tier** — one verified artifact per key under ``plans/``,
-  unchanged from PR 5.  A disk hit is promoted into the memory tier, so
-  the first warm run of a process pays the load once and subsequent runs
-  hit memory.
+* the **disk tier** — one verified artifact per key under ``plans/``.  A
+  disk hit is promoted into the memory tier, so the first warm run of a
+  process pays the load once and subsequent runs hit memory.
+
+Both tiers are the shared :class:`repro.engine.tiered.TieredCache`.  A disk
+load yields the same resident form a memory insert stores (groups without
+their plan binding), so one re-bind function serves both tiers.
 
 The memory tier is **enabled by default exactly when a disk tier is
 attached** (a ``cache_dir``), matching the engine configurations that opt
@@ -58,7 +61,8 @@ Serialization
 One artifact stores, deduplicated across groups: the unique
 :class:`~repro.linalg.ColoringDecomposition` arrays plus diagnostics, the
 unique Young–Beaulieu filter coefficient arrays, and per group its entry
-indices, decomposition map, sample variances and Eq. (19) output variance.
+indices, decomposition map, sample variances, Eq. (19) output variance and
+fading family.
 Coloring stacks are *not* stored — they are re-stacked from the
 decomposition arrays exactly as a fresh compile stacks them, which keeps
 the artifact small and the bytes identical.  The store handles atomic
@@ -72,18 +76,17 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import threading
 import time
-from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults, cache_dir_from_env
+from ..config import DEFAULTS, NumericDefaults
 from ..linalg import ColoringDecomposition
-from .store import DEFAULT_DISK_MAX_BYTES, ArtifactStore, StoreStats
+from .store import DEFAULT_DISK_MAX_BYTES
+from .tiered import DEFAULT_MEMORY_MAX_BYTES, TieredCache, TierStats, process_default
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .backends import LinalgBackend
@@ -99,13 +102,11 @@ __all__ = [
 ]
 
 #: On-disk payload-layout version of compiled-plan artifacts.  Version 2
-#: folds the per-entry fading token into the key (the version is part of
-#: the key prefix, so pre-fading v1 artifacts simply never hit again —
-#: clean invalidation, no migration).
-_DISK_FORMAT_VERSION = 2
-
-#: Default byte bound of the in-memory tier when a disk tier is attached.
-DEFAULT_MEMORY_MAX_BYTES = 256 * 1024 * 1024
+#: folded the per-entry fading token into the key; version 3 records each
+#: group's fading family, so a disk load yields the same resident form as a
+#: memory insert.  The version is part of the key prefix, so older
+#: artifacts simply never hit again — clean invalidation, no migration.
+_DISK_FORMAT_VERSION = 3
 
 
 def compiled_plan_cache_key(
@@ -152,20 +153,44 @@ def compiled_plan_cache_key(
     return hasher.hexdigest()
 
 
-def _identity_dump(payload: Any) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    return payload
+@dataclass(frozen=True)
+class _ResidentPlan:
+    """The resident form of one compiled plan, shared by both tiers.
+
+    Groups keep every numeric array of the compile but no plan binding:
+    ``entries`` is empty and ``doppler`` is ``None`` until :func:`_rebind`
+    swaps in the caller's.  The report keeps only the plan's structure
+    (entries, groups, unique matrices, Doppler filter counts).
+    """
+
+    groups: Tuple["CompiledGroup", ...]
+    report: "CompileReport"
 
 
-def _identity_load(
-    arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
+def _resident_from_compiled(compiled: "CompiledPlan") -> _ResidentPlan:
+    """Strip a fresh compile down to the form a disk load produces."""
+    return _ResidentPlan(
+        groups=tuple(
+            dataclasses.replace(group, entries=(), doppler=None)
+            for group in compiled.groups
+        ),
+        report=dataclasses.replace(
+            compiled.report,
+            cache_hits=0,
+            cache_misses=0,
+            compile_seconds=0.0,
+            doppler_filter_cache_hits=0,
+            plan_cache_hits=0,
+            plan_memory_hits=0,
+            plan_inflight_hits=0,
+        ),
+    )
+
+
+def _dump_plan(
+    resident: _ResidentPlan,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    return arrays, meta
-
-
-def _artifact_from_compiled(
-    compiled: "CompiledPlan",
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Split a compiled plan into store payload (arrays + JSON meta).
+    """Split a resident plan into store payload (arrays + JSON meta).
 
     Decompositions and filter arrays shared between groups are stored once
     and referenced by index, mirroring the sharing a fresh compile creates.
@@ -175,7 +200,7 @@ def _artifact_from_compiled(
     decomp_meta = []
     filter_index: Dict[int, int] = {}
     groups_meta = []
-    for g, group in enumerate(compiled.groups):
+    for g, group in enumerate(resident.groups):
         decomp_map = []
         for decomposition in group.decompositions:
             index = decomp_index.get(id(decomposition))
@@ -206,8 +231,8 @@ def _artifact_from_compiled(
         arrays[f"group_{g}_sample_variances"] = np.ascontiguousarray(
             group.sample_variances, dtype=float
         )
-        group_meta: Dict[str, Any] = {"filter": None}
-        if group.is_doppler:
+        group_meta: Dict[str, Any] = {"filter": None, "fading": group.fading_family}
+        if group.doppler_filter is not None:
             findex = filter_index.get(id(group.doppler_filter))
             if findex is None:
                 findex = len(filter_index)
@@ -218,11 +243,9 @@ def _artifact_from_compiled(
                 [group.doppler_output_variance], dtype=float
             )
         groups_meta.append(group_meta)
-    report = compiled.report
+    report = resident.report
     meta = {
-        "n_entries": int(compiled.n_entries),
-        "n_groups": len(compiled.groups),
-        "n_decompositions": len(decomp_meta),
+        "n_entries": int(report.n_entries),
         "decompositions": decomp_meta,
         "groups": groups_meta,
         "report": {
@@ -234,148 +257,101 @@ def _artifact_from_compiled(
     return arrays, meta
 
 
-def _compiled_from_artifact(
-    arrays: Dict[str, np.ndarray],
-    meta: Dict[str, Any],
-    plan: "SimulationPlan",
-    backend: "LinalgBackend",
-    load_seconds: float,
-) -> Optional["CompiledPlan"]:
-    """Re-bind a stored artifact to the caller's plan object.
+def _load_plan(
+    arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
+) -> Optional[_ResidentPlan]:
+    """Rebuild a resident plan from digest-verified store payload.
 
-    Entries (and with them seeds, labels, and Doppler specs) come from the
-    *caller's* plan; only the numeric artifacts come from disk.  Returns
-    ``None`` on any structural mismatch — the caller treats that as a miss
-    and recompiles.
+    Returns ``None`` (the store then quarantines the file) unless the groups
+    tile ``n_entries`` plan indices with one decomposition per entry.
     """
-    from .compile import CompiledGroup, CompiledPlan, CompileReport
+    from .compile import CompiledGroup, CompileReport
 
-    if int(meta["n_entries"]) != plan.n_entries:
-        return None
-    entries = plan.entries
-    decompositions = []
-    for index, decomp_meta in enumerate(meta["decompositions"]):
-        coloring = arrays[f"decomp_{index}_coloring"]
-        effective = arrays[f"decomp_{index}_effective"]
-        # Frozen like every cache-served decomposition: the arrays are
-        # shared, an in-place mutation must fail loudly.
-        coloring.flags.writeable = False
-        effective.flags.writeable = False
-        decompositions.append(
-            ColoringDecomposition(
-                coloring_matrix=coloring,
-                effective_covariance=effective,
-                requested_covariance=arrays[f"decomp_{index}_requested"],
-                method=str(decomp_meta["method"]),
-                was_repaired=bool(decomp_meta["was_repaired"]),
-                negative_eigenvalue_count=int(
-                    decomp_meta["negative_eigenvalue_count"]
-                ),
-                min_eigenvalue=float(decomp_meta["min_eigenvalue"]),
-                extra=dict(decomp_meta.get("extra") or {}),
-            )
+    n_entries = int(meta["n_entries"])
+    decompositions = [
+        ColoringDecomposition(
+            coloring_matrix=arrays[f"decomp_{index}_coloring"],
+            effective_covariance=arrays[f"decomp_{index}_effective"],
+            requested_covariance=arrays[f"decomp_{index}_requested"],
+            method=str(decomp_meta["method"]),
+            was_repaired=bool(decomp_meta["was_repaired"]),
+            negative_eigenvalue_count=int(decomp_meta["negative_eigenvalue_count"]),
+            min_eigenvalue=float(decomp_meta["min_eigenvalue"]),
+            extra=dict(decomp_meta.get("extra") or {}),
         )
+        for index, decomp_meta in enumerate(meta["decompositions"])
+    ]
     filters: Dict[int, np.ndarray] = {}
     groups = []
     covered = 0
     for g, group_meta in enumerate(meta["groups"]):
         indices = tuple(int(i) for i in arrays[f"group_{g}_indices"])
-        group_entries = tuple(entries[i] for i in indices)
-        covered += len(indices)
         group_decomps = tuple(
             decompositions[int(j)] for j in arrays[f"group_{g}_decomp_map"]
         )
-        if len(group_decomps) != len(indices):
+        if len(group_decomps) != len(indices) or not all(
+            0 <= i < n_entries for i in indices
+        ):
             return None
-        # Re-stacked from the stored arrays exactly as a fresh compile
-        # stacks them — np.stack copies bytes, so the stack is bit-identical.
-        coloring_stack = np.stack([d.coloring_matrix for d in group_decomps])
-        doppler = group_entries[0].doppler
-        if (doppler is None) != (group_meta["filter"] is None):
-            return None
-        fading = group_entries[0].fading
-        fading_family = None if fading is None else fading.family
-        if doppler is None:
-            doppler_filter = None
-            output_variance = None
-        else:
-            findex = int(group_meta["filter"])
-            doppler_filter = filters.get(findex)
-            if doppler_filter is None:
-                doppler_filter = arrays[f"filter_{findex}"]
-                doppler_filter.flags.writeable = False
-                filters[findex] = doppler_filter
+        covered += len(indices)
+        findex = group_meta["filter"]
+        doppler_filter = None
+        output_variance = None
+        if findex is not None:
+            doppler_filter = filters.setdefault(
+                int(findex), arrays[f"filter_{int(findex)}"]
+            )
             output_variance = float(arrays[f"group_{g}_output_variance"][0])
+        fading = group_meta["fading"]
         groups.append(
             CompiledGroup(
                 indices=indices,
-                entries=group_entries,
-                coloring_stack=coloring_stack,
+                entries=(),
+                # Re-stacked from the stored arrays exactly as a fresh
+                # compile stacks them — np.stack copies bytes, so the stack
+                # is bit-identical.
+                coloring_stack=np.stack([d.coloring_matrix for d in group_decomps]),
                 sample_variances=arrays[f"group_{g}_sample_variances"],
                 decompositions=group_decomps,
-                doppler=doppler,
                 doppler_filter=doppler_filter,
                 doppler_output_variance=output_variance,
-                fading_family=fading_family,
+                fading_family=None if fading is None else (str(fading[0]), bool(fading[1])),
             )
         )
-    if covered != plan.n_entries:
+    if covered != n_entries:
         return None
-    stored_report = meta.get("report") or {}
+    stored = meta["report"]
     report = CompileReport(
-        n_entries=plan.n_entries,
+        n_entries=n_entries,
         n_groups=len(groups),
-        n_unique_matrices=int(stored_report.get("n_unique_matrices", 0)),
-        cache_hits=0,
-        cache_misses=0,
-        compile_seconds=load_seconds,
-        doppler_filters_built=int(stored_report.get("doppler_filters_built", 0)),
-        doppler_entries=int(stored_report.get("doppler_entries", 0)),
-        doppler_filter_cache_hits=0,
-        plan_cache_hits=1,
-    )
-    return CompiledPlan(plan=plan, groups=tuple(groups), report=report, backend=backend)
-
-
-class _MemoryEntry:
-    """One resident compiled plan: its groups, canonical report, and size."""
-
-    __slots__ = ("groups", "report", "n_entries", "nbytes")
-
-    def __init__(
-        self,
-        groups: Tuple["CompiledGroup", ...],
-        report: "CompileReport",
-        n_entries: int,
-        nbytes: int,
-    ) -> None:
-        self.groups = groups
-        self.report = report
-        self.n_entries = n_entries
-        self.nbytes = nbytes
-
-
-def _canonical_report(report: "CompileReport") -> "CompileReport":
-    """Strip the pass-specific counters so a hit can re-stamp its own.
-
-    What survives is the plan's structure (entries, groups, unique
-    matrices, Doppler filter counts) — the same fields a disk artifact
-    stores; what a served compile never did (decomposition lookups, filter
-    cache probes) is zeroed, exactly like a disk hit's report.
-    """
-    return dataclasses.replace(
-        report,
+        n_unique_matrices=int(stored["n_unique_matrices"]),
         cache_hits=0,
         cache_misses=0,
         compile_seconds=0.0,
-        doppler_filter_cache_hits=0,
-        plan_cache_hits=0,
-        plan_memory_hits=0,
+        doppler_filters_built=int(stored["doppler_filters_built"]),
+        doppler_entries=int(stored["doppler_entries"]),
     )
+    return _ResidentPlan(groups=tuple(groups), report=report)
 
 
-def _resident_bytes(groups: Tuple["CompiledGroup", ...]) -> int:
-    """Bytes the groups' arrays keep resident, deduplicated by identity.
+def _freeze_plan(resident: _ResidentPlan) -> _ResidentPlan:
+    """Freeze the arrays a resident plan shares with every future hit."""
+    for group in resident.groups:
+        for array in (
+            group.coloring_stack,
+            group.sample_variances,
+            group.doppler_filter,
+        ):
+            if array is not None:
+                array.flags.writeable = False
+        for decomposition in group.decompositions:
+            decomposition.coloring_matrix.flags.writeable = False
+            decomposition.effective_covariance.flags.writeable = False
+    return resident
+
+
+def _resident_bytes(resident: _ResidentPlan) -> int:
+    """Bytes the plan's arrays keep resident, deduplicated by identity.
 
     Shared arrays (a decomposition reused across entries, a filter shared
     between groups) count once — the same sharing the artifact format
@@ -391,7 +367,7 @@ def _resident_bytes(groups: Tuple["CompiledGroup", ...]) -> int:
         seen.add(id(array))
         total += array.nbytes
 
-    for group in groups:
+    for group in resident.groups:
         add(group.coloring_stack)
         add(group.sample_variances)
         add(group.doppler_filter)
@@ -402,109 +378,56 @@ def _resident_bytes(groups: Tuple["CompiledGroup", ...]) -> int:
     return total
 
 
-def _freeze_groups(groups: Tuple["CompiledGroup", ...]) -> None:
-    """Freeze the arrays a memory entry shares with every future hit.
-
-    Same rule as cache-served decompositions and disk-loaded artifacts:
-    shared arrays are read-only, an in-place mutation must fail loudly
-    instead of silently poisoning later re-binds.
-    """
-    for group in groups:
-        for array in (
-            group.coloring_stack,
-            group.sample_variances,
-            group.doppler_filter,
-        ):
-            if array is not None:
-                array.flags.writeable = False
-        for decomposition in group.decompositions:
-            decomposition.coloring_matrix.flags.writeable = False
-            decomposition.effective_covariance.flags.writeable = False
-
-
-def _rebind_memory_entry(
-    entry: _MemoryEntry,
+def _rebind(
+    resident: _ResidentPlan,
     plan: "SimulationPlan",
     backend: "LinalgBackend",
     elapsed: float,
+    *,
+    from_disk: bool,
 ) -> Optional["CompiledPlan"]:
-    """Re-bind a resident compiled plan to the caller's plan object.
+    """Bind a resident plan to the caller's plan object (either tier).
 
-    The memory-tier analogue of :func:`_compiled_from_artifact`, minus all
-    array work: groups are copied structurally (a ``dataclasses.replace``
-    per group swaps in the caller's entries and Doppler specs) while every
-    numeric array — coloring stacks, decompositions, variances, filters —
-    is shared by reference.  Returns ``None`` on structural mismatch (key
-    collision), which the caller treats as a miss and evicts.
+    Groups are copied structurally — a ``dataclasses.replace`` per group
+    swaps in the caller's entries (seeds, labels) and Doppler specs — while
+    every numeric array is shared by reference.  Returns ``None`` when the
+    resident plan does not fit ``plan`` (a key collision or a layout bug),
+    which the cache treats as a miss.
     """
     from .compile import CompiledPlan
 
-    if entry.n_entries != plan.n_entries:
+    if resident.report.n_entries != plan.n_entries:
         return None
     entries = plan.entries
-    covered = 0
     groups = []
-    for group in entry.groups:
+    for group in resident.groups:
         group_entries = tuple(entries[i] for i in group.indices)
-        covered += len(group.indices)
         doppler = group_entries[0].doppler
-        if (doppler is None) != (group.doppler is None):
+        if (doppler is None) != (group.doppler_filter is None):
             return None
         fading = group_entries[0].fading
-        fading_family = None if fading is None else fading.family
-        if fading_family != group.fading_family:
+        if (None if fading is None else fading.family) != group.fading_family:
             return None
         groups.append(
             dataclasses.replace(group, entries=group_entries, doppler=doppler)
         )
-    if covered != plan.n_entries:
-        return None
     report = dataclasses.replace(
-        entry.report,
+        resident.report,
         compile_seconds=elapsed,
         plan_cache_hits=1,
-        plan_memory_hits=1,
+        plan_memory_hits=int(not from_disk),
     )
     return CompiledPlan(
         plan=plan, groups=tuple(groups), report=report, backend=backend
     )
 
 
-@dataclass(frozen=True)
-class PlanCacheStats(StoreStats):
-    """Immutable snapshot of compiled-plan cache activity counters.
-
-    Extends the disk-tier counters of :class:`repro.engine.store.StoreStats`
-    (``hits`` are compilations served whole from a verified artifact,
-    ``corruptions`` are rejected-and-quarantined artifacts) with the memory
-    tier's: ``memory_hits`` / ``memory_misses`` count probes of the
-    in-memory LRU (a memory miss falls through to the disk tier, so disk
-    counters are unchanged by the tier above them), ``memory_evictions``
-    counts byte-bound LRU evictions, and ``memory_entries`` /
-    ``memory_bytes`` describe current residency.
-
-    The singleflight counters describe cross-thread compile coalescing
-    (see :meth:`CompiledPlanCache.join_inflight`): ``inflight_leads``
-    counts compilations that registered as the in-flight leader of their
-    key, ``inflight_coalesced`` counts compilations that attached to a
-    concurrent leader instead of duplicating its work.
-    """
-
-    memory_hits: int = 0
-    memory_misses: int = 0
-    memory_evictions: int = 0
-    memory_entries: int = 0
-    memory_bytes: int = 0
-    inflight_leads: int = 0
-    inflight_coalesced: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total cache probes: memory hits plus disk probes."""
-        return self.memory_hits + self.hits + self.misses
+#: Snapshot type of :attr:`CompiledPlanCache.stats` (the shared
+#: :class:`~repro.engine.tiered.TierStats`).
+PlanCacheStats = TierStats
 
 
-class CompiledPlanCache:
+class CompiledPlanCache(TieredCache[_ResidentPlan]):
     """Two-tier cache of whole compiled plans (the executor-level cache).
 
     A byte-bounded in-memory LRU above the ``plans/`` disk namespace.
@@ -542,93 +465,23 @@ class CompiledPlanCache:
         disk_max_bytes: int = DEFAULT_DISK_MAX_BYTES,
         memory_max_bytes: Optional[int] = None,
     ) -> None:
-        self._store = ArtifactStore(
+        super().__init__(
             "plans",
-            dump=_identity_dump,
-            load=_identity_load,
-            cache_dir=cache_dir,
+            dump=_dump_plan,
+            load=_load_plan,
+            freeze=_freeze_plan,
+            size_of=_resident_bytes,
+            memory_bound=memory_max_bytes,
             format_version=_DISK_FORMAT_VERSION,
-            max_bytes=disk_max_bytes,
+            cache_dir=cache_dir,
+            disk_max_bytes=disk_max_bytes,
         )
-        self._memory_config = (
-            None if memory_max_bytes is None else int(memory_max_bytes)
-        )
-        self._memory: "OrderedDict[str, _MemoryEntry]" = OrderedDict()
-        self._memory_bytes = 0
-        self._memory_lock = threading.Lock()
-        self._memory_hits = 0
-        self._memory_misses = 0
-        self._memory_evictions = 0
-        # Singleflight table of in-flight compilations: key -> the event the
-        # leader sets once its result landed in the cache (or its compile
-        # failed).  Guarded by its own lock so waiters registering never
-        # contend with memory-tier traffic.
-        self._inflight: Dict[str, threading.Event] = {}
-        self._inflight_lock = threading.Lock()
-        self._inflight_leads = 0
-        self._inflight_coalesced = 0
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def cache_dir(self) -> Optional[Path]:
-        """Root directory of the disk tier (``None`` when detached)."""
-        return self._store.cache_dir
-
-    @property
-    def artifact_store(self) -> ArtifactStore:
-        """The underlying artifact store of the ``plans/`` namespace."""
-        return self._store
 
     @property
     def memory_max_bytes(self) -> int:
         """Resolved byte bound of the memory tier (``0`` = disabled)."""
-        if self._memory_config is not None:
-            return self._memory_config
-        return (
-            DEFAULT_MEMORY_MAX_BYTES if self._store.cache_dir is not None else 0
-        )
+        return self.memory_bound
 
-    @property
-    def enabled(self) -> bool:
-        """Whether any tier is active (a detached cache is a strict no-op)."""
-        return self.memory_max_bytes > 0 or self._store.cache_dir is not None
-
-    @property
-    def stats(self) -> PlanCacheStats:
-        """Snapshot of the per-tier hit/miss/corruption/eviction counters."""
-        with self._memory_lock:
-            memory = {
-                "memory_hits": self._memory_hits,
-                "memory_misses": self._memory_misses,
-                "memory_evictions": self._memory_evictions,
-                "memory_entries": len(self._memory),
-                "memory_bytes": self._memory_bytes,
-            }
-        with self._inflight_lock:
-            inflight = {
-                "inflight_leads": self._inflight_leads,
-                "inflight_coalesced": self._inflight_coalesced,
-            }
-        return PlanCacheStats(**asdict(self._store.stats), **memory, **inflight)
-
-    def set_cache_dir(self, cache_dir: Union[None, str, Path]) -> None:
-        """Attach (or detach, with ``None``) the persistent disk tier.
-
-        The memory tier follows the defaulting rule of ``memory_max_bytes``:
-        attaching enables it (unless explicitly bounded), detaching a
-        defaulted cache disables it and drops every resident entry.
-        Resident entries are content-addressed, so entries kept across a
-        directory change remain valid — only the byte bound is re-applied.
-        """
-        self._store.set_cache_dir(cache_dir)
-        with self._memory_lock:
-            self._trim_locked()
-
-    # ------------------------------------------------------------------ #
-    # Core operations
-    # ------------------------------------------------------------------ #
     def lookup(
         self,
         plan: "SimulationPlan",
@@ -647,55 +500,22 @@ class CompiledPlanCache:
         bit-identical to a fresh compilation.  A disk hit is promoted into
         the memory tier.
         """
-        memory_bound = self.memory_max_bytes
-        disk_attached = self._store.cache_dir is not None
-        if memory_bound <= 0 and not disk_attached:
+        if not self.enabled:
             return None
         start = time.perf_counter()
         key = compiled_plan_cache_key(
             plan, defaults=defaults, cache_token=backend.cache_token
         )
-        if memory_bound > 0:
-            with self._memory_lock:
-                entry = self._memory.get(key)
-                if entry is None:
-                    self._memory_misses += 1
-                else:
-                    self._memory.move_to_end(key)
-                    self._memory_hits += 1
-            if entry is not None:
-                rebound = _rebind_memory_entry(
-                    entry, plan, backend, time.perf_counter() - start
-                )
-                if rebound is not None:
-                    return rebound
-                # A resident entry that does not fit the plan (key
-                # collision) is dropped; the disk probe below re-checks the
-                # artifact and quarantines it through the store's protocol.
-                self._memory_drop(key)
-        if not disk_attached:
-            return None
-        artifact = self._store.lookup(key)
-        if artifact is None:
-            return None
-        arrays, meta = artifact
-        try:
-            rebound = _compiled_from_artifact(
-                arrays, meta, plan, backend, time.perf_counter() - start
-            )
-        except Exception:
-            rebound = None
-        if rebound is None:
-            # A digest-verified artifact that still does not fit the plan
-            # (key collision, layout bug) degrades to a recompile — and is
-            # quarantined so the recompiled result can re-spill over it
-            # instead of the stale bytes poisoning the key forever.  Both
-            # tiers evict together (the coherence rule).
-            self.invalidate(key)
-            return None
-        if memory_bound > 0:
-            self._memory_insert(key, rebound)
-        return rebound
+        return self._lookup(
+            key,
+            lambda resident, from_disk: _rebind(
+                resident,
+                plan,
+                backend,
+                time.perf_counter() - start,
+                from_disk=from_disk,
+            ),
+        )
 
     def put(
         self,
@@ -709,9 +529,7 @@ class CompiledPlanCache:
         keys; the memory tier keeps its first insert), so compiling the
         same plan repeatedly serializes it once.
         """
-        memory_bound = self.memory_max_bytes
-        disk_attached = self._store.cache_dir is not None
-        if memory_bound <= 0 and not disk_attached:
+        if not self.enabled:
             return False
         backend = compiled.backend
         key = compiled_plan_cache_key(
@@ -719,151 +537,7 @@ class CompiledPlanCache:
             defaults=defaults,
             cache_token="numpy" if backend is None else backend.cache_token,
         )
-        if memory_bound > 0:
-            self._memory_insert(key, compiled)
-        if not disk_attached:
-            return False
-        try:
-            artifact = _artifact_from_compiled(compiled)
-        except Exception:
-            return False
-        return self._store.put(key, artifact)
-
-    def invalidate(self, key: str) -> None:
-        """Evict ``key`` from *both* tiers after a rejected hit.
-
-        The memory entry is dropped and the disk artifact quarantined in
-        one call, so the tiers can never disagree about a poisoned key —
-        the coherence rule of the memory tier.  Like
-        :meth:`repro.engine.store.ArtifactStore.invalidate`, this is meant
-        for entries whose content a lookup just rejected (the store
-        re-counts that hit as a corruption miss).
-        """
-        self._memory_drop(key)
-        self._store.invalidate(key)
-
-    # ------------------------------------------------------------------ #
-    # In-flight compile coalescing (singleflight)
-    # ------------------------------------------------------------------ #
-    def join_inflight(self, key: str) -> Optional[threading.Event]:
-        """Register interest in the in-flight compilation of ``key``.
-
-        Returns ``None`` when the caller becomes the **leader** of the key
-        — it must compile, :meth:`put` the result, and then call
-        :meth:`finish_inflight` (from a ``finally``) so waiters re-probe a
-        warm cache.  Returns the leader's event otherwise: the caller
-        waits on it, then re-probes :meth:`lookup` instead of duplicating
-        the compile.  A detached cache never registers (with no tier to
-        share results through, waiters would have nothing to re-probe), so
-        the documented no-op contract is preserved.
-        """
-        if not self.enabled:
-            return None
-        with self._inflight_lock:
-            event = self._inflight.get(key)
-            if event is None:
-                self._inflight[key] = threading.Event()
-                self._inflight_leads += 1
-                return None
-            self._inflight_coalesced += 1
-            return event
-
-    def finish_inflight(self, key: str) -> None:
-        """Release the in-flight entry of ``key`` and wake every waiter.
-
-        Safe for keys that never registered (the detached-cache case) —
-        leaders call this from a ``finally`` so a failed compile can never
-        strand its waiters; they wake, miss, and elect a new leader.
-        """
-        with self._inflight_lock:
-            event = self._inflight.pop(key, None)
-        if event is not None:
-            event.set()
-
-    # ------------------------------------------------------------------ #
-    # Memory-tier internals
-    # ------------------------------------------------------------------ #
-    def _memory_drop(self, key: str) -> None:
-        with self._memory_lock:
-            entry = self._memory.pop(key, None)
-            if entry is not None:
-                self._memory_bytes -= entry.nbytes
-
-    def _memory_insert(self, key: str, compiled: "CompiledPlan") -> None:
-        bound = self.memory_max_bytes
-        if bound <= 0:
-            return
-        nbytes = _resident_bytes(compiled.groups)
-        if nbytes > bound:
-            # Larger than the whole tier: caching it would evict everything
-            # for a single entry that may never be re-requested.
-            return
-        entry = _MemoryEntry(
-            groups=compiled.groups,
-            report=_canonical_report(compiled.report),
-            n_entries=compiled.n_entries,
-            nbytes=nbytes,
-        )
-        _freeze_groups(compiled.groups)
-        with self._memory_lock:
-            if key in self._memory:
-                self._memory.move_to_end(key)
-                return
-            self._memory[key] = entry
-            self._memory_bytes += nbytes
-            self._trim_locked(bound)
-
-    def _trim_locked(self, bound: Optional[int] = None) -> None:
-        """Evict least-recently-used entries down to the byte bound."""
-        if bound is None:
-            bound = self.memory_max_bytes
-        while self._memory and self._memory_bytes > bound:
-            _, evicted = self._memory.popitem(last=False)
-            self._memory_bytes -= evicted.nbytes
-            self._memory_evictions += 1
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-    def disk_usage(self) -> Tuple[int, int]:
-        """``(n_files, total_bytes)`` of the disk tier (``(0, 0)`` if none)."""
-        return self._store.usage()
-
-    def memory_usage(self) -> Tuple[int, int]:
-        """``(n_entries, resident_bytes)`` of the memory tier."""
-        with self._memory_lock:
-            return len(self._memory), self._memory_bytes
-
-    def clear_disk(self) -> int:
-        """Remove every artifact of the disk tier (``.tmp`` and quarantine
-        leftovers included); returns the number of entries removed."""
-        return self._store.clear()
-
-    def clear_memory(self) -> int:
-        """Drop every memory-tier entry; returns the number removed."""
-        with self._memory_lock:
-            removed = len(self._memory)
-            self._memory.clear()
-            self._memory_bytes = 0
-            return removed
-
-    def reset_stats(self) -> None:
-        """Zero the per-tier hit/miss counters (entries are kept)."""
-        self._store.reset_stats()
-        with self._memory_lock:
-            self._memory_hits = 0
-            self._memory_misses = 0
-            self._memory_evictions = 0
-        with self._inflight_lock:
-            self._inflight_leads = 0
-            self._inflight_coalesced = 0
-
-
-#: Process-wide compiled-plan cache (created lazily so ``REPRO_CACHE_DIR``
-#: is honored at first use), shared by every ``compile_plan`` call that is
-#: not given an explicit cache.
-_DEFAULT_PLAN_CACHE: Optional[CompiledPlanCache] = None
-_DEFAULT_PLAN_LOCK = threading.Lock()
+        return self._put(key, _resident_from_compiled(compiled))[1]
 
 
 def default_plan_cache() -> CompiledPlanCache:
@@ -873,8 +547,4 @@ def default_plan_cache() -> CompiledPlanCache:
     the CLI's ``--cache-dir`` attaches a directory; engines built with
     ``cache_dir=`` use their own private instances instead.
     """
-    global _DEFAULT_PLAN_CACHE
-    with _DEFAULT_PLAN_LOCK:
-        if _DEFAULT_PLAN_CACHE is None:
-            _DEFAULT_PLAN_CACHE = CompiledPlanCache(cache_dir=cache_dir_from_env())
-        return _DEFAULT_PLAN_CACHE
+    return process_default(CompiledPlanCache)

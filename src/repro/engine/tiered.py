@@ -1,0 +1,466 @@
+"""One tiered cache: a weighted memory LRU above one artifact-store namespace.
+
+Compilation produces three costly artifacts worth keeping — the coloring
+decomposition of a covariance matrix, the Young–Beaulieu filter of
+Eq. (21), and the whole compiled plan — and each is cached the same way:
+
+* a **memory tier**: an LRU bounded by the total *weight* of its entries
+  (``size_of``: 1 per decomposition, resident bytes per filter or plan);
+* an optional **disk tier**: one namespace of the unified
+  :class:`repro.engine.store.ArtifactStore`, which owns the on-disk format
+  and its safety protocol (atomic writes, digest verification, quarantine,
+  eviction, cross-process locking).
+
+:class:`TieredCache` is that machinery, written once.  It owns the memory
+LRU, the lock, the hit/miss/eviction counters and their :class:`TierStats`
+snapshot, disk-hit promotion, the lazy spill of entries that predate an
+attached disk tier, the disk-plumbing methods, the compile singleflight
+table, and the process-wide default instances (:func:`process_default`).
+The three caches built on it — :class:`repro.engine.cache.DecompositionCache`,
+:class:`repro.engine.filters.DopplerFilterCache` and
+:class:`repro.engine.plancache.CompiledPlanCache` — each supply a namespace,
+a key, a dump/load/freeze codec, ``size_of``, and one domain method.
+
+Safety rules every tier inherits:
+
+* values are frozen read-only before any tier keeps or returns them, so an
+  in-place mutation fails loudly in every configuration;
+* a corrupt disk entry, or one the caller rejects on use, is a miss and is
+  quarantined (:meth:`TieredCache.invalidate` clears both tiers);
+* when two threads insert the same key, the first insert wins and every
+  caller receives that already-shared object.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable, Dict, Generic, Optional, Tuple, TypeVar, Union
+
+import numpy as np
+
+from ..config import cache_dir_from_env
+from .store import DEFAULT_DISK_MAX_BYTES, ArtifactStore
+
+__all__ = [
+    "DEFAULT_MEMORY_MAX_BYTES",
+    "TierStats",
+    "TieredCache",
+    "process_default",
+]
+
+#: Memory bound a tier constructed with ``memory_bound=None`` uses while a
+#: disk tier is attached (it is ``0``, i.e. disabled, while detached).
+DEFAULT_MEMORY_MAX_BYTES = 256 * 1024 * 1024
+
+V = TypeVar("V")
+C = TypeVar("C")
+
+Payload = Tuple[Dict[str, np.ndarray], Dict[str, Any]]
+
+
+@dataclass(frozen=True)
+class TierStats:
+    """Immutable snapshot of one tiered cache's counters.
+
+    Attributes
+    ----------
+    hits:
+        Lookups served by *any* tier (memory or a verified disk entry).
+    misses:
+        Lookups no tier could serve (the caller computed and stored).
+    evictions:
+        Memory entries dropped to respect the memory bound.
+    size:
+        Entries currently held in memory.
+    weight:
+        Total ``size_of`` of those entries, in the unit of the memory bound
+        (entries for decompositions, bytes for filters and plans).
+    disk_hits:
+        Lookups served by loading a disk entry after a memory miss;
+        ``hits - disk_hits`` is the memory-tier hit count.
+    disk_misses:
+        Disk probes that found no usable entry (absent, corrupt, or
+        rejected).  Only counted while a ``cache_dir`` is attached.
+    disk_evictions:
+        Disk entries removed to respect the disk byte bound.
+    disk_corruptions:
+        Disk entries rejected by verification or by the caller (each is also
+        a ``disk_miss``; the file is quarantined).
+    disk_entries, disk_bytes:
+        Files currently in the disk tier and their total size (a directory
+        scan, so every process sharing the ``cache_dir`` counts).
+    inflight_leads, inflight_coalesced:
+        Compile singleflight: computations that registered as the leader of
+        their key, and computations that waited on a concurrent leader
+        instead of duplicating its work.
+    """
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    size: int = 0
+    weight: int = 0
+    disk_hits: int = 0
+    disk_misses: int = 0
+    disk_evictions: int = 0
+    disk_corruptions: int = 0
+    disk_entries: int = 0
+    disk_bytes: int = 0
+    inflight_leads: int = 0
+    inflight_coalesced: int = 0
+
+    @property
+    def memory_hits(self) -> int:
+        """Lookups served from the in-memory tier."""
+        return self.hits - self.disk_hits
+
+    @property
+    def lookups(self) -> int:
+        """Total lookups served."""
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from the cache (0.0 when never used)."""
+        total = self.lookups
+        return self.hits / total if total else 0.0
+
+
+def _unit_weight(value: Any) -> int:
+    return 1
+
+
+def _as_is(value: Any, from_disk: bool) -> Any:
+    return value
+
+
+class TieredCache(Generic[V]):
+    """Thread-safe memory LRU over one optional :class:`ArtifactStore` namespace.
+
+    Parameters
+    ----------
+    namespace:
+        Sub-directory of ``cache_dir`` the disk tier owns.
+    dump, load:
+        The disk codec (see :data:`repro.engine.store.DumpFn` /
+        :data:`~repro.engine.store.LoadFn`).  ``load`` must return the same
+        resident form that :meth:`_put` stores, so one consumer serves both
+        tiers.
+    freeze:
+        Makes a value's shared arrays read-only and returns it; applied to
+        every stored and every disk-loaded value.
+    size_of:
+        Weight of one value against ``memory_bound`` (default 1 per entry).
+    memory_bound:
+        Bound on the total weight held in memory; ``0`` disables the memory
+        tier.  ``None`` follows the disk tier:
+        :data:`DEFAULT_MEMORY_MAX_BYTES` while one is attached, ``0`` while
+        detached.
+    format_version:
+        Payload-layout version written into every disk envelope; entries of
+        other versions read as misses.
+    cache_dir, disk_max_bytes:
+        Root of the shared disk cache (``None`` = memory-only) and the LRU
+        byte bound of this namespace.
+    """
+
+    def __init__(
+        self,
+        namespace: str,
+        *,
+        dump: Callable[[V], Optional[Payload]],
+        load: Callable[[Dict[str, np.ndarray], Dict[str, Any]], Optional[V]],
+        freeze: Callable[[V], V],
+        size_of: Callable[[V], int] = _unit_weight,
+        memory_bound: Optional[int],
+        format_version: int,
+        cache_dir: Union[None, str, Path] = None,
+        disk_max_bytes: int = DEFAULT_DISK_MAX_BYTES,
+    ) -> None:
+        if memory_bound is not None and memory_bound < 0:
+            raise ValueError(
+                f"memory bound must be non-negative, got {memory_bound}"
+            )
+        self._memory_config = None if memory_bound is None else int(memory_bound)
+        self._freeze = freeze
+        self._size_of = size_of
+        # key -> (value, weight), least recently used first.
+        self._entries: "OrderedDict[str, Tuple[V, int]]" = OrderedDict()
+        self._weight = 0
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        # Singleflight table: key -> the event its leader sets once the
+        # result landed in the cache (or the computation failed).
+        self._inflight: Dict[str, threading.Event] = {}
+        self._inflight_leads = 0
+        self._inflight_coalesced = 0
+        self._store = ArtifactStore(
+            namespace,
+            dump=dump,
+            load=load,
+            cache_dir=cache_dir,
+            format_version=format_version,
+            max_bytes=disk_max_bytes,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Introspection
+    # ------------------------------------------------------------------ #
+    @property
+    def memory_bound(self) -> int:
+        """Resolved bound of the memory tier (``0`` = disabled)."""
+        if self._memory_config is not None:
+            return self._memory_config
+        return DEFAULT_MEMORY_MAX_BYTES if self._store.attached else 0
+
+    @property
+    def enabled(self) -> bool:
+        """Whether any tier is active (memory bound above 0, or a disk tier)."""
+        return self.memory_bound > 0 or self._store.attached
+
+    @property
+    def cache_dir(self) -> Optional[Path]:
+        """Root directory of the disk tier (``None`` when memory-only)."""
+        return self._store.cache_dir
+
+    @property
+    def disk_max_bytes(self) -> int:
+        """Byte bound of the disk tier."""
+        return self._store.max_bytes
+
+    @property
+    def artifact_store(self) -> ArtifactStore:
+        """The :class:`ArtifactStore` namespace backing the disk tier."""
+        return self._store
+
+    @property
+    def stats(self) -> TierStats:
+        """Snapshot of every tier's counters.
+
+        Disk usage is measured by scanning the directory outside the cache
+        lock, so lookups never queue behind a stats call.
+        """
+        with self._lock:
+            counters = dict(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                size=len(self._entries),
+                weight=self._weight,
+                inflight_leads=self._inflight_leads,
+                inflight_coalesced=self._inflight_coalesced,
+            )
+        disk = self._store.stats
+        disk_entries, disk_bytes = self._store.usage()
+        return TierStats(
+            disk_hits=disk.hits,
+            disk_misses=disk.misses,
+            disk_evictions=disk.evictions,
+            disk_corruptions=disk.corruptions,
+            disk_entries=disk_entries,
+            disk_bytes=disk_bytes,
+            **counters,
+        )
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def __contains__(self, key: str) -> bool:
+        with self._lock:
+            return key in self._entries
+
+    # ------------------------------------------------------------------ #
+    # Core operations (for the domain methods of subclasses)
+    # ------------------------------------------------------------------ #
+    def _lookup(self, key: str, use: Callable[[V, bool], Any] = _as_is) -> Any:
+        """Serve ``key`` through ``use(value, from_disk)``, memory tier first.
+
+        On a memory miss with a disk tier attached, the entry is loaded,
+        verified, frozen and promoted into memory.  ``use`` turns the
+        resident value into what the caller needs (the identity by
+        default); when it returns ``None`` the value does not fit the
+        request, and is dropped from the tier that served it: a memory
+        entry falls through to the disk probe, a disk entry is invalidated
+        in both tiers.  Every lookup counts exactly one hit or one miss.
+        A memory hit also spills an entry that predates the disk tier; the
+        store makes that free for keys it already holds (or cannot write).
+        """
+        with self._lock:
+            slot = self._entries.get(key)
+            if slot is not None:
+                self._entries.move_to_end(key)
+        if slot is not None:
+            served = use(slot[0], False)
+            if served is not None:
+                with self._lock:
+                    self._hits += 1
+                if self._store.attached:
+                    self._store.put(key, slot[0])
+                return served
+            self._drop(key)
+
+        served = None
+        loaded = self._store.lookup(key)
+        if loaded is not None:
+            served = use(self._remember(key, self._freeze(loaded)), True)
+            if served is None:
+                self.invalidate(key)
+        with self._lock:
+            if served is None:
+                self._misses += 1
+            else:
+                self._hits += 1
+        return served
+
+    def _put(self, key: str, value: V) -> Tuple[V, bool]:
+        """Freeze and store ``value`` in every configured tier.
+
+        Returns the resident value — the already-shared object when another
+        thread inserted ``key`` first — and whether a disk file was written.
+        """
+        value = self._remember(key, self._freeze(value))
+        return value, self._store.put(key, value)
+
+    def _remember(self, key: str, value: V) -> V:
+        """Insert into the memory tier (first insert wins); return the resident value."""
+        bound = self.memory_bound
+        weight = self._size_of(value) if bound > 0 else 0
+        with self._lock:
+            slot = self._entries.get(key)
+            if slot is not None:
+                self._entries.move_to_end(key)
+                return slot[0]
+            # An entry heavier than the whole tier would evict everything
+            # for one value that may never be requested again.
+            if 0 < bound and weight <= bound:
+                self._entries[key] = (value, weight)
+                self._weight += weight
+                self._trim_locked(bound)
+        return value
+
+    def _drop(self, key: str) -> None:
+        with self._lock:
+            slot = self._entries.pop(key, None)
+            if slot is not None:
+                self._weight -= slot[1]
+
+    def _trim_locked(self, bound: int) -> None:
+        """Evict least-recently-used entries down to ``bound``."""
+        while self._entries and self._weight > bound:
+            _, slot = self._entries.popitem(last=False)
+            self._weight -= slot[1]
+            self._evictions += 1
+
+    def invalidate(self, key: str) -> None:
+        """Evict ``key`` from *both* tiers after its content was rejected.
+
+        The memory entry is dropped and the disk file quarantined in one
+        call, so the tiers never disagree about a poisoned key; the store
+        re-counts its already-counted disk hit as a corruption miss.
+        """
+        self._drop(key)
+        self._store.invalidate(key)
+
+    # ------------------------------------------------------------------ #
+    # In-flight computation coalescing (singleflight)
+    # ------------------------------------------------------------------ #
+    def join_inflight(self, key: str) -> Optional[threading.Event]:
+        """Register interest in the in-flight computation of ``key``.
+
+        Returns ``None`` when the caller becomes the **leader**: it must
+        compute, store the result, and then call :meth:`finish_inflight`
+        (from a ``finally``) so waiters re-probe a warm cache.  Returns the
+        leader's event otherwise: the caller waits on it, then looks up
+        again instead of duplicating the work.  A disabled cache never
+        registers (waiters would have no tier to find the result in).
+        """
+        if not self.enabled:
+            return None
+        with self._lock:
+            event = self._inflight.get(key)
+            if event is None:
+                self._inflight[key] = threading.Event()
+                self._inflight_leads += 1
+                return None
+            self._inflight_coalesced += 1
+            return event
+
+    def finish_inflight(self, key: str) -> None:
+        """Release the in-flight entry of ``key`` and wake every waiter.
+
+        Safe for keys that never registered; a failed leader calling this
+        from a ``finally`` lets its waiters wake, miss, and elect a new one.
+        """
+        with self._lock:
+            event = self._inflight.pop(key, None)
+        if event is not None:
+            event.set()
+
+    # ------------------------------------------------------------------ #
+    # Disk plumbing and maintenance
+    # ------------------------------------------------------------------ #
+    def set_cache_dir(self, cache_dir: Union[None, str, Path]) -> None:
+        """Attach (or detach, with ``None``) the persistent disk tier.
+
+        Existing files under the directory become visible at once and
+        counters are kept.  Resident entries are content-addressed, so they
+        stay valid; the memory bound is re-applied (detaching a tier whose
+        bound follows the disk tier drops every resident entry).
+        """
+        self._store.set_cache_dir(cache_dir)
+        bound = self.memory_bound
+        with self._lock:
+            self._trim_locked(bound)
+
+    def clear(self) -> int:
+        """Drop every memory entry (counters and disk kept); returns how many."""
+        with self._lock:
+            removed = len(self._entries)
+            self._entries.clear()
+            self._weight = 0
+        return removed
+
+    def clear_disk(self) -> int:
+        """Remove every file of the disk tier (``.tmp`` and quarantine
+        leftovers included); returns the number of entries removed."""
+        return self._store.clear()
+
+    def disk_usage(self) -> Tuple[int, int]:
+        """``(n_files, total_bytes)`` of the disk tier (``(0, 0)`` if none)."""
+        return self._store.usage()
+
+    def reset_stats(self) -> None:
+        """Zero every counter (entries are kept)."""
+        with self._lock:
+            self._hits = 0
+            self._misses = 0
+            self._evictions = 0
+            self._inflight_leads = 0
+            self._inflight_coalesced = 0
+        self._store.reset_stats()
+
+
+#: Process-wide instances, one per cache class (see :func:`process_default`).
+_DEFAULTS: Dict[Callable[..., Any], Any] = {}
+_DEFAULTS_LOCK = threading.Lock()
+
+
+def process_default(factory: Callable[..., C]) -> C:
+    """The process-wide instance of a cache class, created on first use.
+
+    Created lazily so ``REPRO_CACHE_DIR`` is honored at first use: when it
+    is set, the instance starts with that disk tier attached (the CLI's
+    ``--cache-dir`` attaches one later through ``set_cache_dir``).
+    """
+    with _DEFAULTS_LOCK:
+        cache = _DEFAULTS.get(factory)
+        if cache is None:
+            cache = factory(cache_dir=cache_dir_from_env())
+            _DEFAULTS[factory] = cache
+        return cache

@@ -2,7 +2,7 @@
 
 ``repro.shard`` partitions a :class:`~repro.engine.SimulationPlan` into
 serializable :class:`PlanSlice`\\ s, executes them as independent worker
-subprocesses that share one ``cache_dir`` (the four tiers of the unified
+subprocesses that share one ``cache_dir`` (the namespaces of the unified
 artifact store are content-addressed and digest-verified, so the
 filesystem *is* the transport), and merges the per-shard results back
 into one plan-ordered :class:`~repro.engine.BatchResult`.

@@ -17,7 +17,9 @@ pure pieces of that story:
   the same compiled-plan cache key as the in-process original;
 * :func:`merge_results` — reassemble per-shard :class:`BatchResult`\\ s
   into one plan-ordered result with summed :class:`CompileReport`
-  counters, restamping whole-plan ``plan_index`` metadata.
+  counters, restamping whole-plan ``plan_index`` metadata.  The session
+  process pool (:meth:`repro.api.Simulator.run` with ``max_workers``)
+  splits and merges through the same two functions.
 
 Because slices are contiguous and the compiled-plan cache key folds every
 entry's decomposition key, Doppler tuple and ``fading_token`` (but not
@@ -145,8 +147,7 @@ def merge_compile_reports(reports: Sequence[CompileReport]) -> CompileReport:
 
     Cache and dedup counters add (every shard compiled independently);
     ``compile_seconds`` is the maximum because the compiles ran
-    concurrently — the same convention as the process-pool merge in
-    :mod:`repro.api`.
+    concurrently.
     """
     if not reports:
         raise SpecificationError("cannot merge an empty report sequence")

@@ -54,6 +54,17 @@ __all__ = ["KILL_SLICE_ENV", "run_slice", "main"]
 #: itself between executing and publishing (see the module docs).
 KILL_SLICE_ENV = "REPRO_SHARD_KILL_SLICE"
 
+#: Per-tier cache counters each worker reports in ``meta["tiers"]`` (the
+#: runner sums them into ``tier_totals()`` as ``<tier>_<counter>``).
+_TIER_COUNTERS = (
+    "hits",
+    "misses",
+    "memory_hits",
+    "disk_hits",
+    "disk_misses",
+    "disk_corruptions",
+)
+
 
 def run_slice(
     plan_slice: PlanSlice,
@@ -73,9 +84,6 @@ def run_slice(
     else:
         engine = SimulationEngine(backend=backend, cache_dir=cache_dir)
     result = engine.run(plan_slice.plan, n_samples)
-    decomposition = engine.cache.stats
-    filters = engine.filter_cache.stats
-    plans = engine.plan_cache.stats
     meta: Dict[str, Any] = {
         "index": plan_slice.index,
         "n_shards": plan_slice.n_shards,
@@ -87,26 +95,12 @@ def run_slice(
         "labels": [entry.label for entry in plan_slice.plan],
         "compile_report": asdict(result.compile_report),
         "tiers": {
-            "decompositions": {
-                "hits": decomposition.hits,
-                "misses": decomposition.misses,
-                "disk_hits": decomposition.disk_hits,
-                "disk_misses": decomposition.disk_misses,
-                "disk_corruptions": decomposition.disk_corruptions,
-            },
-            "filters": {
-                "hits": filters.hits,
-                "misses": filters.misses,
-                "disk_hits": filters.disk_hits,
-                "disk_misses": filters.disk_misses,
-                "disk_corruptions": filters.disk_corruptions,
-            },
-            "plans": {
-                "memory_hits": plans.memory_hits,
-                "disk_hits": plans.hits,
-                "disk_misses": plans.misses,
-                "disk_corruptions": plans.corruptions,
-            },
+            tier: {name: getattr(stats, name) for name in _TIER_COUNTERS}
+            for tier, stats in (
+                ("decompositions", engine.cache.stats),
+                ("filters", engine.filter_cache.stats),
+                ("plans", engine.plan_cache.stats),
+            )
         },
     }
     return result, meta

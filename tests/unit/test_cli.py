@@ -295,6 +295,9 @@ class TestCacheSubcommand:
         assert "decompositions: 1 entries" in out
         assert "doppler filters: 1 entries" in out
         assert "compiled plans: 1 entries" in out
+        # One memory-tier line per tier, each with its bound and unit.
+        assert "weight 0 of 256 entries" in out
+        assert out.count("memory tier: ") == 3
 
     def test_clear_removes_everything(self, tmp_path, capsys):
         self._populate_all_tiers(tmp_path)

@@ -95,7 +95,8 @@ class TestCompiledPlanCacheMemoryTier:
                     lookup_counts[index] += 1
                     if served is not None:
                         assert served.n_entries == compiled.n_entries
-                entries, resident = cache.memory_usage()
+                stats = cache.stats
+                entries, resident = stats.size, stats.weight
                 assert entries >= 0
                 assert resident >= 0, "memory byte counter went negative"
                 byte_samples.append(resident)
@@ -103,13 +104,13 @@ class TestCompiledPlanCacheMemoryTier:
         _hammer(worker)
 
         stats = cache.stats
-        assert stats.memory_bytes >= 0
-        assert stats.memory_entries >= 0
-        # Every lookup probed the memory tier exactly once (the cache is
-        # disk-detached, so there are no disk-tier probes to double-count).
-        assert stats.memory_hits + stats.memory_misses == sum(lookup_counts)
-        assert stats.lookups == stats.memory_hits + stats.hits + stats.misses
-        assert stats.hits == stats.misses == 0
+        assert stats.weight >= 0
+        assert stats.size >= 0
+        # Every lookup counted exactly one hit or miss, all in the memory
+        # tier (the cache is disk-detached, so there are no disk probes).
+        assert stats.hits + stats.misses == sum(lookup_counts)
+        assert stats.memory_hits == stats.hits
+        assert stats.disk_hits == stats.disk_misses == 0
         assert max(byte_samples) <= 1 << 20
 
     def test_final_state_still_serves_bit_identical_plans(self, compiled_plan):

@@ -59,7 +59,6 @@ class TestDopplerFilterCache:
         stats = cache.stats
         assert (stats.hits, stats.misses) == (1, 1)
         assert stats.lookups == 2
-        assert stats.builds == 1
 
     def test_invalid_parameters_still_raise(self):
         from repro.exceptions import DopplerError
@@ -67,13 +66,28 @@ class TestDopplerFilterCache:
         with pytest.raises(DopplerError):
             DopplerFilterCache().get(64, 0.9)
 
-    def test_clear_and_reset(self):
+    def test_memory_tier_is_byte_bounded(self):
+        # Regression: the memory tier was an unbounded dict, so every
+        # distinct f_m a client requested stayed resident for good.
+        from repro.engine.filters import FILTER_MEMORY_MAX_BYTES
+
+        n_points = 16384
+        capacity = FILTER_MEMORY_MAX_BYTES // (n_points * 8)
+        n_filters = capacity + 8
         cache = DopplerFilterCache()
-        cache.get(64, 0.05)
-        cache.clear()
-        assert len(cache) == 0
-        cache.reset_stats()
-        assert cache.stats.lookups == 0
+        first, _, _ = cache.get(n_points, 0.01)
+        first_bytes = first.tobytes()
+        for index in range(1, n_filters):
+            cache.get(n_points, 0.01 + index * 1e-5)
+        stats = cache.stats
+        assert stats.weight <= FILTER_MEMORY_MAX_BYTES
+        assert stats.size == capacity
+        assert stats.evictions == n_filters - capacity
+        # The least recently used filter was evicted; rebuilding it gives
+        # the same bytes.
+        rebuilt, _, was_cached = cache.get(n_points, 0.01)
+        assert not was_cached
+        assert rebuilt.tobytes() == first_bytes
 
     def test_default_cache_is_process_wide(self):
         assert default_filter_cache() is default_filter_cache()
@@ -88,28 +102,6 @@ class TestFilterDiskTier:
         assert second.stats.disk_hits == 1
         assert loaded.tobytes() == built.tobytes()
         assert loaded_variance == variance
-
-    def test_disk_usage_and_clear(self, tmp_path):
-        cache = DopplerFilterCache(cache_dir=tmp_path)
-        cache.get(64, 0.05)
-        cache.get(128, 0.05)
-        entries, total = cache.disk_usage()
-        assert entries == 2
-        assert total > 0
-        assert cache.clear_disk() == 2
-        assert cache.disk_usage() == (0, 0)
-
-    def test_corrupt_entry_is_a_counted_miss(self, tmp_path):
-        DopplerFilterCache(cache_dir=tmp_path).get(64, 0.05)
-        (path,) = (tmp_path / "filters").glob("*.npz")
-        path.write_bytes(b"garbage")
-        cache = DopplerFilterCache(cache_dir=tmp_path)
-        coefficients, _, was_cached = cache.get(64, 0.05)
-        assert not was_cached
-        stats = cache.stats
-        assert stats.disk_corruptions == 1
-        assert stats.disk_misses == 1
-        assert np.array_equal(coefficients, young_beaulieu_filter(64, 0.05))
 
     def test_store_sweeps_stale_tmp_orphans(self, tmp_path):
         import os
@@ -190,7 +182,7 @@ class TestCompileIntegration:
         assert first.report.doppler_filter_cache_hits == 0
         assert second.report.doppler_filters_built == 1
         assert second.report.doppler_filter_cache_hits == 1
-        assert filter_cache.stats.builds == 1
+        assert filter_cache.stats.misses == 1
 
     def test_compiles_share_the_filter_array_across_passes(self, matrix):
         filter_cache = DopplerFilterCache()
@@ -224,7 +216,7 @@ class TestRealtimeIntegration:
             matrix, normalized_doppler=0.05, n_points=64, rng=2,
             cache=DecompositionCache(maxsize=0), filter_cache=filter_cache,
         )
-        assert filter_cache.stats.builds == 1
+        assert filter_cache.stats.misses == 1
         assert second._filter is first._filter
 
     def test_cached_filter_keeps_bit_identity(self, matrix):

@@ -33,7 +33,7 @@ from repro.engine import (
     SimulationEngine,
 )
 from repro.experiments.scaling import shard_sweep_plan
-from repro.shard import run_sharded
+from repro.shard import partition_plan, run_sharded
 
 N_ENTRIES = 8
 N_BRANCHES = 32
@@ -70,6 +70,12 @@ def warm_cache_dir(cache_root):
 def test_bench_sharded_warm_sweep(benchmark, warm_cache_dir, tmp_path, n_shards):
     """Time: the full sharded run (spawn, execute, publish, merge), warm."""
     plan = _plan()
+    # Publish every slice's compiled plan untimed: pedantic's warm-up round
+    # does not run under --benchmark-disable, so the fixture's whole-plan
+    # artifact alone would leave the slices cold.
+    engine = SimulationEngine(cache_dir=warm_cache_dir)
+    for plan_slice in partition_plan(plan, n_shards):
+        engine.run(plan_slice.plan, N_SAMPLES)
     rounds = {"count": 0}
 
     def kernel():

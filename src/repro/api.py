@@ -2,10 +2,9 @@
 
 Before this module the package had several parallel front doors — the
 one-call helpers in :mod:`repro.core.pipeline`, the plan/compile/execute
-engine in :mod:`repro.engine`, :class:`repro.channels.scenario.ScenarioSweep`
-for sweeps, and :func:`repro.parallel.ensemble.run_plan_parallel` for
-process-pool runs.  A :class:`Simulator` is the single public entry point
-that fronts all of them:
+engine in :mod:`repro.engine`, and :class:`repro.channels.scenario.ScenarioSweep`
+for sweeps.  A :class:`Simulator` is the single public entry point that
+fronts all of them:
 
 >>> import numpy as np
 >>> from repro.api import Simulator
@@ -23,15 +22,15 @@ Sessions own three resources:
   matmul implementation from :mod:`repro.engine.backends`;
 * a **decomposition cache** (``cache=``) — shared across every run the
   session executes (``None`` uses the process-wide cache);
-* a **worker budget** (``max_workers=``) — ``run`` partitions plans across
-  the session's process pool when the budget exceeds one, and ``submit``
-  sizes its thread pool from it for async multiplexing.
+* a **thread budget** (``max_workers=``) — the size of the thread pool
+  :meth:`Simulator.submit` runs on.
 
-Both pools are built lazily and belong to the session: the process pool's
-workers start once, on the first partitioned run, each builds its own
-engine once, and every later run reuses them (and their warm caches).
-``close()`` — or ``with Simulator(...) as sim:`` — shuts both down; a
-session nobody closed reaps its workers when it is garbage-collected.
+Every ``run`` executes in-process.  Per entry the work is one N×N
+decomposition and one N×n coloring multiply, which at serving sizes costs
+less than shipping a sub-plan to another process and its result back;
+:mod:`repro.shard` is the package's one multiprocess path for plans.  The
+thread pool is built lazily and belongs to the session: ``close()`` — or
+``with Simulator(...) as sim:`` — shuts it down.
 
 ``await sim.submit(plan, n)`` makes the session awaitable-friendly: many
 concurrent studies can be multiplexed over one session with
@@ -50,9 +49,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import threading
-import weakref
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Executor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -63,9 +60,7 @@ from .engine import (
     BackendSpec,
     BatchResult,
     CompiledPlan,
-    CompiledPlanCache,
     DecompositionCache,
-    DopplerFilterCache,
     LinalgBackend,
     SimulationEngine,
     SimulationPlan,
@@ -77,56 +72,6 @@ __all__ = ["Simulator", "default_simulator"]
 
 #: What :meth:`Simulator.run` accepts as work.
 RunnableWork = Union[SimulationPlan, CompiledPlan, "ScenarioSweepLike"]
-
-
-#: This process's engine when it is a session pool worker (built once by
-#: :func:`_init_worker`); ``None`` everywhere else.
-_WORKER_ENGINE: Optional[SimulationEngine] = None
-
-
-def _init_worker(
-    backend: LinalgBackend,
-    cache_dir: Optional[str] = None,
-    plan_cache_dir: Optional[str] = None,
-) -> None:
-    """Pool initializer: build the worker's private engine once.
-
-    Module-level so :class:`ProcessPoolExecutor` can run it in every worker.
-    The backend instance travels to the worker once, with the initializer
-    arguments (the built-in backends reduce to their constructor
-    arguments), so unregistered instances — custom subclasses, non-default
-    scipy drivers — work identically in parallel and in-process runs.  The
-    engine and its caches live as long as the worker, so a covariance one
-    run decomposed is a memory hit for every later sub-plan this worker
-    compiles.  Process-wide caches are not shared across processes, but
-    when the parent session has a persistent ``cache_dir`` every worker
-    attaches the same disk tier, so workers *do* share decompositions,
-    Doppler filters, and compiled sub-plan artifacts through the filesystem
-    (disk writes are atomic and corrupt reads degrade to misses).  The
-    parent decides what to forward — explicit argument, an explicit cache's
-    own disk tier, or ``REPRO_CACHE_DIR`` for default-cache sessions — so
-    an explicitly memory-only session stays memory-only in workers too.
-    ``plan_cache_dir`` mirrors the *parent engine's* compiled-plan tier
-    separately, so a session whose plan tier is detached (an explicitly
-    hand-configured cache) keeps it detached in workers instead of
-    silently gaining whole-plan short-circuits only when a run happens to
-    parallelize.
-    """
-    global _WORKER_ENGINE
-    if cache_dir is None:
-        _WORKER_ENGINE = SimulationEngine(cache=DecompositionCache(), backend=backend)
-    else:
-        _WORKER_ENGINE = SimulationEngine(
-            cache=DecompositionCache(cache_dir=cache_dir),
-            filter_cache=DopplerFilterCache(cache_dir=cache_dir),
-            plan_cache=CompiledPlanCache(plan_cache_dir),
-            backend=backend,
-        )
-
-
-def _run_subplan(subplan: SimulationPlan, n_samples: int) -> BatchResult:
-    """Worker task: compile and execute one sub-plan on the worker's engine."""
-    return _WORKER_ENGINE.run(subplan, n_samples)
 
 
 class Simulator:
@@ -158,14 +103,10 @@ class Simulator:
         (default) leaves caching in-memory unless the ``REPRO_CACHE_DIR``
         environment variable configured the process-wide caches.
     max_workers:
-        Worker budget.  ``None`` or 1 keeps everything in-process;
-        larger values let :meth:`run` partition plans across a process pool
-        of that many workers (the old ``run_plan_parallel``) and size
-        :meth:`submit`'s thread pool for async multiplexing.  The pool is
-        built on the first partitioned run and reused until :meth:`close`;
-        if a worker dies, that run raises
-        :class:`~repro.exceptions.ParallelExecutionError` and the next run
-        builds a fresh pool.
+        Size of :meth:`submit`'s thread pool (``None`` lets
+        :class:`~concurrent.futures.ThreadPoolExecutor` choose).  :meth:`run`
+        always executes in-process; partition a plan across processes with
+        :mod:`repro.shard`.
     defaults:
         Numeric tolerance bundle for the decomposition pipeline.
 
@@ -193,27 +134,14 @@ class Simulator:
         self._engine = SimulationEngine(
             cache=cache, defaults=defaults, backend=backend, cache_dir=cache_dir
         )
-        # The directory process-pool workers attach their disk tier to:
-        # the explicit argument; the disk tier a caller-supplied cache
-        # already carries (DecompositionCache(cache_dir=...) mixed in by
-        # hand) — which also keeps an explicitly memory-only cache
-        # memory-only in workers; or, for default-cache sessions only,
-        # REPRO_CACHE_DIR — mirroring what the parent's own default caches
-        # attach.
+        # The directory the session's disk tier lives in: the explicit
+        # argument, the one a caller-supplied cache carries, or — for
+        # default-cache sessions only — REPRO_CACHE_DIR.
         if cache_dir is None:
             cache_dir = cache.cache_dir if cache is not None else cache_dir_from_env()
         self._cache_dir = None if cache_dir is None else str(cache_dir)
-        # The compiled-plan tier is forwarded separately: workers attach it
-        # exactly when the parent engine's plan cache is attached, so the
-        # serial and parallel paths agree on whether whole-plan
-        # short-circuits may happen.
-        plan_dir = self._engine.plan_cache.cache_dir
-        self._plan_cache_dir = None if plan_dir is None else str(plan_dir)
-        self._defaults = defaults
         self._max_workers = max_workers
         self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._process_pool_finalizer: Optional[weakref.finalize] = None
         self._pool_lock = threading.Lock()
         self._pending_submissions = 0
         self._closed = False
@@ -243,7 +171,7 @@ class Simulator:
 
     @property
     def max_workers(self) -> Optional[int]:
-        """The session's worker budget (``None`` means in-process)."""
+        """The size of :meth:`submit`'s thread pool (``None``: executor default)."""
         return self._max_workers
 
     @property
@@ -305,20 +233,13 @@ class Simulator:
     ) -> BatchResult:
         """Execute a plan, compiled plan, or scenario sweep as one batch.
 
-        With ``max_workers > 1`` and a multi-entry (un-compiled) plan, the
-        plan is partitioned into contiguous sub-plans executed across the
-        session's process pool — the session form of the old
-        ``run_plan_parallel`` — and the blocks are reassembled in plan
-        order; a closed session runs the plan in-process.  Results are
-        bit-identical to the in-process path because every entry draws from
-        its own seeded stream; the worker count is a pure throughput knob.
+        Always in-process, on this session's engine: results are
+        bit-identical whatever ``max_workers`` is.
 
         Parameters
         ----------
         work:
-            A :class:`SimulationPlan`, a :class:`CompiledPlan` (always
-            executed in-process: its coloring matrices are already bound to
-            this session's backend), or a
+            A :class:`SimulationPlan`, a :class:`CompiledPlan`, or a
             :class:`repro.channels.scenario.ScenarioSweep`.
         n_samples:
             Time samples per branch for every entry.
@@ -329,80 +250,7 @@ class Simulator:
         plan = self._coerce_plan(
             work, gaussian_powers=gaussian_powers, seed=seed, seeds=seeds
         )
-        workers = self._max_workers or 1
-        if (
-            workers <= 1
-            or isinstance(plan, CompiledPlan)
-            or plan.n_entries <= 1
-        ):
-            return self._engine.run(plan, n_samples)
-        return self._run_parallel(plan, n_samples, workers)
-
-    def _worker_pool(self) -> Optional[ProcessPoolExecutor]:
-        """The session's process pool, built on first use; ``None`` once closed."""
-        with self._pool_lock:
-            if self._closed:
-                return None
-            if self._process_pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=self._max_workers,
-                    initializer=_init_worker,
-                    initargs=(self.backend, self._cache_dir, self._plan_cache_dir),
-                )
-                self._process_pool = pool
-                # Reaps the workers of a session nobody closed.  The callback
-                # holds the pool, never the session, so it cannot keep the
-                # session alive.
-                self._process_pool_finalizer = weakref.finalize(
-                    self, pool.shutdown, wait=False
-                )
-            return self._process_pool
-
-    def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Drop a broken ``pool`` so the next run builds a fresh one."""
-        with self._pool_lock:
-            if self._process_pool is not pool:
-                return  # a concurrent run (or close) already dropped it
-            finalizer = self._process_pool_finalizer
-            self._process_pool = None
-            self._process_pool_finalizer = None
-        finalizer()  # shutdown(wait=False): the workers are gone or going
-
-    def _run_parallel(
-        self, plan: SimulationPlan, n_samples: int, workers: int
-    ) -> BatchResult:
-        """Partition ``plan`` across the session's pool and merge the results."""
-        import time
-
-        if n_samples < 1:
-            raise ParallelExecutionError(f"n_samples must be >= 1, got {n_samples}")
-        pool = self._worker_pool()
-        if pool is None:
-            # A closed session runs in-process: bit-identical by invariant 1.
-            return self._engine.run(plan, n_samples)
-        from .shard.slicing import merge_results, partition_plan
-
-        slices = partition_plan(plan, int(workers))
-        start = time.perf_counter()
-        try:
-            futures = [
-                pool.submit(_run_subplan, plan_slice.plan, n_samples)
-                for plan_slice in slices
-            ]
-            partials = [future.result() for future in futures]
-        except Exception as exc:
-            if isinstance(exc, BrokenProcessPool):
-                self._discard_pool(pool)
-            raise ParallelExecutionError(f"parallel plan execution failed: {exc}") from exc
-        # The same merge as sharded runs: plan order, whole-plan indices,
-        # summed compile counters, and a contiguity/block-count check.
-        return merge_results(
-            slices,
-            partials,
-            n_samples=n_samples,
-            wall_seconds=time.perf_counter() - start,
-            backend=self.backend.name,
-        )
+        return self._engine.run(plan, n_samples)
 
     def stream(
         self,
@@ -668,22 +516,16 @@ class Simulator:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut down the session's thread and process pools (idempotent).
+        """Shut down the session's thread pool (idempotent).
 
-        Waits for running submissions, then for the process-pool workers to
-        exit.  Closed sessions still :meth:`run`, in-process — bit-identical
-        to a pooled run — while :meth:`submit` raises.
+        Waits for running submissions.  Closed sessions still :meth:`run`;
+        :meth:`submit` raises.
         """
         with self._pool_lock:
             threads, self._thread_pool = self._thread_pool, None
-            processes, self._process_pool = self._process_pool, None
-            finalizer, self._process_pool_finalizer = self._process_pool_finalizer, None
             self._closed = True
         if threads is not None:
             threads.shutdown(wait=True)
-        if processes is not None:
-            finalizer.detach()
-            processes.shutdown(wait=True)
 
     def __enter__(self) -> "Simulator":
         return self

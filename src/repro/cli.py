@@ -289,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="flights executing concurrently (default: 4)",
     )
-    serve_parser.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="simulator thread-pool size (default: --dispatch-slots)",
-    )
     _backend_argument(serve_parser)
     _cache_dir_argument(serve_parser)
 
@@ -604,7 +598,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         simulator = Simulator(
             backend=args.backend,
             cache_dir=args.cache_dir,
-            max_workers=args.max_workers or args.dispatch_slots,
+            max_workers=args.dispatch_slots,
         )
         print(
             f"serving envelopes on http://{args.host}:{args.port} "

@@ -6,7 +6,7 @@
     process-wide :func:`repro.api.default_simulator`.  New code should hold
     a session instead (``sim = Simulator(backend=...)`` then
     ``sim.envelopes(...)``), which adds backend choice, a private cache,
-    process-pool runs, and async submission; results here are bit-identical
+    batched plan runs, and async submission; results here are bit-identical
     to the session calls with the same seeds.
 
 Most users need exactly one of two things:

@@ -17,8 +17,8 @@ same per-entry seeds, a Doppler entry is bit-identical to a standalone
 :class:`repro.core.realtime.RealTimeRayleighGenerator`.
 
 Plans are the unit of work the engine compiles (:mod:`repro.engine.compile`)
-and the unit the parallel layer partitions across processes
-(:func:`repro.parallel.ensemble.run_plan_parallel`).
+and the unit the sharding layer partitions across worker processes
+(:func:`repro.shard.slicing.partition_plan`).
 """
 
 from __future__ import annotations

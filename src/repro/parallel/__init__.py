@@ -20,7 +20,6 @@ from .ensemble import (
     EnsembleResult,
     run_covariance_ensemble,
     monte_carlo_covariance,
-    run_plan_parallel,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "EnsembleResult",
     "run_covariance_ensemble",
     "monte_carlo_covariance",
-    "run_plan_parallel",
 ]

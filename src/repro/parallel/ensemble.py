@@ -1,36 +1,25 @@
-"""Process-pool Monte-Carlo ensembles and plan-level parallelism.
+"""Process-pool Monte-Carlo ensembles.
 
 Monte-Carlo validation of the generator (e.g. estimating the covariance error
 distribution over many independent replicas) is embarrassingly parallel.  The
-functions here fan replicas out over a :class:`concurrent.futures`
-process pool, giving each worker an independent, deterministic seed via
-:func:`repro.parallel.partition.build_worker_tasks`, and reduce the results.
+functions here fan replicas of one covariance matrix out over a
+:class:`concurrent.futures` process pool, giving each worker an independent,
+deterministic seed via :func:`repro.parallel.partition.build_worker_tasks`,
+and reduce the results to a covariance matrix.  Plans are not partitioned
+here: :meth:`repro.api.Simulator.run` executes them in-process and
+:mod:`repro.shard` spreads them across worker processes.
 
-Work is partitioned at two granularities:
-
-* **replicas** of one covariance matrix
-  (:func:`run_covariance_ensemble` / :func:`monte_carlo_covariance`), and
-* **plans** — :func:`run_plan_parallel` splits a
-  :class:`repro.engine.SimulationPlan` of many scenarios into contiguous
-  sub-plans, each worker compiles and executes its sub-plan with the batched
-  engine, and the per-entry blocks are reassembled in plan order.  Results
-  are bit-identical to executing the whole plan in one process (each entry
-  draws from its own seeded stream), so the worker count is a pure
-  throughput knob.  This granularity now lives in the session API —
-  :func:`run_plan_parallel` is a thin wrapper over
-  ``Simulator(max_workers=N).run(...)`` (:mod:`repro.api`).
-
-The worker functions are module-level functions (not closures) so they can be
-pickled by the default ``spawn``/``fork`` start methods.  For small jobs (or
-``n_workers=1``) the work runs sequentially in-process, which keeps unit
-tests fast and avoids pool start-up costs.
+The worker function is module-level (not a closure) so it can be pickled by
+the default ``spawn``/``fork`` start methods.  With ``n_workers=1`` (or
+``None``) the replicas run sequentially in-process, which keeps unit tests
+fast and avoids pool start-up costs.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,14 +27,13 @@ from ..core.covariance import CovarianceSpec
 from ..core.generator import RayleighFadingGenerator
 from ..core.statistics import covariance_match_report
 from ..exceptions import ParallelExecutionError
-from ..types import GaussianBlock, SeedLike
+from ..types import SeedLike
 from .partition import WorkerTask, build_worker_tasks
 
 __all__ = [
     "EnsembleResult",
     "run_covariance_ensemble",
     "monte_carlo_covariance",
-    "run_plan_parallel",
 ]
 
 
@@ -93,6 +81,30 @@ def _covariance_replica(task: WorkerTask, covariance: np.ndarray) -> tuple:
     return report.relative_error, report.empirical, task.n_samples
 
 
+def _run_replicas(
+    tasks: Sequence[WorkerTask],
+    covariance: np.ndarray,
+    n_workers: Optional[int],
+    what: str,
+) -> Tuple[List[tuple], np.ndarray]:
+    """Run ``tasks`` in order, in-process or on a fresh process pool.
+
+    Returns the per-task ``(relative error, sample covariance, count)``
+    tuples and their count-weighted mean covariance.
+    """
+    if n_workers is None or n_workers <= 1:
+        results = [_covariance_replica(task, covariance) for task in tasks]
+    else:
+        try:
+            with ProcessPoolExecutor(max_workers=n_workers) as pool:
+                futures = [pool.submit(_covariance_replica, task, covariance) for task in tasks]
+                results = [future.result() for future in futures]
+        except Exception as exc:  # pragma: no cover - depends on pool environment
+            raise ParallelExecutionError(f"{what} failed: {exc}") from exc
+    counts = np.array([r[2] for r in results], dtype=float)
+    return results, sum(r[1] * r[2] for r in results) / float(np.sum(counts))
+
+
 def run_covariance_ensemble(
     covariance: np.ndarray,
     *,
@@ -130,25 +142,11 @@ def run_covariance_ensemble(
         WorkerTask(index=t.index, n_samples=samples_per_replica, seed=t.seed) for t in tasks
     ]
 
-    results: List[tuple] = []
-    if n_workers is None or n_workers <= 1:
-        for task in tasks:
-            results.append(_covariance_replica(task, covariance))
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                futures = [pool.submit(_covariance_replica, task, covariance) for task in tasks]
-                results = [future.result() for future in futures]
-        except Exception as exc:  # pragma: no cover - depends on pool environment
-            raise ParallelExecutionError(f"ensemble execution failed: {exc}") from exc
-
-    errors = np.array([r[0] for r in results])
-    counts = np.array([r[2] for r in results], dtype=float)
-    weighted = sum(r[1] * r[2] for r in results) / float(np.sum(counts))
+    results, mean = _run_replicas(tasks, covariance, n_workers, "ensemble execution")
     return EnsembleResult(
-        relative_errors=errors,
-        mean_covariance=weighted,
-        total_samples=int(np.sum(counts)),
+        relative_errors=np.array([r[0] for r in results]),
+        mean_covariance=mean,
+        total_samples=int(sum(r[2] for r in results)),
         n_replicas=len(results),
     )
 
@@ -169,66 +167,4 @@ def monte_carlo_covariance(
     n_workers = max(1, int(n_workers))
     tasks = build_worker_tasks(total_samples, n_workers, seed)
     covariance = np.asarray(covariance, dtype=complex)
-    results: List[tuple] = []
-    if n_workers == 1:
-        results = [_covariance_replica(task, covariance) for task in tasks]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                futures = [pool.submit(_covariance_replica, task, covariance) for task in tasks]
-                results = [future.result() for future in futures]
-        except Exception as exc:  # pragma: no cover - depends on pool environment
-            raise ParallelExecutionError(f"parallel generation failed: {exc}") from exc
-    counts = np.array([r[2] for r in results], dtype=float)
-    return sum(r[1] * r[2] for r in results) / float(np.sum(counts))
-
-
-def run_plan_parallel(
-    plan,
-    n_samples: int,
-    *,
-    n_workers: Optional[int] = None,
-    backend=None,
-) -> List[GaussianBlock]:
-    """Execute a :class:`repro.engine.SimulationPlan` across a process pool.
-
-    .. deprecated::
-        Thin wrapper over the session API — equivalent to
-        ``Simulator(max_workers=n_workers, backend=backend).run(plan,
-        n_samples)`` (in-process runs share the process-wide cache).  Prefer
-        holding a :class:`repro.api.Simulator`, which also exposes the full
-        :class:`repro.engine.BatchResult` (compile report, cache counters)
-        this wrapper discards.
-
-    The plan is split into at most ``n_workers`` contiguous sub-plans
-    (:meth:`repro.engine.SimulationPlan.partition`); each worker batches its
-    sub-plan through the engine, and the blocks are reassembled in plan
-    order.  Because every entry draws from its own seeded stream, the result
-    is bit-identical to executing the whole plan in one process.
-
-    Parameters
-    ----------
-    plan:
-        The simulation plan to execute.
-    n_samples:
-        Time samples per branch for every entry.
-    n_workers:
-        Process-pool size.  ``None`` or 1 runs in-process (sharing the
-        process-wide decomposition cache).
-    backend:
-        Linalg backend name or instance forwarded to the session.
-    """
-    from ..api import Simulator
-    from ..engine import SimulationPlan
-
-    if not isinstance(plan, SimulationPlan):
-        raise ParallelExecutionError(
-            f"plan must be a SimulationPlan, got {type(plan).__name__}"
-        )
-    if plan.n_entries == 0:
-        raise ParallelExecutionError("cannot execute an empty plan")
-    if n_samples < 1:
-        raise ParallelExecutionError(f"n_samples must be >= 1, got {n_samples}")
-
-    with Simulator(max_workers=n_workers, backend=backend) as simulator:
-        return list(simulator.run(plan, n_samples).blocks)
+    return _run_replicas(tasks, covariance, n_workers, "parallel generation")[1]

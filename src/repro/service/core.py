@@ -2,8 +2,9 @@
 
 :class:`EnvelopeService` turns a :class:`repro.api.Simulator` session into a
 long-running multi-client server.  Scheduling state lives on the event-loop
-thread only (no locks here — the numeric work happens on the simulator's
-pool threads); four mechanisms shape the traffic:
+thread only (no locks here — the numeric work runs in-process on the
+simulator's thread pool, one ``Simulator.submit`` per dispatch slot); four
+mechanisms shape the traffic:
 
 * **bounded submission queue** — at most ``max_queue`` *flights* (deduplicated
   compile/execute units) may be queued; a submit against a full queue raises
@@ -30,7 +31,7 @@ that share a plan structure but differ in seeds.
 
 # reprolint: hot-module — the serving core is pure dispatch bookkeeping; it
 # must never allocate arrays (results stream through by reference from the
-# simulator pool), and the hot-path-allocation rule enforces that.
+# simulator's thread pool), and the hot-path-allocation rule enforces that.
 
 from __future__ import annotations
 
@@ -161,7 +162,7 @@ class EnvelopeService:
 
     All public methods must be called from the event-loop thread that ran
     :meth:`start` — the scheduling state is loop-confined by design (the
-    numeric work runs on the simulator's pool threads; see the module
+    numeric work runs on the simulator's thread pool; see the module
     docstring for the traffic-shaping mechanisms).
 
     Parameters
@@ -463,7 +464,7 @@ class EnvelopeService:
             await self._execute_flight(flight)
 
     async def _execute_flight(self, flight: _Flight) -> None:
-        """Run one flight on the simulator pool and fan its outcome out.
+        """Run one flight on the simulator's thread pool and fan its outcome out.
 
         A flight failure (a backend fault, a store fault, a malformed plan
         surfacing at compile time) resolves only that flight's waiters —

@@ -10,7 +10,9 @@ GET       ``/v1/metrics``             counter + gauge snapshot (JSON)
 POST      ``/v1/plans``               submit a plan payload → ``202`` with a
                                       request id; ``429`` + ``Retry-After``
                                       under backpressure; ``400`` on a
-                                      malformed payload
+                                      malformed payload or
+                                      ``Content-Length``; ``413`` above
+                                      ``MAX_BODY_BYTES`` (body never read)
 GET       ``/v1/plans/<id>``          status snapshot (``404`` unknown)
 DELETE    ``/v1/plans/<id>``          cancel (idempotent)
 GET       ``/v1/plans/<id>/result``   await + stream the result as chunked
@@ -55,6 +57,14 @@ _REASONS = {
 
 def _reason(status: int) -> str:
     return _REASONS.get(status, "Unknown")
+
+
+class _RequestError(Exception):
+    """A request rejected while reading it, answered with ``status``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class ServiceHTTPServer:
@@ -110,11 +120,12 @@ class ServiceHTTPServer:
         except ConnectionError:  # pragma: no cover - client went away
             pass
         except Exception as exc:
-            # A handler bug must not kill the server loop; best-effort 500.
+            if isinstance(exc, _RequestError):
+                status, error = exc.status, str(exc)
+            else:  # a handler bug must not kill the server loop: best-effort 500
+                status, error = 500, f"{type(exc).__name__}: {exc}"
             try:
-                await self._send_json(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
+                await self._send_json(writer, status, {"error": error})
             except Exception:  # pragma: no cover - socket already dead
                 pass
         finally:
@@ -141,9 +152,16 @@ class ServiceHTTPServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > MAX_BODY_BYTES:
-            return method.upper(), path, headers, b""
+        raw_length = headers.get("content-length", "0") or "0"
+        # Digits only: int() would also take signs, underscores and
+        # non-ASCII digits.
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _RequestError(400, f"invalid Content-Length header: {raw_length!r}")
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            raise _RequestError(
+                413, f"Content-Length {length} exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, headers, body
 

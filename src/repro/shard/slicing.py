@@ -17,9 +17,10 @@ pure pieces of that story:
   the same compiled-plan cache key as the in-process original;
 * :func:`merge_results` — reassemble per-shard :class:`BatchResult`\\ s
   into one plan-ordered result with summed :class:`CompileReport`
-  counters, restamping whole-plan ``plan_index`` metadata.  The session
-  process pool (:meth:`repro.api.Simulator.run` with ``max_workers``)
-  splits and merges through the same two functions.
+  counters, restamping whole-plan ``plan_index`` metadata.
+
+Sharding is the package's one multiprocess path for plans:
+:meth:`repro.api.Simulator.run` always executes in-process.
 
 Because slices are contiguous and the compiled-plan cache key folds every
 entry's decomposition key, Doppler tuple and ``fading_token`` (but not

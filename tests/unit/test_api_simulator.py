@@ -9,9 +9,8 @@ synchronous ``sim.run(...)``.
 
 import asyncio
 import gc
-import os
+import multiprocessing
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,8 +21,7 @@ from repro.channels import MIMOArrayScenario, ScenarioSweep
 from repro.core import CovarianceSpec, RayleighFadingGenerator
 from repro.core.pipeline import generate_correlated_envelopes, generate_from_scenario
 from repro.engine import BatchResult, DecompositionCache, SimulationPlan
-from repro.exceptions import ParallelExecutionError, SpecificationError
-from repro.parallel import run_plan_parallel
+from repro.exceptions import GenerationError, ParallelExecutionError, SpecificationError
 
 
 K2 = np.array([[1.0, 0.4 + 0.1j], [0.4 - 0.1j, 1.0]], dtype=complex)
@@ -82,53 +80,27 @@ class TestConstruction:
         with pytest.raises(SpecificationError):
             Simulator(cache=DecompositionCache(), cache_dir=tmp_path)
 
-    def test_explicit_cache_with_disk_tier_reaches_workers(self, tmp_path):
-        # The documented "mix" route: a hand-built persistent cache must
-        # hand its directory to process-pool workers too.
-        with Simulator(
-            cache=DecompositionCache(cache_dir=tmp_path), max_workers=2
-        ) as sim:
+    def test_explicit_cache_with_disk_tier_keeps_plan_tier_detached(self, tmp_path):
+        # The documented "mix" route: the session reports the hand-built
+        # cache's disk tier, but an explicitly hand-configured cache keeps
+        # the compiled-plan tier detached.
+        with Simulator(cache=DecompositionCache(cache_dir=tmp_path)) as sim:
             assert sim.cache_dir == str(tmp_path)
-            # ... but NOT the compiled-plan tier: an explicitly hand-configured
-            # cache keeps the plan tier detached in the parent, so workers must
-            # keep it detached too (serial and parallel runs agree on whether
-            # whole-plan short-circuits may happen).
             assert sim.engine.plan_cache.cache_dir is None
-            assert sim._plan_cache_dir is None
+            sim.run(_plan(2), 8)
+        assert (tmp_path / "decompositions").is_dir()
+        assert not (tmp_path / "plans").exists()
 
-    def test_worker_engine_mirrors_parent_plan_tier(self, tmp_path, monkeypatch):
-        # Exercise the worker entry points directly (no pool needed): the
-        # plan tier attaches in the worker exactly when the parent forwards
-        # its plan-cache directory.
-        from repro import api
-        from repro.engine import resolve_backend
-
-        monkeypatch.setattr(api, "_WORKER_ENGINE", None)
-        backend = resolve_backend(None)
-        api._init_worker(backend, str(tmp_path / "a"), None)
-        api._run_subplan(_plan(2), 8)
-        assert (tmp_path / "a" / "decompositions").is_dir()
-        assert not (tmp_path / "a" / "plans").exists()
-
-        api._init_worker(backend, str(tmp_path / "b"), str(tmp_path / "b"))
-        api._run_subplan(_plan(2), 8)
-        assert (tmp_path / "b" / "plans").is_dir()
-
-    def test_explicit_memory_only_cache_overrides_env_for_workers(
-        self, tmp_path, monkeypatch
-    ):
-        # An explicit cache opt-out must hold in workers even when
-        # REPRO_CACHE_DIR is exported: parallel runs may not silently gain
-        # a disk tier the caller disabled.
+    def test_explicit_memory_only_cache_overrides_env(self, tmp_path, monkeypatch):
+        # An explicit cache opt-out holds even when REPRO_CACHE_DIR is
+        # exported: the session may not silently gain a disk tier.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        with Simulator(cache=DecompositionCache(maxsize=0), max_workers=2) as sim:
+        with Simulator(cache=DecompositionCache(maxsize=0)) as sim:
             assert sim.cache_dir is None
 
-    def test_default_session_forwards_env_dir_to_workers(
-        self, tmp_path, monkeypatch
-    ):
+    def test_default_session_reports_env_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        with Simulator(max_workers=2) as sim:
+        with Simulator() as sim:
             assert sim.cache_dir == str(tmp_path)
 
 
@@ -243,7 +215,7 @@ class TestRun:
         assert [b.metadata["plan_index"] for b in parallel.blocks] == list(range(6))
 
     def test_parallel_run_with_unregistered_backend_instance(self):
-        # The instance itself travels to the workers; no registry lookup.
+        # The instance itself is used; no registry lookup.
         from repro.engine import ScipyBackend
 
         backend = ScipyBackend(driver="evd")
@@ -275,13 +247,45 @@ class TestRun:
             assert np.array_equal(a.samples, b.samples)
 
     def test_single_entry_plan_stays_in_process(self):
-        # No pool spin-up for B=1; result identical either way.
         plan = _plan(1)
         with Simulator(cache=DecompositionCache(), max_workers=4) as sim:
             a = sim.run(plan, 8)
-            assert sim._process_pool is None
+            assert not multiprocessing.active_children()
         b = Simulator(cache=DecompositionCache()).run(plan, 8)
         assert np.array_equal(a.blocks[0].samples, b.blocks[0].samples)
+
+    def test_max_workers_never_spawns_processes(self):
+        # Regression: run executes in-process whatever the thread budget;
+        # repro.shard is the one multiprocess path for plans.
+        plan = _plan(6)
+        with Simulator(cache=DecompositionCache(), max_workers=4) as sim:
+            result = sim.run(plan, 16)
+            assert not multiprocessing.active_children()
+        _same_bytes(result, Simulator(cache=DecompositionCache()).run(plan, 16))
+
+    def test_empty_plan_runs_to_an_empty_result(self):
+        result = Simulator(cache=DecompositionCache()).run(SimulationPlan(), 4)
+        assert result.blocks == ()
+        assert result.compile_report.n_entries == 0
+
+    def test_rejects_bad_sample_count(self):
+        with pytest.raises(GenerationError, match="n_samples"):
+            Simulator(cache=DecompositionCache()).run(_plan(2), 0)
+
+    def test_scipy_backend_session_matches_numpy(self):
+        # The migration target of the removed parallel.run_plan_parallel
+        # wrapper, backend argument included: Simulator(...).run(plan, n).blocks.
+        plan = _plan(3)
+        via_scipy = Simulator(backend="scipy", cache=DecompositionCache()).run(plan, 8)
+        _same_bytes(via_scipy, Simulator(cache=DecompositionCache()).run(plan, 8))
+        assert via_scipy.backend == "scipy"
+
+    def test_run_plan_parallel_wrapper_is_gone(self):
+        import repro.parallel
+        from repro.parallel import ensemble
+
+        assert not hasattr(repro.parallel, "run_plan_parallel")
+        assert not hasattr(ensemble, "run_plan_parallel")
 
     def test_summary_reports_cache_counters(self):
         sim = Simulator(cache=DecompositionCache())
@@ -299,55 +303,21 @@ def _same_bytes(result, reference):
         assert block.samples.tobytes() == expected.samples.tobytes()
 
 
-def _pool_workers(sim):
-    """The live session pool's worker processes."""
-    return list(sim._process_pool._processes.values())
+class TestSessionThreads:
+    """The thread pool is the session's one executor: built lazily, closed with it."""
 
-
-def _wait_exited(processes, timeout=30.0):
-    # Poll: the pool's own manager thread may reap a worker between our
-    # wake-up and our waitpid, and only its bookkeeping then sets exitcode.
-    deadline = time.monotonic() + timeout
-    for process in processes:
-        while process.exitcode is None and time.monotonic() < deadline:
-            process.join(0.05)
-        assert process.exitcode is not None, f"worker {process.pid} still running"
-
-
-@pytest.fixture
-def built_pools(monkeypatch):
-    """Every process pool a session builds during the test, in order."""
-    from repro import api
-
-    built = []
-
-    class CountingPool(api.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(api, "ProcessPoolExecutor", CountingPool)
-    return built
-
-
-class TestSessionPool:
-    """The process pool is a session resource: built once, closed with it."""
-
-    def test_one_pool_serves_every_run_bit_identically(self, built_pools):
+    def test_one_session_serves_every_run_bit_identically(self):
         plans = [_plan(4, seed=seed) for seed in (11, 12, 13)]
         with Simulator(cache=DecompositionCache(), max_workers=2) as sim:
-            assert sim._process_pool is None  # lazy: nothing started yet
-            worker_pids = set()
             for plan in plans + plans:
                 reference = Simulator(cache=DecompositionCache()).run(plan, 16)
                 _same_bytes(sim.run(plan, 16), reference)
-                worker_pids.add(frozenset(p.pid for p in _pool_workers(sim)))
-        assert len(worker_pids) == 1  # the same workers served every run
-        assert len(built_pools) == 1
+            assert sim._thread_pool is None  # run never builds the pool
+            assert not multiprocessing.active_children()
 
-    def test_concurrent_runs_share_one_pool(self, built_pools):
-        # More workers and threads than cores, with a short switch interval,
-        # so lazy pool creation and submits from many threads interleave.
+    def test_concurrent_runs_from_many_threads_are_bit_identical(self):
+        # More threads than cores, with a short switch interval, so runs
+        # sharing one session's engine and cache interleave.
         plans = [_plan(3, seed=seed) for seed in range(6)]
         references = [Simulator(cache=DecompositionCache()).run(p, 16) for p in plans]
         interval = sys.getswitchinterval()
@@ -361,62 +331,65 @@ class TestSessionPool:
             sys.setswitchinterval(interval)
         for result, reference in zip(results, references * 2):
             _same_bytes(result, reference)
-        assert len(built_pools) == 1
 
-    def test_repeated_plan_hits_warm_worker_caches(self):
-        # Four entries over one matrix: each sub-plan compiles one unique
-        # matrix, and each worker decomposes it at most once in its life.
-        # Run 1 misses at least once, so of run 2's two sub-plans at most
-        # one can miss — whichever workers the pool hands them to.
-        spec = _plan(1).entries[0].spec
-        plan = SimulationPlan.from_specs([spec] * 4, seed=5)
+    def test_repeated_plan_hits_warm_session_cache(self):
+        plan = _plan(3)
         with Simulator(cache=DecompositionCache(), max_workers=2) as sim:
             first = sim.run(plan, 8).compile_report
             second = sim.run(plan, 8).compile_report
-        assert first.cache_misses >= 1
-        assert second.cache_hits >= 1
-        assert first.cache_misses + second.cache_misses <= 2
+        assert first.cache_misses == 3
+        assert second.cache_misses == 0
+        assert second.cache_hits == 3
 
-    def test_close_reaps_workers_and_later_runs_stay_in_process(self):
-        plan = _plan(4)
-        reference = Simulator(cache=DecompositionCache()).run(plan, 16)
-        sim = Simulator(cache=DecompositionCache(), max_workers=2)
-        _same_bytes(sim.run(plan, 16), reference)
-        workers = _pool_workers(sim)
-        assert workers
+    def test_max_workers_sizes_submit_thread_pool(self):
+        plans = [_plan(2, seed=seed) for seed in range(8)]
+        sim = Simulator(cache=DecompositionCache(), max_workers=3)
+
+        async def gather():
+            return await asyncio.gather(*(sim.submit(plan, 8) for plan in plans))
+
+        asyncio.run(gather())
+        pool = sim._thread_pool
+        assert pool._max_workers == 3
+        assert 1 <= len(pool._threads) <= 3
+        assert all(t.name.startswith("repro-simulator") for t in pool._threads)
+        assert not multiprocessing.active_children()
         sim.close()
-        assert all(process.exitcode is not None for process in workers)
-        assert sim._process_pool is None
-        _same_bytes(sim.run(plan, 16), reference)
-        assert sim._process_pool is None  # no pool rebuilt after close
 
-    def test_killed_worker_fails_one_run_then_pool_is_rebuilt(self):
-        import signal
-
+    def test_close_stops_pool_threads_and_later_runs_stay_in_process(self):
         plan = _plan(4)
         reference = Simulator(cache=DecompositionCache()).run(plan, 16)
-        with Simulator(cache=DecompositionCache(), max_workers=2) as sim:
-            _same_bytes(sim.run(plan, 16), reference)
-            broken = sim._process_pool
-            workers = _pool_workers(sim)
-            os.kill(workers[0].pid, signal.SIGKILL)
-            # The pool notices the death and terminates the survivors; once
-            # every worker is gone it refuses new work.
-            _wait_exited(workers)
-            with pytest.raises(ParallelExecutionError, match="parallel plan"):
-                sim.run(plan, 16)
-            assert sim._process_pool is None
-            _same_bytes(sim.run(plan, 16), reference)
-            assert sim._process_pool is not None
-            assert sim._process_pool is not broken
-
-    def test_unclosed_session_reaps_workers_when_collected(self):
         sim = Simulator(cache=DecompositionCache(), max_workers=2)
-        sim.run(_plan(4), 8)
-        workers = _pool_workers(sim)
+        _same_bytes(asyncio.run(sim.submit(plan, 16)), reference)
+        threads = list(sim._thread_pool._threads)
+        assert threads
+        sim.close()
+        assert sim._thread_pool is None
+        assert not any(thread.is_alive() for thread in threads)
+        _same_bytes(sim.run(plan, 16), reference)
+        assert sim._thread_pool is None  # no pool rebuilt after close
+
+    def test_unclosed_session_pool_threads_exit_when_collected(self):
+        sim = Simulator(cache=DecompositionCache(), max_workers=2)
+        asyncio.run(sim.submit(_plan(2), 8))
+        threads = list(sim._thread_pool._threads)
         del sim
         gc.collect()
-        _wait_exited(workers)
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_refused_submit_leaves_nothing_pending(self):
+        sim = Simulator(cache=DecompositionCache())
+        sim.close()
+
+        async def attempt():
+            return await sim.submit(_plan(1), 4)
+
+        with pytest.raises(ParallelExecutionError, match="closed"):
+            asyncio.run(attempt())
+        assert sim.pending_submissions == 0
+        assert sim._thread_pool is None
 
 
 class TestStream:
@@ -538,19 +511,3 @@ class TestSubmit:
         # The cancelled compile never reached the backend.
         assert backend.eigh_calls == 0
         sim.close()
-
-
-class TestRunPlanParallelWrapper:
-    def test_wrapper_matches_session(self):
-        plan = _plan(4)
-        blocks = run_plan_parallel(plan, 16, n_workers=2)
-        session = Simulator(cache=DecompositionCache()).run(plan, 16)
-        for block, expected in zip(blocks, session.blocks):
-            assert np.array_equal(block.samples, expected.samples)
-
-    def test_wrapper_accepts_backend(self):
-        plan = _plan(3)
-        blocks = run_plan_parallel(plan, 8, backend="scipy")
-        reference = run_plan_parallel(plan, 8)
-        for block, expected in zip(blocks, reference):
-            assert np.array_equal(block.samples, expected.samples)

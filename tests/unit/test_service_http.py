@@ -56,12 +56,17 @@ class GatedBackend(NumpyBackend):
 
 async def _request(port, method, path, body=None):
     """One HTTP/1.1 exchange; returns (status, headers, raw body bytes)."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
     payload = b"" if body is None else json.dumps(body).encode("utf8")
+    return await _exchange(port, method, path, str(len(payload)), payload)
+
+
+async def _exchange(port, method, path, content_length, payload=b""):
+    """Send ``Content-Length: <content_length>`` verbatim, then ``payload``."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
     head = (
         f"{method} {path} HTTP/1.1\r\n"
         f"Host: localhost\r\n"
-        f"Content-Length: {len(payload)}\r\n\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
     )
     writer.write(head.encode("ascii") + payload)
     await writer.drain()
@@ -225,6 +230,27 @@ class TestRoutes:
                     server.port, "POST", "/v1/plans", body=bad_samples
                 )
                 assert status == 400
+            sim.close()
+
+        asyncio.run(scenario())
+
+    def test_bad_content_length_400_and_oversized_413(self):
+        from repro.service.http import MAX_BODY_BYTES
+
+        cases = [("abc", 400), ("-5", 400), ("1_0", 400)]
+        # No body follows an oversized length: the 413 must come unread.
+        cases += [(str(MAX_BODY_BYTES + 1), 413), ("99999999999", 413)]
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (service, server):
+                for length, expected in cases:
+                    status, _headers, raw = await _exchange(
+                        server.port, "POST", "/v1/plans", length
+                    )
+                    assert status == expected
+                    assert "Content-Length" in json.loads(raw)["error"]
+                assert service.metrics()["requests_submitted"] == 0
             sim.close()
 
         asyncio.run(scenario())

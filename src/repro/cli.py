@@ -37,11 +37,14 @@ Subcommands
 ``shard --shards K --cache-dir DIR [--entries B] [...]``
     Run a deterministic sweep as ``K`` independent worker subprocesses
     sharing one artifact ``cache_dir`` (see the "Sharding layer" section
-    of ``docs/ARCHITECTURE.md``): the first worker compiles the shared
-    decompositions/filters/plan artifacts cold, the rest warm-hit them
-    through the disk tiers.  Streams per-shard progress, prints per-tier
-    cache-hit totals, exits non-zero if any slice failed, and resumes a
-    partially failed run with ``--retry-failed``.  ``--check`` verifies
+    of ``docs/ARCHITECTURE.md``): all workers start at once; the first
+    compiles the shared decompositions/filters/plan artifacts cold, and the
+    rest wait only for that compile, then warm-hit them through the disk
+    tiers.  Each worker gets an equal share of the cores' BLAS threads
+    unless the environment sets them.  Streams per-shard progress, prints
+    per-tier cache-hit totals, exits non-zero if any slice failed, and
+    resumes a partially failed run with ``--retry-failed`` (a slice is
+    reused only if its payload is unchanged).  ``--check`` verifies
     the merged result byte-for-byte against an in-process solo run
     (standing invariant 7).
 ``cache {stats,clear} [--cache-dir DIR]``
@@ -298,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Partition a deterministic sweep plan into slices and execute "
             "them as independent worker subprocesses sharing one cache_dir. "
-            "The first worker compiles the shared artifacts cold; the rest "
+            "All workers start at once; the first compiles the shared "
+            "artifacts cold, and the rest wait only for that compile, then "
             "warm-hit the decomposition/filter/plan disk tiers. The merged "
             "result is bit-identical to a single-process run (standing "
             "invariant 7; verify in-process with --check)."

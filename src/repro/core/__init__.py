@@ -20,45 +20,113 @@ This package implements Sections 4 and 5 of the paper:
 * :mod:`repro.core.pipeline` — one-call convenience wrappers.
 """
 
-from .variance import (
-    envelope_power_to_gaussian_power,
-    gaussian_power_to_envelope_power,
-    rayleigh_mean_from_gaussian_power,
-    rayleigh_variance_from_gaussian_power,
-    rayleigh_moments,
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+# Lazy (PEP 562): a shard worker reaches ``repro.core`` only through
+# ``covariance``, so it does not load the generators, statistics or pipeline.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".variance": (
+            "envelope_power_to_gaussian_power",
+            "gaussian_power_to_envelope_power",
+            "rayleigh_mean_from_gaussian_power",
+            "rayleigh_variance_from_gaussian_power",
+            "rayleigh_moments",
+        ),
+        ".covariance": (
+            "CovarianceSpec",
+            "build_covariance_matrix",
+            "covariance_entry",
+            "correlation_coefficient_matrix",
+            "decompose_covariance_entry",
+        ),
+        ".envelope_correlation": (
+            "envelope_correlation_from_gaussian",
+            "envelope_correlation_approximation",
+            "gaussian_correlation_from_envelope",
+            "gaussian_correlation_matrix_from_envelope",
+        ),
+        ".psd": (
+            "force_positive_semidefinite",
+            "PSDForcingResult",
+            "compare_forcing_methods",
+        ),
+        ".coloring": (
+            "coloring_matrix_eigen",
+            "coloring_matrix_cholesky",
+            "coloring_matrix_svd",
+            "compute_coloring",
+            "compute_coloring_batch",
+        ),
+        ".generator": ("RayleighFadingGenerator",),
+        ".realtime": ("RealTimeRayleighGenerator",),
+        ".rician": ("RicianFadingGenerator", "rician_moments"),
+        ".statistics": (
+            "theoretical_envelope_mean",
+            "theoretical_envelope_variance",
+            "empirical_covariance",
+            "covariance_match_report",
+            "envelope_power_report",
+        ),
+        ".pipeline": (
+            "doppler_block_size",
+            "generate_correlated_envelopes",
+            "generate_from_scenario",
+        ),
+    },
 )
-from .covariance import (
-    CovarianceSpec,
-    build_covariance_matrix,
-    covariance_entry,
-    correlation_coefficient_matrix,
-    decompose_covariance_entry,
-)
-from .envelope_correlation import (
-    envelope_correlation_from_gaussian,
-    envelope_correlation_approximation,
-    gaussian_correlation_from_envelope,
-    gaussian_correlation_matrix_from_envelope,
-)
-from .psd import force_positive_semidefinite, PSDForcingResult, compare_forcing_methods
-from .coloring import (
-    coloring_matrix_eigen,
-    coloring_matrix_cholesky,
-    coloring_matrix_svd,
-    compute_coloring,
-    compute_coloring_batch,
-)
-from .generator import RayleighFadingGenerator
-from .realtime import RealTimeRayleighGenerator
-from .rician import RicianFadingGenerator, rician_moments
-from .statistics import (
-    theoretical_envelope_mean,
-    theoretical_envelope_variance,
-    empirical_covariance,
-    covariance_match_report,
-    envelope_power_report,
-)
-from .pipeline import doppler_block_size, generate_correlated_envelopes, generate_from_scenario
+
+if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
+    from .variance import (
+        envelope_power_to_gaussian_power,
+        gaussian_power_to_envelope_power,
+        rayleigh_mean_from_gaussian_power,
+        rayleigh_variance_from_gaussian_power,
+        rayleigh_moments,
+    )
+    from .covariance import (
+        CovarianceSpec,
+        build_covariance_matrix,
+        covariance_entry,
+        correlation_coefficient_matrix,
+        decompose_covariance_entry,
+    )
+    from .envelope_correlation import (
+        envelope_correlation_from_gaussian,
+        envelope_correlation_approximation,
+        gaussian_correlation_from_envelope,
+        gaussian_correlation_matrix_from_envelope,
+    )
+    from .psd import (
+        force_positive_semidefinite,
+        PSDForcingResult,
+        compare_forcing_methods,
+    )
+    from .coloring import (
+        coloring_matrix_eigen,
+        coloring_matrix_cholesky,
+        coloring_matrix_svd,
+        compute_coloring,
+        compute_coloring_batch,
+    )
+    from .generator import RayleighFadingGenerator
+    from .realtime import RealTimeRayleighGenerator
+    from .rician import RicianFadingGenerator, rician_moments
+    from .statistics import (
+        theoretical_envelope_mean,
+        theoretical_envelope_variance,
+        empirical_covariance,
+        covariance_match_report,
+        envelope_power_report,
+    )
+    from .pipeline import (
+        doppler_block_size,
+        generate_correlated_envelopes,
+        generate_from_scenario,
+    )
 
 __all__ = [
     "envelope_power_to_gaussian_power",

@@ -6,12 +6,21 @@ slices as real subprocesses (``python -m repro.shard.worker``) that all
 attach the same ``cache_dir`` — the subprocess form of ROADMAP item 2's
 multi-host story, where the transport is the filesystem.
 
-Scheduling: by default the first pending slice runs to completion *alone*
-(``warm_first=True``) before the rest launch concurrently.  The pathfinder
-worker pays the decompositions, Doppler filters, and its plan artifact
-cold; every later worker warm-hits the shared tiers for anything the first
-slice covered, so the sweep compiles each unique artifact once instead of
-once per worker racing at the same instant.
+Scheduling: every pending worker starts at once, and only the compile is
+ordered.  The first pending slice is the *pathfinder*: it compiles the
+decompositions, Doppler filters, and its plan artifact cold and prints
+:data:`~repro.shard.worker.COMPILED_LINE`.  Every later worker is
+launched with ``--gate``: it starts up, decodes its slice and builds its
+engine alongside the pathfinder, then waits on its stdin.  The runner
+closes those pipes when the pathfinder's marker arrives or the pathfinder
+exits, so later compiles warm-hit the shared tiers for anything the first
+slice covered — each unique artifact compiles once — while no worker's
+start-up waits for another's.
+
+Concurrent workers would oversubscribe the cores with one BLAS thread
+pool each, so each worker gets ``max(1, cores // workers)`` BLAS threads
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``)
+unless the caller's environment or ``extra_env`` already sets them.
 
 Crash tolerance: a worker that dies (non-zero exit, SIGKILL, missing or
 unparseable output) marks its slice *failed by index*; the survivors are
@@ -19,7 +28,10 @@ still collected, and the merged result is only produced when every slice
 completed.  Re-running with ``retry_failed=True`` against the same
 ``work_dir`` reloads completed slices from their published outputs and
 re-executes only the failed ones — against the now-warm cache, so the
-retry is cheap and, by standing invariant 7, bit-identical.
+retry is cheap and, by standing invariant 7, bit-identical.  An output is
+reused only when its worker read exactly the slice payload this run
+would write (``slice_sha256``), so a different ``n_samples`` or different
+seeds always recompute.
 
 Worker environments drop ``REPRO_CACHE_DIR`` (only the explicit
 ``cache_dir`` may act) and prepend this package's source root to
@@ -29,6 +41,7 @@ parent runs from a source checkout.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -47,6 +60,7 @@ from ..engine.result import BatchResult
 from ..exceptions import SpecificationError
 from ..types import GaussianBlock
 from .slicing import PlanSlice, merge_results, partition_plan, slice_to_payload
+from .worker import COMPILED_LINE
 
 __all__ = ["ShardRunResult", "run_sharded"]
 
@@ -110,10 +124,23 @@ class ShardRunResult:
         return dict(self._tier_totals)
 
 
-def _worker_env(extra_env: Optional[Dict[str, str]]) -> Dict[str, str]:
+#: Thread-count variables of the BLAS builds numpy may link against.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _worker_env(extra_env: Optional[Dict[str, str]], n_workers: int) -> Dict[str, str]:
     env = dict(os.environ)
     if extra_env:
         env.update(extra_env)
+    # n_workers concurrent BLAS pools share the cores instead of each
+    # sizing itself to all of them; a value the caller set still wins.
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    threads = str(max(1, cores // max(1, n_workers)))
+    for name in _BLAS_THREAD_VARS:
+        env.setdefault(name, threads)
     # Only the explicit cache_dir may act inside workers; an inherited
     # REPRO_CACHE_DIR would silently re-route the shared tiers.
     env.pop("REPRO_CACHE_DIR", None)
@@ -125,10 +152,14 @@ def _worker_env(extra_env: Optional[Dict[str, str]]) -> Dict[str, str]:
     return env
 
 
-def _load_output(out_prefix: Path, plan_slice: PlanSlice) -> Optional[
-    Tuple[BatchResult, Dict[str, Any]]
-]:
-    """Read one worker's published output; ``None`` if absent or unusable."""
+def _load_output(
+    out_prefix: Path, plan_slice: PlanSlice, slice_sha256: str
+) -> Optional[Tuple[BatchResult, Dict[str, Any]]]:
+    """Read one worker's published output; ``None`` if absent or unusable.
+
+    ``slice_sha256`` is the digest of the slice payload this run writes;
+    an output whose worker read any other payload is stale.
+    """
     json_path = out_prefix.with_name(out_prefix.name + ".json")
     npz_path = out_prefix.with_name(out_prefix.name + ".npz")
     try:
@@ -137,15 +168,20 @@ def _load_output(out_prefix: Path, plan_slice: PlanSlice) -> Optional[
         return None
     if (
         not isinstance(meta, dict)
+        or meta.get("slice_sha256") != slice_sha256
         or meta.get("index") != plan_slice.index
         or meta.get("start") != plan_slice.start
         or meta.get("n_entries") != plan_slice.n_entries
     ):
         return None
+    labels = meta.get("labels")
+    if labels is None:
+        labels = [None] * plan_slice.n_entries
+    elif not isinstance(labels, list) or len(labels) != plan_slice.n_entries:
+        return None
     try:
         with np.load(npz_path, allow_pickle=False) as archive:
             blocks: List[GaussianBlock] = []
-            labels = meta.get("labels") or [None] * plan_slice.n_entries
             for offset in range(plan_slice.n_entries):
                 blocks.append(
                     GaussianBlock(
@@ -165,7 +201,7 @@ def _load_output(out_prefix: Path, plan_slice: PlanSlice) -> Optional[
             execute_seconds=float(meta.get("execute_seconds", 0.0)),
             backend=str(meta.get("backend", "numpy")),
         )
-    except (OSError, KeyError, TypeError, ValueError):
+    except (OSError, IndexError, KeyError, TypeError, ValueError):
         # A half-written or stale output reads as a failed slice, never an
         # error — the retry path recomputes it.
         return None
@@ -179,6 +215,7 @@ def _spawn(
     cache_dir: Optional[Union[str, Path]],
     backend: Optional[str],
     env: Dict[str, str],
+    gate: bool = False,
 ) -> subprocess.Popen:
     argv = [
         sys.executable,
@@ -192,8 +229,11 @@ def _spawn(
         argv += ["--cache-dir", str(cache_dir)]
     if backend is not None:
         argv += ["--backend", str(backend)]
+    if gate:
+        argv.append("--gate")
     return subprocess.Popen(
         argv,
+        stdin=subprocess.PIPE if gate else None,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -211,7 +251,9 @@ def _drain(
 
     The deadline is enforced by a timer that kills the worker, so a worker
     that goes silent cannot hold the read loop past ``timeout``; a killed
-    worker returns -1.
+    worker returns -1.  The runner drains every worker from its spawn, so
+    for a gated worker the deadline also covers the wait on the
+    pathfinder's compile.
     """
     expired = threading.Event()
 
@@ -242,7 +284,6 @@ def run_sharded(
     backend: Optional[str] = None,
     work_dir: Union[None, str, Path] = None,
     retry_failed: bool = False,
-    warm_first: bool = True,
     progress: Optional[ProgressFn] = None,
     timeout: float = 600.0,
     extra_env: Optional[Dict[str, str]] = None,
@@ -252,10 +293,11 @@ def run_sharded(
     Parameters beyond the obvious: ``work_dir`` holds slice payloads and
     worker outputs (a fresh temporary directory when ``None``);
     ``retry_failed`` reloads valid outputs already in ``work_dir`` and
-    only re-runs slices without one; ``warm_first`` runs the first pending
-    slice alone so later workers warm-hit the shared cache tiers;
-    ``extra_env`` adds variables to worker environments (the
-    fault-injection tests inject the worker kill hook through it).
+    only re-runs slices without one; ``timeout`` bounds each worker from
+    its start, which for a gated worker includes its wait on the
+    pathfinder's compile; ``extra_env`` adds variables to worker
+    environments (the fault-injection tests inject the worker kill hook
+    through it).
     """
     if n_samples < 1:
         raise SpecificationError(f"n_samples must be >= 1, got {n_samples}")
@@ -268,11 +310,14 @@ def run_sharded(
 
     results: List[Optional[BatchResult]] = [None] * len(slices)
     metas: List[Optional[Dict[str, Any]]] = [None] * len(slices)
+    digests: List[str] = []
     pending: List[int] = []
     for plan_slice in slices:
+        payload = json.dumps(slice_to_payload(plan_slice, n_samples), sort_keys=True)
+        digests.append(hashlib.sha256(payload.encode("utf8")).hexdigest())
         out_prefix = work / f"shard_{plan_slice.index}"
         if retry_failed:
-            loaded = _load_output(out_prefix, plan_slice)
+            loaded = _load_output(out_prefix, plan_slice, digests[-1])
             if loaded is not None:
                 results[plan_slice.index], metas[plan_slice.index] = loaded
                 if progress is not None:
@@ -282,61 +327,71 @@ def run_sharded(
                         f"published output ({plan_slice.n_entries} entries)",
                     )
                 continue
-        slice_path = work / f"slice_{plan_slice.index}.json"
-        slice_path.write_text(
-            json.dumps(slice_to_payload(plan_slice, n_samples), sort_keys=True),
-            encoding="utf8",
-        )
+        (work / f"slice_{plan_slice.index}.json").write_text(payload, encoding="utf8")
         pending.append(plan_slice.index)
 
-    env = _worker_env(extra_env)
+    env = _worker_env(extra_env, len(pending))
+    gated: List[subprocess.Popen] = []
+    gate_lock = threading.Lock()
 
-    def _collect(index: int, process: subprocess.Popen) -> None:
-        code = _drain(process, index, progress, timeout)
+    def _open_gate() -> None:
+        # Idempotent: closing an already-closed pipe is a no-op.
+        with gate_lock:
+            for process in gated:
+                if process.stdin is not None:
+                    try:
+                        process.stdin.close()
+                    except OSError:
+                        pass
+
+    def _collect(
+        index: int, process: subprocess.Popen, report: Optional[ProgressFn] = progress
+    ) -> None:
+        code = _drain(process, index, report, timeout)
         if code != 0 and progress is not None:
             progress(index, f"shard {index}/{len(slices)}: FAILED (exit {code})")
         if code == 0:
-            loaded = _load_output(work / f"shard_{index}", slices[index])
+            loaded = _load_output(work / f"shard_{index}", slices[index], digests[index])
             if loaded is not None:
                 results[index], metas[index] = loaded
 
-    def _run_one(index: int) -> None:
-        process = _spawn(
+    def _collect_pathfinder(index: int, process: subprocess.Popen) -> None:
+        marker = COMPILED_LINE.format(index=index, n_shards=len(slices))
+
+        def report(index: int, line: str) -> None:
+            if line == marker:
+                _open_gate()
+            if progress is not None:
+                progress(index, line)
+
+        try:
+            _collect(index, process, report)
+        finally:
+            _open_gate()
+
+    processes = [
+        _spawn(
             work / f"slice_{index}.json",
             work / f"shard_{index}",
             cache_dir=cache_dir,
             backend=backend,
             env=env,
+            gate=position > 0,
         )
-        _collect(index, process)
-
-    if pending and warm_first:
-        # The pathfinder shard compiles the shared artifacts cold; running
-        # it alone turns every later worker's compile into warm hits.
-        _run_one(pending[0])
-        pending = pending[1:]
-    if pending:
-        procs = [
-            (
-                index,
-                _spawn(
-                    work / f"slice_{index}.json",
-                    work / f"shard_{index}",
-                    cache_dir=cache_dir,
-                    backend=backend,
-                    env=env,
-                ),
-            )
-            for index in pending
-        ]
-        threads = [
-            threading.Thread(target=_collect, args=(index, process))
-            for index, process in procs
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        for position, index in enumerate(pending)
+    ]
+    gated.extend(processes[1:])
+    threads = [
+        threading.Thread(
+            target=_collect_pathfinder if position == 0 else _collect,
+            args=(index, process),
+        )
+        for position, (index, process) in enumerate(zip(pending, processes))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
 
     failed = tuple(
         plan_slice.index for plan_slice in slices if results[plan_slice.index] is None

@@ -8,7 +8,7 @@ non-int seeds, and Doppler block sizes that do not divide ``n_samples``.
 
 The suite also proves the two operational claims of the sharding layer:
 
-* **compile-once** — with ``warm_first`` scheduling, the pathfinder shard
+* **compile-once** — with pipelined scheduling, the pathfinder shard
   compiles every unique artifact cold and all later shards warm-hit the
   shared tiers (zero decomposition disk misses, zero Doppler filter
   builds), observed through the per-tier cache counters each worker
@@ -45,7 +45,7 @@ def _mixed_plan() -> SimulationPlan:
 
     Every unique artifact — both covariance groups and the single Doppler
     filter — appears in the first three entries, i.e. inside slice 0 of a
-    3-shard partition, so under ``warm_first`` scheduling the later shards
+    3-shard partition, so under pipelined scheduling the later shards
     must compile nothing: the compile-once assertions are deterministic,
     not racy.
     """

@@ -4,8 +4,12 @@ Covers the pure pieces in-process — partitioning, the wire round-trip of
 :class:`PlanSlice` payloads (including the regression demanded by ISSUE 10:
 non-trivial :class:`FadingSpec`\\ s and non-int seeds survive the trip, and
 slices never coalesce onto an unrelated plan's compiled-plan cache entry),
-result merging, and the CLI surface.  The subprocess orchestration itself is
-exercised by ``tests/property/test_property_shard.py``.
+result merging, and the CLI surface.  Small subprocess runs pin the runner's
+edges: worker timeouts, retries that must not reuse stale outputs, malformed
+worker metadata, and the pipelined start (every worker spawns at once, the
+compile gate opens on the pathfinder's marker or exit, BLAS threads are
+split).  Bit-identity across shards is exercised by
+``tests/property/test_property_shard.py``.
 """
 
 import json
@@ -472,3 +476,348 @@ class TestWorkerTimeout:
         assert time.monotonic() - started < 15.0
         assert result.failed == (0, 1)
         assert not result.ok and result.merged is None
+
+
+def _seeded_plan(n_entries: int, seed_base: int) -> SimulationPlan:
+    plan = SimulationPlan()
+    for index in range(n_entries):
+        plan.add(_BASE * (1.0 + index), seed=seed_base + index, label=f"entry-{index}")
+    return plan
+
+
+def _solo(plan: SimulationPlan, n_samples: int) -> BatchResult:
+    from repro.engine import (
+        CompiledPlanCache,
+        DecompositionCache,
+        DopplerFilterCache,
+        SimulationEngine,
+    )
+
+    return SimulationEngine(
+        cache=DecompositionCache(),
+        filter_cache=DopplerFilterCache(),
+        plan_cache=CompiledPlanCache(),
+    ).run(plan, n_samples)
+
+
+def _shared_matrix_plan(n_entries: int) -> SimulationPlan:
+    """Entries over one covariance: equal-sized slices share a compiled plan."""
+    plan = SimulationPlan()
+    for index in range(n_entries):
+        plan.add(_BASE, seed=300 + index, label=f"entry-{index}")
+    return plan
+
+
+def _assert_matches_solo(result, plan: SimulationPlan, n_samples: int) -> None:
+    assert result.ok
+    reference = _solo(plan, n_samples)
+    assert result.merged.n_samples == n_samples
+    assert len(result.merged.blocks) == len(reference.blocks)
+    for got, want in zip(result.merged.blocks, reference.blocks):
+        assert got.samples.shape == want.samples.shape
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+
+
+@pytest.mark.usefixtures("clean_env")
+class TestRetryNeverReusesStaleOutputs:
+    """A ``retry_failed`` run reuses an output only when its worker read
+    exactly the slice payload this run writes."""
+
+    def _killed_run(self, tmp_path, plan, n_samples):
+        from repro.shard import run_sharded
+        from repro.shard.worker import KILL_SLICE_ENV
+
+        broken = run_sharded(
+            plan,
+            n_samples,
+            n_shards=2,
+            cache_dir=tmp_path / "cache",
+            work_dir=tmp_path / "work",
+            extra_env={KILL_SLICE_ENV: "1"},
+        )
+        assert broken.failed == (1,)
+        return broken
+
+    def _retry(self, tmp_path, plan, n_samples):
+        from repro.shard import run_sharded
+
+        lines = []
+        retry = run_sharded(
+            plan,
+            n_samples,
+            n_shards=2,
+            cache_dir=tmp_path / "cache",
+            work_dir=tmp_path / "work",
+            retry_failed=True,
+            progress=lambda index, line: lines.append(line),
+        )
+        return retry, lines
+
+    def test_other_n_samples_recomputes(self, tmp_path):
+        plan = _seeded_plan(4, 100)
+        self._killed_run(tmp_path, plan, 96)
+        retry, lines = self._retry(tmp_path, plan, 128)
+        assert not [line for line in lines if "reused" in line]
+        assert [block.samples.shape for block in retry.merged.blocks] == [(2, 128)] * 4
+        _assert_matches_solo(retry, plan, 128)
+
+    def test_other_seeds_recompute(self, tmp_path):
+        self._killed_run(tmp_path, _seeded_plan(4, 100), 96)
+        reseeded = _seeded_plan(4, 500)
+        retry, lines = self._retry(tmp_path, reseeded, 96)
+        assert not [line for line in lines if "reused" in line]
+        _assert_matches_solo(retry, reseeded, 96)
+
+
+class TestMalformedWorkerMeta:
+    """A published meta that does not fit its slice reads as a failed
+    slice, never an exception out of ``run_sharded``."""
+
+    @staticmethod
+    def _published(tmp_path):
+        import hashlib
+
+        from repro.shard.worker import _write_outputs, run_slice
+
+        (plan_slice, _) = partition_plan(_sweep_plan(4), 2)
+        payload = json.dumps(slice_to_payload(plan_slice, 16), sort_keys=True)
+        digest = hashlib.sha256(payload.encode("utf8")).hexdigest()
+        result, meta = run_slice(plan_slice, 16)
+        meta["slice_sha256"] = digest
+        prefix = tmp_path / "work" / "shard_0"
+        _write_outputs(prefix, result, meta)
+        return plan_slice, digest, prefix
+
+    @staticmethod
+    def _rewrite_meta(prefix, **changes):
+        json_path = prefix.with_name(prefix.name + ".json")
+        meta = json.loads(json_path.read_text(encoding="utf8"))
+        meta.update(changes)
+        json_path.write_text(json.dumps(meta), encoding="utf8")
+
+    def test_published_output_loads(self, tmp_path):
+        from repro.shard.runner import _load_output
+
+        plan_slice, digest, prefix = self._published(tmp_path)
+        loaded = _load_output(prefix, plan_slice, digest)
+        assert loaded is not None
+        assert [b.metadata["label"] for b in loaded[0].blocks] == ["entry-0", "entry-1"]
+        assert _load_output(prefix, plan_slice, "0" * 64) is None
+
+    @pytest.mark.parametrize(
+        "labels", [["x"], "xy", ["a", "b", "c"], {"0": "a", "1": "b"}, 7]
+    )
+    def test_bad_labels_read_as_failed(self, tmp_path, labels):
+        from repro.shard.runner import _load_output
+
+        plan_slice, digest, prefix = self._published(tmp_path)
+        self._rewrite_meta(prefix, labels=labels)
+        assert _load_output(prefix, plan_slice, digest) is None
+
+    def test_absent_labels_are_accepted(self, tmp_path):
+        from repro.shard.runner import _load_output
+
+        plan_slice, digest, prefix = self._published(tmp_path)
+        json_path = prefix.with_name(prefix.name + ".json")
+        meta = json.loads(json_path.read_text(encoding="utf8"))
+        del meta["labels"]
+        json_path.write_text(json.dumps(meta), encoding="utf8")
+        loaded = _load_output(prefix, plan_slice, digest)
+        assert loaded is not None
+        assert [b.metadata["label"] for b in loaded[0].blocks] == [None, None]
+
+    def test_retry_recomputes_a_slice_with_bad_labels(self, tmp_path, clean_env):
+        from repro.shard import run_sharded
+
+        _, _, prefix = self._published(tmp_path)
+        self._rewrite_meta(prefix, labels=["x"])
+        plan = _sweep_plan(4)
+        lines = []
+        result = run_sharded(
+            plan,
+            16,
+            n_shards=2,
+            work_dir=tmp_path / "work",
+            retry_failed=True,
+            progress=lambda index, line: lines.append(line),
+        )
+        assert not [line for line in lines if "reused" in line]
+        _assert_matches_solo(result, plan, 16)
+
+
+@pytest.mark.usefixtures("clean_env")
+class TestPipelinedWorkers:
+    """Every worker starts at once; only the compile waits on the
+    pathfinder, and the BLAS threads are split between workers."""
+
+    def test_later_workers_spawn_while_the_pathfinder_runs(self, tmp_path, monkeypatch):
+        from repro.shard import runner
+
+        spawned = []
+        alive_at_spawn = []
+        real_spawn = runner._spawn
+
+        def recording_spawn(*args, **kwargs):
+            alive_at_spawn.append([process.poll() is None for process in spawned])
+            process = real_spawn(*args, **kwargs)
+            spawned.append(process)
+            return process
+
+        monkeypatch.setattr(runner, "_spawn", recording_spawn)
+        plan = _shared_matrix_plan(6)
+        result = runner.run_sharded(
+            plan, 32, n_shards=3, cache_dir=tmp_path / "cache", work_dir=tmp_path / "work"
+        )
+        assert len(spawned) == 3
+        assert alive_at_spawn[1] == [True]
+        _assert_matches_solo(result, plan, 32)
+        # Compile-once still holds: the slices differ only in seeds, so the
+        # gated workers load the pathfinder's whole compiled plan.
+        assert result.metas[0]["tiers"]["decompositions"]["disk_misses"] == 1
+        for meta in result.metas[1:]:
+            assert meta["tiers"]["decompositions"]["disk_misses"] == 0
+            assert meta["compile_report"]["plan_cache_hits"] == 1
+
+    def test_gate_opens_when_the_pathfinder_dies_early(self, tmp_path, monkeypatch):
+        import subprocess
+        import sys
+
+        from repro.shard import runner
+
+        real_spawn = runner._spawn
+
+        def spawn(slice_path, out_prefix, *, gate=False, **kwargs):
+            if not gate:
+                return subprocess.Popen(
+                    [sys.executable, "-c", "import sys; sys.exit(3)"],
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.STDOUT,
+                    text=True,
+                )
+            return real_spawn(slice_path, out_prefix, gate=gate, **kwargs)
+
+        monkeypatch.setattr(runner, "_spawn", spawn)
+        lines = []
+        result = runner.run_sharded(
+            _sweep_plan(6),
+            32,
+            n_shards=3,
+            work_dir=tmp_path / "work",
+            timeout=60.0,
+            progress=lambda index, line: lines.append((index, line)),
+        )
+        assert result.failed == (0,)
+        assert result.results[1] is not None and result.results[2] is not None
+        assert (0, "shard 0/3: FAILED (exit 3)") in lines
+
+    def test_gate_opens_on_the_compiled_marker(self, tmp_path, monkeypatch):
+        import subprocess
+        import sys
+        import textwrap
+
+        from repro.shard import runner
+        from repro.shard.worker import COMPILED_LINE
+
+        real_spawn = runner._spawn
+        work = tmp_path / "work"
+        # A pathfinder that prints the marker, then stays alive until a
+        # gated worker has published: only the marker can open the gate.
+        script = textwrap.dedent(
+            f"""
+            import os, sys, time
+            print({COMPILED_LINE.format(index=0, n_shards=2)!r}, flush=True)
+            deadline = time.monotonic() + 30
+            while not os.path.exists({str(work / "shard_1.json")!r}):
+                if time.monotonic() > deadline:
+                    sys.exit(4)
+                time.sleep(0.02)
+            sys.exit(5)
+            """
+        )
+
+        def spawn(slice_path, out_prefix, *, gate=False, **kwargs):
+            if not gate:
+                return subprocess.Popen(
+                    [sys.executable, "-c", script],
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.STDOUT,
+                    text=True,
+                )
+            return real_spawn(slice_path, out_prefix, gate=gate, **kwargs)
+
+        monkeypatch.setattr(runner, "_spawn", spawn)
+        lines = []
+        result = runner.run_sharded(
+            _sweep_plan(4),
+            16,
+            n_shards=2,
+            work_dir=work,
+            timeout=60.0,
+            progress=lambda index, line: lines.append((index, line)),
+        )
+        assert (0, "shard 0/2: FAILED (exit 5)") in lines
+        assert result.failed == (0,)
+        assert result.results[1] is not None
+
+    def test_killed_pathfinder_still_warms_the_rest(self, tmp_path):
+        from repro.shard import run_sharded
+        from repro.shard.worker import KILL_SLICE_ENV
+
+        result = run_sharded(
+            _shared_matrix_plan(6),
+            32,
+            n_shards=3,
+            cache_dir=tmp_path / "cache",
+            work_dir=tmp_path / "work",
+            extra_env={KILL_SLICE_ENV: "0"},
+        )
+        assert result.failed == (0,)
+        for meta in result.metas[1:]:
+            assert meta["tiers"]["decompositions"]["disk_misses"] == 0
+            assert meta["compile_report"]["plan_cache_hits"] == 1
+
+    @pytest.mark.parametrize(
+        "cores, n_workers, expected", [(8, 3, "2"), (8, 2, "4"), (2, 16, "1"), (4, 1, "4")]
+    )
+    def test_blas_threads_split_between_workers(
+        self, monkeypatch, cores, n_workers, expected
+    ):
+        import os
+
+        from repro.shard.runner import _BLAS_THREAD_VARS, _worker_env
+
+        for name in _BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        env = _worker_env(None, n_workers)
+        assert {name: env[name] for name in _BLAS_THREAD_VARS} == dict.fromkeys(
+            _BLAS_THREAD_VARS, expected
+        )
+
+    def test_blas_threads_fall_back_to_cpu_count(self, monkeypatch):
+        import os
+
+        from repro.shard.runner import _worker_env
+
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert _worker_env(None, 2)["OPENBLAS_NUM_THREADS"] == "3"
+
+    def test_caller_blas_settings_win(self, monkeypatch):
+        import os
+
+        from repro.shard.runner import _worker_env
+
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "5")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        env = _worker_env({"MKL_NUM_THREADS": "7"}, 2)
+        assert env["OMP_NUM_THREADS"] == "5"
+        assert env["MKL_NUM_THREADS"] == "7"
+        assert os.environ["OMP_NUM_THREADS"] == "5"

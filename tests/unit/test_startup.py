@@ -30,7 +30,13 @@ import pytest
 import repro
 
 SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
-LAZY_ROOTS = ("repro", "repro.service", "repro.validation", "repro.experiments")
+LAZY_ROOTS = (
+    "repro",
+    "repro.core",
+    "repro.service",
+    "repro.validation",
+    "repro.experiments",
+)
 
 
 def _python(code_or_args, *, extra_path=(), timeout=120):
@@ -69,6 +75,11 @@ class TestImportBudget:
             "scipy",
             "asyncio",
             "repro.api",
+            "repro.core.generator",
+            "repro.core.pipeline",
+            "repro.core.realtime",
+            "repro.core.rician",
+            "repro.core.statistics",
             "repro.service.core",
             "repro.experiments",
             "repro.validation",

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import CovarianceError, DimensionError, PowerError
-from ..linalg import assert_hermitian, assert_square, is_positive_semidefinite
+from ..linalg import all_close, assert_hermitian, assert_square, is_positive_semidefinite
 from .variance import envelope_power_to_gaussian_power
 
 __all__ = [
@@ -161,15 +161,17 @@ class CovarianceSpec:
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=complex)
         assert_hermitian(matrix, "covariance matrix")
+        if not np.isfinite(matrix).all():
+            raise CovarianceError("the covariance matrix has non-finite entries")
         variances = np.asarray(self.gaussian_variances, dtype=float)
         if variances.shape != (matrix.shape[0],):
             raise DimensionError(
                 f"gaussian_variances must have shape ({matrix.shape[0]},), "
                 f"got {variances.shape}"
             )
-        if np.any(variances <= 0):
+        if (variances <= 0).any():
             raise PowerError("all gaussian variances must be positive")
-        if not np.allclose(np.real(np.diag(matrix)), variances, rtol=1e-8, atol=1e-12):
+        if not all_close(matrix.diagonal().real, variances, rtol=1e-8, atol=1e-12):
             raise CovarianceError(
                 "the diagonal of the covariance matrix must equal the gaussian variances"
             )
@@ -192,10 +194,10 @@ class CovarianceSpec:
     ) -> "CovarianceSpec":
         """Build a spec directly from a covariance matrix ``K``.
 
-        The per-branch Gaussian powers are read off the diagonal.
+        The per-branch Gaussian powers are read off the diagonal; the
+        constructor validates the matrix.
         """
-        arr = np.asarray(matrix, dtype=complex)
-        assert_hermitian(arr, "covariance matrix")
+        arr = assert_square(np.asarray(matrix, dtype=complex), "covariance matrix")
         return cls(
             matrix=arr,
             gaussian_variances=np.real(np.diag(arr)).copy(),

@@ -16,6 +16,7 @@ from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import DimensionError, NotHermitianError
 
 __all__ = [
+    "all_close",
     "assert_square",
     "is_hermitian",
     "assert_hermitian",
@@ -24,6 +25,31 @@ __all__ = [
     "is_positive_semidefinite",
     "is_positive_definite",
 ]
+
+
+def all_close(a: np.ndarray, b: np.ndarray, *, rtol: float, atol: float) -> bool:
+    """``np.isclose(a, b, rtol=rtol, atol=atol).all()`` without its set-up cost.
+
+    Evaluates the expression ``np.isclose`` evaluates (numpy 2.x,
+    ``equal_nan=False``) directly on the arrays, so the answer is the same
+    for every input, NaN, infinities, signed zeros and overflow included:
+    an element is close when ``|a - b| <= atol + rtol * |b|`` and ``b`` is
+    finite, or when ``a == b`` (matching infinities).  ``np.isclose``'s
+    generic argument handling costs several times the comparison itself on
+    the small matrices of a plan, and exactly equal arrays (an exactly
+    Hermitian matrix, a diagonal read off itself) need only ``a == b``.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if b.dtype.kind not in "fc":
+        # As np.isclose: compare in an inexact type (abs(INT_MIN) overflows).
+        b = b.astype(np.result_type(b, 1.0))
+    equal = a == b
+    if equal.all():  # the common case, a matrix that is exactly Hermitian
+        return True
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(a - b) <= atol + rtol * np.abs(b)) & np.isfinite(b) | equal
+    return bool(close.all())
 
 
 def assert_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -55,7 +81,7 @@ def is_hermitian(
     arr = assert_square(matrix)
     atol = defaults.hermitian_atol if atol is None else atol
     rtol = defaults.hermitian_rtol if rtol is None else rtol
-    return bool(np.allclose(arr, arr.conj().T, atol=atol, rtol=rtol))
+    return all_close(arr, arr.conj().T, atol=atol, rtol=rtol)
 
 
 def assert_hermitian(

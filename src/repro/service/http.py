@@ -17,8 +17,10 @@ GET       ``/v1/plans/<id>``          status snapshot (``404`` unknown)
 DELETE    ``/v1/plans/<id>``          cancel (idempotent)
 GET       ``/v1/plans/<id>/result``   await + stream the result as chunked
                                       NDJSON (see ``protocol.result_to_lines``);
-                                      ``409`` if cancelled, ``500`` if the
-                                      flight failed
+                                      ``409`` if cancelled, ``422`` if the
+                                      flight failed on its input (e.g. PSD
+                                      forcing of the matrix), ``500`` on any
+                                      other failure
 ========  ==========================  =======================================
 
 Every connection handles one request (``Connection: close``): the server is
@@ -32,7 +34,15 @@ import asyncio
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from ..exceptions import BackpressureError, ReproError, ServiceError
+from ..exceptions import (
+    BackpressureError,
+    CovarianceError,
+    DecompositionError,
+    DopplerError,
+    ReproError,
+    ServiceError,
+    SpecificationError,
+)
 from .core import EnvelopeService
 from .protocol import plan_from_payload, result_to_lines
 
@@ -49,10 +59,14 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    422: "Unprocessable Entity",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+#: Flight failures caused by the submitted plan itself, answered with 422.
+_INPUT_ERRORS = (SpecificationError, CovarianceError, DecompositionError, DopplerError)
 
 
 def _reason(status: int) -> str:
@@ -270,8 +284,9 @@ class ServiceHTTPServer:
             return
         except Exception as exc:
             # The flight failed; the failure belongs to this request only.
+            status = 422 if isinstance(exc, _INPUT_ERRORS) else 500
             await self._send_json(
-                writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
+                writer, status, {"error": f"{type(exc).__name__}: {exc}"}
             )
             return
         writer.write(

@@ -18,15 +18,38 @@ pieces, :func:`run_sharded` for the subprocess orchestration, and the
 ``repro-experiments shard`` CLI on top.
 """
 
-from .runner import ShardRunResult, run_sharded
-from .slicing import (
-    PlanSlice,
-    merge_compile_reports,
-    merge_results,
-    partition_plan,
-    slice_from_payload,
-    slice_to_payload,
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+# Lazy (PEP 562): ``python -m repro.shard.worker`` imports this package
+# first; an eager ``.runner`` import would load the worker module before
+# runpy executes it as ``__main__`` (a RuntimeWarning in every worker).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".runner": ("ShardRunResult", "run_sharded"),
+        ".slicing": (
+            "PlanSlice",
+            "merge_compile_reports",
+            "merge_results",
+            "partition_plan",
+            "slice_from_payload",
+            "slice_to_payload",
+        ),
+    },
 )
+
+if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
+    from .runner import ShardRunResult, run_sharded
+    from .slicing import (
+        PlanSlice,
+        merge_compile_reports,
+        merge_results,
+        partition_plan,
+        slice_from_payload,
+        slice_to_payload,
+    )
 
 __all__ = [
     "PlanSlice",

@@ -9,7 +9,8 @@ from repro.core import (
     correlation_coefficient_matrix,
 )
 from repro.core.covariance import covariance_entry, decompose_covariance_entry
-from repro.exceptions import CovarianceError, DimensionError, PowerError
+from repro.engine import SimulationPlan
+from repro.exceptions import CovarianceError, DimensionError, NotHermitianError, PowerError
 
 
 class TestCovarianceEntry:
@@ -152,3 +153,112 @@ class TestCovarianceSpec:
                 gaussian_variances=np.ones(3),
                 envelope_variances=np.ones(2),
             )
+
+
+K2 = np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, 2.0]])
+SKEWED = np.array([[1.0, 0.5], [0.1, 1.0]])
+NOT_HERMITIAN = "covariance matrix is not Hermitian (max |K - K^H| element = {})"
+
+
+class TestCovarianceAdmission:
+    """Every admission check runs once and keeps its exception type and message."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (
+                lambda: CovarianceSpec.from_covariance_matrix(np.ones(3)),
+                DimensionError,
+                "covariance matrix must be 2-D, got ndim=1",
+            ),
+            (
+                lambda: CovarianceSpec.from_covariance_matrix(np.ones((2, 2, 2))),
+                DimensionError,
+                "covariance matrix must be 2-D, got ndim=3",
+            ),
+            (
+                lambda: CovarianceSpec.from_covariance_matrix(np.ones((2, 3))),
+                DimensionError,
+                "covariance matrix must be square, got shape (2, 3)",
+            ),
+            (
+                lambda: CovarianceSpec.from_covariance_matrix(np.zeros((0, 0))),
+                DimensionError,
+                "covariance matrix must be non-empty",
+            ),
+            (
+                lambda: SimulationPlan().add(np.ones(2)),
+                DimensionError,
+                "covariance matrix must be 2-D, got ndim=1",
+            ),
+            (
+                lambda: CovarianceSpec.from_covariance_matrix(SKEWED),
+                NotHermitianError,
+                NOT_HERMITIAN.format("4.000e-01"),
+            ),
+            (
+                lambda: CovarianceSpec(matrix=SKEWED, gaussian_variances=np.ones(2)),
+                NotHermitianError,
+                NOT_HERMITIAN.format("4.000e-01"),
+            ),
+            (
+                lambda: SimulationPlan().add(SKEWED),
+                NotHermitianError,
+                NOT_HERMITIAN.format("4.000e-01"),
+            ),
+            (
+                lambda: CovarianceSpec.from_covariance_matrix(
+                    np.array([[1.0, np.nan], [np.nan, 1.0]])
+                ),
+                NotHermitianError,
+                NOT_HERMITIAN.format("nan"),
+            ),
+            (
+                lambda: CovarianceSpec(matrix=K2, gaussian_variances=np.array([1.0, 2.5])),
+                CovarianceError,
+                "the diagonal of the covariance matrix must equal the gaussian variances",
+            ),
+            (
+                lambda: CovarianceSpec(matrix=K2, gaussian_variances=np.ones(3)),
+                DimensionError,
+                "gaussian_variances must have shape (2,), got (3,)",
+            ),
+            (
+                lambda: CovarianceSpec.from_covariance_matrix(np.diag([-1.0, 1.0])),
+                PowerError,
+                "all gaussian variances must be positive",
+            ),
+            (
+                lambda: CovarianceSpec.from_covariance_matrix(np.diag([0.0, 1.0])),
+                PowerError,
+                "all gaussian variances must be positive",
+            ),
+        ],
+        ids=[
+            "vector", "3-d", "rectangular", "empty", "plan-vector",
+            "skewed", "skewed-direct", "plan-skewed", "nan",
+            "diagonal-mismatch", "variance-shape", "negative-variance", "zero-variance",
+        ],
+    )
+    def test_error_type_and_message(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, np.inf], [np.inf, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]],
+        ],
+        ids=["off-diagonal", "diagonal", "imaginary"],
+    )
+    def test_non_finite_entries_rejected(self, matrix):
+        """Hermitian by np.isclose's rule (matching infinities), yet not a covariance."""
+        with pytest.raises(CovarianceError) as info:
+            SimulationPlan().add(np.array(matrix, dtype=complex))
+        assert type(info.value) is CovarianceError
+        assert str(info.value) == "the covariance matrix has non-finite entries"
+

@@ -327,6 +327,26 @@ class TestRoutes:
         asyncio.run(scenario())
 
 
+    def test_non_finite_covariance_maps_to_400(self):
+        """JSON's ``Infinity`` never reaches a flight: submit answers 400."""
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (service, server):
+                for real in ([[1.0, np.inf], [np.inf, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+                    payload = plan_to_payload(_plan(), 32)
+                    payload["entries"][0]["matrix"] = {"re": real, "im": [[0.0] * 2] * 2}
+                    status, _headers, raw = await _request(
+                        server.port, "POST", "/v1/plans", body=payload
+                    )
+                    assert status == 400
+                    assert "non-finite" in json.loads(raw)["error"]
+                assert service.metrics()["requests_submitted"] == 0
+            sim.close()
+
+        asyncio.run(scenario())
+
+
 class TestBackpressureAndCancellation:
     def test_full_queue_429_with_retry_after(self):
         backend = GatedBackend()
@@ -444,6 +464,38 @@ class TestFailures:
                     "POST",
                     "/v1/plans",
                     body=plan_to_payload(_plan(seed=2), 32),
+                )
+                assert status == 202
+                survivor = json.loads(raw)["request_id"]
+                status, _h, _raw = await _request(
+                    server.port, "GET", f"/v1/plans/{survivor}/result"
+                )
+                assert status == 200
+            sim.close()
+
+        asyncio.run(scenario())
+
+    def test_input_failure_maps_to_422_and_the_server_survives(self):
+        """A finite matrix that PSD forcing cannot repair fails its flight with 422."""
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim, dispatch_slots=1) as (_service, server):
+                payload = plan_to_payload(_plan(), 32)
+                payload["entries"][0]["matrix"] = {
+                    "re": [[1.0, 1e308], [1e308, 1.0]],
+                    "im": [[0.0, 0.0], [0.0, 0.0]],
+                }
+                status, _h, raw = await _request(server.port, "POST", "/v1/plans", body=payload)
+                assert status == 202
+                request_id = json.loads(raw)["request_id"]
+                status, _h, raw = await _request(
+                    server.port, "GET", f"/v1/plans/{request_id}/result"
+                )
+                assert status == 422
+                assert json.loads(raw)["error"].startswith("CovarianceError: PSD forcing")
+                status, _h, raw = await _request(
+                    server.port, "POST", "/v1/plans", body=plan_to_payload(_plan(seed=2), 32)
                 )
                 assert status == 202
                 survivor = json.loads(raw)["request_id"]

@@ -36,6 +36,7 @@ LAZY_ROOTS = (
     "repro.service",
     "repro.validation",
     "repro.experiments",
+    "repro.shard",
 )
 
 
@@ -81,11 +82,18 @@ class TestImportBudget:
             "repro.core.rician",
             "repro.core.statistics",
             "repro.service.core",
+            "repro.shard.runner",
             "repro.experiments",
             "repro.validation",
         )
         loaded = [name for name in _loaded_after("repro.shard.worker") if _under(name, forbidden)]
         assert loaded == []
+
+    def test_shard_worker_runs_as_main_without_runtime_warning(self):
+        """runpy warns when ``repro.shard`` already imported the worker module."""
+        completed = _python(["-W", "error::RuntimeWarning", "-m", "repro.shard.worker", "--help"])
+        assert completed.returncode == 0, completed.stderr
+        assert "RuntimeWarning" not in completed.stderr
 
     def test_cli_loads_no_scipy(self):
         loaded = [name for name in _loaded_after("repro.cli") if _under(name, ("scipy",))]

@@ -31,7 +31,8 @@ import numpy as np
 
 from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import CovarianceError, DimensionError, PowerError
-from ..linalg import all_close, assert_hermitian, assert_square, is_positive_semidefinite
+from ..linalg import assert_hermitian, assert_square, is_positive_semidefinite
+from ..linalg.checks import all_close
 from .variance import envelope_power_to_gaussian_power
 
 __all__ = [
@@ -169,7 +170,7 @@ class CovarianceSpec:
                 f"gaussian_variances must have shape ({matrix.shape[0]},), "
                 f"got {variances.shape}"
             )
-        if (variances <= 0).any():
+        if np.any(variances <= 0):
             raise PowerError("all gaussian variances must be positive")
         if not all_close(matrix.diagonal().real, variances, rtol=1e-8, atol=1e-12):
             raise CovarianceError(

@@ -11,7 +11,6 @@ and forced-PSD procedures on top of these primitives.
 """
 
 from .checks import (
-    all_close,
     is_hermitian,
     is_positive_definite,
     is_positive_semidefinite,
@@ -41,7 +40,6 @@ from .batched import (
 )
 
 __all__ = [
-    "all_close",
     "is_hermitian",
     "is_positive_definite",
     "is_positive_semidefinite",

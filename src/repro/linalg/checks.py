@@ -16,7 +16,6 @@ from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import DimensionError, NotHermitianError
 
 __all__ = [
-    "all_close",
     "assert_square",
     "is_hermitian",
     "assert_hermitian",
@@ -28,28 +27,15 @@ __all__ = [
 
 
 def all_close(a: np.ndarray, b: np.ndarray, *, rtol: float, atol: float) -> bool:
-    """``np.isclose(a, b, rtol=rtol, atol=atol).all()`` without its set-up cost.
+    """``np.allclose(a, b, rtol=rtol, atol=atol)``, returning early when ``a == b``.
 
-    Evaluates the expression ``np.isclose`` evaluates (numpy 2.x,
-    ``equal_nan=False``) directly on the arrays, so the answer is the same
-    for every input, NaN, infinities, signed zeros and overflow included:
-    an element is close when ``|a - b| <= atol + rtol * |b|`` and ``b`` is
-    finite, or when ``a == b`` (matching infinities).  ``np.isclose``'s
-    generic argument handling costs several times the comparison itself on
-    the small matrices of a plan, and exactly equal arrays (an exactly
-    Hermitian matrix, a diagonal read off itself) need only ``a == b``.
+    Exactly equal arrays (an exactly Hermitian matrix, a diagonal read off
+    itself) are the common case on admission; they need one ``a == b`` pass
+    instead of ``np.allclose``'s argument set-up.  Anything else is decided by
+    ``np.allclose`` itself, so the answer is numpy's for every input.
+    Internal to the admission checks; not part of :mod:`repro.linalg`.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if b.dtype.kind not in "fc":
-        # As np.isclose: compare in an inexact type (abs(INT_MIN) overflows).
-        b = b.astype(np.result_type(b, 1.0))
-    equal = a == b
-    if equal.all():  # the common case, a matrix that is exactly Hermitian
-        return True
-    with np.errstate(invalid="ignore"):
-        close = (np.abs(a - b) <= atol + rtol * np.abs(b)) & np.isfinite(b) | equal
-    return bool(close.all())
+    return bool((a == b).all()) or bool(np.allclose(a, b, rtol=rtol, atol=atol))
 
 
 def assert_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -161,7 +161,7 @@ NOT_HERMITIAN = "covariance matrix is not Hermitian (max |K - K^H| element = {})
 
 
 class TestCovarianceAdmission:
-    """Every admission check runs once and keeps its exception type and message."""
+    """Each admission check keeps its exception type and message."""
 
     @pytest.mark.parametrize(
         "build, error, message",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import DimensionError, NotHermitianError
 from repro.linalg import (
-    all_close,
     assert_hermitian,
     assert_square,
     hermitian_part,
@@ -16,6 +15,7 @@ from repro.linalg import (
     is_positive_semidefinite,
     min_eigenvalue,
 )
+from repro.linalg.checks import all_close
 
 
 class TestAssertSquare:

@@ -1,18 +1,19 @@
 """Benchmark + reproduction of the branch-count scaling experiment.
 
 Prints the throughput/accuracy sweep over N and times both generation modes
-as the number of correlated branches grows, including an ensemble variant
-that exercises the parallel substrate.
+as the number of correlated branches grows, including a bounded-memory
+variant that streams a one-entry plan through ``Simulator.stream``.
 """
 
 import numpy as np
 import pytest
 
+from repro.api import Simulator
 from repro.core import CovarianceSpec, RayleighFadingGenerator, RealTimeRayleighGenerator
+from repro.engine import SimulationPlan
 from repro.experiments import paper_values as pv
 from repro.experiments import run_experiment
 from repro.experiments.scaling import exponential_correlation_covariance
-from repro.parallel import ChunkedGenerator, stream_envelope_statistics
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -54,11 +55,17 @@ def test_bench_realtime_scaling(benchmark, n_branches):
 def test_bench_chunked_streaming_statistics(benchmark):
     """Time: streaming covariance/power accumulation over 10 x 10k-sample chunks."""
     covariance = exponential_correlation_covariance(8)
+    plan = SimulationPlan.from_specs([covariance], seeds=[3])
+    sim = Simulator()
 
     def kernel():
-        generator = ChunkedGenerator(covariance, chunk_size=10_000, rng=3)
-        return stream_envelope_statistics(generator, n_chunks=10)
+        accumulator, total = np.zeros_like(covariance), 0
+        for batch in sim.stream(plan, block_size=10_000, n_blocks=10):
+            samples = batch.blocks[0].samples
+            accumulator += samples @ samples.conj().T
+            total += samples.shape[1]
+        return accumulator / total, total
 
-    stats = benchmark(kernel)
-    assert stats.n_samples == 100_000
-    assert np.max(np.abs(stats.covariance - covariance)) < 0.1
+    estimate, n_samples = benchmark(kernel)
+    assert n_samples == 100_000
+    assert np.max(np.abs(estimate - covariance)) < 0.1

@@ -1,13 +1,17 @@
-"""Streaming (bounded-memory) and parallel ensemble generation.
+"""Streaming (bounded-memory) records and Monte-Carlo replica ensembles.
 
 Long channel records and Monte-Carlo confidence studies are where the HPC
-aspects of the library matter.  This example shows
+aspects of the library matter.  Both are plans run by one
+:class:`repro.Simulator`:
 
-1. :class:`repro.parallel.ChunkedGenerator` streaming a long Doppler-shaped
-   record chunk by chunk while accumulating running statistics, and
-2. :func:`repro.parallel.run_covariance_ensemble` running independent
-   replicas (optionally across a process pool) to put a confidence interval
-   on the achieved covariance error.
+1. a long Doppler-shaped record is a one-entry plan streamed block by block
+   with :meth:`Simulator.stream`, accumulating running statistics while only
+   one block is ever held in memory, and
+2. a replica ensemble is a plan of independent entries sharing one
+   covariance (per-replica seeds derived from one root seed), run as a
+   batch with :meth:`Simulator.run` to put a confidence interval on the
+   achieved covariance error.  To spread a large ensemble across worker
+   processes, run the same plan with :mod:`repro.shard`.
 
 Run with::
 
@@ -18,54 +22,69 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import DopplerSpec, SimulationPlan, Simulator, covariance_match_report
 from repro.experiments import paper_values as pv
-from repro.parallel import ChunkedGenerator, run_covariance_ensemble, stream_envelope_statistics
 
 
-def streaming_demo() -> None:
+def streaming_demo(sim: Simulator) -> None:
     print("=" * 72)
     print("1. Streaming a long Doppler-shaped record with bounded memory")
     print("=" * 72)
 
     spec = pv.paper_ofdm_scenario().covariance_spec(np.ones(3))
-    generator = ChunkedGenerator(
-        spec, normalized_doppler=pv.NORMALIZED_DOPPLER, n_points=4096, rng=5
-    )
+    plan = SimulationPlan()
+    plan.add(spec, seed=5, doppler=DopplerSpec(pv.NORMALIZED_DOPPLER, n_points=4096))
     n_chunks = 16  # 16 x 4096 = 65536 samples per branch, never held at once
-    stats = stream_envelope_statistics(generator, n_chunks=n_chunks)
 
-    print(f"accumulated {stats.n_samples} samples per branch over {n_chunks} chunks")
-    print(f"running branch powers      : {np.round(stats.envelope_power, 3)}")
-    print(f"running envelope means     : {np.round(stats.envelope_mean, 3)}")
+    n = spec.n_branches
+    covariance = np.zeros((n, n), dtype=complex)
+    power = np.zeros(n)
+    mean = np.zeros(n)
+    total = 0
+    for batch in sim.stream(plan, block_size=4096, n_blocks=n_chunks):
+        samples = batch.blocks[0].samples
+        covariance += samples @ samples.conj().T
+        envelopes = np.abs(samples)
+        power += np.sum(envelopes**2, axis=1)
+        mean += np.sum(envelopes, axis=1)
+        total += samples.shape[1]
+
+    print(f"accumulated {total} samples per branch over {n_chunks} chunks")
+    print(f"running branch powers      : {np.round(power / total, 3)}")
+    print(f"running envelope means     : {np.round(mean / total, 3)}")
     print(
         "max covariance deviation   : "
-        f"{np.max(np.abs(stats.covariance - spec.matrix)):.3f}"
+        f"{np.max(np.abs(covariance / total - spec.matrix)):.3f}"
     )
 
 
-def ensemble_demo() -> None:
+def ensemble_demo(sim: Simulator) -> None:
     print()
     print("=" * 72)
     print("2. Monte-Carlo ensemble of independent replicas")
     print("=" * 72)
 
-    result = run_covariance_ensemble(
-        pv.EQ22_COVARIANCE,
-        n_replicas=8,
-        samples_per_replica=50_000,
-        seed=123,
-        n_workers=1,  # set to the number of cores to fan out across processes
+    covariance = np.asarray(pv.EQ22_COVARIANCE, dtype=complex)
+    n_replicas, samples_per_replica = 8, 50_000
+    plan = SimulationPlan.from_specs([covariance] * n_replicas, seed=123)
+    result = sim.run(plan, samples_per_replica)
+    reports = [covariance_match_report(block.samples, covariance) for block in result.blocks]
+    errors = np.array([report.relative_error for report in reports])
+    pooled = sum(report.empirical * report.n_samples for report in reports) / float(
+        n_replicas * samples_per_replica
     )
-    print(f"replicas                   : {result.n_replicas}")
-    print(f"samples per replica        : {result.total_samples // result.n_replicas}")
-    print(f"mean relative covariance error : {result.mean_relative_error:.4f}")
-    print(f"worst replica error            : {result.worst_relative_error:.4f}")
+
+    print(f"replicas                   : {len(reports)}")
+    print(f"samples per replica        : {samples_per_replica}")
+    print(f"mean relative covariance error : {np.mean(errors):.4f}")
+    print(f"worst replica error            : {np.max(errors):.4f}")
     print(
         "pooled covariance deviation    : "
-        f"{np.max(np.abs(result.mean_covariance - pv.EQ22_COVARIANCE)):.4f}"
+        f"{np.max(np.abs(pooled - pv.EQ22_COVARIANCE)):.4f}"
     )
 
 
 if __name__ == "__main__":
-    streaming_demo()
-    ensemble_demo()
+    with Simulator() as session:
+        streaming_demo(session)
+        ensemble_demo(session)

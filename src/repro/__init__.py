@@ -18,9 +18,9 @@ Quick start
 Package map
 -----------
 ``repro.api``
-    The unified session front door: :class:`Simulator` (one-call
-    generation, batched runs, streaming, async submission, pluggable
-    linalg backends).
+    The one front door: :class:`Simulator` (one-call generation, batched
+    runs — replica ensembles included — bounded-memory streaming, async
+    submission, pluggable linalg backends).
 ``repro.core``
     The paper's algorithm: covariance assembly, forced PSD, eigen coloring,
     snapshot and real-time generators.
@@ -37,8 +37,9 @@ Package map
     Numerical substrates.
 ``repro.validation``
     Statistical acceptance checks (covariance match, Rayleigh fit).
-``repro.parallel``
-    Chunked and multi-process ensemble generation.
+``repro.shard``
+    The one multiprocess path: a plan partitioned across worker processes,
+    bit-identical to running it in one process.
 ``repro.experiments``
     One module per paper figure/table plus ablations; also exposed through
     ``python -m repro``.
@@ -81,8 +82,6 @@ __getattr__, __dir__ = lazy_exports(
             "gaussian_correlation_matrix_from_envelope",
             "force_positive_semidefinite",
             "compute_coloring",
-            "generate_correlated_envelopes",
-            "generate_from_scenario",
             "covariance_match_report",
             "envelope_power_report",
         ),
@@ -109,16 +108,15 @@ __getattr__, __dir__ = lazy_exports(
             "SimulationEngine",
             "SimulationPlan",
             "available_backends",
-            "default_engine",
             "get_backend",
             "register_backend",
         ),
-        ".api": ("Simulator", "default_simulator"),
+        ".api": ("Simulator",),
     },
 )
 
 if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
-    from .api import Simulator, default_simulator
+    from .api import Simulator
     from .channels import (
         CustomScenario,
         DopplerSettings,
@@ -147,8 +145,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
         gaussian_correlation_from_envelope,
         gaussian_correlation_matrix_from_envelope,
         gaussian_power_to_envelope_power,
-        generate_correlated_envelopes,
-        generate_from_scenario,
     )
     from .engine import (
         BatchResult,
@@ -162,7 +158,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
         SimulationEngine,
         SimulationPlan,
         available_backends,
-        default_engine,
         get_backend,
         register_backend,
     )
@@ -207,8 +202,6 @@ __all__ = [
     "gaussian_correlation_matrix_from_envelope",
     "force_positive_semidefinite",
     "compute_coloring",
-    "generate_correlated_envelopes",
-    "generate_from_scenario",
     "covariance_match_report",
     "envelope_power_report",
     "OFDMScenario",
@@ -231,9 +224,7 @@ __all__ = [
     "DopplerSpec",
     "FadingSpec",
     "available_backends",
-    "default_engine",
     "get_backend",
     "register_backend",
     "Simulator",
-    "default_simulator",
 ]

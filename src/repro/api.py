@@ -1,10 +1,11 @@
 """The unified session API: one :class:`Simulator` in front of the engine.
 
-Before this module the package had several parallel front doors — the
-one-call helpers in :mod:`repro.core.pipeline`, the plan/compile/execute
-engine in :mod:`repro.engine`, and :class:`repro.channels.scenario.ScenarioSweep`
-for sweeps.  A :class:`Simulator` is the single public entry point that
-fronts all of them:
+A :class:`Simulator` is the package's one front door.  It fronts the
+plan/compile/execute engine of :mod:`repro.engine` and runs
+:class:`repro.channels.scenario.ScenarioSweep` sweeps; one-call generation,
+Monte-Carlo replica ensembles (``R`` entries sharing one spec) and
+bounded-memory records (a one-entry plan streamed block by block) are all
+plans it runs:
 
 >>> import numpy as np
 >>> from repro.api import Simulator
@@ -15,6 +16,7 @@ fronts all of them:
 >>> plan = SimulationPlan.from_specs([K, 2 * K], seed=3)
 >>> result = sim.run(plan, 500)                          # batched execution
 >>> blocks = list(sim.stream(plan, block_size=128, n_blocks=4))  # bounded memory
+>>> ensemble = sim.run(SimulationPlan.from_specs([K] * 8, seed=123), 500)  # replicas
 
 Sessions own three resources:
 
@@ -36,12 +38,6 @@ thread pool is built lazily and belongs to the session: ``close()`` — or
 concurrent studies can be multiplexed over one session with
 ``asyncio.gather``, each submit executing in the session's thread pool while
 numpy releases the GIL inside BLAS.
-
-The classic helpers remain as thin delegating wrappers
-(:func:`repro.core.pipeline.generate_correlated_envelopes` /
-``generate_from_scenario``), and :func:`default_simulator` is the
-process-wide session they route through — so the old API is literally the
-new one with the default session.
 """
 
 from __future__ import annotations
@@ -68,7 +64,7 @@ from .engine import (
 from .exceptions import ParallelExecutionError, SpecificationError
 from .types import EnvelopeBlock, GaussianBlock, SeedLike
 
-__all__ = ["Simulator", "default_simulator"]
+__all__ = ["Simulator"]
 
 #: What :meth:`Simulator.run` accepts as work.
 RunnableWork = Union[SimulationPlan, CompiledPlan, "ScenarioSweepLike"]
@@ -83,8 +79,8 @@ class Simulator:
         Linalg backend name (``"numpy"``, ``"scipy"``, import-gated GPU
         backends), a :class:`repro.engine.backends.LinalgBackend` instance,
         or ``None`` for the numpy default.  With the numpy backend, every
-        result is bit-identical to the pre-session helpers and to looping
-        single-spec generators with the same seeds.
+        result is bit-identical to looping single-spec generators with the
+        same seeds.
     cache:
         Decomposition cache shared by every run of this session.  ``None``
         uses the process-wide cache; pass ``DecompositionCache(maxsize=0)``
@@ -264,7 +260,9 @@ class Simulator:
         Per-entry generators persist across blocks, so concatenating an
         entry's streamed blocks equals repeated ``generate_gaussian``
         calls on one standalone generator — for any block size, divisible
-        into the record length or not.
+        into the record length or not.  A bad ``block_size`` or
+        ``n_blocks`` raises :class:`~repro.exceptions.GenerationError`
+        here, before the plan compiles.
         """
         return self._engine.stream(work, block_size=block_size, n_blocks=n_blocks)
 
@@ -344,7 +342,7 @@ class Simulator:
         return await asyncio.wrap_future(future)
 
     # ------------------------------------------------------------------ #
-    # One-call generation (the classic helpers, session-scoped)
+    # One-call generation
     # ------------------------------------------------------------------ #
     def envelopes(
         self,
@@ -365,8 +363,7 @@ class Simulator:
     ) -> Union[EnvelopeBlock, GaussianBlock]:
         """Generate correlated Rayleigh envelopes for one specification.
 
-        The session form of the classic one-call helpers: pass a
-        :class:`repro.core.covariance.CovarianceSpec`, a raw covariance
+        Pass a :class:`repro.core.covariance.CovarianceSpec`, a raw covariance
         matrix, or a scenario object exposing
         ``covariance_spec(gaussian_powers)`` (the OFDM / MIMO scenario
         dataclasses), and get the envelope (or Gaussian) block back.
@@ -381,8 +378,8 @@ class Simulator:
             a whole number of IDFT blocks and then truncated.
         seed:
             Seed or generator for the white-sample stream.  The same seed
-            fed to a standalone generator (or the old helpers) produces
-            bit-identical samples on the numpy backend.
+            fed to a standalone generator produces bit-identical samples on
+            the numpy backend.
         gaussian_powers:
             Per-branch complex-Gaussian powers, required when ``source`` is
             a scenario object.
@@ -403,7 +400,7 @@ class Simulator:
         n_points:
             IDFT block length ``M`` for Doppler mode.  ``None`` picks the
             smallest valid power of two holding ``n_samples``
-            (:func:`repro.core.pipeline.doppler_block_size`); an explicit
+            (:func:`repro.engine.doppler_block_size`); an explicit
             smaller value makes the engine concatenate (and truncate)
             multiple blocks.
         compensate_variance:
@@ -421,8 +418,7 @@ class Simulator:
             Return the complex :class:`GaussianBlock` instead of envelopes.
         """
         from .core.covariance import CovarianceSpec
-        from .core.pipeline import doppler_block_size
-        from .engine import DopplerSpec
+        from .engine import DopplerSpec, doppler_block_size
 
         if mode not in ("auto", "snapshot", "doppler"):
             raise SpecificationError(
@@ -447,6 +443,11 @@ class Simulator:
             spec = source.covariance_spec(np.asarray(gaussian_powers, dtype=float))
             if normalized_doppler is None and mode != "snapshot":
                 normalized_doppler = getattr(source, "default_normalized_doppler", None)
+        elif gaussian_powers is not None:
+            raise SpecificationError(
+                "gaussian_powers applies to scenario sources, which must expose a "
+                f"covariance_spec(gaussian_powers) method; got {type(source).__name__}"
+            )
         else:
             matrix = np.asarray(source, dtype=complex)
             if envelope_powers:
@@ -538,22 +539,3 @@ class Simulator:
             f"Simulator(backend={self.backend.name!r}, "
             f"max_workers={self._max_workers!r}, cache_size={len(self.cache)})"
         )
-
-
-#: Process-wide session backing the classic one-call helpers.
-_DEFAULT_SIMULATOR: Optional[Simulator] = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_simulator() -> Simulator:
-    """The process-wide session (numpy backend, shared decomposition cache).
-
-    The classic helpers (:func:`repro.core.pipeline.generate_correlated_envelopes`
-    and friends) route through this session, which makes the old API the
-    default-session case of the new one — and bit-identical to it.
-    """
-    global _DEFAULT_SIMULATOR
-    with _DEFAULT_LOCK:
-        if _DEFAULT_SIMULATOR is None:
-            _DEFAULT_SIMULATOR = Simulator()
-        return _DEFAULT_SIMULATOR

@@ -17,7 +17,8 @@ This package implements Sections 4 and 5 of the paper:
   (Doppler-shaped branches + variance-compensated coloring).
 * :mod:`repro.core.statistics` — theoretical and empirical statistics of the
   generated envelopes (Section 4.5).
-* :mod:`repro.core.pipeline` — one-call convenience wrappers.
+
+One-call generation lives on the session: :meth:`repro.api.Simulator.envelopes`.
 """
 
 from typing import TYPE_CHECKING
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 # Lazy (PEP 562): a shard worker reaches ``repro.core`` only through
-# ``covariance``, so it does not load the generators, statistics or pipeline.
+# ``covariance``, so it does not load the generators or statistics.
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
@@ -70,11 +71,6 @@ __getattr__, __dir__ = lazy_exports(
             "empirical_covariance",
             "covariance_match_report",
             "envelope_power_report",
-        ),
-        ".pipeline": (
-            "doppler_block_size",
-            "generate_correlated_envelopes",
-            "generate_from_scenario",
         ),
     },
 )
@@ -122,11 +118,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
         covariance_match_report,
         envelope_power_report,
     )
-    from .pipeline import (
-        doppler_block_size,
-        generate_correlated_envelopes,
-        generate_from_scenario,
-    )
 
 __all__ = [
     "envelope_power_to_gaussian_power",
@@ -160,7 +151,4 @@ __all__ = [
     "empirical_covariance",
     "covariance_match_report",
     "envelope_power_report",
-    "doppler_block_size",
-    "generate_correlated_envelopes",
-    "generate_from_scenario",
 ]

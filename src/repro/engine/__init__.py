@@ -9,7 +9,9 @@ sweeps and Monte-Carlo grids:
 :mod:`repro.engine.plan`
     :class:`SimulationPlan` collects many :class:`~repro.core.covariance.CovarianceSpec`
     entries (each with its own seed and algorithm options) before any linear
-    algebra runs.
+    algebra runs — a sweep, a heterogeneous mix, or a Monte-Carlo replica
+    ensemble of one spec.  :func:`doppler_block_size` sizes Doppler IDFT
+    blocks; :func:`partition_counts` balances a plan's shards.
 :mod:`repro.engine.compile`
     :func:`compile_plan` groups same-shape entries, deduplicates covariance
     matrices by content hash against the LRU
@@ -46,8 +48,8 @@ sweeps and Monte-Carlo grids:
 
 **Equivalence guarantee.**  For the same per-entry seeds, batched execution
 is bit-identical to looping single-spec generators — the single-spec path is
-literally the ``B = 1`` case (the :mod:`repro.core.pipeline` helpers route
-through :func:`default_engine`).  The guarantee holds because numpy's stacked
+literally the ``B = 1`` case (:meth:`repro.api.Simulator.envelopes` runs a
+one-entry plan).  The guarantee holds because numpy's stacked
 ``eigh``/``cholesky``/``matmul`` gufuncs run the same LAPACK/BLAS routine per
 slice, pocketfft transforms each row of a stacked IDFT exactly like a 1-D
 IDFT of that row, and the white-sample streams are drawn per entry (per
@@ -74,7 +76,14 @@ from .cache import (
     default_decomposition_cache,
 )
 from .filters import DopplerFilterCache, FilterCacheStats, default_filter_cache
-from .plan import DopplerSpec, FadingSpec, PlanEntry, SimulationPlan
+from .plan import (
+    DopplerSpec,
+    FadingSpec,
+    PlanEntry,
+    SimulationPlan,
+    doppler_block_size,
+    partition_counts,
+)
 from .plancache import (
     CompiledPlanCache,
     PlanCacheStats,
@@ -86,7 +95,7 @@ from .tiered import TieredCache, TierStats
 from .compile import CompiledGroup, CompiledPlan, CompileReport, compile_plan
 from .execute import execute_plan, stream_plan
 from .result import BatchResult
-from .engine import SimulationEngine, default_engine
+from .engine import SimulationEngine
 
 __all__ = [
     "BackendSpec",
@@ -118,6 +127,8 @@ __all__ = [
     "FadingSpec",
     "PlanEntry",
     "SimulationPlan",
+    "doppler_block_size",
+    "partition_counts",
     "CompiledGroup",
     "CompiledPlan",
     "CompileReport",
@@ -126,5 +137,4 @@ __all__ = [
     "stream_plan",
     "BatchResult",
     "SimulationEngine",
-    "default_engine",
 ]

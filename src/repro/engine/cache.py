@@ -269,8 +269,8 @@ class DecompositionCache(TieredCache[ColoringDecomposition]):
 def default_decomposition_cache() -> DecompositionCache:
     """The process-wide decomposition cache.
 
-    Shared by :func:`repro.engine.default_engine` and by
-    :class:`repro.core.generator.RayleighFadingGenerator` instances that are
+    Shared by every :class:`repro.api.Simulator` built without an explicit
+    cache and by :class:`repro.core.generator.RayleighFadingGenerator` instances that are
     not given an explicit cache, so sweeps that construct many generators
     over repeated covariance matrices decompose each matrix once.  When the
     ``REPRO_CACHE_DIR`` environment variable is set at first use, the cache

@@ -2,10 +2,8 @@
 
 :class:`SimulationEngine` binds a decomposition cache and numeric defaults
 to the compile/execute pipeline so callers can hold one engine for a whole
-study and reuse decompositions across runs.  :func:`default_engine` returns
-the process-wide engine backed by the shared cache — the instance the
-one-call pipeline helpers (:mod:`repro.core.pipeline`) route through, which
-makes the classic single-spec API the ``B = 1`` case of the batched one.
+study and reuse decompositions across runs.  It is the seam behind
+:class:`repro.api.Simulator`, the package's one front door.
 """
 
 from __future__ import annotations
@@ -19,13 +17,13 @@ from ..exceptions import SpecificationError
 from .backends import BackendSpec, LinalgBackend, resolve_backend
 from .cache import CacheStats, DecompositionCache, default_decomposition_cache
 from .compile import CompiledPlan, compile_plan
-from .execute import execute_plan, stream_plan
+from .execute import check_stream_arguments, execute_plan, stream_plan
 from .filters import DopplerFilterCache, default_filter_cache
 from .plan import SimulationPlan
 from .plancache import CompiledPlanCache, default_plan_cache
 from .result import BatchResult
 
-__all__ = ["SimulationEngine", "default_engine"]
+__all__ = ["SimulationEngine"]
 
 
 class SimulationEngine:
@@ -182,19 +180,11 @@ class SimulationEngine:
         block_size: int,
         n_blocks: int,
     ) -> Iterator[BatchResult]:
-        """Compile (if necessary) and stream fixed-size batched blocks."""
+        """Compile (if necessary) and stream fixed-size batched blocks.
+
+        Bad ``block_size``/``n_blocks`` raise before anything compiles.
+        """
+        check_stream_arguments(block_size, n_blocks)
         return stream_plan(
             self._ensure_compiled(plan), block_size=block_size, n_blocks=n_blocks
         )
-
-
-#: Process-wide engine bound to the shared decomposition cache.
-_DEFAULT_ENGINE: Optional[SimulationEngine] = None
-
-
-def default_engine() -> SimulationEngine:
-    """The process-wide engine (shared decomposition cache, default tolerances)."""
-    global _DEFAULT_ENGINE
-    if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = SimulationEngine()
-    return _DEFAULT_ENGINE

@@ -58,7 +58,7 @@ from ..types import GaussianBlock
 from .compile import CompiledGroup, CompiledPlan
 from .result import BatchResult
 
-__all__ = ["execute_plan", "stream_plan"]
+__all__ = ["check_stream_arguments", "execute_plan", "stream_plan"]
 
 
 class _DopplerLeftover:
@@ -448,20 +448,31 @@ def stream_plan(
     the streamed blocks of an entry equals one long :func:`execute_plan`
     record cut into pieces — the streaming analogue of the batch/single
     equivalence guarantee, for any block size, divisible into the IDFT
-    length or not.
+    length or not.  Bad arguments raise here, before the first block.
     """
+    check_stream_arguments(block_size, n_blocks)
+    return _stream_blocks(compiled, int(block_size), int(n_blocks))
+
+
+def check_stream_arguments(block_size: int, n_blocks: int) -> None:
+    """Raise :class:`GenerationError` unless both stream sizes are >= 1."""
     if block_size < 1:
         raise GenerationError(f"block_size must be >= 1, got {block_size}")
     if n_blocks < 1:
         raise GenerationError(f"n_blocks must be >= 1, got {n_blocks}")
+
+
+def _stream_blocks(
+    compiled: CompiledPlan, block_size: int, n_blocks: int
+) -> Iterator[BatchResult]:
     state = _ExecutionState(compiled)
     backend_name = "numpy" if compiled.backend is None else compiled.backend.name
-    for _ in range(int(n_blocks)):
+    for _ in range(n_blocks):
         start = time.perf_counter()
-        blocks = _generate_block(compiled, int(block_size), state)
+        blocks = _generate_block(compiled, block_size, state)
         yield BatchResult(
             blocks=tuple(blocks),
-            n_samples=int(block_size),
+            n_samples=block_size,
             compile_report=compiled.report,
             execute_seconds=time.perf_counter() - start,
             backend=backend_name,

@@ -15,14 +15,21 @@ IDFT generator outputs (Doppler-shaped temporal correlation), and the
 coloring step is normalized by the Eq. (19) filter-output variance.  For the
 same per-entry seeds, a Doppler entry is bit-identical to a standalone
 :class:`repro.core.realtime.RealTimeRayleighGenerator`.
+:func:`doppler_block_size` picks the smallest valid IDFT block length for a
+record.
 
 Plans are the unit of work the engine compiles (:mod:`repro.engine.compile`)
 and the unit the sharding layer partitions across worker processes
-(:func:`repro.shard.slicing.partition_plan`).
+(:func:`repro.shard.slicing.partition_plan`, through :func:`partition_counts`).
+A Monte-Carlo replica ensemble is a plan too: ``R`` entries sharing one
+spec, with seeds derived by :meth:`SimulationPlan.from_specs`; a long
+bounded-memory record is :meth:`repro.api.Simulator.stream` over a
+one-entry plan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -33,7 +40,14 @@ from ..exceptions import SpecificationError
 from ..models.fading import FadingLike, FadingSpec, coerce_fading
 from ..types import SeedLike
 
-__all__ = ["DopplerSpec", "FadingSpec", "PlanEntry", "SimulationPlan"]
+__all__ = [
+    "DopplerSpec",
+    "FadingSpec",
+    "PlanEntry",
+    "SimulationPlan",
+    "doppler_block_size",
+    "partition_counts",
+]
 
 _COLORING_METHODS = ("eigen", "cholesky", "svd")
 _PSD_METHODS = ("clip", "epsilon", "higham")
@@ -101,6 +115,63 @@ class DopplerSpec:
         normalization, not the filter).
         """
         return (self.n_points, self.normalized_doppler, self.input_variance_per_dim)
+
+
+#: Smallest IDFT block the Doppler mode will use (the historical default).
+_MIN_DOPPLER_POINTS = 64
+
+#: Largest IDFT block the Doppler mode will accept before declaring the
+#: passband constraint unsatisfiable (2**26 complex samples per branch is
+#: already a ~1 GiB working set).
+_MAX_DOPPLER_POINTS = 1 << 26
+
+
+def doppler_block_size(
+    n_samples: int,
+    normalized_doppler: float,
+    *,
+    max_points: int = _MAX_DOPPLER_POINTS,
+) -> int:
+    """Smallest power-of-two IDFT block length for the Doppler mode.
+
+    The block must hold ``n_samples`` output samples and keep at least one
+    DFT bin inside the Doppler filter passband
+    (``floor(normalized_doppler * n_points) >= 1``), which requires
+    ``n_points >= 1 / normalized_doppler``.  Both bounds are closed-form
+    powers of two, so no search loop is needed.
+
+    Raises
+    ------
+    SpecificationError
+        If ``normalized_doppler`` is outside ``(0, 0.5)`` or the passband
+        constraint cannot be met with a block of at most ``max_points``
+        samples (tiny normalized Doppler would otherwise grow the block —
+        and the memory footprint — without bound).
+    """
+    doppler = float(normalized_doppler)
+    if not 0.0 < doppler < 0.5:
+        raise SpecificationError(
+            f"normalized_doppler must lie in (0, 0.5), got {normalized_doppler!r}"
+        )
+    if n_samples < 1:
+        raise SpecificationError(f"n_samples must be >= 1, got {n_samples}")
+    exponent = max(
+        _MIN_DOPPLER_POINTS.bit_length() - 1,
+        (int(n_samples) - 1).bit_length(),
+        math.ceil(math.log2(1.0 / doppler)),
+    )
+    n_points = 1 << exponent
+    if doppler * n_points < 1.0:
+        # log2 round-off can land one power of two short of the passband
+        # bound; the next power is exact.
+        n_points <<= 1
+    if n_points > max_points:
+        raise SpecificationError(
+            f"normalized_doppler={doppler!r} needs an IDFT block of {n_points} points "
+            f"to keep one bin in the filter passband, exceeding the limit of "
+            f"{max_points}; increase the Doppler (or the sampling period) instead"
+        )
+    return n_points
 
 
 _DOPPLER_FIELDS = (
@@ -318,6 +389,25 @@ class PlanEntry:
         return replace(self, seed=seed)
 
 
+def partition_counts(total: int, n_partitions: int) -> List[int]:
+    """Split ``total`` into ``n_partitions`` non-negative counts summing to ``total``.
+
+    The first ``total % n_partitions`` partitions receive one extra item, so
+    counts differ by at most one.
+
+    Raises
+    ------
+    ValueError
+        If ``total`` is negative or ``n_partitions`` is not positive.
+    """
+    if total < 0:
+        raise ValueError(f"total must be non-negative, got {total}")
+    if n_partitions <= 0:
+        raise ValueError(f"n_partitions must be positive, got {n_partitions}")
+    base, remainder = divmod(int(total), int(n_partitions))
+    return [base + (1 if index < remainder else 0) for index in range(n_partitions)]
+
+
 class SimulationPlan:
     """An ordered collection of scenarios to simulate as one batch.
 
@@ -325,12 +415,13 @@ class SimulationPlan:
     --------
     >>> import numpy as np
     >>> from repro.core import CovarianceSpec
-    >>> from repro.engine import SimulationPlan, default_engine
+    >>> from repro.api import Simulator
+    >>> from repro.engine import SimulationPlan
     >>> plan = SimulationPlan()
     >>> for power in (0.5, 1.0, 2.0):
     ...     K = power * np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex)
     ...     _ = plan.add(K, seed=int(power * 10))
-    >>> result = default_engine().run(plan, n_samples=1000)
+    >>> result = Simulator().run(plan, n_samples=1000)
     >>> result.blocks[0].samples.shape
     (2, 1000)
     """
@@ -446,8 +537,10 @@ class SimulationPlan:
         seed:
             Root seed; when given (and ``seeds`` is not), every entry
             receives an independent integer seed derived deterministically
-            from it — mirroring
-            :func:`repro.parallel.partition.build_worker_tasks`.
+            from it (:func:`repro.random.spawn_rngs` children).  ``R``
+            copies of one spec under one root seed are a Monte-Carlo
+            replica ensemble: ``R`` independent realizations of a single
+            covariance.
         seeds:
             Explicit per-entry seeds (overrides ``seed``); must match
             ``len(specs)``.
@@ -526,17 +619,15 @@ class SimulationPlan:
         return sizes
 
     # ------------------------------------------------------------------ #
-    # Partitioning (for the parallel layer)
+    # Partitioning (for the sharding layer)
     # ------------------------------------------------------------------ #
     def partition(self, n_parts: int) -> List["SimulationPlan"]:
         """Split the plan into at most ``n_parts`` contiguous sub-plans.
 
         Entry order is preserved (sub-plan ``k`` holds a contiguous slice),
         counts differ by at most one, and empty sub-plans are dropped — the
-        same contract as :func:`repro.parallel.partition.partition_counts`.
+        same contract as :func:`partition_counts`.
         """
-        from ..parallel.partition import partition_counts
-
         counts = partition_counts(len(self._entries), n_parts)
         plans: List[SimulationPlan] = []
         cursor = 0

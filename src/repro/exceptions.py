@@ -108,7 +108,7 @@ class ExperimentError(ReproError, RuntimeError):
 
 
 class ParallelExecutionError(ReproError, RuntimeError):
-    """A parallel/ensemble execution failed in one or more workers."""
+    """Concurrent execution refused or failed (e.g. a submit to a closed session)."""
 
 
 class BackendError(ReproError, RuntimeError):

@@ -45,6 +45,12 @@ class TestExamplesRun:
         assert "Eq. 22" in out or "Eq. (22)" in out or "covariance matrix" in out
         assert "overall: PASS" in out
 
+    def test_streaming_and_parallel(self, capsys):
+        out = _run_example("streaming_and_parallel.py", capsys)
+        assert "accumulated 65536 samples per branch over 16 chunks" in out
+        assert "replicas                   : 8" in out
+        assert "samples per replica        : 50000" in out
+
     def test_unequal_power_and_nonpsd(self, capsys):
         out = _run_example("unequal_power_and_nonpsd.py", capsys)
         assert "rejects the request" in out

@@ -8,6 +8,7 @@ from repro import (
     MIMOArrayScenario,
     OFDMScenario,
     RayleighFadingGenerator,
+    Simulator,
     covariance_match_report,
     envelope_power_report,
 )
@@ -64,18 +65,14 @@ class TestEq23EndToEnd:
 
 class TestScenarioRoundTrip:
     def test_scenario_objects_used_directly_by_pipeline(self):
-        from repro import generate_from_scenario
-
         scenario = MIMOArrayScenario(n_antennas=3, spacing_wavelengths=1.0)
-        block = generate_from_scenario(scenario, np.ones(3), 50_000, rng=105)
+        block = Simulator().envelopes(scenario, 50_000, gaussian_powers=np.ones(3), seed=105)
         measured_power = np.mean(block.envelopes**2, axis=1)
         assert np.allclose(measured_power, 1.0, atol=0.05)
 
     def test_ofdm_scenario_doppler_defaults_into_pipeline(self):
-        from repro import generate_from_scenario
-
         scenario = pv.paper_ofdm_scenario(n_points=1024)
-        block = generate_from_scenario(scenario, np.ones(3), 1024, rng=106)
+        block = Simulator().envelopes(scenario, 1024, gaussian_powers=np.ones(3), seed=106)
         # Doppler shaping makes neighbouring samples strongly correlated.
         branch = block.envelopes[0]
         neighbour_correlation = np.corrcoef(branch[:-1], branch[1:])[0, 1]

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.api import Simulator
 from repro.core import CovarianceSpec, RayleighFadingGenerator
-from repro.core.pipeline import generate_correlated_envelopes
 from repro.engine import DecompositionCache, SimulationEngine, SimulationPlan
 
 
@@ -121,9 +120,9 @@ class TestBatchedEqualsLooped:
 class TestSessionAPIEqualsLooped:
     """The session API inherits the engine guarantee unchanged.
 
-    ``Simulator(backend="numpy")`` must be bit-identical both to looping
-    single-spec generators and to the pre-redesign one-call helpers for the
-    same seeds — the acceptance criterion of the unified-API redesign.
+    ``Simulator(backend="numpy")`` must be bit-identical to looping
+    single-spec generators for the same seeds, for batched runs and
+    one-call ``envelopes`` alike.
     """
 
     @given(plan_data=random_plans(), n_samples=st.integers(min_value=1, max_value=64))
@@ -145,7 +144,7 @@ class TestSessionAPIEqualsLooped:
         n_samples=st.integers(min_value=1, max_value=64),
     )
     @settings(max_examples=25, deadline=None)
-    def test_simulator_envelopes_bit_identical_to_classic_helper(self, seed, n_samples):
+    def test_simulator_envelopes_bit_identical_to_standalone_generator(self, seed, n_samples):
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, 5))
         spec = _random_spec(rng, size, non_psd=size >= 2 and bool(rng.integers(0, 2)))
@@ -153,8 +152,10 @@ class TestSessionAPIEqualsLooped:
         via_session = Simulator(backend="numpy", cache=DecompositionCache()).envelopes(
             spec, n_samples, seed=entry_seed
         )
-        via_helper = generate_correlated_envelopes(spec, n_samples, rng=entry_seed)
-        assert np.array_equal(via_session.envelopes, via_helper.envelopes)
+        reference = RayleighFadingGenerator(
+            spec, rng=entry_seed, cache=DecompositionCache(maxsize=0)
+        ).generate_envelopes(n_samples)
+        assert np.array_equal(via_session.envelopes, reference.envelopes)
 
     @given(plan_data=random_plans(max_entries=4))
     @settings(max_examples=10, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.parallel import partition_counts
+from repro.engine import partition_counts
 from repro.signal import naive_dft, radix2_fft, radix2_ifft
 
 

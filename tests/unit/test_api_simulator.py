@@ -1,14 +1,14 @@
 """Unit tests for the unified session API (:mod:`repro.api`).
 
 The acceptance contract: ``Simulator(backend="numpy")`` results are
-bit-identical to the pre-redesign helpers and to looped single-spec
-generators for the same seeds, and ``asyncio.gather`` over several
-``sim.submit(...)`` calls completes with per-plan results matching the
-synchronous ``sim.run(...)``.
+bit-identical to looped single-spec generators for the same seeds, and
+``asyncio.gather`` over several ``sim.submit(...)`` calls completes with
+per-plan results matching the synchronous ``sim.run(...)``.
 """
 
 import asyncio
 import gc
+import importlib
 import multiprocessing
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -16,11 +16,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.api import Simulator, default_simulator
+from repro.api import Simulator
 from repro.channels import MIMOArrayScenario, ScenarioSweep
 from repro.core import CovarianceSpec, RayleighFadingGenerator
-from repro.core.pipeline import generate_correlated_envelopes, generate_from_scenario
-from repro.engine import BatchResult, DecompositionCache, SimulationPlan
+from repro.engine import (
+    BatchResult,
+    DecompositionCache,
+    SimulationPlan,
+    default_decomposition_cache,
+)
 from repro.exceptions import GenerationError, ParallelExecutionError, SpecificationError
 
 
@@ -45,14 +49,11 @@ class TestConstruction:
         sim = Simulator()
         assert sim.backend.name == "numpy"
         assert sim.max_workers is None
-        assert sim.cache is default_simulator().cache  # both use the shared cache
+        assert sim.cache is default_decomposition_cache()  # the shared cache
 
     def test_invalid_max_workers_rejected(self):
         with pytest.raises(SpecificationError):
             Simulator(max_workers=0)
-
-    def test_default_simulator_is_a_singleton(self):
-        assert default_simulator() is default_simulator()
 
     def test_cache_stats_snapshot(self):
         sim = Simulator(cache=DecompositionCache())
@@ -63,7 +64,7 @@ class TestConstruction:
     def test_cache_dir_builds_persistent_session(self, tmp_path):
         with Simulator(cache_dir=tmp_path) as sim:
             assert sim.cache_dir == str(tmp_path)
-            assert sim.cache is not default_simulator().cache
+            assert sim.cache is not default_decomposition_cache()
             reference = sim.run(_plan(2), 8)
         # A new session over the same directory loads the whole compiled
         # plan from disk — no per-matrix lookups at all — and reproduces
@@ -105,11 +106,6 @@ class TestConstruction:
 
 
 class TestEnvelopes:
-    def test_matrix_bit_identical_to_classic_helper(self):
-        via_session = Simulator().envelopes(K2, 256, seed=9)
-        via_helper = generate_correlated_envelopes(K2, 256, rng=9)
-        assert np.array_equal(via_session.envelopes, via_helper.envelopes)
-
     def test_bit_identical_to_standalone_generator(self):
         spec = CovarianceSpec.from_covariance_matrix(K2)
         block = Simulator().envelopes(spec, 128, seed=5, return_gaussian=True)
@@ -117,26 +113,6 @@ class TestEnvelopes:
             spec, rng=5, cache=DecompositionCache(maxsize=0)
         ).generate_gaussian(128)
         assert np.array_equal(block.samples, reference.samples)
-
-    def test_envelope_powers_variant_matches_helper(self):
-        matrix = np.array([[2.0, 0.5], [0.5, 3.0]], dtype=complex)
-        via_session = Simulator().envelopes(matrix, 64, seed=2, envelope_powers=True)
-        via_helper = generate_correlated_envelopes(matrix, 64, rng=2, envelope_powers=True)
-        assert np.array_equal(via_session.envelopes, via_helper.envelopes)
-
-    def test_doppler_mode_matches_helper(self):
-        via_session = Simulator().envelopes(K2, 100, seed=3, normalized_doppler=0.05)
-        via_helper = generate_correlated_envelopes(K2, 100, rng=3, normalized_doppler=0.05)
-        assert np.array_equal(via_session.envelopes, via_helper.envelopes)
-
-    def test_scenario_source_matches_helper(self):
-        scenario = MIMOArrayScenario(
-            n_antennas=3, spacing_wavelengths=0.5, angular_spread_rad=0.2
-        )
-        powers = [1.0, 1.0, 1.0]
-        via_session = Simulator().envelopes(scenario, 64, seed=4, gaussian_powers=powers)
-        via_helper = generate_from_scenario(scenario, powers, 64, rng=4)
-        assert np.array_equal(via_session.envelopes, via_helper.envelopes)
 
     def test_scenario_requires_powers(self):
         scenario = MIMOArrayScenario(
@@ -281,11 +257,10 @@ class TestRun:
         assert via_scipy.backend == "scipy"
 
     def test_run_plan_parallel_wrapper_is_gone(self):
-        import repro.parallel
-        from repro.parallel import ensemble
-
-        assert not hasattr(repro.parallel, "run_plan_parallel")
-        assert not hasattr(ensemble, "run_plan_parallel")
+        # The whole repro.parallel package went with it: replica ensembles
+        # are plans and repro.shard is the one multiprocess path.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.parallel")
 
     def test_summary_reports_cache_counters(self):
         sim = Simulator(cache=DecompositionCache())
@@ -393,6 +368,23 @@ class TestSessionThreads:
 
 
 class TestStream:
+    def test_one_entry_stream_statistics_cover_covariance(self, eq22_covariance):
+        # A long record in bounded memory: running statistics over the
+        # blocks of a one-entry plan, one block held at a time.
+        plan = SimulationPlan.from_specs([eq22_covariance], seeds=[1])
+        n = eq22_covariance.shape[0]
+        covariance, power, mean, total = np.zeros((n, n), dtype=complex), 0.0, 0.0, 0
+        for batch in Simulator().stream(plan, block_size=20_000, n_blocks=10):
+            samples = batch.blocks[0].samples
+            covariance = covariance + samples @ samples.conj().T
+            power = power + np.sum(np.abs(samples) ** 2, axis=1)
+            mean = mean + np.sum(np.abs(samples), axis=1)
+            total += samples.shape[1]
+        assert total == 200_000
+        assert np.max(np.abs(covariance / total - eq22_covariance)) < 0.03
+        assert np.allclose(power / total, 1.0, atol=0.03)
+        assert np.allclose(mean / total, 0.8862, atol=0.02)
+
     def test_stream_matches_engine_stream(self):
         plan = _plan(3)
         sim = Simulator(cache=DecompositionCache())

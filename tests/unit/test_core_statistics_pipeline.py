@@ -1,14 +1,13 @@
-"""Unit tests for repro.core.statistics and repro.core.pipeline."""
+"""Unit tests for repro.core.statistics and one-call ``Simulator.envelopes``."""
 
 import numpy as np
 import pytest
 
+from repro.api import Simulator
 from repro.core import (
     CovarianceSpec,
     covariance_match_report,
     envelope_power_report,
-    generate_correlated_envelopes,
-    generate_from_scenario,
 )
 from repro.core.statistics import (
     empirical_covariance,
@@ -93,54 +92,48 @@ class TestEnvelopePowerReport:
         assert report.n_samples == 1000
 
 
-class TestGenerateCorrelatedEnvelopes:
+class TestEnvelopesFromCovariance:
     def test_snapshot_mode_returns_envelope_block(self, eq22_covariance):
-        block = generate_correlated_envelopes(eq22_covariance, 100, rng=0)
+        block = Simulator().envelopes(eq22_covariance, 100, seed=0)
         assert isinstance(block, EnvelopeBlock)
         assert block.envelopes.shape == (3, 100)
 
     def test_gaussian_output_option(self, eq22_covariance):
-        block = generate_correlated_envelopes(
-            eq22_covariance, 100, rng=0, return_gaussian=True
-        )
+        block = Simulator().envelopes(eq22_covariance, 100, seed=0, return_gaussian=True)
         assert isinstance(block, GaussianBlock)
 
     def test_doppler_mode_length(self, eq22_covariance):
-        block = generate_correlated_envelopes(
-            eq22_covariance, 300, normalized_doppler=0.05, rng=0
-        )
+        block = Simulator().envelopes(eq22_covariance, 300, normalized_doppler=0.05, seed=0)
         assert block.envelopes.shape == (3, 300)
 
     def test_envelope_power_interpretation(self):
         covariance = np.diag([0.5, 1.0]).astype(complex)
-        block = generate_correlated_envelopes(
-            covariance, 200_000, envelope_powers=True, rng=1
-        )
+        block = Simulator().envelopes(covariance, 200_000, envelope_powers=True, seed=1)
         measured = np.var(block.envelopes, axis=1)
         assert np.allclose(measured, [0.5, 1.0], rtol=0.05)
 
     def test_accepts_spec_object(self, eq22_spec):
-        block = generate_correlated_envelopes(eq22_spec, 10, rng=0)
+        block = Simulator().envelopes(eq22_spec, 10, seed=0)
         assert block.n_branches == 3
 
     def test_invalid_sample_count(self, eq22_covariance):
         with pytest.raises(SpecificationError):
-            generate_correlated_envelopes(eq22_covariance, 0, rng=0)
+            Simulator().envelopes(eq22_covariance, 0, seed=0)
 
 
-class TestGenerateFromScenario:
+class TestEnvelopesFromScenario:
     def test_mimo_scenario_snapshot(self):
         scenario = MIMOArrayScenario(n_antennas=3, spacing_wavelengths=1.0)
-        block = generate_from_scenario(scenario, np.ones(3), 64, rng=0)
+        block = Simulator().envelopes(scenario, 64, gaussian_powers=np.ones(3), seed=0)
         assert block.envelopes.shape == (3, 64)
 
     def test_scenario_without_method_rejected(self):
         with pytest.raises(SpecificationError):
-            generate_from_scenario(object(), np.ones(3), 64, rng=0)
+            Simulator().envelopes(object(), 64, gaussian_powers=np.ones(3), seed=0)
 
     def test_explicit_doppler_overrides(self):
         scenario = MIMOArrayScenario(n_antennas=2, spacing_wavelengths=1.0)
-        block = generate_from_scenario(
-            scenario, np.ones(2), 128, normalized_doppler=0.1, rng=0
+        block = Simulator().envelopes(
+            scenario, 128, gaussian_powers=np.ones(2), normalized_doppler=0.1, seed=0
         )
         assert block.envelopes.shape == (2, 128)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channels.doppler import filter_output_variance, young_beaulieu_filter
+from repro.api import Simulator
 from repro.core import CovarianceSpec
 from repro.engine import (
     DecompositionCache,
@@ -11,7 +12,6 @@ from repro.engine import (
     SimulationEngine,
     SimulationPlan,
     compile_plan,
-    default_engine,
     execute_plan,
     stream_plan,
 )
@@ -148,7 +148,7 @@ class TestExecute:
         assert result.blocks[2].samples.shape == (3, 10)
 
     def test_metadata_fields(self, mixed_plan):
-        result = default_engine().run(mixed_plan, 5)
+        result = Simulator().run(mixed_plan, 5)
         block = result.blocks[0]
         assert block.metadata["method"] == "snapshot"
         assert block.metadata["engine"] == "batch"
@@ -160,17 +160,17 @@ class TestExecute:
             execute_plan(compiled, 0)
 
     def test_stacked_samples_requires_homogeneous_plan(self, mixed_plan):
-        result = default_engine().run(mixed_plan, 4)
+        result = Simulator().run(mixed_plan, 4)
         with pytest.raises(DimensionError):
             result.stacked_samples()
 
     def test_stacked_samples_on_homogeneous_plan(self):
         plan = SimulationPlan.from_specs([_matrix(1.0), _matrix(2.0)], seed=0)
-        result = default_engine().run(plan, 6)
+        result = Simulator().run(plan, 6)
         assert result.stacked_samples().shape == (2, 2, 6)
 
     def test_envelopes(self, mixed_plan):
-        result = default_engine().run(mixed_plan, 4)
+        result = Simulator().run(mixed_plan, 4)
         envelopes = result.envelopes()
         assert len(envelopes) == 4
         assert np.all(envelopes[0].envelopes >= 0)
@@ -197,6 +197,16 @@ class TestStreaming:
         with pytest.raises(GenerationError):
             list(stream_plan(compiled, block_size=1, n_blocks=0))
 
+    @pytest.mark.parametrize("block_size, n_blocks", [(0, 1), (1, 0)])
+    def test_rejects_bad_parameters_before_iterating(self, mixed_plan, block_size, n_blocks):
+        compiled = compile_plan(mixed_plan, cache=DecompositionCache())
+        with pytest.raises(GenerationError):
+            stream_plan(compiled, block_size=block_size, n_blocks=n_blocks)
+        cache = DecompositionCache()
+        with pytest.raises(GenerationError):
+            Simulator(cache=cache).stream(mixed_plan, block_size=block_size, n_blocks=n_blocks)
+        assert cache.stats.lookups == 0  # raised before the plan compiled
+
 
 class TestEngineFacade:
     def test_run_accepts_compiled_plans(self, mixed_plan):
@@ -206,9 +216,6 @@ class TestEngineFacade:
         b = engine.run(mixed_plan, 4)
         for block_a, block_b in zip(a.blocks, b.blocks):
             assert np.array_equal(block_a.samples, block_b.samples)
-
-    def test_default_engine_is_singleton(self):
-        assert default_engine() is default_engine()
 
     def test_cache_stats_exposed(self, mixed_plan):
         engine = SimulationEngine(cache=DecompositionCache())

@@ -5,7 +5,7 @@ import pytest
 
 from repro.channels import MIMOArrayScenario, ScenarioSweep
 from repro.core import CovarianceSpec
-from repro.engine import DopplerSpec, PlanEntry, SimulationPlan
+from repro.engine import DopplerSpec, PlanEntry, SimulationPlan, partition_counts
 from repro.engine.plan import coerce_doppler
 from repro.exceptions import DopplerError, FilterDesignError, SpecificationError
 
@@ -209,6 +209,28 @@ class TestSimulationPlan:
     def test_rejects_non_entry_in_constructor(self):
         with pytest.raises(SpecificationError):
             SimulationPlan(entries=[object()])
+
+
+class TestPartitionCounts:
+    def test_even_split(self):
+        assert partition_counts(100, 4) == [25, 25, 25, 25]
+
+    def test_remainder_distributed(self):
+        assert partition_counts(10, 3) == [4, 3, 3]
+
+    def test_sum_preserved(self):
+        for total, parts in [(7, 2), (1, 5), (1000, 7), (0, 3)]:
+            assert sum(partition_counts(total, parts)) == total
+
+    def test_counts_differ_by_at_most_one(self):
+        counts = partition_counts(23, 5)
+        assert max(counts) - min(counts) <= 1
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            partition_counts(-1, 2)
+        with pytest.raises(ValueError):
+            partition_counts(10, 0)
 
 
 class TestPartition:

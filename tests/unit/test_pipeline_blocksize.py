@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import doppler_block_size, generate_correlated_envelopes
+from repro.api import Simulator
+from repro.engine import doppler_block_size
 from repro.exceptions import SpecificationError
 
 
@@ -54,19 +55,19 @@ class TestDopplerBlockSize:
 
 class TestPipelineDopplerMode:
     def test_doppler_generation_uses_closed_form(self):
-        block = generate_correlated_envelopes(
+        block = Simulator().envelopes(
             np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex),
             200,
             normalized_doppler=0.05,
-            rng=5,
+            seed=5,
         )
         assert block.envelopes.shape == (2, 200)
 
     def test_unsatisfiable_doppler_raises_before_generation(self):
         with pytest.raises(SpecificationError, match="passband"):
-            generate_correlated_envelopes(
+            Simulator().envelopes(
                 np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex),
                 10,
                 normalized_doppler=1e-12,
-                rng=5,
+                seed=5,
             )

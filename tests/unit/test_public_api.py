@@ -40,8 +40,8 @@ class TestPublicExports:
         import repro.core
         import repro.experiments
         import repro.linalg
-        import repro.parallel
         import repro.random
+        import repro.shard
         import repro.signal
         import repro.validation
 

@@ -5,7 +5,8 @@ imports before doing any work, so the package roots re-export lazily
 (:mod:`repro._lazy`) and scipy is imported only inside the functions that
 call it.  These tests pin that down in fresh interpreters:
 
-* the import budget of ``repro.shard.worker`` and ``repro.cli``;
+* the import budget of ``repro.shard.worker``, ``repro.cli`` and slicing a
+  plan;
 * every lazily re-exported name still resolves, ``from repro import *``
   works, and ``dir()`` lists the exports;
 * with a stub ``scipy`` that raises :class:`ImportError` on the path,
@@ -77,7 +78,6 @@ class TestImportBudget:
             "asyncio",
             "repro.api",
             "repro.core.generator",
-            "repro.core.pipeline",
             "repro.core.realtime",
             "repro.core.rician",
             "repro.core.statistics",
@@ -94,6 +94,28 @@ class TestImportBudget:
         completed = _python(["-W", "error::RuntimeWarning", "-m", "repro.shard.worker", "--help"])
         assert completed.returncode == 0, completed.stderr
         assert "RuntimeWarning" not in completed.stderr
+
+    def test_partitioning_a_plan_loads_no_generators_or_process_pool(self):
+        """``run_sharded``'s parent slices plans; that must stay cheap."""
+        completed = _python(
+            "import sys, json\n"
+            "import numpy as np\n"
+            "from repro.engine import SimulationPlan\n"
+            "plan = SimulationPlan.from_specs([np.eye(2, dtype=complex)] * 3, seed=1)\n"
+            "plan.partition(2)\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        assert completed.returncode == 0, completed.stderr
+        forbidden = (
+            "concurrent.futures.process",
+            "repro.core.generator",
+            "repro.core.realtime",
+            "repro.core.statistics",
+            "repro.parallel",
+            "repro.signal",
+        )
+        loaded = json.loads(completed.stdout.splitlines()[-1])
+        assert [name for name in loaded if _under(name, forbidden)] == []
 
     def test_cli_loads_no_scipy(self):
         loaded = [name for name in _loaded_after("repro.cli") if _under(name, ("scipy",))]

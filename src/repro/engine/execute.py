@@ -444,11 +444,12 @@ def stream_plan(
 
     Memory stays bounded at one ``(B, N, block_size)`` batch regardless of
     the record length (plus at most ``M - 1`` buffered samples per Doppler
-    branch).  Per-entry generators persist across blocks, so concatenating
-    the streamed blocks of an entry equals one long :func:`execute_plan`
-    record cut into pieces — the streaming analogue of the batch/single
-    equivalence guarantee, for any block size, divisible into the IDFT
-    length or not.  Bad arguments raise here, before the first block.
+    branch).  Per-entry generators persist across blocks: a snapshot
+    entry's blocks equal successive ``generate_gaussian(block_size)`` calls
+    of one standalone generator, and concatenating a Doppler entry's blocks
+    equals one long :func:`execute_plan` record cut into pieces, for any
+    block size, divisible into the IDFT length or not.  Bad arguments raise
+    here, before the first block.
     """
     check_stream_arguments(block_size, n_blocks)
     return _stream_blocks(compiled, int(block_size), int(n_blocks))

@@ -18,12 +18,20 @@ import pytest
 
 from repro.api import Simulator
 from repro.channels import MIMOArrayScenario, ScenarioSweep
-from repro.core import CovarianceSpec, RayleighFadingGenerator
+from repro.core import (
+    CovarianceSpec,
+    RayleighFadingGenerator,
+    RealTimeRayleighGenerator,
+    correlation_coefficient_matrix,
+    covariance_match_report,
+)
 from repro.engine import (
     BatchResult,
     DecompositionCache,
+    DopplerSpec,
     SimulationPlan,
     default_decomposition_cache,
+    doppler_block_size,
 )
 from repro.exceptions import GenerationError, ParallelExecutionError, SpecificationError
 
@@ -113,6 +121,40 @@ class TestEnvelopes:
             spec, rng=5, cache=DecompositionCache(maxsize=0)
         ).generate_gaussian(128)
         assert np.array_equal(block.samples, reference.samples)
+
+    def test_envelope_powers_variant_matches_standalone_generator(self):
+        matrix = np.array([[2.0, 0.5], [0.5, 3.0]], dtype=complex)
+        block = Simulator().envelopes(matrix, 64, seed=2, envelope_powers=True)
+        spec = CovarianceSpec.from_envelope_variances(
+            np.real(np.diag(matrix)), correlation_coefficient_matrix(matrix)
+        )
+        reference = RayleighFadingGenerator(
+            spec, rng=2, cache=DecompositionCache(maxsize=0)
+        ).generate_envelopes(64)
+        assert np.array_equal(block.envelopes, reference.envelopes)
+
+    def test_doppler_mode_matches_standalone_realtime_generator(self):
+        block = Simulator().envelopes(K2, 100, seed=3, normalized_doppler=0.05)
+        reference = RealTimeRayleighGenerator(
+            K2,
+            normalized_doppler=0.05,
+            n_points=doppler_block_size(100, 0.05),
+            rng=3,
+            cache=DecompositionCache(maxsize=0),
+        ).generate_envelopes(n_blocks=1)
+        assert block.envelopes.shape == (2, 100)
+        assert np.array_equal(block.envelopes, reference.envelopes[:, :100])
+
+    def test_scenario_source_matches_standalone_generator(self):
+        scenario = MIMOArrayScenario(
+            n_antennas=3, spacing_wavelengths=0.5, angular_spread_rad=0.2
+        )
+        powers = np.ones(3)
+        block = Simulator().envelopes(scenario, 64, seed=4, gaussian_powers=powers)
+        reference = RayleighFadingGenerator(
+            scenario.covariance_spec(powers), rng=4, cache=DecompositionCache(maxsize=0)
+        ).generate_envelopes(64)
+        assert np.array_equal(block.envelopes, reference.envelopes)
 
     def test_scenario_requires_powers(self):
         scenario = MIMOArrayScenario(
@@ -398,6 +440,116 @@ class TestStream:
         for batch, ref_batch in zip(streamed, reference):
             for block, ref_block in zip(batch.blocks, ref_batch.blocks):
                 assert np.array_equal(block.samples, ref_block.samples)
+
+    def test_snapshot_stream_yields_fixed_size_blocks(self, eq22_covariance):
+        plan = SimulationPlan.from_specs([eq22_covariance], seeds=[0])
+        batches = list(Simulator().stream(plan, block_size=128, n_blocks=3))
+        assert len(batches) == 3
+        assert all(batch.n_samples == 128 for batch in batches)
+        assert all(batch.blocks[0].samples.shape == (3, 128) for batch in batches)
+
+    def test_doppler_stream_yields_idft_sized_blocks(self, eq22_covariance):
+        plan = SimulationPlan.from_specs(
+            [eq22_covariance], seeds=[0], doppler=DopplerSpec(0.05, n_points=512)
+        )
+        batches = list(Simulator().stream(plan, block_size=512, n_blocks=2))
+        assert [batch.blocks[0].samples.shape for batch in batches] == [(3, 512)] * 2
+
+    def test_snapshot_stream_equals_a_chunked_standalone_generator(self, eq22_covariance):
+        # Each block is one call of the entry's persistent generator.
+        plan = SimulationPlan.from_specs([eq22_covariance], seeds=[6])
+        streamed = [
+            batch.blocks[0].samples
+            for batch in Simulator().stream(plan, block_size=128, n_blocks=3)
+        ]
+        generator = RayleighFadingGenerator(
+            eq22_covariance, rng=6, cache=DecompositionCache(maxsize=0)
+        )
+        for block in streamed:
+            assert block.tobytes() == generator.generate_gaussian(128).samples.tobytes()
+
+    def test_doppler_stream_concatenation_equals_one_long_run(self, eq22_covariance):
+        # A block size that does not divide the IDFT length: the entry
+        # carries its partial IDFT block over from one chunk to the next.
+        plan = SimulationPlan.from_specs(
+            [eq22_covariance], seeds=[6], doppler=DopplerSpec(0.05, n_points=512)
+        )
+        sim = Simulator(cache=DecompositionCache())
+        streamed = np.concatenate(
+            [batch.blocks[0].samples for batch in sim.stream(plan, block_size=300, n_blocks=4)],
+            axis=1,
+        )
+        whole = sim.run(plan, 1200).blocks[0].samples
+        assert streamed.tobytes() == whole.tobytes()
+
+    def test_stream_is_reproducible_from_its_seed(self, eq22_covariance):
+        def record(seed):
+            plan = SimulationPlan.from_specs([eq22_covariance], seeds=[seed])
+            return [
+                batch.blocks[0].samples.tobytes()
+                for batch in Simulator().stream(plan, block_size=64, n_blocks=3)
+            ]
+
+        assert record(8) == record(8)
+        assert record(8) != record(9)
+
+    def test_successive_blocks_are_fresh_samples(self, eq22_covariance):
+        plan = SimulationPlan.from_specs([eq22_covariance], seeds=[2])
+        blocks = [
+            batch.blocks[0].samples
+            for batch in Simulator().stream(plan, block_size=64, n_blocks=3)
+        ]
+        assert not np.array_equal(blocks[0], blocks[1])
+        assert not np.array_equal(blocks[1], blocks[2])
+
+
+class TestReplicaEnsemble:
+    """A Monte-Carlo replica ensemble is a plan of R entries sharing one covariance."""
+
+    def test_every_replica_matches_the_covariance(self, eq22_covariance):
+        plan = SimulationPlan.from_specs([eq22_covariance] * 4, seed=0)
+        result = Simulator().run(plan, 20_000)
+        errors = np.array(
+            [
+                covariance_match_report(block.samples, eq22_covariance).relative_error
+                for block in result.blocks
+            ]
+        )
+        assert errors.shape == (4,)
+        assert errors.mean() < 0.1
+        assert errors.max() < 0.2
+
+    def test_pooled_covariance_estimate(self, eq22_covariance):
+        plan = SimulationPlan.from_specs([eq22_covariance] * 4, seed=1)
+        result = Simulator().run(plan, 25_000)
+        total = sum(block.samples.shape[1] for block in result.blocks)
+        pooled = sum(block.samples @ block.samples.conj().T for block in result.blocks)
+        assert total == 100_000
+        assert np.max(np.abs(pooled / total - eq22_covariance)) < 0.04
+
+    def test_replicas_draw_independent_samples(self, eq22_covariance):
+        plan = SimulationPlan.from_specs([eq22_covariance] * 3, seed=5)
+        blocks = [block.samples for block in Simulator().run(plan, 256).blocks]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert not np.array_equal(blocks[i], blocks[j])
+
+    def test_ensemble_is_reproducible_from_its_root_seed(self, eq22_covariance):
+        def ensemble(seed):
+            plan = SimulationPlan.from_specs([eq22_covariance] * 3, seed=seed)
+            return [block.samples.tobytes() for block in Simulator().run(plan, 128).blocks]
+
+        assert ensemble(3) == ensemble(3)
+        assert ensemble(3) != ensemble(4)
+
+    def test_each_replica_equals_a_standalone_generator(self, eq22_covariance):
+        plan = SimulationPlan.from_specs([eq22_covariance] * 3, seed=11)
+        result = Simulator(cache=DecompositionCache()).run(plan, 200)
+        for entry, block in zip(plan, result.blocks):
+            reference = RayleighFadingGenerator(
+                eq22_covariance, rng=entry.seed, cache=DecompositionCache(maxsize=0)
+            ).generate_gaussian(200)
+            assert block.samples.tobytes() == reference.samples.tobytes()
 
 
 class TestSubmit:

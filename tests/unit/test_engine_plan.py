@@ -181,6 +181,12 @@ class TestSimulationPlan:
         again = SimulationPlan.from_specs(matrices, seed=42)
         assert seeds == [entry.seed for entry in again]
 
+    def test_from_specs_root_seed_changes_every_entry_seed(self):
+        matrices = [np.eye(2, dtype=complex)] * 4
+        a = [entry.seed for entry in SimulationPlan.from_specs(matrices, seed=3)]
+        b = [entry.seed for entry in SimulationPlan.from_specs(matrices, seed=4)]
+        assert set(a).isdisjoint(b)
+
     def test_from_specs_explicit_seeds_must_match_length(self):
         with pytest.raises(SpecificationError):
             SimulationPlan.from_specs([np.eye(2, dtype=complex)], seeds=[1, 2])

@@ -17,6 +17,31 @@ class TestPublicExports:
     def test_every_advertised_name_is_importable(self, name):
         assert hasattr(repro, name), f"repro.__all__ lists {name} but it is missing"
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "generate_correlated_envelopes",
+            "generate_from_scenario",
+            "default_engine",
+            "default_simulator",
+        ],
+    )
+    def test_removed_one_call_helpers_are_gone(self, name):
+        import repro.api
+        import repro.core
+        import repro.engine
+
+        assert name not in repro.__all__
+        for module in (repro, repro.api, repro.core, repro.engine):
+            assert not hasattr(module, name), f"{module.__name__}.{name} is still defined"
+
+    @pytest.mark.parametrize("name", ["doppler_block_size", "partition_counts"])
+    def test_plan_helpers_export_from_engine(self, name):
+        import repro.engine
+
+        assert name in repro.engine.__all__
+        assert getattr(repro.engine, name).__module__ == "repro.engine.plan"
+
     def test_key_classes_exported(self):
         for name in (
             "CovarianceSpec",

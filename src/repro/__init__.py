@@ -72,7 +72,6 @@ __getattr__, __dir__ = lazy_exports(
             "CovarianceSpec",
             "RayleighFadingGenerator",
             "RealTimeRayleighGenerator",
-            "RicianFadingGenerator",
             "build_covariance_matrix",
             "correlation_coefficient_matrix",
             "envelope_power_to_gaussian_power",
@@ -133,7 +132,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
         CovarianceSpec,
         RayleighFadingGenerator,
         RealTimeRayleighGenerator,
-        RicianFadingGenerator,
         build_covariance_matrix,
         compute_coloring,
         correlation_coefficient_matrix,
@@ -192,7 +190,6 @@ __all__ = [
     "CovarianceSpec",
     "RayleighFadingGenerator",
     "RealTimeRayleighGenerator",
-    "RicianFadingGenerator",
     "build_covariance_matrix",
     "correlation_coefficient_matrix",
     "envelope_power_to_gaussian_power",

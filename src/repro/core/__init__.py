@@ -3,7 +3,8 @@
 This package implements Sections 4 and 5 of the paper:
 
 * :mod:`repro.core.variance` — power conversions between Rayleigh-envelope
-  powers and complex-Gaussian powers (Eq. 11, 14, 15).
+  powers and complex-Gaussian powers (Eq. 11, 14, 15), plus the Rician
+  envelope moments.
 * :mod:`repro.core.covariance` — assembly of the complex-Gaussian covariance
   matrix ``K`` from the real/imaginary covariance components (Eq. 12–13) and
   the :class:`CovarianceSpec` input object.
@@ -36,6 +37,7 @@ __getattr__, __dir__ = lazy_exports(
             "rayleigh_mean_from_gaussian_power",
             "rayleigh_variance_from_gaussian_power",
             "rayleigh_moments",
+            "rician_moments",
         ),
         ".covariance": (
             "CovarianceSpec",
@@ -64,7 +66,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         ".generator": ("RayleighFadingGenerator",),
         ".realtime": ("RealTimeRayleighGenerator",),
-        ".rician": ("RicianFadingGenerator", "rician_moments"),
         ".statistics": (
             "theoretical_envelope_mean",
             "theoretical_envelope_variance",
@@ -82,6 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
         rayleigh_mean_from_gaussian_power,
         rayleigh_variance_from_gaussian_power,
         rayleigh_moments,
+        rician_moments,
     )
     from .covariance import (
         CovarianceSpec,
@@ -110,7 +112,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
     )
     from .generator import RayleighFadingGenerator
     from .realtime import RealTimeRayleighGenerator
-    from .rician import RicianFadingGenerator, rician_moments
     from .statistics import (
         theoretical_envelope_mean,
         theoretical_envelope_variance,
@@ -125,6 +126,7 @@ __all__ = [
     "rayleigh_mean_from_gaussian_power",
     "rayleigh_variance_from_gaussian_power",
     "rayleigh_moments",
+    "rician_moments",
     "CovarianceSpec",
     "build_covariance_matrix",
     "covariance_entry",
@@ -144,8 +146,6 @@ __all__ = [
     "compute_coloring_batch",
     "RayleighFadingGenerator",
     "RealTimeRayleighGenerator",
-    "RicianFadingGenerator",
-    "rician_moments",
     "theoretical_envelope_mean",
     "theoretical_envelope_variance",
     "empirical_covariance",

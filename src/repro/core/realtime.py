@@ -35,11 +35,11 @@ generator *is* the engine's ``B = 1`` reference).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from ..channels.idft_generator import IDFTRayleighGenerator, batched_doppler_blocks
+from ..channels.idft_generator import batched_doppler_blocks
 from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import GenerationError
 from ..random import ensure_rng, spawn_rngs
@@ -167,29 +167,6 @@ class RealTimeRayleighGenerator:
 
         self._rng = ensure_rng(rng)
         self._branch_rngs = spawn_rngs(self._rng, spec.n_branches)
-        self._branch_generator_cache: Optional[list] = None
-
-    @property
-    def _branch_generators(self) -> list:
-        """Per-branch single-stream generators, built on first access.
-
-        Generation runs through the batched substrate and never needs these;
-        they exist for callers driving one branch by hand.  Each shares its
-        branch's child stream, so hand-driving a branch advances the same
-        state the batched substrate consumes.  Built lazily because each
-        instance rebuilds the ``M``-length filter.
-        """
-        if self._branch_generator_cache is None:
-            self._branch_generator_cache = [
-                IDFTRayleighGenerator(
-                    n_points=self._n_points,
-                    normalized_doppler=self._normalized_doppler,
-                    input_variance_per_dim=self._input_variance,
-                    rng=branch_rng,
-                )
-                for branch_rng in self._branch_rngs
-            ]
-        return self._branch_generator_cache
 
     # ------------------------------------------------------------------ #
     # Introspection

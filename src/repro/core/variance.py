@@ -17,6 +17,8 @@ which follows from the Rayleigh moment relations (Eq. 14–15):
     \\mathrm{Var}\\{r_j\\} = \\sigma_{g_j}^2 (1 - \\pi/4).
 
 All conversions are vectorized and validate positivity.
+:func:`rician_moments` gives the matching envelope moments of a Rician
+branch (the ``rician`` fading model of :mod:`repro.models.fading`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from ..exceptions import PowerError
+from ..exceptions import PowerError, SpecificationError
 
 __all__ = [
     "RAYLEIGH_VARIANCE_FACTOR",
@@ -34,6 +36,7 @@ __all__ = [
     "rayleigh_mean_from_gaussian_power",
     "rayleigh_variance_from_gaussian_power",
     "rayleigh_moments",
+    "rician_moments",
 ]
 
 #: The factor ``1 - pi/4 ~= 0.2146`` relating envelope variance to Gaussian power.
@@ -104,3 +107,30 @@ def rayleigh_moments(gaussian_variance: float) -> Tuple[float, float, float]:
     mean = float(np.sqrt(sigma_g2) * np.sqrt(np.pi) / 2.0)
     variance = float(sigma_g2 * RAYLEIGH_VARIANCE_FACTOR)
     return mean, variance, sigma_g2
+
+
+def rician_moments(k_factor: float, total_power: float = 1.0) -> tuple:
+    """Return ``(mean envelope, envelope variance)`` of a Rician branch.
+
+    Uses the standard expressions in terms of the Laguerre polynomial
+    ``L_{1/2}``:
+
+    .. math::
+
+        E\\{r\\} = \\sqrt{\\frac{\\pi \\Omega}{4 (K+1)}}\\; L_{1/2}(-K), \\qquad
+        \\mathrm{Var}\\{r\\} = \\Omega - E\\{r\\}^2.
+    """
+    if k_factor < 0:
+        raise SpecificationError(f"the Rician K-factor must be non-negative, got {k_factor}")
+    if total_power <= 0:
+        raise SpecificationError(f"total power must be positive, got {total_power}")
+    # L_{1/2}(-K) = e^{-K/2} [(1+K) I0(K/2) + K I1(K/2)]
+    from scipy.special import i0e, i1e
+
+    half = k_factor / 2.0
+    # i0e/i1e are exponentially scaled (I_n(x) e^{-x}), so the e^{-K/2} factor
+    # combines with them as e^{+K/2} * e^{-K} = e^{-K/2}; written explicitly:
+    laguerre_half = (1.0 + k_factor) * i0e(half) + k_factor * i1e(half)
+    mean = float(np.sqrt(np.pi * total_power / (4.0 * (k_factor + 1.0))) * laguerre_half)
+    variance = float(total_power - mean**2)
+    return mean, variance

@@ -1,6 +1,6 @@
 """Fading-model zoo: pluggable post-coloring channel models.
 
-The registry and spec types live in :mod:`repro.models.fading`; the looped
+The closed model table and spec types live in :mod:`repro.models.fading`; the looped
 scalar reference oracles in :mod:`repro.models.reference`; the named
 workload suites and the declarative JSON scenario schema in
 :mod:`repro.models.workloads` (imported lazily by the CLI — it depends on
@@ -17,7 +17,6 @@ from .fading import (
     build_fading_stacks,
     coerce_fading,
     get_fading_model,
-    register_fading_model,
     shadowing_gains,
 )
 from .reference import reference_fading_samples
@@ -32,7 +31,6 @@ __all__ = [
     "build_fading_stacks",
     "coerce_fading",
     "get_fading_model",
-    "register_fading_model",
     "shadowing_gains",
     "reference_fading_samples",
 ]

@@ -2,7 +2,7 @@
 
 The engine's plan → compile → execute pipeline produces correlated complex
 Gaussian samples whose moduli are Rayleigh envelopes.  This module
-generalizes that final step into a registry of *fading models* — pure,
+generalizes that final step into a closed table of *fading models* — pure,
 vectorized post-coloring transforms the fused execute kernel applies in
 place — so one correlated-Gaussian coloring pass can serve every channel
 family the scenario zoo needs:
@@ -34,7 +34,9 @@ parameters: no RNG draws inside the transform (shadowing draws its gains
 *once* per entry from a tagged side stream of the entry seed, never from
 the white-sample stream the Rayleigh identity depends on), no
 time/environment reads, and phase preservation for the envelope
-transforms.  Each model declares its own invariant (see the table above;
+transforms.  The table is closed: a model exists only if
+:func:`build_fading_stacks` and :func:`apply_fading_block` implement it.
+Each model declares its own invariant (see the table above;
 enforced in ``tests/property/test_property_fading_models.py``) and its
 cache-key contribution (:meth:`FadingSpec.fading_token`, folded per entry
 into :func:`repro.engine.plancache.compiled_plan_cache_key`).  Entries
@@ -42,9 +44,10 @@ group by :attr:`FadingSpec.family` at compile time, so one group applies
 one model with stacked parameters.
 
 The total branch powers ``Omega_j`` are read off the entry's covariance
-diagonal: Rician splits ``Omega`` between LOS and diffuse power exactly
-like :class:`repro.core.rician.RicianFadingGenerator`, and the
-Nakagami/Weibull envelope maps preserve ``E[r^2] = Omega``.
+diagonal: Rician splits ``Omega`` into ``K Omega / (K+1)`` LOS power and
+``Omega / (K+1)`` diffuse power (envelope moments in
+:func:`repro.core.rician_moments`), and the Nakagami/Weibull envelope maps
+preserve ``E[r^2] = Omega``.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ __all__ = [
     "build_fading_stacks",
     "coerce_fading",
     "get_fading_model",
-    "register_fading_model",
     "shadowing_gains",
 ]
 
@@ -80,25 +82,35 @@ __all__ = [
 _SHADOWING_STREAM_TAG = 0x5AD0F1E1
 
 
+def _as_float(value: Any, field: str) -> float:
+    """``float(value)`` for a real number; ``bool`` and text are refused.
+
+    ``float()`` alone would read ``True`` as 1.0 and ``"2.5"`` as 2.5, so a
+    wire payload could smuggle either past validation.
+    """
+    if not isinstance(value, (bool, np.bool_, str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise SpecificationError(f"{field} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FadingModel:
-    """One registered fading model: its validation contract and invariant.
+    """One fading model of the table: its validation contract and invariant.
 
     Attributes
     ----------
     name:
-        Registry key (``FadingSpec.model`` values resolve against it).
+        Table key (``FadingSpec.model`` values resolve against it).
     shape_name:
         Human name of the model's shape parameter (``K-factor``, ``m``,
         ``k``), or ``None`` for shape-less models.
-    invariant:
-        The equivalence the property suite enforces for this model
-        (byte-identity or a stated tolerance) — see the module table.
-    description:
-        One-line summary for CLI/docs listings.
     exact:
-        ``True`` when the invariant is byte-identity; ``False`` when the
-        transform is compared at ``rtol`` against the scalar reference.
+        ``True`` when the model's invariant is byte-identity; ``False`` when
+        the transform is compared at ``rtol`` against the scalar reference
+        (see the module table).
     rtol:
         Declared relative tolerance for non-exact models.
     shape_min, shape_min_inclusive:
@@ -110,8 +122,6 @@ class FadingModel:
 
     name: str
     shape_name: Optional[str]
-    invariant: str
-    description: str
     exact: bool = True
     rtol: float = 0.0
     shape_min: float = 0.0
@@ -125,13 +135,8 @@ class FadingModel:
 
     def validate_shape(self, shape: Any) -> float:
         """Coerce and range-check a shape value, naming the field on error."""
-        try:
-            value = float(shape)
-        except (TypeError, ValueError) as exc:
-            raise SpecificationError(
-                f"fading.shape (the {self.name} {self.shape_name}) must be a "
-                f"number, got {shape!r}"
-            ) from exc
+        field = f"fading.shape (the {self.name} {self.shape_name})"
+        value = _as_float(shape, field)
         in_range = np.isfinite(value) and (
             value >= self.shape_min
             if self.shape_min_inclusive
@@ -140,31 +145,37 @@ class FadingModel:
         if not in_range:
             bound = ">=" if self.shape_min_inclusive else ">"
             raise SpecificationError(
-                f"fading.shape (the {self.name} {self.shape_name}) must be "
-                f"finite and {bound} {self.shape_min}, got {value!r}"
+                f"{field} must be finite and {bound} {self.shape_min}, "
+                f"got {value!r}"
             )
         return value
 
 
-_MODELS: Dict[str, FadingModel] = {}
-
-
-def register_fading_model(model: FadingModel) -> FadingModel:
-    """Register a fading model under its name (returns it, decorator-style)."""
-    if not isinstance(model, FadingModel):
-        raise SpecificationError(
-            f"expected a FadingModel, got {type(model).__name__}"
-        )
-    if model.name in _MODELS:
-        raise SpecificationError(
-            f"fading model {model.name!r} is already registered"
-        )
-    _MODELS[model.name] = model
-    return model
+#: The closed model table: exactly the models :func:`build_fading_stacks`
+#: and :func:`apply_fading_block` implement.
+_MODELS: Dict[str, FadingModel] = {
+    "rayleigh": FadingModel(name="rayleigh", shape_name=None),
+    "rician": FadingModel(name="rician", shape_name="K-factor"),
+    "nakagami": FadingModel(
+        name="nakagami",
+        shape_name="m",
+        exact=False,
+        rtol=1e-12,
+        shape_min=0.5,
+        requires_scipy=True,
+    ),
+    "weibull": FadingModel(
+        name="weibull",
+        shape_name="k",
+        exact=False,
+        rtol=1e-12,
+        shape_min_inclusive=False,
+    ),
+}
 
 
 def available_fading_models() -> Tuple[str, ...]:
-    """Names of every registered fading model, sorted."""
+    """Names of every fading model in the table, sorted."""
     return tuple(sorted(_MODELS))
 
 
@@ -176,57 +187,6 @@ def get_fading_model(name: Any) -> FadingModel:
             f"fading.model must be one of {sorted(_MODELS)}, got {name!r}"
         )
     return model
-
-
-register_fading_model(
-    FadingModel(
-        name="rayleigh",
-        shape_name=None,
-        invariant="byte-identity (the transform is the identity)",
-        description="the paper's correlated Rayleigh envelopes (default)",
-    )
-)
-register_fading_model(
-    FadingModel(
-        name="rician",
-        shape_name="K-factor",
-        invariant="byte-identity to the looped scalar reference",
-        description=(
-            "diffuse component scaled by 1/sqrt(K+1) plus a static "
-            "per-branch LOS amplitude"
-        ),
-        shape_min=0.0,
-    )
-)
-register_fading_model(
-    FadingModel(
-        name="nakagami",
-        shape_name="m",
-        invariant="allclose to the looped scalar reference, rtol <= 1e-12",
-        description=(
-            "inverse-CDF envelope transform Rayleigh -> Nakagami-m "
-            "(phase preserved)"
-        ),
-        exact=False,
-        rtol=1e-12,
-        shape_min=0.5,
-        requires_scipy=True,
-    )
-)
-register_fading_model(
-    FadingModel(
-        name="weibull",
-        shape_name="k",
-        invariant="allclose to the looped scalar reference, rtol <= 1e-12",
-        description=(
-            "power envelope transform Rayleigh -> Weibull (phase preserved)"
-        ),
-        exact=False,
-        rtol=1e-12,
-        shape_min=0.0,
-        shape_min_inclusive=False,
-    )
-)
 
 
 def _scipy_special():
@@ -248,7 +208,7 @@ class FadingSpec:
     Attributes
     ----------
     model:
-        Registered model name (``rayleigh``, ``rician``, ``nakagami``,
+        Model name from the table (``rayleigh``, ``rician``, ``nakagami``,
         ``weibull``).
     shape:
         The model's shape parameter — the Rician ``K``-factor, the
@@ -282,13 +242,7 @@ class FadingSpec:
                 f"fading.shape must be None for the {descriptor.name} model "
                 f"(it has no shape parameter), got {self.shape!r}"
             )
-        try:
-            sigma = float(self.shadowing_sigma_db)
-        except (TypeError, ValueError) as exc:
-            raise SpecificationError(
-                "fading.shadowing_sigma_db must be a number, got "
-                f"{self.shadowing_sigma_db!r}"
-            ) from exc
+        sigma = _as_float(self.shadowing_sigma_db, "fading.shadowing_sigma_db")
         if sigma < 0 or not np.isfinite(sigma):
             raise SpecificationError(
                 "fading.shadowing_sigma_db must be non-negative and finite, "
@@ -300,7 +254,7 @@ class FadingSpec:
 
     @property
     def descriptor(self) -> FadingModel:
-        """The registered :class:`FadingModel` this spec resolves to."""
+        """The :class:`FadingModel` of the table this spec resolves to."""
         return get_fading_model(self.model)
 
     @property

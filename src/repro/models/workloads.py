@@ -26,7 +26,7 @@ the :class:`repro.engine.DopplerSpec` fields.  Malformed workloads raise
 the offending field, which the CLI and HTTP layers surface as exit code
 2 / status 400 — never a traceback.
 
-:data:`NAMED_SUITES` ships one ready workload per registered model (plus
+:data:`NAMED_SUITES` ships one ready workload per fading model (plus
 the shadowing composition); ``repro-experiments suite --list`` prints
 them and the CI workload-suite smoke job runs each one.
 
@@ -198,7 +198,7 @@ def plan_from_workload(payload: Mapping[str, Any]) -> Tuple[SimulationPlan, int]
     return plan, n_samples
 
 
-#: One ready-to-run workload per registered fading model, plus the
+#: One ready-to-run workload per fading model, plus the
 #: shadowing composition — the suites behind ``repro-experiments suite``
 #: and the CI workload-suite smoke job.
 NAMED_SUITES: Dict[str, Dict[str, Any]] = {

@@ -1,16 +1,45 @@
-"""Unit tests for the correlated Rician extension."""
+"""Acceptance tests of correlated Rician fading against its analytic targets.
+
+Rician fading runs as the ``rician`` model of a plan entry: the colored
+diffuse block is scaled by ``1/sqrt(K+1)`` and a static per-branch LOS
+amplitude ``sqrt(K Omega / (K+1))`` is added.  These tests drive it through
+:meth:`repro.api.Simulator.envelopes` and check the closed-form targets of
+:func:`repro.core.rician_moments`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import RicianFadingGenerator, rician_moments
+from repro.api import Simulator
+from repro.core import rician_moments
 from repro.exceptions import SpecificationError
 from repro.validation import empirical_correlation_coefficients
+
+RHO = 0.6
+POWERS = np.array([1.0, 2.0])
 
 
 @pytest.fixture()
 def covariance_2x2():
-    return np.array([[1.0, 0.6], [0.6, 1.0]], dtype=complex)
+    """Unequal branch powers ``Omega = (1, 2)`` at correlation ``RHO``."""
+    cross = RHO * np.sqrt(POWERS[0] * POWERS[1])
+    return np.array([[POWERS[0], cross], [cross, POWERS[1]]], dtype=complex)
+
+
+def rician_samples(covariance, n_samples, k_factor, seed, **kwargs):
+    """Complex Rician samples of one plan entry, shape ``(N, n_samples)``."""
+    return (
+        Simulator()
+        .envelopes(
+            covariance,
+            n_samples,
+            seed=seed,
+            fading={"model": "rician", "shape": k_factor},
+            return_gaussian=True,
+            **kwargs,
+        )
+        .samples
+    )
 
 
 class TestRicianMoments:
@@ -36,80 +65,54 @@ class TestRicianMoments:
             rician_moments(1.0, total_power=0.0)
 
 
-class TestConstruction:
-    def test_scalar_k_broadcasts(self, covariance_2x2):
-        generator = RicianFadingGenerator(covariance_2x2, k_factors=3.0, rng=0)
-        assert np.allclose(generator.k_factors, [3.0, 3.0])
-        assert generator.n_branches == 2
-
-    def test_negative_k_rejected(self, covariance_2x2):
-        with pytest.raises(SpecificationError):
-            RicianFadingGenerator(covariance_2x2, k_factors=-1.0, rng=0)
-
-    def test_wrong_phase_shape_rejected(self, covariance_2x2):
-        with pytest.raises(SpecificationError):
-            RicianFadingGenerator(
-                covariance_2x2, k_factors=1.0, los_phases=np.zeros(3), rng=0
+class TestRicianPlanModel:
+    @pytest.mark.parametrize("doppler", [None, 0.05])
+    def test_k_zero_is_byte_identical_to_rayleigh(self, covariance_2x2, doppler):
+        rayleigh = (
+            Simulator()
+            .envelopes(
+                covariance_2x2,
+                1000,
+                seed=1,
+                normalized_doppler=doppler,
+                return_gaussian=True,
             )
+            .samples
+        )
+        rician = rician_samples(covariance_2x2, 1000, 0.0, 1, normalized_doppler=doppler)
+        assert rician.tobytes() == rayleigh.tobytes()
 
-    def test_invalid_sample_count(self, covariance_2x2):
-        generator = RicianFadingGenerator(covariance_2x2, k_factors=1.0, rng=0)
-        with pytest.raises(SpecificationError):
-            generator.generate(0)
-
-
-class TestStatisticalProperties:
-    def test_k_zero_matches_rayleigh_statistics(self, covariance_2x2):
-        generator = RicianFadingGenerator(covariance_2x2, k_factors=0.0, rng=1)
-        samples = generator.generate(300_000)
-        achieved = samples @ samples.conj().T / samples.shape[1]
-        assert np.max(np.abs(achieved - covariance_2x2)) < 0.02
-
-    def test_total_power_preserved_for_any_k(self, covariance_2x2):
-        generator = RicianFadingGenerator(covariance_2x2, k_factors=[0.5, 4.0], rng=2)
-        samples = generator.generate(300_000)
+    @pytest.mark.parametrize("k_factor", [0.5, 4.0])
+    def test_total_power_preserved(self, covariance_2x2, k_factor):
+        samples = rician_samples(covariance_2x2, 300_000, k_factor, 2)
         powers = np.mean(np.abs(samples) ** 2, axis=1)
-        assert np.allclose(powers, 1.0, rtol=0.03)
+        assert np.allclose(powers, POWERS, rtol=0.03)
 
-    def test_envelope_mean_matches_rician_theory(self, covariance_2x2):
-        generator = RicianFadingGenerator(covariance_2x2, k_factors=[1.0, 6.0], rng=3)
-        envelopes = np.abs(generator.generate(300_000))
-        expected = generator.theoretical_envelope_means()
-        measured = np.mean(envelopes, axis=1)
-        assert np.allclose(measured, expected, rtol=0.01)
+    @pytest.mark.parametrize("k_factor", [1.0, 6.0])
+    def test_envelope_mean_matches_rician_theory(self, covariance_2x2, k_factor):
+        envelopes = np.abs(rician_samples(covariance_2x2, 300_000, k_factor, 3))
+        expected = [rician_moments(k_factor, power)[0] for power in POWERS]
+        assert np.allclose(np.mean(envelopes, axis=1), expected, rtol=0.01)
 
-    def test_large_k_envelope_concentrates_around_los_amplitude(self, covariance_2x2):
-        generator = RicianFadingGenerator(covariance_2x2, k_factors=50.0, rng=4)
-        envelopes = np.abs(generator.generate(100_000))
-        assert np.std(envelopes[0]) < 0.15
-        assert np.mean(envelopes[0]) == pytest.approx(1.0, abs=0.02)
+    def test_large_k_envelope_concentrates_on_los_amplitude(self, covariance_2x2):
+        envelopes = np.abs(rician_samples(covariance_2x2, 100_000, 50.0, 4))
+        los_amplitudes = np.sqrt(50.0 * POWERS / 51.0)
+        assert np.all(np.std(envelopes, axis=1) < 0.15 * np.sqrt(POWERS))
+        assert np.allclose(np.mean(envelopes, axis=1), los_amplitudes, rtol=0.02)
 
-    def test_diffuse_correlation_preserved(self, covariance_2x2):
-        # The diffuse parts keep the requested correlation coefficient; after
-        # removing the (deterministic) LOS the correlation survives.
-        generator = RicianFadingGenerator(covariance_2x2, k_factors=2.0, rng=5)
-        samples = generator.generate(300_000)
-        los = generator._los_component(samples.shape[1])
-        diffuse = samples - los
+    def test_diffuse_correlation_survives_without_los(self, covariance_2x2):
+        k_factor = 2.0
+        samples = rician_samples(covariance_2x2, 300_000, k_factor, 5)
+        los = np.sqrt(k_factor * POWERS / (k_factor + 1.0))
+        diffuse = samples - los[:, np.newaxis]
         rho = empirical_correlation_coefficients(diffuse)
-        assert abs(rho[0, 1] - 0.6) < 0.02
+        assert abs(rho[0, 1] - RHO) < 0.02
 
-    def test_los_doppler_rotates_phase(self, covariance_2x2):
-        generator = RicianFadingGenerator(
-            covariance_2x2, k_factors=100.0, los_doppler=0.01, rng=6
+    @pytest.mark.parametrize("k_factor", [0.0, 2.0])
+    def test_doppler_envelopes_are_slowly_varying(self, covariance_2x2, k_factor):
+        samples = rician_samples(
+            covariance_2x2, 1500, k_factor, 7, normalized_doppler=0.05, n_points=2048
         )
-        samples = generator.generate(200)
-        # With K = 100 the LOS dominates; the instantaneous phase should advance
-        # by ~ 2 pi * 0.01 per sample.
-        phase_increment = np.angle(samples[0, 1:] / samples[0, :-1])
-        assert np.median(phase_increment) == pytest.approx(2 * np.pi * 0.01, rel=0.2)
-
-    def test_realtime_mode_shapes_diffuse_component(self, covariance_2x2):
-        generator = RicianFadingGenerator(
-            covariance_2x2, k_factors=0.0, normalized_doppler=0.05, n_points=2048, rng=7
-        )
-        samples = generator.generate(1500)
         assert samples.shape == (2, 1500)
-        # Doppler-shaped diffuse fading: strong sample-to-sample correlation.
-        branch = np.abs(samples[0])
-        assert np.corrcoef(branch[:-1], branch[1:])[0, 1] > 0.9
+        for branch in np.abs(samples):
+            assert np.corrcoef(branch[:-1], branch[1:])[0, 1] > 0.9

@@ -1,8 +1,8 @@
-"""Unit tests for the fading-model registry and spec layer.
+"""Unit tests for the fading-model table and spec layer.
 
 The coarse behavioural invariants (byte-identity, reference tolerances,
 shadowing purity) live in ``tests/property/test_property_fading_models.py``;
-this module pins down the edges: registry resolution, ``coerce_fading``
+this module pins down the edges: table resolution, ``coerce_fading``
 error paths (every malformed spec must raise a ``ValueError`` naming the
 offending field), cache-key contributions, compile grouping, and the
 reprolint markers the hot path depends on.
@@ -19,12 +19,10 @@ from repro.engine import SimulationPlan
 from repro.engine.plancache import compiled_plan_cache_key
 from repro.exceptions import ReproError, SpecificationError
 from repro.models import (
-    FadingModel,
     FadingSpec,
     available_fading_models,
     coerce_fading,
     get_fading_model,
-    register_fading_model,
     shadowing_gains,
 )
 
@@ -43,13 +41,20 @@ class TestRegistry:
         with pytest.raises(ValueError, match="fading.model"):
             get_fading_model(None)
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(SpecificationError, match="already registered"):
-            register_fading_model(get_fading_model("rician"))
+    def test_every_model_in_the_table_changes_the_samples(self):
+        """A model the kernel does not implement would pass as Rayleigh."""
+        from repro.api import Simulator
 
-    def test_non_model_registration_rejected(self):
-        with pytest.raises(SpecificationError, match="FadingModel"):
-            register_fading_model("rician")
+        def samples(fading):
+            block = Simulator().envelopes(BASE, 256, seed=9, fading=fading, return_gaussian=True)
+            return block.samples
+
+        rayleigh = samples(None)
+        for name in available_fading_models():
+            if name == "rayleigh":
+                continue
+            shape = get_fading_model(name).shape_min + 1.5
+            assert not np.allclose(samples({"model": name, "shape": shape}), rayleigh), name
 
     def test_descriptors_declare_their_invariant(self):
         assert get_fading_model("rayleigh").exact
@@ -89,9 +94,19 @@ class TestCoerceFading:
         with pytest.raises(ValueError, match="fading.shape must be None"):
             coerce_fading({"model": "rayleigh", "shape": 2.0})
 
-    def test_non_numeric_shape_names_the_field(self):
+    @pytest.mark.parametrize(
+        "model, shape",
+        [
+            ("weibull", "wide"),
+            pytest.param("rician", True, id="rician-bool"),
+            pytest.param("rician", np.bool_(True), id="rician-numpy-bool"),
+            pytest.param("rician", "2.5", id="rician-numeric-string"),
+            pytest.param("nakagami", False, id="nakagami-bool"),
+        ],
+    )
+    def test_non_numeric_shape_names_the_field(self, model, shape):
         with pytest.raises(ValueError, match="fading.shape"):
-            coerce_fading({"model": "weibull", "shape": "wide"})
+            coerce_fading({"model": model, "shape": shape})
 
     @pytest.mark.parametrize(
         "model, shape",
@@ -101,7 +116,18 @@ class TestCoerceFading:
         with pytest.raises(ValueError, match="fading.shape"):
             coerce_fading({"model": model, "shape": shape})
 
-    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), "loud"])
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            -1.0,
+            float("nan"),
+            "loud",
+            pytest.param(True, id="bool"),
+            pytest.param(np.bool_(False), id="numpy-bool"),
+            pytest.param("3.0", id="numeric-string"),
+            pytest.param(10**400, id="overflowing-int"),
+        ],
+    )
     def test_bad_shadowing_sigma_names_the_field(self, sigma):
         with pytest.raises(ValueError, match="fading.shadowing_sigma_db"):
             coerce_fading({"model": "rician", "shape": 1.0, "shadowing_sigma_db": sigma})

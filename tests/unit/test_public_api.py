@@ -35,6 +35,18 @@ class TestPublicExports:
         for module in (repro, repro.api, repro.core, repro.engine):
             assert not hasattr(module, name), f"{module.__name__}.{name} is still defined"
 
+    @pytest.mark.parametrize("name", ["RicianFadingGenerator", "register_fading_model"])
+    def test_removed_fading_extensions_are_gone(self, name):
+        """Rician runs only as the ``rician`` plan model; the model table is closed."""
+        import repro.core
+        import repro.models
+
+        assert name not in repro.__all__
+        for module in (repro, repro.core, repro.models):
+            assert not hasattr(module, name), f"{module.__name__}.{name} is still defined"
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.rician  # noqa: F401
+
     @pytest.mark.parametrize("name", ["doppler_block_size", "partition_counts"])
     def test_plan_helpers_export_from_engine(self, name):
         import repro.engine
@@ -47,7 +59,6 @@ class TestPublicExports:
             "CovarianceSpec",
             "RayleighFadingGenerator",
             "RealTimeRayleighGenerator",
-            "RicianFadingGenerator",
             "IDFTRayleighGenerator",
             "SumOfSinusoidsGenerator",
             "OFDMScenario",

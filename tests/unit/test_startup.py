@@ -79,7 +79,6 @@ class TestImportBudget:
             "repro.api",
             "repro.core.generator",
             "repro.core.realtime",
-            "repro.core.rician",
             "repro.core.statistics",
             "repro.service.core",
             "repro.shard.runner",

@@ -20,6 +20,7 @@ from repro.core.generator import RayleighFadingGenerator
 from repro.engine import DecompositionCache, SimulationEngine, SimulationPlan
 from repro.experiments import run_experiment
 from repro.experiments.scaling import batch_sweep_specs
+from repro.models import coerce_fading, get_fading_model, reference_fading_samples
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -99,6 +100,34 @@ def test_bench_execute_precompiled_rician(benchmark, batch_size):
     result = benchmark(engine.run, compiled, N_SAMPLES)
     assert result.n_entries == batch_size
     assert result.blocks[0].metadata["fading"]["model"] == "rician"
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+def test_bench_execute_precompiled_nakagami(benchmark, batch_size):
+    """Time: execute-only with the Nakagami envelope map in the kernel.
+
+    The costliest member of the zoo: each sample's target envelope needs
+    the inverse regularized incomplete gamma function (a table-seeded
+    Newton step on scipy's ``gammainc`` / ``gammaincc``).  The first
+    block is checked against the looped scalar reference at the model's
+    declared ``rtol``.
+    """
+    fading = coerce_fading({"model": "nakagami", "shape": 1.5})
+    specs = batch_sweep_specs(batch_size, N_BRANCHES)
+    plan = SimulationPlan.from_specs(specs, seed=batch_size, fading=fading)
+    engine = SimulationEngine(cache=DecompositionCache())
+    compiled = engine.compile(plan)
+
+    result = benchmark(engine.run, compiled, N_SAMPLES)
+    assert result.n_entries == batch_size
+    assert result.blocks[0].metadata["fading"]["model"] == "nakagami"
+    plain = SimulationPlan.from_specs(specs, seed=batch_size)
+    base = engine.run(plain, N_SAMPLES).blocks[0].samples
+    reference = reference_fading_samples(
+        base, specs[0].gaussian_variances, fading, seed=plan[0].seed
+    )
+    rtol = get_fading_model("nakagami").rtol
+    assert np.allclose(result.blocks[0].samples, reference, rtol=rtol, atol=1e-15)
 
 
 def test_bench_batched_equals_looped():

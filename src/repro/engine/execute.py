@@ -52,7 +52,13 @@ import numpy as np
 
 from ..channels.idft_generator import batched_doppler_blocks
 from ..exceptions import GenerationError
-from ..models.fading import FadingStacks, apply_fading_block, build_fading_stacks
+from ..models.fading import (
+    FadingScratch,
+    FadingStacks,
+    apply_fading_block,
+    build_fading_stacks,
+    new_fading_scratch,
+)
 from ..random import complex_gaussian, ensure_rng, spawn_rngs
 from ..types import GaussianBlock
 from .compile import CompiledGroup, CompiledPlan
@@ -124,9 +130,7 @@ class _ExecutionState:
         self._branch_rngs: Dict[int, List[np.random.Generator]] = {}
         self._norms: Dict[int, np.ndarray] = {}
         self._fading: Dict[int, Optional[FadingStacks]] = {}
-        self._fading_scratch: Dict[
-            int, Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
+        self._fading_scratch: Dict[int, FadingScratch] = {}
 
     def workspace(self, group_index: int) -> dict:
         """The group's ``batched_doppler_blocks`` scratch dict."""
@@ -170,19 +174,17 @@ class _ExecutionState:
             return stacks
 
     def fading_scratch(  # reprolint: workspace-constructor
-        self, group_index: int, shape: Tuple[int, ...]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reusable envelope/target/mask scratch for the envelope transforms.
+        self, group_index: int, stacks: FadingStacks, shape: Tuple[int, ...]
+    ) -> FadingScratch:
+        """Reusable scratch for the envelope transforms: the block-shaped
+        envelope/target/mask arrays plus the seeded Nakagami inverse's
+        per-pass float, index and mask buffers.
 
         Re-checked on shape because Doppler requests vary in block length.
         """
         scratch = self._fading_scratch.get(group_index)
-        if scratch is None or scratch[0].shape != shape:
-            scratch = (
-                np.empty(shape, dtype=np.float64),
-                np.empty(shape, dtype=np.float64),
-                np.empty(shape, dtype=np.bool_),
-            )
+        if scratch is None or scratch.envelope.shape != shape:
+            scratch = new_fading_scratch(stacks, shape)
             self._fading_scratch[group_index] = scratch
         return scratch
 
@@ -204,17 +206,15 @@ def _apply_fading(  # reprolint: hot-path
 
     A no-op for plain Rayleigh groups (``stacks is None``), so the default
     path never pays for the seam.  Envelope transforms (Nakagami, Weibull)
-    run through the state-owned float/mask scratch to keep the hot path
-    allocation-free.
+    run through the state-owned float/index/mask scratch to keep the hot
+    path allocation-free.
     """
     stacks = state.fading(group_index, group)
     if stacks is None:
         return
     if stacks.needs_scratch:
-        envelope, target, positive = state.fading_scratch(
-            group_index, colored.shape
-        )
-        apply_fading_block(colored, stacks, envelope, target, positive)
+        scratch = state.fading_scratch(group_index, stacks, colored.shape)
+        apply_fading_block(colored, stacks, scratch)
     else:
         apply_fading_block(colored, stacks)
 

@@ -15,7 +15,7 @@ import pytest
 
 import repro.models.fading as fading_module
 from repro.analysis.framework import ModuleInfo
-from repro.engine import SimulationPlan
+from repro.engine import DopplerSpec, SimulationPlan
 from repro.engine.plancache import compiled_plan_cache_key
 from repro.exceptions import ReproError, SpecificationError
 from repro.models import (
@@ -23,6 +23,7 @@ from repro.models import (
     available_fading_models,
     coerce_fading,
     get_fading_model,
+    reference_fading_samples,
     shadowing_gains,
 )
 
@@ -110,7 +111,13 @@ class TestCoerceFading:
 
     @pytest.mark.parametrize(
         "model, shape",
-        [("rician", -0.5), ("nakagami", 0.25), ("weibull", 0.0), ("weibull", float("inf"))],
+        [
+            ("rician", -0.5),
+            ("nakagami", 0.25),
+            ("weibull", 0.0),
+            ("weibull", float("inf")),
+            pytest.param("weibull", 0.005, id="weibull-gamma-overflow"),
+        ],
     )
     def test_out_of_range_shape_rejected(self, model, shape):
         with pytest.raises(ValueError, match="fading.shape"):
@@ -213,6 +220,189 @@ class TestPlanIntegration:
         for bad_seed in (True, None, 3.0, np.random.default_rng(0)):
             with pytest.raises(ValueError, match="integer per-entry seed"):
                 shadowing_gains(bad_seed, 3.0, 2)
+
+
+class TestNakagamiSeededInverse:
+    """The seeded Newton inverse against the looped ``gammaincinv`` oracle.
+
+    Deterministic wide-range checks the property suite's Gaussian draws
+    cannot reach: ``r^2 / Omega`` from 1e-14 to past the seed table's end,
+    exact zeros, extreme ``m``, and groups mixing ``m`` values.
+    """
+
+    M_VALUES = (0.5, 0.6, 1.0, 1.5, 2.5, 8.0, 100.0, 1e6)
+    POWERS = np.array([0.7, 2.0])
+
+    def _plan(self, ms, doppler=None):
+        plan = SimulationPlan()
+        covariance = np.diag(self.POWERS).astype(complex)
+        for index, m in enumerate(ms):
+            plan.add(
+                covariance,
+                seed=40 + index,
+                doppler=doppler,
+                fading={"model": "nakagami", "shape": m},
+            )
+        return plan
+
+    def _wide_block(self, n_entries):
+        """``(B, 2, n)`` samples with ``r^2 / Omega`` spanning 1e-14..~36.4.
+
+        Each row holds 2048 log-spaced powers from 1e-14 to 36 (the seed
+        table's top), one at 36.4 off the table (where ``u`` still rounds
+        below 1), and two exact zeros; phases are random.
+        """
+        s = np.concatenate([np.geomspace(1e-14, 36.0, 2048), [36.4, 0.0, 0.0]])
+        rng = np.random.default_rng(3)
+        phase = np.exp(2j * np.pi * rng.random((n_entries, 2, s.size)))
+        envelope = np.sqrt(s[np.newaxis, np.newaxis, :] * self.POWERS[:, np.newaxis])
+        return envelope * phase
+
+    def _apply(self, plan, block):
+        stacks = fading_module.build_fading_stacks(list(plan))
+        scratch = fading_module.new_fading_scratch(stacks, block.shape)
+        out = block.copy()
+        fading_module.apply_fading_block(out, stacks, scratch)
+        return out
+
+    def _assert_matches_reference(self, plan, block, got):
+        rtol = get_fading_model("nakagami").rtol
+        for entry, samples, faded in zip(plan, block, got):
+            reference = reference_fading_samples(samples, self.POWERS, entry.fading)
+            assert np.allclose(faded, reference, rtol=rtol, atol=1e-15), entry.fading
+            assert np.array_equal(faded == 0, reference == 0)
+
+    @pytest.mark.parametrize("m", M_VALUES)
+    def test_wide_range_matches_reference(self, m):
+        plan = self._plan([m])
+        block = self._wide_block(1)
+        self._assert_matches_reference(plan, block, self._apply(plan, block))
+
+    def test_mixed_m_group_matches_reference(self):
+        ms = (2.5, 0.6, 0.6, 1e6)
+        plan = self._plan(ms)
+        stacks = fading_module.build_fading_stacks(list(plan))
+        assert [run[2] for run in stacks.inverse_runs] == [2.5, 0.6, 1e6]
+        # m = 1e6 lies past the seeded range: gammaincinv throughout.
+        assert [run[3] is None for run in stacks.inverse_runs] == [False, False, True]
+        block = self._wide_block(len(ms))
+        self._assert_matches_reference(plan, block, self._apply(plan, block))
+
+    @pytest.mark.parametrize(
+        "doppler",
+        [None, DopplerSpec(normalized_doppler=0.05, n_points=64)],
+        ids=["snapshot", "doppler"],
+    )
+    def test_engine_snapshot_and_doppler_match_reference(self, doppler):
+        """Through the engine, with a two-entry group of different m."""
+        from repro.api import Simulator
+
+        faded_plan = self._plan([1.5, 8.0], doppler=doppler)
+        plain_plan = SimulationPlan()
+        for entry in faded_plan:
+            plain_plan.add(entry.spec, seed=entry.seed, doppler=doppler)
+        with Simulator() as simulator:
+            got = simulator.run(faded_plan, 700).blocks
+            base = simulator.run(plain_plan, 700).blocks
+        rtol = get_fading_model("nakagami").rtol
+        for entry, faded, plain in zip(faded_plan, got, base):
+            reference = reference_fading_samples(
+                plain.samples, self.POWERS, entry.fading
+            )
+            assert np.allclose(faded.samples, reference, rtol=rtol, atol=1e-15)
+
+    def test_off_table_elements_take_the_fallback(self, monkeypatch):
+        """s below 1e-12, past the table, or zero goes to gammaincinv."""
+        from scipy import special
+
+        plan = self._plan([1.5])
+        block = self._wide_block(1)
+        stacks = fading_module.build_fading_stacks(list(plan))
+        scratch = fading_module.new_fading_scratch(stacks, block.shape)
+        recomputed = []
+
+        class RecordingSpecial:
+            gammainc = special.gammainc
+            gammaincc = special.gammaincc
+
+            @staticmethod
+            def gammaincinv(m, u, out):
+                recomputed.extend(np.asarray(u).tolist())
+                return special.gammaincinv(m, u, out=out)
+
+        monkeypatch.setattr(fading_module, "_scipy_special", lambda: RecordingSpecial)
+        got = block.copy()
+        fading_module.apply_fading_block(got, stacks, scratch)
+        # The kernel's own r^2 / Omega, rounding included.
+        r = np.abs(block)
+        s = r * r / self.POWERS[:, np.newaxis]
+        off_table = (s < 1e-12) | (s > 36.0)
+        recomputed_here = np.isin(-np.expm1(-s), recomputed)
+        assert np.all(recomputed_here[off_table])
+        # On the table only s > 20 may be recomputed: there u's rounding
+        # moves 1 - u far enough from exp(-s) that the Newton correction
+        # exceeds its tolerance.  Everything below is seeded.
+        assert np.all(s[recomputed_here & ~off_table] > 20.0)
+        assert np.count_nonzero(recomputed_here) < s.size // 4
+        self._assert_matches_reference(plan, block, got)
+
+    def test_output_does_not_depend_on_the_table_being_cached(self, monkeypatch):
+        plan = self._plan([2.5, 0.6])
+        block = self._wide_block(2)
+        monkeypatch.setattr(fading_module, "_INVERSE_TABLES", {})
+        fresh = self._apply(plan, block)
+        assert set(fading_module._INVERSE_TABLES) == {2.5, 0.6}
+        cached = self._apply(plan, block)
+        assert np.array_equal(fresh, cached)
+        table = fading_module._INVERSE_TABLES[2.5]
+        assert not table.c0.flags.writeable
+
+    def test_table_cache_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(fading_module, "_INVERSE_TABLES", {})
+        limit = fading_module._INVERSE_TABLE_LIMIT
+        for index in range(limit + 8):
+            fading_module._inverse_table(1.0 + index / 7.0)
+        assert len(fading_module._INVERSE_TABLES) == limit
+        assert 1.0 + (limit + 7) / 7.0 in fading_module._INVERSE_TABLES
+        assert 1.0 not in fading_module._INVERSE_TABLES
+
+
+class TestInverseTableThreads:
+    def test_concurrent_lookups_stay_bounded_and_consistent(self, monkeypatch):
+        """Serve threads share the table dict: racing lookups and evictions
+        must neither raise nor hand out differing tables for one m."""
+        import sys
+        import threading
+
+        monkeypatch.setattr(fading_module, "_INVERSE_TABLES", {})
+        monkeypatch.setattr(fading_module, "_INVERSE_TABLE_LIMIT", 4)
+        ms = [1.0 + index / 4.0 for index in range(6)]
+        seen = {m: set() for m in ms}
+        errors = []
+
+        def worker(offset):
+            try:
+                for step in range(60):
+                    m = ms[(offset + step) % len(ms)]
+                    table = fading_module._inverse_table(m)
+                    seen[m].add(table.c0.tobytes())
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(fading_module._INVERSE_TABLES) <= 4
+        assert all(len(contents) == 1 for contents in seen.values())
 
 
 class TestLintMarkers:

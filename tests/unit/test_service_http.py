@@ -282,6 +282,27 @@ class TestRoutes:
 
         asyncio.run(scenario())
 
+    def test_weibull_k_overflowing_its_power_gamma_maps_to_400(self):
+        """Gamma(1 + 2/k) overflows for k below ~0.0118: refused at submit.
+
+        Such a k once passed validation, answered 202, and failed the
+        flight with a 500 ``OverflowError`` from the stacked Weibull scale.
+        """
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (service, server):
+                payload = plan_to_payload(_plan(), 32)
+                payload["entries"][0]["fading"] = {"model": "weibull", "shape": 0.005}
+                status, _headers, raw = await _request(
+                    server.port, "POST", "/v1/plans", body=payload
+                )
+                assert status == 400
+                assert "fading.shape" in json.loads(raw)["error"]
+                assert service.metrics()["requests_submitted"] == 0
+            sim.close()
+
+        asyncio.run(scenario())
 
     def test_malformed_doppler_maps_to_400_not_500(self):
         async def scenario():

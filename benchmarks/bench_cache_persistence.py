@@ -1,50 +1,45 @@
-"""Benchmark: warm-start compilation from the persistent artifact cache.
+"""Benchmark: warm-start compilation from the persistent compiled-plan cache.
 
-The persistent artifact cache exists for one scenario: a *new process*
-repeating a heavy sweep it (or CI, or another worker) has run before.  This
-module times ``compile_plan`` over a sweep of B large covariance matrices in
-the cache states that scenario passes through:
+The persistent cache exists for one scenario: a *new process* repeating a
+heavy sweep it (or CI, or another worker) has run before.  This module
+times ``compile_plan`` over a sweep of B large covariance matrices in the
+cache states that scenario passes through:
 
-* **cold** — empty memory cache, empty disk tier: every unique matrix pays
+* **cold** — empty memory cache, no disk tier: every unique matrix pays
   its stacked ``O(N^3)`` eigendecomposition (the first-ever run);
-* **warm disk** — empty memory cache, populated decomposition tier: every
-  decomposition loaded and digest-verified from ``.npz`` entries (the
-  compiled-plan tier is explicitly detached, so this measures the
-  per-matrix tier alone);
-* **warm memory** — populated memory cache: the within-process ceiling;
-* **warm plan** — the executor-level tier: a fresh "process" loads the
-  *whole* compiled plan from one ``plans/`` artifact, skipping grouping,
-  per-matrix hashing, decomposition lookups and stack assembly entirely.
+* **warm memory** — populated decomposition cache: the within-process
+  ceiling;
+* **warm plan** — a fresh "process" loads the *whole* compiled plan from
+  one ``plans/`` artifact, skipping grouping, per-matrix hashing,
+  decompositions and stack assembly entirely.
 
 The sweep uses **large** matrices (N = 64 and 128 branches) deliberately:
 a disk hit costs one file read plus a SHA-256 over the payload, which is
-O(N^2) bytes, while recomputing costs O(N^3) — so the disk tier wins
-exactly where decompositions are expensive (5–9x measured at N = 128) and
-would *lose* on tiny matrices, where recomputing an 8x8 eigh is cheaper
-than opening a file.  Workloads in that regime should rely on the
-in-memory tier alone.
+O(N^2) bytes, while recomputing costs O(N^3), so the plan tier wins
+exactly where decompositions are expensive and would *lose* on tiny
+matrices, where recomputing an 8x8 eigh is cheaper than opening a file.
+That trade-off is why decompositions and Doppler filters have no disk
+tier of their own (ROADMAP item 8).
 
 The cold/warm phases share one cache directory.  By default it is a
 temporary directory populated inside this run; CI sets
 ``REPRO_BENCH_CACHE_DIR`` to a job-persistent path so the cold phase of one
-step hands its disk entries to the warm phase of the next — an actual
+step hands its artifacts to the warm phase of the next — an actual
 cross-process warm start, not a simulation of one.
 
-A correctness guard pins the invariant the speedups depend on: compiling
-from disk — either tier — yields byte-for-byte the samples a fresh
-computation yields.
+A correctness guard pins the invariant the speedup depends on: compiling
+from a disk artifact yields byte-for-byte the samples a fresh computation
+yields.
 """
 
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.engine import (
     CompiledPlanCache,
     DecompositionCache,
-    DopplerFilterCache,
     SimulationEngine,
     SimulationPlan,
     compile_plan,
@@ -74,10 +69,10 @@ def _plan(n_branches, batch_size=BATCH_SIZE):
 
 
 def _populate(cache_dir, n_branches):
-    """Ensure the disk tiers (per-matrix *and* compiled-plan) hold the sweep."""
+    """Ensure the ``plans/`` tier holds the sweep's compiled plan."""
     compile_plan(
         _plan(n_branches),
-        cache=DecompositionCache(cache_dir=cache_dir),
+        cache=DecompositionCache(),
         plan_cache=CompiledPlanCache(cache_dir),
     )
 
@@ -97,28 +92,6 @@ def test_bench_compile_cold(benchmark, cache_root, n_branches):
     # Leave the shared directory populated for the warm phases — in CI this
     # is what the next step's warm runs start from.
     _populate(cache_root / f"n{n_branches}", n_branches)
-
-
-@pytest.mark.parametrize("n_branches", BRANCH_COUNTS)
-def test_bench_compile_warm_disk(benchmark, cache_root, n_branches):
-    """Time: compile a fresh "process" (empty memory) from the disk tier."""
-    cache_dir = cache_root / f"n{n_branches}"
-    _populate(cache_dir, n_branches)  # idempotent; guards solo/-k invocations
-    plan = _plan(n_branches)
-
-    def kernel():
-        # A fresh cache per round models a fresh process: every lookup
-        # misses memory and is served (and digest-verified) from disk.  The
-        # detached plan cache isolates the per-matrix tier being measured.
-        return compile_plan(
-            plan,
-            cache=DecompositionCache(cache_dir=cache_dir),
-            plan_cache=CompiledPlanCache(),
-        )
-
-    compiled = benchmark(kernel)
-    assert compiled.report.cache_hits == BATCH_SIZE
-    assert compiled.report.cache_misses == 0
 
 
 @pytest.mark.parametrize("n_branches", BRANCH_COUNTS)
@@ -157,40 +130,15 @@ def test_bench_compile_warm_plan(benchmark, cache_root, n_branches):
     assert compiled.report.cache_misses == 0
 
 
-def test_bench_doppler_filter_warm_disk(benchmark, cache_root):
-    """Time: resolve a batch of Young–Beaulieu filters from the disk tier."""
-    keys = [(4096, fm) for fm in (0.01, 0.02, 0.05, 0.1, 0.2)]
-    cache_dir = cache_root / "filters"
-    seed_cache = DopplerFilterCache(cache_dir=cache_dir)
-    for n_points, fm in keys:
-        seed_cache.get(n_points, fm)
-
-    def kernel():
-        fresh_process = DopplerFilterCache(cache_dir=cache_dir)
-        return [fresh_process.get(n_points, fm) for n_points, fm in keys]
-
-    resolved = benchmark(kernel)
-    assert all(was_cached for _, _, was_cached in resolved)
-
-
-def test_bench_warm_disk_equals_fresh():
-    """Correctness guard: disk-served compiles execute byte-for-byte equal,
-    through the per-matrix tier and through the compiled-plan tier alike."""
+def test_bench_warm_plan_equals_fresh():
+    """Correctness guard: a compile served by the compiled-plan tier
+    executes byte-for-byte equal to a fresh one."""
     import tempfile
 
     plan = _plan(64, batch_size=4)
     with tempfile.TemporaryDirectory() as tmp:
         fresh = SimulationEngine(cache=DecompositionCache()).run(plan, 64)
-        SimulationEngine(cache_dir=tmp).run(plan, 64)  # populate all tiers
-
-        # Per-matrix tier alone (plan cache detached).
-        warm_engine = SimulationEngine(
-            cache=DecompositionCache(cache_dir=tmp), plan_cache=CompiledPlanCache()
-        )
-        warm = warm_engine.run(plan, 64)
-        assert warm_engine.cache.stats.disk_hits == 4
-        for fresh_block, warm_block in zip(fresh.blocks, warm.blocks):
-            assert fresh_block.samples.tobytes() == warm_block.samples.tobytes()
+        SimulationEngine(cache_dir=tmp).run(plan, 64)  # populate plans/
 
         # Whole-plan tier: zero per-matrix lookups, same bytes.
         plan_engine = SimulationEngine(cache_dir=tmp)
@@ -223,13 +171,6 @@ def test_report_warm_start_speedup(cache_root, capsys):
             plan, cache=DecompositionCache(), plan_cache=CompiledPlanCache()
         )
     )
-    warm_disk = best_of(
-        lambda: compile_plan(
-            plan,
-            cache=DecompositionCache(cache_dir=cache_dir),
-            plan_cache=CompiledPlanCache(),
-        )
-    )
     warm_plan = best_of(
         lambda: compile_plan(
             plan, cache=DecompositionCache(), plan_cache=CompiledPlanCache(cache_dir)
@@ -238,7 +179,6 @@ def test_report_warm_start_speedup(cache_root, capsys):
     with capsys.disabled():
         print(
             f"\n[bench_cache_persistence] B={BATCH_SIZE}, N={n_branches}: "
-            f"cold compile {cold:.4f}s, warm-disk compile {warm_disk:.4f}s "
-            f"({cold / warm_disk:.2f}x), warm-plan compile {warm_plan:.4f}s "
+            f"cold compile {cold:.4f}s, warm-plan compile {warm_plan:.4f}s "
             f"({cold / warm_plan:.2f}x warm-start speedup)"
         )

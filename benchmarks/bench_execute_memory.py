@@ -123,8 +123,8 @@ def test_bench_warm_run_disk_tier(benchmark, cache_root):
     cache_dir = cache_root / "warm-run"
     SimulationEngine(cache_dir=cache_dir).run(plan := _warm_plan(), WARM_SAMPLES)
     engine = SimulationEngine(
-        cache=DecompositionCache(cache_dir=cache_dir),
-        filter_cache=DopplerFilterCache(cache_dir=cache_dir),
+        cache=DecompositionCache(),
+        filter_cache=DopplerFilterCache(),
         plan_cache=CompiledPlanCache(cache_dir, memory_max_bytes=0),
     )
 
@@ -251,8 +251,8 @@ def test_report_execute_memory(cache_root, capsys):
     memory_engine.run(plan, WARM_SAMPLES)  # promote into the memory tier
     warm_memory = best_of(lambda: memory_engine.run(plan, WARM_SAMPLES))
     disk_engine = SimulationEngine(
-        cache=DecompositionCache(cache_dir=cache_dir),
-        filter_cache=DopplerFilterCache(cache_dir=cache_dir),
+        cache=DecompositionCache(),
+        filter_cache=DopplerFilterCache(),
         plan_cache=CompiledPlanCache(cache_dir, memory_max_bytes=0),
     )
     warm_disk = best_of(lambda: disk_engine.run(plan, WARM_SAMPLES))

@@ -60,8 +60,8 @@ def _plan():
 def warm_cache_dir(cache_root):
     """One populated cache directory shared by every phase of this module."""
     cache_dir = cache_root / "shard-sweep"
-    # Publishing through a solo engine warms all tiers (idempotent: CI's
-    # second process finds the first one's artifacts and re-verifies them).
+    # Publishing through a solo engine warms the plans/ tier (idempotent:
+    # CI's second process finds the first one's artifact and re-verifies it).
     SimulationEngine(cache_dir=cache_dir).run(_plan(), N_SAMPLES)
     return cache_dir
 

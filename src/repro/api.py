@@ -51,7 +51,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULTS, NumericDefaults, cache_dir_from_env
+from .config import DEFAULTS, NumericDefaults
 from .engine import (
     BackendSpec,
     BatchResult,
@@ -76,8 +76,8 @@ class Simulator:
     Parameters
     ----------
     backend:
-        Linalg backend name (``"numpy"``, ``"scipy"``, import-gated GPU
-        backends), a :class:`repro.engine.backends.LinalgBackend` instance,
+        Linalg backend name (``"numpy"``, ``"scipy"``), a
+        :class:`repro.engine.backends.LinalgBackend` instance,
         or ``None`` for the numpy default.  With the numpy backend, every
         result is bit-identical to looping single-spec generators with the
         same seeds.
@@ -86,18 +86,16 @@ class Simulator:
         uses the process-wide cache; pass ``DecompositionCache(maxsize=0)``
         to disable reuse.
     cache_dir:
-        Persistent artifact-cache directory for this session: builds a
-        private :class:`DecompositionCache`, Young–Beaulieu filter cache,
-        and compiled-plan cache whose entries spill to disk under it (the
-        ``decompositions/``, ``filters/``, and ``plans/`` namespaces of the
-        unified artifact store), so repeated processes sharing the
-        directory skip recompilation — a warm run loads whole compiled
-        plans without a single ``eigh``/``cholesky`` or filter build (see
-        the README's "Caching & persistence" and ``docs/ARCHITECTURE.md``).
-        Conflicts with an explicit ``cache`` — construct
-        ``DecompositionCache(cache_dir=...)`` yourself to mix.  ``None``
-        (default) leaves caching in-memory unless the ``REPRO_CACHE_DIR``
-        environment variable configured the process-wide caches.
+        Persistent cache directory for this session: builds a private
+        compiled-plan cache whose entries spill to its ``plans/``
+        namespace, next to private memory-only decomposition and filter
+        caches, so repeated processes sharing the directory skip
+        recompilation — a warm run loads whole compiled plans without a
+        single ``eigh``/``cholesky`` or filter build (see the README's
+        "Caching & persistence" and ``docs/ARCHITECTURE.md``).  Conflicts
+        with an explicit ``cache``.  ``None`` (default) leaves caching
+        in-memory unless the ``REPRO_CACHE_DIR`` environment variable
+        attached the process-wide compiled-plan cache.
     max_workers:
         Size of :meth:`submit`'s thread pool (``None`` lets
         :class:`~concurrent.futures.ThreadPoolExecutor` choose).  :meth:`run`
@@ -130,12 +128,6 @@ class Simulator:
         self._engine = SimulationEngine(
             cache=cache, defaults=defaults, backend=backend, cache_dir=cache_dir
         )
-        # The directory the session's disk tier lives in: the explicit
-        # argument, the one a caller-supplied cache carries, or — for
-        # default-cache sessions only — REPRO_CACHE_DIR.
-        if cache_dir is None:
-            cache_dir = cache.cache_dir if cache is not None else cache_dir_from_env()
-        self._cache_dir = None if cache_dir is None else str(cache_dir)
         self._max_workers = max_workers
         self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -162,8 +154,9 @@ class Simulator:
 
     @property
     def cache_dir(self) -> Optional[str]:
-        """The session's persistent cache directory (``None`` if in-memory)."""
-        return self._cache_dir
+        """The directory of the session's ``plans/`` tier (``None`` if in-memory)."""
+        cache_dir = self._engine.plan_cache.cache_dir
+        return None if cache_dir is None else str(cache_dir)
 
     @property
     def max_workers(self) -> Optional[int]:

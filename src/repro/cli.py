@@ -36,32 +36,31 @@ Subcommands
     request coalescing.
 ``shard --shards K --cache-dir DIR [--entries B] [...]``
     Run a deterministic sweep as ``K`` independent worker subprocesses
-    sharing one artifact ``cache_dir`` (see the "Sharding layer" section
-    of ``docs/ARCHITECTURE.md``): all workers start at once; the first
-    compiles the shared decompositions/filters/plan artifacts cold, and the
-    rest wait only for that compile, then warm-hit them through the disk
-    tiers.  Each worker gets an equal share of the cores' BLAS threads
-    unless the environment sets them.  Streams per-shard progress, prints
-    per-tier cache-hit totals, exits non-zero if any slice failed, and
+    sharing one ``cache_dir`` (see the "Sharding layer" section of
+    ``docs/ARCHITECTURE.md``): all workers start and compile at once, and
+    a slice whose compiled plan is already in the shared ``plans/`` tier
+    loads it instead.  Each worker gets an equal share of the cores' BLAS
+    threads unless the environment sets them.  Streams per-shard progress,
+    prints compiled-plan hit totals, exits non-zero if any slice failed, and
     resumes a partially failed run with ``--retry-failed`` (a slice is
     reused only if its payload is unchanged).  ``--check`` verifies
     the merged result byte-for-byte against an in-process solo run
     (standing invariant 7).
 ``cache {stats,clear} [--cache-dir DIR]``
-    Inspect or empty the persistent artifact cache — all three store
-    namespaces: decompositions, Doppler filters, and compiled plans —
-    plus the compiled-plan memory tier's configuration and per-process
-    counters.  The directory comes from ``--cache-dir`` or, when omitted,
-    the ``REPRO_CACHE_DIR`` environment variable.
+    Inspect or empty the persistent cache — its one namespace, compiled
+    plans (``plans/``) — plus the compiled-plan memory tier's
+    configuration and per-process counters.  The directory comes from
+    ``--cache-dir`` or, when omitted, the ``REPRO_CACHE_DIR`` environment
+    variable.
 
 All output is plain text; the experiments regenerate the paper's tables and
 figures as numbers (and ASCII traces with ``--ascii-plots``).
 
 ``--version`` prints the package version.  ``run`` and ``batch`` accept
 ``--backend`` to select the engine's linalg backend (``numpy`` default,
-``scipy``, import-gated GPU backends); experiments that never touch the
-batched engine ignore it, and ``--cache-dir`` to attach the persistent disk
-tier to the process-wide caches for the invocation (equivalent to setting
+``scipy``); experiments that never touch the batched engine ignore it, and
+``--cache-dir`` to attach the persistent compiled-plan tier to the
+process-wide plan cache for the invocation (equivalent to setting
 ``REPRO_CACHE_DIR``).  The ``batch`` summary ends with the decomposition
 cache's aggregate hit/miss counters for the run.
 """
@@ -94,30 +93,23 @@ def _cache_dir_argument(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         type=Path,
         default=None,
-        help="directory of the persistent artifact cache (decomposition and "
-        "Doppler-filter spill); defaults to $REPRO_CACHE_DIR when set",
+        help="directory of the persistent compiled-plan cache (its plans/ "
+        "namespace); defaults to $REPRO_CACHE_DIR when set",
     )
 
 
 def _attach_cache_dir(cache_dir: Optional[Path]) -> None:
-    """Attach a persistent disk tier to the process-wide caches.
+    """Attach a persistent disk tier to the process-wide plan cache.
 
     ``--cache-dir`` is the per-invocation equivalent of exporting
-    ``REPRO_CACHE_DIR`` before the run: the process-wide decomposition,
-    Doppler-filter, and compiled-plan caches gain (or, with ``None`` and no
-    environment variable, keep their lazily-resolved) disk tier under the
-    directory.
+    ``REPRO_CACHE_DIR`` before the run: the process-wide compiled-plan
+    cache gains (or, with ``None`` and no environment variable, keeps its
+    lazily-resolved) ``plans/`` tier under the directory.
     """
     if cache_dir is None:
         return
-    from .engine import (
-        default_decomposition_cache,
-        default_filter_cache,
-        default_plan_cache,
-    )
+    from .engine import default_plan_cache
 
-    default_decomposition_cache().set_cache_dir(cache_dir)
-    default_filter_cache().set_cache_dir(cache_dir)
     default_plan_cache().set_cache_dir(cache_dir)
 
 
@@ -301,9 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Partition a deterministic sweep plan into slices and execute "
             "them as independent worker subprocesses sharing one cache_dir. "
-            "All workers start at once; the first compiles the shared "
-            "artifacts cold, and the rest wait only for that compile, then "
-            "warm-hit the decomposition/filter/plan disk tiers. The merged "
+            "All workers start and compile at once; a slice whose compiled "
+            "plan is already in the shared plans/ tier loads it. The merged "
             "result is bit-identical to a single-process run (standing "
             "invariant 7; verify in-process with --check)."
         ),
@@ -426,42 +417,29 @@ def _resolved_cache_dir(cache_dir: Optional[Path]) -> Path:
 
 
 def _run_cache_command(action: str, cache_dir: Optional[Path]) -> int:
-    """Implement ``repro-experiments cache {stats,clear}``.
-
-    Covers all three namespaces of the unified artifact store:
-    decompositions, Doppler filters, and compiled plans.
-    """
-    from .engine import CompiledPlanCache, DecompositionCache, DopplerFilterCache
+    """Implement ``repro-experiments cache {stats,clear}`` over ``plans/``."""
+    from .engine import CompiledPlanCache
 
     resolved = _resolved_cache_dir(cache_dir)
-    decompositions = DecompositionCache(cache_dir=resolved)
-    filters = DopplerFilterCache(cache_dir=resolved)
     plans = CompiledPlanCache(cache_dir=resolved)
-    # (label, cache, unit of its memory bound and weight)
-    tiers = (
-        ("decompositions", decompositions, "entries"),
-        ("doppler filters", filters, "bytes"),
-        ("compiled plans", plans, "bytes"),
-    )
 
     if action == "clear":
-        removed = sum(cache.clear_disk() for _, cache, _ in tiers)
+        removed = plans.clear_disk()
         print(f"cache cleared: removed {removed} entries under {resolved}")
         return 0
 
     print(f"cache directory: {resolved}")
-    # Memory tiers are per process (they front the disk tier inside a live
-    # engine); each handle reports its default bound and this process's
+    entries, n_bytes = plans.disk_usage()
+    stats = plans.stats
+    print(f"  compiled plans: {entries} entries, {n_bytes / 1024:.1f} KiB")
+    # The memory tier is per process (it fronts the disk tier inside a live
+    # engine); this handle reports its default bound and this process's
     # counters.
-    for label, cache, unit in tiers:
-        entries, n_bytes = cache.disk_usage()
-        stats = cache.stats
-        print(f"  {label}: {entries} entries, {n_bytes / 1024:.1f} KiB")
-        print(
-            f"    memory tier: {stats.size} resident entries, weight "
-            f"{stats.weight} of {cache.memory_bound} {unit}, "
-            f"{stats.memory_hits} hits / {stats.misses} misses this process"
-        )
+    print(
+        f"    memory tier: {stats.size} resident entries, weight "
+        f"{stats.weight} of {plans.memory_bound} bytes, "
+        f"{stats.memory_hits} hits / {stats.misses} misses this process"
+    )
     return 0
 
 
@@ -514,16 +492,6 @@ def _run_shard_command(args) -> int:
     print(
         f"sharded sweep: {len(plan)} entries over {len(outcome.slices)} shards "
         f"in {outcome.wall_seconds:.2f}s (cache_dir={resolved})"
-    )
-    print(
-        "  decompositions: "
-        f"{totals.get('cache_misses', 0)} computed, "
-        f"{totals.get('decompositions_disk_hits', 0)} served from the shared disk tier"
-    )
-    print(
-        "  doppler filters: "
-        f"{totals.get('filters_misses', 0)} built, "
-        f"{totals.get('filters_disk_hits', 0)} shared disk hits"
     )
     print(
         "  compiled plans: "

@@ -13,8 +13,7 @@ functions that accept one.
 
 Environment configuration is read through small helpers so every consumer
 agrees on the variable names: ``REPRO_CACHE_DIR`` selects the directory of
-the persistent artifact cache — all three store namespaces: decompositions,
-Doppler filters, and compiled plans (:func:`cache_dir_from_env`) —
+the persistent compiled-plan cache (:func:`cache_dir_from_env`) —
 equivalent to the CLI's ``--cache-dir`` and the ``cache_dir=`` argument of
 :class:`repro.api.Simulator`.
 """
@@ -34,9 +33,8 @@ __all__ = [
     "cache_dir_from_env",
 ]
 
-#: Environment variable naming the persistent artifact-cache directory
-#: (the root shared by the ``decompositions/``, ``filters/``, and
-#: ``plans/`` namespaces of :class:`repro.engine.store.ArtifactStore`).
+#: Environment variable naming the persistent cache directory (the root of
+#: the compiled-plan cache's ``plans/`` namespace).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 

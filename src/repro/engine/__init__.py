@@ -29,22 +29,21 @@ sweeps and Monte-Carlo grids:
 :mod:`repro.engine.backends`
     The :class:`LinalgBackend` decompose-stack / matmul / fft contract the
     compile and execute steps run on, with a registry of implementations
-    (``"numpy"`` default, ``"scipy"`` LAPACK-driver variant, import-gated
-    GPU backends) so backend choice is a constructor argument of
+    (``"numpy"`` default, ``"scipy"`` LAPACK-driver variant) so backend
+    choice is a constructor argument of
     :class:`SimulationEngine` / :class:`repro.api.Simulator`.
-:mod:`repro.engine.store` / :mod:`repro.engine.cache` /
-:mod:`repro.engine.filters` / :mod:`repro.engine.plancache`
-    The persistent artifact cache.  :class:`ArtifactStore` is the single
-    disk-tier implementation (atomic writes, digest verification,
-    quarantine-on-corrupt, LRU byte-bounded eviction) parameterized by
-    payload dump/load; its three namespaces under one ``cache_dir`` (CLI
-    ``--cache-dir``, env ``REPRO_CACHE_DIR``) are the content-hashed LRU
-    :class:`DecompositionCache`, the process-wide
-    :class:`DopplerFilterCache` of Young–Beaulieu filters, and the
-    executor-level :class:`CompiledPlanCache` that loads *whole* compiled
-    plans without touching ``eigh``/``cholesky`` or filter construction.
-    A disk hit is bit-identical to a fresh computation and a corrupt file
-    is a miss, never an error.
+:mod:`repro.engine.cache` / :mod:`repro.engine.filters` /
+:mod:`repro.engine.plancache` / :mod:`repro.engine.store`
+    The artifact caches.  The content-hashed LRU :class:`DecompositionCache`
+    and the process-wide :class:`DopplerFilterCache` of Young–Beaulieu
+    filters live in memory; the executor-level :class:`CompiledPlanCache`
+    also persists *whole* compiled plans under one ``cache_dir`` (CLI
+    ``--cache-dir``, env ``REPRO_CACHE_DIR``) through
+    :class:`ArtifactStore` (atomic writes, digest verification,
+    quarantine-on-corrupt, LRU byte-bounded eviction), so a later process
+    skips ``eigh``/``cholesky`` and filter construction.  A disk hit is
+    bit-identical to a fresh computation and a corrupt file is a miss,
+    never an error.
 
 **Equivalence guarantee.**  For the same per-entry seeds, batched execution
 is bit-identical to looping single-spec generators — the single-spec path is
@@ -59,11 +58,9 @@ bit-identical to looping :class:`repro.core.realtime.RealTimeRayleighGenerator`.
 
 from .backends import (
     BackendSpec,
-    CupyBackend,
     LinalgBackend,
     NumpyBackend,
     ScipyBackend,
-    TorchBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -99,11 +96,9 @@ from .engine import SimulationEngine
 
 __all__ = [
     "BackendSpec",
-    "CupyBackend",
     "LinalgBackend",
     "NumpyBackend",
     "ScipyBackend",
-    "TorchBackend",
     "available_backends",
     "get_backend",
     "register_backend",

@@ -16,10 +16,7 @@ instead of a code path:
   (``?heevd``) as numpy's ``eigh``, so its results are expected
   bit-identical and it shares the numpy decomposition cache; other drivers
   (``"ev"``, ``"evr"``, ``"evx"``) produce valid but not bitwise-equal
-  decompositions and are cached under their own key;
-* ``"cupy"`` / ``"torch"`` — GPU backends, gated on import and registered
-  lazily; they carry a documented elementwise tolerance instead of the
-  bitwise guarantee (device math is not bit-identical to the CPU path).
+  decompositions and are cached under their own key.
 
 Backends are registered by name in a process-wide registry
 (:func:`register_backend` / :func:`get_backend` /
@@ -56,8 +53,6 @@ __all__ = [
     "LinalgBackend",
     "NumpyBackend",
     "ScipyBackend",
-    "CupyBackend",
-    "TorchBackend",
     "register_backend",
     "get_backend",
     "resolve_backend",
@@ -84,7 +79,7 @@ class LinalgBackend(abc.ABC):
         all (e.g. a LAPACK driver that may flip eigenvector signs — the
         decomposition is still a valid coloring, ``L L^H = K``, but raw
         samples are not comparable).  Positive values are the per-element
-        absolute tolerance GPU parity tests check against.
+        absolute tolerance parity tests check against.
     """
 
     name: str = "abstract"
@@ -97,7 +92,7 @@ class LinalgBackend(abc.ABC):
         Backends that are bit-identical to numpy (``tolerance == 0.0``)
         share the ``"numpy"`` namespace — a cached decomposition is the same
         bytes no matter which of them computed it.  Everything else is
-        cached under its own name so a GPU decomposition can never be
+        cached under its own name so its decompositions can never be
         served to a numpy run (or vice versa).
         """
         return "numpy" if self.tolerance == 0.0 else self.name
@@ -273,113 +268,6 @@ class ScipyBackend(LinalgBackend):
         return (type(self), (self.driver,))
 
 
-class CupyBackend(LinalgBackend):  # pragma: no cover - requires a GPU runtime
-    """GPU backend on cupy, gated on import.
-
-    Stacks are transferred to the device, decomposed with cusolver, and
-    transferred back.  Device math is not bit-identical to LAPACK on the
-    host, so parity against the numpy backend is only guaranteed within
-    :attr:`tolerance` — and the backend is cached under its own namespace.
-    """
-
-    name = "cupy"
-    tolerance: Optional[float] = 1e-8
-
-    def __init__(self) -> None:
-        try:
-            import cupy
-        except ImportError as exc:
-            raise BackendError(
-                "the 'cupy' backend requires cupy, which is not installed"
-            ) from exc
-        self._cupy = cupy
-
-    def eigh(self, stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        cp = self._cupy
-        device = cp.asarray(stack)
-        values = cp.empty(stack.shape[:2], dtype=cp.float64)
-        vectors = cp.empty(stack.shape, dtype=device.dtype)
-        for index in range(stack.shape[0]):
-            values[index], vectors[index] = cp.linalg.eigh(device[index])
-        return cp.asnumpy(values), cp.asnumpy(vectors)
-
-    def cholesky(self, stack: np.ndarray) -> np.ndarray:
-        cp = self._cupy
-        factors = cp.linalg.cholesky(cp.asarray(stack))
-        host = cp.asnumpy(factors)
-        if not np.all(np.isfinite(host)):
-            # cusolver signals failure through NaNs rather than raising.
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-        return host
-
-    def __reduce__(self):
-        return (type(self), ())
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        cp = self._cupy
-        return cp.asnumpy(cp.matmul(cp.asarray(a), cp.asarray(b)))
-
-    def fft(self, array: np.ndarray, axis: int = -1) -> np.ndarray:
-        cp = self._cupy
-        return cp.asnumpy(cp.fft.fft(cp.asarray(array), axis=axis))
-
-    def ifft(self, array: np.ndarray, axis: int = -1) -> np.ndarray:
-        # cuFFT is not bit-identical to pocketfft; parity only within
-        # :attr:`tolerance`, like the decompositions.
-        cp = self._cupy
-        return cp.asnumpy(cp.fft.ifft(cp.asarray(array), axis=axis))
-
-
-class TorchBackend(LinalgBackend):  # pragma: no cover - requires torch
-    """Torch backend (CPU or GPU), gated on import.
-
-    Uses ``torch.linalg`` batched kernels in double precision and converts
-    results back to numpy.  Carries an elementwise tolerance, not the
-    bitwise guarantee.
-    """
-
-    name = "torch"
-    tolerance: Optional[float] = 1e-8
-
-    def __init__(self, device: Optional[str] = None) -> None:
-        try:
-            import torch
-        except ImportError as exc:
-            raise BackendError(
-                "the 'torch' backend requires torch, which is not installed"
-            ) from exc
-        self._torch = torch
-        self.device = device or ("cuda" if torch.cuda.is_available() else "cpu")
-
-    def _to_device(self, array: np.ndarray):
-        return self._torch.as_tensor(np.ascontiguousarray(array), device=self.device)
-
-    def eigh(self, stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        values, vectors = self._torch.linalg.eigh(self._to_device(stack))
-        return values.cpu().numpy(), vectors.cpu().numpy()
-
-    def cholesky(self, stack: np.ndarray) -> np.ndarray:
-        try:
-            factors = self._torch.linalg.cholesky(self._to_device(stack))
-        except Exception as exc:
-            raise np.linalg.LinAlgError(str(exc)) from exc
-        return factors.cpu().numpy()
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._torch.matmul(self._to_device(a), self._to_device(b)).cpu().numpy()
-
-    def fft(self, array: np.ndarray, axis: int = -1) -> np.ndarray:
-        return self._torch.fft.fft(self._to_device(array), dim=axis).cpu().numpy()
-
-    def ifft(self, array: np.ndarray, axis: int = -1) -> np.ndarray:
-        # torch's FFT is not guaranteed bit-identical to pocketfft; parity
-        # only within :attr:`tolerance`, like the decompositions.
-        return self._torch.fft.ifft(self._to_device(array), dim=axis).cpu().numpy()
-
-    def __reduce__(self):
-        return (type(self), (self.device,))
-
-
 # --------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------- #
@@ -396,8 +284,8 @@ def register_backend(
 
     The factory is called lazily on first :func:`get_backend` lookup and may
     raise :class:`repro.exceptions.BackendError` for missing dependencies —
-    which is how the GPU backends stay registered but unavailable on
-    CPU-only hosts.
+    which is how the scipy backends stay registered but unavailable on
+    hosts without scipy.
     """
     if not name or not isinstance(name, str):
         raise BackendError(f"backend name must be a non-empty string, got {name!r}")
@@ -454,8 +342,8 @@ def available_backends() -> List[str]:
     """Names of registered backends whose dependencies import successfully.
 
     Backends are probed by construction; ones that raise
-    :class:`BackendError` (e.g. cupy/torch on a CPU-only host) are simply
-    omitted rather than raising.
+    :class:`BackendError` (e.g. the scipy backends without scipy) are
+    simply omitted rather than raising.
     """
     with _LOCK:
         registered = sorted(_REGISTRY)
@@ -472,5 +360,3 @@ def available_backends() -> List[str]:
 register_backend("numpy", NumpyBackend)
 register_backend("scipy", ScipyBackend)
 register_backend("scipy-evr", lambda: ScipyBackend(driver="evr"))
-register_backend("cupy", CupyBackend)
-register_backend("torch", TorchBackend)

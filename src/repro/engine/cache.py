@@ -11,33 +11,27 @@ parameter that influences the decomposition (coloring method, PSD-forcing
 method, epsilon, numeric tolerances).  Hit/miss/eviction counters are exposed
 for the benchmark harness.
 
-The two tiers — an in-memory LRU of ``maxsize`` entries and an optional
-**disk tier** (``cache_dir``) that spills entries as ``.npz`` files so
-repeated *processes* skip recomputation too — are the shared
-:class:`repro.engine.tiered.TieredCache` over the ``decompositions/``
-namespace of the unified :class:`repro.engine.store.ArtifactStore`.  This
-module only says how a decomposition is keyed and what it looks like on
-disk (the dump/load pair below); a corrupt or truncated file is a *miss*,
-never an error.
+The cache is a memory LRU of ``maxsize`` entries — the shared
+:class:`repro.engine.tiered.TieredCache` without a disk tier.  Repeated
+*processes* skip recompilation through the compiled-plan cache's
+``plans/`` namespace instead: at the paper's sizes an ``eigh`` costs less
+than a verified disk load of its result (ROADMAP item 8).
 
 The cache stores the exact object the single-matrix
-:func:`repro.core.coloring.compute_coloring` pipeline produces, and the disk
-round-trip preserves every array bit-for-bit (``.npz`` stores the raw float
-binary), so a cache hit — memory or disk — is bit-identical to a fresh
-computation: generation results never depend on the cache state.
+:func:`repro.core.coloring.compute_coloring` pipeline produces, so a cache
+hit is bit-identical to a fresh computation: generation results never
+depend on the cache state.
 """
 
 from __future__ import annotations
 
 import hashlib
-from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
 from ..config import DEFAULTS, NumericDefaults
 from ..linalg import ColoringDecomposition
-from .store import DEFAULT_DISK_MAX_BYTES
 from .tiered import TieredCache, TierStats, process_default
 
 __all__ = [
@@ -45,13 +39,7 @@ __all__ = [
     "CacheStats",
     "DecompositionCache",
     "default_decomposition_cache",
-    "DEFAULT_DISK_MAX_BYTES",
 ]
-
-#: On-disk payload-layout version (bumped in PR 5: the store envelope
-#: replaced the ad-hoc per-cache format, so pre-store files read as misses
-#: instead of garbage).
-_DISK_FORMAT_VERSION = 2
 
 
 def decomposition_cache_key(
@@ -75,10 +63,8 @@ def decomposition_cache_key(
     the decomposition (:attr:`repro.engine.backends.LinalgBackend.cache_token`).
     Backends that are bit-identical to numpy share the default ``"numpy"``
     token — their decompositions are interchangeable bytes — while every
-    other backend hashes under its own token so, e.g., a GPU decomposition
-    is never served to a numpy run.  The same namespacing carries over to
-    the disk tier: the key is the file name, so on-disk entries are
-    backend-namespaced too.
+    other backend hashes under its own token so, e.g., a ``scipy-evr``
+    decomposition is never served to a numpy run.
     """
     arr = np.ascontiguousarray(np.asarray(matrix, dtype=complex))
     hasher = hashlib.sha256()
@@ -119,71 +105,16 @@ def _freeze(decomposition: ColoringDecomposition) -> ColoringDecomposition:
     return decomposition
 
 
-def _dump_decomposition(
-    decomposition: ColoringDecomposition,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Store payload of one decomposition: three arrays + diagnostics meta.
-
-    A non-JSON-serializable ``extra`` dict makes the store's envelope
-    serialization fail, which the store treats as "keep this entry
-    memory-only" — exotic strategy diagnostics never fail the run.
-    """
-    arrays = {
-        "coloring_matrix": np.ascontiguousarray(decomposition.coloring_matrix),
-        "effective_covariance": np.ascontiguousarray(
-            decomposition.effective_covariance
-        ),
-        "requested_covariance": np.ascontiguousarray(
-            decomposition.requested_covariance
-        ),
-    }
-    meta = {
-        "method": decomposition.method,
-        "was_repaired": bool(decomposition.was_repaired),
-        "negative_eigenvalue_count": int(decomposition.negative_eigenvalue_count),
-        "min_eigenvalue": float(decomposition.min_eigenvalue),
-        "extra": decomposition.extra,
-    }
-    return arrays, meta
-
-
-def _load_decomposition(
-    arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
-) -> ColoringDecomposition:
-    """Rebuild a decomposition from digest-verified store payload."""
-    return ColoringDecomposition(
-        coloring_matrix=arrays["coloring_matrix"],
-        effective_covariance=arrays["effective_covariance"],
-        requested_covariance=arrays["requested_covariance"],
-        method=str(meta["method"]),
-        was_repaired=bool(meta["was_repaired"]),
-        negative_eigenvalue_count=int(meta["negative_eigenvalue_count"]),
-        min_eigenvalue=float(meta["min_eigenvalue"]),
-        extra=dict(meta.get("extra") or {}),
-    )
-
-
 class DecompositionCache(TieredCache[ColoringDecomposition]):
-    """Thread-safe two-tier (memory LRU + optional disk) decomposition cache.
+    """Thread-safe memory LRU of coloring decompositions.
 
     Parameters
     ----------
     maxsize:
-        Maximum number of decompositions retained *in memory* (each weighs
-        1 against the :class:`~repro.engine.tiered.TieredCache` bound).
-        ``0`` disables the memory tier (useful as an explicit "no caching"
-        baseline in benchmarks — and, combined with ``cache_dir``, yields a
-        disk-only cache).
-    cache_dir:
-        Directory of the persistent disk tier, or ``None`` (default) for a
-        memory-only cache.  Entries are spilled as
-        ``<cache_dir>/decompositions/<key>.npz`` through the unified
-        :class:`repro.engine.store.ArtifactStore`; multiple processes may
-        share one directory (writes are atomic, corrupt files read as
-        misses).
-    disk_max_bytes:
-        LRU byte bound of the disk tier (least-recently-used files are
-        removed once the total exceeds it).
+        Maximum number of decompositions retained (each weighs 1 against
+        the :class:`~repro.engine.tiered.TieredCache` bound).  ``0``
+        disables caching (useful as an explicit "no caching" baseline in
+        benchmarks).
 
     Examples
     --------
@@ -199,27 +130,12 @@ class DecompositionCache(TieredCache[ColoringDecomposition]):
     (1, 1)
     """
 
-    def __init__(
-        self,
-        maxsize: int = 256,
-        *,
-        cache_dir: Union[None, str, Path] = None,
-        disk_max_bytes: int = DEFAULT_DISK_MAX_BYTES,
-    ) -> None:
-        super().__init__(
-            "decompositions",
-            dump=_dump_decomposition,
-            load=_load_decomposition,
-            freeze=_freeze,
-            memory_bound=maxsize,
-            format_version=_DISK_FORMAT_VERSION,
-            cache_dir=cache_dir,
-            disk_max_bytes=disk_max_bytes,
-        )
+    def __init__(self, maxsize: int = 256) -> None:
+        super().__init__(freeze=_freeze, memory_bound=maxsize)
 
     @property
     def maxsize(self) -> int:
-        """Maximum number of decompositions stored in memory."""
+        """Maximum number of decompositions stored."""
         return self.memory_bound
 
     def lookup(self, key: str) -> Optional[ColoringDecomposition]:
@@ -227,10 +143,10 @@ class DecompositionCache(TieredCache[ColoringDecomposition]):
         return self._lookup(key)
 
     def store(self, key: str, decomposition: ColoringDecomposition) -> None:
-        """Freeze and insert a decomposition in every configured tier.
+        """Freeze and insert a decomposition.
 
         The arrays the pipeline computes itself are frozen read-only even
-        when no tier keeps the entry, so callers receive the same immutable
+        when the cache keeps no entry, so callers receive the same immutable
         object a cache hit would hand out.
         """
         self._put(key, decomposition)
@@ -272,9 +188,7 @@ def default_decomposition_cache() -> DecompositionCache:
     Shared by every :class:`repro.api.Simulator` built without an explicit
     cache and by :class:`repro.core.generator.RayleighFadingGenerator` instances that are
     not given an explicit cache, so sweeps that construct many generators
-    over repeated covariance matrices decompose each matrix once.  When the
-    ``REPRO_CACHE_DIR`` environment variable is set at first use, the cache
-    is created with that persistent disk tier attached (the CLI's
-    ``--cache-dir`` attaches one explicitly via :meth:`DecompositionCache.set_cache_dir`).
+    over repeated covariance matrices decompose each matrix once.  It stays
+    in memory whatever ``REPRO_CACHE_DIR`` says.
     """
     return process_default(DecompositionCache)

@@ -86,7 +86,7 @@ class CompileReport:
         have built ``N + 1`` filters for each of them.
     doppler_filter_cache_hits:
         How many of the ``doppler_filters_built`` keys were served by the
-        process-wide (or on-disk) filter cache instead of being constructed
+        process-wide filter cache instead of being constructed
         during this pass.
     plan_cache_hits:
         1 when this whole compilation was served from the compiled-plan

@@ -39,8 +39,7 @@ class SimulationEngine:
         Numeric tolerance bundle for the decomposition pipeline.
     backend:
         Linalg backend for the stacked decompositions and the coloring
-        multiply — a registered name (``"numpy"``, ``"scipy"``, gated GPU
-        backends), a :class:`repro.engine.backends.LinalgBackend` instance,
+        multiply — a registered name (``"numpy"``, ``"scipy"``), a :class:`repro.engine.backends.LinalgBackend` instance,
         or ``None`` for the numpy default.
     filter_cache:
         Young–Beaulieu filter cache for Doppler-mode compilation.  ``None``
@@ -57,14 +56,12 @@ class SimulationEngine:
         env-attached ``plans/`` tier.  Pass a ``CompiledPlanCache``
         explicitly to combine the two.
     cache_dir:
-        Convenience: build *private* persistent caches rooted at this
-        directory (a :class:`DecompositionCache`, a
-        :class:`repro.engine.filters.DopplerFilterCache`, and a
-        :class:`repro.engine.plancache.CompiledPlanCache` with their disk
-        tiers attached — the three namespaces of the unified artifact
-        store).  Only valid when the corresponding explicit cache
-        argument is ``None`` — pass caches constructed with ``cache_dir=``
-        yourself to mix.
+        Convenience: build a *private* persistent
+        :class:`repro.engine.plancache.CompiledPlanCache` rooted at this
+        directory (its ``plans/`` namespace), next to private memory-only
+        decomposition and filter caches.  Only valid when every explicit
+        cache argument is ``None`` — pass
+        ``plan_cache=CompiledPlanCache(cache_dir)`` yourself to mix.
 
     Examples
     --------
@@ -91,13 +88,13 @@ class SimulationEngine:
         if cache_dir is not None:
             if cache is not None or filter_cache is not None or plan_cache is not None:
                 raise SpecificationError(
-                    "cache_dir builds private persistent caches and conflicts "
-                    "with an explicit cache/filter_cache/plan_cache; construct "
-                    "the caches with cache_dir= yourself instead"
+                    "cache_dir builds private caches and conflicts with an "
+                    "explicit cache/filter_cache/plan_cache; pass "
+                    "plan_cache=CompiledPlanCache(cache_dir) yourself instead"
                 )
-            cache = DecompositionCache(cache_dir=cache_dir)
-            filter_cache = DopplerFilterCache(cache_dir=cache_dir)
-            plan_cache = CompiledPlanCache(cache_dir=cache_dir)
+            cache = DecompositionCache()
+            filter_cache = DopplerFilterCache()
+            plan_cache = CompiledPlanCache(cache_dir)
         if plan_cache is None:
             # The plan-tier default follows the decomposition cache: only a
             # default-cache engine picks up the (possibly env-attached)

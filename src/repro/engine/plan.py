@@ -207,7 +207,7 @@ def coerce_doppler(doppler: DopplerLike) -> Optional[DopplerSpec]:
                 input_variance_per_dim=float(doppler.get("input_variance_per_dim", 0.5)),
                 compensate_variance=bool(doppler.get("compensate_variance", True)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecificationError(f"malformed doppler mapping: {exc}") from exc
     raise SpecificationError(
         "doppler must be None, a normalized Doppler frequency, a mapping, or a "

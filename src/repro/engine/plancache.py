@@ -1,16 +1,15 @@
 """The compiled-plan cache: whole :class:`CompiledPlan` objects, two tiers.
 
-The decomposition and Doppler-filter tiers (PR 4) persist the *per-matrix*
-artifacts of compilation, but the compiled plan itself — grouping, coloring
-stacks, filter assembly, per-entry effective variances — was still rebuilt
-on every process start: a warm compile re-hashed every entry, probed the
-decomposition store once per unique matrix, and re-assembled every stack.
-:class:`CompiledPlanCache` is the executor-level cache on top of the
-unified :class:`repro.engine.store.ArtifactStore` (namespace ``plans/``)
-that short-circuits all of it: :func:`repro.engine.compile.compile_plan`
+This is the one cache that persists: ``cache_dir`` holds a single
+namespace, ``plans/``.  :class:`CompiledPlanCache` is the executor-level
+cache on top of the :class:`repro.engine.store.ArtifactStore` that
+short-circuits the whole compile pass: :func:`repro.engine.compile.compile_plan`
 content-hashes the ``(plan, backend namespace)`` pair and, on a hit, serves
-the full :class:`~repro.engine.compile.CompiledPlan` without touching
-``eigh``/``cholesky`` or filter construction at all.
+the full :class:`~repro.engine.compile.CompiledPlan` — grouping, coloring
+stacks, filters, per-entry effective variances — without touching
+``eigh``/``cholesky`` or filter construction at all.  The decomposition and
+Doppler-filter caches underneath stay in memory: at the paper's sizes a
+recompute is cheaper than a verified disk load (ROADMAP item 8).
 
 Two tiers, probed memory-first:
 
@@ -83,9 +82,9 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
+from ..config import DEFAULTS, NumericDefaults, cache_dir_from_env
 from ..linalg import ColoringDecomposition
-from .store import DEFAULT_DISK_MAX_BYTES
+from .store import DEFAULT_DISK_MAX_BYTES, ArtifactStore
 from .tiered import DEFAULT_MEMORY_MAX_BYTES, TieredCache, TierStats, process_default
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -442,9 +441,8 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
     Parameters
     ----------
     cache_dir:
-        Root of the shared artifact cache; artifacts live under
-        ``<cache_dir>/plans/<key>.npz``, as the third namespace next to
-        ``decompositions/`` and ``filters/``.
+        Root of the persistent cache; artifacts live under
+        ``<cache_dir>/plans/<key>.npz``.
     disk_max_bytes:
         LRU byte bound of the ``plans/`` namespace.
     memory_max_bytes:
@@ -458,6 +456,8 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
         baseline).
     """
 
+    _store: ArtifactStore
+
     def __init__(
         self,
         cache_dir: Union[None, str, Path] = None,
@@ -466,21 +466,60 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
         memory_max_bytes: Optional[int] = None,
     ) -> None:
         super().__init__(
-            "plans",
-            dump=_dump_plan,
-            load=_load_plan,
             freeze=_freeze_plan,
             size_of=_resident_bytes,
             memory_bound=memory_max_bytes,
-            format_version=_DISK_FORMAT_VERSION,
-            cache_dir=cache_dir,
-            disk_max_bytes=disk_max_bytes,
+            store=ArtifactStore(
+                "plans",
+                dump=_dump_plan,
+                load=_load_plan,
+                cache_dir=cache_dir,
+                format_version=_DISK_FORMAT_VERSION,
+                max_bytes=disk_max_bytes,
+            ),
         )
 
     @property
     def memory_max_bytes(self) -> int:
         """Resolved byte bound of the memory tier (``0`` = disabled)."""
         return self.memory_bound
+
+    @property
+    def cache_dir(self) -> Optional[Path]:
+        """Root directory of the disk tier (``None`` when memory-only)."""
+        return self._store.cache_dir
+
+    @property
+    def disk_max_bytes(self) -> int:
+        """Byte bound of the disk tier."""
+        return self._store.max_bytes
+
+    @property
+    def artifact_store(self) -> ArtifactStore:
+        """The :class:`ArtifactStore` namespace backing the disk tier."""
+        return self._store
+
+    def set_cache_dir(self, cache_dir: Union[None, str, Path]) -> None:
+        """Attach (or detach, with ``None``) the persistent disk tier.
+
+        Existing files under the directory become visible at once and
+        counters are kept.  Resident entries are content-addressed, so they
+        stay valid; the memory bound is re-applied (detaching a tier whose
+        bound follows the disk tier drops every resident entry).
+        """
+        self._store.set_cache_dir(cache_dir)
+        bound = self.memory_bound
+        with self._lock:
+            self._trim_locked(bound)
+
+    def clear_disk(self) -> int:
+        """Remove every file of the disk tier (``.tmp`` and quarantine
+        leftovers included); returns the number of entries removed."""
+        return self._store.clear()
+
+    def disk_usage(self) -> Tuple[int, int]:
+        """``(n_files, total_bytes)`` of the disk tier (``(0, 0)`` if none)."""
+        return self._store.usage()
 
     def lookup(
         self,
@@ -540,6 +579,10 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
         return self._put(key, _resident_from_compiled(compiled))[1]
 
 
+def _plan_cache_from_env() -> CompiledPlanCache:
+    return CompiledPlanCache(cache_dir_from_env())
+
+
 def default_plan_cache() -> CompiledPlanCache:
     """The process-wide compiled-plan cache.
 
@@ -547,4 +590,4 @@ def default_plan_cache() -> CompiledPlanCache:
     the CLI's ``--cache-dir`` attaches a directory; engines built with
     ``cache_dir=`` use their own private instances instead.
     """
-    return process_default(CompiledPlanCache)
+    return process_default(_plan_cache_from_env)

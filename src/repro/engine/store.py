@@ -1,21 +1,17 @@
-"""The unified artifact store: one disk-tier implementation for every cache.
+"""The artifact store: the disk tier of the compiled-plan cache.
 
-PR 4 gave both expensive compile artifacts — coloring decompositions and
-Young–Beaulieu Doppler filters — a persistent disk tier, but each cache
-carried its own copy of the protocol: atomic write-then-rename, SHA-256
-digest verification, quarantine of corrupt entries, sweeping of stale
-temporary files, and LRU byte-bounded eviction.  :class:`ArtifactStore` is
-that protocol extracted once, parameterized by payload *dump/load*
-callbacks, so :class:`repro.engine.cache.DecompositionCache`,
-:class:`repro.engine.filters.DopplerFilterCache`, and the compiled-plan
-cache (:mod:`repro.engine.plancache`) are thin clients and a format or
-fsync change lands in exactly one place.
+:class:`ArtifactStore` is the persistence protocol — atomic
+write-then-rename, SHA-256 digest verification, quarantine of corrupt
+entries, sweeping of stale temporary files, and LRU byte-bounded eviction
+— parameterized by payload *dump/load* callbacks, so the compiled-plan
+cache (:mod:`repro.engine.plancache`) supplies only its codec and a format
+or fsync change lands in exactly one place.
 
 Layout and protocol
 -------------------
 Each store owns one *namespace* sub-directory of a shared ``cache_dir``
-(``decompositions/``, ``filters/``, ``plans/``); several processes may share
-one directory.  Entries are ``<namespace>/<key>.npz`` archives holding the
+(the plan cache's is ``plans/``); several processes may share one
+directory.  Entries are ``<namespace>/<key>.npz`` archives holding the
 client's named arrays plus two reserved members:
 
 * ``__meta__`` — a JSON envelope ``{format, namespace, key, meta}`` where
@@ -201,8 +197,8 @@ class ArtifactStore:
     Parameters
     ----------
     namespace:
-        Sub-directory of ``cache_dir`` this store owns (``decompositions``,
-        ``filters``, ``plans``).  The namespace is folded into every entry's
+        Sub-directory of ``cache_dir`` this store owns (``plans`` for the
+        compiled-plan cache).  The namespace is folded into every entry's
         digest envelope, so an archive copied between namespaces reads as a
         miss instead of garbage.
     dump, load:

@@ -1,4 +1,4 @@
-"""One tiered cache: a weighted memory LRU above one artifact-store namespace.
+"""One tiered cache: a weighted memory LRU above an optional artifact-store namespace.
 
 Compilation produces three costly artifacts worth keeping — the coloring
 decomposition of a covariance matrix, the Young–Beaulieu filter of
@@ -6,20 +6,25 @@ Eq. (21), and the whole compiled plan — and each is cached the same way:
 
 * a **memory tier**: an LRU bounded by the total *weight* of its entries
   (``size_of``: 1 per decomposition, resident bytes per filter or plan);
-* an optional **disk tier**: one namespace of the unified
-  :class:`repro.engine.store.ArtifactStore`, which owns the on-disk format
-  and its safety protocol (atomic writes, digest verification, quarantine,
-  eviction, cross-process locking).
+* for compiled plans only, a **disk tier**: the ``plans/`` namespace of
+  the :class:`repro.engine.store.ArtifactStore`, which owns the on-disk
+  format and its safety protocol (atomic writes, digest verification,
+  quarantine, eviction, cross-process locking).
+
+Decompositions and filters stay in memory: at the paper's sizes a
+recompute costs less than a verified disk load, and ``plans/`` already
+serves a repeated plan across processes (ROADMAP item 8 has the numbers).
 
 :class:`TieredCache` is that machinery, written once.  It owns the memory
 LRU, the lock, the hit/miss/eviction counters and their :class:`TierStats`
-snapshot, disk-hit promotion, the lazy spill of entries that predate an
-attached disk tier, the disk-plumbing methods, the compile singleflight
+snapshot, disk-hit promotion and the lazy spill of entries that predate an
+attached disk tier (when a store is given), the compile singleflight
 table, and the process-wide default instances (:func:`process_default`).
 The three caches built on it — :class:`repro.engine.cache.DecompositionCache`,
 :class:`repro.engine.filters.DopplerFilterCache` and
-:class:`repro.engine.plancache.CompiledPlanCache` — each supply a namespace,
-a key, a dump/load/freeze codec, ``size_of``, and one domain method.
+:class:`repro.engine.plancache.CompiledPlanCache` — each supply a key, a
+freeze function, ``size_of``, and one domain method; the plan cache also
+supplies its store.
 
 Safety rules every tier inherits:
 
@@ -36,13 +41,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, Generic, Optional, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, Generic, Optional, Tuple, TypeVar
 
-import numpy as np
-
-from ..config import cache_dir_from_env
-from .store import DEFAULT_DISK_MAX_BYTES, ArtifactStore
+from .store import ArtifactStore, StoreStats
 
 __all__ = [
     "DEFAULT_MEMORY_MAX_BYTES",
@@ -57,8 +58,6 @@ DEFAULT_MEMORY_MAX_BYTES = 256 * 1024 * 1024
 
 V = TypeVar("V")
 C = TypeVar("C")
-
-Payload = Tuple[Dict[str, np.ndarray], Dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,8 @@ class TierStats:
         (entries for decompositions, bytes for filters and plans).
     disk_hits:
         Lookups served by loading a disk entry after a memory miss;
-        ``hits - disk_hits`` is the memory-tier hit count.
+        ``hits - disk_hits`` is the memory-tier hit count.  This and every
+        other ``disk_*`` field stay 0 for the memory-only caches.
     disk_misses:
         Disk probes that found no usable entry (absent, corrupt, or
         rejected).  Only counted while a ``cache_dir`` is attached.
@@ -138,17 +138,10 @@ def _as_is(value: Any, from_disk: bool) -> Any:
 
 
 class TieredCache(Generic[V]):
-    """Thread-safe memory LRU over one optional :class:`ArtifactStore` namespace.
+    """Thread-safe memory LRU over an optional :class:`ArtifactStore` namespace.
 
     Parameters
     ----------
-    namespace:
-        Sub-directory of ``cache_dir`` the disk tier owns.
-    dump, load:
-        The disk codec (see :data:`repro.engine.store.DumpFn` /
-        :data:`~repro.engine.store.LoadFn`).  ``load`` must return the same
-        resident form that :meth:`_put` stores, so one consumer serves both
-        tiers.
     freeze:
         Makes a value's shared arrays read-only and returns it; applied to
         every stored and every disk-loaded value.
@@ -159,26 +152,19 @@ class TieredCache(Generic[V]):
         tier.  ``None`` follows the disk tier:
         :data:`DEFAULT_MEMORY_MAX_BYTES` while one is attached, ``0`` while
         detached.
-    format_version:
-        Payload-layout version written into every disk envelope; entries of
-        other versions read as misses.
-    cache_dir, disk_max_bytes:
-        Root of the shared disk cache (``None`` = memory-only) and the LRU
-        byte bound of this namespace.
+    store:
+        The disk tier, or ``None`` for a memory-only cache.  Its ``load``
+        must return the same resident form that :meth:`_put` stores, so one
+        consumer serves both tiers.
     """
 
     def __init__(
         self,
-        namespace: str,
         *,
-        dump: Callable[[V], Optional[Payload]],
-        load: Callable[[Dict[str, np.ndarray], Dict[str, Any]], Optional[V]],
         freeze: Callable[[V], V],
         size_of: Callable[[V], int] = _unit_weight,
         memory_bound: Optional[int],
-        format_version: int,
-        cache_dir: Union[None, str, Path] = None,
-        disk_max_bytes: int = DEFAULT_DISK_MAX_BYTES,
+        store: Optional[ArtifactStore] = None,
     ) -> None:
         if memory_bound is not None and memory_bound < 0:
             raise ValueError(
@@ -199,44 +185,27 @@ class TieredCache(Generic[V]):
         self._inflight: Dict[str, threading.Event] = {}
         self._inflight_leads = 0
         self._inflight_coalesced = 0
-        self._store = ArtifactStore(
-            namespace,
-            dump=dump,
-            load=load,
-            cache_dir=cache_dir,
-            format_version=format_version,
-            max_bytes=disk_max_bytes,
-        )
+        self._store = store
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     @property
+    def _attached(self) -> bool:
+        """Whether a disk tier is attached (lock-free, advisory)."""
+        return self._store is not None and self._store.attached
+
+    @property
     def memory_bound(self) -> int:
         """Resolved bound of the memory tier (``0`` = disabled)."""
         if self._memory_config is not None:
             return self._memory_config
-        return DEFAULT_MEMORY_MAX_BYTES if self._store.attached else 0
+        return DEFAULT_MEMORY_MAX_BYTES if self._attached else 0
 
     @property
     def enabled(self) -> bool:
         """Whether any tier is active (memory bound above 0, or a disk tier)."""
-        return self.memory_bound > 0 or self._store.attached
-
-    @property
-    def cache_dir(self) -> Optional[Path]:
-        """Root directory of the disk tier (``None`` when memory-only)."""
-        return self._store.cache_dir
-
-    @property
-    def disk_max_bytes(self) -> int:
-        """Byte bound of the disk tier."""
-        return self._store.max_bytes
-
-    @property
-    def artifact_store(self) -> ArtifactStore:
-        """The :class:`ArtifactStore` namespace backing the disk tier."""
-        return self._store
+        return self.memory_bound > 0 or self._attached
 
     @property
     def stats(self) -> TierStats:
@@ -255,8 +224,9 @@ class TieredCache(Generic[V]):
                 inflight_leads=self._inflight_leads,
                 inflight_coalesced=self._inflight_coalesced,
             )
-        disk = self._store.stats
-        disk_entries, disk_bytes = self._store.usage()
+        store = self._store
+        disk = StoreStats() if store is None else store.stats
+        disk_entries, disk_bytes = (0, 0) if store is None else store.usage()
         return TierStats(
             disk_hits=disk.hits,
             disk_misses=disk.misses,
@@ -291,6 +261,7 @@ class TieredCache(Generic[V]):
         A memory hit also spills an entry that predates the disk tier; the
         store makes that free for keys it already holds (or cannot write).
         """
+        store = self._store
         with self._lock:
             slot = self._entries.get(key)
             if slot is not None:
@@ -300,13 +271,13 @@ class TieredCache(Generic[V]):
             if served is not None:
                 with self._lock:
                     self._hits += 1
-                if self._store.attached:
-                    self._store.put(key, slot[0])
+                if store is not None and store.attached:
+                    store.put(key, slot[0])
                 return served
             self._drop(key)
 
         served = None
-        loaded = self._store.lookup(key)
+        loaded = None if store is None else store.lookup(key)
         if loaded is not None:
             served = use(self._remember(key, self._freeze(loaded)), True)
             if served is None:
@@ -325,7 +296,7 @@ class TieredCache(Generic[V]):
         thread inserted ``key`` first — and whether a disk file was written.
         """
         value = self._remember(key, self._freeze(value))
-        return value, self._store.put(key, value)
+        return value, self._store is not None and self._store.put(key, value)
 
     def _remember(self, key: str, value: V) -> V:
         """Insert into the memory tier (first insert wins); return the resident value."""
@@ -365,7 +336,8 @@ class TieredCache(Generic[V]):
         re-counts its already-counted disk hit as a corruption miss.
         """
         self._drop(key)
-        self._store.invalidate(key)
+        if self._store is not None:
+            self._store.invalidate(key)
 
     # ------------------------------------------------------------------ #
     # In-flight computation coalescing (singleflight)
@@ -403,21 +375,8 @@ class TieredCache(Generic[V]):
             event.set()
 
     # ------------------------------------------------------------------ #
-    # Disk plumbing and maintenance
+    # Maintenance
     # ------------------------------------------------------------------ #
-    def set_cache_dir(self, cache_dir: Union[None, str, Path]) -> None:
-        """Attach (or detach, with ``None``) the persistent disk tier.
-
-        Existing files under the directory become visible at once and
-        counters are kept.  Resident entries are content-addressed, so they
-        stay valid; the memory bound is re-applied (detaching a tier whose
-        bound follows the disk tier drops every resident entry).
-        """
-        self._store.set_cache_dir(cache_dir)
-        bound = self.memory_bound
-        with self._lock:
-            self._trim_locked(bound)
-
     def clear(self) -> int:
         """Drop every memory entry (counters and disk kept); returns how many."""
         with self._lock:
@@ -425,15 +384,6 @@ class TieredCache(Generic[V]):
             self._entries.clear()
             self._weight = 0
         return removed
-
-    def clear_disk(self) -> int:
-        """Remove every file of the disk tier (``.tmp`` and quarantine
-        leftovers included); returns the number of entries removed."""
-        return self._store.clear()
-
-    def disk_usage(self) -> Tuple[int, int]:
-        """``(n_files, total_bytes)`` of the disk tier (``(0, 0)`` if none)."""
-        return self._store.usage()
 
     def reset_stats(self) -> None:
         """Zero every counter (entries are kept)."""
@@ -443,24 +393,24 @@ class TieredCache(Generic[V]):
             self._evictions = 0
             self._inflight_leads = 0
             self._inflight_coalesced = 0
-        self._store.reset_stats()
+        if self._store is not None:
+            self._store.reset_stats()
 
 
-#: Process-wide instances, one per cache class (see :func:`process_default`).
+#: Process-wide instances, one per factory (see :func:`process_default`).
 _DEFAULTS: Dict[Callable[..., Any], Any] = {}
 _DEFAULTS_LOCK = threading.Lock()
 
 
-def process_default(factory: Callable[..., C]) -> C:
-    """The process-wide instance of a cache class, created on first use.
+def process_default(factory: Callable[[], C]) -> C:
+    """The process-wide instance ``factory()`` builds, created on first use.
 
-    Created lazily so ``REPRO_CACHE_DIR`` is honored at first use: when it
-    is set, the instance starts with that disk tier attached (the CLI's
-    ``--cache-dir`` attaches one later through ``set_cache_dir``).
+    Created lazily, so a factory that reads the environment (the plan
+    cache's ``REPRO_CACHE_DIR``) sees it as of first use.
     """
     with _DEFAULTS_LOCK:
         cache = _DEFAULTS.get(factory)
         if cache is None:
-            cache = factory(cache_dir=cache_dir_from_env())
+            cache = factory()
             _DEFAULTS[factory] = cache
         return cache

@@ -115,8 +115,8 @@ class BackendError(ReproError, RuntimeError):
     """A linear-algebra backend is unknown, unavailable, or failed to load.
 
     Raised by :func:`repro.engine.backends.get_backend` when the requested
-    backend name is not registered or its import-gated dependency (scipy,
-    cupy, torch) is missing from the environment.
+    backend name is not registered or its import-gated dependency (scipy)
+    is missing from the environment.
     """
 
 

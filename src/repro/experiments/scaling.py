@@ -182,8 +182,8 @@ def shard_sweep_plan(
 ) -> SimulationPlan:
     """A deterministic labelled sweep plan for the sharded runner.
 
-    Builds on :func:`batch_sweep_specs` (every matrix unique, so shards
-    share decompositions only through the disk tier, never by accident)
+    Builds on :func:`batch_sweep_specs` (every matrix unique, so no two
+    entries share a decomposition)
     with per-entry seeds ``seed + index`` and labels ``sweep-<index>``.
     With ``doppler_every=k`` every ``k``-th entry becomes a Doppler entry
     sharing one filter key — the mixed-workload shape the `shard` CLI,

@@ -39,6 +39,7 @@ __all__ = [
     "plan_from_payload",
     "seed_to_payload",
     "seed_from_payload",
+    "int_from_payload",
     "encode_array",
     "decode_array",
     "result_to_lines",
@@ -84,6 +85,19 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, np.floating):
         return float(value)
     return value
+
+
+def int_from_payload(value: Any, field: str) -> int:
+    """``value`` as an ``int`` when it is a JSON integer; otherwise refuse it.
+
+    ``int()`` alone would truncate ``1.5`` and ``true`` to 1, and raise
+    :class:`OverflowError` on ``1e400``, which JSON decodes to infinity.
+    Anything but an integer raises a :class:`SpecificationError` naming
+    ``field``.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SpecificationError(f"{field} must be an integer, got {value!r}")
 
 
 def seed_to_payload(seed: Any) -> Any:
@@ -134,7 +148,7 @@ def seed_from_payload(raw: Any) -> Any:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecificationError(f"malformed generator state: {exc}") from exc
         return generator
-    return int(raw)
+    return int_from_payload(raw, "seed")
 
 
 def _doppler_to_payload(doppler: DopplerSpec) -> Dict[str, Any]:
@@ -215,7 +229,7 @@ def plan_from_payload(payload: Dict[str, Any]) -> Tuple[SimulationPlan, int]:
             f"(this server speaks {PROTOCOL_VERSION})"
         )
     try:
-        n_samples = int(payload["n_samples"])
+        n_samples = int_from_payload(payload["n_samples"], "n_samples")
         raw_entries = payload["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecificationError(f"malformed submission payload: {exc}") from exc

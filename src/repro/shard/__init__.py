@@ -1,11 +1,11 @@
-"""Sharded sweep execution over the shared artifact cache (ROADMAP item 2).
+"""Sharded sweep execution over the shared compiled-plan cache (ROADMAP item 2).
 
 ``repro.shard`` partitions a :class:`~repro.engine.SimulationPlan` into
 serializable :class:`PlanSlice`\\ s, executes them as independent worker
-subprocesses that share one ``cache_dir`` (the namespaces of the unified
-artifact store are content-addressed and digest-verified, so the
-filesystem *is* the transport), and merges the per-shard results back
-into one plan-ordered :class:`~repro.engine.BatchResult`.
+subprocesses that share one ``cache_dir`` (its ``plans/`` namespace is
+content-addressed and digest-verified, so the filesystem *is* the
+transport), and merges the per-shard results back into one plan-ordered
+:class:`~repro.engine.BatchResult`.
 
 Standing invariant 7 (see docs/ARCHITECTURE.md): a sharded run is
 bit-identical to ``run(plan)`` in a single process — every sample byte,

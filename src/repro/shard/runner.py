@@ -1,4 +1,4 @@
-"""The subprocess shard runner: K workers, one shared artifact cache.
+"""The subprocess shard runner: K workers, one shared compiled-plan cache.
 
 :func:`run_sharded` partitions a plan (:func:`~repro.shard.partition_plan`),
 writes each slice's wire payload into a *work directory*, and executes the
@@ -6,16 +6,10 @@ slices as real subprocesses (``python -m repro.shard.worker``) that all
 attach the same ``cache_dir`` — the subprocess form of ROADMAP item 2's
 multi-host story, where the transport is the filesystem.
 
-Scheduling: every pending worker starts at once, and only the compile is
-ordered.  The first pending slice is the *pathfinder*: it compiles the
-decompositions, Doppler filters, and its plan artifact cold and prints
-:data:`~repro.shard.worker.COMPILED_LINE`.  Every later worker is
-launched with ``--gate``: it starts up, decodes its slice and builds its
-engine alongside the pathfinder, then waits on its stdin.  The runner
-closes those pipes when the pathfinder's marker arrives or the pathfinder
-exits, so later compiles warm-hit the shared tiers for anything the first
-slice covered — each unique artifact compiles once — while no worker's
-start-up waits for another's.
+Scheduling: every pending worker starts and compiles at once.  Slices
+share no artifacts except identical slice plans, which a worker loads
+from the shared ``plans/`` tier when an earlier run (or a faster worker)
+published them.
 
 Concurrent workers would oversubscribe the cores with one BLAS thread
 pool each, so each worker gets ``max(1, cores // workers)`` BLAS threads
@@ -27,11 +21,11 @@ unparseable output) marks its slice *failed by index*; the survivors are
 still collected, and the merged result is only produced when every slice
 completed.  Re-running with ``retry_failed=True`` against the same
 ``work_dir`` reloads completed slices from their published outputs and
-re-executes only the failed ones — against the now-warm cache, so the
-retry is cheap and, by standing invariant 7, bit-identical.  An output is
-reused only when its worker read exactly the slice payload this run
-would write (``slice_sha256``), so a different ``n_samples`` or different
-seeds always recompute.
+re-executes only the failed ones — against the now-warm ``plans/`` tier,
+so the retry is cheap and, by standing invariant 7, bit-identical.  An
+output is reused only when its worker read exactly the slice payload this
+run would write (``slice_sha256``), so a different ``n_samples`` or
+different seeds always recompute.
 
 Worker environments drop ``REPRO_CACHE_DIR`` (only the explicit
 ``cache_dir`` may act) and prepend this package's source root to
@@ -60,7 +54,6 @@ from ..engine.result import BatchResult
 from ..exceptions import SpecificationError
 from ..types import GaussianBlock
 from .slicing import PlanSlice, merge_results, partition_plan, slice_to_payload
-from .worker import COMPILED_LINE
 
 __all__ = ["ShardRunResult", "run_sharded"]
 
@@ -215,7 +208,6 @@ def _spawn(
     cache_dir: Optional[Union[str, Path]],
     backend: Optional[str],
     env: Dict[str, str],
-    gate: bool = False,
 ) -> subprocess.Popen:
     argv = [
         sys.executable,
@@ -229,11 +221,8 @@ def _spawn(
         argv += ["--cache-dir", str(cache_dir)]
     if backend is not None:
         argv += ["--backend", str(backend)]
-    if gate:
-        argv.append("--gate")
     return subprocess.Popen(
         argv,
-        stdin=subprocess.PIPE if gate else None,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -251,9 +240,7 @@ def _drain(
 
     The deadline is enforced by a timer that kills the worker, so a worker
     that goes silent cannot hold the read loop past ``timeout``; a killed
-    worker returns -1.  The runner drains every worker from its spawn, so
-    for a gated worker the deadline also covers the wait on the
-    pathfinder's compile.
+    worker returns -1.
     """
     expired = threading.Event()
 
@@ -294,8 +281,7 @@ def run_sharded(
     worker outputs (a fresh temporary directory when ``None``);
     ``retry_failed`` reloads valid outputs already in ``work_dir`` and
     only re-runs slices without one; ``timeout`` bounds each worker from
-    its start, which for a gated worker includes its wait on the
-    pathfinder's compile; ``extra_env`` adds variables to worker
+    its start; ``extra_env`` adds variables to worker
     environments (the fault-injection tests inject the worker kill hook
     through it).
     """
@@ -331,43 +317,15 @@ def run_sharded(
         pending.append(plan_slice.index)
 
     env = _worker_env(extra_env, len(pending))
-    gated: List[subprocess.Popen] = []
-    gate_lock = threading.Lock()
 
-    def _open_gate() -> None:
-        # Idempotent: closing an already-closed pipe is a no-op.
-        with gate_lock:
-            for process in gated:
-                if process.stdin is not None:
-                    try:
-                        process.stdin.close()
-                    except OSError:
-                        pass
-
-    def _collect(
-        index: int, process: subprocess.Popen, report: Optional[ProgressFn] = progress
-    ) -> None:
-        code = _drain(process, index, report, timeout)
+    def _collect(index: int, process: subprocess.Popen) -> None:
+        code = _drain(process, index, progress, timeout)
         if code != 0 and progress is not None:
             progress(index, f"shard {index}/{len(slices)}: FAILED (exit {code})")
         if code == 0:
             loaded = _load_output(work / f"shard_{index}", slices[index], digests[index])
             if loaded is not None:
                 results[index], metas[index] = loaded
-
-    def _collect_pathfinder(index: int, process: subprocess.Popen) -> None:
-        marker = COMPILED_LINE.format(index=index, n_shards=len(slices))
-
-        def report(index: int, line: str) -> None:
-            if line == marker:
-                _open_gate()
-            if progress is not None:
-                progress(index, line)
-
-        try:
-            _collect(index, process, report)
-        finally:
-            _open_gate()
 
     processes = [
         _spawn(
@@ -376,17 +334,12 @@ def run_sharded(
             cache_dir=cache_dir,
             backend=backend,
             env=env,
-            gate=position > 0,
         )
-        for position, index in enumerate(pending)
+        for index in pending
     ]
-    gated.extend(processes[1:])
     threads = [
-        threading.Thread(
-            target=_collect_pathfinder if position == 0 else _collect,
-            args=(index, process),
-        )
-        for position, (index, process) in enumerate(zip(pending, processes))
+        threading.Thread(target=_collect, args=(index, process))
+        for index, process in zip(pending, processes)
     ]
     for thread in threads:
         thread.start()

@@ -37,7 +37,12 @@ from typing import Any, Dict, List, Sequence, Tuple
 from ..engine import CompileReport, SimulationPlan
 from ..engine.result import BatchResult
 from ..exceptions import SpecificationError
-from ..service.protocol import PROTOCOL_VERSION, plan_from_payload, plan_to_payload
+from ..service.protocol import (
+    PROTOCOL_VERSION,
+    int_from_payload,
+    plan_from_payload,
+    plan_to_payload,
+)
 from ..types import GaussianBlock
 
 __all__ = [
@@ -134,10 +139,10 @@ def slice_from_payload(payload: Dict[str, Any]) -> Tuple[PlanSlice, int]:
     if not isinstance(meta, dict):
         raise SpecificationError("slice payload needs a 'slice' object")
     try:
-        index = int(meta["index"])
-        n_shards = int(meta["n_shards"])
-        start = int(meta["start"])
-    except (KeyError, TypeError, ValueError) as exc:
+        index = int_from_payload(meta["index"], "slice.index")
+        n_shards = int_from_payload(meta["n_shards"], "slice.n_shards")
+        start = int_from_payload(meta["start"], "slice.start")
+    except KeyError as exc:
         raise SpecificationError(f"malformed slice metadata: {exc}") from exc
     plan, n_samples = plan_from_payload(payload.get("plan"))
     return PlanSlice(index=index, n_shards=n_shards, start=start, plan=plan), n_samples

@@ -1,32 +1,22 @@
 """The shard worker: one subprocess, one :class:`PlanSlice`, one engine run.
 
 Launched by the runner as ``python -m repro.shard.worker <slice.json> --out
-PREFIX [--cache-dir DIR] [--backend NAME] [--gate]``.  The worker decodes
-its slice payload, builds a private :class:`~repro.engine.SimulationEngine`
-whose three cache tiers attach to the caller-supplied shared
-``cache_dir``, compiles the sub-plan, prints the :data:`COMPILED_LINE`
-marker, executes, and publishes two files:
+PREFIX [--cache-dir DIR] [--backend NAME]``.  The worker decodes its slice
+payload, builds a private :class:`~repro.engine.SimulationEngine` whose
+compiled-plan cache attaches to the caller-supplied shared ``cache_dir``,
+compiles the sub-plan, executes, and publishes two files:
 
 * ``PREFIX.npz`` — every block's samples and variances, exact bytes;
 * ``PREFIX.json`` — slice addressing, labels, the SHA-256 of the exact
   slice-payload bytes it read (``slice_sha256``), the
-  :class:`CompileReport`, and the per-tier cache counters the runner
-  aggregates into its first-worker-compiles / rest-warm-hit report.
+  :class:`CompileReport`, and the compiled-plan cache counters the runner
+  aggregates into its warm-hit report.
 
 Both files are written to temporaries and published with
 :func:`os.replace`; the ``.json`` goes last and acts as the commit marker,
 so a worker killed mid-write never leaves output the runner could mistake
-for a completed slice.  Progress lines go to stdout (start, compiled,
-done) for the runner to stream.
-
-Compile gate
-------------
-With ``--gate`` the worker starts up, decodes its slice and builds its
-engine, then reads stdin to EOF before compiling.  The runner launches
-every worker at once and closes the gated workers' stdin when the
-pathfinder prints its :data:`COMPILED_LINE` (or exits), so the later
-workers' start-up overlaps the pathfinder's while their compiles still
-warm-hit the artifacts it published.
+for a completed slice.  Progress lines go to stdout (start, done) for the
+runner to stream.
 
 Crash-tolerance hook
 --------------------
@@ -34,8 +24,8 @@ Setting ``REPRO_SHARD_KILL_SLICE=<index>`` makes the worker whose slice
 matches SIGKILL itself *after* executing but *before* publishing — the
 deterministic fault-injection point of the sharding suite (the subprocess
 analogue of the ``FlakyBackend``/``FlakyStore`` fail-at-exactly-N harness
-in ``tests/conftest.py``): the slice's compile artifacts are already in
-the shared cache, its output is not, so a ``--retry-failed`` rerun must
+in ``tests/conftest.py``): the slice's compiled plan is already in the
+shared cache, its output is not, so a ``--retry-failed`` rerun must
 recover bit-identically from the warm cache.
 """
 
@@ -50,7 +40,7 @@ import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,19 +48,15 @@ from ..engine import SimulationEngine
 from ..engine.result import BatchResult
 from .slicing import PlanSlice, slice_from_payload
 
-__all__ = ["COMPILED_LINE", "KILL_SLICE_ENV", "run_slice", "main"]
+__all__ = ["KILL_SLICE_ENV", "run_slice", "main"]
 
 #: Fault-injection hook: the worker whose slice index matches SIGKILLs
 #: itself between executing and publishing (see the module docs).
 KILL_SLICE_ENV = "REPRO_SHARD_KILL_SLICE"
 
-#: The stdout line a worker prints once its compile artifacts are in the
-#: shared cache; the runner opens the compile gate when the pathfinder
-#: prints it.
-COMPILED_LINE = "shard {index}/{n_shards}: compiled"
-
-#: Per-tier cache counters each worker reports in ``meta["tiers"]`` (the
-#: runner sums them into ``tier_totals()`` as ``<tier>_<counter>``).
+#: Compiled-plan cache counters each worker reports in
+#: ``meta["tiers"]["plans"]`` (the runner sums them into ``tier_totals()``
+#: as ``plans_<counter>``).
 _TIER_COUNTERS = (
     "hits",
     "misses",
@@ -87,29 +73,19 @@ def run_slice(
     *,
     cache_dir: Optional[str] = None,
     backend: Optional[str] = None,
-    gate: Optional[IO[bytes]] = None,
 ) -> Tuple[BatchResult, Dict[str, Any]]:
     """Execute one slice and return ``(result, meta)``.
 
-    When ``gate`` is given, the compile waits until it reads to EOF.  The
-    :data:`COMPILED_LINE` marker goes to stdout between compile and
-    execute.  ``meta`` carries everything the runner needs without
-    unpickling engine internals: slice addressing, labels, the compile
-    report, and per-tier cache counters (decompositions / Doppler filters
-    / compiled plans).
+    ``meta`` carries everything the runner needs without unpickling engine
+    internals: slice addressing, labels, the compile report, and the
+    compiled-plan cache counters.
     """
     if cache_dir is None:
         engine = SimulationEngine(backend=backend)
     else:
         engine = SimulationEngine(backend=backend, cache_dir=cache_dir)
-    if gate is not None:
-        gate.read()
-    compiled = engine.compile(plan_slice.plan)
-    print(
-        COMPILED_LINE.format(index=plan_slice.index, n_shards=plan_slice.n_shards),
-        flush=True,
-    )
-    result = engine.run(compiled, n_samples)
+    result = engine.run(plan_slice.plan, n_samples)
+    plans = engine.plan_cache.stats
     meta: Dict[str, Any] = {
         "index": plan_slice.index,
         "n_shards": plan_slice.n_shards,
@@ -121,12 +97,7 @@ def run_slice(
         "labels": [entry.label for entry in plan_slice.plan],
         "compile_report": asdict(result.compile_report),
         "tiers": {
-            tier: {name: getattr(stats, name) for name in _TIER_COUNTERS}
-            for tier, stats in (
-                ("decompositions", engine.cache.stats),
-                ("filters", engine.filter_cache.stats),
-                ("plans", engine.plan_cache.stats),
-            )
+            "plans": {name: getattr(plans, name) for name in _TIER_COUNTERS}
         },
     }
     return result, meta
@@ -175,11 +146,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--backend", default=None)
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="read stdin to EOF before compiling (set by the runner)",
-    )
     args = parser.parse_args(argv)
 
     raw = args.slice_path.read_bytes()
@@ -194,7 +160,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         n_samples,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        gate=sys.stdin.buffer if args.gate else None,
     )
     meta["slice_sha256"] = hashlib.sha256(raw).hexdigest()
     if os.environ.get(KILL_SLICE_ENV, "") == str(plan_slice.index):

@@ -8,14 +8,10 @@ second process compiling entirely from the first one's disk entries.  Run
 as real subprocesses (not forks) so nothing in-memory can leak between the
 "processes".
 
-Both disk tiers are covered separately:
-
-* **per-matrix tiers** (``decompositions/`` + ``filters/``), with the
-  compiled-plan tier explicitly detached, so the second process exercises
-  one decomposition load per unique matrix;
-* the **compiled-plan tier** (``plans/``), where the second process loads
-  the *whole* compiled plan from one artifact — zero decomposition or
-  filter lookups — and still reproduces the first process byte-for-byte.
+The one disk tier is the **compiled-plan tier** (``plans/``): the second
+process loads the *whole* compiled plan from one artifact — zero
+decomposition or filter lookups — and still reproduces the first process
+byte-for-byte.
 """
 
 import json
@@ -31,17 +27,13 @@ _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 # The worker compiles and executes a fixed mixed plan (snapshot + Doppler,
 # a repeated matrix, a repaired non-PSD matrix) against a shared cache_dir,
-# then dumps the sample blocks and the cache/compile counters.  In "decomps"
-# mode the compiled-plan tier is detached so the per-matrix tiers are
-# exercised; in "plans" mode the engine attaches all three tiers (the
-# default `SimulationEngine(cache_dir=...)` configuration).
+# then dumps the sample blocks and the cache/compile counters.
 _WORKER = """
 import json, sys
 import numpy as np
-from repro.engine import (CompiledPlanCache, DecompositionCache, DopplerFilterCache,
-                          DopplerSpec, SimulationEngine, SimulationPlan)
+from repro.engine import DopplerSpec, SimulationEngine, SimulationPlan
 
-mode, cache_dir, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
+cache_dir, out_path = sys.argv[1], sys.argv[2]
 
 base = np.array([[1.0, 0.4 + 0.1j], [0.4 - 0.1j, 2.0]], dtype=complex)
 non_psd = np.array(
@@ -55,14 +47,7 @@ plan.add(non_psd, seed=14)              # exercises the PSD repair path
 plan.add(base, seed=15, doppler=DopplerSpec(normalized_doppler=0.05, n_points=64))
 plan.add(2.0 * base, seed=16, doppler=DopplerSpec(normalized_doppler=0.05, n_points=64))
 
-if mode == "decomps":
-    engine = SimulationEngine(
-        cache=DecompositionCache(cache_dir=cache_dir),
-        filter_cache=DopplerFilterCache(cache_dir=cache_dir),
-        plan_cache=CompiledPlanCache(),   # detached: isolate per-matrix tiers
-    )
-else:
-    engine = SimulationEngine(cache_dir=cache_dir)
+engine = SimulationEngine(cache_dir=cache_dir)
 result = engine.run(plan, 64)
 
 stats = engine.cache.stats
@@ -74,7 +59,6 @@ json.dump(
     {
         "cache_hits": result.compile_report.cache_hits,
         "cache_misses": result.compile_report.cache_misses,
-        "disk_hits": stats.disk_hits,
         "filter_cache_hits": result.compile_report.doppler_filter_cache_hits,
         "plan_cache_hits": result.compile_report.plan_cache_hits,
         "plan_disk_hits": engine.plan_cache.stats.hits,
@@ -89,12 +73,12 @@ json.dump(
 """
 
 
-def _run_worker(mode: str, cache_dir: Path, out_path: Path) -> dict:
+def _run_worker(cache_dir: Path, out_path: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_CACHE_DIR", None)  # only the explicit cache_dir may act
     subprocess.run(
-        [sys.executable, "-c", _WORKER, mode, str(cache_dir), str(out_path)],
+        [sys.executable, "-c", _WORKER, str(cache_dir), str(out_path)],
         check=True,
         env=env,
         timeout=300,
@@ -114,36 +98,14 @@ def _assert_blocks_byte_identical(cold_path: Path, warm_path: Path) -> None:
 
 @pytest.mark.slow
 class TestCrossProcessBitIdentity:
-    def test_two_processes_sharing_one_cache_dir(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cold_meta = _run_worker("decomps", cache_dir, tmp_path / "cold")
-        warm_meta = _run_worker("decomps", cache_dir, tmp_path / "warm")
-
-        # The first process computed everything (its only hits are in-batch:
-        # the Doppler entries reuse the snapshot entries' matrices); the
-        # second compiled the same plan without a single computation — every
-        # unique matrix came off the first one's disk entries.
-        assert cold_meta["cache_misses"] == 3
-        assert cold_meta["disk_hits"] == 0
-        assert warm_meta["cache_misses"] == 0
-        assert warm_meta["cache_hits"] == cold_meta["cache_hits"] + cold_meta["cache_misses"]
-        assert warm_meta["disk_hits"] == cold_meta["cache_misses"]
-        assert warm_meta["filter_cache_hits"] == 1
-        # The detached plan cache never acted.
-        assert cold_meta["plan_cache_hits"] == warm_meta["plan_cache_hits"] == 0
-        # The repair diagnostics survive the disk round-trip too.
-        assert cold_meta["was_repaired"] and warm_meta["was_repaired"]
-
-        _assert_blocks_byte_identical(tmp_path / "cold", tmp_path / "warm")
-
     def test_compiled_plan_tier_across_two_processes(self, tmp_path):
         # The executor-level tier: the second process loads the *whole*
         # compiled plan from one artifact — zero eigh/cholesky, zero
         # decomposition lookups, zero filter builds — and its execute_plan
         # output is byte-identical to the first process's fresh compile.
         cache_dir = tmp_path / "cache"
-        cold_meta = _run_worker("plans", cache_dir, tmp_path / "cold")
-        warm_meta = _run_worker("plans", cache_dir, tmp_path / "warm")
+        cold_meta = _run_worker(cache_dir, tmp_path / "cold")
+        warm_meta = _run_worker(cache_dir, tmp_path / "warm")
 
         assert cold_meta["plan_cache_hits"] == 0
         assert cold_meta["cache_misses"] == 3
@@ -156,42 +118,22 @@ class TestCrossProcessBitIdentity:
         assert warm_meta["cache_hits"] == warm_meta["cache_misses"] == 0
         assert "compiled-plan cache: 1 hit(s)" in warm_meta["summary"]
         # Diagnostics (PSD repair flags) survive the plan-artifact
-        # round-trip exactly like the per-matrix one.
+        # round-trip.
         assert cold_meta["was_repaired"] and warm_meta["was_repaired"]
 
         _assert_blocks_byte_identical(tmp_path / "cold", tmp_path / "warm")
 
     def test_in_process_disk_hit_is_bit_identical(self, tmp_path):
-        # The cheaper, same-process form of the invariant for both tiers: a
-        # compile served from disk produces the same bytes as one that
-        # computed fresh.
-        from repro.engine import (
-            CompiledPlanCache,
-            DecompositionCache,
-            SimulationEngine,
-            SimulationPlan,
-        )
+        # The cheaper, same-process form of the invariant: a compile served
+        # from disk produces the same bytes as one that computed fresh.
+        from repro.engine import SimulationEngine, SimulationPlan
 
         base = np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex)
         plan = SimulationPlan.from_specs([base, 3.0 * base], seed=5)
 
         fresh = SimulationEngine(cache_dir=tmp_path / "a").run(plan, 128)
 
-        # Decomposition tier (plan cache detached).
-        def decomp_engine():
-            return SimulationEngine(
-                cache=DecompositionCache(cache_dir=tmp_path / "b"),
-                plan_cache=CompiledPlanCache(),
-            )
-
-        decomp_engine().run(plan, 128)  # populate b
-        from_disk_engine = decomp_engine()
-        from_disk = from_disk_engine.run(plan, 128)
-        assert from_disk_engine.cache.stats.disk_hits == 2
-        for block_fresh, block_disk in zip(fresh.blocks, from_disk.blocks):
-            assert block_fresh.samples.tobytes() == block_disk.samples.tobytes()
-
-        # Compiled-plan tier (the "a" directory already holds the artifact).
+        # The "a" directory already holds the artifact.
         warm_engine = SimulationEngine(cache_dir=tmp_path / "a")
         warm = warm_engine.run(plan, 128)
         assert warm.compile_report.plan_cache_hits == 1

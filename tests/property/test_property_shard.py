@@ -8,11 +8,9 @@ non-int seeds, and Doppler block sizes that do not divide ``n_samples``.
 
 The suite also proves the two operational claims of the sharding layer:
 
-* **compile-once** — with pipelined scheduling, the pathfinder shard
-  compiles every unique artifact cold and all later shards warm-hit the
-  shared tiers (zero decomposition disk misses, zero Doppler filter
-  builds), observed through the per-tier cache counters each worker
-  reports;
+* **warm reruns** — a rerun over the same ``cache_dir`` loads every
+  shard's whole compiled plan from the shared ``plans/`` tier, observed
+  through the compile report each worker publishes;
 * **crash tolerance** — a worker SIGKILLed mid-slice marks its slice
   failed by index, the survivors still merge-collect, and a
   ``retry_failed`` rerun against the same ``work_dir`` and now-warm cache
@@ -43,11 +41,8 @@ _DOPPLER = DopplerSpec(normalized_doppler=0.05, n_points=64)
 def _mixed_plan() -> SimulationPlan:
     """Nine mixed entries over two unique matrices and one Doppler key.
 
-    Every unique artifact — both covariance groups and the single Doppler
-    filter — appears in the first three entries, i.e. inside slice 0 of a
-    3-shard partition, so under pipelined scheduling the later shards
-    must compile nothing: the compile-once assertions are deterministic,
-    not racy.
+    Every slice of a 3-shard partition mixes snapshot, fading and Doppler
+    entries over the same two matrices and one filter.
     """
     base = np.array([[1.0, 0.4 + 0.1j], [0.4 - 0.1j, 2.0]], dtype=complex)
     scaled = 2.0 * base
@@ -55,7 +50,7 @@ def _mixed_plan() -> SimulationPlan:
     shadowed = FadingSpec(model="nakagami", shape=2.5, shadowing_sigma_db=1.0)
 
     plan = SimulationPlan()
-    # Slice 0 — the pathfinder covers every unique compile artifact.
+    # Slice 0.
     plan.add(base, seed=11, label="s0-base")
     plan.add(scaled, seed=np.int64(12), fading=rician, label="s0-rician")
     plan.add(base, seed=13, doppler=_DOPPLER, label="s0-doppler")
@@ -90,41 +85,6 @@ def _assert_bit_identical(merged, reference) -> None:
 
 @pytest.mark.slow
 class TestShardedBitIdentity:
-    def test_three_shards_match_solo_and_compile_once(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        plan = _mixed_plan()
-        reference = _solo_reference(plan)
-
-        result = run_sharded(
-            plan,
-            N_SAMPLES,
-            n_shards=3,
-            cache_dir=tmp_path / "cache",
-            work_dir=tmp_path / "work",
-        )
-        assert result.ok
-        assert result.failed == ()
-        assert [s.start for s in result.slices] == [0, 3, 6]
-        _assert_bit_identical(result.merged, reference)
-
-        # Compile-once: slice 0 compiled both unique matrices and the one
-        # Doppler filter cold; every later shard warm-hit the shared tiers
-        # (a filter disk miss would mean a cold Young–Beaulieu build).
-        metas = result.metas
-        assert metas[0]["tiers"]["decompositions"]["disk_misses"] == 2
-        assert metas[0]["tiers"]["filters"]["disk_misses"] == 1
-        for meta in metas[1:]:
-            assert meta["tiers"]["decompositions"]["disk_misses"] == 0
-            assert meta["tiers"]["decompositions"]["disk_hits"] >= 1
-            assert meta["tiers"]["filters"]["disk_misses"] == 0
-            assert meta["tiers"]["filters"]["disk_hits"] >= 1
-            assert meta["compile_report"]["doppler_filter_cache_hits"] == 1
-        totals = result.tier_totals()
-        assert totals["decompositions_disk_misses"] == 2
-        assert totals["filters_disk_misses"] == 1
-
     def test_warm_rerun_loads_whole_plans_from_shared_cache(
         self, tmp_path, monkeypatch
     ):
@@ -138,6 +98,9 @@ class TestShardedBitIdentity:
             work_dir=tmp_path / "work-cold",
         )
         assert cold.ok
+        assert cold.failed == ()
+        assert [s.start for s in cold.slices] == [0, 3, 6]
+        _assert_bit_identical(cold.merged, reference)
         warm = run_sharded(
             plan, N_SAMPLES, n_shards=3, cache_dir=cache_dir,
             work_dir=tmp_path / "work-warm",
@@ -148,7 +111,8 @@ class TestShardedBitIdentity:
         # the shared plans/ tier — no per-matrix work at all.
         for meta in warm.metas:
             assert meta["compile_report"]["plan_cache_hits"] == 1
-            assert meta["tiers"]["decompositions"]["disk_misses"] == 0
+            assert meta["compile_report"]["cache_misses"] == 0
+            assert meta["tiers"]["plans"]["disk_hits"] == 1
         assert warm.tier_totals()["plan_cache_hits"] == 3
 
 

@@ -89,17 +89,6 @@ class TestConstruction:
         with pytest.raises(SpecificationError):
             Simulator(cache=DecompositionCache(), cache_dir=tmp_path)
 
-    def test_explicit_cache_with_disk_tier_keeps_plan_tier_detached(self, tmp_path):
-        # The documented "mix" route: the session reports the hand-built
-        # cache's disk tier, but an explicitly hand-configured cache keeps
-        # the compiled-plan tier detached.
-        with Simulator(cache=DecompositionCache(cache_dir=tmp_path)) as sim:
-            assert sim.cache_dir == str(tmp_path)
-            assert sim.engine.plan_cache.cache_dir is None
-            sim.run(_plan(2), 8)
-        assert (tmp_path / "decompositions").is_dir()
-        assert not (tmp_path / "plans").exists()
-
     def test_explicit_memory_only_cache_overrides_env(self, tmp_path, monkeypatch):
         # An explicit cache opt-out holds even when REPRO_CACHE_DIR is
         # exported: the session may not silently gain a disk tier.
@@ -108,7 +97,12 @@ class TestConstruction:
             assert sim.cache_dir is None
 
     def test_default_session_reports_env_dir(self, tmp_path, monkeypatch):
+        import repro.engine.tiered as tiered_module
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        # A fresh process-wide plan cache, so it reads the env variable (the
+        # original comes back at teardown); the session reports its tier.
+        monkeypatch.setattr(tiered_module, "_DEFAULTS", {})
         with Simulator() as sim:
             assert sim.cache_dir == str(tmp_path)
 

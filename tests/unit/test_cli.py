@@ -185,18 +185,12 @@ class TestBatchCacheSummary:
 
 class TestCacheDirOption:
     @pytest.fixture(autouse=True)
-    def detach_default_caches(self):
-        # --cache-dir attaches a disk tier to the process-wide caches;
-        # detach it afterwards so other tests see memory-only defaults.
+    def detach_default_plan_cache(self):
+        # --cache-dir attaches a disk tier to the process-wide plan cache;
+        # detach it afterwards so other tests see a memory-only default.
         yield
-        from repro.engine import (
-            default_decomposition_cache,
-            default_filter_cache,
-            default_plan_cache,
-        )
+        from repro.engine import default_plan_cache
 
-        default_decomposition_cache().set_cache_dir(None)
-        default_filter_cache().set_cache_dir(None)
         default_plan_cache().set_cache_dir(None)
 
     def test_cache_dir_parses_on_run_and_batch(self, tmp_path):
@@ -209,7 +203,11 @@ class TestCacheDirOption:
         )
         assert args.cache_dir == tmp_path
 
-    def test_doppler_batch_with_cache_dir_persists_filters(self, tmp_path, capsys):
+    def test_doppler_batch_with_cache_dir_writes_no_per_matrix_tier(
+        self, tmp_path, capsys
+    ):
+        # The Doppler sweep builds its filters through the process-wide
+        # filter cache, which stays in memory: only plans/ may persist.
         cache_dir = tmp_path / "persist"
         code = main(
             ["batch", "--doppler", "--batch-sizes", "1", "--points", "64",
@@ -217,23 +215,17 @@ class TestCacheDirOption:
         )
         assert code == 0
         capsys.readouterr()
-        assert list((cache_dir / "filters").glob("*.npz"))
+        assert not (cache_dir / "filters").exists()
+        assert not (cache_dir / "decompositions").exists()
 
-    def test_attach_cache_dir_covers_all_three_tiers(self, tmp_path):
-        # --cache-dir must wire the compiled-plan tier too, so default-cache
-        # runs (the pipeline helpers, `run` experiments) warm-start whole
-        # compiled plans; the scaling experiments themselves use explicit
-        # private caches and stay isolated from it.
+    def test_attach_cache_dir_attaches_the_plan_tier(self, tmp_path):
+        # --cache-dir wires the compiled-plan tier, so default-cache runs
+        # warm-start whole compiled plans; the scaling experiments
+        # themselves use explicit private caches and stay isolated from it.
         from repro.cli import _attach_cache_dir
-        from repro.engine import (
-            default_decomposition_cache,
-            default_filter_cache,
-            default_plan_cache,
-        )
+        from repro.engine import default_plan_cache
 
         _attach_cache_dir(tmp_path)
-        assert default_decomposition_cache().cache_dir == tmp_path
-        assert default_filter_cache().cache_dir == tmp_path
         assert default_plan_cache().cache_dir == tmp_path
 
 
@@ -257,54 +249,40 @@ class TestCacheSubcommand:
         assert "REPRO_CACHE_DIR" in str(excinfo.value)
 
     @staticmethod
-    def _populate_all_tiers(tmp_path):
+    def _populate_plans(tmp_path):
         import numpy as np
 
-        from repro.engine import (
-            CompiledPlanCache,
-            DecompositionCache,
-            DopplerFilterCache,
-            SimulationPlan,
-            compile_plan,
-        )
+        from repro.engine import SimulationEngine, SimulationPlan
 
         matrix = np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex)
-        DecompositionCache(cache_dir=tmp_path).coloring_for(matrix)
-        DopplerFilterCache(cache_dir=tmp_path).get(64, 0.05)
-        compile_plan(
-            SimulationPlan.from_specs([matrix], seed=1),
-            cache=DecompositionCache(),
-            plan_cache=CompiledPlanCache(cache_dir=tmp_path),
-        )
+        for scale in (1.0, 2.0):
+            SimulationEngine(cache_dir=tmp_path).run(
+                SimulationPlan.from_specs([scale * matrix], seed=1), 8
+            )
 
     def test_stats_reads_directory_from_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert str(tmp_path) in out
-        assert "decompositions: 0 entries" in out
-        assert "doppler filters: 0 entries" in out
         assert "compiled plans: 0 entries" in out
 
-    def test_stats_counts_populated_tiers(self, tmp_path, capsys):
-        self._populate_all_tiers(tmp_path)
+    def test_stats_counts_compiled_plans(self, tmp_path, capsys):
+        self._populate_plans(tmp_path)
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "decompositions: 1 entries" in out
-        assert "doppler filters: 1 entries" in out
-        assert "compiled plans: 1 entries" in out
-        # One memory-tier line per tier, each with its bound and unit.
-        assert "weight 0 of 256 entries" in out
-        assert out.count("memory tier: ") == 3
+        assert "compiled plans: 2 entries" in out
+        # One memory-tier line with its bound and unit.
+        assert "weight 0 of 268435456 bytes" in out
+        assert out.count("memory tier: ") == 1
+        assert "decompositions" not in out and "filters" not in out
 
     def test_clear_removes_everything(self, tmp_path, capsys):
-        self._populate_all_tiers(tmp_path)
+        self._populate_plans(tmp_path)
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
-        assert "removed 3 entries" in capsys.readouterr().out
+        assert "removed 2 entries" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "decompositions: 0 entries" in out
-        assert "doppler filters: 0 entries" in out
         assert "compiled plans: 0 entries" in out
 
 

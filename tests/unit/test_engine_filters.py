@@ -1,4 +1,4 @@
-"""Unit tests for the process-wide + on-disk Young–Beaulieu filter cache."""
+"""Unit tests for the process-wide Young–Beaulieu filter cache."""
 
 import numpy as np
 import pytest
@@ -91,74 +91,6 @@ class TestDopplerFilterCache:
 
     def test_default_cache_is_process_wide(self):
         assert default_filter_cache() is default_filter_cache()
-
-
-class TestFilterDiskTier:
-    def test_fresh_process_equivalent_hits_disk(self, tmp_path):
-        built, variance, _ = DopplerFilterCache(cache_dir=tmp_path).get(64, 0.05)
-        second = DopplerFilterCache(cache_dir=tmp_path)
-        loaded, loaded_variance, was_cached = second.get(64, 0.05)
-        assert was_cached
-        assert second.stats.disk_hits == 1
-        assert loaded.tobytes() == built.tobytes()
-        assert loaded_variance == variance
-
-    def test_store_sweeps_stale_tmp_orphans(self, tmp_path):
-        import os
-        import time
-
-        orphan_dir = tmp_path / "filters"
-        orphan_dir.mkdir(parents=True)
-        stale = orphan_dir / "deadbeef.tmp"
-        stale.write_bytes(b"left by a dead worker")
-        os.utime(stale, (time.time() - 7200, time.time() - 7200))
-        fresh = orphan_dir / "cafe.tmp"
-        fresh.write_bytes(b"in flight")
-        DopplerFilterCache(cache_dir=tmp_path).get(64, 0.05)  # triggers a store
-        assert not stale.exists()  # hour-old orphan swept
-        assert fresh.exists()  # recent file presumed in-flight, kept
-
-    def test_clear_disk_removes_tmp_leftovers(self, tmp_path):
-        cache = DopplerFilterCache(cache_dir=tmp_path)
-        cache.get(64, 0.05)
-        orphan = tmp_path / "filters" / "deadbeef.tmp"
-        orphan.write_bytes(b"half-written")
-        assert cache.clear_disk() == 1  # counts entries, not tmp leftovers
-        assert not orphan.exists()
-
-    def test_unusable_cache_dir_degrades_without_retry(self, tmp_path, monkeypatch):
-        from repro.engine.store import ArtifactStore
-
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a regular file, not a directory")
-        cache = DopplerFilterCache(cache_dir=blocker)
-        cache.get(64, 0.05)  # store attempt fails soft
-        calls = []
-        monkeypatch.setattr(
-            ArtifactStore, "_write", lambda self, *a: calls.append(1) or (False, 0)
-        )
-        for _ in range(5):
-            cache.get(64, 0.05)  # memory hits
-        assert calls == []  # the failed spill was remembered, not re-paid
-
-    def test_tampered_payload_fails_digest_verification(self, tmp_path):
-        import zipfile
-
-        DopplerFilterCache(cache_dir=tmp_path).get(64, 0.05)
-        (path,) = (tmp_path / "filters").glob("*.npz")
-        with zipfile.ZipFile(path) as archive:
-            members = {name: archive.read(name) for name in archive.namelist()}
-        payload = bytearray(members["coefficients.npy"])
-        payload[-1] ^= 0xFF
-        members["coefficients.npy"] = bytes(payload)
-        with zipfile.ZipFile(path, "w") as archive:
-            for name, data in members.items():
-                archive.writestr(name, data)
-        cache = DopplerFilterCache(cache_dir=tmp_path)
-        coefficients, _, was_cached = cache.get(64, 0.05)
-        assert not was_cached
-        assert cache.stats.disk_corruptions == 1
-        assert np.array_equal(coefficients, young_beaulieu_filter(64, 0.05))
 
 
 class TestCompileIntegration:

@@ -258,6 +258,32 @@ class TestCorruption:
         warm = _compile(plan, tmp_path)
         assert warm.report.plan_cache_hits == 1
 
+    def test_tampered_payload_fails_digest_verification(self, base_matrix, tmp_path):
+        import zipfile
+
+        plan = _mixed_plan(base_matrix)
+        cold = _compile(plan, tmp_path)
+        path = self._artifact(tmp_path)
+        # Rewrite the archive with one payload member bit-flipped but the
+        # zip container intact: only the digest check can catch this.
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        name = "decomp_0_coloring.npy"
+        payload = bytearray(members[name])
+        payload[-1] ^= 0xFF
+        members[name] = bytes(payload)
+        with zipfile.ZipFile(path, "w") as archive:
+            for member_name, data in members.items():
+                archive.writestr(member_name, data)
+        cache = CompiledPlanCache(tmp_path)
+        recompiled = _compile_with(plan, cache)
+        assert recompiled.report.plan_cache_hits == 0
+        assert cache.stats.disk_corruptions == 1
+        for fresh, again in zip(
+            execute_plan(cold, 32).blocks, execute_plan(recompiled, 32).blocks
+        ):
+            assert fresh.samples.tobytes() == again.samples.tobytes()
+
     def test_rebind_failure_quarantines_instead_of_poisoning(
         self, base_matrix, tmp_path, monkeypatch
     ):
@@ -426,6 +452,153 @@ class TestMaintenance:
             plan_cache=cache,
         )
         assert compiled.report.plan_cache_hits == 1
+
+    def test_disk_only_cache(self, base_matrix, tmp_path):
+        # memory_max_bytes=0 with a cache_dir is a pure disk cache: nothing
+        # retained in memory, but lookups are still served from disk.
+        cache = CompiledPlanCache(tmp_path, memory_max_bytes=0)
+        plan = _mixed_plan(base_matrix)
+        _compile_with(plan, cache)
+        assert _compile_with(plan, cache).report.plan_cache_hits == 1
+        assert len(cache) == 0
+        assert (cache.stats.hits, cache.stats.disk_hits) == (1, 1)
+
+    def test_lru_byte_bound_evicts_oldest(self, base_matrix, tmp_path):
+        import os
+        import time
+
+        cache = CompiledPlanCache(tmp_path, disk_max_bytes=1)
+        for index in range(3):
+            _compile_with(SimulationPlan.from_specs([base_matrix * (index + 1)]), cache)
+            # Separate mtimes deterministically (filesystem clocks are coarse).
+            for path in (tmp_path / "plans").glob("*.npz"):
+                os.utime(path, (time.time() - 100 + index, time.time() - 100 + index))
+        # A 1-byte bound can hold no file: every spill evicts down to the
+        # newest entry's write, then that file itself goes on the next one.
+        assert cache.stats.disk_evictions >= 2
+        assert len(list((tmp_path / "plans").glob("*.npz"))) <= 1
+
+    def test_unusable_cache_dir_degrades_to_memory_only(self, base_matrix, tmp_path):
+        # cache_dir pointing at a regular file: every disk op must fail
+        # soft, leaving a working memory tier.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory")
+        cache = CompiledPlanCache(blocker)
+        plan = _mixed_plan(base_matrix)
+        _compile_with(plan, cache)
+        assert _compile_with(plan, cache).report.plan_memory_hits == 1
+        assert cache.stats.disk_entries == 0
+
+    def test_failed_spill_is_not_retried_per_hit(self, base_matrix, tmp_path, monkeypatch):
+        from repro.engine.store import ArtifactStore
+
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        cache = CompiledPlanCache(blocker)
+        plan = _mixed_plan(base_matrix)
+        _compile_with(plan, cache)  # store: spill attempt fails
+        calls = []
+        original = ArtifactStore._write
+        monkeypatch.setattr(
+            ArtifactStore,
+            "_write",
+            lambda self, *a: calls.append(1) or original(self, *a),
+        )
+        for _ in range(5):
+            _compile_with(plan, cache)  # memory hits
+        assert calls == []  # the failed spill was remembered, not re-paid
+
+    def test_reattaching_tier_retries_spills(self, base_matrix, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        cache = CompiledPlanCache(blocker)
+        plan = _mixed_plan(base_matrix)
+        _compile_with(plan, cache)
+        cache.set_cache_dir(tmp_path / "good")  # new, writable directory
+        _compile_with(plan, cache)  # memory hit -> fresh spill attempt
+        assert len(list((tmp_path / "good" / "plans").glob("*.npz"))) == 1
+
+    def test_clear_disk_sweeps_orphaned_tmp_files(self, base_matrix, tmp_path):
+        cache = CompiledPlanCache(tmp_path)
+        _compile_with(_mixed_plan(base_matrix), cache)
+        orphan = tmp_path / "plans" / "deadbeef.tmp"
+        orphan.write_bytes(b"half-written by a dead worker")
+        assert cache.clear_disk() == 1  # counts entries, not tmp leftovers
+        assert not orphan.exists()
+
+    @staticmethod
+    def _stale_and_fresh_tmp(directory):
+        import os
+        import time
+
+        directory.mkdir(parents=True, exist_ok=True)
+        stale = directory / "deadbeef.tmp"
+        stale.write_bytes(b"left by a dead worker")
+        os.utime(stale, (time.time() - 7200, time.time() - 7200))
+        fresh = directory / "cafe.tmp"
+        fresh.write_bytes(b"in flight")
+        return stale, fresh
+
+    def test_opening_a_cache_dir_sweeps_stale_tmp_files(self, tmp_path):
+        stale, fresh = self._stale_and_fresh_tmp(tmp_path / "plans")
+        CompiledPlanCache(tmp_path)
+        assert not stale.exists()  # hour-old orphan swept
+        assert fresh.exists()  # recent file presumed in-flight, kept
+
+    def test_eviction_sweeps_stale_tmp_files(self, base_matrix, tmp_path):
+        cache = CompiledPlanCache(tmp_path, disk_max_bytes=1)
+        stale, fresh = self._stale_and_fresh_tmp(tmp_path / "plans")
+        # The spill triggers an eviction pass (1-byte bound).
+        _compile_with(_mixed_plan(base_matrix), cache)
+        assert not stale.exists()
+        assert fresh.exists()
+
+    def test_negative_disk_bound_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            CompiledPlanCache(tmp_path, disk_max_bytes=-1)
+
+
+class TestOnlyPlansPersist:
+    """``cache_dir`` holds one namespace: nothing but ``plans/`` is written."""
+
+    @staticmethod
+    def _names(directory):
+        return sorted(path.name for path in directory.iterdir())
+
+    def test_engine_writes_only_plans(self, base_matrix, tmp_path):
+        from repro.engine import SimulationEngine
+
+        SimulationEngine(cache_dir=tmp_path).run(_mixed_plan(base_matrix), 64)
+        assert self._names(tmp_path) == ["plans"]
+
+    def test_simulator_writes_only_plans(self, base_matrix, tmp_path):
+        from repro.api import Simulator
+
+        with Simulator(cache_dir=tmp_path) as sim:
+            sim.run(_mixed_plan(base_matrix), 64)
+            assert sim.cache_dir == str(tmp_path)
+        assert self._names(tmp_path) == ["plans"]
+
+    def test_env_dir_leaves_per_matrix_defaults_in_memory(
+        self, base_matrix, tmp_path, monkeypatch
+    ):
+        import repro.engine.tiered as tiered_module
+        from repro.engine import (
+            default_decomposition_cache,
+            default_filter_cache,
+            default_plan_cache,
+        )
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        # Fresh process-wide defaults, so the env variable is honored (the
+        # originals come back at teardown).
+        monkeypatch.setattr(tiered_module, "_DEFAULTS", {})
+        default_decomposition_cache().coloring_for(base_matrix)
+        default_filter_cache().get(64, 0.05)
+        assert self._names(tmp_path) == []
+        compile_plan(_mixed_plan(base_matrix))  # every default cache
+        assert self._names(tmp_path) == ["plans"]
+        assert default_plan_cache().cache_dir == tmp_path
 
 
 class TestInflightSingleflight:

@@ -1,10 +1,12 @@
 """The cache contract shared by every tier, checked once per tier.
 
 :class:`repro.engine.tiered.TieredCache` carries the memory LRU, the
-counters, disk promotion, lazy spill, quarantine and maintenance for the
-decomposition, Doppler-filter and compiled-plan caches.  Each test here
-runs against all three through their public domain methods, so a tier that
-drifts from the contract fails under its own name.
+counters and maintenance for the decomposition, Doppler-filter and
+compiled-plan caches, plus disk promotion, lazy spill and quarantine for
+the one cache with a disk tier, the compiled-plan cache.  Each memory test
+here runs against all three through their public domain methods, so a tier
+that drifts from the contract fails under its own name; the disk tests run
+against the plan cache.
 """
 
 import numpy as np
@@ -27,10 +29,8 @@ def _matrix(index):
 
 
 class _DecompositionTier:
-    namespace = "decompositions"
-
-    def make(self, cache_dir=None, bound=None):
-        return DecompositionCache(256 if bound is None else bound, cache_dir=cache_dir)
+    def make(self, bound=None):
+        return DecompositionCache(256 if bound is None else bound)
 
     def serve(self, cache, index):
         return cache.coloring_for(_matrix(index))
@@ -43,15 +43,13 @@ class _DecompositionTier:
 
 
 class _FilterTier:
-    namespace = "filters"
-
     def __init__(self, monkeypatch):
         self._monkeypatch = monkeypatch
 
-    def make(self, cache_dir=None, bound=None):
+    def make(self, bound=None):
         if bound is not None:
             self._monkeypatch.setattr(filters_module, "FILTER_MEMORY_MAX_BYTES", bound)
-        return DopplerFilterCache(cache_dir=cache_dir)
+        return DopplerFilterCache()
 
     def serve(self, cache, index):
         return cache.get(64, 0.05 * (index + 1))[0]
@@ -119,6 +117,12 @@ def _same_bytes(tier, first, second):
     )
 
 
+@pytest.fixture
+def plan_tier():
+    """The one tier with a disk namespace."""
+    return _PlanTier()
+
+
 def _files(tmp_path, tier, suffix="npz"):
     return sorted((tmp_path / tier.namespace).glob(f"*.{suffix}"))
 
@@ -148,7 +152,8 @@ class TestMemoryBound:
 
 
 class TestDiskTier:
-    def test_disk_hit_promotes_into_memory(self, tier, tmp_path):
+    def test_disk_hit_promotes_into_memory(self, plan_tier, tmp_path):
+        tier = plan_tier
         fresh = tier.serve(tier.make(tmp_path), 0)
         cache = tier.make(tmp_path)  # a new process: empty memory tier
         from_disk = tier.serve(cache, 0)
@@ -163,7 +168,8 @@ class TestDiskTier:
         )
         assert _same_bytes(tier, fresh, from_disk)
 
-    def test_lazy_spill_after_set_cache_dir(self, tier, tmp_path):
+    def test_lazy_spill_after_set_cache_dir(self, plan_tier, tmp_path):
+        tier = plan_tier
         cache = tier.make()  # memory-only
         tier.serve(cache, 0)
         cache.set_cache_dir(tmp_path)
@@ -175,7 +181,8 @@ class TestDiskTier:
         tier.serve(second, 0)
         assert second.stats.disk_hits == 1
 
-    def test_corrupt_entry_is_a_quarantined_miss(self, tier, tmp_path):
+    def test_corrupt_entry_is_a_quarantined_miss(self, plan_tier, tmp_path):
+        tier = plan_tier
         fresh = tier.serve(tier.make(tmp_path), 0)
         (path,) = _files(tmp_path, tier)
         path.write_bytes(b"not an npz archive")
@@ -191,7 +198,8 @@ class TestDiskTier:
         tier.serve(again, 0)
         assert again.stats.disk_hits == 1
 
-    def test_invalidate_clears_both_tiers(self, tier, tmp_path):
+    def test_invalidate_clears_both_tiers(self, plan_tier, tmp_path):
+        tier = plan_tier
         cache = tier.make(tmp_path)
         tier.serve(cache, 0)
         cache.invalidate(tier.key(0))
@@ -201,18 +209,38 @@ class TestDiskTier:
 
 
 class TestFrozenPayloads:
-    def test_computed_and_loaded_values_are_read_only(self, tier, tmp_path):
-        computed = tier.serve(tier.make(tmp_path), 0)
+    def test_computed_values_are_read_only(self, tier):
+        computed = tier.serve(tier.make(), 0)
+        for array in tier.arrays(computed):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+    def test_loaded_values_are_read_only(self, plan_tier, tmp_path):
+        tier = plan_tier
+        tier.serve(tier.make(tmp_path), 0)
         loaded = tier.serve(tier.make(tmp_path), 0)
-        for value in (computed, loaded):
-            for array in tier.arrays(value):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array.flat[0] = 0
+        for array in tier.arrays(loaded):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
 
 
 class TestMaintenance:
-    def test_clear_clear_disk_usage_and_reset_stats(self, tier, tmp_path):
+    def test_clear_and_reset_stats(self, tier):
+        cache = tier.make()
+        tier.serve(cache, 0)
+        tier.serve(cache, 1)
+        assert cache.clear() == 2  # entries only: counters kept
+        assert len(cache) == 0
+        assert cache.stats.misses == 2
+
+        cache.reset_stats()
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (0, 0, 0)
+
+    def test_clear_keeps_disk_and_clear_disk_empties_it(self, plan_tier, tmp_path):
+        tier = plan_tier
         cache = tier.make(tmp_path)
         tier.serve(cache, 0)
         tier.serve(cache, 1)
@@ -220,8 +248,6 @@ class TestMaintenance:
         assert entries == 2 and n_bytes > 0
 
         assert cache.clear() == 2  # memory only: counters and disk kept
-        assert len(cache) == 0
-        assert cache.stats.misses == 2
         assert cache.disk_usage()[0] == 2
 
         assert cache.clear_disk() == 2
@@ -229,7 +255,6 @@ class TestMaintenance:
 
         cache.reset_stats()
         stats = cache.stats
-        assert (stats.hits, stats.misses, stats.evictions) == (0, 0, 0)
         assert (stats.disk_hits, stats.disk_misses, stats.disk_corruptions) == (0, 0, 0)
 
     def test_reset_stats_keeps_entries(self, tier):
@@ -242,7 +267,20 @@ class TestMaintenance:
 
 
 class TestStatsFields:
-    def test_field_meanings(self, tier, tmp_path):
+    def test_field_meanings(self, tier):
+        unit = _unit_weight(tier)
+        cache = tier.make()
+        tier.serve(cache, 0)  # miss: computed and stored
+        tier.serve(cache, 0)  # memory hit
+        tier.serve(cache, 1)  # miss
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.memory_hits) == (1, 2, 1)
+        assert stats.lookups == 3 and stats.hit_rate == pytest.approx(1 / 3)
+        assert (stats.size, stats.weight, stats.evictions) == (2, 2 * unit, 0)
+        assert stats.inflight_coalesced == 0  # no concurrent computation
+
+    def test_disk_field_meanings(self, plan_tier, tmp_path):
+        tier = plan_tier
         unit = _unit_weight(tier)
         warm = tier.make(tmp_path)
         tier.serve(warm, 0)  # miss: computed, stored in both tiers
@@ -262,7 +300,6 @@ class TestStatsFields:
         assert stats.lookups == 2 and stats.hit_rate == 0.5
         assert (stats.size, stats.weight, stats.evictions) == (2, 2 * unit, 0)
         assert stats.disk_entries == 2
-        assert stats.inflight_coalesced == 0  # no concurrent computation
 
     def test_memory_only_cache_counts_no_disk_activity(self, tier):
         cache = tier.make()

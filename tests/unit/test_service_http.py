@@ -348,6 +348,33 @@ class TestRoutes:
         asyncio.run(scenario())
 
 
+    @pytest.mark.parametrize(
+        "field, literal",
+        [("n_samples", "1e400"), ("seed", "1e400"), ("seed", "-1e400"), ("seed", "1.5")],
+    )
+    def test_non_integer_counts_and_seeds_map_to_400(self, field, literal):
+        """``1e400`` decodes to infinity; it once reached ``int()`` and a 500."""
+        payload = plan_to_payload(_plan(), 32)
+        marker = "__replaced__"
+        if field == "n_samples":
+            payload["n_samples"] = marker
+        else:
+            payload["entries"][0]["seed"] = marker
+        body = json.dumps(payload).replace(f'"{marker}"', literal).encode()
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (service, server):
+                status, _headers, raw = await _exchange(
+                    server.port, "POST", "/v1/plans", str(len(body)), body
+                )
+                assert status == 400
+                assert f"{field} must be an integer" in json.loads(raw)["error"]
+                assert service.metrics()["requests_submitted"] == 0
+            sim.close()
+
+        asyncio.run(scenario())
+
     def test_non_finite_covariance_maps_to_400(self):
         """JSON's ``Infinity`` never reaches a flight: submit answers 400."""
 

@@ -177,6 +177,7 @@ class TestPlanPayload:
             {"normalized_doppler": 0.9, "n_points": 64},
             "fast",
             [0.05],
+            {"normalized_doppler": 0.05, "n_points": float("inf")},
         ],
     )
     def test_malformed_doppler_is_a_specification_error(self, doppler):
@@ -185,6 +186,30 @@ class TestPlanPayload:
         with pytest.raises(SpecificationError, match="doppler"):
             plan_from_payload(payload)
 
+
+
+class TestIntegerFields:
+    """``n_samples`` and entry seeds must be JSON integers.
+
+    JSON decodes ``1e400`` to infinity, which ``int()`` answers with an
+    ``OverflowError``; ``1.5`` and ``true`` it would silently truncate to 1.
+    """
+
+    NOT_INTEGERS = [float("inf"), float("-inf"), 1.5, True, "8"]
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_n_samples_must_be_an_integer(self, value):
+        payload = plan_to_payload(_rich_plan(), 64)
+        payload["n_samples"] = value
+        with pytest.raises(SpecificationError, match="n_samples must be an integer"):
+            plan_from_payload(payload)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_entry_seed_must_be_an_integer(self, value):
+        payload = plan_to_payload(_rich_plan(), 64)
+        payload["entries"][0]["seed"] = value
+        with pytest.raises(SpecificationError, match="seed must be an integer"):
+            plan_from_payload(payload)
 
 
 def _global_rng_state():

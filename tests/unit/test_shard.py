@@ -6,9 +6,8 @@ non-trivial :class:`FadingSpec`\\ s and non-int seeds survive the trip, and
 slices never coalesce onto an unrelated plan's compiled-plan cache entry),
 result merging, and the CLI surface.  Small subprocess runs pin the runner's
 edges: worker timeouts, retries that must not reuse stale outputs, malformed
-worker metadata, and the pipelined start (every worker spawns at once, the
-compile gate opens on the pathfinder's marker or exit, BLAS threads are
-split).  Bit-identity across shards is exercised by
+worker metadata, and the concurrent start (every worker spawns at once, an
+early worker death leaves the rest running, BLAS threads are split).  Bit-identity across shards is exercised by
 ``tests/property/test_property_shard.py``.
 """
 
@@ -205,6 +204,15 @@ class TestSliceWireRoundTrip:
         bad_meta = dict(good, slice={"index": "x"})
         with pytest.raises(SpecificationError):
             slice_from_payload(bad_meta)
+
+    @pytest.mark.parametrize("value", [float("inf"), 1.5, True], ids=repr)
+    @pytest.mark.parametrize("field", ["index", "n_shards", "start"])
+    def test_slice_fields_must_be_integers(self, field, value):
+        (plan_slice,) = partition_plan(_sweep_plan(2), 1)
+        payload = slice_to_payload(plan_slice, 32)
+        payload["slice"][field] = value
+        with pytest.raises(SpecificationError, match=f"slice.{field} must be an integer"):
+            slice_from_payload(payload)
 
 
 class TestSeedPayloads:
@@ -651,11 +659,11 @@ class TestMalformedWorkerMeta:
 
 
 @pytest.mark.usefixtures("clean_env")
-class TestPipelinedWorkers:
-    """Every worker starts at once; only the compile waits on the
-    pathfinder, and the BLAS threads are split between workers."""
+class TestConcurrentWorkers:
+    """Every worker starts and compiles at once, and the BLAS threads are
+    split between workers."""
 
-    def test_later_workers_spawn_while_the_pathfinder_runs(self, tmp_path, monkeypatch):
+    def test_every_worker_spawns_while_the_others_run(self, tmp_path, monkeypatch):
         from repro.shard import runner
 
         spawned = []
@@ -674,16 +682,10 @@ class TestPipelinedWorkers:
             plan, 32, n_shards=3, cache_dir=tmp_path / "cache", work_dir=tmp_path / "work"
         )
         assert len(spawned) == 3
-        assert alive_at_spawn[1] == [True]
+        assert alive_at_spawn[1:] == [[True], [True, True]]
         _assert_matches_solo(result, plan, 32)
-        # Compile-once still holds: the slices differ only in seeds, so the
-        # gated workers load the pathfinder's whole compiled plan.
-        assert result.metas[0]["tiers"]["decompositions"]["disk_misses"] == 1
-        for meta in result.metas[1:]:
-            assert meta["tiers"]["decompositions"]["disk_misses"] == 0
-            assert meta["compile_report"]["plan_cache_hits"] == 1
 
-    def test_gate_opens_when_the_pathfinder_dies_early(self, tmp_path, monkeypatch):
+    def test_an_early_worker_death_leaves_the_rest_running(self, tmp_path, monkeypatch):
         import subprocess
         import sys
 
@@ -691,15 +693,15 @@ class TestPipelinedWorkers:
 
         real_spawn = runner._spawn
 
-        def spawn(slice_path, out_prefix, *, gate=False, **kwargs):
-            if not gate:
+        def spawn(slice_path, out_prefix, **kwargs):
+            if slice_path.name == "slice_0.json":
                 return subprocess.Popen(
                     [sys.executable, "-c", "import sys; sys.exit(3)"],
                     stdout=subprocess.PIPE,
                     stderr=subprocess.STDOUT,
                     text=True,
                 )
-            return real_spawn(slice_path, out_prefix, gate=gate, **kwargs)
+            return real_spawn(slice_path, out_prefix, **kwargs)
 
         monkeypatch.setattr(runner, "_spawn", spawn)
         lines = []
@@ -714,72 +716,6 @@ class TestPipelinedWorkers:
         assert result.failed == (0,)
         assert result.results[1] is not None and result.results[2] is not None
         assert (0, "shard 0/3: FAILED (exit 3)") in lines
-
-    def test_gate_opens_on_the_compiled_marker(self, tmp_path, monkeypatch):
-        import subprocess
-        import sys
-        import textwrap
-
-        from repro.shard import runner
-        from repro.shard.worker import COMPILED_LINE
-
-        real_spawn = runner._spawn
-        work = tmp_path / "work"
-        # A pathfinder that prints the marker, then stays alive until a
-        # gated worker has published: only the marker can open the gate.
-        script = textwrap.dedent(
-            f"""
-            import os, sys, time
-            print({COMPILED_LINE.format(index=0, n_shards=2)!r}, flush=True)
-            deadline = time.monotonic() + 30
-            while not os.path.exists({str(work / "shard_1.json")!r}):
-                if time.monotonic() > deadline:
-                    sys.exit(4)
-                time.sleep(0.02)
-            sys.exit(5)
-            """
-        )
-
-        def spawn(slice_path, out_prefix, *, gate=False, **kwargs):
-            if not gate:
-                return subprocess.Popen(
-                    [sys.executable, "-c", script],
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.STDOUT,
-                    text=True,
-                )
-            return real_spawn(slice_path, out_prefix, gate=gate, **kwargs)
-
-        monkeypatch.setattr(runner, "_spawn", spawn)
-        lines = []
-        result = runner.run_sharded(
-            _sweep_plan(4),
-            16,
-            n_shards=2,
-            work_dir=work,
-            timeout=60.0,
-            progress=lambda index, line: lines.append((index, line)),
-        )
-        assert (0, "shard 0/2: FAILED (exit 5)") in lines
-        assert result.failed == (0,)
-        assert result.results[1] is not None
-
-    def test_killed_pathfinder_still_warms_the_rest(self, tmp_path):
-        from repro.shard import run_sharded
-        from repro.shard.worker import KILL_SLICE_ENV
-
-        result = run_sharded(
-            _shared_matrix_plan(6),
-            32,
-            n_shards=3,
-            cache_dir=tmp_path / "cache",
-            work_dir=tmp_path / "work",
-            extra_env={KILL_SLICE_ENV: "0"},
-        )
-        assert result.failed == (0,)
-        for meta in result.metas[1:]:
-            assert meta["tiers"]["decompositions"]["disk_misses"] == 0
-            assert meta["compile_report"]["plan_cache_hits"] == 1
 
     @pytest.mark.parametrize(
         "cores, n_workers, expected", [(8, 3, "2"), (8, 2, "4"), (2, 16, "1"), (4, 1, "4")]

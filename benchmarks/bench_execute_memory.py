@@ -5,7 +5,8 @@ Two claims are measured here:
 * **Plan memory tier** — a warm ``engine.run(plan)`` on a long-lived engine
   is served by the in-memory compiled-plan tier: zero disk I/O, zero
   digest verification, zero decompositions.  The baseline is the PR 5 warm
-  path, a compiled-plan *disk* hit per run (``memory_max_bytes=0``).
+  path, a compiled-plan *disk* hit per run (a fresh
+  ``CompiledPlanCache(cache_dir)`` per run, whose memory tier is empty).
 * **Fused, allocation-light execute** — the IDFT→coloring pipeline runs
   through preallocated scratch (``matmul_into``/``ifft_into``, in-place
   Gaussian scaling, a ring buffer for Doppler leftovers), so peak execute
@@ -118,17 +119,21 @@ def test_bench_warm_run_memory_tier(benchmark, cache_root):
     assert result.compile_report.plan_memory_hits == 1
 
 
-def test_bench_warm_run_disk_tier(benchmark, cache_root):
-    """Time: warm ``run(plan)`` with the memory tier disabled (PR 5 path)."""
-    cache_dir = cache_root / "warm-run"
-    SimulationEngine(cache_dir=cache_dir).run(plan := _warm_plan(), WARM_SAMPLES)
-    engine = SimulationEngine(
+def _disk_hit_run(cache_dir, plan):
+    """One warm ``run(plan)`` served from disk: a fresh plan cache per run."""
+    return SimulationEngine(
         cache=DecompositionCache(),
         filter_cache=DopplerFilterCache(),
-        plan_cache=CompiledPlanCache(cache_dir, memory_max_bytes=0),
-    )
+        plan_cache=CompiledPlanCache(cache_dir),
+    ).run(plan, WARM_SAMPLES)
 
-    result = benchmark(engine.run, plan, WARM_SAMPLES)
+
+def test_bench_warm_run_disk_tier(benchmark, cache_root):
+    """Time: warm ``run(plan)`` served by the disk tier (no memory tier)."""
+    cache_dir = cache_root / "warm-run"
+    SimulationEngine(cache_dir=cache_dir).run(plan := _warm_plan(), WARM_SAMPLES)
+
+    result = benchmark(_disk_hit_run, cache_dir, plan)
     assert result.compile_report.plan_cache_hits == 1
     assert result.compile_report.plan_memory_hits == 0
 
@@ -250,12 +255,7 @@ def test_report_execute_memory(cache_root, capsys):
     memory_engine = SimulationEngine(cache_dir=cache_dir)
     memory_engine.run(plan, WARM_SAMPLES)  # promote into the memory tier
     warm_memory = best_of(lambda: memory_engine.run(plan, WARM_SAMPLES))
-    disk_engine = SimulationEngine(
-        cache=DecompositionCache(),
-        filter_cache=DopplerFilterCache(),
-        plan_cache=CompiledPlanCache(cache_dir, memory_max_bytes=0),
-    )
-    warm_disk = best_of(lambda: disk_engine.run(plan, WARM_SAMPLES))
+    warm_disk = best_of(lambda: _disk_hit_run(cache_dir, plan))
 
     batch_size = EXEC_BATCHES[-1]
     compiled = SimulationEngine(cache=DecompositionCache()).compile(

@@ -93,9 +93,8 @@ class Simulator:
         recompilation — a warm run loads whole compiled plans without a
         single ``eigh``/``cholesky`` or filter build (see the README's
         "Caching & persistence" and ``docs/ARCHITECTURE.md``).  Conflicts
-        with an explicit ``cache``.  ``None`` (default) leaves caching
-        in-memory unless the ``REPRO_CACHE_DIR`` environment variable
-        attached the process-wide compiled-plan cache.
+        with an explicit ``cache``.  ``None`` (default) keeps every cache
+        in memory.
     max_workers:
         Size of :meth:`submit`'s thread pool (``None`` lets
         :class:`~concurrent.futures.ThreadPoolExecutor` choose).  :meth:`run`

@@ -27,13 +27,15 @@ Subcommands
     a shipped named suite (one per registered model) or a workload JSON
     file (schema in :mod:`repro.models.workloads`), printing a JSON
     summary.
-``serve [--host H] [--port P] [--max-queue Q] [--dispatch-slots S]``
+``serve [--host H] [--port P] [--max-queue Q] [--dispatch-slots S] [--cache-dir DIR]``
     Run the envelope-serving HTTP front end over one warm ``Simulator``
     session (see the "Serving layer" section of ``docs/ARCHITECTURE.md``):
     plan submission, status polling, cancellation, and streamed envelope
     delivery, with a bounded submission queue (``429`` + ``Retry-After``
     under backpressure), per-client fair scheduling, and in-flight
-    request coalescing.
+    request coalescing.  The session persists compiled plans under
+    ``--cache-dir`` or, when omitted, ``REPRO_CACHE_DIR`` (in memory only
+    when neither is given).
 ``shard --shards K --cache-dir DIR [--entries B] [...]``
     Run a deterministic sweep as ``K`` independent worker subprocesses
     sharing one ``cache_dir`` (see the "Sharding layer" section of
@@ -48,21 +50,18 @@ Subcommands
     (standing invariant 7).
 ``cache {stats,clear} [--cache-dir DIR]``
     Inspect or empty the persistent cache — its one namespace, compiled
-    plans (``plans/``) — plus the compiled-plan memory tier's
-    configuration and per-process counters.  The directory comes from
-    ``--cache-dir`` or, when omitted, the ``REPRO_CACHE_DIR`` environment
-    variable.
+    plans (``plans/``).  The directory comes from ``--cache-dir`` or, when
+    omitted, the ``REPRO_CACHE_DIR`` environment variable (as for
+    ``shard``).
 
 All output is plain text; the experiments regenerate the paper's tables and
 figures as numbers (and ASCII traces with ``--ascii-plots``).
 
 ``--version`` prints the package version.  ``run`` and ``batch`` accept
 ``--backend`` to select the engine's linalg backend (``numpy`` default,
-``scipy``); experiments that never touch the batched engine ignore it, and
-``--cache-dir`` to attach the persistent compiled-plan tier to the
-process-wide plan cache for the invocation (equivalent to setting
-``REPRO_CACHE_DIR``).  The ``batch`` summary ends with the decomposition
-cache's aggregate hit/miss counters for the run.
+``scipy``); experiments that never touch the batched engine ignore it.
+The ``batch`` summary ends with the decomposition cache's aggregate
+hit/miss counters for the run.
 """
 
 from __future__ import annotations
@@ -98,21 +97,6 @@ def _cache_dir_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _attach_cache_dir(cache_dir: Optional[Path]) -> None:
-    """Attach a persistent disk tier to the process-wide plan cache.
-
-    ``--cache-dir`` is the per-invocation equivalent of exporting
-    ``REPRO_CACHE_DIR`` before the run: the process-wide compiled-plan
-    cache gains (or, with ``None`` and no environment variable, keeps its
-    lazily-resolved) ``plans/`` tier under the directory.
-    """
-    if cache_dir is None:
-        return
-    from .engine import default_plan_cache
-
-    default_plan_cache().set_cache_dir(cache_dir)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed separately for testing)."""
     parser = argparse.ArgumentParser(
@@ -142,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="render numeric series as ASCII plots in the report",
     )
     _backend_argument(run_parser)
-    _cache_dir_argument(run_parser)
 
     export_parser = subparsers.add_parser(
         "export", help="run an experiment and write its report and series to files"
@@ -214,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 0, disabled)",
     )
     _backend_argument(batch_parser)
-    _cache_dir_argument(batch_parser)
 
     suite_parser = subparsers.add_parser(
         "suite",
@@ -252,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the workload's n_samples",
     )
     _backend_argument(suite_parser)
-    _cache_dir_argument(suite_parser)
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -408,7 +389,7 @@ def _resolved_cache_dir(cache_dir: Optional[Path]) -> Path:
     """The cache directory from ``--cache-dir`` or ``REPRO_CACHE_DIR``."""
     from .config import CACHE_DIR_ENV, cache_dir_from_env
 
-    resolved = cache_dir if cache_dir is not None else cache_dir_from_env()
+    resolved = cache_dir or cache_dir_from_env()
     if resolved is None:
         raise SystemExit(
             f"no cache directory: pass --cache-dir or set {CACHE_DIR_ENV}"
@@ -430,16 +411,7 @@ def _run_cache_command(action: str, cache_dir: Optional[Path]) -> int:
 
     print(f"cache directory: {resolved}")
     entries, n_bytes = plans.disk_usage()
-    stats = plans.stats
     print(f"  compiled plans: {entries} entries, {n_bytes / 1024:.1f} KiB")
-    # The memory tier is per process (it fronts the disk tier inside a live
-    # engine); this handle reports its default bound and this process's
-    # counters.
-    print(
-        f"    memory tier: {stats.size} resident entries, weight "
-        f"{stats.weight} of {plans.memory_bound} bytes, "
-        f"{stats.memory_hits} hits / {stats.misses} misses this process"
-    )
     return 0
 
 
@@ -516,7 +488,7 @@ def _run_shard_command(args) -> int:
         )
 
         # A fully detached solo engine: the reference must not touch the
-        # shared cache_dir (or an env-attached process-wide cache).
+        # shared cache_dir.
         reference = SimulationEngine(
             cache=DecompositionCache(),
             filter_cache=DopplerFilterCache(),
@@ -559,6 +531,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "serve":
         from .api import Simulator
+        from .config import cache_dir_from_env
         from .service.http import run_server
 
         if args.max_queue < 1:
@@ -569,7 +542,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         simulator = Simulator(
             backend=args.backend,
-            cache_dir=args.cache_dir,
+            cache_dir=args.cache_dir or cache_dir_from_env(),
             max_workers=args.dispatch_slots,
         )
         print(
@@ -603,7 +576,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # itself imports repro.models.fading — see the package docstrings.
         from .models import workloads
 
-        _attach_cache_dir(args.cache_dir)
         if args.list_suites:
             for name in workloads.available_suites():
                 print(f"{name}: {workloads.NAMED_SUITES[name]['description']}")
@@ -645,7 +617,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "run":
         from .experiments import run_experiment
 
-        _attach_cache_dir(args.cache_dir)
         exit_code = 0
         for experiment_id in _run_ids(list(args.experiments)):
             kwargs = {} if args.seed is None else {"seed": args.seed}
@@ -661,7 +632,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "batch":
         from .experiments.scaling import run_batch, run_doppler_batch
 
-        _attach_cache_dir(args.cache_dir)
         try:
             batch_sizes = tuple(
                 int(token) for token in str(args.batch_sizes).split(",") if token.strip()

@@ -12,10 +12,9 @@ constructing a new :class:`NumericDefaults` and passing it to the few
 functions that accept one.
 
 Environment configuration is read through small helpers so every consumer
-agrees on the variable names: ``REPRO_CACHE_DIR`` selects the directory of
-the persistent compiled-plan cache (:func:`cache_dir_from_env`) —
-equivalent to the CLI's ``--cache-dir`` and the ``cache_dir=`` argument of
-:class:`repro.api.Simulator`.
+agrees on the variable names: ``REPRO_CACHE_DIR`` is the fallback of the
+CLI's ``--cache-dir`` (:func:`cache_dir_from_env`).  The library itself
+reads no environment variable.
 """
 
 from __future__ import annotations

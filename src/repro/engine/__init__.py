@@ -37,8 +37,8 @@ sweeps and Monte-Carlo grids:
     The artifact caches.  The content-hashed LRU :class:`DecompositionCache`
     and the process-wide :class:`DopplerFilterCache` of Young–Beaulieu
     filters live in memory; the executor-level :class:`CompiledPlanCache`
-    also persists *whole* compiled plans under one ``cache_dir`` (CLI
-    ``--cache-dir``, env ``REPRO_CACHE_DIR``) through
+    also persists *whole* compiled plans under the ``cache_dir`` it is
+    built with through
     :class:`ArtifactStore` (atomic writes, digest verification,
     quarantine-on-corrupt, LRU byte-bounded eviction), so a later process
     skips ``eigh``/``cholesky`` and filter construction.  A disk hit is
@@ -85,7 +85,6 @@ from .plancache import (
     CompiledPlanCache,
     PlanCacheStats,
     compiled_plan_cache_key,
-    default_plan_cache,
 )
 from .store import ArtifactStore, StoreStats
 from .tiered import TieredCache, TierStats
@@ -117,7 +116,6 @@ __all__ = [
     "CompiledPlanCache",
     "PlanCacheStats",
     "compiled_plan_cache_key",
-    "default_plan_cache",
     "DopplerSpec",
     "FadingSpec",
     "PlanEntry",

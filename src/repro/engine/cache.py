@@ -188,7 +188,6 @@ def default_decomposition_cache() -> DecompositionCache:
     Shared by every :class:`repro.api.Simulator` built without an explicit
     cache and by :class:`repro.core.generator.RayleighFadingGenerator` instances that are
     not given an explicit cache, so sweeps that construct many generators
-    over repeated covariance matrices decompose each matrix once.  It stays
-    in memory whatever ``REPRO_CACHE_DIR`` says.
+    over repeated covariance matrices decompose each matrix once.
     """
     return process_default(DecompositionCache)

@@ -20,8 +20,8 @@ entries into ready-to-execute coloring matrices:
    of Eq. (21) **once** per unique ``(M, f_m, sigma_orig^2)`` in the plan
    (the looped path builds ``N + 1`` filters per scenario) through the
    process-wide :class:`repro.engine.filters.DopplerFilterCache` — so a key
-   any earlier compile (or, with a ``cache_dir``, any earlier *process*)
-   already built is served from the shared cache instead of rebuilt —
+   any earlier compile of the process already built is served from the
+   shared cache instead of rebuilt —
    record its Eq. (19) output variance, and set each entry's effective
    sample variance to that output variance (or 1.0 when the entry opts out
    of compensation).
@@ -228,14 +228,13 @@ def compile_plan(
 ) -> CompiledPlan:
     """Compile a plan into stacked, cached coloring decompositions.
 
-    When a compiled-plan disk cache is attached (``plan_cache``, or the
-    process-wide default with ``REPRO_CACHE_DIR``), the whole pass is first
-    looked up by the content hash of the ``(plan, backend namespace)`` pair:
-    on a hit the full :class:`CompiledPlan` — coloring stacks, Doppler
-    filters, per-entry variances — loads from one verified artifact with
-    *zero* ``eigh``/``cholesky``/filter-build calls, bit-identical to a
-    fresh compilation; on a miss the compiled result is spilled for the
-    next process.
+    When a ``plan_cache`` built with a ``cache_dir`` is given, the whole
+    pass is first looked up by the content hash of the ``(plan, backend
+    namespace)`` pair: on a hit the full :class:`CompiledPlan` — coloring
+    stacks, Doppler filters, per-entry variances — is served from memory or
+    loads from one verified artifact with *zero* ``eigh``/``cholesky``/
+    filter-build calls, bit-identical to a fresh compilation; on a miss the
+    compiled result is stored for later compiles and processes.
 
     Parameters
     ----------
@@ -244,8 +243,8 @@ def compile_plan(
     cache:
         Decomposition cache to consult and populate; defaults to the
         process-wide cache.  Pass ``DecompositionCache(maxsize=0)`` to
-        disable reuse (e.g. for cold-path benchmarking), or one built with
-        ``cache_dir=`` to persist decompositions across processes.
+        disable reuse (e.g. for cold-path benchmarking).  Decompositions
+        stay in memory; only whole compiled plans persist.
     defaults:
         Numeric tolerance bundle forwarded to the decomposition pipeline.
     backend:
@@ -261,45 +260,30 @@ def compile_plan(
         The filter does not depend on the linalg backend (it is a closed-form
         coefficient vector), so filter entries are never backend-namespaced.
     plan_cache:
-        Compiled-plan disk cache (the executor-level tier).  When ``None``,
-        the default *follows the decomposition cache*: a default-cache
-        compile uses the process-wide
-        :func:`repro.engine.plancache.default_plan_cache` (a no-op unless a
-        ``cache_dir`` is attached), while an **explicit** ``cache`` keeps
-        the plan tier detached — so a caller who configured caching by hand
-        (e.g. ``DecompositionCache(maxsize=0)`` as a documented no-reuse
-        baseline) is never silently short-circuited by an env-attached
-        ``plans/`` tier.  Pass a ``CompiledPlanCache`` explicitly to
-        combine an explicit decomposition cache with plan caching.
+        Compiled-plan cache (the executor-level tier).  ``None``, like a
+        detached :class:`repro.engine.plancache.CompiledPlanCache`,
+        compiles without one.
     """
     from .filters import default_filter_cache
-    from .plancache import (
-        CompiledPlanCache,
-        compiled_plan_cache_key,
-        default_plan_cache,
-    )
+    from .plancache import compiled_plan_cache_key
 
     backend_obj = resolve_backend(backend)
     cache_token = backend_obj.cache_token
-    if plan_cache is None:
-        plan_cache = default_plan_cache() if cache is None else CompiledPlanCache()
     if cache is None:
         cache = default_decomposition_cache()
     if filter_cache is None:
         filter_cache = default_filter_cache()
+    if plan_cache is None or not plan_cache.enabled:
+        # No plan tier to share results through: no lookup, no singleflight.
+        return _compile_plan_fresh(
+            plan, cache, defaults, backend_obj, cache_token, filter_cache
+        )
 
     # Executor-level short-circuit: a stored compiled plan skips grouping,
     # hashing-per-matrix, decomposition and filter resolution entirely.
     loaded = plan_cache.lookup(plan, defaults=defaults, backend=backend_obj)
     if loaded is not None:
         return loaded
-
-    if not plan_cache.enabled:
-        # Detached plan cache: no tier to share results through, so no
-        # singleflight either — compile directly (the documented no-op).
-        return _compile_plan_fresh(
-            plan, cache, defaults, backend_obj, cache_token, filter_cache, plan_cache
-        )
 
     # In-flight coalescing (singleflight): when another thread is already
     # compiling this exact (plan, backend) key, wait for its result to land
@@ -321,9 +305,12 @@ def compile_plan(
                 report=dataclasses.replace(loaded.report, plan_inflight_hits=1),
             )
     try:
-        return _compile_plan_fresh(
-            plan, cache, defaults, backend_obj, cache_token, filter_cache, plan_cache
+        compiled = _compile_plan_fresh(
+            plan, cache, defaults, backend_obj, cache_token, filter_cache
         )
+        # Idempotent per key, so repeated compiles serialize once.
+        plan_cache.put(compiled, defaults=defaults)
+        return compiled
     finally:
         plan_cache.finish_inflight(inflight_key)
 
@@ -335,9 +322,8 @@ def _compile_plan_fresh(
     backend_obj: LinalgBackend,
     cache_token: str,
     filter_cache: "DopplerFilterCache",
-    plan_cache: "CompiledPlanCache",
 ) -> CompiledPlan:
-    """The uncached compilation pass: group, deduplicate, decompose, spill."""
+    """The uncached compilation pass: group, deduplicate, decompose."""
     from ..core.coloring import compute_coloring_batch
 
     start = time.perf_counter()
@@ -355,9 +341,9 @@ def _compile_plan_fresh(
     # Young–Beaulieu filters are resolved once per unique
     # (M, f_m, sigma_orig^2) across the whole plan — groups differing only
     # in N share a resolution — through the process-wide filter cache, which
-    # serves keys built by earlier compiles (or earlier processes, with a
-    # disk tier) without rebuilding.  The per-plan memo also keeps the
-    # "literally shared array" guarantee within one compiled plan.
+    # serves keys built by earlier compiles without rebuilding.  The
+    # per-plan memo also keeps the "literally shared array" guarantee
+    # within one compiled plan.
     filter_memo: Dict[Tuple[int, float, float], Tuple[np.ndarray, float]] = {}
     filter_cache_hits = 0
     groups: List[CompiledGroup] = []
@@ -461,10 +447,6 @@ def _compile_plan_fresh(
         doppler_entries=doppler_entries,
         doppler_filter_cache_hits=filter_cache_hits,
     )
-    compiled = CompiledPlan(
+    return CompiledPlan(
         plan=plan, groups=tuple(groups), report=report, backend=backend_obj
     )
-    # Spill the whole pass for the next process (no-op without a disk tier;
-    # idempotent per key, so repeated compiles serialize once).
-    plan_cache.put(compiled, defaults=defaults)
-    return compiled

@@ -20,7 +20,7 @@ from .compile import CompiledPlan, compile_plan
 from .execute import check_stream_arguments, execute_plan, stream_plan
 from .filters import DopplerFilterCache, default_filter_cache
 from .plan import SimulationPlan
-from .plancache import CompiledPlanCache, default_plan_cache
+from .plancache import CompiledPlanCache
 from .result import BatchResult
 
 __all__ = ["SimulationEngine"]
@@ -48,13 +48,8 @@ class SimulationEngine:
         Compiled-plan cache (the executor-level tier of the artifact
         store): an in-memory LRU tier over a content-addressed disk tier,
         so repeated ``run(plan)`` on a warm engine re-binds without disk
-        I/O.  When ``None``, the default follows ``cache``: a
-        default-cache engine uses the process-wide plan cache (a no-op
-        unless ``REPRO_CACHE_DIR`` attached a directory), while an explicit
-        ``cache`` keeps the plan tier detached — an explicitly configured
-        (e.g. memory-only) engine is never silently served by an
-        env-attached ``plans/`` tier.  Pass a ``CompiledPlanCache``
-        explicitly to combine the two.
+        I/O.  ``None`` builds a private detached
+        :class:`repro.engine.plancache.CompiledPlanCache` (a no-op).
     cache_dir:
         Convenience: build a *private* persistent
         :class:`repro.engine.plancache.CompiledPlanCache` rooted at this
@@ -95,16 +90,11 @@ class SimulationEngine:
             cache = DecompositionCache()
             filter_cache = DopplerFilterCache()
             plan_cache = CompiledPlanCache(cache_dir)
-        if plan_cache is None:
-            # The plan-tier default follows the decomposition cache: only a
-            # default-cache engine picks up the (possibly env-attached)
-            # process-wide plan cache.
-            plan_cache = default_plan_cache() if cache is None else CompiledPlanCache()
         self._cache = default_decomposition_cache() if cache is None else cache
         self._filter_cache = (
             default_filter_cache() if filter_cache is None else filter_cache
         )
-        self._plan_cache = plan_cache
+        self._plan_cache = CompiledPlanCache() if plan_cache is None else plan_cache
         self._defaults = defaults
         self._backend = resolve_backend(backend)
 

@@ -1,12 +1,14 @@
 """The compiled-plan cache: whole :class:`CompiledPlan` objects, two tiers.
 
 This is the one cache that persists: ``cache_dir`` holds a single
-namespace, ``plans/``.  :class:`CompiledPlanCache` is the executor-level
-cache on top of the :class:`repro.engine.store.ArtifactStore` that
-short-circuits the whole compile pass: :func:`repro.engine.compile.compile_plan`
-content-hashes the ``(plan, backend namespace)`` pair and, on a hit, serves
-the full :class:`~repro.engine.compile.CompiledPlan` — grouping, coloring
-stacks, filters, per-entry effective variances — without touching
+namespace, ``plans/``, and only when a caller builds the cache with one
+(the directory is then fixed for the cache's lifetime).
+:class:`CompiledPlanCache` is the executor-level cache on top of the
+:class:`repro.engine.store.ArtifactStore` that short-circuits the whole
+compile pass: :func:`repro.engine.compile.compile_plan` content-hashes the
+``(plan, backend namespace)`` pair and, on a hit, serves the full
+:class:`~repro.engine.compile.CompiledPlan` — grouping, coloring stacks,
+filters, per-entry effective variances — without touching
 ``eigh``/``cholesky`` or filter construction at all.  The decomposition and
 Doppler-filter caches underneath stay in memory: at the paper's sizes a
 recompute is cheaper than a verified disk load (ROADMAP item 8).
@@ -28,16 +30,12 @@ Both tiers are the shared :class:`repro.engine.tiered.TieredCache`.  A disk
 load yields the same resident form a memory insert stores (groups without
 their plan binding), so one re-bind function serves both tiers.
 
-The memory tier is **enabled by default exactly when a disk tier is
-attached** (a ``cache_dir``), matching the engine configurations that opt
-into plan caching (``SimulationEngine(cache_dir=...)``, ``REPRO_CACHE_DIR``,
-the CLI's ``--cache-dir``); a detached cache stays the documented no-op so
-explicitly hand-configured engines and benchmarks keep their counters.
-Pass ``memory_max_bytes`` explicitly to run a pure-memory tier without a
-disk tier (or ``0`` to disable the memory tier of an attached cache).
-Coherence: :meth:`CompiledPlanCache.invalidate` evicts a key from *both*
-tiers — a quarantined disk artifact never leaves a stale memory entry
-behind.
+The memory tier comes with the disk tier: a cache built with a
+``cache_dir`` holds up to :data:`DEFAULT_MEMORY_MAX_BYTES` of resident
+plans, and one built without is the documented no-op, so hand-configured
+engines and benchmarks keep their counters.  Coherence:
+:meth:`CompiledPlanCache.invalidate` evicts a key from *both* tiers — a
+quarantined disk artifact never leaves a stale memory entry behind.
 
 Keying
 ------
@@ -82,10 +80,10 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults, cache_dir_from_env
+from ..config import DEFAULTS, NumericDefaults
 from ..linalg import ColoringDecomposition
 from .store import DEFAULT_DISK_MAX_BYTES, ArtifactStore
-from .tiered import DEFAULT_MEMORY_MAX_BYTES, TieredCache, TierStats, process_default
+from .tiered import TieredCache, TierStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .backends import LinalgBackend
@@ -97,8 +95,10 @@ __all__ = [
     "PlanCacheStats",
     "CompiledPlanCache",
     "compiled_plan_cache_key",
-    "default_plan_cache",
 ]
+
+#: Byte bound of the memory tier of a cache built with a ``cache_dir``.
+DEFAULT_MEMORY_MAX_BYTES = 256 * 1024 * 1024
 
 #: On-disk payload-layout version of compiled-plan artifacts.  Version 2
 #: folded the per-entry fading token into the key; version 3 records each
@@ -434,26 +434,18 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
     to the caller's plan with zero disk I/O and zero array copies (only
     the per-call seed/label re-bind); a memory miss falls through to the
     disk tier, and a disk hit is promoted into memory so the load is paid
-    once per process.  A fully detached cache (no ``cache_dir``, no
-    explicit ``memory_max_bytes``) is a no-op: lookups miss silently —
-    before hashing the plan — and stores are dropped.
+    once per process.  A cache built without a ``cache_dir`` is a no-op:
+    lookups miss silently — before hashing the plan — and stores are
+    dropped.
 
     Parameters
     ----------
     cache_dir:
         Root of the persistent cache; artifacts live under
-        ``<cache_dir>/plans/<key>.npz``.
+        ``<cache_dir>/plans/<key>.npz``.  Fixed for the cache's lifetime;
+        ``None`` (default) builds the detached no-op.
     disk_max_bytes:
         LRU byte bound of the ``plans/`` namespace.
-    memory_max_bytes:
-        Byte bound of the in-memory tier.  ``None`` (default) resolves to
-        :data:`DEFAULT_MEMORY_MAX_BYTES` while a disk tier is attached and
-        to ``0`` (disabled) while detached — so engines that opted into
-        plan caching get the memory tier for free, and hand-configured
-        cache-less setups keep their exact counters.  Pass a positive
-        value for a pure-memory tier without disk, or ``0`` to disable the
-        memory tier of an attached cache (e.g. a warm-disk benchmark
-        baseline).
     """
 
     _store: ArtifactStore
@@ -463,12 +455,11 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
         cache_dir: Union[None, str, Path] = None,
         *,
         disk_max_bytes: int = DEFAULT_DISK_MAX_BYTES,
-        memory_max_bytes: Optional[int] = None,
     ) -> None:
         super().__init__(
             freeze=_freeze_plan,
             size_of=_resident_bytes,
-            memory_bound=memory_max_bytes,
+            memory_bound=0 if cache_dir is None else DEFAULT_MEMORY_MAX_BYTES,
             store=ArtifactStore(
                 "plans",
                 dump=_dump_plan,
@@ -478,11 +469,6 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
                 max_bytes=disk_max_bytes,
             ),
         )
-
-    @property
-    def memory_max_bytes(self) -> int:
-        """Resolved byte bound of the memory tier (``0`` = disabled)."""
-        return self.memory_bound
 
     @property
     def cache_dir(self) -> Optional[Path]:
@@ -498,19 +484,6 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
     def artifact_store(self) -> ArtifactStore:
         """The :class:`ArtifactStore` namespace backing the disk tier."""
         return self._store
-
-    def set_cache_dir(self, cache_dir: Union[None, str, Path]) -> None:
-        """Attach (or detach, with ``None``) the persistent disk tier.
-
-        Existing files under the directory become visible at once and
-        counters are kept.  Resident entries are content-addressed, so they
-        stay valid; the memory bound is re-applied (detaching a tier whose
-        bound follows the disk tier drops every resident entry).
-        """
-        self._store.set_cache_dir(cache_dir)
-        bound = self.memory_bound
-        with self._lock:
-            self._trim_locked(bound)
 
     def clear_disk(self) -> int:
         """Remove every file of the disk tier (``.tmp`` and quarantine
@@ -530,7 +503,7 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
     ) -> Optional["CompiledPlan"]:
         """Serve the compiled form of ``plan``, or ``None`` (a miss).
 
-        A fully detached cache returns ``None`` immediately — before
+        A detached cache returns ``None`` immediately — before
         hashing the plan — so plain in-memory compiles pay nothing for
         this cache.  Tiers are probed memory-first; either kind of hit is
         re-bound to the caller's ``plan`` (seeds and labels come from it),
@@ -577,17 +550,3 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
             cache_token="numpy" if backend is None else backend.cache_token,
         )
         return self._put(key, _resident_from_compiled(compiled))[1]
-
-
-def _plan_cache_from_env() -> CompiledPlanCache:
-    return CompiledPlanCache(cache_dir_from_env())
-
-
-def default_plan_cache() -> CompiledPlanCache:
-    """The process-wide compiled-plan cache.
-
-    Detached (a no-op) unless ``REPRO_CACHE_DIR`` is set at first use or
-    the CLI's ``--cache-dir`` attaches a directory; engines built with
-    ``cache_dir=`` use their own private instances instead.
-    """
-    return process_default(_plan_cache_from_env)

@@ -53,12 +53,13 @@ coordination: without :mod:`fcntl` the store runs uncoordinated and a
 lost race stays what it always was — a quarantine-or-miss, never an
 error.
 
-All filesystem I/O happens outside the store lock — only counter and
-bookkeeping updates take it — so a client's memory-tier lookups never queue
-behind another thread's file read.  An unusable directory (a regular file
-in the way, no permission, a full disk) degrades the client to memory-only
-caching, never an error, and failed spills are remembered per key so an
-unwritable tier does not re-pay serialization on every subsequent hit.
+The directory is fixed when the store is built.  All filesystem I/O
+happens outside the store lock — only counter and bookkeeping updates take
+it — so a client's memory-tier lookups never queue behind another thread's
+file read.  An unusable directory (a regular file in the way, no
+permission, a full disk) degrades the client to memory-only caching, never
+an error, and failed spills are remembered per key so an unwritable tier
+does not re-pay serialization on every repeated spill.
 """
 
 from __future__ import annotations
@@ -240,17 +241,18 @@ class ArtifactStore:
         self._misses = 0
         self._corruptions = 0
         self._evictions = 0
-        self._dir: Optional[Path] = None
+        self._dir: Optional[Path] = (
+            None if cache_dir is None else Path(cache_dir) / namespace
+        )
         # Keys this store will not spill again: known to be on disk, or a
         # spill already failed (an unwritable tier must not re-pay payload
-        # serialization and hashing on every memory hit of the client).
-        # Reset whenever the tier is (re)attached, so a new directory gets
-        # fresh attempts.
+        # serialization and hashing on every repeated compile).
         self._no_spill: set = set()
         # Running byte total of the tier (None = unknown, recalibrated by
         # the next eviction pass), so spills do not re-scan the directory.
         self._total: Optional[int] = None
-        self.set_cache_dir(cache_dir)
+        if self._dir is not None:
+            self._sweep_stale(self._dir)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -263,20 +265,7 @@ class ArtifactStore:
     @property
     def cache_dir(self) -> Optional[Path]:
         """Root of the shared artifact cache (``None`` when detached)."""
-        with self._lock:
-            return None if self._dir is None else self._dir.parent
-
-    @property
-    def attached(self) -> bool:
-        """Whether a disk tier is currently attached (lock-free, advisory).
-
-        Clients use this to skip spill bookkeeping (key hashing, a ``put``
-        call) on memory-tier hits of detached stores; a racing
-        ``set_cache_dir`` at worst delays one lazy spill to the next hit,
-        which the idempotent :meth:`put` absorbs.
-        """
-        # reprolint: disable=lock-discipline (documented advisory read)
-        return self._dir is not None
+        return None if self._dir is None else self._dir.parent
 
     @property
     def max_bytes(self) -> int:
@@ -301,8 +290,7 @@ class ArtifactStore:
         maintenance, lookups must not queue behind it), so the numbers
         reflect every process sharing the ``cache_dir``.
         """
-        with self._lock:
-            disk_dir = self._dir
+        disk_dir = self._dir
         if disk_dir is None or not disk_dir.is_dir():
             return 0, 0
         count = 0
@@ -322,34 +310,18 @@ class ArtifactStore:
         return count, total
 
     # ------------------------------------------------------------------ #
-    # Attachment and sweeping
+    # Sweeping
     # ------------------------------------------------------------------ #
-    def set_cache_dir(self, cache_dir: Union[None, str, Path]) -> None:
-        """Attach (or detach, with ``None``) the disk tier.
-
-        Existing entries under the directory become immediately visible;
-        counters are kept.  Opening a directory sweeps leftovers of past
-        failures — stale ``.tmp`` files of writers that died mid-spill *and*
-        stale ``.quarantine`` files of corrupt entries — so long-lived
-        shared cache directories cannot accumulate them without bound.
-        """
-        with self._lock:
-            self._no_spill = set()
-            self._total = None
-            if cache_dir is None:
-                self._dir = None
-                return
-            self._dir = Path(cache_dir) / self._namespace
-            disk_dir = self._dir
-        self._sweep_stale(disk_dir)
-
     @staticmethod
     def _sweep_stale(disk_dir: Path) -> None:
         """Drop stale ``.tmp`` and ``.quarantine`` leftovers.
 
-        Recent files are presumed live — an in-flight write of another
-        process, or a corrupt entry someone may still want to inspect — and
-        kept until they age past :data:`TMP_SWEEP_AGE_SECONDS`.
+        Runs when a store opens its directory, so long-lived shared cache
+        directories cannot accumulate the leftovers of past failures —
+        writers that died mid-spill, corrupt entries.  Recent files are
+        presumed live — an in-flight write of another process, or a corrupt
+        entry someone may still want to inspect — and kept until they age
+        past :data:`TMP_SWEEP_AGE_SECONDS`.
         """
         now = time.time()
         try:
@@ -505,8 +477,7 @@ class ArtifactStore:
         counting.  Hits refresh the entry's LRU position; every defect
         quarantines the file and counts a corruption.
         """
-        with self._lock:
-            disk_dir = self._dir
+        disk_dir = self._dir
         if disk_dir is None:
             return None
         path = disk_dir / f"{key}.npz"
@@ -524,9 +495,8 @@ class ArtifactStore:
             with self._lock:
                 if present:
                     self._corruptions += 1
-                    if self._dir == disk_dir:
-                        self._no_spill.discard(key)
-                        self._total = None  # force recalibration
+                    self._no_spill.discard(key)
+                    self._total = None  # force recalibration
                 self._misses += 1
             return None
         try:
@@ -534,10 +504,7 @@ class ArtifactStore:
         except OSError:
             pass
         with self._lock:
-            if self._dir == disk_dir:
-                # Guard against a concurrent set_cache_dir: the key is only
-                # known to exist in the directory it was loaded from.
-                self._no_spill.add(key)
+            self._no_spill.add(key)
             self._hits += 1
         return payload
 
@@ -553,17 +520,14 @@ class ArtifactStore:
         no-spill mark so the next :meth:`put` rewrites it, and corrects the
         already-counted hit into a corruption miss.
         """
-        with self._lock:
-            disk_dir = self._dir
-        if disk_dir is None:
+        if self._dir is None:
             return
-        path = disk_dir / f"{key}.npz"
+        path = self._dir / f"{key}.npz"
         if path.exists():
             self._quarantine(path)
         with self._lock:
-            if self._dir == disk_dir:
-                self._no_spill.discard(key)
-                self._total = None  # force recalibration
+            self._no_spill.discard(key)
+            self._total = None  # force recalibration
             self._hits -= 1
             self._misses += 1
             self._corruptions += 1
@@ -572,32 +536,27 @@ class ArtifactStore:
         """Spill one payload (idempotent per key); ``True`` if written.
 
         Keys already known to be on disk — or whose spill already failed —
-        return immediately without re-paying serialization, so clients may
-        call ``put`` on every memory hit to lazily persist entries that
-        predate the tier.  Concurrent spillers of the same key write
-        identical bytes through atomic renames, so the race is benign; the
-        byte total may double-count briefly, which the next eviction pass
-        recalibrates.
+        return immediately without re-paying serialization.  Concurrent
+        spillers of the same key write identical bytes through atomic
+        renames, so the race is benign; the byte total may double-count
+        briefly, which the next eviction pass recalibrates.
         """
         with self._lock:
-            disk_dir = self._dir
-            if disk_dir is None or key in self._no_spill:
+            if self._dir is None or key in self._no_spill:
                 return False
-        written, size = self._write(disk_dir, key, payload)
+        written, size = self._write(self._dir, key, payload)
         needs_evict = False
         with self._lock:
-            if self._dir != disk_dir:
-                return written  # tier detached or redirected while writing
             # A *failed* write also marks the key: an unusable tier degrades
             # to memory-only caching instead of re-paying serialization on
-            # every subsequent hit (re-attaching the tier retries).
+            # every subsequent spill of the key.
             self._no_spill.add(key)
             if written:
                 if self._total is not None:
                     self._total += size
                 needs_evict = self._total is None or self._total > self._max_bytes
         if needs_evict:
-            self._evict(disk_dir)
+            self._evict(self._dir)
         return written
 
     def _evict(self, disk_dir: Path) -> bool:
@@ -654,8 +613,6 @@ class ArtifactStore:
                 evicted.append(path.stem)  # file name is the key
                 total -= size
         with self._lock:
-            if self._dir != disk_dir:
-                return True  # tier detached or redirected while scanning
             for key in evicted:
                 self._no_spill.discard(key)
             self._evictions += len(evicted)
@@ -672,11 +629,9 @@ class ArtifactStore:
         whether a pass ran (``False`` when detached or when another
         process held the eviction lock).
         """
-        with self._lock:
-            disk_dir = self._dir
-        if disk_dir is None:
+        if self._dir is None:
             return False
-        return self._evict(disk_dir)
+        return self._evict(self._dir)
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -690,8 +645,7 @@ class ArtifactStore:
         lock — only the bookkeeping update takes it — so concurrent
         lookups never queue behind the unlinks.
         """
-        with self._lock:
-            disk_dir = self._dir
+        disk_dir = self._dir
         removed_keys: List[str] = []
         try:
             listing = (
@@ -714,12 +668,11 @@ class ArtifactStore:
             if path.suffix == ".npz":
                 removed_keys.append(path.stem)
         with self._lock:
-            if self._dir == disk_dir:
-                for key in removed_keys:
-                    self._no_spill.discard(key)
-                # Concurrent spills may have landed after the walk; let the
-                # next eviction pass recalibrate instead of assuming empty.
-                self._total = None
+            for key in removed_keys:
+                self._no_spill.discard(key)
+            # Concurrent spills may have landed after the walk; let the
+            # next eviction pass recalibrate instead of assuming empty.
+            self._total = None
         return len(removed_keys)
 
     def reset_stats(self) -> None:

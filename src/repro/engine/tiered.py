@@ -17,9 +17,9 @@ serves a repeated plan across processes (ROADMAP item 8 has the numbers).
 
 :class:`TieredCache` is that machinery, written once.  It owns the memory
 LRU, the lock, the hit/miss/eviction counters and their :class:`TierStats`
-snapshot, disk-hit promotion and the lazy spill of entries that predate an
-attached disk tier (when a store is given), the compile singleflight
-table, and the process-wide default instances (:func:`process_default`).
+snapshot, disk-hit promotion (when a store is given), the compile
+singleflight table, and the process-wide default instances
+(:func:`process_default`).
 The three caches built on it — :class:`repro.engine.cache.DecompositionCache`,
 :class:`repro.engine.filters.DopplerFilterCache` and
 :class:`repro.engine.plancache.CompiledPlanCache` — each supply a key, a
@@ -46,15 +46,10 @@ from typing import Any, Callable, Dict, Generic, Optional, Tuple, TypeVar
 from .store import ArtifactStore, StoreStats
 
 __all__ = [
-    "DEFAULT_MEMORY_MAX_BYTES",
     "TierStats",
     "TieredCache",
     "process_default",
 ]
-
-#: Memory bound a tier constructed with ``memory_bound=None`` uses while a
-#: disk tier is attached (it is ``0``, i.e. disabled, while detached).
-DEFAULT_MEMORY_MAX_BYTES = 256 * 1024 * 1024
 
 V = TypeVar("V")
 C = TypeVar("C")
@@ -149,9 +144,7 @@ class TieredCache(Generic[V]):
         Weight of one value against ``memory_bound`` (default 1 per entry).
     memory_bound:
         Bound on the total weight held in memory; ``0`` disables the memory
-        tier.  ``None`` follows the disk tier:
-        :data:`DEFAULT_MEMORY_MAX_BYTES` while one is attached, ``0`` while
-        detached.
+        tier.
     store:
         The disk tier, or ``None`` for a memory-only cache.  Its ``load``
         must return the same resident form that :meth:`_put` stores, so one
@@ -163,14 +156,14 @@ class TieredCache(Generic[V]):
         *,
         freeze: Callable[[V], V],
         size_of: Callable[[V], int] = _unit_weight,
-        memory_bound: Optional[int],
+        memory_bound: int,
         store: Optional[ArtifactStore] = None,
     ) -> None:
-        if memory_bound is not None and memory_bound < 0:
+        if memory_bound < 0:
             raise ValueError(
                 f"memory bound must be non-negative, got {memory_bound}"
             )
-        self._memory_config = None if memory_bound is None else int(memory_bound)
+        self._memory_bound = int(memory_bound)
         self._freeze = freeze
         self._size_of = size_of
         # key -> (value, weight), least recently used first.
@@ -191,21 +184,17 @@ class TieredCache(Generic[V]):
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def _attached(self) -> bool:
-        """Whether a disk tier is attached (lock-free, advisory)."""
-        return self._store is not None and self._store.attached
-
-    @property
     def memory_bound(self) -> int:
-        """Resolved bound of the memory tier (``0`` = disabled)."""
-        if self._memory_config is not None:
-            return self._memory_config
-        return DEFAULT_MEMORY_MAX_BYTES if self._attached else 0
+        """Bound of the memory tier (``0`` = disabled)."""
+        return self._memory_bound
 
     @property
     def enabled(self) -> bool:
-        """Whether any tier is active (memory bound above 0, or a disk tier)."""
-        return self.memory_bound > 0 or self._attached
+        """Whether the cache keeps anything: a memory bound above 0.
+
+        A disk tier only ever sits below a memory tier, so this covers it.
+        """
+        return self._memory_bound > 0
 
     @property
     def stats(self) -> TierStats:
@@ -258,10 +247,7 @@ class TieredCache(Generic[V]):
         request, and is dropped from the tier that served it: a memory
         entry falls through to the disk probe, a disk entry is invalidated
         in both tiers.  Every lookup counts exactly one hit or one miss.
-        A memory hit also spills an entry that predates the disk tier; the
-        store makes that free for keys it already holds (or cannot write).
         """
-        store = self._store
         with self._lock:
             slot = self._entries.get(key)
             if slot is not None:
@@ -271,13 +257,11 @@ class TieredCache(Generic[V]):
             if served is not None:
                 with self._lock:
                     self._hits += 1
-                if store is not None and store.attached:
-                    store.put(key, slot[0])
                 return served
             self._drop(key)
 
         served = None
-        loaded = None if store is None else store.lookup(key)
+        loaded = None if self._store is None else self._store.lookup(key)
         if loaded is not None:
             served = use(self._remember(key, self._freeze(loaded)), True)
             if served is None:
@@ -300,7 +284,7 @@ class TieredCache(Generic[V]):
 
     def _remember(self, key: str, value: V) -> V:
         """Insert into the memory tier (first insert wins); return the resident value."""
-        bound = self.memory_bound
+        bound = self._memory_bound
         weight = self._size_of(value) if bound > 0 else 0
         with self._lock:
             slot = self._entries.get(key)
@@ -312,7 +296,10 @@ class TieredCache(Generic[V]):
             if 0 < bound and weight <= bound:
                 self._entries[key] = (value, weight)
                 self._weight += weight
-                self._trim_locked(bound)
+                while self._weight > bound:  # evict least recently used
+                    _, (_, dropped) = self._entries.popitem(last=False)
+                    self._weight -= dropped
+                    self._evictions += 1
         return value
 
     def _drop(self, key: str) -> None:
@@ -320,13 +307,6 @@ class TieredCache(Generic[V]):
             slot = self._entries.pop(key, None)
             if slot is not None:
                 self._weight -= slot[1]
-
-    def _trim_locked(self, bound: int) -> None:
-        """Evict least-recently-used entries down to ``bound``."""
-        while self._entries and self._weight > bound:
-            _, slot = self._entries.popitem(last=False)
-            self._weight -= slot[1]
-            self._evictions += 1
 
     def invalidate(self, key: str) -> None:
         """Evict ``key`` from *both* tiers after its content was rejected.
@@ -403,11 +383,7 @@ _DEFAULTS_LOCK = threading.Lock()
 
 
 def process_default(factory: Callable[[], C]) -> C:
-    """The process-wide instance ``factory()`` builds, created on first use.
-
-    Created lazily, so a factory that reads the environment (the plan
-    cache's ``REPRO_CACHE_DIR``) sees it as of first use.
-    """
+    """The process-wide instance ``factory()`` builds, created on first use."""
     with _DEFAULTS_LOCK:
         cache = _DEFAULTS.get(factory)
         if cache is None:

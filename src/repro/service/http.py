@@ -13,6 +13,9 @@ POST      ``/v1/plans``               submit a plan payload → ``202`` with a
                                       malformed payload or
                                       ``Content-Length``; ``413`` above
                                       ``MAX_BODY_BYTES`` (body never read)
+any       any                         ``414`` for a request line, ``431``
+                                      for a header section, that would
+                                      take the head past ``MAX_HEAD_BYTES``
 GET       ``/v1/plans/<id>``          status snapshot (``404`` unknown)
 DELETE    ``/v1/plans/<id>``          cancel (idempotent)
 GET       ``/v1/plans/<id>/result``   await + stream the result as chunked
@@ -51,6 +54,11 @@ __all__ = ["ServiceHTTPServer", "run_server"]
 #: Largest accepted request body (a plan payload), in bytes.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Largest accepted request head (request line plus headers), in bytes.
+#: Below the stream reader's 64 KiB line limit, so an over-long line is
+#: rejected here and not by the reader.
+MAX_HEAD_BYTES = 32 * 1024
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -59,8 +67,10 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    414: "URI Too Long",
     422: "Unprocessable Entity",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -152,16 +162,19 @@ class ServiceHTTPServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        request_line = await reader.readline()
+        budget = MAX_HEAD_BYTES
+        request_line = await _read_head_line(reader, budget, 414, "request line")
         if not request_line:
             return None
         try:
             method, path, _version = request_line.decode("ascii").split()
         except ValueError:
             return None
+        budget -= len(request_line)
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_head_line(reader, budget, 431, "header section")
+            budget -= len(line)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -326,6 +339,25 @@ class ServiceHTTPServer:
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("ascii"))
         writer.write(body)
         await writer.drain()
+
+
+async def _read_head_line(
+    reader: asyncio.StreamReader, budget: int, status: int, part: str
+) -> bytes:
+    """One line of the request head, or ``status`` once it would exceed ``budget``.
+
+    Nothing more is read after the budget runs out, so a client cannot make
+    the server buffer an unbounded head.
+    """
+    try:
+        line = await reader.readline()
+    except ValueError:  # a line past the reader's own limit
+        line = None
+    if line is None or len(line) > budget:
+        raise _RequestError(
+            status, f"{part} exceeds the {MAX_HEAD_BYTES}-byte request head limit"
+        )
+    return line
 
 
 def run_server(

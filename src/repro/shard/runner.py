@@ -27,10 +27,9 @@ output is reused only when its worker read exactly the slice payload this
 run would write (``slice_sha256``), so a different ``n_samples`` or
 different seeds always recompute.
 
-Worker environments drop ``REPRO_CACHE_DIR`` (only the explicit
-``cache_dir`` may act) and prepend this package's source root to
-``PYTHONPATH`` so ``python -m repro.shard.worker`` resolves even when the
-parent runs from a source checkout.
+Worker environments prepend this package's source root to ``PYTHONPATH``
+so ``python -m repro.shard.worker`` resolves even when the parent runs
+from a source checkout.
 """
 
 from __future__ import annotations
@@ -134,9 +133,6 @@ def _worker_env(extra_env: Optional[Dict[str, str]], n_workers: int) -> Dict[str
     threads = str(max(1, cores // max(1, n_workers)))
     for name in _BLAS_THREAD_VARS:
         env.setdefault(name, threads)
-    # Only the explicit cache_dir may act inside workers; an inherited
-    # REPRO_CACHE_DIR would silently re-route the shared tiers.
-    env.pop("REPRO_CACHE_DIR", None)
     package_root = str(Path(__file__).resolve().parents[2])
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = (

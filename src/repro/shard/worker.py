@@ -80,10 +80,7 @@ def run_slice(
     internals: slice addressing, labels, the compile report, and the
     compiled-plan cache counters.
     """
-    if cache_dir is None:
-        engine = SimulationEngine(backend=backend)
-    else:
-        engine = SimulationEngine(backend=backend, cache_dir=cache_dir)
+    engine = SimulationEngine(backend=backend, cache_dir=cache_dir)
     result = engine.run(plan_slice.plan, n_samples)
     plans = engine.plan_cache.stats
     meta: Dict[str, Any] = {

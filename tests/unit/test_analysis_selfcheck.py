@@ -58,20 +58,39 @@ def test_hot_modules_are_marked():
     assert module.hot_module, "the serving core lost its hot-module marker"
 
 
-def test_lock_guarded_modules_produce_findings_when_unsuppressed():
-    """The store's advisory lock-free read is a *suppressed* finding.
+#: A lock-written attribute read outside the lock, behind a suppression.
+_ADVISORY_READ_MODULE = """
+import threading
+
+
+class Store:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._dir = None
+
+    def attach(self, path):
+        with self._lock:
+            self._dir = path
+
+    @property
+    def attached(self):
+        # reprolint: disable=lock-discipline (advisory read)
+        return self._dir is not None
+"""
+
+
+def test_lock_guarded_modules_produce_findings_when_unsuppressed(tmp_path):
+    """An advisory lock-free read is a *suppressed* finding.
 
     Guards against the rule silently losing its teeth: stripping the
-    suppression directives from ``engine/store.py`` must re-surface the
-    documented advisory read in ``ArtifactStore.attached``.
+    suppression directive must re-surface the unguarded read of ``_dir``.
     """
-    from repro.analysis.framework import Project
-    from repro.analysis.lock_discipline import LockDisciplineRule
+    path = tmp_path / "store.py"
+    path.write_text(_ADVISORY_READ_MODULE, encoding="utf8")
+    assert run_lint([path], ["lock-discipline"]).clean
 
-    store = PACKAGE_DIR / "engine" / "store.py"
-    source = store.read_text(encoding="utf8").replace("# reprolint:", "# stripped:")
-    from repro.analysis.framework import ModuleInfo
-
-    module = ModuleInfo(store, str(store), source)
-    findings = list(LockDisciplineRule().run(Project(modules=[module])))
+    path.write_text(
+        _ADVISORY_READ_MODULE.replace("# reprolint:", "# stripped:"), encoding="utf8"
+    )
+    findings = run_lint([path], ["lock-discipline"]).findings
     assert any("_dir" in finding.message for finding in findings)

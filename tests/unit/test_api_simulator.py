@@ -96,15 +96,15 @@ class TestConstruction:
         with Simulator(cache=DecompositionCache(maxsize=0)) as sim:
             assert sim.cache_dir is None
 
-    def test_default_session_reports_env_dir(self, tmp_path, monkeypatch):
+    def test_default_session_ignores_env_dir(self, tmp_path, monkeypatch):
         import repro.engine.tiered as tiered_module
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        # A fresh process-wide plan cache, so it reads the env variable (the
-        # original comes back at teardown); the session reports its tier.
+        # Fresh process-wide defaults, built with the variable set (the
+        # originals come back at teardown): the session still has no tier.
         monkeypatch.setattr(tiered_module, "_DEFAULTS", {})
         with Simulator() as sim:
-            assert sim.cache_dir == str(tmp_path)
+            assert sim.cache_dir is None
 
 
 class TestEnvelopes:

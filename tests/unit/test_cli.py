@@ -184,49 +184,54 @@ class TestBatchCacheSummary:
 
 
 class TestCacheDirOption:
-    @pytest.fixture(autouse=True)
-    def detach_default_plan_cache(self):
-        # --cache-dir attaches a disk tier to the process-wide plan cache;
-        # detach it afterwards so other tests see a memory-only default.
-        yield
-        from repro.engine import default_plan_cache
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "eq22-spectral-covariance"], ["batch"], ["suite", "rayleigh-baseline"]],
+    )
+    def test_cache_dir_is_rejected_on_run_batch_and_suite(self, argv, tmp_path, capsys):
+        # These commands build private memory-only caches, so a directory
+        # flag would persist nothing.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--cache-dir", str(tmp_path)])
+        assert "--cache-dir" in capsys.readouterr().err
 
-        default_plan_cache().set_cache_dir(None)
-
-    def test_cache_dir_parses_on_run_and_batch(self, tmp_path):
-        args = build_parser().parse_args(
-            ["batch", "--cache-dir", str(tmp_path / "c")]
-        )
-        assert args.cache_dir == tmp_path / "c"
-        args = build_parser().parse_args(
-            ["run", "eq22-spectral-covariance", "--cache-dir", str(tmp_path)]
-        )
-        assert args.cache_dir == tmp_path
-
-    def test_doppler_batch_with_cache_dir_writes_no_per_matrix_tier(
-        self, tmp_path, capsys
-    ):
-        # The Doppler sweep builds its filters through the process-wide
-        # filter cache, which stays in memory: only plans/ may persist.
-        cache_dir = tmp_path / "persist"
+    def test_doppler_batch_leaves_env_dir_empty(self, tmp_path, monkeypatch, capsys):
+        # The library reads no REPRO_CACHE_DIR: the sweep's caches all stay
+        # in memory.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         code = main(
             ["batch", "--doppler", "--batch-sizes", "1", "--points", "64",
-             "--repeats", "1", "--cache-dir", str(cache_dir)]
+             "--repeats", "1"]
         )
         assert code == 0
         capsys.readouterr()
-        assert not (cache_dir / "filters").exists()
-        assert not (cache_dir / "decompositions").exists()
+        assert list(tmp_path.iterdir()) == []
 
-    def test_attach_cache_dir_attaches_the_plan_tier(self, tmp_path):
-        # --cache-dir wires the compiled-plan tier, so default-cache runs
-        # warm-start whole compiled plans; the scaling experiments
-        # themselves use explicit private caches and stay isolated from it.
-        from repro.cli import _attach_cache_dir
-        from repro.engine import default_plan_cache
+    @staticmethod
+    def _served_cache_dir(monkeypatch, argv):
+        """Run ``serve`` with ``run_server`` stubbed; return its session's cache_dir."""
+        import repro.service.http as http_module
 
-        _attach_cache_dir(tmp_path)
-        assert default_plan_cache().cache_dir == tmp_path
+        seen = []
+        monkeypatch.setattr(
+            http_module,
+            "run_server",
+            lambda host, port, *, simulator, **kwargs: seen.append(simulator.cache_dir),
+        )
+        assert main(["serve", "--port", "0"] + argv) == 0
+        (cache_dir,) = seen
+        return cache_dir
+
+    def test_serve_falls_back_to_env_cache_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert self._served_cache_dir(monkeypatch, []) == str(tmp_path)
+
+    def test_serve_cache_dir_flag_wins_over_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        flag = tmp_path / "flag"
+        assert self._served_cache_dir(monkeypatch, ["--cache-dir", str(flag)]) == str(flag)
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        assert self._served_cache_dir(monkeypatch, []) is None
 
 
 class TestCacheSubcommand:
@@ -272,9 +277,8 @@ class TestCacheSubcommand:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "compiled plans: 2 entries" in out
-        # One memory-tier line with its bound and unit.
-        assert "weight 0 of 268435456 bytes" in out
-        assert out.count("memory tier: ") == 1
+        # A fresh handle's memory tier is always empty, so it is not shown.
+        assert "memory tier" not in out
         assert "decompositions" not in out and "filters" not in out
 
     def test_clear_removes_everything(self, tmp_path, capsys):

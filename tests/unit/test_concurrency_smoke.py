@@ -1,9 +1,9 @@
 """Concurrency smoke tests — the dynamic complement to ``lock-discipline``.
 
 Eight threads hammer the two lock-guarded caches the reprolint rule
-protects statically (:class:`CompiledPlanCache`'s memory tier and
-:class:`DopplerFilterCache`), interleaving lookups, stores, and
-invalidations, and assert the stats counters stay consistent: every
+protects statically (:class:`CompiledPlanCache`'s memory tier, over its
+disk tier, and :class:`DopplerFilterCache`), interleaving lookups, stores,
+and invalidations, and assert the stats counters stay consistent: every
 probe lands in exactly one of hits/misses, and the resident byte count
 never goes negative — the invariants an unguarded read/write would break
 first.
@@ -70,10 +70,10 @@ class TestCompiledPlanCacheMemoryTier:
         return plan, compiled
 
     def test_interleaved_get_store_invalidate_keeps_stats_consistent(
-        self, compiled_plan
+        self, compiled_plan, tmp_path
     ):
         plan, compiled = compiled_plan
-        cache = CompiledPlanCache(memory_max_bytes=1 << 20)
+        cache = CompiledPlanCache(tmp_path)
         backend = get_backend("numpy")
         key = compiled_plan_cache_key(
             plan, defaults=DEFAULTS, cache_token=backend.cache_token
@@ -106,16 +106,16 @@ class TestCompiledPlanCacheMemoryTier:
         stats = cache.stats
         assert stats.weight >= 0
         assert stats.size >= 0
-        # Every lookup counted exactly one hit or miss, all in the memory
-        # tier (the cache is disk-detached, so there are no disk probes).
+        # Every lookup counted exactly one hit or miss, whichever tier
+        # served it.
         assert stats.hits + stats.misses == sum(lookup_counts)
-        assert stats.memory_hits == stats.hits
-        assert stats.disk_hits == stats.disk_misses == 0
-        assert max(byte_samples) <= 1 << 20
+        assert max(byte_samples) <= cache.memory_bound
 
-    def test_final_state_still_serves_bit_identical_plans(self, compiled_plan):
+    def test_final_state_still_serves_bit_identical_plans(
+        self, compiled_plan, tmp_path
+    ):
         plan, compiled = compiled_plan
-        cache = CompiledPlanCache(memory_max_bytes=1 << 20)
+        cache = CompiledPlanCache(tmp_path)
         backend = get_backend("numpy")
 
         def worker(index):

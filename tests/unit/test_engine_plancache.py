@@ -194,29 +194,14 @@ class TestRoundTrip:
         assert first.report.plan_cache_hits == 0
         assert second.report.plan_cache_hits == 0
 
-    def test_explicit_cache_keeps_plan_tier_detached(
-        self, base_matrix, tmp_path, monkeypatch
-    ):
-        # An explicitly configured decomposition cache — e.g. the documented
-        # no-reuse baseline DecompositionCache(maxsize=0) — must never be
-        # silently short-circuited by an env-attached plans/ tier: the
-        # plan-cache default follows the decomposition-cache default.
-        import repro.engine.tiered as tiered_module
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        # Fresh process-wide defaults, so the env variable is honored (the
-        # originals come back at teardown).
-        monkeypatch.setattr(tiered_module, "_DEFAULTS", {})
+    def test_explicit_cache_without_plan_cache_recomputes(self, base_matrix):
+        # The documented no-reuse baseline DecompositionCache(maxsize=0) with
+        # no plan cache recomputes every decomposition on every compile.
         plan = _mixed_plan(base_matrix)
         for _ in range(2):
             compiled = compile_plan(plan, cache=DecompositionCache(maxsize=0))
             assert compiled.report.plan_cache_hits == 0
             assert compiled.report.cache_misses > 0  # actually recomputed
-        assert not (tmp_path / "plans").exists()
-        # A default-cache compile, by contrast, does use the env-attached
-        # process-wide plan cache.
-        compile_plan(plan)
-        assert (tmp_path / "plans").exists()
 
 
 class TestCorruption:
@@ -407,9 +392,12 @@ class TestMemoryTier:
         stats = cache.stats  # the disk tier served it, one hit counted
         assert (stats.hits, stats.disk_hits, stats.misses) == (1, 1, 1)
 
-    def test_pure_memory_cache_without_disk(self, base_matrix):
+    def test_memory_tier_comes_with_the_cache_dir(self, base_matrix, tmp_path):
+        from repro.engine.plancache import DEFAULT_MEMORY_MAX_BYTES
+
         plan = _mixed_plan(base_matrix)
-        cache = CompiledPlanCache(memory_max_bytes=64 * 1024 * 1024)
+        cache = CompiledPlanCache(tmp_path)
+        assert cache.memory_bound == DEFAULT_MEMORY_MAX_BYTES
         cold = _compile_with(plan, cache)
         assert cold.report.plan_cache_hits == 0
         warm = _compile_with(plan, cache)
@@ -420,7 +408,7 @@ class TestMemoryTier:
     def test_detached_default_has_no_memory_tier(self, base_matrix):
         plan = _mixed_plan(base_matrix)
         cache = CompiledPlanCache()
-        assert cache.memory_max_bytes == 0
+        assert cache.memory_bound == 0
         _compile_with(plan, cache)
         assert len(cache) == 0
         second = _compile_with(plan, cache)
@@ -439,11 +427,12 @@ class TestMemoryTier:
 
 
 class TestMaintenance:
-    def test_set_cache_dir_attaches_existing_artifacts(self, base_matrix, tmp_path):
+    def test_new_cache_on_a_populated_dir_serves_its_artifacts(
+        self, base_matrix, tmp_path
+    ):
         plan = _mixed_plan(base_matrix)
         _compile(plan, tmp_path)
-        cache = CompiledPlanCache()
-        cache.set_cache_dir(tmp_path)
+        cache = CompiledPlanCache(tmp_path)
         assert cache.cache_dir == tmp_path
         compiled = compile_plan(
             plan,
@@ -453,14 +442,14 @@ class TestMaintenance:
         )
         assert compiled.report.plan_cache_hits == 1
 
-    def test_disk_only_cache(self, base_matrix, tmp_path):
-        # memory_max_bytes=0 with a cache_dir is a pure disk cache: nothing
-        # retained in memory, but lookups are still served from disk.
-        cache = CompiledPlanCache(tmp_path, memory_max_bytes=0)
+    def test_fresh_cache_per_compile_is_served_from_disk(self, base_matrix, tmp_path):
+        # A cache built per compile (a new process, in effect) starts with
+        # an empty memory tier, so a warm compile is a disk hit.
         plan = _mixed_plan(base_matrix)
-        _compile_with(plan, cache)
-        assert _compile_with(plan, cache).report.plan_cache_hits == 1
-        assert len(cache) == 0
+        _compile_with(plan, CompiledPlanCache(tmp_path))
+        cache = CompiledPlanCache(tmp_path)
+        warm = _compile_with(plan, cache)
+        assert (warm.report.plan_cache_hits, warm.report.plan_memory_hits) == (1, 0)
         assert (cache.stats.hits, cache.stats.disk_hits) == (1, 1)
 
     def test_lru_byte_bound_evicts_oldest(self, base_matrix, tmp_path):
@@ -508,15 +497,18 @@ class TestMaintenance:
             _compile_with(plan, cache)  # memory hits
         assert calls == []  # the failed spill was remembered, not re-paid
 
-    def test_reattaching_tier_retries_spills(self, base_matrix, tmp_path):
+    def test_failed_spill_is_remembered_per_cache(self, base_matrix, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("x")
         cache = CompiledPlanCache(blocker)
         plan = _mixed_plan(base_matrix)
-        _compile_with(plan, cache)
-        cache.set_cache_dir(tmp_path / "good")  # new, writable directory
-        _compile_with(plan, cache)  # memory hit -> fresh spill attempt
-        assert len(list((tmp_path / "good" / "plans").glob("*.npz"))) == 1
+        _compile_with(plan, cache)  # spill fails: blocker is a regular file
+        blocker.unlink()  # the directory is creatable now
+        _compile_with(plan, cache)  # memory hit: no retry
+        assert not blocker.exists()
+        # A cache built later on the same directory starts afresh.
+        _compile_with(plan, CompiledPlanCache(blocker))
+        assert len(list((blocker / "plans").glob("*.npz"))) == 1
 
     def test_clear_disk_sweeps_orphaned_tmp_files(self, base_matrix, tmp_path):
         cache = CompiledPlanCache(tmp_path)
@@ -579,26 +571,47 @@ class TestOnlyPlansPersist:
             assert sim.cache_dir == str(tmp_path)
         assert self._names(tmp_path) == ["plans"]
 
-    def test_env_dir_leaves_per_matrix_defaults_in_memory(
-        self, base_matrix, tmp_path, monkeypatch
-    ):
+
+
+class TestLibraryReadsNoCacheEnv:
+    """``REPRO_CACHE_DIR`` is a CLI fallback: the library never persists by it."""
+
+    @pytest.fixture()
+    def env_dir(self, tmp_path, monkeypatch):
         import repro.engine.tiered as tiered_module
-        from repro.engine import (
-            default_decomposition_cache,
-            default_filter_cache,
-            default_plan_cache,
-        )
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        # Fresh process-wide defaults, so the env variable is honored (the
+        # Fresh process-wide defaults, built with the variable set (the
         # originals come back at teardown).
         monkeypatch.setattr(tiered_module, "_DEFAULTS", {})
+        return tmp_path
+
+    def test_simulator_run_leaves_env_dir_empty(self, base_matrix, env_dir):
+        from repro.api import Simulator
+
+        with Simulator() as sim:
+            assert sim.cache_dir is None
+            sim.run(_mixed_plan(base_matrix), 64)
+            sim.run(_mixed_plan(base_matrix), 64)
+        assert list(env_dir.iterdir()) == []
+
+    def test_engine_run_leaves_env_dir_empty(self, base_matrix, env_dir):
+        from repro.engine import SimulationEngine
+
+        engine = SimulationEngine()
+        assert engine.plan_cache.cache_dir is None
+        engine.run(_mixed_plan(base_matrix), 64)
+        assert list(env_dir.iterdir()) == []
+
+    def test_compile_plan_leaves_env_dir_empty(self, base_matrix, env_dir):
+        from repro.engine import default_decomposition_cache, default_filter_cache
+
         default_decomposition_cache().coloring_for(base_matrix)
         default_filter_cache().get(64, 0.05)
-        assert self._names(tmp_path) == []
-        compile_plan(_mixed_plan(base_matrix))  # every default cache
-        assert self._names(tmp_path) == ["plans"]
-        assert default_plan_cache().cache_dir == tmp_path
+        for _ in range(2):
+            compiled = compile_plan(_mixed_plan(base_matrix))  # every default
+            assert compiled.report.plan_cache_hits == 0
+        assert list(env_dir.iterdir()) == []
 
 
 class TestInflightSingleflight:
@@ -630,8 +643,11 @@ class TestInflightSingleflight:
         assert stats.inflight_leads == 0
         assert stats.inflight_coalesced == 0
 
-    def test_pure_memory_tier_enables_singleflight(self):
-        cache = CompiledPlanCache(memory_max_bytes=1024 * 1024)
+    def test_unusable_cache_dir_still_enables_singleflight(self, tmp_path):
+        # The memory tier alone is a tier to share results through.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        cache = CompiledPlanCache(blocker)
         assert cache.enabled
         assert cache.join_inflight("k") is None
         assert cache.join_inflight("k") is not None

@@ -2,17 +2,20 @@
 
 :class:`repro.engine.tiered.TieredCache` carries the memory LRU, the
 counters and maintenance for the decomposition, Doppler-filter and
-compiled-plan caches, plus disk promotion, lazy spill and quarantine for
-the one cache with a disk tier, the compiled-plan cache.  Each memory test
-here runs against all three through their public domain methods, so a tier
-that drifts from the contract fails under its own name; the disk tests run
-against the plan cache.
+compiled-plan caches, plus disk promotion and quarantine for the one cache
+with a disk tier, the compiled-plan cache.  Each memory test here runs
+against all three through their public domain methods, so a tier that
+drifts from the contract fails under its own name; the disk tests run
+against the plan cache.  The plan cache has a memory tier only when it is
+built with a ``cache_dir``, so its memory tests get a fresh directory per
+cache.
 """
 
 import numpy as np
 import pytest
 
 import repro.engine.filters as filters_module
+import repro.engine.plancache as plancache_module
 from repro.engine import (
     CompiledPlanCache,
     DecompositionCache,
@@ -64,11 +67,18 @@ class _FilterTier:
 class _PlanTier:
     namespace = "plans"
 
+    def __init__(self, monkeypatch, tmp_path_factory):
+        self._monkeypatch = monkeypatch
+        self._tmp_path_factory = tmp_path_factory
+
     def make(self, cache_dir=None, bound=None):
-        # A detached plan cache is a no-op unless given a memory bound.
-        if bound is None and cache_dir is None:
-            bound = 64 * 1024 * 1024
-        return CompiledPlanCache(cache_dir, memory_max_bytes=bound)
+        # A plan cache without a directory is a no-op, so a memory test's
+        # cache gets a fresh directory of its own.
+        if bound is not None:
+            self._monkeypatch.setattr(plancache_module, "DEFAULT_MEMORY_MAX_BYTES", bound)
+        if cache_dir is None:
+            cache_dir = self._tmp_path_factory.mktemp("plans")
+        return CompiledPlanCache(cache_dir)
 
     def _plan(self, index):
         return SimulationPlan.from_specs([_matrix(index)], seed=index)
@@ -95,12 +105,20 @@ class _PlanTier:
 
 
 @pytest.fixture(params=["decompositions", "filters", "plans"])
-def tier(request, monkeypatch):
+def tier(request, monkeypatch, tmp_path_factory):
     if request.param == "decompositions":
         return _DecompositionTier()
     if request.param == "filters":
         return _FilterTier(monkeypatch)
-    return _PlanTier()
+    return _PlanTier(monkeypatch, tmp_path_factory)
+
+
+@pytest.fixture(params=["decompositions", "filters"])
+def memory_only_tier(request, monkeypatch):
+    """The tiers without a disk namespace."""
+    if request.param == "decompositions":
+        return _DecompositionTier()
+    return _FilterTier(monkeypatch)
 
 
 def _unit_weight(tier):
@@ -118,9 +136,9 @@ def _same_bytes(tier, first, second):
 
 
 @pytest.fixture
-def plan_tier():
+def plan_tier(monkeypatch, tmp_path_factory):
     """The one tier with a disk namespace."""
-    return _PlanTier()
+    return _PlanTier(monkeypatch, tmp_path_factory)
 
 
 def _files(tmp_path, tier, suffix="npz"):
@@ -141,8 +159,8 @@ class TestMemoryBound:
         assert (stats.hits, stats.misses) == (1, 3)
         assert tier.key(0) in cache and tier.key(2) in cache
         assert tier.key(1) not in cache
-        tier.serve(cache, 1)  # evicted: computed again
-        assert cache.stats.misses == 4
+        tier.serve(cache, 1)  # evicted: computed again, or loaded from disk
+        assert cache.stats.memory_hits == 1
 
     def test_entry_heavier_than_the_bound_is_not_kept(self, tier):
         cache = tier.make(bound=_unit_weight(tier) - 1)
@@ -168,18 +186,16 @@ class TestDiskTier:
         )
         assert _same_bytes(tier, fresh, from_disk)
 
-    def test_lazy_spill_after_set_cache_dir(self, plan_tier, tmp_path):
+    def test_memory_hit_does_not_touch_the_disk_tier(self, plan_tier, tmp_path):
         tier = plan_tier
-        cache = tier.make()  # memory-only
-        tier.serve(cache, 0)
-        cache.set_cache_dir(tmp_path)
+        cache = tier.make(tmp_path)
         assert cache.cache_dir == tmp_path
+        tier.serve(cache, 0)  # miss: stored in both tiers
+        assert cache.clear_disk() == 1
+        tier.serve(cache, 0)  # memory hit: no probe, no re-spill
         assert cache.disk_usage() == (0, 0)
-        tier.serve(cache, 0)  # memory hit spills the entry that predates the tier
-        assert cache.disk_usage()[0] == 1
-        second = tier.make(tmp_path)
-        tier.serve(second, 0)
-        assert second.stats.disk_hits == 1
+        stats = cache.stats
+        assert (stats.memory_hits, stats.disk_misses) == (1, 1)
 
     def test_corrupt_entry_is_a_quarantined_miss(self, plan_tier, tmp_path):
         tier = plan_tier
@@ -301,7 +317,8 @@ class TestStatsFields:
         assert (stats.size, stats.weight, stats.evictions) == (2, 2 * unit, 0)
         assert stats.disk_entries == 2
 
-    def test_memory_only_cache_counts_no_disk_activity(self, tier):
+    def test_memory_only_cache_counts_no_disk_activity(self, memory_only_tier):
+        tier = memory_only_tier
         cache = tier.make()
         tier.serve(cache, 0)
         tier.serve(cache, 0)
@@ -309,3 +326,12 @@ class TestStatsFields:
         assert (stats.hits, stats.misses) == (1, 1)
         assert (stats.disk_hits, stats.disk_misses) == (0, 0)
         assert (stats.disk_entries, stats.disk_bytes) == (0, 0)
+
+    def test_detached_plan_cache_counts_nothing(self, plan_tier):
+        cache = CompiledPlanCache()
+        assert not cache.enabled and cache.memory_bound == 0
+        plan_tier.serve(cache, 0)
+        plan_tier.serve(cache, 0)
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
+        assert (stats.disk_misses, stats.disk_entries) == (0, 0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 
 import numpy as np
@@ -119,6 +120,34 @@ async def _submit_raw(port, raw_bytes):
     except Exception:
         pass
     return status
+
+
+async def _send_head(port, head):
+    """Send raw request-head bytes; return the answer's ``(status, json body)``.
+
+    The server may answer and close before it has read the whole head, so
+    the exchange runs on the bare socket: a failed send is tolerated, and
+    the answer already received is read before the connection reset.
+    """
+    loop = asyncio.get_running_loop()
+    with socket.socket() as sock:
+        sock.setblocking(False)
+        await loop.sock_connect(sock, ("127.0.0.1", port))
+        try:
+            await loop.sock_sendall(sock, head)
+        except ConnectionError:
+            pass
+        data = b""
+        while True:
+            try:
+                chunk = await loop.sock_recv(sock, 65536)
+            except ConnectionError:
+                break
+            if not chunk:
+                break
+            data += chunk
+    head_bytes, _, body = data.partition(b"\r\n\r\n")
+    return int(head_bytes.split()[1]), json.loads(body)
 
 
 def _serve(simulator, **service_kwargs):
@@ -250,6 +279,63 @@ class TestRoutes:
                     )
                     assert status == expected
                     assert "Content-Length" in json.loads(raw)["error"]
+                assert service.metrics()["requests_submitted"] == 0
+            sim.close()
+
+        asyncio.run(scenario())
+
+    def test_oversized_request_line_414(self):
+        from repro.service.http import MAX_HEAD_BYTES
+
+        # Past the head bound, and past the stream reader's own line limit.
+        for size in (MAX_HEAD_BYTES, 70_000):
+            head = f"GET /{'a' * size} HTTP/1.1\r\nHost: x\r\n\r\n".encode("ascii")
+            self._assert_rejected(head, 414, "request line")
+
+    def test_oversized_header_section_431(self):
+        from repro.service.http import MAX_HEAD_BYTES
+
+        line = lambda index, size: f"X-Pad-{index}: {'a' * size}\r\n"  # noqa: E731
+        heads = [
+            # One header line past the stream reader's own line limit.
+            line(0, 70_000),
+            # Many lines, each short, that together pass the bound.
+            "".join(line(index, 1024) for index in range(MAX_HEAD_BYTES // 1024 + 1)),
+            # Far more than the server will ever read: answered early.
+            "".join(line(index, 4096) for index in range(300)),
+        ]
+        for headers in heads:
+            head = f"GET /healthz HTTP/1.1\r\n{headers}\r\n".encode("ascii")
+            self._assert_rejected(head, 431, "header section")
+
+    def test_head_just_under_the_bound_is_served(self):
+        from repro.service.http import MAX_HEAD_BYTES
+
+        request_line = "GET /healthz HTTP/1.1\r\n"
+        pad = MAX_HEAD_BYTES - len(request_line) - len("X-Pad: \r\n") - len("\r\n")
+        head = f"{request_line}X-Pad: {'a' * pad}\r\n\r\n".encode("ascii")
+        assert len(head) == MAX_HEAD_BYTES
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (_service, server):
+                status, body = await _send_head(server.port, head)
+                assert (status, body["status"]) == (200, "ok")
+            sim.close()
+
+        asyncio.run(scenario())
+
+    @staticmethod
+    def _assert_rejected(head, expected, part):
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (service, server):
+                status, body = await _send_head(server.port, head)
+                assert status == expected
+                assert part in body["error"]
+                status, _headers, raw = await _request(server.port, "GET", "/healthz")
+                assert status == 200
+                assert json.loads(raw)["status"] == "ok"
                 assert service.metrics()["requests_submitted"] == 0
             sim.close()
 

@@ -13,6 +13,11 @@ cache states that scenario passes through:
   one ``plans/`` artifact, skipping grouping, per-matrix hashing,
   decompositions and stack assembly entirely.
 
+``test_bench_compile_cold_mixed`` times the cold state on a sweep-shaped
+plan instead: 16 entries of N = 4 that cycle the named suites' fading
+models with Doppler on every third entry, so the plan splits into many
+compile groups while its decompositions stack by signature.
+
 The sweep uses **large** matrices (N = 64 and 128 branches) deliberately:
 a disk hit costs one file read plus a SHA-256 over the payload, which is
 O(N^2) bytes, while recomputing costs O(N^3), so the plan tier wins
@@ -35,19 +40,28 @@ yields.
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.core.coloring import compute_coloring
 from repro.engine import (
     CompiledPlanCache,
     DecompositionCache,
+    DopplerSpec,
     SimulationEngine,
     SimulationPlan,
     compile_plan,
 )
+from repro.experiments.paper_values import NORMALIZED_DOPPLER
 from repro.experiments.scaling import exponential_correlation_covariance
+from repro.models.workloads import NAMED_SUITES
 
 BATCH_SIZE = 16
 BRANCH_COUNTS = [64, 128]
+
+MIXED_BRANCHES = 4
+MIXED_DOPPLER_EVERY = 3
+MIXED_FADINGS = tuple(suite.get("fading") for suite in NAMED_SUITES.values())
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +106,44 @@ def test_bench_compile_cold(benchmark, cache_root, n_branches):
     # Leave the shared directory populated for the warm phases — in CI this
     # is what the next step's warm runs start from.
     _populate(cache_root / f"n{n_branches}", n_branches)
+
+
+def _mixed_plan():
+    """A sweep-shaped plan: suite fadings cycled, Doppler every third entry."""
+    plan = SimulationPlan()
+    for index in range(BATCH_SIZE):
+        rho = (0.2 + 0.025 * index) * np.exp(0.4j * index)
+        plan.add(
+            exponential_correlation_covariance(MIXED_BRANCHES, rho),
+            seed=index,
+            doppler=(
+                DopplerSpec(normalized_doppler=NORMALIZED_DOPPLER, n_points=128)
+                if index % MIXED_DOPPLER_EVERY == MIXED_DOPPLER_EVERY - 1
+                else None
+            ),
+            fading=MIXED_FADINGS[index % len(MIXED_FADINGS)],
+        )
+    return plan
+
+
+def test_bench_compile_cold_mixed(benchmark):
+    """Time: cold compile of a many-group plan (fresh decomposition cache)."""
+    plan = _mixed_plan()
+
+    def kernel():
+        return compile_plan(plan, cache=DecompositionCache())
+
+    compiled = benchmark(kernel)
+    assert compiled.report.n_groups > 1
+    assert compiled.report.cache_misses == BATCH_SIZE
+    for index, entry in enumerate(plan):
+        got = compiled.decomposition_for(index)
+        want = compute_coloring(entry.spec.matrix)
+        assert got.coloring_matrix.tobytes() == want.coloring_matrix.tobytes()
+        assert got.effective_covariance.tobytes() == want.effective_covariance.tobytes()
+        assert got.was_repaired == want.was_repaired
+        assert repr(got.min_eigenvalue) == repr(want.min_eigenvalue)
+        assert repr(got.extra) == repr(want.extra)
 
 
 @pytest.mark.parametrize("n_branches", BRANCH_COUNTS)

@@ -40,10 +40,10 @@ from ..linalg import (
     assert_matrix_stack,
     batched_cholesky_factor,
     batched_hermitian_eigendecomposition,
-    batched_force_positive_semidefinite,
     cholesky_factor,
     hermitian_eigendecomposition,
 )
+from ..linalg.batched import _force_psd_stack
 from .psd import force_positive_semidefinite
 
 __all__ = [
@@ -196,12 +196,14 @@ def compute_coloring_batch(
 ) -> List[ColoringDecomposition]:
     """Force PSD and color every covariance matrix in a ``(B, N, N)`` stack.
 
-    Batched analogue of :func:`compute_coloring`: the PSD forcing, the
-    coloring eigendecomposition / Cholesky factorization, and the diagnostic
-    eigendecomposition of the requested matrices each run as one stacked
-    numpy call.  Every returned :class:`repro.linalg.ColoringDecomposition`
-    is bit-identical to the one :func:`compute_coloring` produces for the
-    corresponding slice — the equivalence the batched engine relies on.
+    Batched analogue of :func:`compute_coloring`: the PSD forcing and the
+    coloring eigendecomposition / Cholesky factorization each run as one
+    stacked numpy call.  Every returned
+    :class:`repro.linalg.ColoringDecomposition` is bit-identical to the one
+    :func:`compute_coloring` produces for the corresponding slice — the
+    equivalence the batched engine relies on.  The ``"eigen"`` strategy
+    eigendecomposes again only the slices the forcing repaired: for an
+    unmodified slice the forcing already decomposed the very same matrix.
 
     The ``"svd"`` strategy falls back to a per-slice loop (its verification
     step is inherently per-matrix); ``"eigen"`` (the paper's method) and
@@ -212,31 +214,45 @@ def compute_coloring_batch(
     (default) runs numpy directly, byte-for-byte the pre-backend path.  The
     ``"svd"`` strategy and the ``"higham"`` PSD iteration always run on
     numpy regardless of the backend (neither has a stacked formulation).
+
+    A PSD-forcing, eigen or Cholesky failure on one slice raises with that
+    slice's index in its message and in the exception's ``stack_index``.
     """
     if method not in _STRATEGIES:
         raise ValueError(
             f"unknown coloring method {method!r}; choose from {sorted(_STRATEGIES)}"
         )
     arr = assert_matrix_stack(np.asarray(stack, dtype=complex), "covariance stack")
-    forcings = batched_force_positive_semidefinite(
+    forcings, requested_decomp = _force_psd_stack(
         arr, method=psd_method, epsilon=epsilon, defaults=defaults, backend=backend
     )
     forced_stack = np.stack([forcing.matrix for forcing in forcings])
 
     if method == "eigen":
-        decomp = batched_hermitian_eigendecomposition(forced_stack, backend=backend)
-        scales = np.maximum(np.abs(decomp.max_eigenvalues), 1.0)
+        eigenvalues = requested_decomp.eigenvalues
+        eigenvectors = requested_decomp.eigenvectors
+        repaired = np.flatnonzero([forcing.was_modified for forcing in forcings])
+        if repaired.size:
+            decomp = batched_hermitian_eigendecomposition(
+                forced_stack[repaired], backend=backend
+            )
+            eigenvalues = eigenvalues.copy()
+            eigenvectors = eigenvectors.copy()
+            eigenvalues[repaired] = decomp.eigenvalues
+            eigenvectors[repaired] = decomp.eigenvectors
+        scales = np.maximum(np.abs(eigenvalues[:, 0]), 1.0)
         tols = defaults.eig_clip_tol * scales
         for index in range(arr.shape[0]):
-            if decomp.min_eigenvalues[index] < -tols[index]:
+            if eigenvalues[index, -1] < -tols[index]:
                 raise ColoringError(
                     "eigen coloring requires a positive semi-definite matrix "
                     f"(stack index {index}, min eigenvalue "
-                    f"{decomp.min_eigenvalues[index]:.3e}); apply "
-                    "force_positive_semidefinite first"
+                    f"{eigenvalues[index, -1]:.3e}); apply "
+                    "force_positive_semidefinite first",
+                    stack_index=index,
                 )
-        eigenvalues = np.clip(decomp.eigenvalues, 0.0, None)
-        factors = decomp.eigenvectors * np.sqrt(eigenvalues)[:, np.newaxis, :]
+        eigenvalues = np.clip(eigenvalues, 0.0, None)
+        factors = eigenvectors * np.sqrt(eigenvalues)[:, np.newaxis, :]
     elif method == "cholesky":
         factors = batched_cholesky_factor(forced_stack, backend=backend)
     else:  # svd

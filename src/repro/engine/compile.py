@@ -8,12 +8,15 @@ entries into ready-to-execute coloring matrices:
    model family ``(model, has_shadowing)`` for non-Rayleigh entries — so
    each group stacks into one ``(B, N, N)`` array and applies one stacked
    post-coloring transform;
-2. within a group, covariance matrices are deduplicated by content hash and
-   looked up in the :class:`repro.engine.cache.DecompositionCache`;
+2. across the whole plan, covariance matrices are deduplicated by content
+   hash and each unique one is looked up once in the
+   :class:`repro.engine.cache.DecompositionCache`;
 3. the remaining *misses* are decomposed together by
    :func:`repro.core.coloring.compute_coloring_batch` — one stacked
-   ``np.linalg.eigh`` / ``cholesky`` call per group — and stored back in the
-   cache;
+   ``np.linalg.eigh`` / ``cholesky`` pass per decomposition signature
+   ``(N, coloring_method, psd_method, epsilon)``, however many Doppler or
+   fading groups the plan splits into (neither changes a decomposition) —
+   and stored back in the cache;
 4. per-entry coloring matrices are assembled into a ``(B, N, N)`` stack the
    executor multiplies white samples through;
 5. Doppler groups additionally resolve the Young–Beaulieu filter ``F[k]``
@@ -30,9 +33,11 @@ Every decomposition is bit-identical to what the single-spec path computes,
 so compiled execution reproduces a loop of
 :class:`repro.core.generator.RayleighFadingGenerator` (or, for Doppler
 entries, :class:`repro.core.realtime.RealTimeRayleighGenerator`) exactly.
-The covariance decomposition does not depend on the Doppler mode, so a
-Doppler entry and a snapshot entry over the same matrix share one cache
-entry (the cache key is Doppler-agnostic).
+The covariance decomposition does not depend on the Doppler mode or the
+fading model, so a Doppler entry and a snapshot entry over the same matrix
+share one decomposition and one cache entry (the cache key is Doppler- and
+fading-agnostic).  A decomposition that fails raises its usual error type,
+naming the plan entry (and its label) instead of a position in a stack.
 """
 
 from __future__ import annotations
@@ -40,11 +45,17 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..config import DEFAULTS, NumericDefaults
+from ..exceptions import (
+    CholeskyError,
+    ColoringError,
+    CovarianceError,
+    DecompositionError,
+)
 from ..linalg import ColoringDecomposition
 from .backends import BackendSpec, LinalgBackend, resolve_backend
 from .cache import DecompositionCache, default_decomposition_cache
@@ -68,9 +79,14 @@ class CompileReport:
     n_groups:
         Same-shape/same-options groups formed.
     n_unique_matrices:
-        Distinct covariance computations after content-hash deduplication.
+        Distinct covariance computations after content-hash deduplication
+        across the whole plan: a matrix shared by entries of different
+        groups (say a snapshot entry and a Doppler entry) counts once.
     cache_hits, cache_misses:
-        Unique matrices served from / absent from the decomposition cache.
+        Unique matrices served from / absent from the decomposition cache,
+        also plan-wide: such a shared matrix is one lookup, so one hit or
+        one miss, and a miss is decomposed once even with
+        ``DecompositionCache(maxsize=0)``.
     compile_seconds:
         Wall-clock time of the compilation pass.
     doppler_filters_built:
@@ -333,10 +349,50 @@ def _compile_plan_fresh(
     for index, entry in enumerate(plan):
         group_members.setdefault(entry.group_key, []).append(index)
 
+    # 2. Deduplicate matrices plan-wide by content hash and consult the
+    #    cache once per unique key.  Misses queue under their decomposition
+    #    signature (N, coloring_method, psd_method, epsilon): the Doppler
+    #    and fading parts of a group key never change a decomposition.
     entries = plan.entries
-    hits = 0
-    misses = 0
-    unique_total = 0
+    entry_keys: List[str] = [""] * plan.n_entries
+    resolved: Dict[str, ColoringDecomposition] = {}
+    miss_index: Dict[str, int] = {}  # key -> plan index of its first entry
+    pending: Dict[Tuple, List[str]] = {}
+    for group_key, indices in group_members.items():
+        signature = group_key[:4]
+        for index in indices:
+            key = entries[index].cache_key(defaults, cache_token)
+            entry_keys[index] = key
+            if key in resolved or key in miss_index:
+                continue
+            cached = cache.lookup(key)
+            if cached is not None:
+                resolved[key] = cached
+            else:
+                miss_index[key] = index
+                pending.setdefault(signature, []).append(key)
+    hits = len(resolved)
+
+    # 3. Decompose the misses with one stacked call per signature.
+    for (_, coloring_method, psd_method, epsilon), keys in pending.items():
+        try:
+            computed = compute_coloring_batch(
+                np.stack([entries[miss_index[key]].spec.matrix for key in keys]),
+                method=coloring_method,
+                psd_method=psd_method,
+                epsilon=epsilon,
+                defaults=defaults,
+                backend=backend_obj,
+            )
+        except (CovarianceError, ColoringError, CholeskyError) as exc:
+            if exc.stack_index is None:
+                raise
+            index = miss_index[keys[exc.stack_index]]
+            raise _at_plan_entry(exc, index, entries[index].label) from exc
+        for key, decomposition in zip(keys, computed):
+            resolved[key] = decomposition
+            cache.store(key, decomposition)
+
     doppler_entries = 0
     # Young–Beaulieu filters are resolved once per unique
     # (M, f_m, sigma_orig^2) across the whole plan — groups differing only
@@ -348,48 +404,11 @@ def _compile_plan_fresh(
     filter_cache_hits = 0
     groups: List[CompiledGroup] = []
     for group_key, indices in group_members.items():
-        _, coloring_method, psd_method, epsilon, _, fading_family = group_key
+        fading_family = group_key[5]
         group_entries = tuple(entries[i] for i in indices)
 
-        # 2. Deduplicate matrices by content hash; consult the cache once
-        #    per unique key.
-        resolved: Dict[str, ColoringDecomposition] = {}
-        missing_keys: List[str] = []
-        missing_set: set = set()
-        missing_matrices: List[np.ndarray] = []
-        entry_keys: List[str] = []
-        for entry in group_entries:
-            key = entry.cache_key(defaults, cache_token)
-            entry_keys.append(key)
-            if key in resolved or key in missing_set:
-                continue
-            cached = cache.lookup(key)
-            if cached is not None:
-                resolved[key] = cached
-                hits += 1
-            else:
-                missing_keys.append(key)
-                missing_set.add(key)
-                missing_matrices.append(entry.spec.matrix)
-                misses += 1
-        unique_total += len(resolved) + len(missing_keys)
-
-        # 3. Batch-decompose the misses with one stacked call.
-        if missing_matrices:
-            computed = compute_coloring_batch(
-                np.stack(missing_matrices),
-                method=coloring_method,
-                psd_method=psd_method,
-                epsilon=epsilon,
-                defaults=defaults,
-                backend=backend_obj,
-            )
-            for key, decomposition in zip(missing_keys, computed):
-                resolved[key] = decomposition
-                cache.store(key, decomposition)
-
         # 4. Assemble the per-entry coloring stack.
-        decompositions = tuple(resolved[key] for key in entry_keys)
+        decompositions = tuple(resolved[entry_keys[i]] for i in indices)
         coloring_stack = np.stack([d.coloring_matrix for d in decompositions])
 
         # 5. Doppler groups: one shared filter build, per-entry effective
@@ -439,9 +458,9 @@ def _compile_plan_fresh(
     report = CompileReport(
         n_entries=plan.n_entries,
         n_groups=len(groups),
-        n_unique_matrices=unique_total,
+        n_unique_matrices=len(resolved),
         cache_hits=hits,
-        cache_misses=misses,
+        cache_misses=len(miss_index),
         compile_seconds=time.perf_counter() - start,
         doppler_filters_built=len(filter_memo),
         doppler_entries=doppler_entries,
@@ -450,3 +469,19 @@ def _compile_plan_fresh(
     return CompiledPlan(
         plan=plan, groups=tuple(groups), report=report, backend=backend_obj
     )
+
+
+def _at_plan_entry(
+    exc: Union[CovarianceError, DecompositionError], index: int, label: Optional[str]
+) -> Exception:
+    """``exc`` again, its stack index replaced by the plan entry it came from.
+
+    The stacked decomposition only knows a miss's position in its signature
+    stack; the caller needs the entry of the plan.  The message keeps its
+    leading text, so callers matching on it still match.
+    """
+    where = f"plan entry {index}"
+    if label is not None:
+        where += f" (label {label!r})"
+    message = str(exc).replace(f"stack index {exc.stack_index}", where)
+    return type(exc)(message)

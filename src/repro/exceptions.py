@@ -51,6 +51,11 @@ class PowerError(SpecificationError):
 class CovarianceError(ReproError, ValueError):
     """A covariance matrix violates a structural requirement."""
 
+    def __init__(self, message: str = "", *, stack_index: int | None = None):
+        super().__init__(message)
+        #: Index of the offending matrix in a batched call's stack, if any.
+        self.stack_index = stack_index
+
 
 class NotHermitianError(CovarianceError):
     """Matrix expected to be Hermitian is not (within tolerance)."""
@@ -72,6 +77,11 @@ class NotPositiveSemiDefiniteError(CovarianceError):
 
 class DecompositionError(ReproError, RuntimeError):
     """A matrix decomposition failed."""
+
+    def __init__(self, message: str = "", *, stack_index: int | None = None):
+        super().__init__(message)
+        #: Index of the offending matrix in a batched call's stack, if any.
+        self.stack_index = stack_index
 
 
 class CholeskyError(DecompositionError):

@@ -26,7 +26,7 @@ pre-backend implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -140,9 +140,9 @@ def batched_cholesky_factor(stack: np.ndarray, *, backend=None) -> np.ndarray:
     Raises
     ------
     CholeskyError
-        If any matrix in the stack is not positive definite; the message
-        names the offending stack index (the diagnosis re-runs numpy
-        slice-wise regardless of the backend).
+        If any matrix in the stack is not positive definite; the message and
+        ``stack_index`` name the first offending slice (the diagnosis re-runs
+        numpy slice-wise regardless of the backend).
     """
     herm = batched_hermitian_part(stack)
     try:
@@ -159,7 +159,8 @@ def batched_cholesky_factor(stack: np.ndarray, *, backend=None) -> np.ndarray:
                 raise CholeskyError(
                     f"Cholesky factorization failed for stack index {index}: matrix is "
                     f"not positive definite ({exc}). The eigendecomposition coloring "
-                    "path does not have this requirement."
+                    "path does not have this requirement.",
+                    stack_index=index,
                 ) from exc
         raise CholeskyError(  # pragma: no cover - stacked failure implies a slice fails
             f"Cholesky factorization failed on the stack ({exc})"
@@ -206,13 +207,43 @@ def batched_force_positive_semidefinite(
     """Force every matrix in a ``(B, N, N)`` stack positive semi-definite.
 
     Batched analogue of :func:`repro.core.psd.force_positive_semidefinite`:
-    the eigendecompositions and reconstructions run as single stacked calls,
-    and each returned :class:`repro.core.psd.PSDForcingResult` is bit-identical
-    to the one the single-matrix function produces for that slice.
+    the eigendecomposition, the reconstructions and the final PSD check run
+    as single stacked calls, and each returned
+    :class:`repro.core.psd.PSDForcingResult` is bit-identical to the one the
+    single-matrix function produces for that slice.  Under ``"clip"`` only
+    the slices that actually have a negative eigenvalue are reconstructed;
+    the others keep the caller's matrix bit for bit.
 
     The ``"higham"`` strategy iterates per matrix (alternating projections do
     not batch); it is provided for completeness and only pays the loop for
     matrices that actually need repair.
+
+    Raises
+    ------
+    CovarianceError
+        If a repaired slice is still not positive semi-definite; the error
+        names the first such slice in its message and ``stack_index``.
+    """
+    return _force_psd_stack(
+        stack, method, epsilon=epsilon, defaults=defaults, backend=backend
+    )[0]
+
+
+def _force_psd_stack(
+    stack: np.ndarray,
+    method: str = "clip",
+    *,
+    epsilon: float = 1e-6,
+    defaults: NumericDefaults = DEFAULTS,
+    backend=None,
+) -> Tuple[List["PSDForcingResult"], BatchedEigenDecomposition]:
+    """:func:`batched_force_positive_semidefinite` plus its eigendecomposition.
+
+    The second value is the stacked eigendecomposition of the *requested*
+    matrices.  For every slice the forcing left unmodified (its
+    ``matrix`` is the requested matrix byte for byte) it is exactly the
+    decomposition a coloring step would compute again, so
+    :func:`repro.core.coloring.compute_coloring_batch` reuses those rows.
     """
     from ..core.psd import PSDForcingResult, force_positive_semidefinite
 
@@ -227,46 +258,59 @@ def batched_force_positive_semidefinite(
     negative_mask = decomp.eigenvalues < (-defaults.eig_clip_tol * scales)[:, np.newaxis]
     already_psd = ~np.any(negative_mask, axis=-1)
 
+    if method == "higham":
+        # No batched formulation: reuse the full single-matrix implementation
+        # (iterative), which runs its own PSD check.
+        results = [
+            force_positive_semidefinite(
+                arr[index], method="higham", epsilon=epsilon, defaults=defaults
+            )
+            for index in range(arr.shape[0])
+        ]
+        return results, decomp
+
     if method == "clip":
-        clipped = np.where(decomp.eigenvalues >= 0.0, decomp.eigenvalues, 0.0)
-        repaired_stack = batched_reconstruct_from_eigen(
-            clipped, decomp.eigenvectors, backend=backend
-        )
-    elif method == "epsilon":
+        # Keep the caller's matrix bit-for-bit where nothing needs fixing and
+        # reconstruct only the slices that do.
+        repaired_stack = arr.copy()
+        repair = np.flatnonzero(~already_psd)
+        if repair.size:
+            eigenvalues = decomp.eigenvalues[repair]
+            clipped = np.where(eigenvalues >= 0.0, eigenvalues, 0.0)
+            repaired_stack[repair] = batched_reconstruct_from_eigen(
+                clipped, decomp.eigenvectors[repair], backend=backend
+            )
+    else:  # epsilon
         replaced = np.where(decomp.eigenvalues > 0.0, decomp.eigenvalues, epsilon)
         repaired_stack = batched_reconstruct_from_eigen(
             replaced, decomp.eigenvectors, backend=backend
         )
-    else:  # higham: no batched formulation; delegate slice-wise below.
-        repaired_stack = arr
 
-    from .checks import is_positive_semidefinite
+    # The single-matrix PSD check (``is_positive_semidefinite``) on every
+    # slice at once: numpy's stacked eigvalsh runs the same LAPACK routine
+    # per slice, and the negated ``>=`` fails NaN slices as the check does.
+    repaired_eigenvalues = np.linalg.eigvalsh(batched_hermitian_part(repaired_stack))
+    tolerances = defaults.psd_tol * np.maximum(
+        np.max(np.abs(repaired_eigenvalues), axis=-1), 1.0
+    )
+    failed = np.flatnonzero(~(np.min(repaired_eigenvalues, axis=-1) >= -tolerances))
+    if failed.size:
+        index = int(failed[0])
+        raise CovarianceError(
+            f"PSD forcing with method {method!r} failed to produce a positive "
+            f"semi-definite matrix at stack index {index}; this indicates a "
+            "severely ill-conditioned input",
+            stack_index=index,
+        )
+
     from .nearest import frobenius_distance
 
     results: List[PSDForcingResult] = []
     for index in range(arr.shape[0]):
         requested = arr[index]
-        if method == "higham":
-            # Reuse the full single-matrix implementation (iterative).
-            results.append(
-                force_positive_semidefinite(
-                    requested, method="higham", epsilon=epsilon, defaults=defaults
-                )
-            )
-            continue
-        if method == "clip" and already_psd[index]:
-            # Keep the caller's matrix bit-for-bit when nothing needs fixing.
-            repaired = requested.copy()
-        else:
-            # Copy the slice so the result does not pin the whole stack's
-            # memory (results are cached and can long outlive the batch).
-            repaired = repaired_stack[index].copy()
-        if not is_positive_semidefinite(repaired, defaults=defaults):
-            raise CovarianceError(
-                f"PSD forcing with method {method!r} failed to produce a positive "
-                f"semi-definite matrix at stack index {index}; this indicates a "
-                "severely ill-conditioned input"
-            )
+        # Copy the slice so the result does not pin the whole stack's
+        # memory (results are cached and can long outlive the batch).
+        repaired = repaired_stack[index].copy()
         extra = {"min_eigenvalue": float(decomp.min_eigenvalues[index])}
         if method == "epsilon":
             extra["epsilon"] = epsilon
@@ -277,8 +321,9 @@ def batched_force_positive_semidefinite(
                 method=method,
                 was_modified=bool(not already_psd[index]) or method == "epsilon",
                 negative_eigenvalues=decomp.eigenvalues[index][negative_mask[index]].copy(),
+                # Per slice: a stacked Frobenius norm sums in another order.
                 frobenius_error=frobenius_distance(repaired, requested),
                 extra=extra,
             )
         )
-    return results
+    return results, decomp

@@ -6,16 +6,25 @@ import pytest
 from repro.channels.doppler import filter_output_variance, young_beaulieu_filter
 from repro.api import Simulator
 from repro.core import CovarianceSpec
+from repro.core.coloring import compute_coloring
 from repro.engine import (
     DecompositionCache,
     DopplerSpec,
+    NumpyBackend,
     SimulationEngine,
     SimulationPlan,
     compile_plan,
     execute_plan,
+    register_backend,
     stream_plan,
 )
-from repro.exceptions import DimensionError, GenerationError
+from repro.exceptions import (
+    CholeskyError,
+    ColoringError,
+    CovarianceError,
+    DimensionError,
+    GenerationError,
+)
 
 
 def _matrix(power, size=2):
@@ -221,3 +230,140 @@ class TestEngineFacade:
         engine = SimulationEngine(cache=DecompositionCache())
         engine.run(mixed_plan, 2)
         assert engine.cache_stats.misses == 3
+
+
+_NAKAGAMI = {"model": "nakagami", "shape": 2.0}
+_RICIAN = {"model": "rician", "shape": 3.0}
+
+
+def _indefinite(size, power=1.0):
+    """A unit-diagonal matrix with eigenvalue ``1 - 1.2 < 0``, scaled."""
+    base = np.full((size, size), 1.2, dtype=complex)
+    np.fill_diagonal(base, 1.0)
+    return power * base
+
+
+@pytest.fixture()
+def eigh_calls():
+    """Shapes of every stacked ``eigh`` a registered counting backend ran."""
+    shapes = []
+
+    class EighCountingBackend(NumpyBackend):
+        name = "test-eigh-counting"
+        tolerance = 0.0
+
+        def eigh(self, stack):
+            shapes.append(stack.shape)
+            return super().eigh(stack)
+
+    register_backend("test-eigh-counting", EighCountingBackend, replace=True)
+    return shapes
+
+
+def _assert_same_decomposition(got, want):
+    assert got.coloring_matrix.tobytes() == want.coloring_matrix.tobytes()
+    assert got.effective_covariance.tobytes() == want.effective_covariance.tobytes()
+    assert got.requested_covariance.tobytes() == want.requested_covariance.tobytes()
+    assert got.method == want.method
+    assert got.was_repaired == want.was_repaired
+    assert got.negative_eigenvalue_count == want.negative_eigenvalue_count
+    assert repr(got.min_eigenvalue) == repr(want.min_eigenvalue)
+    assert repr(got.extra) == repr(want.extra)
+
+
+class TestPlanWideDecomposition:
+    """Misses are decomposed once per matrix and per signature, not per group."""
+
+    def test_matrix_shared_by_three_groups_is_decomposed_once(self, eigh_calls):
+        matrix = _matrix(1.5, size=3)
+        plan = SimulationPlan()
+        plan.add(matrix, seed=1)
+        plan.add(matrix, seed=2, doppler=DopplerSpec(0.05, 64))
+        plan.add(matrix, seed=3, fading=_NAKAGAMI)
+        compiled = compile_plan(
+            plan, cache=DecompositionCache(maxsize=0), backend="test-eigh-counting"
+        )
+        assert compiled.report.n_groups == 3
+        # One forcing eigh over one slice; the PSD matrix is not repaired,
+        # so the coloring reuses that decomposition.
+        assert eigh_calls == [(1, 3, 3)]
+        assert compiled.report.n_unique_matrices == 1
+        assert compiled.report.cache_misses == 1
+        assert compiled.report.cache_hits == 0
+        want = compute_coloring(matrix).coloring_matrix
+        for group in compiled.groups:
+            assert group.coloring_stack.tobytes() == want.tobytes()
+
+    def test_mixed_sizes_with_repairs_match_the_single_spec_path(self, eigh_calls):
+        plan = SimulationPlan()
+        matrices = [
+            _matrix(1.0),
+            _indefinite(4),
+            _indefinite(2, power=2.0),
+            _matrix(2.0, size=4),
+            _indefinite(4, power=0.5),
+            _indefinite(4),  # repeats entry 1 in another group
+            _matrix(1.0),  # repeats entry 0 in another group
+            _indefinite(2, power=2.0),  # repeats entry 2 in another group
+        ]
+        options = [
+            {},
+            {"doppler": DopplerSpec(0.05, 64)},
+            {"fading": _RICIAN},
+            {"fading": _NAKAGAMI},
+            {},
+            {"fading": _NAKAGAMI},
+            {"doppler": DopplerSpec(0.05, 64)},
+            {},
+        ]
+        for index, (matrix, extra) in enumerate(zip(matrices, options)):
+            plan.add(matrix, seed=index, **extra)
+        compiled = compile_plan(
+            plan, cache=DecompositionCache(maxsize=0), backend="test-eigh-counting"
+        )
+        for index, matrix in enumerate(matrices):
+            _assert_same_decomposition(
+                compiled.decomposition_for(index), compute_coloring(matrix)
+            )
+        assert compiled.report.n_unique_matrices == 5
+        assert compiled.report.cache_misses == 5
+        # Forcing: one stack per size (N = 2: two matrices, N = 4: three).
+        # Coloring: only the repaired slices are decomposed again.
+        assert sorted(eigh_calls) == [(1, 2, 2), (2, 2, 2), (2, 4, 4), (3, 4, 4)]
+
+
+class TestFailingEntry:
+    """A decomposition failure names the plan entry, not a stack index."""
+
+    def test_psd_forcing_failure_names_entry_and_label(self):
+        plan = SimulationPlan()
+        plan.add(np.eye(2))
+        plan.add(2.0 * np.eye(2), fading=_NAKAGAMI)
+        plan.add(3.0 * np.eye(2), doppler=DopplerSpec(0.05, 64))
+        plan.add(np.array([[1.0, 1e308], [1e308, 1.0]]), fading=_NAKAGAMI, label="d")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CovarianceError) as info:
+                compile_plan(plan, cache=DecompositionCache())
+        message = str(info.value)
+        assert message.startswith("PSD forcing")
+        assert "plan entry 3 (label 'd')" in message
+        assert "stack index" not in message
+
+    def test_cholesky_failure_names_entry(self):
+        plan = SimulationPlan()
+        plan.add(np.eye(2), coloring_method="cholesky")
+        plan.add(2.0 * np.eye(2), coloring_method="cholesky", fading=_RICIAN)
+        plan.add(np.ones((2, 2)), coloring_method="cholesky", fading=_RICIAN)
+        expected = r"^Cholesky factorization failed for plan entry 2:"
+        with pytest.raises(CholeskyError, match=expected):
+            compile_plan(plan, cache=DecompositionCache(maxsize=0))
+
+    def test_coloring_failure_names_entry_and_label(self):
+        # Higham's iteration stops inside psd_tol, but outside the eigen
+        # coloring's tighter clip tolerance on this matrix.
+        plan = SimulationPlan()
+        plan.add(np.eye(3), psd_method="higham")
+        plan.add(_indefinite(3), psd_method="higham", doppler=DopplerSpec(0.05, 64), label="x")
+        with pytest.raises(ColoringError, match=r"^eigen coloring requires") as info:
+            compile_plan(plan, cache=DecompositionCache(maxsize=0))
+        assert "plan entry 1 (label 'x')" in str(info.value)

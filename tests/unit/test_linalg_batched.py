@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.coloring import compute_coloring, compute_coloring_batch
 from repro.core.psd import force_positive_semidefinite
-from repro.exceptions import CholeskyError, DimensionError
+from repro.engine import NumpyBackend
+from repro.exceptions import CholeskyError, CovarianceError, DimensionError
 from repro.linalg import (
     batched_cholesky_factor,
     batched_clip_negative_eigenvalues,
@@ -125,6 +126,28 @@ class TestBatchedPSDForcing:
     def test_unknown_method_rejected(self, psd_stack):
         with pytest.raises(ValueError):
             batched_force_positive_semidefinite(psd_stack, method="nope")
+
+    def test_clip_reconstructs_only_the_repaired_slices(self, mixed_stack):
+        shapes = []
+
+        class MatmulCountingBackend(NumpyBackend):
+            def matmul(self, a, b):
+                shapes.append(a.shape)
+                return super().matmul(a, b)
+
+        batched = batched_force_positive_semidefinite(
+            mixed_stack, method="clip", backend=MatmulCountingBackend()
+        )
+        assert shapes == [(1, 4, 4)]  # only the indefinite slice 2
+        for index in (0, 1):
+            assert batched[index].matrix.tobytes() == mixed_stack[index].tobytes()
+
+    def test_unrepairable_slice_is_named(self):
+        stack = np.stack([np.eye(2), [[1.0, 1e308], [1e308, 1.0]], 2.0 * np.eye(2)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CovarianceError, match="at stack index 1;") as info:
+                batched_force_positive_semidefinite(stack, method="clip")
+        assert info.value.stack_index == 1
 
     def test_clip_helper_matches_single(self, mixed_stack):
         repaired = batched_clip_negative_eigenvalues(mixed_stack)

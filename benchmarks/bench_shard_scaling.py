@@ -11,9 +11,10 @@ overhead per shard count and ``compare_benchmarks.py`` flags regressions
 (a slowdown here means the runner, worker, or store lock path got heavier
 — the engine itself is covered by the other benches).
 
-Subprocess spawning dominates at this plan size (interpreter + numpy
-import per worker is milliseconds-to-seconds while a warm execute is
-milliseconds), so rounds are bounded with ``benchmark.pedantic`` instead
+Workers fork from a warm launcher, but the launcher's own start-up
+(interpreter + numpy import, paid by the first run in a process and again
+when the shard count changes the worker environment) is far longer than a
+warm execute, so rounds are bounded with ``benchmark.pedantic`` instead
 of letting calibration fork hundreds of workers.
 
 A correctness guard pins the invariant the numbers depend on (standing

@@ -117,12 +117,20 @@ def batched_hermitian_eigendecomposition(
     bit-identical to
     :func:`repro.linalg.eigen.hermitian_eigendecomposition` applied to the
     corresponding single matrix, including the descending eigenvalue order.
+
+    Raises
+    ------
+    CovarianceError
+        If ``eigh`` does not converge; ``stack_index`` names the first
+        slice it fails on.
     """
-    herm = batched_hermitian_part(stack)
-    if backend is None:
-        eigenvalues, eigenvectors = np.linalg.eigh(herm)
-    else:
-        eigenvalues, eigenvectors = backend.eigh(herm)
+    return _eigh_hermitian_stack(batched_hermitian_part(stack), backend)
+
+
+def _eigh_hermitian_stack(herm: np.ndarray, backend) -> BatchedEigenDecomposition:
+    """:func:`batched_hermitian_eigendecomposition` of an already-Hermitian stack."""
+    eigh = np.linalg.eigh if backend is None else backend.eigh
+    eigenvalues, eigenvectors = _per_stack(eigh, herm, "eigendecomposition")
     # eigh returns ascending order per slice; flip to descending with the
     # same argsort-and-reverse the single-matrix wrapper uses.
     order = np.argsort(eigenvalues, axis=-1)[:, ::-1]
@@ -132,6 +140,27 @@ def batched_hermitian_eigendecomposition(
             np.take_along_axis(eigenvectors, order[:, np.newaxis, :], axis=-1)
         ),
     )
+
+
+def _per_stack(fn, herm: np.ndarray, what: str):
+    """``fn(herm)``, with a ``LinAlgError`` named after its first failing slice.
+
+    A stacked LAPACK call fails as a whole; re-running it slice by slice
+    finds the offender, so the caller gets a :class:`CovarianceError` whose
+    ``stack_index`` it can map back to its own input.
+    """
+    try:
+        return fn(herm)
+    except np.linalg.LinAlgError as exc:
+        for index in range(herm.shape[0]):
+            try:
+                fn(herm[index : index + 1])
+            except np.linalg.LinAlgError:
+                raise CovarianceError(
+                    f"{what} did not converge at stack index {index} ({exc})",
+                    stack_index=index,
+                ) from exc
+        raise CovarianceError(f"{what} failed on the stack ({exc})") from exc
 
 
 def batched_cholesky_factor(stack: np.ndarray, *, backend=None) -> np.ndarray:
@@ -221,7 +250,8 @@ def batched_force_positive_semidefinite(
     Raises
     ------
     CovarianceError
-        If a repaired slice is still not positive semi-definite; the error
+        If a slice's Hermitian part is not finite, its decomposition fails,
+        or a repaired slice is still not positive semi-definite; the error
         names the first such slice in its message and ``stack_index``.
     """
     return _force_psd_stack(
@@ -253,7 +283,20 @@ def _force_psd_stack(
             f"unknown PSD forcing method {method!r}; choose from ('clip', 'epsilon', 'higham')"
         )
 
-    decomp = batched_hermitian_eigendecomposition(arr, backend=backend)
+    herm = batched_hermitian_part(arr)
+    # A finite matrix whose Hermitian part overflows (entries near the
+    # float maximum) has nothing LAPACK can decompose; name it here rather
+    # than let eigh fail on the whole stack.  Cold path only: a cached
+    # decomposition never reaches this function.
+    overflowed = np.flatnonzero(~np.isfinite(herm).all(axis=(1, 2)))
+    if overflowed.size:
+        index = int(overflowed[0])
+        raise CovarianceError(
+            f"PSD forcing with method {method!r} cannot repair the matrix at "
+            f"stack index {index}; its Hermitian part is not finite",
+            stack_index=index,
+        )
+    decomp = _eigh_hermitian_stack(herm, backend)
     scales = np.maximum(np.abs(decomp.max_eigenvalues), 1.0)
     negative_mask = decomp.eigenvalues < (-defaults.eig_clip_tol * scales)[:, np.newaxis]
     already_psd = ~np.any(negative_mask, axis=-1)
@@ -289,7 +332,9 @@ def _force_psd_stack(
     # The single-matrix PSD check (``is_positive_semidefinite``) on every
     # slice at once: numpy's stacked eigvalsh runs the same LAPACK routine
     # per slice, and the negated ``>=`` fails NaN slices as the check does.
-    repaired_eigenvalues = np.linalg.eigvalsh(batched_hermitian_part(repaired_stack))
+    repaired_eigenvalues = _per_stack(
+        np.linalg.eigvalsh, batched_hermitian_part(repaired_stack), "PSD check"
+    )
     tolerances = defaults.psd_tol * np.maximum(
         np.max(np.abs(repaired_eigenvalues), axis=-1), 1.0
     )

@@ -2,9 +2,28 @@
 
 :func:`run_sharded` partitions a plan (:func:`~repro.shard.partition_plan`),
 writes each slice's wire payload into a *work directory*, and executes the
-slices as real subprocesses (``python -m repro.shard.worker``) that all
-attach the same ``cache_dir`` — the subprocess form of ROADMAP item 2's
-multi-host story, where the transport is the filesystem.
+slices as separate worker processes that all attach the same
+``cache_dir`` — the subprocess form of ROADMAP item 2's multi-host story,
+where the transport is the filesystem.
+
+Worker start-up: importing numpy and the engine costs a fresh interpreter
+far more than a slice's own work, so the runner keeps one warm *launcher*
+(``python -m repro.shard.worker --launcher FD``, see
+:mod:`repro.shard.worker`) per process and forks each slice's worker from
+it.  The launcher is started with exactly the worker environment below and
+is keyed on it: a run whose environment differs (another shard count,
+other ``extra_env``) starts a new one and retires the old one, which
+exits once the workers it forked have exited.  A launcher exits when its
+control socket closes, so it never outlives the process that started it,
+and one that does not answer by a worker's timeout is killed.  The
+saving is per process: the first sharded run in a process (or the first
+after the worker environment changes) pays the launcher's start-up
+serially, and later runs pay only a fork per slice.  A worker
+handle is shaped like :class:`subprocess.Popen` (``stdout``, ``poll``,
+``wait``, ``kill``, ``returncode``), and where ``os.fork``,
+``socket.send_fds`` or ``AF_UNIX`` ``SOCK_SEQPACKET`` sockets are missing
+the runner starts ``python -m repro.shard.worker`` per slice instead,
+with the same argv.
 
 Scheduling: every pending worker starts and compiles at once.  Slices
 share no artifacts except identical slice plans, which a worker loads
@@ -34,17 +53,21 @@ from a source checkout.
 
 from __future__ import annotations
 
+import atexit
+import functools
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +76,12 @@ from ..engine.result import BatchResult
 from ..exceptions import SpecificationError
 from ..types import GaussianBlock
 from .slicing import PlanSlice, merge_results, partition_plan, slice_to_payload
+
+# ``socket`` and ``concurrent.futures`` (which loads ``logging``) are
+# imported where a launcher is used: importing this module, as every
+# ``repro.shard`` name does, must not pay for a sharded run.
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = ["ShardRunResult", "run_sharded"]
 
@@ -197,6 +226,255 @@ def _load_output(
     return result, meta
 
 
+#: The worker module the launcher and the per-slice fallback both run.
+_WORKER = [sys.executable, "-m", "repro.shard.worker"]
+
+#: Exit status of a worker whose launcher exited before reporting it.
+_UNKNOWN_EXIT = 255
+
+#: Room for one launcher message (a pid and an exit code).
+_MESSAGE_BYTES = 4096
+
+
+class _Launcher:
+    """The parent's end of one warm launcher process (module docs)."""
+
+    def __init__(self, env: Dict[str, str], key: Tuple[Tuple[str, str], ...]) -> None:
+        import socket
+
+        self.key = key
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        with theirs:
+            self.process = subprocess.Popen(
+                _WORKER + ["--launcher", str(theirs.fileno())],
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                env=env,
+                pass_fds=(theirs.fileno(),),
+            )
+        self._sock = ours
+        self._lock = threading.Lock()
+        # Spawn answers arrive in request order; exits arrive by pid.
+        self._forks: Deque[Future] = deque()
+        self._exits: Dict[int, Future] = {}
+        self.lost = False
+        self.killed = False
+        threading.Thread(target=self._read, name="shard-launcher", daemon=True).start()
+
+    def _read(self) -> None:
+        from concurrent.futures import Future
+
+        while True:
+            try:
+                data = self._sock.recv(_MESSAGE_BYTES)
+            except OSError:
+                data = b""
+            if not data:
+                break
+            message = json.loads(data.decode("utf8"))
+            with self._lock:
+                if "exited" in message:
+                    future = self._exits.pop(message["exited"])
+                    outcome: Any = message["code"]
+                else:
+                    future, pid = self._forks.popleft(), message["forked"]
+                    outcome = None if pid is None else (
+                        pid, self._exits.setdefault(pid, Future())
+                    )
+            future.set_result(outcome)
+        with self._lock:
+            self.lost = True
+            pending = list(self._forks) + list(self._exits.values())
+            self._forks.clear()
+            self._exits.clear()
+        for future in pending:
+            future.set_result(None)
+        self._sock.close()
+        self.process.wait()
+
+    def send(self, message: Dict[str, Any], fds: Tuple[int, ...] = ()) -> None:
+        """Send ``message``; a lost launcher drops it."""
+        import socket
+
+        try:
+            socket.send_fds(self._sock, [json.dumps(message).encode("utf8")], list(fds))
+        except OSError:
+            # The reader sees the same EOF and settles every handle.
+            pass
+
+    def spawn(self, argv: List[str]) -> "_ForkedWorker":
+        from concurrent.futures import Future
+
+        read_fd, write_fd = os.pipe()
+        forked: Future = Future()
+        try:
+            with self._lock:
+                if self.lost:
+                    forked.set_result(None)
+                else:
+                    self._forks.append(forked)
+            if not forked.done():
+                self.send({"op": "spawn", "argv": argv, "cwd": os.getcwd()}, (write_fd,))
+        finally:
+            os.close(write_fd)
+        return _ForkedWorker(self, forked, _WORKER + argv, open(read_fd, errors="replace"))
+
+    def retire(self) -> None:
+        """Let the launcher exit once the children it runs have exited."""
+        self.send({"op": "retire"})
+
+    def abandon(self) -> None:
+        """Kill a launcher that stopped answering; every handle settles."""
+        with self._lock:
+            self.lost = self.killed = True
+        self.process.kill()
+
+    def close(self) -> None:
+        import socket
+
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self.process.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+
+
+class _ForkedWorker:
+    """A worker forked by a launcher, shaped like :class:`subprocess.Popen`.
+
+    ``forked`` settles with ``(pid, exited)`` once the launcher has forked
+    the child (``None`` if it never did), and ``exited`` with the exit code
+    the launcher reports when it reaps the child (``None`` if the launcher
+    was lost first, read as exit 255).  ``kill`` goes through the launcher,
+    which signals only children it has not reaped.  A launcher that has not
+    forked the child when ``kill`` comes has stopped answering: it is
+    killed, and every worker it never forked reads as SIGKILLed.
+    """
+
+    def __init__(self, launcher: _Launcher, forked: Future, args: List[str], stdout) -> None:
+        self.args = args
+        self.stdout = stdout
+        self.returncode: Optional[int] = None
+        self._launcher = launcher
+        self._forked = forked
+        self._lock = threading.Lock()
+
+    def _settle(self, code: Optional[int]) -> int:
+        with self._lock:
+            if self.returncode is None:
+                self.returncode = _UNKNOWN_EXIT if code is None else int(code)
+            return self.returncode
+
+    def _unforked(self) -> Optional[int]:
+        return -signal.SIGKILL if self._launcher.killed else None
+
+    def poll(self) -> Optional[int]:
+        if self._forked.done():
+            forked = self._forked.result()
+            if forked is None:
+                return self._settle(self._unforked())
+            if forked[1].done():
+                return self._settle(forked[1].result())
+        return None
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        from concurrent.futures import TimeoutError as FutureTimeout
+
+        deadline = None if timeout is None else time.monotonic() + timeout
+        try:
+            forked = self._forked.result(timeout)
+            if forked is None:
+                return self._settle(self._unforked())
+            left = None if deadline is None else max(0.0, deadline - time.monotonic())
+            return self._settle(forked[1].result(left))
+        except FutureTimeout:
+            raise subprocess.TimeoutExpired(self.args, timeout) from None
+
+    def kill(self) -> None:
+        with self._lock:
+            if self.returncode is not None:
+                return
+            if not self._forked.done():
+                self._launcher.abandon()
+                return
+        forked = self._forked.result()
+        if forked is not None and not forked[1].done():
+            self._launcher.send({"op": "kill", "pid": forked[0]})
+
+
+_LAUNCHER_LOCK = threading.Lock()
+_LAUNCHER: Optional[_Launcher] = None
+
+
+def _fork_worker(env: Dict[str, str], argv: List[str]) -> _ForkedWorker:
+    """Fork a worker from this process's launcher for ``env``.
+
+    A launcher for another environment is retired and replaced.  The spawn
+    request goes out under the same lock, so it always reaches the
+    launcher before a concurrent run can retire it.
+    """
+    global _LAUNCHER
+    key = tuple(sorted(env.items()))
+    with _LAUNCHER_LOCK:
+        launcher = _LAUNCHER
+        if launcher is None or launcher.key != key or launcher.lost:
+            retired, _LAUNCHER = launcher, _Launcher(env, key)
+            if retired is not None:
+                retired.retire()
+            launcher = _LAUNCHER
+        return launcher.spawn(argv)
+
+
+def _close_launcher() -> None:
+    """At exit: stop the launcher now rather than when the socket drops."""
+    global _LAUNCHER
+    with _LAUNCHER_LOCK:
+        launcher, _LAUNCHER = _LAUNCHER, None
+    if launcher is not None:
+        launcher.close()
+
+
+def _forget_launcher() -> None:
+    """In a forked copy of this process: drop the parent's launcher."""
+    global _LAUNCHER, _LAUNCHER_LOCK
+    _LAUNCHER_LOCK = threading.Lock()
+    with _LAUNCHER_LOCK:
+        inherited, _LAUNCHER = _LAUNCHER, None
+    if inherited is not None:
+        # Closes this copy's descriptor only; the parent keeps its launcher.
+        inherited._sock.close()
+
+
+def _can_fork() -> bool:
+    return hasattr(os, "fork") and _can_pass_fds()
+
+
+@functools.lru_cache(maxsize=None)
+def _can_pass_fds() -> bool:
+    """Whether ``socket.send_fds`` and ``AF_UNIX`` ``SOCK_SEQPACKET`` pairs
+    work (not on every Unix)."""
+    import socket
+
+    if not hasattr(socket, "send_fds"):
+        return False
+    try:
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    except (AttributeError, OSError):
+        return False
+    ours.close()
+    theirs.close()
+    return True
+
+
+atexit.register(_close_launcher)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_launcher)
+
+
 def _spawn(
     slice_path: Path,
     out_prefix: Path,
@@ -204,21 +482,16 @@ def _spawn(
     cache_dir: Optional[Union[str, Path]],
     backend: Optional[str],
     env: Dict[str, str],
-) -> subprocess.Popen:
-    argv = [
-        sys.executable,
-        "-m",
-        "repro.shard.worker",
-        str(slice_path),
-        "--out",
-        str(out_prefix),
-    ]
+) -> Union[subprocess.Popen, _ForkedWorker]:
+    argv = [str(slice_path), "--out", str(out_prefix)]
     if cache_dir is not None:
         argv += ["--cache-dir", str(cache_dir)]
     if backend is not None:
         argv += ["--backend", str(backend)]
+    if _can_fork():
+        return _fork_worker(env, argv)
     return subprocess.Popen(
-        argv,
+        _WORKER + argv,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,

@@ -1,10 +1,13 @@
-"""The shard worker: one subprocess, one :class:`PlanSlice`, one engine run.
+"""The shard worker: one process, one :class:`PlanSlice`, one engine run.
 
-Launched by the runner as ``python -m repro.shard.worker <slice.json> --out
-PREFIX [--cache-dir DIR] [--backend NAME]``.  The worker decodes its slice
-payload, builds a private :class:`~repro.engine.SimulationEngine` whose
-compiled-plan cache attaches to the caller-supplied shared ``cache_dir``,
-compiles the sub-plan, executes, and publishes two files:
+The worker CLI is ``python -m repro.shard.worker <slice.json> --out PREFIX
+[--cache-dir DIR] [--backend NAME]``.  The runner normally runs it in a
+child forked from a warm *launcher* (see below) rather than in a fresh
+interpreter; the files, exit code and output are the same.  The worker
+decodes its slice payload, builds a private
+:class:`~repro.engine.SimulationEngine` whose compiled-plan cache attaches
+to the caller-supplied shared ``cache_dir``, compiles the sub-plan,
+executes, and publishes two files:
 
 * ``PREFIX.npz`` — every block's samples and variances, exact bytes;
 * ``PREFIX.json`` — slice addressing, labels, the SHA-256 of the exact
@@ -27,20 +30,51 @@ analogue of the ``FlakyBackend``/``FlakyStore`` fail-at-exactly-N harness
 in ``tests/conftest.py``): the slice's compiled plan is already in the
 shared cache, its output is not, so a ``--retry-failed`` rerun must
 recover bit-identically from the warm cache.
+
+Launcher
+--------
+``python -m repro.shard.worker --launcher FD`` is the runner's warm worker
+process: it has imported this module (numpy and the engine, nothing else)
+and serves requests on the control socket ``FD`` (an ``AF_UNIX``
+``SOCK_SEQPACKET`` end, one JSON message per packet):
+
+* ``spawn`` (with the pipe for the child's stdout and stderr attached)
+  forks a child that runs :func:`main` on the given argv in the given
+  directory, and answers ``{"forked": pid}`` (``null`` if the fork
+  failed).  Requests are served in order, so the answers come in the
+  order of the requests;
+* ``kill`` SIGKILLs a child that has not been reaped;
+* ``retire`` makes the launcher exit once its running children have
+  exited.
+
+The launcher reaps each child as soon as it exits (on ``SIGCHLD``) and
+sends ``{"exited": pid, "code": code}`` unasked, with the exit code
+``subprocess`` would report (negative for a signal).  Reaping and killing
+happen in the launcher's one thread, and a kill reaches only a child it
+has not reaped yet, so no signal reaches a reaped (and reusable) pid.
+
+Fork safety: the launcher does no numerical work, draws no random numbers
+and starts no thread, so a child starts from the state a fresh worker
+would have after its imports.  A child flushes its streams, runs the
+registered :mod:`atexit` callbacks and leaves with :func:`os._exit`,
+skipping the interpreter teardown.  The launcher leaves the same way when
+its control socket reaches EOF, which happens when the runner exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import hashlib
 import json
 import os
 import signal
 import sys
 import tempfile
+import traceback
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NoReturn, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,6 +87,9 @@ __all__ = ["KILL_SLICE_ENV", "run_slice", "main"]
 #: Fault-injection hook: the worker whose slice index matches SIGKILLs
 #: itself between executing and publishing (see the module docs).
 KILL_SLICE_ENV = "REPRO_SHARD_KILL_SLICE"
+
+#: Largest control request the launcher reads (a spawn's argv and cwd).
+_MAX_REQUEST = 1 << 16
 
 #: Compiled-plan cache counters each worker reports in
 #: ``meta["tiers"]["plans"]`` (the runner sums them into ``tier_totals()``
@@ -175,5 +212,125 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+def _exit_code(exc: SystemExit) -> int:
+    """The status the interpreter would exit with for ``exc``."""
+    if exc.code is None:
+        return 0
+    if isinstance(exc.code, int):
+        return exc.code
+    print(exc.code, file=sys.stderr)
+    return 1
+
+
+def _run_forked(request: Dict[str, Any], out_fd: int, inherited: Tuple[int, ...]) -> NoReturn:
+    """A forked child: run :func:`main` with its output on ``out_fd``, then exit."""
+    code = 1
+    try:
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        for fd in inherited:
+            os.close(fd)
+        os.dup2(out_fd, 1)
+        os.dup2(out_fd, 2)
+        os.close(out_fd)
+        os.chdir(request["cwd"])
+        # A fresh interpreter seeds numpy's legacy global generator from OS
+        # entropy; without this every child would share the launcher's.
+        # (The engine draws only from per-entry seeds.)
+        legacy = sys.modules.get("numpy.random")
+        if legacy is not None:
+            legacy.seed()
+        code = main(list(request["argv"]))
+    except SystemExit as exc:
+        code = _exit_code(exc)
+    except BaseException:
+        traceback.print_exc()
+        code = 1
+    finally:
+        # What a normal exit would do, minus the interpreter teardown:
+        # atexit callbacks (site hooks dump their records there), then
+        # the buffered streams.
+        atexit._run_exitfuncs()
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except (OSError, ValueError):
+                pass
+        os._exit(code)
+
+
+def _launch(control_fd: int) -> NoReturn:
+    """Serve fork requests on ``control_fd`` (module docs)."""
+    import select
+    import socket
+
+    control = socket.socket(fileno=control_fd)
+    wake_read, wake_write = os.pipe()
+    os.set_blocking(wake_read, False)
+    os.set_blocking(wake_write, False)
+    # SIGCHLD writes to the wake-up pipe, so a child's exit interrupts the
+    # select below and is reported at once.
+    signal.set_wakeup_fd(wake_write)
+    signal.signal(signal.SIGCHLD, lambda signum, frame: None)
+    # Ctrl-C reaches the whole process group; the runner decides what stops.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    live: Set[int] = set()
+    retiring = False
+
+    def send(message: Dict[str, Any]) -> None:
+        try:
+            control.send(json.dumps(message).encode("utf8"))
+        except OSError:
+            os._exit(0)
+
+    def spawn(request: Dict[str, Any], out_fd: int) -> Optional[int]:
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            os.write(out_fd, f"shard worker launcher: fork failed: {exc}\n".encode("utf8"))
+            os.close(out_fd)
+            return None
+        if pid == 0:
+            _run_forked(request, out_fd, (control.fileno(), wake_read, wake_write))
+        os.close(out_fd)
+        live.add(pid)
+        return pid
+
+    while live or not retiring:
+        ready = select.select([control, wake_read], [], [])[0]
+        if wake_read in ready:
+            try:
+                while os.read(wake_read, 4096):
+                    pass
+            except BlockingIOError:
+                pass
+        if control in ready:
+            try:
+                data, fds, _flags, _address = socket.recv_fds(control, _MAX_REQUEST, 1)
+            except OSError:
+                data, fds = b"", []
+            if not data:
+                # The runner exited.  Its atexit callbacks belong to a
+                # process that did no work: skip them.
+                os._exit(0)
+            request = json.loads(data.decode("utf8"))
+            if request["op"] == "spawn":
+                send({"forked": spawn(request, fds[0])})
+            elif request["op"] == "kill" and request["pid"] in live:
+                os.kill(request["pid"], signal.SIGKILL)
+            elif request["op"] == "retire":
+                retiring = True
+        while live:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+            if pid == 0:
+                break
+            live.discard(pid)
+            send({"exited": pid, "code": os.waitstatus_to_exitcode(status)})
+    os._exit(0)
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
+    if sys.argv[1:2] == ["--launcher"]:
+        _launch(int(sys.argv[2]))
     sys.exit(main())

@@ -349,6 +349,25 @@ class TestFailingEntry:
         assert "plan entry 3 (label 'd')" in message
         assert "stack index" not in message
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_overflowing_finite_matrix_names_entry_and_label(self, n):
+        """``1e308`` off the diagonal overflows the Hermitian part: at N = 4
+        this used to reach numpy's ``LinAlgError`` instead."""
+        bad = np.eye(n)
+        bad[0, 1] = bad[1, 0] = 1e308
+        plan = SimulationPlan()
+        plan.add(np.eye(n))
+        plan.add(2.0 * np.eye(n), fading=_NAKAGAMI)
+        plan.add(3.0 * np.eye(n), label="c")
+        plan.add(bad, fading=_NAKAGAMI, label="d")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CovarianceError) as info:
+                compile_plan(plan, cache=DecompositionCache())
+        message = str(info.value)
+        assert message.startswith("PSD forcing")
+        assert "plan entry 3 (label 'd')" in message
+        assert "stack index" not in message
+
     def test_cholesky_failure_names_entry(self):
         plan = SimulationPlan()
         plan.add(np.eye(2), coloring_method="cholesky")

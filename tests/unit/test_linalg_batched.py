@@ -149,6 +149,31 @@ class TestBatchedPSDForcing:
                 batched_force_positive_semidefinite(stack, method="clip")
         assert info.value.stack_index == 1
 
+    @pytest.mark.parametrize("method", ["clip", "epsilon"])
+    def test_non_finite_hermitian_part_is_named(self, method):
+        bad = np.eye(4)
+        bad[0, 1] = bad[1, 0] = 1e308
+        stack = np.stack([np.eye(4), 2.0 * np.eye(4), bad])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CovarianceError, match="at stack index 2;") as info:
+                batched_force_positive_semidefinite(stack, method=method)
+        assert info.value.stack_index == 2
+
+    def test_eigh_failure_names_its_first_failing_slice(self):
+        class FailingBackend(NumpyBackend):
+            """``eigh`` fails on any stack holding a matrix with trace 7."""
+
+            def eigh(self, a):
+                if np.any(np.isclose(np.trace(a, axis1=1, axis2=2).real, 7.0)):
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return super().eigh(a)
+
+        stack = np.stack([np.eye(2), np.diag([3.0, 4.0]), np.eye(2)])
+        with pytest.raises(CovarianceError, match="at stack index 1 ") as info:
+            batched_force_positive_semidefinite(stack, backend=FailingBackend())
+        assert info.value.stack_index == 1
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     def test_clip_helper_matches_single(self, mixed_stack):
         repaired = batched_clip_negative_eigenvalues(mixed_stack)
         for index in range(mixed_stack.shape[0]):

@@ -609,6 +609,33 @@ class TestFailures:
 
         asyncio.run(scenario())
 
+    def test_overflowing_4x4_matrix_is_a_client_error_not_500(self):
+        """An N = 4 matrix whose Hermitian part overflows once reached
+        numpy's ``LinAlgError`` and answered 500."""
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim, dispatch_slots=1) as (_service, server):
+                plan = SimulationPlan()
+                plan.add(np.eye(4), seed=1, label="bad")
+                payload = plan_to_payload(plan, 32)
+                matrix = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+                matrix[0][1] = matrix[1][0] = 1e308
+                payload["entries"][0]["matrix"]["re"] = matrix
+                status, _h, raw = await _request(server.port, "POST", "/v1/plans", body=payload)
+                if status == 202:
+                    request_id = json.loads(raw)["request_id"]
+                    status, _h, raw = await _request(
+                        server.port, "GET", f"/v1/plans/{request_id}/result"
+                    )
+                assert status in (400, 422)
+                assert "label 'bad'" in json.loads(raw)["error"]
+                status, _h, _raw = await _request(server.port, "GET", "/healthz")
+                assert status == 200
+            sim.close()
+
+        asyncio.run(scenario())
+
     def test_input_failure_maps_to_422_and_the_server_survives(self):
         """A finite matrix that PSD forcing cannot repair fails its flight with 422."""
 

@@ -6,8 +6,11 @@ non-trivial :class:`FadingSpec`\\ s and non-int seeds survive the trip, and
 slices never coalesce onto an unrelated plan's compiled-plan cache entry),
 result merging, and the CLI surface.  Small subprocess runs pin the runner's
 edges: worker timeouts, retries that must not reuse stale outputs, malformed
-worker metadata, and the concurrent start (every worker spawns at once, an
-early worker death leaves the rest running, BLAS threads are split).  Bit-identity across shards is exercised by
+worker metadata, the concurrent start (every worker spawns at once, an
+early worker death leaves the rest running, BLAS threads are split), the
+process contract of a worker forked from the launcher (exit codes,
+signals, ``poll``, the timeout kill, the no-fork fallback) and the
+launcher's lifetime.  Bit-identity across shards is exercised by
 ``tests/property/test_property_shard.py``.
 """
 
@@ -29,6 +32,7 @@ from repro.shard import (
     slice_from_payload,
     slice_to_payload,
 )
+from repro.shard.runner import _can_fork
 from repro.types import GaussianBlock
 
 _BASE = np.array([[1.0, 0.4 + 0.1j], [0.4 - 0.1j, 2.0]], dtype=complex)
@@ -757,3 +761,315 @@ class TestConcurrentWorkers:
         assert env["OMP_NUM_THREADS"] == "5"
         assert env["MKL_NUM_THREADS"] == "7"
         assert os.environ["OMP_NUM_THREADS"] == "5"
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a running (not exited, not zombie) process."""
+    import os
+
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def _gone_within(pid: int, seconds: float) -> bool:
+    import time
+
+    deadline = time.monotonic() + seconds
+    while _alive(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+_needs_fork = pytest.mark.skipif(
+    not _can_fork(),
+    reason="workers fork from a launcher only where os.fork and socket.send_fds exist",
+)
+
+
+@_needs_fork
+@pytest.mark.usefixtures("clean_env")
+class TestForkedWorkerContract:
+    """A worker forked from the launcher behaves like the ``Popen`` it
+    replaces: exit codes, signals, ``poll``, the timeout kill."""
+
+    def test_missing_slice_path_fails_with_exit_1(self, tmp_path, monkeypatch):
+        from repro.shard import runner
+
+        real_spawn = runner._spawn
+        spawned = []
+
+        def spawn(slice_path, out_prefix, **kwargs):
+            spawned.append(real_spawn(tmp_path / "missing.json", out_prefix, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(runner, "_spawn", spawn)
+        lines = []
+        result = runner.run_sharded(
+            _sweep_plan(2),
+            8,
+            n_shards=1,
+            work_dir=tmp_path / "work",
+            progress=lambda index, line: lines.append(line),
+        )
+        assert [type(process) for process in spawned] == [runner._ForkedWorker]
+        assert result.failed == (0,)
+        assert lines[-1] == "shard 0/1: FAILED (exit 1)"
+        assert any("FileNotFoundError" in line for line in lines)
+
+    def test_fifo_slice_is_killed_at_the_timeout(self, tmp_path):
+        import os
+        import time
+
+        from repro.shard import runner
+
+        fifo = tmp_path / "slice.fifo"
+        os.mkfifo(fifo)
+        process = runner._spawn(
+            fifo,
+            tmp_path / "shard_0",
+            cache_dir=None,
+            backend=None,
+            env=runner._worker_env(None, 1),
+        )
+        assert isinstance(process, runner._ForkedWorker)
+        # The child blocks opening a FIFO that nobody writes to.
+        assert process.poll() is None
+        started = time.monotonic()
+        assert runner._drain(process, 0, None, 1.0) == -1
+        assert time.monotonic() - started < 10.0
+        assert process.returncode < 0
+        assert process.poll() == process.returncode
+        process.kill()  # after the reap: a no-op, never a stray signal
+        assert process.wait() == process.returncode
+
+    def test_children_share_no_random_state_through_fork(self, tmp_path):
+        """Identical covariances with ``seed=None`` over 2 shards: each shard
+        draws from its entry's seed (``None`` is the package default seed, so
+        the blocks equal each other and the solo run), and the legacy global
+        generators a hook in the child sees are not the launcher's copy."""
+        from repro.shard import run_sharded
+
+        hook = tmp_path / "hook"
+        hook.mkdir()
+        (hook / "sitecustomize.py").write_text(
+            "import atexit, os, random\n"
+            "def _draw():\n"
+            "    import numpy\n"
+            "    path = os.path.join(os.environ['DRAWS_DIR'], f'{os.getpid()}.txt')\n"
+            "    with open(path, 'w') as handle:\n"
+            "        handle.write(f'{numpy.random.random()!r} {random.random()!r}')\n"
+            "atexit.register(_draw)\n",
+            encoding="utf8",
+        )
+        draws = tmp_path / "draws"
+        draws.mkdir()
+        plan = SimulationPlan()
+        plan.add(_BASE, label="a")
+        plan.add(_BASE, label="b")
+        result = run_sharded(
+            plan,
+            64,
+            n_shards=2,
+            work_dir=tmp_path / "work",
+            extra_env={"PYTHONPATH": str(hook), "DRAWS_DIR": str(draws)},
+        )
+        _assert_matches_solo(result, plan, 64)
+        first, second = result.merged.blocks
+        assert first.samples.tobytes() == second.samples.tobytes()
+        numpy_draws, python_draws = zip(
+            *(path.read_text(encoding="utf8").split() for path in draws.iterdir())
+        )
+        assert len(numpy_draws) == 2
+        assert len(set(numpy_draws)) == 2
+        assert len(set(python_draws)) == 2
+
+    def test_unresponsive_launcher_fails_the_run_within_the_timeout(self, tmp_path):
+        """A launcher that never answers (here: stuck importing ``site``) is
+        killed at the workers' timeout, and every slice reads as failed."""
+        import time
+
+        from repro.shard import runner
+
+        hook = tmp_path / "hook"
+        hook.mkdir()
+        (hook / "sitecustomize.py").write_text(
+            "import time\ntime.sleep(600)\n", encoding="utf8"
+        )
+        lines = []
+        started = time.monotonic()
+        result = runner.run_sharded(
+            _sweep_plan(4),
+            16,
+            n_shards=2,
+            work_dir=tmp_path / "work",
+            timeout=2.0,
+            extra_env={"PYTHONPATH": str(hook)},
+            progress=lambda index, line: lines.append(line),
+        )
+        assert time.monotonic() - started < 30.0
+        assert result.failed == (0, 1)
+        # The first timeout kills the launcher; a slice whose own timer has
+        # not fired yet reads as SIGKILLed before it started.
+        assert len(lines) == 2
+        assert "shard 0/2: FAILED (exit -1)" in lines or "shard 1/2: FAILED (exit -1)" in lines
+        assert all(line.endswith(("FAILED (exit -1)", "FAILED (exit -9)")) for line in lines)
+        hung = runner._LAUNCHER
+        assert hung.lost
+        assert _gone_within(hung.process.pid, 10.0)
+        # The next run starts a launcher that answers.
+        _assert_matches_solo(
+            runner.run_sharded(_sweep_plan(4), 16, n_shards=2, work_dir=tmp_path / "next"),
+            _sweep_plan(4),
+            16,
+        )
+
+    @pytest.mark.parametrize("start", ["fork", "no-fork"])
+    def test_crash_and_retry(self, tmp_path, monkeypatch, start):
+        import os
+        import subprocess
+
+        from repro.shard import runner
+        from repro.shard.worker import KILL_SLICE_ENV
+
+        if start == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        expected = subprocess.Popen if start == "no-fork" else runner._ForkedWorker
+        real_spawn = runner._spawn
+        kinds = []
+
+        def spawn(*args, **kwargs):
+            process = real_spawn(*args, **kwargs)
+            kinds.append(type(process))
+            return process
+
+        monkeypatch.setattr(runner, "_spawn", spawn)
+        plan = _seeded_plan(6, 700)
+        lines = []
+        broken = runner.run_sharded(
+            plan,
+            48,
+            n_shards=3,
+            cache_dir=tmp_path / "cache",
+            work_dir=tmp_path / "work",
+            extra_env={KILL_SLICE_ENV: "1"},
+            progress=lambda index, line: lines.append(line),
+        )
+        assert broken.failed == (1,)
+        assert "shard 1/3: FAILED (exit -9)" in lines
+        retry = runner.run_sharded(
+            plan,
+            48,
+            n_shards=3,
+            cache_dir=tmp_path / "cache",
+            work_dir=tmp_path / "work",
+            retry_failed=True,
+        )
+        _assert_matches_solo(retry, plan, 48)
+        assert kinds == [expected] * 4
+
+
+@_needs_fork
+@pytest.mark.usefixtures("clean_env")
+class TestLauncherLifetime:
+    """No launcher outlives the process that started it, and a new worker
+    environment replaces the launcher instead of adding one."""
+
+    def test_launcher_dies_with_a_killed_parent(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "import os, signal\n"
+            "import numpy as np\n"
+            "from repro.engine import SimulationPlan\n"
+            "from repro.shard import run_sharded, runner\n"
+            "plan = SimulationPlan()\n"
+            "for index in range(4):\n"
+            "    plan.add(np.eye(2) * (1 + index), seed=index)\n"
+            f"assert run_sharded(plan, 16, n_shards=2, work_dir={str(tmp_path)!r}).ok\n"
+            "print(runner._LAUNCHER.process.pid, flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == -9, completed.stderr
+        launcher_pid = int(completed.stdout.split()[-1])
+        assert _gone_within(launcher_pid, 10.0)
+
+    def test_another_worker_env_replaces_the_launcher(self, tmp_path):
+        from repro.shard import run_sharded, runner
+
+        plan = _sweep_plan(4)
+        assert run_sharded(
+            plan, 16, n_shards=2, work_dir=tmp_path / "a", extra_env={"REPRO_TEST_ENV": "a"}
+        ).ok
+        first = runner._LAUNCHER
+        assert run_sharded(
+            plan, 16, n_shards=2, work_dir=tmp_path / "b", extra_env={"REPRO_TEST_ENV": "a"}
+        ).ok
+        assert runner._LAUNCHER is first
+        # Another shard count (here also another variable, so the worker
+        # environment differs even where the BLAS split comes out equal).
+        assert run_sharded(
+            plan, 16, n_shards=3, work_dir=tmp_path / "c", extra_env={"REPRO_TEST_ENV": "b"}
+        ).ok
+        second = runner._LAUNCHER
+        assert second is not first
+        assert second.process.pid != first.process.pid
+        assert _gone_within(first.process.pid, 10.0)
+        assert _alive(second.process.pid)
+
+    def test_concurrent_runs_with_different_envs_all_complete(self, tmp_path):
+        """Two threads whose worker environments differ replace each other's
+        launcher between runs; a replaced launcher still serves the workers
+        it was asked for, so no slice fails."""
+        import threading
+
+        from repro.shard import run_sharded
+
+        plan = _sweep_plan(4)
+        results = {}
+
+        def runs(name: str, n_shards: int) -> None:
+            for attempt in range(3):
+                results[name, attempt] = run_sharded(
+                    plan,
+                    16,
+                    n_shards=n_shards,
+                    work_dir=tmp_path / f"{name}{attempt}",
+                    extra_env={"REPRO_TEST_ENV": name},
+                )
+
+        threads = [
+            threading.Thread(target=runs, args=("a", 2)),
+            threading.Thread(target=runs, args=("b", 3)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(results) == 6
+        for result in results.values():
+            _assert_matches_solo(result, plan, 16)

@@ -316,11 +316,14 @@ def compile_plan(
         event.wait()
         loaded = plan_cache.lookup(plan, defaults=defaults, backend=backend_obj)
         if loaded is not None:
-            return dataclasses.replace(
-                loaded,
-                report=dataclasses.replace(loaded.report, plan_inflight_hits=1),
-            )
+            return _coalesced(loaded)
     try:
+        # A leader that put the plan and released the key after this
+        # thread's miss but before its join left no event to wait on: probe
+        # once more, or this thread would compile the plan a second time.
+        loaded = plan_cache.lookup_memory(plan, inflight_key, backend=backend_obj)
+        if loaded is not None:
+            return _coalesced(loaded)
         compiled = _compile_plan_fresh(
             plan, cache, defaults, backend_obj, cache_token, filter_cache
         )
@@ -329,6 +332,13 @@ def compile_plan(
         return compiled
     finally:
         plan_cache.finish_inflight(inflight_key)
+
+
+def _coalesced(loaded: CompiledPlan) -> CompiledPlan:
+    """A compiled plan another thread's compile of the same key produced."""
+    return dataclasses.replace(
+        loaded, report=dataclasses.replace(loaded.report, plan_inflight_hits=1)
+    )
 
 
 def _compile_plan_fresh(

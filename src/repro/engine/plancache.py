@@ -529,6 +529,28 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
             ),
         )
 
+    def lookup_memory(
+        self, plan: "SimulationPlan", key: str, *, backend: "LinalgBackend"
+    ) -> Optional["CompiledPlan"]:
+        """Serve ``plan`` from the memory tier alone under its already
+        computed ``key``; a hit is counted, a miss is not.
+
+        For a compile that counted its :meth:`lookup` miss and then became
+        the in-flight leader: a leader that finished in between has put the
+        plan in memory (see :func:`repro.engine.compile.compile_plan`).
+        """
+        start = time.perf_counter()
+        return self._lookup_memory(
+            key,
+            lambda resident, from_disk: _rebind(
+                resident,
+                plan,
+                backend,
+                time.perf_counter() - start,
+                from_disk=from_disk,
+            ),
+        )
+
     def put(
         self,
         compiled: "CompiledPlan",

@@ -248,19 +248,9 @@ class TieredCache(Generic[V]):
         entry falls through to the disk probe, a disk entry is invalidated
         in both tiers.  Every lookup counts exactly one hit or one miss.
         """
-        with self._lock:
-            slot = self._entries.get(key)
-            if slot is not None:
-                self._entries.move_to_end(key)
-        if slot is not None:
-            served = use(slot[0], False)
-            if served is not None:
-                with self._lock:
-                    self._hits += 1
-                return served
-            self._drop(key)
-
-        served = None
+        served = self._lookup_memory(key, use)
+        if served is not None:
+            return served
         loaded = None if self._store is None else self._store.lookup(key)
         if loaded is not None:
             served = use(self._remember(key, self._freeze(loaded)), True)
@@ -271,6 +261,27 @@ class TieredCache(Generic[V]):
                 self._misses += 1
             else:
                 self._hits += 1
+        return served
+
+    def _lookup_memory(self, key: str, use: Callable[[V, bool], Any] = _as_is) -> Any:
+        """The memory-tier half of :meth:`_lookup`: counts a hit, never a miss.
+
+        On its own it serves a caller that has already counted its miss on
+        ``key`` and probes again because another thread may have stored it
+        since.  An entry ``use`` rejects is dropped.
+        """
+        with self._lock:
+            slot = self._entries.get(key)
+            if slot is not None:
+                self._entries.move_to_end(key)
+        if slot is None:
+            return None
+        served = use(slot[0], False)
+        if served is None:
+            self._drop(key)
+            return None
+        with self._lock:
+            self._hits += 1
         return served
 
     def _put(self, key: str, value: V) -> Tuple[V, bool]:

@@ -14,7 +14,8 @@ Seeds travel losslessly too: ``None`` and integers as themselves (the
 original version-1 shape), and live :class:`numpy.random.Generator` seeds
 as their bit-generator state, which restores to a generator drawing the
 identical stream — the sharding layer (:mod:`repro.shard`) reuses this
-entry encoding for its :class:`~repro.shard.PlanSlice` payloads.
+entry encoding for its :class:`~repro.shard.PlanSlice` payloads, with its
+own matrix encoding (raw ``complex128`` bytes) in place of the float lists.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import base64
 import io
 import json
 from dataclasses import asdict
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -171,41 +172,87 @@ def _fading_to_payload(fading: FadingSpec) -> Dict[str, Any]:
     }
 
 
+def _matrix_to_floats(matrix: np.ndarray) -> Dict[str, Any]:
+    return {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}
+
+
+def _matrix_from_floats(raw: Any) -> np.ndarray:
+    real = np.asarray(raw["re"], dtype=float)
+    imag = np.asarray(raw["im"], dtype=float)
+    return real + 1j * imag
+
+
+def _entries_to_payload(
+    plan: SimulationPlan, encode_matrix: Callable[[np.ndarray], Any]
+) -> List[Dict[str, Any]]:
+    """Every entry of ``plan`` as a wire dict, its matrix via ``encode_matrix``.
+
+    The one entry encoding of the package: the HTTP plan payload encodes
+    matrices as float lists, the shard slice payload as raw bytes
+    (:mod:`repro.shard.slicing`); every other field is shared.
+    """
+    return [
+        {
+            "matrix": encode_matrix(entry.spec.matrix),
+            "seed": seed_to_payload(entry.seed),
+            "coloring_method": entry.coloring_method,
+            "psd_method": entry.psd_method,
+            "epsilon": float(entry.epsilon),
+            "sample_variance": float(entry.sample_variance),
+            "doppler": (
+                None if entry.doppler is None else _doppler_to_payload(entry.doppler)
+            ),
+            "fading": (
+                None if entry.fading is None else _fading_to_payload(entry.fading)
+            ),
+            "label": entry.label,
+        }
+        for entry in plan
+    ]
+
+
+def _entries_from_payload(
+    raw_entries: Any, decode_matrix: Callable[[Any], np.ndarray]
+) -> SimulationPlan:
+    """Inverse of :func:`_entries_to_payload` with the matching decoder.
+
+    ``decode_matrix`` may raise :class:`SpecificationError`, ``KeyError``,
+    ``TypeError`` or ``ValueError``; all of them reject the entry with a
+    :class:`SpecificationError`.
+    """
+    if not isinstance(raw_entries, list) or not raw_entries:
+        raise SpecificationError("submission payload needs a non-empty entry list")
+    plan = SimulationPlan()
+    for index, raw in enumerate(raw_entries):
+        try:
+            plan.add(
+                decode_matrix(raw["matrix"]),
+                seed=seed_from_payload(raw.get("seed")),
+                coloring_method=str(raw.get("coloring_method", "eigen")),
+                psd_method=str(raw.get("psd_method", "clip")),
+                epsilon=float(raw.get("epsilon", 1e-6)),
+                sample_variance=float(raw.get("sample_variance", 1.0)),
+                doppler=coerce_doppler(raw.get("doppler")),
+                fading=coerce_fading(raw.get("fading")),
+                label=raw.get("label"),
+            )
+        except SpecificationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecificationError(
+                f"malformed plan entry at index {index}: {exc}"
+            ) from exc
+    return plan
+
+
 def plan_to_payload(
     plan: SimulationPlan, n_samples: int, *, client_id: Optional[str] = None
 ) -> Dict[str, Any]:
     """Encode one ``(plan, n_samples)`` submission as a JSON-able dict."""
-    entries = []
-    for entry in plan:
-        matrix = entry.spec.matrix
-        entries.append(
-            {
-                "matrix": {
-                    "re": matrix.real.tolist(),
-                    "im": matrix.imag.tolist(),
-                },
-                "seed": seed_to_payload(entry.seed),
-                "coloring_method": entry.coloring_method,
-                "psd_method": entry.psd_method,
-                "epsilon": float(entry.epsilon),
-                "sample_variance": float(entry.sample_variance),
-                "doppler": (
-                    None
-                    if entry.doppler is None
-                    else _doppler_to_payload(entry.doppler)
-                ),
-                "fading": (
-                    None
-                    if entry.fading is None
-                    else _fading_to_payload(entry.fading)
-                ),
-                "label": entry.label,
-            }
-        )
     payload: Dict[str, Any] = {
         "version": PROTOCOL_VERSION,
         "n_samples": int(n_samples),
-        "entries": entries,
+        "entries": _entries_to_payload(plan, _matrix_to_floats),
     }
     if client_id is not None:
         payload["client_id"] = str(client_id)
@@ -233,32 +280,7 @@ def plan_from_payload(payload: Dict[str, Any]) -> Tuple[SimulationPlan, int]:
         raw_entries = payload["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecificationError(f"malformed submission payload: {exc}") from exc
-    if not isinstance(raw_entries, list) or not raw_entries:
-        raise SpecificationError("submission payload needs a non-empty entry list")
-    plan = SimulationPlan()
-    for index, raw in enumerate(raw_entries):
-        try:
-            matrix_obj = raw["matrix"]
-            real = np.asarray(matrix_obj["re"], dtype=float)
-            imag = np.asarray(matrix_obj["im"], dtype=float)
-            plan.add(
-                real + 1j * imag,
-                seed=seed_from_payload(raw.get("seed")),
-                coloring_method=str(raw.get("coloring_method", "eigen")),
-                psd_method=str(raw.get("psd_method", "clip")),
-                epsilon=float(raw.get("epsilon", 1e-6)),
-                sample_variance=float(raw.get("sample_variance", 1.0)),
-                doppler=coerce_doppler(raw.get("doppler")),
-                fading=coerce_fading(raw.get("fading")),
-                label=raw.get("label"),
-            )
-        except SpecificationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecificationError(
-                f"malformed plan entry at index {index}: {exc}"
-            ) from exc
-    return plan, n_samples
+    return _entries_from_payload(raw_entries, _matrix_from_floats), n_samples
 
 
 def result_to_lines(result: BatchResult) -> Iterator[str]:

@@ -6,6 +6,15 @@ slices as separate worker processes that all attach the same
 ``cache_dir`` — the subprocess form of ROADMAP item 2's multi-host story,
 where the transport is the filesystem.
 
+Transport is binary both ways (both formats live in
+:mod:`repro.shard.slicing`).  A slice payload carries each covariance as
+the base64 of its raw ``complex128`` bytes, and a worker returns its
+samples as one raw ``PREFIX.bin`` whose layout (per-block shapes,
+variances) and :func:`zlib.crc32` ride in the ``PREFIX.json`` commit
+marker.  The runner checks the file's size against the layout before it
+allocates, reads the file with one ``readinto`` into one array, verifies
+the CRC, and hands out one view per block.
+
 Worker start-up: importing numpy and the engine costs a fresh interpreter
 far more than a slice's own work, so the runner keeps one warm *launcher*
 (``python -m repro.shard.worker --launcher FD``, see
@@ -35,8 +44,10 @@ pool each, so each worker gets ``max(1, cores // workers)`` BLAS threads
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``)
 unless the caller's environment or ``extra_env`` already sets them.
 
-Crash tolerance: a worker that dies (non-zero exit, SIGKILL, missing or
-unparseable output) marks its slice *failed by index*; the survivors are
+Crash tolerance: a worker that dies (non-zero exit, SIGKILL) or leaves
+an unusable output (a missing or unparseable marker; a ``.bin`` that is
+missing, shorter or longer than its layout, or fails its CRC) marks its
+slice *failed by index*; the survivors are
 still collected, and the merged result is only produced when every slice
 completed.  Re-running with ``retry_failed=True`` against the same
 ``work_dir`` reloads completed slices from their published outputs and
@@ -69,13 +80,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from ..engine import CompileReport, SimulationPlan
 from ..engine.result import BatchResult
 from ..exceptions import SpecificationError
 from ..types import GaussianBlock
-from .slicing import PlanSlice, merge_results, partition_plan, slice_to_payload
+from .slicing import (
+    PlanSlice,
+    _read_sample_record,
+    merge_results,
+    partition_plan,
+    slice_to_payload,
+)
 
 # ``socket`` and ``concurrent.futures`` (which loads ``logging``) are
 # imported where a launcher is used: importing this module, as every
@@ -176,10 +191,12 @@ def _load_output(
     """Read one worker's published output; ``None`` if absent or unusable.
 
     ``slice_sha256`` is the digest of the slice payload this run writes;
-    an output whose worker read any other payload is stale.
+    an output whose worker read any other payload is stale.  A ``.bin``
+    that is missing, truncated, longer than its layout or fails its CRC
+    reads as a failed slice too.
     """
     json_path = out_prefix.with_name(out_prefix.name + ".json")
-    npz_path = out_prefix.with_name(out_prefix.name + ".npz")
+    bin_path = out_prefix.with_name(out_prefix.name + ".bin")
     try:
         meta = json.loads(json_path.read_text(encoding="utf8"))
     except (OSError, ValueError):
@@ -198,28 +215,31 @@ def _load_output(
     elif not isinstance(labels, list) or len(labels) != plan_slice.n_entries:
         return None
     try:
-        with np.load(npz_path, allow_pickle=False) as archive:
-            blocks: List[GaussianBlock] = []
-            for offset in range(plan_slice.n_entries):
-                blocks.append(
-                    GaussianBlock(
-                        samples=archive[f"samples_{offset}"],
-                        variances=archive[f"variances_{offset}"],
-                        metadata={
-                            "plan_index": plan_slice.start + offset,
-                            "label": labels[offset],
-                        },
-                    )
-                )
+        read = _read_sample_record(
+            bin_path, meta.get("layout"), meta.get("crc32"), plan_slice.n_entries
+        )
+        if read is None:
+            return None
+        blocks = tuple(
+            GaussianBlock(
+                samples=samples,
+                variances=variances,
+                metadata={
+                    "plan_index": plan_slice.start + offset,
+                    "label": labels[offset],
+                },
+            )
+            for offset, (samples, variances) in enumerate(read)
+        )
         report = CompileReport(**meta["compile_report"])
         result = BatchResult(
-            blocks=tuple(blocks),
+            blocks=blocks,
             n_samples=int(meta["n_samples"]),
             compile_report=report,
             execute_seconds=float(meta.get("execute_seconds", 0.0)),
             backend=str(meta.get("backend", "numpy")),
         )
-    except (OSError, IndexError, KeyError, TypeError, ValueError):
+    except (OSError, KeyError, OverflowError, TypeError, ValueError):
         # A half-written or stale output reads as a failed slice, never an
         # error — the retry path recomputes it.
         return None

@@ -2,19 +2,31 @@
 
 A *shard* is one contiguous slice of a :class:`~repro.engine.SimulationPlan`
 executed by an independent worker process against a shared artifact
-``cache_dir`` (see :mod:`repro.shard.runner`).  This module owns the three
-pure pieces of that story:
+``cache_dir`` (see :mod:`repro.shard.runner`).  This module owns the
+pure pieces of that story, the two wire formats among them:
 
 * :func:`partition_plan` — split a plan into at most ``n_shards``
   contiguous :class:`PlanSlice`\\ s (the same balanced-counts contract as
   :meth:`SimulationPlan.partition`), each remembering where its entries
   live in the original plan;
 * :func:`slice_to_payload` / :func:`slice_from_payload` — serialize a
-  slice as plain JSON by *reusing the serving layer's wire encoding*
-  (:func:`repro.service.protocol.plan_to_payload`), so per-entry seeds
-  (``None``, ints, and live numpy Generators), labels, Doppler specs and
-  fading specs all round-trip bit-exactly and a decoded slice hashes to
-  the same compiled-plan cache key as the in-process original;
+  slice as JSON through *the serving layer's entry encoding*
+  (:mod:`repro.service.protocol`), so per-entry seeds (``None``, ints,
+  and live numpy Generators), labels, Doppler specs and fading specs all
+  round-trip bit-exactly.  Only the covariance differs from the HTTP plan
+  payload: it travels as ``{"n": N, "c16": ...}``, the base64 of its
+  ``16·N²`` little-endian ``complex128`` bytes, which a worker decodes
+  with one :func:`numpy.frombuffer` instead of parsing ``2·N²`` float
+  reprs.  A decoded slice therefore holds the same matrix bytes and
+  hashes to the same compiled-plan cache key as the in-process original;
+* ``_sample_record`` / ``_read_sample_record`` — a worker's result as one
+  raw ``.bin`` record, every block's samples as little-endian
+  ``complex128`` bytes back to back, described by marker fields:
+  ``layout`` (each block's ``shape`` and ``variances``) and ``crc32``.
+  The reader checks the layout, and the file size against it, before it
+  allocates, reads the file with one ``readinto`` into one array,
+  verifies the CRC and hands out one view per block; anything torn reads
+  as ``None``;
 * :func:`merge_results` — reassemble per-shard :class:`BatchResult`\\ s
   into one plan-ordered result with summed :class:`CompileReport`
   counters, restamping whole-plan ``plan_index`` metadata.
@@ -31,17 +43,23 @@ regression-tested by ``tests/unit/test_shard.py``.
 
 from __future__ import annotations
 
+import base64
+import os
+import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..engine import CompileReport, SimulationPlan
 from ..engine.result import BatchResult
 from ..exceptions import SpecificationError
 from ..service.protocol import (
     PROTOCOL_VERSION,
+    _entries_from_payload,
+    _entries_to_payload,
     int_from_payload,
-    plan_from_payload,
-    plan_to_payload,
 )
 from ..types import GaussianBlock
 
@@ -107,12 +125,55 @@ def partition_plan(plan: SimulationPlan, n_shards: int) -> List[PlanSlice]:
     return slices
 
 
+#: Wire dtype of covariances in slice payloads and of samples in ``.bin``
+#: records.
+_C16 = np.dtype("<c16")
+
+
+def _matrix_to_c16(matrix: np.ndarray) -> Dict[str, Any]:
+    data = np.ascontiguousarray(matrix, dtype=_C16)
+    return {
+        "n": int(data.shape[0]),
+        "c16": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def _matrix_from_c16(raw: Any) -> np.ndarray:
+    """Inverse of :func:`_matrix_to_c16`; malformed input raises
+    :class:`SpecificationError`.
+
+    The text length is checked against ``n`` before anything is decoded,
+    so a huge ``n`` with short data allocates nothing.
+    """
+    if not isinstance(raw, dict):
+        raise SpecificationError("a slice matrix must be an object")
+    n = int_from_payload(raw.get("n"), "matrix.n")
+    if n < 1:
+        raise SpecificationError(f"matrix.n must be >= 1, got {n}")
+    encoded = raw.get("c16")
+    n_bytes = _C16.itemsize * n * n
+    if not isinstance(encoded, str) or len(encoded) != 4 * -(-n_bytes // 3):
+        raise SpecificationError(
+            f"matrix.c16 must be the base64 of {n_bytes} bytes for n = {n}"
+        )
+    try:
+        data = base64.b64decode(encoded, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise SpecificationError(f"matrix.c16 is not base64: {exc}") from exc
+    if len(data) != n_bytes:
+        raise SpecificationError(
+            f"matrix.c16 holds {len(data)} bytes, expected {n_bytes} for n = {n}"
+        )
+    return np.frombuffer(data, dtype=_C16).reshape(n, n)
+
+
 def slice_to_payload(plan_slice: PlanSlice, n_samples: int) -> Dict[str, Any]:
     """Encode one slice (plus the run's sample count) as a JSON-able dict.
 
-    The entry list is exactly the serving layer's plan payload, so every
-    guarantee of that encoding — bit-exact doubles, lossless seeds,
-    fading/Doppler round-trip — carries over to shard workers.
+    The entries use the serving layer's entry encoding, so every guarantee
+    of it — bit-exact doubles, lossless seeds, fading/Doppler round-trip —
+    carries over to shard workers; covariances travel as raw
+    ``complex128`` bytes (module docs).
     """
     return {
         "version": PROTOCOL_VERSION,
@@ -121,12 +182,16 @@ def slice_to_payload(plan_slice: PlanSlice, n_samples: int) -> Dict[str, Any]:
             "n_shards": int(plan_slice.n_shards),
             "start": int(plan_slice.start),
         },
-        "plan": plan_to_payload(plan_slice.plan, n_samples),
+        "n_samples": int(n_samples),
+        "entries": _entries_to_payload(plan_slice.plan, _matrix_to_c16),
     }
 
 
 def slice_from_payload(payload: Dict[str, Any]) -> Tuple[PlanSlice, int]:
-    """Decode a :func:`slice_to_payload` dict back to ``(slice, n_samples)``."""
+    """Decode a :func:`slice_to_payload` dict back to ``(slice, n_samples)``.
+
+    Anything malformed raises :class:`SpecificationError`.
+    """
     if not isinstance(payload, dict):
         raise SpecificationError("slice payload must be a JSON object")
     version = payload.get("version")
@@ -142,10 +207,87 @@ def slice_from_payload(payload: Dict[str, Any]) -> Tuple[PlanSlice, int]:
         index = int_from_payload(meta["index"], "slice.index")
         n_shards = int_from_payload(meta["n_shards"], "slice.n_shards")
         start = int_from_payload(meta["start"], "slice.start")
+        n_samples = int_from_payload(payload["n_samples"], "n_samples")
     except KeyError as exc:
         raise SpecificationError(f"malformed slice metadata: {exc}") from exc
-    plan, n_samples = plan_from_payload(payload.get("plan"))
+    plan = _entries_from_payload(payload.get("entries"), _matrix_from_c16)
     return PlanSlice(index=index, n_shards=n_shards, start=start, plan=plan), n_samples
+
+
+def _sample_record(
+    blocks: Sequence[GaussianBlock],
+) -> Tuple[List[np.ndarray], Dict[str, Any]]:
+    """A shard's ``.bin`` record: the sample arrays to write back to back,
+    and the marker fields describing them.
+
+    ``layout`` lists each block's ``shape`` and ``variances`` (JSON floats,
+    which round-trip doubles exactly); ``crc32`` is the
+    :func:`zlib.crc32` of the samples.
+    """
+    samples = [np.ascontiguousarray(block.samples, dtype=_C16) for block in blocks]
+    crc = 0
+    for block_samples in samples:
+        crc = zlib.crc32(block_samples, crc)
+    layout = [
+        {
+            "shape": list(block_samples.shape),
+            "variances": np.asarray(block.variances, dtype=float).tolist(),
+        }
+        for block_samples, block in zip(samples, blocks)
+    ]
+    return samples, {"layout": layout, "crc32": crc}
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_sample_record(
+    path: Path, layout: Any, crc32: Any, n_entries: int
+) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+    """``(samples, variances)`` per block of a ``.bin`` record, or ``None``.
+
+    The marker's ``layout`` is checked, and the file's size against it,
+    before anything is allocated, so a marker declaring more samples than
+    the file holds costs nothing; the samples are read with one
+    ``readinto`` into one array, verified against ``crc32`` and handed out
+    as views.  Raises :class:`OSError` when the file cannot be read.
+    """
+    if not isinstance(layout, list) or len(layout) != n_entries or not _is_count(crc32):
+        return None
+    shapes: List[Tuple[int, int]] = []
+    variances: List[np.ndarray] = []
+    for item in layout:
+        if not isinstance(item, dict):
+            return None
+        shape, block_variances = item.get("shape"), item.get("variances")
+        if (
+            not isinstance(shape, list)
+            or len(shape) != 2
+            or not all(_is_count(dim) for dim in shape)
+            or not isinstance(block_variances, list)
+            or len(block_variances) != shape[0]
+            or not all(isinstance(value, float) for value in block_variances)
+        ):
+            return None
+        shapes.append((shape[0], shape[1]))
+        variances.append(np.array(block_variances, dtype=float))
+    sizes = [rows * columns for rows, columns in shapes]
+    n_bytes = _C16.itemsize * sum(sizes)
+    with open(path, "rb") as handle:
+        if os.fstat(handle.fileno()).st_size != n_bytes:
+            return None
+        flat = np.empty(sum(sizes), dtype=_C16)
+        if handle.readinto(flat.view(np.uint8)) != n_bytes or handle.read(1):
+            return None
+    if zlib.crc32(flat) != crc32:
+        return None
+    blocks = []
+    offset = 0
+    for shape, size, block_variances in zip(shapes, sizes, variances):
+        blocks.append((flat[offset : offset + size].reshape(shape), block_variances))
+        offset += size
+    return blocks
 
 
 def merge_compile_reports(reports: Sequence[CompileReport]) -> CompileReport:

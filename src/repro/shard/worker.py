@@ -9,11 +9,16 @@ decodes its slice payload, builds a private
 to the caller-supplied shared ``cache_dir``, compiles the sub-plan,
 executes, and publishes two files:
 
-* ``PREFIX.npz`` — every block's samples and variances, exact bytes;
+* ``PREFIX.bin`` — every block's samples as raw little-endian
+  ``complex128`` bytes, the blocks back to back in plan order, with no
+  header;
 * ``PREFIX.json`` — slice addressing, labels, the SHA-256 of the exact
   slice-payload bytes it read (``slice_sha256``), the
-  :class:`CompileReport`, and the compiled-plan cache counters the runner
-  aggregates into its warm-hit report.
+  :class:`CompileReport`, the compiled-plan cache counters the runner
+  aggregates into its warm-hit report, and the layout of ``PREFIX.bin``:
+  ``layout`` lists each block's ``shape`` and its ``variances`` (JSON
+  floats, which round-trip doubles exactly), and ``crc32`` is the
+  :func:`zlib.crc32` of the whole ``.bin``.
 
 Both files are written to temporaries and published with
 :func:`os.replace`; the ``.json`` goes last and acts as the commit marker,
@@ -76,11 +81,9 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, NoReturn, Optional, Set, Tuple
 
-import numpy as np
-
 from ..engine import SimulationEngine
 from ..engine.result import BatchResult
-from .slicing import PlanSlice, slice_from_payload
+from .slicing import PlanSlice, _sample_record, slice_from_payload
 
 __all__ = ["KILL_SLICE_ENV", "run_slice", "main"]
 
@@ -156,15 +159,18 @@ def _publish(path: Path, write_payload) -> None:
 
 
 def _write_outputs(out_prefix: Path, result: BatchResult, meta: Dict[str, Any]) -> None:
-    arrays: Dict[str, np.ndarray] = {}
-    for offset, block in enumerate(result.blocks):
-        arrays[f"samples_{offset}"] = block.samples
-        arrays[f"variances_{offset}"] = np.asarray(block.variances)
-    npz_path = out_prefix.with_name(out_prefix.name + ".npz")
+    samples, record = _sample_record(result.blocks)
+    meta.update(record)
+
+    def write_samples(handle) -> None:
+        for block_samples in samples:
+            handle.write(block_samples)
+
+    bin_path = out_prefix.with_name(out_prefix.name + ".bin")
     json_path = out_prefix.with_name(out_prefix.name + ".json")
-    _publish(npz_path, lambda handle: np.savez(handle, **arrays))
-    # The .json is the commit marker: it references the already-published
-    # .npz, so the runner accepts the slice only once both are durable.
+    _publish(bin_path, write_samples)
+    # The .json is the commit marker: it describes the already-published
+    # .bin, so the runner accepts the slice only once both are durable.
     _publish(
         json_path,
         lambda handle: handle.write(json.dumps(meta, sort_keys=True).encode("utf8")),
@@ -176,7 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro-shard-worker")
     parser.add_argument("slice_path", type=Path, help="slice payload JSON file")
     parser.add_argument(
-        "--out", type=Path, required=True, help="output path prefix (.npz/.json)"
+        "--out", type=Path, required=True, help="output path prefix (.bin/.json)"
     )
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--backend", default=None)

@@ -770,6 +770,84 @@ class TestInflightSingleflight:
         assert compiled.report.plan_cache_hits == 0
         assert cache.stats.inflight_leads == 2
 
+    def test_leader_finishing_between_miss_and_join_is_not_recompiled(
+        self, base_matrix, tmp_path, monkeypatch
+    ):
+        """Thread B misses; leader A compiles, puts and releases the key
+        before B joins.  B then leads an empty in-flight table, and must
+        find A's plan instead of compiling it again."""
+        import threading
+
+        import repro.engine.compile as compile_module
+
+        cache = CompiledPlanCache(tmp_path)
+        decomp = DecompositionCache()
+        filters = DopplerFilterCache()
+        fresh_calls = []
+        fresh = compile_module._compile_plan_fresh
+
+        def counting_fresh(plan, *args):
+            fresh_calls.append(threading.current_thread().name)
+            return fresh(plan, *args)
+
+        monkeypatch.setattr(compile_module, "_compile_plan_fresh", counting_fresh)
+
+        b_missed = threading.Event()
+        a_done = threading.Event()
+        lookup = cache.lookup
+
+        def lookup_then_stall(plan, **kwargs):
+            # B's first lookup misses, then B stalls until A has finished:
+            # exactly the window between B's miss and its join_inflight.
+            loaded = lookup(plan, **kwargs)
+            if threading.current_thread().name == "B" and not b_missed.is_set():
+                b_missed.set()
+                assert a_done.wait(timeout=10)
+            return loaded
+
+        monkeypatch.setattr(cache, "lookup", lookup_then_stall)
+        results = {}
+        errors = []
+
+        def worker(seed, wait_for):
+            plan = SimulationPlan()
+            plan.add(base_matrix, seed=seed)
+            try:
+                if wait_for is not None:
+                    assert wait_for.wait(timeout=10)
+                results[threading.current_thread().name] = compile_plan(
+                    plan, cache=decomp, filter_cache=filters, plan_cache=cache
+                )
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+            finally:
+                if threading.current_thread().name == "A":
+                    a_done.set()
+
+        thread_b = threading.Thread(target=worker, args=(1, None), name="B")
+        thread_a = threading.Thread(target=worker, args=(2, b_missed), name="A")
+        thread_b.start()
+        thread_a.start()
+        thread_a.join(timeout=20)
+        thread_b.join(timeout=20)
+        assert not thread_a.is_alive() and not thread_b.is_alive()
+        assert not errors
+
+        assert fresh_calls == ["A"]
+        assert results["A"].report.plan_cache_hits == 0
+        assert results["B"].report.plan_cache_hits == 1
+        assert results["B"].report.plan_inflight_hits == 1
+        # Both threads led the key once; B's re-probe counted a hit only.
+        stats = cache.stats
+        assert stats.inflight_leads == 2
+        assert (stats.hits, stats.misses) == (1, 2)
+        assert cache._inflight == {}
+        for got, want in zip(
+            execute_plan(results["B"], 32).blocks,
+            execute_plan(_compile(results["B"].plan), 32).blocks,
+        ):
+            assert got.samples.tobytes() == want.samples.tobytes()
+
 
 class TestStatsFields:
     def test_stats_carry_inflight_counters(self, tmp_path):

@@ -40,6 +40,37 @@ BASE = np.array(
 )
 
 
+#: ``plan_to_payload`` of the mixed plan below, as it read before the shard
+#: payload moved to binary covariances.
+_PINNED_MIXED_PAYLOAD = (
+    '{"client_id": "lab-7", "entries": [{"coloring_method": "eigen", '
+    '"doppler": null, "epsilon": 1e-06, "fading": null, "label": "plain", '
+    '"matrix": {"im": [[0.0, 0.1], [-0.1, 0.0]], "re": [[1.0, 0.4], [0.4, '
+    '2.0]]}, "psd_method": "clip", "sample_variance": 1.0, "seed": null}, '
+    '{"coloring_method": "cholesky", "doppler": null, "epsilon": 1e-09, '
+    '"fading": {"model": "rician", "shadowing_sigma_db": 0.0, "shape": 3.5}, '
+    '"label": "rician", "matrix": {"im": [[0.0, 1e-310], [-1e-310, 0.0]], '
+    '"re": [[0.3, 0.0], [-0.0, 1e+300]]}, "psd_method": "clip", '
+    '"sample_variance": 0.5, "seed": 7}, {"coloring_method": "eigen", '
+    '"doppler": {"compensate_variance": true, "input_variance_per_dim": 0.5, '
+    '"n_points": 64, "normalized_doppler": 0.05}, "epsilon": 1e-06, '
+    '"fading": {"model": "weibull", "shadowing_sigma_db": 2.0, '
+    '"shape": 1.75}, "label": "shadowed-doppler", "matrix": {"im": [[0.0, '
+    '0.03333333333333333], [-0.03333333333333333, 0.0]], '
+    '"re": [[0.3333333333333333, 0.13333333333333333], [0.13333333333333333, '
+    '0.6666666666666666]]}, "psd_method": "clip", "sample_variance": 1.0, '
+    '"seed": 11}, {"coloring_method": "eigen", "doppler": null, '
+    '"epsilon": 1e-06, "fading": null, "label": null, '
+    '"matrix": {"im": [[0.0, 0.1], [-0.1, 0.0]], "re": [[1.0, 0.4], [0.4, '
+    '2.0]]}, "psd_method": "clip", "sample_variance": 1.0, '
+    '"seed": {"kind": "generator", "state": {"bit_generator": "PCG64", '
+    '"has_uint32": 0, '
+    '"state": {"inc": 107381791681050441119675421997145146149, '
+    '"state": 29299324949094424543410418505067287561}, "uinteger": 0}}}], '
+    '"n_samples": 96, "version": 1}'
+)
+
+
 def _rich_plan():
     """A plan exercising every serialized field: Doppler, labels, repairs."""
     plan = SimulationPlan()
@@ -161,6 +192,35 @@ class TestPlanPayload:
         text = json.dumps(plan_to_payload(plan, 64), sort_keys=True)
         decoded, n_samples = plan_from_payload(json.loads(text))
         assert json.dumps(plan_to_payload(decoded, n_samples), sort_keys=True) == text
+
+    def test_mixed_plan_payload_text_is_pinned(self):
+        """The HTTP plan payload is a published format: the shard slice
+        payload shares its entry encoding but not its matrix encoding, and
+        this text must not move when either changes."""
+        from repro.engine import FadingSpec
+
+        base = np.array([[1.0, 0.4 + 0.1j], [0.4 - 0.1j, 2.0]], dtype=complex)
+        plan = SimulationPlan()
+        plan.add(base, seed=None, label="plain")
+        plan.add(
+            np.array([[0.3, -0.0 + 1e-310j], [-0.0 - 1e-310j, 1e300]]),
+            seed=7,
+            coloring_method="cholesky",
+            epsilon=1e-9,
+            sample_variance=0.5,
+            fading=FadingSpec(model="rician", shape=3.5),
+            label="rician",
+        )
+        plan.add(
+            base / 3.0,
+            seed=11,
+            fading=FadingSpec(model="weibull", shape=1.75, shadowing_sigma_db=2.0),
+            doppler=DopplerSpec(normalized_doppler=0.05, n_points=64),
+            label="shadowed-doppler",
+        )
+        plan.add(base, seed=np.random.Generator(np.random.PCG64(1234)))
+        text = json.dumps(plan_to_payload(plan, 96, client_id="lab-7"), sort_keys=True)
+        assert text == _PINNED_MIXED_PAYLOAD
 
     def test_doppler_mapping_defaults_match_dopplerspec(self):
         payload = plan_to_payload(_rich_plan(), 64)

@@ -3,10 +3,13 @@
 Covers the pure pieces in-process — partitioning, the wire round-trip of
 :class:`PlanSlice` payloads (including the regression demanded by ISSUE 10:
 non-trivial :class:`FadingSpec`\\ s and non-int seeds survive the trip, and
-slices never coalesce onto an unrelated plan's compiled-plan cache entry),
-result merging, and the CLI surface.  Small subprocess runs pin the runner's
-edges: worker timeouts, retries that must not reuse stale outputs, malformed
-worker metadata, the concurrent start (every worker spawns at once, an
+slices never coalesce onto an unrelated plan's compiled-plan cache entry;
+binary covariances round-trip byte for byte and malformed ones are
+specification errors), result merging, and the CLI surface.  Small
+subprocess runs pin the runner's edges: worker timeouts, retries that must
+not reuse stale outputs, malformed worker metadata, torn ``.bin`` outputs
+(failed slices, never exceptions or oversized allocations), the concurrent
+start (every worker spawns at once, an
 early worker death leaves the rest running, BLAS threads are split), the
 process contract of a worker forked from the launcher (exit codes,
 signals, ``poll``, the timeout kill, the no-fork fallback) and the
@@ -14,10 +17,13 @@ launcher's lifetime.  Bit-identity across shards is exercised by
 ``tests/property/test_property_shard.py``.
 """
 
+import base64
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import CompileReport, DopplerSpec, FadingSpec, SimulationPlan
 from repro.engine.plancache import compiled_plan_cache_key
@@ -43,6 +49,35 @@ def _sweep_plan(n_entries: int) -> SimulationPlan:
     for index in range(n_entries):
         plan.add(_BASE * (1.0 + index), seed=100 + index, label=f"entry-{index}")
     return plan
+
+
+#: Doubles a binary covariance must carry bit for bit: signed zeros,
+#: subnormals and the edge of the finite range.
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e308, -1e308]
+
+
+@st.composite
+def _hermitian_matrices(draw):
+    """Valid covariances, N = 1..8, with edge doubles in both parts."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    part = st.sampled_from(_EDGE_DOUBLES) | st.floats(
+        min_value=-10.0, max_value=10.0, allow_nan=False
+    )
+    matrix = np.zeros((n, n), dtype=complex)
+    for row in range(n):
+        # The diagonal is a positive power with a (near-)zero imaginary part.
+        diagonal = draw(
+            st.sampled_from([5e-324, 2.5e-310, 1e308])
+            | st.floats(min_value=1e-3, max_value=1e3)
+        )
+        matrix.real[row, row] = diagonal
+        matrix.imag[row, row] = draw(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+        for column in range(row + 1, n):
+            real, imag = draw(part), draw(part)
+            matrix.real[row, column] = matrix.real[column, row] = real
+            matrix.imag[row, column] = imag
+            matrix.imag[column, row] = -imag
+    return matrix
 
 
 class TestPartitionPlan:
@@ -208,6 +243,69 @@ class TestSliceWireRoundTrip:
         bad_meta = dict(good, slice={"index": "x"})
         with pytest.raises(SpecificationError):
             slice_from_payload(bad_meta)
+
+    @given(matrix=_hermitian_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_binary_covariance_round_trip_is_byte_exact(self, matrix):
+        plan = SimulationPlan()
+        plan.add(matrix, seed=3)
+        (plan_slice,) = partition_plan(plan, 1)
+        wire = json.dumps(slice_to_payload(plan_slice, 8), sort_keys=True)
+        decoded, _ = slice_from_payload(json.loads(wire))
+        assert decoded.plan[0].spec.matrix.tobytes() == matrix.tobytes()
+        assert compiled_plan_cache_key(decoded.plan) == compiled_plan_cache_key(
+            plan_slice.plan
+        )
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            {"n": 1, "c16": "!" * 24},
+            {"n": 1, "c16": "é" * 24},
+            {"n": 1, "c16": "A" * 24},
+            {"n": 1, "c16": base64.b64encode(bytes(15)).decode("ascii")},
+            {"n": 2, "c16": base64.b64encode(bytes(16)).decode("ascii")},
+            {"n": 0, "c16": ""},
+            {"n": -1, "c16": base64.b64encode(bytes(16)).decode("ascii")},
+            {"n": 1.0, "c16": base64.b64encode(bytes(16)).decode("ascii")},
+            {"n": True, "c16": base64.b64encode(bytes(16)).decode("ascii")},
+            {"n": "1", "c16": base64.b64encode(bytes(16)).decode("ascii")},
+            {"c16": base64.b64encode(bytes(16)).decode("ascii")},
+            {"n": 10**9, "c16": base64.b64encode(bytes(16)).decode("ascii")},
+            {"n": 10**30, "c16": base64.b64encode(bytes(16)).decode("ascii")},
+            {"n": 1, "c16": None},
+            {"n": 1, "c16": [0.0] * 2},
+            {"n": 1},
+            {"re": [[1.0]], "im": [[0.0]]},
+            "AAAA",
+        ],
+        ids=[
+            "not-base64",
+            "non-ascii",
+            "18-bytes",
+            "15-bytes",
+            "n-too-large",
+            "n-zero",
+            "n-negative",
+            "n-float",
+            "n-bool",
+            "n-string",
+            "n-missing",
+            "n-huge",
+            "n-huger",
+            "c16-null",
+            "c16-list",
+            "c16-missing",
+            "float-lists",
+            "not-an-object",
+        ],
+    )
+    def test_malformed_binary_covariance_is_a_specification_error(self, matrix):
+        (plan_slice,) = partition_plan(_sweep_plan(2), 1)
+        payload = slice_to_payload(plan_slice, 32)
+        payload["entries"][1]["matrix"] = matrix
+        with pytest.raises(SpecificationError):
+            slice_from_payload(payload)
 
     @pytest.mark.parametrize("value", [float("inf"), 1.5, True], ids=repr)
     @pytest.mark.parametrize("field", ["index", "n_shards", "start"])
@@ -631,6 +729,38 @@ class TestMalformedWorkerMeta:
         self._rewrite_meta(prefix, labels=labels)
         assert _load_output(prefix, plan_slice, digest) is None
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_samples", float("inf")),
+            ("compile_report", [1, 2]),
+            ("crc32", -1),
+            ("crc32", 1.5),
+        ],
+        ids=repr,
+    )
+    def test_bad_meta_fields_read_as_failed(self, tmp_path, field, value):
+        from repro.shard.runner import _load_output
+
+        plan_slice, digest, prefix = self._published(tmp_path)
+        self._rewrite_meta(prefix, **{field: value})
+        assert _load_output(prefix, plan_slice, digest) is None
+
+    @pytest.mark.parametrize(
+        "variances", [[1, 2], [1e400, 1.0], ["1.0", "2.0"], [True, 1.0], [1.0]], ids=repr
+    )
+    def test_bad_layout_variances_read_as_failed(self, tmp_path, variances):
+        from repro.shard.runner import _load_output
+
+        plan_slice, digest, prefix = self._published(tmp_path)
+        json_path = prefix.with_name(prefix.name + ".json")
+        meta = json.loads(json_path.read_text(encoding="utf8"))
+        meta["layout"][0]["variances"] = variances
+        # 1e400 is written as an integer literal, which float() overflows.
+        text = json.dumps(meta).replace("Infinity", "1" + "0" * 400)
+        json_path.write_text(text, encoding="utf8")
+        assert _load_output(prefix, plan_slice, digest) is None
+
     def test_absent_labels_are_accepted(self, tmp_path):
         from repro.shard.runner import _load_output
 
@@ -660,6 +790,160 @@ class TestMalformedWorkerMeta:
         )
         assert not [line for line in lines if "reused" in line]
         _assert_matches_solo(result, plan, 16)
+
+
+def _truncate(prefix):
+    path = prefix.with_name(prefix.name + ".bin")
+    path.write_bytes(path.read_bytes()[:-40])
+
+
+def _flip_byte(prefix):
+    path = prefix.with_name(prefix.name + ".bin")
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _append_bytes(prefix):
+    path = prefix.with_name(prefix.name + ".bin")
+    path.write_bytes(path.read_bytes() + bytes(16))
+
+
+def _remove_bin(prefix):
+    prefix.with_name(prefix.name + ".bin").unlink()
+
+
+def _rewrite_layout(prefix, change):
+    json_path = prefix.with_name(prefix.name + ".json")
+    meta = json.loads(json_path.read_text(encoding="utf8"))
+    change(meta)
+    json_path.write_text(json.dumps(meta), encoding="utf8")
+
+
+def _malformed_layout(prefix):
+    _rewrite_layout(prefix, lambda meta: meta.update(layout=[{"shape": "2x16"}]))
+
+
+def _oversized_shape(prefix):
+    def change(meta):
+        meta["layout"][0]["shape"][1] = 1 << 40
+
+    _rewrite_layout(prefix, change)
+
+
+_TEARS = {
+    "truncated": _truncate,
+    "flipped-byte": _flip_byte,
+    "trailing-bytes": _append_bytes,
+    "missing-bin": _remove_bin,
+    "malformed-layout": _malformed_layout,
+    "oversized-shape": _oversized_shape,
+}
+
+
+@pytest.mark.usefixtures("clean_env")
+class TestTornOutputs:
+    """A damaged ``.bin`` or layout reads as a failed slice, on the run that
+    published it and under ``retry_failed``, and the retry recomputes just
+    that slice bit-identically."""
+
+    @pytest.mark.parametrize("tear", list(_TEARS.values()), ids=list(_TEARS))
+    def test_torn_output_fails_its_slice_and_the_retry_recomputes_it(
+        self, tmp_path, tear
+    ):
+        from repro.shard import run_sharded
+
+        plan = _seeded_plan(4, 100)
+        work = tmp_path / "work"
+
+        def tear_when_published(index, line):
+            # A worker prints "done" after its marker is published and
+            # before the runner reads the output back.
+            if index == 0 and ": done " in line:
+                tear(work / "shard_0")
+
+        first = run_sharded(
+            plan, 96, n_shards=2, work_dir=work, progress=tear_when_published
+        )
+        assert first.failed == (0,)
+        assert first.merged is None
+        assert first.results[1] is not None
+
+        # The torn files are still there: the retry must not reuse them.
+        lines = []
+        retry = run_sharded(
+            plan,
+            96,
+            n_shards=2,
+            work_dir=work,
+            retry_failed=True,
+            progress=lambda index, line: lines.append((index, line)),
+        )
+        assert [index for index, line in lines if "reused" in line] == [1]
+        _assert_matches_solo(retry, plan, 96)
+
+        # Torn again after a complete run: the next retry recomputes it too.
+        tear(work / "shard_0")
+        lines.clear()
+        again = run_sharded(
+            plan,
+            96,
+            n_shards=2,
+            work_dir=work,
+            retry_failed=True,
+            progress=lambda index, line: lines.append((index, line)),
+        )
+        assert [index for index, line in lines if "reused" in line] == [1]
+        _assert_matches_solo(again, plan, 96)
+
+    def test_bad_layout_allocates_less_than_the_file(self, tmp_path):
+        import hashlib
+        import tracemalloc
+
+        from repro.shard.runner import _load_output
+        from repro.shard.worker import _write_outputs, run_slice
+
+        (plan_slice,) = partition_plan(_sweep_plan(2), 1)
+        payload = json.dumps(slice_to_payload(plan_slice, 4096), sort_keys=True)
+        digest = hashlib.sha256(payload.encode("utf8")).hexdigest()
+        result, meta = run_slice(plan_slice, 4096)
+        meta["slice_sha256"] = digest
+        prefix = tmp_path / "shard_0"
+        _write_outputs(prefix, result, meta)
+        file_size = prefix.with_name("shard_0.bin").stat().st_size
+        assert file_size == 2 * 2 * 4096 * 16
+
+        def peak_of_load():
+            tracemalloc.start()
+            try:
+                loaded = _load_output(prefix, plan_slice, digest)
+                return loaded, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        loaded, peak = peak_of_load()
+        assert loaded is not None
+        assert peak >= file_size  # tracemalloc sees the sample array
+
+        def declare_columns(columns):
+            def change(meta):
+                meta["layout"][1]["shape"][1] = columns
+
+            return change
+
+        changes = {
+            "one-column-more": declare_columns(4097),
+            "2**40-columns": declare_columns(1 << 40),
+            "2**62-columns": declare_columns(1 << 62),
+            "malformed": lambda meta: meta.update(layout=[{"shape": "2x4096"}] * 2),
+            "crc-as-text": lambda meta: meta.update(crc32=str(meta["crc32"])),
+        }
+        for name, change in changes.items():
+            _write_outputs(prefix, result, dict(meta))
+            _rewrite_layout(prefix, change)
+            loaded, peak = peak_of_load()
+            assert loaded is None, name
+            assert peak < file_size, name
 
 
 @pytest.mark.usefixtures("clean_env")

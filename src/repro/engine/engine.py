@@ -114,6 +114,11 @@ class SimulationEngine:
         return self._plan_cache
 
     @property
+    def defaults(self) -> NumericDefaults:
+        """The numeric tolerance bundle this engine compiles with."""
+        return self._defaults
+
+    @property
     def backend(self) -> LinalgBackend:
         """The linalg backend this engine compiles and executes on."""
         return self._backend

@@ -29,6 +29,7 @@ __all__ = [
     "BackendError",
     "ServiceError",
     "BackpressureError",
+    "RequestTooLargeError",
 ]
 
 
@@ -151,3 +152,12 @@ class BackpressureError(ServiceError):
         super().__init__(message)
         #: Suggested client back-off in seconds before resubmitting.
         self.retry_after = float(retry_after)
+
+
+class RequestTooLargeError(ServiceError):
+    """A request asks for a result record above the service's byte budget.
+
+    Raised by :meth:`repro.service.EnvelopeService.submit` before anything
+    is queued or allocated; the HTTP front end answers ``413 Payload Too
+    Large``.
+    """

@@ -304,12 +304,20 @@ def _force_psd_stack(
     if method == "higham":
         # No batched formulation: reuse the full single-matrix implementation
         # (iterative), which runs its own PSD check.
-        results = [
-            force_positive_semidefinite(
-                arr[index], method="higham", epsilon=epsilon, defaults=defaults
-            )
-            for index in range(arr.shape[0])
-        ]
+        results = []
+        for index in range(arr.shape[0]):
+            try:
+                results.append(
+                    force_positive_semidefinite(
+                        arr[index], method="higham", epsilon=epsilon, defaults=defaults
+                    )
+                )
+            except CovarianceError as exc:
+                raise CovarianceError(
+                    f"PSD forcing with method 'higham' failed at stack index "
+                    f"{index}: {exc}",
+                    stack_index=index,
+                ) from exc
         return results, decomp
 
     if method == "clip":

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..config import DEFAULTS, NumericDefaults
+from ..exceptions import CovarianceError
 from .checks import assert_square, hermitian_part, is_positive_semidefinite
 from .eigen import hermitian_eigendecomposition, reconstruct_from_eigen
 
@@ -119,11 +120,22 @@ def nearest_psd_higham(
     tol:
         Convergence tolerance on the Frobenius norm of the update.
 
+    Raises
+    ------
+    CovarianceError
+        If the iteration does not converge within ``max_iterations``.
+
     Notes
     -----
     Without the diagonal constraint a single eigenvalue clipping already
     yields the Frobenius-nearest PSD matrix, so this function only iterates
     when ``preserve_diagonal`` is requested.
+
+    The iterate the loop stops at is PSD only to ``defaults.psd_tol``, while
+    the eigen coloring rejects negative eigenvalues below the tighter
+    ``defaults.eig_clip_tol``.  So the eigenvalues are clipped once more and
+    the requested diagonal ``d`` is restored by the congruence ``S·Y·S``
+    with ``S = diag(sqrt(d / diag(Y)))``, which keeps the matrix PSD.
     """
     arr = hermitian_part(assert_square(matrix, "covariance matrix"))
     if not preserve_diagonal:
@@ -142,4 +154,22 @@ def nearest_psd_higham(
         y = y_next
         if change < tol and is_positive_semidefinite(y, defaults=defaults):
             break
-    return y
+    else:
+        raise CovarianceError(
+            "Higham's alternating projections did not converge within "
+            f"{max_iterations} iterations"
+        )
+    clipped = clip_negative_eigenvalues(y, defaults=defaults)
+    current = np.diag(clipped).real
+    # A zero diagonal entry of the clipped matrix scales its row and column
+    # to zero; the requested entry written back below keeps it PSD.
+    scale = np.sqrt(
+        np.divide(
+            original_diagonal.real, current, out=np.zeros_like(current), where=current > 0.0
+        )
+    )
+    restored = hermitian_part(scale[:, np.newaxis] * clipped * scale[np.newaxis, :])
+    # The congruence leaves the diagonal within a few ulp of ``d``; write it
+    # back exactly so the branch powers are the requested ones.
+    np.fill_diagonal(restored, original_diagonal)
+    return restored

@@ -2,10 +2,15 @@
 
 :class:`EnvelopeService` turns a :class:`repro.api.Simulator` session into a
 long-running multi-client server.  Scheduling state lives on the event-loop
-thread only (no locks here — the numeric work runs in-process on the
-simulator's thread pool, one ``Simulator.submit`` per dispatch slot); four
-mechanisms shape the traffic:
+thread only (no locks here).  The numeric work runs in-process: a small
+warm flight runs on the event loop itself, every other flight on the
+simulator's thread pool, one ``Simulator.submit`` per dispatch slot (see
+:meth:`EnvelopeService._runs_inline`).  Five mechanisms shape the traffic:
 
+* **cost-based admission** — a plan whose result record would exceed
+  :data:`MAX_RESULT_BYTES` is refused with
+  :class:`repro.exceptions.RequestTooLargeError` before anything is queued
+  or allocated;
 * **bounded submission queue** — at most ``max_queue`` *flights* (deduplicated
   compile/execute units) may be queued; a submit against a full queue raises
   :class:`repro.exceptions.BackpressureError` carrying a ``retry_after``
@@ -40,7 +45,7 @@ import hashlib
 import itertools
 import time
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,10 +53,21 @@ from ..api import Simulator
 from ..config import DEFAULTS, NumericDefaults
 from ..engine import BatchResult, SimulationPlan
 from ..engine.plancache import compiled_plan_cache_key
-from ..exceptions import BackpressureError, ServiceError, SpecificationError
+from ..exceptions import (
+    BackpressureError,
+    RequestTooLargeError,
+    ServiceError,
+    SpecificationError,
+)
 from .metrics import ServiceMetrics
 
-__all__ = ["EnvelopeService", "request_key"]
+__all__ = [
+    "EnvelopeService",
+    "INLINE_WORK_LIMIT",
+    "MAX_RESULT_BYTES",
+    "plan_cost",
+    "request_key",
+]
 
 #: Request / flight lifecycle states (strings so status payloads are JSON).
 QUEUED = "queued"
@@ -62,6 +78,39 @@ CANCELLED = "cancelled"
 
 #: Completed/failed/cancelled requests kept for status polling.
 DEFAULT_HISTORY_LIMIT = 1024
+
+#: Largest result record (complex128 samples, Σ N·n·16 bytes) a request
+#: may ask for; larger plans are refused at submit (HTTP 413).
+MAX_RESULT_BYTES = 1 << 30
+
+#: Largest execute work (Σ N²·L, see :func:`plan_cost`) of a flight that
+#: may run on the event loop once its decompositions are resident.  At
+#: this bound a one-entry flight holds the loop for at most ~6 ms (N = 1,
+#: where the white draw, not the multiply, dominates; 2-vCPU KVM guest);
+#: at 2^20 it was ~60-100 ms.
+INLINE_WORK_LIMIT = 1 << 16
+
+
+def plan_cost(plan: SimulationPlan, n_samples: int) -> Tuple[int, int]:
+    """``(execute work, result bytes)`` of running ``plan`` for ``n_samples``.
+
+    The work is Σ N²·L over entries: the coloring multiply of an N-branch
+    entry over L samples, where L is ``n_samples`` for a snapshot entry and
+    the padded IDFT length ⌈n/M⌉·M for a Doppler entry.  The result record
+    is Σ N·n·16 bytes of complex128 samples.  Pure integer arithmetic: it
+    allocates nothing however large ``n_samples`` is.
+    """
+    work = 0
+    n_branches = 0
+    for entry in plan:
+        n = entry.n_branches
+        length = n_samples
+        if entry.doppler is not None:
+            m = entry.doppler.n_points
+            length = -(-n_samples // m) * m
+        work += n * n * length
+        n_branches += n
+    return work, n_branches * n_samples * 16
 
 
 def request_key(
@@ -104,6 +153,7 @@ class _Flight:
         "client_id",
         "plan",
         "n_samples",
+        "work",
         "waiters",
         "state",
         "task",
@@ -116,11 +166,13 @@ class _Flight:
         client_id: str,
         plan: SimulationPlan,
         n_samples: int,
+        work: int,
     ) -> None:
         self.key = key
         self.client_id = client_id
         self.plan = plan
         self.n_samples = n_samples
+        self.work = work
         self.waiters: List[_Request] = []
         self.state = QUEUED
         self.task: Optional["asyncio.Task[BatchResult]"] = None
@@ -162,8 +214,9 @@ class EnvelopeService:
 
     All public methods must be called from the event-loop thread that ran
     :meth:`start` — the scheduling state is loop-confined by design (the
-    numeric work runs on the simulator's thread pool; see the module
-    docstring for the traffic-shaping mechanisms).
+    numeric work of a cold or large flight runs on the simulator's thread
+    pool; see the module docstring for the placement rule and the
+    traffic-shaping mechanisms).
 
     Parameters
     ----------
@@ -176,7 +229,8 @@ class EnvelopeService:
         queue raises :class:`~repro.exceptions.BackpressureError`.
     dispatch_slots:
         Concurrent flights in execution: the number of worker loops pulling
-        from the queue, each awaiting one ``Simulator.submit`` at a time.
+        from the queue, each running one flight at a time (a pooled flight
+        awaits ``Simulator.submit``).
     retry_after:
         Fixed back-off hint (seconds) for rejected submits; ``None``
         (default) estimates it from the observed flight duration and the
@@ -298,7 +352,10 @@ class EnvelopeService:
     ) -> str:
         """Enqueue one plan; returns the request id.  Never blocks.
 
-        The submission either coalesces onto an in-flight twin (identical
+        A plan whose result record (see :func:`plan_cost`) exceeds
+        :data:`MAX_RESULT_BYTES` raises
+        :class:`~repro.exceptions.RequestTooLargeError` first.  Otherwise
+        the submission either coalesces onto an in-flight twin (identical
         :func:`request_key`: same plan content, seeds, labels, and sample
         count — the response is the same ``BatchResult`` object, bit-
         identical to running alone), occupies a queue slot on the client's
@@ -311,6 +368,13 @@ class EnvelopeService:
             raise ServiceError("service is not running; call start() first")
         if n_samples < 1:
             raise SpecificationError(f"n_samples must be >= 1, got {n_samples}")
+        work, result_bytes = plan_cost(plan, n_samples)
+        if result_bytes > MAX_RESULT_BYTES:
+            self._metrics.increment("requests_too_large")
+            raise RequestTooLargeError(
+                f"the result record would take {result_bytes} bytes, above the "
+                f"{MAX_RESULT_BYTES}-byte limit"
+            )
         loop = asyncio.get_running_loop()
         key = None
         if coalesce:
@@ -337,7 +401,7 @@ class EnvelopeService:
                     f"retry after ~{retry_after:.2f}s",
                     retry_after=retry_after,
                 )
-            flight = _Flight(key, client_id, plan, n_samples)
+            flight = _Flight(key, client_id, plan, n_samples, work)
             request = _Request(request_id, client_id, flight, loop.create_future())
             flight.waiters.append(request)
             if key is not None:
@@ -462,9 +526,37 @@ class EnvelopeService:
                 await self._wakeup.wait()
                 continue
             await self._execute_flight(flight)
+            # An inline flight never awaited: let the connection handlers
+            # run before this worker takes the next flight.
+            await asyncio.sleep(0)
+
+    def _runs_inline(self, flight: _Flight) -> bool:
+        """Whether ``flight`` runs on the event loop instead of the pool.
+
+        Only a flight that can neither decompose nor run long qualifies:
+        its execute work (:func:`plan_cost`) is at most
+        :data:`INLINE_WORK_LIMIT` and every entry's decomposition is
+        already resident in the session's decomposition cache.  The probe
+        computes the same memoized key compile will look up and tests
+        membership without counting a hit or a miss, so cache statistics
+        and compile reports read as if the probe never ran.
+        """
+        if flight.work > INLINE_WORK_LIMIT:
+            return False
+        engine = self._sim.engine
+        cache = engine.cache
+        defaults = engine.defaults
+        token = engine.backend.cache_token
+        return all(entry.cache_key(defaults, token) in cache for entry in flight.plan)
 
     async def _execute_flight(self, flight: _Flight) -> None:
-        """Run one flight on the simulator's thread pool and fan its outcome out.
+        """Run one flight and fan its outcome out.
+
+        A warm, small flight (:meth:`_runs_inline`) runs synchronously on
+        the event loop: handing it to a pool thread costs more than it
+        does.  Every other flight — a cold compile, a large execute —
+        awaits ``Simulator.submit`` on the simulator's thread pool, so the
+        loop keeps answering while it runs.
 
         A flight failure (a backend fault, a store fault, a malformed plan
         surfacing at compile time) resolves only that flight's waiters —
@@ -477,10 +569,17 @@ class EnvelopeService:
             request.status = RUNNING
         self._metrics.increment("flights_started")
         started = time.monotonic()
-        task = asyncio.ensure_future(self._sim.submit(flight.plan, flight.n_samples))
-        flight.task = task
         try:
-            result = await task
+            if self._runs_inline(flight):
+                self._metrics.increment("flights_inline")
+                result = self._sim.run(flight.plan, flight.n_samples)
+            else:
+                self._metrics.increment("flights_pooled")
+                task = asyncio.ensure_future(
+                    self._sim.submit(flight.plan, flight.n_samples)
+                )
+                flight.task = task
+                result = await task
         except asyncio.CancelledError:
             flight.task = None
             if flight.cancel_requested:

@@ -13,6 +13,8 @@ POST      ``/v1/plans``               submit a plan payload → ``202`` with a
                                       malformed payload or
                                       ``Content-Length``; ``413`` above
                                       ``MAX_BODY_BYTES`` (body never read)
+                                      or for a result record above
+                                      ``MAX_RESULT_BYTES`` (never queued)
 any       any                         ``414`` for a request line, ``431``
                                       for a header section, that would
                                       take the head past ``MAX_HEAD_BYTES``
@@ -43,6 +45,7 @@ from ..exceptions import (
     DecompositionError,
     DopplerError,
     ReproError,
+    RequestTooLargeError,
     ServiceError,
     SpecificationError,
 )
@@ -53,6 +56,15 @@ __all__ = ["ServiceHTTPServer", "run_server"]
 
 #: Largest accepted request body (a plan payload), in bytes.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+# A small body can still ask for a huge result: ``core.MAX_RESULT_BYTES``
+# (1 GiB) bounds the result record, Σ N·n·16 bytes, and a plan above it is
+# answered 413 at submit, before anything is queued.
+
+#: A result response is written in one piece up to this many bytes, and in
+#: pieces of about this size beyond it, so a large record is not held
+#: encoded twice over.
+RESPONSE_WRITE_BYTES = 1024 * 1024
 
 #: Largest accepted request head (request line plus headers), in bytes.
 #: Below the stream reader's 64 KiB line limit, so an over-long line is
@@ -244,6 +256,9 @@ class ServiceHTTPServer:
             return
         try:
             request_id = self._service.submit(plan, n_samples, client_id=client_id)
+        except RequestTooLargeError as exc:
+            await self._send_json(writer, 413, {"error": str(exc)})
+            return
         except BackpressureError as exc:
             await self._send_json(
                 writer,
@@ -302,19 +317,24 @@ class ServiceHTTPServer:
                 writer, status, {"error": f"{type(exc).__name__}: {exc}"}
             )
             return
-        writer.write(
+        # One chunk per NDJSON line; a typical response goes out in one write.
+        parts = [
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
             b"Transfer-Encoding: chunked\r\n"
             b"Connection: close\r\n\r\n"
-        )
+        ]
+        pending = 0
         for line in result_to_lines(result):
             data = (line + "\n").encode("utf8")
-            writer.write(f"{len(data):x}\r\n".encode("ascii"))
-            writer.write(data)
-            writer.write(b"\r\n")
-            await writer.drain()
-        writer.write(b"0\r\n\r\n")
+            parts += (b"%x\r\n" % len(data), data, b"\r\n")
+            pending += len(data)
+            if pending >= RESPONSE_WRITE_BYTES:
+                writer.write(b"".join(parts))
+                await writer.drain()
+                parts, pending = [], 0
+        parts.append(b"0\r\n\r\n")
+        writer.write(b"".join(parts))
         await writer.drain()
 
     # ------------------------------------------------------------------ #
@@ -336,8 +356,7 @@ class ServiceHTTPServer:
         ]
         for name, value in (extra_headers or {}).items():
             head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("ascii"))
-        writer.write(body)
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body)
         await writer.drain()
 
 

@@ -21,10 +21,13 @@ COUNTER_NAMES = (
     "requests_submitted",
     "requests_coalesced",
     "requests_rejected",
+    "requests_too_large",
     "requests_completed",
     "requests_failed",
     "requests_cancelled",
     "flights_started",
+    "flights_inline",
+    "flights_pooled",
     "flights_completed",
     "flights_failed",
     "flights_cancelled",
@@ -35,12 +38,16 @@ class ServiceMetrics:
     """Monotonic counters of serving activity, safe to read cross-thread.
 
     ``requests_*`` count client-visible submissions (a coalesced request is
-    both submitted and coalesced); ``flights_*`` count the deduplicated
-    compile/execute units actually dispatched.  The conservation invariant
-    the property suite enforces: once the service drains,
+    both submitted and coalesced; a refused one — ``requests_rejected`` by
+    backpressure, ``requests_too_large`` by admission — is never counted
+    as submitted); ``flights_*`` count the deduplicated compile/execute
+    units actually dispatched, each either ``flights_inline`` (on the
+    event loop) or ``flights_pooled`` (on the thread pool), so
+    ``flights_started == flights_inline + flights_pooled``.  The
+    conservation invariant the property suite enforces: once the service
+    drains,
     ``requests_submitted == requests_completed + requests_failed +
-    requests_cancelled`` (rejected submissions are never counted as
-    submitted).
+    requests_cancelled``.
     """
 
     def __init__(self) -> None:

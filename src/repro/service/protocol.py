@@ -21,14 +21,16 @@ own matrix encoding (raw ``complex128`` bytes) in place of the float lists.
 from __future__ import annotations
 
 import base64
+import dataclasses
+import functools
 import io
 import json
-from dataclasses import asdict
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..engine import DopplerSpec, FadingSpec, SimulationPlan
+from ..engine.compile import CompileReport
 from ..engine.plan import coerce_doppler
 from ..engine.result import BatchResult
 from ..exceptions import SpecificationError
@@ -54,11 +56,41 @@ PROTOCOL_VERSION = 1
 BIT_GENERATORS = frozenset({"PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"})
 
 
-def encode_array(array: np.ndarray) -> str:
-    """Base64 ``.npy`` serialization of one array (exact bytes)."""
+#: Field names of :class:`CompileReport`, in declaration order (all scalars).
+_REPORT_FIELDS = tuple(field.name for field in dataclasses.fields(CompileReport))
+
+
+@functools.lru_cache(maxsize=64)
+def _npy_header(dtype: np.dtype, shape: Tuple[int, ...]) -> bytes:
+    """The ``.npy`` header ``np.save`` writes for a C-ordered array."""
     buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
-    return base64.b64encode(buffer.getvalue()).decode("ascii")
+    np.lib.format.write_array_header_1_0(
+        buffer,
+        {
+            "descr": np.lib.format.dtype_to_descr(dtype),
+            "fortran_order": False,
+            "shape": shape,
+        },
+    )
+    return buffer.getvalue()
+
+
+def encode_array(array: np.ndarray) -> str:
+    """Base64 ``.npy`` serialization of one array (exact bytes).
+
+    The bytes are those ``np.save`` writes: for a plain (non-object,
+    non-structured) dtype the header comes from a per-``(dtype, shape)``
+    cache and the samples from one ``tobytes()``, with no file object in
+    between.
+    """
+    array = np.ascontiguousarray(array)
+    dtype = array.dtype
+    if dtype.hasobject or dtype.fields is not None:
+        buffer = io.BytesIO()
+        np.save(buffer, array, allow_pickle=False)
+        return base64.b64encode(buffer.getvalue()).decode("ascii")
+    header = _npy_header(dtype, array.shape)
+    return base64.b64encode(header + array.tobytes()).decode("ascii")
 
 
 def decode_array(encoded: str) -> np.ndarray:
@@ -288,8 +320,11 @@ def result_to_lines(result: BatchResult) -> Iterator[str]:
 
     One header line, one line per entry block (base64 ``.npy`` samples —
     decoding yields arrays bit-identical to the in-process result), one
-    terminator carrying the block count as an integrity check.
+    terminator carrying the block count as an integrity check.  The text
+    is exactly ``json.dumps`` of each record; block and terminator lines
+    are formatted directly, so the encoder never scans the base64 text.
     """
+    report = result.compile_report
     yield json.dumps(
         {
             "type": "result",
@@ -298,20 +333,20 @@ def result_to_lines(result: BatchResult) -> Iterator[str]:
             "n_samples": int(result.n_samples),
             "backend": result.backend,
             "execute_seconds": float(result.execute_seconds),
-            "compile_report": asdict(result.compile_report),
+            "compile_report": {name: getattr(report, name) for name in _REPORT_FIELDS},
         }
     )
     for index, block in enumerate(result.blocks):
-        yield json.dumps(
-            {
-                "type": "block",
-                "index": index,
-                "plan_index": block.metadata.get("plan_index", index),
-                "label": block.metadata.get("label"),
-                "npy": encode_array(block.samples),
-            }
+        metadata = block.metadata
+        # Base64 needs no JSON escaping; the two small values go through
+        # json.dumps, so any label encodes as it always did.
+        yield '{"type": "block", "index": %d, "plan_index": %s, "label": %s, "npy": "%s"}' % (
+            index,
+            json.dumps(metadata.get("plan_index", index)),
+            json.dumps(metadata.get("label")),
+            encode_array(block.samples),
         )
-    yield json.dumps({"type": "end", "n_blocks": len(result.blocks)})
+    yield '{"type": "end", "n_blocks": %d}' % len(result.blocks)
 
 
 def result_from_lines(lines: Iterator[str]) -> Dict[str, Any]:

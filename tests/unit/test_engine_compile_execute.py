@@ -377,9 +377,18 @@ class TestFailingEntry:
         with pytest.raises(CholeskyError, match=expected):
             compile_plan(plan, cache=DecompositionCache(maxsize=0))
 
-    def test_coloring_failure_names_entry_and_label(self):
-        # Higham's iteration stops inside psd_tol, but outside the eigen
-        # coloring's tighter clip tolerance on this matrix.
+    def test_coloring_failure_names_entry_and_label(self, monkeypatch):
+        # A forcing whose result passes the PSD check (psd_tol) but not the
+        # eigen coloring's tighter clip tolerance (eig_clip_tol).  No forcing
+        # method returns such a matrix, so the shift is injected.
+        from repro.core import psd
+
+        higham = psd.nearest_psd_higham
+        monkeypatch.setattr(
+            psd,
+            "nearest_psd_higham",
+            lambda matrix, **kwargs: higham(matrix, **kwargs) - 5e-11 * np.eye(len(matrix)),
+        )
         plan = SimulationPlan()
         plan.add(np.eye(3), psd_method="higham")
         plan.add(_indefinite(3), psd_method="higham", doppler=DopplerSpec(0.05, 64), label="x")

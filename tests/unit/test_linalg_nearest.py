@@ -102,3 +102,82 @@ class TestNearestPsdHigham:
     def test_psd_input_unchanged(self, eq23_covariance):
         higham = nearest_psd_higham(eq23_covariance, preserve_diagonal=True)
         assert np.allclose(higham, eq23_covariance, atol=1e-8)
+
+
+def _indefinite_unit_diagonal_family(seed=2024, per_size=20):
+    """Seeded indefinite unit-diagonal matrices, N = 3-8, |off-diagonal| <= 0.95."""
+    rng = np.random.default_rng(seed)
+    for n in range(3, 9):
+        made = 0
+        while made < per_size:
+            upper = np.triu(rng.uniform(-0.95, 0.95, (n, n)), 1)
+            matrix = upper + upper.T + np.eye(n)
+            if np.linalg.eigvalsh(matrix).min() < -1e-3:
+                made += 1
+                yield matrix.astype(complex)
+
+
+def _alternating_projections(matrix, max_iterations=100, tol=1e-10):
+    """The projection loop alone: the iterate the final clip starts from."""
+    diagonal = np.diag(matrix).copy()
+    y = matrix.copy()
+    delta = np.zeros_like(matrix)
+    for _ in range(max_iterations):
+        r = y - delta
+        x = clip_negative_eigenvalues(r)
+        delta = x - r
+        y_next = x.copy()
+        np.fill_diagonal(y_next, diagonal)
+        change = frobenius_distance(y_next, y)
+        y = y_next
+        if change < tol and is_positive_semidefinite(y):
+            break
+    return y
+
+
+class TestHighamFeedsTheEigenColoring:
+    """``psd_method="higham"`` must serve the inputs it exists for."""
+
+    def test_indefinite_family_colors_with_exact_diagonal(self):
+        from repro.core.coloring import compute_coloring
+
+        failures, count = [], 0
+        for matrix in _indefinite_unit_diagonal_family():
+            count += 1
+            higham = nearest_psd_higham(matrix, preserve_diagonal=True)
+            assert np.abs(np.diag(higham) - np.diag(matrix)).max() <= 1e-14
+            move = frobenius_distance(higham, _alternating_projections(matrix))
+            assert move <= 1e-9
+            try:
+                compute_coloring(matrix, method="eigen", psd_method="higham")
+            except Exception as exc:  # pragma: no cover - failure reporting
+                failures.append((matrix.shape[0], repr(exc)))
+        assert count == 120
+        assert failures == []
+
+    def test_exhausted_iterations_raise(self):
+        from repro.exceptions import CovarianceError
+
+        matrix = next(_indefinite_unit_diagonal_family())
+        with pytest.raises(CovarianceError, match="did not converge within 1 "):
+            nearest_psd_higham(matrix, preserve_diagonal=True, max_iterations=1)
+
+    def test_batched_forcing_names_the_slice_that_did_not_converge(self, monkeypatch):
+        from repro.exceptions import CovarianceError
+        from repro.linalg import nearest
+        from repro.linalg.batched import batched_force_positive_semidefinite
+
+        real = nearest.nearest_psd_higham
+        monkeypatch.setattr(
+            nearest,
+            "nearest_psd_higham",
+            lambda matrix, **kwargs: real(matrix, **{**kwargs, "max_iterations": 1}),
+        )
+        monkeypatch.setattr(
+            "repro.core.psd.nearest_psd_higham", nearest.nearest_psd_higham
+        )
+        good = np.eye(3, dtype=complex)
+        bad = next(_indefinite_unit_diagonal_family())
+        with pytest.raises(CovarianceError, match="stack index 1") as excinfo:
+            batched_force_positive_semidefinite(np.stack([good, bad]), method="higham")
+        assert excinfo.value.stack_index == 1

@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import Simulator
 from repro.engine import SimulationPlan
+from repro.engine.backends import NumpyBackend
 from repro.engine.cache import DecompositionCache
 from repro.exceptions import BackpressureError, ServiceError, SpecificationError
 from repro.service import EnvelopeService, request_key
@@ -360,3 +361,153 @@ class TestFairness:
             sim.close()
 
         asyncio.run(scenario())
+
+
+def _wire_blocks(result):
+    """``result`` through the NDJSON wire format and back."""
+    from repro.service import result_from_lines, result_to_lines
+
+    return result_from_lines(iter(list(result_to_lines(result))))["blocks"]
+
+
+class _ExecuteFaultBackend(NumpyBackend):
+    """A numpy backend whose coloring multiply fails once when armed."""
+
+    def __init__(self) -> None:
+        self.armed = False
+
+    def matmul_into(self, a, b, out):
+        if self.armed:
+            self.armed = False
+            raise InjectedFault("injected execute fault")
+        return super().matmul_into(a, b, out)
+
+
+class TestPlacement:
+    """Warm small flights run on the event loop; everything else is pooled."""
+
+    def test_cold_pooled_warm_inline_large_pooled_all_bit_identical(self):
+        from repro.service.core import INLINE_WORK_LIMIT
+
+        large_n = INLINE_WORK_LIMIT // BASE.shape[0] ** 2 + 1
+
+        async def scenario():
+            sim = _fresh_sim(max_workers=1)
+            async with EnvelopeService(sim, dispatch_slots=1) as service:
+                seen = []
+                for seed, n_samples in ((1, 64), (2, 64), (3, large_n)):
+                    request_id = service.submit(_plan(seed=seed), n_samples)
+                    result = await service.result(request_id)
+                    metrics = service.metrics()
+                    seen.append(
+                        (seed, n_samples, result, metrics["flights_inline"],
+                         metrics["flights_pooled"])
+                    )
+                final = service.metrics()
+            sim.close()
+            return seen, final
+
+        seen, final = asyncio.run(scenario())
+        # Cold first request pooled, warm repeat inline, warm but large pooled.
+        assert [(inline, pooled) for *_, inline, pooled in seen] == [
+            (0, 1),
+            (1, 1),
+            (1, 2),
+        ]
+        assert final["flights_started"] == 3
+        assert final["flights_started"] == final["flights_inline"] + final["flights_pooled"]
+        for seed, n_samples, result, _inline, _pooled in seen:
+            reference = _reference(_plan(seed=seed), n_samples)
+            for got, want in zip(_wire_blocks(result), reference.blocks):
+                assert got.tobytes() == want.samples.tobytes()
+
+    def test_residency_probe_moves_no_counter(self):
+        async def scenario():
+            sim = _fresh_sim(max_workers=1)
+            async with EnvelopeService(sim, dispatch_slots=1) as service:
+                await service.result(service.submit(_plan(seed=1), 32))
+                warm = service.submit(_plan(seed=2), 32)
+                flight = service._requests[warm].flight
+                before = sim.cache.stats
+                assert service._runs_inline(flight) is True
+                assert service._runs_inline(flight) is True
+                assert sim.cache.stats == before
+                result = await service.result(warm)
+            sim.close()
+            return result
+
+        result = asyncio.run(scenario())
+        # The inline compile counts its own lookup exactly as a pooled one.
+        report = result.compile_report
+        assert (report.cache_hits, report.cache_misses) == (1, 0)
+
+    def test_inline_failure_resolves_only_its_waiters(self):
+        backend = _ExecuteFaultBackend()
+
+        async def scenario():
+            sim = Simulator(backend=backend, cache=DecompositionCache(), max_workers=1)
+            async with EnvelopeService(sim, dispatch_slots=1) as service:
+                await service.result(service.submit(_plan(seed=1), 32))
+                backend.armed = True
+                doomed = [
+                    service.submit(_plan(seed=2), 32, client_id=f"c{i}") for i in range(2)
+                ]
+                survivor = service.submit(_plan(seed=3), 32, client_id="other")
+                for request_id in doomed:
+                    with pytest.raises(InjectedFault, match="injected execute fault"):
+                        await service.result(request_id)
+                result = await service.result(survivor)
+                after = service.submit(_plan(seed=4), 32)
+                later = await service.result(after)
+                metrics = service.metrics()
+            sim.close()
+            return result, later, metrics
+
+        result, later, metrics = asyncio.run(scenario())
+        assert metrics["flights_inline"] == 3
+        assert metrics["flights_failed"] == 1
+        assert metrics["requests_failed"] == 2
+        assert metrics["requests_completed"] == 3
+        for seed, got in ((3, result), (4, later)):
+            reference = _reference(_plan(seed=seed), 32)
+            assert got.blocks[0].samples.tobytes() == reference.blocks[0].samples.tobytes()
+
+
+class TestAdmission:
+    def test_result_record_at_the_limit_is_accepted_one_sample_over_refused(
+        self, monkeypatch
+    ):
+        from repro.exceptions import RequestTooLargeError
+        from repro.service import core
+
+        n_branches = BASE.shape[0]
+        monkeypatch.setattr(core, "MAX_RESULT_BYTES", n_branches * 100 * 16)
+        assert core.plan_cost(_plan(), 100)[1] == core.MAX_RESULT_BYTES
+
+        async def scenario():
+            sim = _fresh_sim(max_workers=1)
+            async with EnvelopeService(sim, dispatch_slots=1) as service:
+                accepted = service.submit(_plan(seed=1), 100)
+                with pytest.raises(RequestTooLargeError, match="bytes"):
+                    service.submit(_plan(seed=1), 101)
+                assert service.queue_depth == 1
+                result = await service.result(accepted)
+                metrics = service.metrics()
+            sim.close()
+            return result, metrics
+
+        result, metrics = asyncio.run(scenario())
+        assert result.blocks[0].samples.shape == (n_branches, 100)
+        assert metrics["requests_too_large"] == 1
+        assert metrics["requests_submitted"] == 1
+        assert metrics["flights_started"] == 1
+
+    def test_plan_cost_pads_doppler_entries_to_whole_idft_blocks(self):
+        from repro.engine import DopplerSpec
+        from repro.service.core import plan_cost
+
+        plan = SimulationPlan()
+        plan.add(BASE, seed=1)
+        plan.add(np.eye(3, dtype=complex), seed=2, doppler=DopplerSpec(0.05, n_points=64))
+        # Snapshot: 2² · 100; Doppler: 3² · 128 (two 64-point blocks).
+        assert plan_cost(plan, 100) == (4 * 100 + 9 * 128, (2 + 3) * 100 * 16)

@@ -667,3 +667,201 @@ class TestFailures:
             sim.close()
 
         asyncio.run(scenario())
+
+
+async def _raw_exchange(port, method, path):
+    """One request without a body; returns every byte the server sent."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(f"{method} {path} HTTP/1.1\r\nHost: localhost\r\n\r\n".encode("ascii"))
+    await writer.drain()
+    data = await reader.read()
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except Exception:
+        pass
+    return data
+
+
+def _per_line_response(result):
+    """A result response as it was written before: one write per line piece."""
+    import base64
+    import io
+    from dataclasses import asdict
+
+    def encode(array):
+        buffer = io.BytesIO()
+        np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
+        return base64.b64encode(buffer.getvalue()).decode("ascii")
+
+    lines = [
+        json.dumps(
+            {
+                "type": "result",
+                "version": 1,
+                "n_entries": len(result.blocks),
+                "n_samples": int(result.n_samples),
+                "backend": result.backend,
+                "execute_seconds": float(result.execute_seconds),
+                "compile_report": asdict(result.compile_report),
+            }
+        )
+    ]
+    for index, block in enumerate(result.blocks):
+        lines.append(
+            json.dumps(
+                {
+                    "type": "block",
+                    "index": index,
+                    "plan_index": block.metadata.get("plan_index", index),
+                    "label": block.metadata.get("label"),
+                    "npy": encode(block.samples),
+                }
+            )
+        )
+    lines.append(json.dumps({"type": "end", "n_blocks": len(result.blocks)}))
+    out = (
+        b"HTTP/1.1 200 OK\r\n"
+        b"Content-Type: application/x-ndjson\r\n"
+        b"Transfer-Encoding: chunked\r\n"
+        b"Connection: close\r\n\r\n"
+    )
+    for line in lines:
+        data = (line + "\n").encode("utf8")
+        out += f"{len(data):x}\r\n".encode("ascii") + data + b"\r\n"
+    return out + b"0\r\n\r\n"
+
+
+def _indefinite_4x4():
+    """A unit-diagonal 4 x 4 matrix with a clearly negative eigenvalue."""
+    matrix = np.array(
+        [
+            [1.0, 0.9, -0.6, 0.8],
+            [0.9, 1.0, 0.7, -0.5],
+            [-0.6, 0.7, 1.0, 0.9],
+            [0.8, -0.5, 0.9, 1.0],
+        ],
+        dtype=complex,
+    )
+    assert np.linalg.eigvalsh(matrix).min() < -0.1
+    return matrix
+
+
+class TestResultWire:
+    @pytest.mark.parametrize(
+        "n_branches, n_samples, labels",
+        [(3, 256, (None, "alpha")), (32, 2048, ("ñ-δ-東京", None))],
+    )
+    def test_response_bytes_equal_the_per_line_writes(self, n_branches, n_samples, labels):
+        plan = SimulationPlan()
+        for offset, label in enumerate(labels):
+            plan.add(np.eye(n_branches, dtype=complex) * (1 + offset), seed=offset, label=label)
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (service, server):
+                status, _h, raw = await _request(
+                    server.port, "POST", "/v1/plans", body=plan_to_payload(plan, n_samples)
+                )
+                assert status == 202
+                request_id = json.loads(raw)["request_id"]
+                data = await _raw_exchange(server.port, "GET", f"/v1/plans/{request_id}/result")
+                result = await service.result(request_id)
+            sim.close()
+            return data, result
+
+        data, result = asyncio.run(scenario())
+        assert data == _per_line_response(result)
+
+    def test_warm_repeat_runs_inline_and_decodes_identically(self):
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (_service, server):
+                decoded = []
+                for seed in (1, 2):
+                    status, _h, raw = await _request(
+                        server.port, "POST", "/v1/plans", body=plan_to_payload(_plan(seed), 64)
+                    )
+                    request_id = json.loads(raw)["request_id"]
+                    status, _h, raw = await _request(
+                        server.port, "GET", f"/v1/plans/{request_id}/result"
+                    )
+                    assert status == 200
+                    lines = _dechunk(raw).decode("utf8").splitlines()
+                    decoded.append(result_from_lines(iter(lines))["blocks"][0])
+                _status, _h, raw = await _request(server.port, "GET", "/v1/metrics")
+            sim.close()
+            return decoded, json.loads(raw)
+
+        decoded, metrics = asyncio.run(scenario())
+        assert (metrics["flights_pooled"], metrics["flights_inline"]) == (1, 1)
+        reference_sim = Simulator(cache=DecompositionCache())
+        try:
+            for seed, got in zip((1, 2), decoded):
+                want = reference_sim.run(_plan(seed), 64).blocks[0].samples
+                assert got.tobytes() == want.tobytes()
+        finally:
+            reference_sim.close()
+
+
+class TestAdmission:
+    def test_huge_sample_count_413_without_allocating(self):
+        import tracemalloc
+
+        payload = plan_to_payload(_plan(), 32)
+        payload["n_samples"] = 2**40
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (service, server):
+                tracemalloc.start()
+                try:
+                    before, _ = tracemalloc.get_traced_memory()
+                    status, _h, raw = await _request(
+                        server.port, "POST", "/v1/plans", body=payload
+                    )
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert status == 413
+                assert "limit" in json.loads(raw)["error"]
+                assert peak - before < 1 << 20
+                status, _h, raw = await _request(server.port, "GET", "/healthz")
+                assert status == 200
+                metrics = service.metrics()
+                assert metrics["requests_too_large"] == 1
+                assert metrics["requests_submitted"] == 0
+                assert metrics["queued_flights"] == 0
+            sim.close()
+
+        asyncio.run(scenario())
+
+
+class TestHighamOverHttp:
+    def test_higham_on_an_indefinite_4x4_answers_200(self):
+        plan = SimulationPlan()
+        plan.add(_indefinite_4x4(), seed=3, psd_method="higham", label="higham")
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim, dispatch_slots=1) as (_service, server):
+                status, _h, raw = await _request(
+                    server.port, "POST", "/v1/plans", body=plan_to_payload(plan, 64)
+                )
+                assert status == 202
+                request_id = json.loads(raw)["request_id"]
+                status, _h, raw = await _request(
+                    server.port, "GET", f"/v1/plans/{request_id}/result"
+                )
+            sim.close()
+            return status, raw
+
+        status, raw = asyncio.run(scenario())
+        assert status == 200, raw
+        blocks = result_from_lines(iter(_dechunk(raw).decode("utf8").splitlines()))["blocks"]
+        reference_sim = Simulator(cache=DecompositionCache())
+        try:
+            want = reference_sim.run(plan, 64).blocks[0].samples
+        finally:
+            reference_sim.close()
+        assert blocks[0].tobytes() == want.tobytes()

@@ -9,7 +9,10 @@ test here asserts exact equality, never closeness.
 
 from __future__ import annotations
 
+import base64
+import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -354,6 +357,81 @@ class TestResultStream:
             result_from_lines(iter([json.dumps({"type": "surprise"})]))
         with pytest.raises(SpecificationError, match="malformed result line"):
             result_from_lines(iter(["{not json"]))
+
+
+def _saved_array(array):
+    """The array encoding before the cached-header path: ``np.save`` + base64."""
+    buffer = io.BytesIO()
+    np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
+    return base64.b64encode(buffer.getvalue()).decode("ascii")
+
+
+def _dumped_lines(result):
+    """The result lines before direct formatting: ``json.dumps`` of ``asdict``."""
+    yield json.dumps(
+        {
+            "type": "result",
+            "version": PROTOCOL_VERSION,
+            "n_entries": len(result.blocks),
+            "n_samples": int(result.n_samples),
+            "backend": result.backend,
+            "execute_seconds": float(result.execute_seconds),
+            "compile_report": asdict(result.compile_report),
+        }
+    )
+    for index, block in enumerate(result.blocks):
+        yield json.dumps(
+            {
+                "type": "block",
+                "index": index,
+                "plan_index": block.metadata.get("plan_index", index),
+                "label": block.metadata.get("label"),
+                "npy": _saved_array(block.samples),
+            }
+        )
+    yield json.dumps({"type": "end", "n_blocks": len(result.blocks)})
+
+
+class TestWireFormatPinned:
+    """The encode path is faster, but its text is the old construction's."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 256), (32, 2048)])
+    def test_result_lines_equal_the_old_construction(self, shape):
+        n_branches, n_samples = shape
+        plan = SimulationPlan()
+        for offset, label in enumerate((None, "ascii-label", "ñ-δ-東京")):
+            matrix = np.eye(n_branches, dtype=complex) * (1.0 + offset)
+            plan.add(matrix, seed=offset + 1, label=label)
+        sim = Simulator(cache=DecompositionCache())
+        try:
+            result = sim.run(plan, n_samples)
+        finally:
+            sim.close()
+        assert result.blocks[0].samples.shape == shape
+        got = list(result_to_lines(result))
+        want = list(_dumped_lines(result))
+        assert len(got) == len(want) == 5
+        for got_line, want_line in zip(got, want):
+            assert got_line == want_line
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(6, dtype=float).reshape(2, 3),
+            np.arange(6, dtype=">i4").reshape(3, 2),
+            np.asfortranarray(np.arange(12, dtype=complex).reshape(3, 4)),
+            (np.arange(20, dtype=complex) * 1j).reshape(4, 5)[:, ::2],
+            np.array(3.5),
+            np.zeros((0, 4), dtype=np.complex64),
+            np.array([(1, 2.0)], dtype=[("a", "i4"), ("b", "f8")]),
+        ],
+        ids=["float", "big-endian", "fortran", "strided", "0-d", "empty", "structured"],
+    )
+    def test_encode_array_equals_np_save(self, array):
+        assert encode_array(array) == _saved_array(array)
+        assert decode_array(encode_array(array)).tobytes() == np.ascontiguousarray(
+            array
+        ).tobytes()
 
 
 class TestFadingOnTheWire:

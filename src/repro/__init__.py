@@ -65,7 +65,6 @@ __getattr__, __dir__ = lazy_exports(
             "ColoringError",
             "DopplerError",
             "GenerationError",
-            "ValidationError",
         ),
         ".types": ("EnvelopeBlock", "GaussianBlock"),
         ".core": (
@@ -87,7 +86,6 @@ __getattr__, __dir__ = lazy_exports(
         ".channels": (
             "OFDMScenario",
             "MIMOArrayScenario",
-            "CustomScenario",
             "DopplerSettings",
             "ScenarioSweep",
             "SpectralCorrelationModel",
@@ -117,7 +115,6 @@ __getattr__, __dir__ = lazy_exports(
 if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
     from .api import Simulator
     from .channels import (
-        CustomScenario,
         DopplerSettings,
         IDFTRayleighGenerator,
         MIMOArrayScenario,
@@ -168,7 +165,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
         NotPositiveSemiDefiniteError,
         ReproError,
         SpecificationError,
-        ValidationError,
     )
     from .types import EnvelopeBlock, GaussianBlock
 
@@ -184,7 +180,6 @@ __all__ = [
     "ColoringError",
     "DopplerError",
     "GenerationError",
-    "ValidationError",
     "EnvelopeBlock",
     "GaussianBlock",
     "CovarianceSpec",
@@ -203,7 +198,6 @@ __all__ = [
     "envelope_power_report",
     "OFDMScenario",
     "MIMOArrayScenario",
-    "CustomScenario",
     "DopplerSettings",
     "ScenarioSweep",
     "SpectralCorrelationModel",

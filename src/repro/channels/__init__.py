@@ -23,10 +23,8 @@ from .geometry import (
     wavelength,
     max_doppler_frequency,
     normalized_doppler,
-    uniform_linear_array_positions,
 )
 from .spectral import (
-    spectral_covariance_pair,
     spectral_covariance_components,
     SpectralCorrelationModel,
 )
@@ -38,22 +36,15 @@ from .spatial import (
 )
 from .doppler import (
     young_beaulieu_filter,
-    jakes_doppler_psd,
     filter_output_variance,
     filter_autocorrelation,
 )
 from .idft_generator import IDFTRayleighGenerator, batched_doppler_blocks
 from .sum_of_sinusoids import SumOfSinusoidsGenerator
-from .delay_profile import (
-    PowerDelayProfile,
-    exponential_power_delay_profile,
-    coherence_bandwidth,
-)
 from .autocorrelation import clarke_autocorrelation, autocorrelation_error
 from .scenario import (
     OFDMScenario,
     MIMOArrayScenario,
-    CustomScenario,
     DopplerSettings,
     ScenarioSweep,
 )
@@ -62,8 +53,6 @@ __all__ = [
     "wavelength",
     "max_doppler_frequency",
     "normalized_doppler",
-    "uniform_linear_array_positions",
-    "spectral_covariance_pair",
     "spectral_covariance_components",
     "SpectralCorrelationModel",
     "spatial_correlation_real",
@@ -71,20 +60,15 @@ __all__ = [
     "spatial_covariance_components",
     "SpatialCorrelationModel",
     "young_beaulieu_filter",
-    "jakes_doppler_psd",
     "filter_output_variance",
     "filter_autocorrelation",
     "IDFTRayleighGenerator",
     "batched_doppler_blocks",
     "SumOfSinusoidsGenerator",
-    "PowerDelayProfile",
-    "exponential_power_delay_profile",
-    "coherence_bandwidth",
     "clarke_autocorrelation",
     "autocorrelation_error",
     "OFDMScenario",
     "MIMOArrayScenario",
-    "CustomScenario",
     "DopplerSettings",
     "ScenarioSweep",
 ]

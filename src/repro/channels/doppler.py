@@ -13,9 +13,6 @@ paper are implemented here:
   ``sigma_g^2 = 2 sigma_orig^2 / M^2 * sum F[k]^2`` (Eq. 19), the quantity
   whose omission breaks the method of Sorooshyari & Daut and whose inclusion
   is the paper's key real-time correction.
-
-:func:`jakes_doppler_psd` provides the continuous Jakes spectrum for
-reference plots and spectral validation.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from ..exceptions import DopplerError, FilterDesignError
 
 __all__ = [
     "young_beaulieu_filter",
-    "jakes_doppler_psd",
     "filter_output_variance",
     "filter_autocorrelation",
     "validate_doppler_parameters",
@@ -113,33 +109,6 @@ def young_beaulieu_filter(n_points: int, normalized_doppler: float) -> np.ndarra
     coeffs[k_m] = edge
     coeffs[m - k_m] = edge
     return coeffs
-
-
-def jakes_doppler_psd(frequencies_hz: np.ndarray, max_doppler_hz: float) -> np.ndarray:
-    """Continuous Jakes (Clarke) Doppler power spectral density.
-
-    .. math::
-
-        S(f) = \\frac{1}{\\pi F_m \\sqrt{1 - (f/F_m)^2}}, \\qquad |f| < F_m,
-
-    and zero outside the Doppler band.  The density integrates to 1 over
-    ``(-F_m, F_m)``.
-
-    Parameters
-    ----------
-    frequencies_hz:
-        Frequencies at which to evaluate the PSD.
-    max_doppler_hz:
-        Maximum Doppler frequency ``F_m`` (positive).
-    """
-    if max_doppler_hz <= 0:
-        raise DopplerError(f"max_doppler_hz must be positive, got {max_doppler_hz}")
-    f = np.asarray(frequencies_hz, dtype=float)
-    out = np.zeros_like(f)
-    inside = np.abs(f) < max_doppler_hz
-    ratio = f[inside] / max_doppler_hz
-    out[inside] = 1.0 / (np.pi * max_doppler_hz * np.sqrt(1.0 - ratio**2))
-    return out
 
 
 def filter_output_variance(filter_coefficients: np.ndarray, input_variance_per_dim: float) -> float:

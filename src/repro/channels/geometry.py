@@ -4,13 +4,10 @@ Small, dimension-checked conversions between the physical parameters quoted
 in the paper's simulation section (carrier frequency 900 MHz, mobile speed
 60 km/h, antenna spacing D/lambda = 1, sampling frequency 1 kHz) and the
 normalized quantities the algorithms consume (maximum Doppler frequency
-``F_m``, normalized Doppler ``f_m = F_m / F_s``, antenna positions in
-wavelengths).
+``F_m``, normalized Doppler ``f_m = F_m / F_s``).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..exceptions import SpecificationError
 
@@ -19,17 +16,10 @@ __all__ = [
     "wavelength",
     "max_doppler_frequency",
     "normalized_doppler",
-    "uniform_linear_array_positions",
-    "kmh_to_ms",
 ]
 
 #: Speed of light in vacuum [m/s].
 SPEED_OF_LIGHT = 299_792_458.0
-
-
-def kmh_to_ms(speed_kmh: float) -> float:
-    """Convert a speed from km/h to m/s."""
-    return float(speed_kmh) * (1000.0 / 3600.0)
 
 
 def wavelength(carrier_frequency_hz: float) -> float:
@@ -80,20 +70,3 @@ def normalized_doppler(max_doppler_hz: float, sampling_frequency_hz: float) -> f
         )
     return float(max_doppler_hz) / float(sampling_frequency_hz)
 
-
-def uniform_linear_array_positions(
-    n_antennas: int, spacing_wavelengths: float
-) -> np.ndarray:
-    """Positions (in wavelengths) of a uniform linear array along its axis.
-
-    Element ``k`` sits at ``k * spacing_wavelengths`` for ``k = 0..n-1``;
-    the spatial correlation model only ever uses pairwise differences, so the
-    absolute origin is irrelevant.
-    """
-    if n_antennas < 1:
-        raise SpecificationError(f"number of antennas must be >= 1, got {n_antennas}")
-    if spacing_wavelengths < 0:
-        raise SpecificationError(
-            f"antenna spacing must be non-negative, got {spacing_wavelengths}"
-        )
-    return np.arange(n_antennas, dtype=float) * float(spacing_wavelengths)

@@ -143,8 +143,8 @@ def batched_doppler_blocks(  # reprolint: hot-path
     draws = np.empty((n_streams, n_blocks, 2, m), dtype=np.float64)
     for index, rng in enumerate(rngs):
         # (n_blocks, 2, M) fills in C order: block 0's A then B, block 1's A
-        # then B, ... — the exact stream consumption of sequential
-        # complex_gaussian_pair draws.
+        # then B, ... — the stream order of drawing each block's real pair
+        # (A, B) of Section 5 step 3 in turn.
         ensure_rng(rng).standard_normal(
             size=(n_blocks, 2, m), dtype=np.float64, out=draws[index]
         )

@@ -11,8 +11,6 @@ generators:
 * :class:`MIMOArrayScenario` — spatially correlated branches defined by a
   uniform linear array's spacing and the angle-of-departure spread
   (Section 3 / Fig. 4b).
-* :class:`CustomScenario` — a thin wrapper for covariance components the
-  user computed elsewhere.
 * :class:`DopplerSettings` — the IDFT-generator parameters (``M``,
   ``sigma_orig^2``, sampling and Doppler frequencies) shared by the real-time
   experiments.
@@ -27,7 +25,7 @@ that ``repro.channels`` and ``repro.core`` can be imported in either order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,7 +40,6 @@ __all__ = [
     "DopplerSettings",
     "OFDMScenario",
     "MIMOArrayScenario",
-    "CustomScenario",
     "ScenarioSweep",
 ]
 
@@ -288,60 +285,6 @@ class MIMOArrayScenario:
                 "mean_angle_rad": self.mean_angle_rad,
                 "angular_spread_rad": self.angular_spread_rad,
             },
-        )
-
-
-@dataclass(frozen=True)
-class CustomScenario:
-    """A scenario defined directly by covariance component matrices.
-
-    Useful when the pairwise covariances come from measurements or from a
-    correlation model not shipped with the library.
-    """
-
-    rxx: np.ndarray
-    ryy: np.ndarray
-    rxy: np.ndarray
-    ryx: np.ndarray
-    doppler: Optional[DopplerSettings] = None
-    description: str = field(default="custom")
-
-    def __post_init__(self) -> None:
-        shapes = {np.asarray(m).shape for m in (self.rxx, self.ryy, self.rxy, self.ryx)}
-        if len(shapes) != 1:
-            raise DimensionError(
-                f"all covariance component matrices must share one shape, got {shapes}"
-            )
-        (shape,) = shapes
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise DimensionError(f"covariance components must be square matrices, got {shape}")
-
-    @property
-    def n_branches(self) -> int:
-        """Number of correlated branches."""
-        return int(np.asarray(self.rxx).shape[0])
-
-    @property
-    def default_normalized_doppler(self) -> Optional[float]:
-        """Normalized Doppler, when Doppler settings were supplied."""
-        return None if self.doppler is None else self.doppler.normalized_doppler
-
-    def covariance_spec(self, gaussian_powers: np.ndarray):
-        """Build the :class:`repro.core.covariance.CovarianceSpec` for this scenario."""
-        from ..core.covariance import CovarianceSpec
-
-        powers = np.asarray(gaussian_powers, dtype=float)
-        if powers.shape != (self.n_branches,):
-            raise DimensionError(
-                f"gaussian_powers must have shape ({self.n_branches},), got {powers.shape}"
-            )
-        return CovarianceSpec.from_components(
-            powers,
-            np.asarray(self.rxx, dtype=float),
-            np.asarray(self.ryy, dtype=float),
-            np.asarray(self.rxy, dtype=float),
-            np.asarray(self.ryx, dtype=float),
-            metadata={"scenario": self.description},
         )
 
 

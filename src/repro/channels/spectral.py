@@ -21,9 +21,9 @@ the same multipath coefficient set and the same power ``sigma^2`` — the
 restriction the generalized algorithm then lifts by accepting arbitrary
 covariance inputs.
 
-The module exposes the pairwise covariances and a
-:class:`SpectralCorrelationModel` that evaluates them for every branch pair
-of an OFDM-style scenario, producing the component matrices consumed by
+The module exposes :func:`spectral_covariance_components`, which evaluates
+these covariances for every branch pair, and a
+:class:`SpectralCorrelationModel` that applies it to an OFDM-style scenario, producing the component matrices consumed by
 :func:`repro.core.covariance.build_covariance_matrix`.
 """
 
@@ -37,60 +37,9 @@ import numpy as np
 from ..exceptions import DimensionError, SpecificationError
 
 __all__ = [
-    "spectral_covariance_pair",
     "spectral_covariance_components",
     "SpectralCorrelationModel",
 ]
-
-
-def spectral_covariance_pair(
-    power: float,
-    max_doppler_hz: float,
-    delay_s: float,
-    frequency_separation_hz: float,
-    rms_delay_spread_s: float,
-) -> Tuple[float, float, float, float]:
-    """Covariances ``(Rxx, Ryy, Rxy, Ryx)`` for one branch pair (Eq. 3–4).
-
-    Parameters
-    ----------
-    power:
-        Common complex-Gaussian power ``sigma^2`` of the two processes.
-    max_doppler_hz:
-        Maximum Doppler frequency ``F_m`` in Hz.
-    delay_s:
-        Arrival time delay ``tau_{k,j}`` in seconds.
-    frequency_separation_hz:
-        ``f_k - f_j`` in Hz (sign matters: it fixes the sign of the imaginary
-        part of the covariance matrix entry).
-    rms_delay_spread_s:
-        RMS delay spread ``sigma_tau`` in seconds.
-
-    Returns
-    -------
-    tuple
-        ``(Rxx, Ryy, Rxy, Ryx)`` with ``Rxx == Ryy`` and ``Rxy == -Ryx``.
-    """
-    if power <= 0:
-        raise SpecificationError(f"power must be positive, got {power}")
-    if max_doppler_hz < 0:
-        raise SpecificationError(
-            f"max Doppler frequency must be non-negative, got {max_doppler_hz}"
-        )
-    if rms_delay_spread_s < 0:
-        raise SpecificationError(
-            f"rms delay spread must be non-negative, got {rms_delay_spread_s}"
-        )
-    from scipy.special import j0
-
-    delta_omega_sigma = 2.0 * np.pi * float(frequency_separation_hz) * float(rms_delay_spread_s)
-    rxx = (
-        float(power)
-        * float(j0(2.0 * np.pi * float(max_doppler_hz) * float(delay_s)))
-        / (2.0 * (1.0 + delta_omega_sigma**2))
-    )
-    rxy = -delta_omega_sigma * rxx
-    return rxx, rxx, rxy, -rxy
 
 
 def spectral_covariance_components(

@@ -20,14 +20,13 @@ reads no environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 __all__ = [
     "NumericDefaults",
     "DEFAULTS",
-    "with_overrides",
     "CACHE_DIR_ENV",
     "cache_dir_from_env",
 ]
@@ -96,20 +95,3 @@ class NumericDefaults:
 #: The package-wide default tolerances.
 DEFAULTS = NumericDefaults()
 
-
-def with_overrides(base: NumericDefaults = DEFAULTS, **overrides: float) -> NumericDefaults:
-    """Return a copy of ``base`` with selected fields replaced.
-
-    Parameters
-    ----------
-    base:
-        The defaults to start from.
-    **overrides:
-        Field-name / value pairs to change.
-
-    Raises
-    ------
-    TypeError
-        If an override does not name a field of :class:`NumericDefaults`.
-    """
-    return replace(base, **overrides)

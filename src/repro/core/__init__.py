@@ -67,8 +67,6 @@ __getattr__, __dir__ = lazy_exports(
         ".generator": ("RayleighFadingGenerator",),
         ".realtime": ("RealTimeRayleighGenerator",),
         ".statistics": (
-            "theoretical_envelope_mean",
-            "theoretical_envelope_variance",
             "empirical_covariance",
             "covariance_match_report",
             "envelope_power_report",
@@ -113,8 +111,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
     from .generator import RayleighFadingGenerator
     from .realtime import RealTimeRayleighGenerator
     from .statistics import (
-        theoretical_envelope_mean,
-        theoretical_envelope_variance,
         empirical_covariance,
         covariance_match_report,
         envelope_power_report,
@@ -146,8 +142,6 @@ __all__ = [
     "compute_coloring_batch",
     "RayleighFadingGenerator",
     "RealTimeRayleighGenerator",
-    "theoretical_envelope_mean",
-    "theoretical_envelope_variance",
     "empirical_covariance",
     "covariance_match_report",
     "envelope_power_report",

@@ -29,24 +29,12 @@ from .variance import (
 )
 
 __all__ = [
-    "theoretical_envelope_mean",
-    "theoretical_envelope_variance",
     "empirical_covariance",
     "CovarianceMatchReport",
     "covariance_match_report",
     "EnvelopePowerReport",
     "envelope_power_report",
 ]
-
-
-def theoretical_envelope_mean(gaussian_variances: np.ndarray) -> np.ndarray:
-    """Expected envelope means ``E{r_j} = 0.8862 sigma_g_j`` (Eq. 14)."""
-    return rayleigh_mean_from_gaussian_power(gaussian_variances)
-
-
-def theoretical_envelope_variance(gaussian_variances: np.ndarray) -> np.ndarray:
-    """Expected envelope variances ``Var{r_j} = 0.2146 sigma_g_j^2`` (Eq. 15)."""
-    return rayleigh_variance_from_gaussian_power(gaussian_variances)
 
 
 def empirical_covariance(samples: np.ndarray) -> np.ndarray:

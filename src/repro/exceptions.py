@@ -23,7 +23,6 @@ __all__ = [
     "DopplerError",
     "FilterDesignError",
     "GenerationError",
-    "ValidationError",
     "ExperimentError",
     "ParallelExecutionError",
     "BackendError",
@@ -108,10 +107,6 @@ class FilterDesignError(DopplerError):
 
 class GenerationError(ReproError, RuntimeError):
     """Envelope generation failed at run time."""
-
-
-class ValidationError(ReproError, AssertionError):
-    """A statistical validation check on generated envelopes failed."""
 
 
 class ExperimentError(ReproError, RuntimeError):

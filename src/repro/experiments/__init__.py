@@ -35,13 +35,13 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".reporting": ("ExperimentResult", "Table"),
-        ".runner": ("EXPERIMENTS", "run_experiment", "list_experiments", "run_all"),
+        ".runner": ("EXPERIMENTS", "run_experiment", "list_experiments"),
     },
 )
 
 if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
     from .reporting import ExperimentResult, Table
-    from .runner import EXPERIMENTS, list_experiments, run_all, run_experiment
+    from .runner import EXPERIMENTS, list_experiments, run_experiment
 
 __all__ = [
     "ExperimentResult",
@@ -49,5 +49,4 @@ __all__ = [
     "EXPERIMENTS",
     "run_experiment",
     "list_experiments",
-    "run_all",
 ]

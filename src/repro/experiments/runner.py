@@ -8,7 +8,7 @@ harness, and the integration tests.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, Dict, List
 
 from ..exceptions import ExperimentError
 from . import (
@@ -28,7 +28,7 @@ from . import (
 )
 from .reporting import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "run_experiment", "list_experiments", "run_all"]
+__all__ = ["EXPERIMENTS", "run_experiment", "list_experiments"]
 
 #: Registry: experiment id -> zero-config run callable.
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
@@ -85,8 +85,3 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
             kwargs = {key: value for key, value in kwargs.items() if key != "backend"}
     return runner(**kwargs)
 
-
-def run_all(experiment_ids: Iterable[str] | None = None, **kwargs) -> List[ExperimentResult]:
-    """Run several (default: all) experiments and return their results."""
-    ids = list(experiment_ids) if experiment_ids is not None else list_experiments()
-    return [run_experiment(experiment_id, **kwargs) for experiment_id in ids]

@@ -12,7 +12,6 @@ and forced-PSD procedures on top of these primitives.
 
 from .checks import (
     is_hermitian,
-    is_positive_definite,
     is_positive_semidefinite,
     hermitian_part,
     assert_hermitian,
@@ -35,13 +34,10 @@ from .batched import (
     batched_hermitian_eigendecomposition,
     batched_cholesky_factor,
     batched_reconstruct_from_eigen,
-    batched_clip_negative_eigenvalues,
-    batched_force_positive_semidefinite,
 )
 
 __all__ = [
     "is_hermitian",
-    "is_positive_definite",
     "is_positive_semidefinite",
     "hermitian_part",
     "assert_hermitian",
@@ -64,6 +60,4 @@ __all__ = [
     "batched_hermitian_eigendecomposition",
     "batched_cholesky_factor",
     "batched_reconstruct_from_eigen",
-    "batched_clip_negative_eigenvalues",
-    "batched_force_positive_semidefinite",
 ]

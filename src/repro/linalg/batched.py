@@ -40,8 +40,6 @@ __all__ = [
     "batched_hermitian_eigendecomposition",
     "batched_cholesky_factor",
     "batched_reconstruct_from_eigen",
-    "batched_clip_negative_eigenvalues",
-    "batched_force_positive_semidefinite",
 ]
 
 
@@ -213,52 +211,6 @@ def batched_reconstruct_from_eigen(
     return backend.matmul(scaled, adjoint)
 
 
-def batched_clip_negative_eigenvalues(
-    stack: np.ndarray,
-    *,
-    defaults: NumericDefaults = DEFAULTS,
-    backend=None,
-) -> np.ndarray:
-    """Apply the paper's Section 4.2 clipping to every matrix in a stack."""
-    decomp = batched_hermitian_eigendecomposition(stack, backend=backend)
-    clipped = np.where(decomp.eigenvalues >= 0.0, decomp.eigenvalues, 0.0)
-    return batched_reconstruct_from_eigen(clipped, decomp.eigenvectors, backend=backend)
-
-
-def batched_force_positive_semidefinite(
-    stack: np.ndarray,
-    method: str = "clip",
-    *,
-    epsilon: float = 1e-6,
-    defaults: NumericDefaults = DEFAULTS,
-    backend=None,
-) -> List["PSDForcingResult"]:
-    """Force every matrix in a ``(B, N, N)`` stack positive semi-definite.
-
-    Batched analogue of :func:`repro.core.psd.force_positive_semidefinite`:
-    the eigendecomposition, the reconstructions and the final PSD check run
-    as single stacked calls, and each returned
-    :class:`repro.core.psd.PSDForcingResult` is bit-identical to the one the
-    single-matrix function produces for that slice.  Under ``"clip"`` only
-    the slices that actually have a negative eigenvalue are reconstructed;
-    the others keep the caller's matrix bit for bit.
-
-    The ``"higham"`` strategy iterates per matrix (alternating projections do
-    not batch); it is provided for completeness and only pays the loop for
-    matrices that actually need repair.
-
-    Raises
-    ------
-    CovarianceError
-        If a slice's Hermitian part is not finite, its decomposition fails,
-        or a repaired slice is still not positive semi-definite; the error
-        names the first such slice in its message and ``stack_index``.
-    """
-    return _force_psd_stack(
-        stack, method, epsilon=epsilon, defaults=defaults, backend=backend
-    )[0]
-
-
 def _force_psd_stack(
     stack: np.ndarray,
     method: str = "clip",
@@ -267,13 +219,30 @@ def _force_psd_stack(
     defaults: NumericDefaults = DEFAULTS,
     backend=None,
 ) -> Tuple[List["PSDForcingResult"], BatchedEigenDecomposition]:
-    """:func:`batched_force_positive_semidefinite` plus its eigendecomposition.
+    """Force every matrix in a ``(B, N, N)`` stack positive semi-definite.
+
+    Batched analogue of :func:`repro.core.psd.force_positive_semidefinite`:
+    the eigendecomposition, the reconstructions and the final PSD check run
+    as single stacked calls, and each returned
+    :class:`repro.core.psd.PSDForcingResult` is bit-identical to the one the
+    single-matrix function produces for that slice.  Under ``"clip"`` only
+    the slices that actually have a negative eigenvalue are reconstructed;
+    the others keep the caller's matrix bit for bit.  The ``"higham"``
+    strategy iterates per matrix (alternating projections do not batch) and
+    only pays the loop for matrices that actually need repair.
 
     The second value is the stacked eigendecomposition of the *requested*
     matrices.  For every slice the forcing left unmodified (its
     ``matrix`` is the requested matrix byte for byte) it is exactly the
     decomposition a coloring step would compute again, so
     :func:`repro.core.coloring.compute_coloring_batch` reuses those rows.
+
+    Raises
+    ------
+    CovarianceError
+        If a slice's Hermitian part is not finite, its decomposition fails,
+        or a repaired slice is still not positive semi-definite; the error
+        names the first such slice in its message and ``stack_index``.
     """
     from ..core.psd import PSDForcingResult, force_positive_semidefinite
 

@@ -22,7 +22,6 @@ __all__ = [
     "hermitian_part",
     "min_eigenvalue",
     "is_positive_semidefinite",
-    "is_positive_definite",
 ]
 
 
@@ -129,17 +128,3 @@ def is_positive_semidefinite(
     tol_eff = base_tol * max(scale, 1.0)
     return bool(np.min(eigvals) >= -tol_eff)
 
-
-def is_positive_definite(
-    matrix: np.ndarray,
-    *,
-    defaults: NumericDefaults = DEFAULTS,
-    tol: Optional[float] = None,
-) -> bool:
-    """Return ``True`` if the Hermitian matrix has all eigenvalues above ``tol_eff``."""
-    herm = hermitian_part(matrix)
-    eigvals = np.linalg.eigvalsh(herm)
-    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    base_tol = defaults.psd_tol if tol is None else tol
-    tol_eff = base_tol * max(scale, 1.0)
-    return bool(np.min(eigvals) > tol_eff)

@@ -13,7 +13,6 @@ from .fading import (
     FadingSpec,
     FadingStacks,
     apply_fading_block,
-    available_fading_models,
     build_fading_stacks,
     coerce_fading,
     get_fading_model,
@@ -27,7 +26,6 @@ __all__ = [
     "FadingSpec",
     "FadingStacks",
     "apply_fading_block",
-    "available_fading_models",
     "build_fading_stacks",
     "coerce_fading",
     "get_fading_model",

@@ -80,7 +80,6 @@ __all__ = [
     "FadingSpec",
     "FadingStacks",
     "apply_fading_block",
-    "available_fading_models",
     "build_fading_stacks",
     "coerce_fading",
     "get_fading_model",
@@ -184,11 +183,6 @@ _MODELS: Dict[str, FadingModel] = {
         shape_min_inclusive=False,
     ),
 }
-
-
-def available_fading_models() -> Tuple[str, ...]:
-    """Names of every fading model in the table, sorted."""
-    return tuple(sorted(_MODELS))
 
 
 def get_fading_model(name: Any) -> FadingModel:

@@ -1,4 +1,4 @@
-"""Random-number substrate: seeding, complex Gaussian and Rayleigh sampling.
+"""Random-number substrate: seeding and complex Gaussian sampling.
 
 The whole library funnels randomness through :func:`ensure_rng` so that every
 generator, experiment and benchmark is reproducible from a single integer
@@ -6,21 +6,11 @@ seed, and through :func:`spawn_rngs` so that parallel workers receive
 statistically independent streams.
 """
 
-from .rng import ensure_rng, spawn_rngs, SeedSequenceFactory
-from .complex_gaussian import (
-    complex_gaussian,
-    complex_gaussian_pair,
-    standard_complex_gaussian,
-)
-from .rayleigh import rayleigh_samples, rayleigh_from_gaussian
+from .rng import ensure_rng, spawn_rngs
+from .complex_gaussian import complex_gaussian
 
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "SeedSequenceFactory",
     "complex_gaussian",
-    "complex_gaussian_pair",
-    "standard_complex_gaussian",
-    "rayleigh_samples",
-    "rayleigh_from_gaussian",
 ]

@@ -2,9 +2,7 @@
 
 Step 6 of the paper's algorithm (Section 4.4) requires "a column vector W of
 N independent complex Gaussian random samples with zero means and arbitrary,
-equal variances sigma_g^2"; Section 5 step 3 requires i.i.d. *real* Gaussian
-sequences ``A[k]`` and ``B[k]`` that are combined into ``A[k] - i B[k]``.
-Both constructions live here.
+equal variances sigma_g^2"; :func:`complex_gaussian` draws it.
 """
 
 from __future__ import annotations
@@ -14,10 +12,10 @@ from typing import Tuple, Union
 import numpy as np
 
 from ..exceptions import PowerError
-from ..types import ComplexArray, FloatArray, SeedLike
+from ..types import ComplexArray, SeedLike
 from .rng import ensure_rng
 
-__all__ = ["complex_gaussian", "complex_gaussian_pair", "standard_complex_gaussian"]
+__all__ = ["complex_gaussian"]
 
 ShapeLike = Union[int, Tuple[int, ...]]
 
@@ -27,15 +25,6 @@ def _validate_variance(variance: float) -> float:
     if not np.isfinite(variance) or variance <= 0.0:
         raise PowerError(f"variance must be a positive finite number, got {variance!r}")
     return variance
-
-
-def standard_complex_gaussian(shape: ShapeLike, rng: SeedLike = None) -> ComplexArray:
-    """Sample zero-mean, unit-variance circular complex Gaussian variables.
-
-    The total variance ``E|u|^2`` is 1, i.e. each of the real and imaginary
-    parts has variance 1/2.
-    """
-    return complex_gaussian(shape, variance=1.0, rng=rng)
 
 
 def complex_gaussian(
@@ -86,31 +75,3 @@ def complex_gaussian(
         return out
     return real + 1j * imag
 
-
-def complex_gaussian_pair(
-    shape: ShapeLike,
-    variance_per_dimension: float = 0.5,
-    rng: SeedLike = None,
-) -> Tuple[FloatArray, FloatArray]:
-    """Sample the two independent real Gaussian sequences of Section 5 step 3.
-
-    Returns the pair ``(A, B)`` of i.i.d. real, zero-mean Gaussian arrays with
-    the given per-dimension variance ``sigma_orig^2``; the caller combines
-    them as ``A - iB`` before Doppler filtering.
-
-    Parameters
-    ----------
-    shape:
-        Output shape of each sequence.
-    variance_per_dimension:
-        ``sigma_orig^2`` in the paper's notation (default 1/2, the value used
-        in the paper's simulations).
-    rng:
-        Seed or generator.
-    """
-    variance_per_dimension = _validate_variance(variance_per_dimension)
-    gen = ensure_rng(rng)
-    scale = np.sqrt(variance_per_dimension)
-    a = gen.normal(0.0, scale, size=shape)
-    b = gen.normal(0.0, scale, size=shape)
-    return a, b

@@ -9,14 +9,14 @@ in a reproducible way, mirroring numpy's ``SeedSequence.spawn`` mechanism.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..config import DEFAULTS
 from ..types import SeedLike
 
-__all__ = ["ensure_rng", "spawn_rngs", "SeedSequenceFactory"]
+__all__ = ["ensure_rng", "spawn_rngs"]
 
 
 def ensure_rng(seed: SeedLike = None, *, default_seed: Optional[int] = None) -> np.random.Generator:
@@ -70,57 +70,3 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
     seq = np.random.SeedSequence(int(seed))
     return [np.random.default_rng(child) for child in seq.spawn(n)]
 
-
-class SeedSequenceFactory:
-    """Deterministic factory handing out child seeds for named consumers.
-
-    Experiments use a factory so that, e.g., the "doppler-noise" stream and
-    the "coloring-input" stream of one experiment never alias even when code
-    paths are reordered, and the whole experiment stays reproducible from a
-    single integer.
-
-    Parameters
-    ----------
-    root_seed:
-        The experiment-level seed.
-    """
-
-    def __init__(self, root_seed: int):
-        self._root_seed = int(root_seed)
-        self._counter = 0
-        self._assigned: dict[str, int] = {}
-
-    @property
-    def root_seed(self) -> int:
-        """The root seed this factory was created with."""
-        return self._root_seed
-
-    def seed_for(self, name: str) -> int:
-        """Return a stable derived seed for the consumer ``name``.
-
-        The same ``name`` always maps to the same derived seed for a given
-        root seed, independent of call order.
-        """
-        if name not in self._assigned:
-            # Hash the name into the seed space deterministically (no Python
-            # hash randomization): fold the UTF-8 bytes into a 63-bit value.
-            acc = 1469598103934665603  # FNV offset basis
-            for byte in name.encode("utf8"):
-                acc ^= byte
-                acc *= 1099511628211  # FNV prime
-                acc &= (1 << 63) - 1
-            self._assigned[name] = (self._root_seed * 2654435761 + acc) & ((1 << 63) - 1)
-        return self._assigned[name]
-
-    def rng_for(self, name: str) -> np.random.Generator:
-        """Return a generator seeded by :meth:`seed_for`."""
-        return np.random.default_rng(self.seed_for(name))
-
-    def next_rng(self) -> np.random.Generator:
-        """Return a generator for an anonymous, order-dependent consumer."""
-        self._counter += 1
-        return self.rng_for(f"__anonymous_{self._counter}")
-
-    def assigned_names(self) -> Sequence[str]:
-        """Names that have requested a seed so far (for diagnostics)."""
-        return tuple(self._assigned)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 from typing import Any, Dict, Optional, Tuple
 
 from ..exceptions import (
@@ -387,9 +388,20 @@ def run_server(
     max_queue: int = 64,
     dispatch_slots: int = 4,
 ) -> None:
-    """Blocking entry point for the CLI: serve until interrupted."""
+    """Blocking entry point for the CLI: serve until SIGINT or SIGTERM.
+
+    Either signal stops accepting connections, closes the listener and
+    leaves the service context, and the call returns normally.
+    """
 
     async def _main() -> None:
+        main_task = asyncio.current_task()
+        try:
+            # SIGTERM, which process managers send, takes SIGINT's path:
+            # asyncio.run cancels the main task on SIGINT.
+            asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, main_task.cancel)
+        except (NotImplementedError, RuntimeError):  # no signal handlers here
+            pass
         service = EnvelopeService(
             simulator, max_queue=max_queue, dispatch_slots=dispatch_slots
         )
@@ -398,7 +410,7 @@ def run_server(
             await server.start()
             try:
                 await server.serve_forever()
-            except asyncio.CancelledError:  # pragma: no cover - shutdown path
+            except asyncio.CancelledError:  # SIGINT or SIGTERM: shut down
                 pass
             finally:
                 await server.stop()

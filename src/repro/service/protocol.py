@@ -249,7 +249,8 @@ def _entries_from_payload(
     """Inverse of :func:`_entries_to_payload` with the matching decoder.
 
     ``decode_matrix`` may raise :class:`SpecificationError`, ``KeyError``,
-    ``TypeError`` or ``ValueError``; all of them reject the entry with a
+    ``TypeError``, ``ValueError`` or ``OverflowError`` (a JSON integer past
+    the float range); all of them reject the entry with a
     :class:`SpecificationError`.
     """
     if not isinstance(raw_entries, list) or not raw_entries:
@@ -270,7 +271,7 @@ def _entries_from_payload(
             )
         except SpecificationError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecificationError(
                 f"malformed plan entry at index {index}: {exc}"
             ) from exc

@@ -588,8 +588,8 @@ def run_sharded(
     digests: List[str] = []
     pending: List[int] = []
     for plan_slice in slices:
-        payload = json.dumps(slice_to_payload(plan_slice, n_samples), sort_keys=True)
-        digests.append(hashlib.sha256(payload.encode("utf8")).hexdigest())
+        payload = slice_to_payload(plan_slice, n_samples)
+        digests.append(hashlib.sha256(payload).hexdigest())
         out_prefix = work / f"shard_{plan_slice.index}"
         if retry_failed:
             loaded = _load_output(out_prefix, plan_slice, digests[-1])
@@ -602,7 +602,7 @@ def run_sharded(
                         f"published output ({plan_slice.n_entries} entries)",
                     )
                 continue
-        (work / f"slice_{plan_slice.index}.json").write_text(payload, encoding="utf8")
+        (work / f"slice_{plan_slice.index}.json").write_bytes(payload)
         pending.append(plan_slice.index)
 
     env = _worker_env(extra_env, len(pending))

@@ -9,16 +9,17 @@ pure pieces of that story, the two wire formats among them:
   contiguous :class:`PlanSlice`\\ s (the same balanced-counts contract as
   :meth:`SimulationPlan.partition`), each remembering where its entries
   live in the original plan;
-* :func:`slice_to_payload` / :func:`slice_from_payload` — serialize a
-  slice as JSON through *the serving layer's entry encoding*
-  (:mod:`repro.service.protocol`), so per-entry seeds (``None``, ints,
-  and live numpy Generators), labels, Doppler specs and fading specs all
-  round-trip bit-exactly.  Only the covariance differs from the HTTP plan
-  payload: it travels as ``{"n": N, "c16": ...}``, the base64 of its
-  ``16·N²`` little-endian ``complex128`` bytes, which a worker decodes
-  with one :func:`numpy.frombuffer` instead of parsing ``2·N²`` float
-  reprs.  A decoded slice therefore holds the same matrix bytes and
-  hashes to the same compiled-plan cache key as the in-process original;
+* :func:`slice_to_payload` / :func:`slice_from_payload` — a slice's wire
+  bytes and their decoder: sorted-key JSON through *the serving layer's
+  entry encoding* (:mod:`repro.service.protocol`), so per-entry seeds
+  (``None``, ints, and live numpy Generators), labels, Doppler specs and
+  fading specs all round-trip bit-exactly.  Only the covariance differs
+  from the HTTP plan payload: it travels as ``{"n": N, "c16": ...}``, the
+  base64 of its ``16·N²`` little-endian ``complex128`` bytes, which a
+  worker decodes with one :func:`numpy.frombuffer` instead of parsing
+  ``2·N²`` float reprs.  A decoded slice therefore holds the same matrix
+  bytes and hashes to the same compiled-plan cache key as the in-process
+  original;
 * ``_sample_record`` / ``_read_sample_record`` — a worker's result as one
   raw ``.bin`` record, every block's samples as little-endian
   ``complex128`` bytes back to back, described by marker fields:
@@ -44,6 +45,7 @@ regression-tested by ``tests/unit/test_shard.py``.
 from __future__ import annotations
 
 import base64
+import json
 import os
 import zlib
 from dataclasses import dataclass
@@ -167,15 +169,18 @@ def _matrix_from_c16(raw: Any) -> np.ndarray:
     return np.frombuffer(data, dtype=_C16).reshape(n, n)
 
 
-def slice_to_payload(plan_slice: PlanSlice, n_samples: int) -> Dict[str, Any]:
-    """Encode one slice (plus the run's sample count) as a JSON-able dict.
+def slice_to_payload(plan_slice: PlanSlice, n_samples: int) -> bytes:
+    """Encode one slice (plus the run's sample count) as its wire bytes.
 
-    The entries use the serving layer's entry encoding, so every guarantee
-    of it — bit-exact doubles, lossless seeds, fading/Doppler round-trip —
-    carries over to shard workers; covariances travel as raw
-    ``complex128`` bytes (module docs).
+    The bytes are the ASCII text of ``json.dumps(..., sort_keys=True)``:
+    exactly what the runner writes to the slice file and hashes into the
+    ``slice_sha256`` a ``--retry-failed`` rerun compares.  The entries use
+    the serving layer's entry encoding, so every guarantee of it —
+    bit-exact doubles, lossless seeds, fading/Doppler round-trip — carries
+    over to shard workers; covariances travel as raw ``complex128`` bytes
+    (module docs).
     """
-    return {
+    payload = {
         "version": PROTOCOL_VERSION,
         "slice": {
             "index": int(plan_slice.index),
@@ -185,13 +190,19 @@ def slice_to_payload(plan_slice: PlanSlice, n_samples: int) -> Dict[str, Any]:
         "n_samples": int(n_samples),
         "entries": _entries_to_payload(plan_slice.plan, _matrix_to_c16),
     }
+    return json.dumps(payload, sort_keys=True).encode("ascii")
 
 
-def slice_from_payload(payload: Dict[str, Any]) -> Tuple[PlanSlice, int]:
-    """Decode a :func:`slice_to_payload` dict back to ``(slice, n_samples)``.
+def slice_from_payload(data: bytes) -> Tuple[PlanSlice, int]:
+    """Decode :func:`slice_to_payload` bytes back to ``(slice, n_samples)``.
 
-    Anything malformed raises :class:`SpecificationError`.
+    Anything malformed, the JSON text itself included, raises
+    :class:`SpecificationError`.
     """
+    try:
+        payload = json.loads(data)
+    except (TypeError, ValueError, RecursionError) as exc:  # not bytes, UTF-8 or JSON
+        raise SpecificationError(f"slice payload is not JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SpecificationError("slice payload must be a JSON object")
     version = payload.get("version")

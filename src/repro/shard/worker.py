@@ -189,7 +189,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     raw = args.slice_path.read_bytes()
-    plan_slice, n_samples = slice_from_payload(json.loads(raw.decode("utf8")))
+    plan_slice, n_samples = slice_from_payload(raw)
     print(
         f"shard {plan_slice.index}/{plan_slice.n_shards}: start "
         f"entries={plan_slice.n_entries} n_samples={n_samples}",

@@ -1,25 +1,21 @@
 """Signal-processing substrate.
 
-Provides the discrete-Fourier machinery used by the Young–Beaulieu IDFT
-Rayleigh generator, correlation and spectral estimators used by the
-validation layer, and classic fading-channel metrics (dB scaling relative to
-the rms level, level-crossing rate, average fade duration) used by the
-experiments that regenerate the paper's figures.
+Provides the correlation estimators used by the validation layer and the
+experiments, and classic fading-channel metrics (dB scaling relative to the
+rms level, level-crossing rate, average fade duration) used by the
+experiments that regenerate the paper's figures.  The IDFT Rayleigh
+generator does its Fourier transforms through the linalg backend
+(``np.fft`` by default), not through this package.
 """
 
-from .fourier import dft, idft, dft_matrix, naive_dft, radix2_fft, radix2_ifft
 from .correlation import (
     autocorrelation,
     normalized_autocorrelation,
-    cross_correlation,
     complex_autocovariance,
 )
-from .spectrum import periodogram, welch_psd, doppler_spectrum_estimate
 from .levels import (
     amplitude_to_db,
-    db_to_amplitude,
     power_to_db,
-    db_to_power,
     envelope_db_around_rms,
     rms,
     level_crossing_rate,
@@ -27,34 +23,17 @@ from .levels import (
     theoretical_lcr,
     theoretical_afd,
 )
-from .windows import rectangular_window, hann_window, hamming_window, get_window
 
 __all__ = [
-    "dft",
-    "idft",
-    "dft_matrix",
-    "naive_dft",
-    "radix2_fft",
-    "radix2_ifft",
     "autocorrelation",
     "normalized_autocorrelation",
-    "cross_correlation",
     "complex_autocovariance",
-    "periodogram",
-    "welch_psd",
-    "doppler_spectrum_estimate",
     "amplitude_to_db",
-    "db_to_amplitude",
     "power_to_db",
-    "db_to_power",
     "envelope_db_around_rms",
     "rms",
     "level_crossing_rate",
     "average_fade_duration",
     "theoretical_lcr",
     "theoretical_afd",
-    "rectangular_window",
-    "hann_window",
-    "hamming_window",
-    "get_window",
 ]

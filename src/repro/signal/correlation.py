@@ -23,7 +23,6 @@ from ..exceptions import DimensionError
 __all__ = [
     "autocorrelation",
     "normalized_autocorrelation",
-    "cross_correlation",
     "complex_autocovariance",
 ]
 
@@ -89,31 +88,6 @@ def normalized_autocorrelation(
     if np.abs(r0) == 0:
         raise ValueError("cannot normalize the autocorrelation of an all-zero sequence")
     return acf / r0
-
-
-def cross_correlation(
-    x: np.ndarray, y: np.ndarray, max_lag: int = 0, *, unbiased: bool = False
-) -> np.ndarray:
-    """Sample cross-correlation ``r_xy[d] = E{x[l] conj(y[l-d])}`` for lags ``0..max_lag``.
-
-    Both sequences must have the same length and are treated as zero-mean.
-    """
-    a = _as_1d(x, "x")
-    b = _as_1d(y, "y")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(
-            f"sequences must have equal length, got {a.shape[0]} and {b.shape[0]}"
-        )
-    n = a.shape[0]
-    if max_lag < 0 or max_lag >= n:
-        raise ValueError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
-    out = np.empty(max_lag + 1, dtype=complex)
-    for d in range(max_lag + 1):
-        overlap = n - d
-        out[d] = np.sum(a[d:] * np.conj(b[: n - d])) / (overlap if unbiased else n)
-    if np.isrealobj(a) and np.isrealobj(b):
-        return out.real
-    return out
 
 
 def complex_autocovariance(samples: np.ndarray) -> np.ndarray:

@@ -11,17 +11,13 @@ Rayleigh noise.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..exceptions import DimensionError
 
 __all__ = [
     "amplitude_to_db",
-    "db_to_amplitude",
     "power_to_db",
-    "db_to_power",
     "rms",
     "envelope_db_around_rms",
     "level_crossing_rate",
@@ -38,19 +34,9 @@ def amplitude_to_db(amplitude: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(np.asarray(amplitude, dtype=float), _TINY))
 
 
-def db_to_amplitude(db: np.ndarray) -> np.ndarray:
-    """Convert decibels to an amplitude ratio."""
-    return np.power(10.0, np.asarray(db, dtype=float) / 20.0)
-
-
 def power_to_db(power: np.ndarray) -> np.ndarray:
     """Convert a power ratio to decibels (``10 log10``)."""
     return 10.0 * np.log10(np.maximum(np.asarray(power, dtype=float), _TINY))
-
-
-def db_to_power(db: np.ndarray) -> np.ndarray:
-    """Convert decibels to a power ratio."""
-    return np.power(10.0, np.asarray(db, dtype=float) / 10.0)
 
 
 def rms(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -153,23 +139,3 @@ def theoretical_afd(rho: np.ndarray, max_doppler_hz: float) -> np.ndarray:
     denom = np.where(denom == 0.0, np.finfo(float).tiny, denom)
     return (np.exp(rho**2) - 1.0) / denom
 
-
-def fade_statistics(
-    envelope: np.ndarray, thresholds_db: np.ndarray, sample_rate: float = 1.0
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convenience: LCR and AFD at several thresholds given in dB below/above rms.
-
-    Returns ``(rho, lcr, afd)`` where ``rho`` is the linear threshold
-    normalized to the rms level.
-    """
-    arr = np.asarray(envelope, dtype=float)
-    reference = float(rms(arr))
-    thresholds_db = np.asarray(thresholds_db, dtype=float)
-    rho = db_to_amplitude(thresholds_db)
-    lcr = np.array(
-        [level_crossing_rate(arr, r * reference, sample_rate) for r in rho]
-    )
-    afd = np.array(
-        [average_fade_duration(arr, r * reference, sample_rate) for r in rho]
-    )
-    return rho, lcr, afd

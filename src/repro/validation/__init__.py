@@ -7,7 +7,6 @@ of envelopes based on the checks implemented here:
   desired covariance (:func:`check_covariance`);
 * each envelope is Rayleigh distributed (Kolmogorov–Smirnov test,
   :func:`rayleigh_ks_test`) with the power predicted by Eq. (14)–(15);
-* the phases are uniform (:func:`phase_uniformity_test`);
 * real-time branches have the Clarke/Jakes autocorrelation
   (:func:`check_autocorrelation`).
 
@@ -23,17 +22,13 @@ from .._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".metrics": (
-            "relative_frobenius_error",
-            "max_absolute_error",
-            "normalized_covariance_error",
-        ),
+        ".metrics": ("relative_frobenius_error", "max_absolute_error"),
         ".empirical": (
             "empirical_correlation_coefficients",
             "empirical_envelope_correlation",
             "branch_powers",
         ),
-        ".hypothesis_tests": ("rayleigh_ks_test", "phase_uniformity_test", "KSTestResult"),
+        ".hypothesis_tests": ("rayleigh_ks_test", "KSTestResult"),
         ".reports": (
             "CheckResult",
             "ValidationReport",
@@ -52,12 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
         empirical_correlation_coefficients,
         empirical_envelope_correlation,
     )
-    from .hypothesis_tests import KSTestResult, phase_uniformity_test, rayleigh_ks_test
-    from .metrics import (
-        max_absolute_error,
-        normalized_covariance_error,
-        relative_frobenius_error,
-    )
+    from .hypothesis_tests import KSTestResult, rayleigh_ks_test
+    from .metrics import max_absolute_error, relative_frobenius_error
     from .reports import (
         CheckResult,
         ValidationReport,
@@ -71,12 +62,10 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
 __all__ = [
     "relative_frobenius_error",
     "max_absolute_error",
-    "normalized_covariance_error",
     "empirical_correlation_coefficients",
     "empirical_envelope_correlation",
     "branch_powers",
     "rayleigh_ks_test",
-    "phase_uniformity_test",
     "KSTestResult",
     "CheckResult",
     "ValidationReport",

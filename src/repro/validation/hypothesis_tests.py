@@ -1,15 +1,9 @@
-"""Distributional goodness-of-fit tests for generated envelopes.
+"""Distributional goodness-of-fit test for generated envelopes.
 
-Two tests are used by the validation layer:
-
-* a Kolmogorov–Smirnov test of each envelope against the Rayleigh CDF with
-  the scale implied by the branch's Gaussian power;
-* a Kolmogorov–Smirnov test of the phases against the uniform distribution on
-  ``(-pi, pi]`` (uniform, independent phases are what make the moduli
-  Rayleigh in the first place — see Section 4.1 of the paper).
-
-Both return a :class:`KSTestResult` with the statistic, an asymptotic
-p-value, and the pass/fail decision at the requested significance level.
+The validation layer runs a Kolmogorov–Smirnov test of each envelope against
+the Rayleigh CDF with the scale implied by the branch's Gaussian power.  It
+returns a :class:`KSTestResult` with the statistic, an asymptotic p-value,
+and the pass/fail decision at the requested significance level.
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ import numpy as np
 
 from ..exceptions import DimensionError
 
-__all__ = ["KSTestResult", "rayleigh_ks_test", "phase_uniformity_test"]
+__all__ = ["KSTestResult", "rayleigh_ks_test"]
 
 
 @dataclass(frozen=True)
@@ -89,31 +83,3 @@ def rayleigh_ks_test(
         description=f"Rayleigh fit (scale {scale:.4g})",
     )
 
-
-def phase_uniformity_test(
-    complex_samples: np.ndarray,
-    significance: float = 0.01,
-) -> KSTestResult:
-    """KS test of the phases of complex samples against the uniform distribution.
-
-    Parameters
-    ----------
-    complex_samples:
-        1-D array of complex Gaussian samples.
-    significance:
-        Significance level for the pass/fail decision.
-    """
-    arr = np.asarray(complex_samples)
-    if arr.ndim != 1 or arr.shape[0] < 8:
-        raise DimensionError("phase_uniformity_test expects a 1-D sequence of length >= 8")
-    from scipy import stats
-
-    phases = np.angle(arr)  # in (-pi, pi]
-    statistic, p_value = stats.kstest(phases, "uniform", args=(-np.pi, 2.0 * np.pi))
-    return KSTestResult(
-        statistic=float(statistic),
-        p_value=float(p_value),
-        passed=bool(p_value >= significance),
-        significance=float(significance),
-        description="uniform phase",
-    )

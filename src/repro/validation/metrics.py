@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["relative_frobenius_error", "max_absolute_error", "normalized_covariance_error"]
+__all__ = ["relative_frobenius_error", "max_absolute_error"]
 
 
 def relative_frobenius_error(measured: np.ndarray, desired: np.ndarray) -> float:
@@ -31,20 +31,3 @@ def max_absolute_error(measured: np.ndarray, desired: np.ndarray) -> float:
         )
     return float(np.max(np.abs(measured - desired)))
 
-
-def normalized_covariance_error(measured: np.ndarray, desired: np.ndarray) -> float:
-    """Element-wise covariance error normalized by the geometric mean of the diagonals.
-
-    Off-diagonal covariance entries can be small in absolute terms; dividing
-    by ``sqrt(K[k,k] K[j,j])`` compares them on the correlation-coefficient
-    scale where a fixed tolerance is meaningful across scenarios.
-    """
-    measured = np.asarray(measured, dtype=complex)
-    desired = np.asarray(desired, dtype=complex)
-    if measured.shape != desired.shape or measured.ndim != 2:
-        raise ValueError("inputs must be square matrices of identical shape")
-    diag = np.real(np.diag(desired))
-    if np.any(diag <= 0):
-        raise ValueError("the desired covariance must have a positive diagonal")
-    scale = np.sqrt(np.outer(diag, diag))
-    return float(np.max(np.abs(measured - desired) / scale))

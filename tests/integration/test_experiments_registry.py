@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.experiments import EXPERIMENTS, list_experiments, run_all, run_experiment
+from repro.experiments import EXPERIMENTS, list_experiments, run_experiment
 from repro.experiments.reporting import ExperimentResult
 
 #: Cheaper-than-default settings for the statistically heavy experiments so the
@@ -46,11 +46,6 @@ class TestRegistry:
     def test_unknown_experiment_raises(self):
         with pytest.raises(ExperimentError):
             run_experiment("not-an-experiment")
-
-    def test_run_all_subset(self):
-        results = run_all(["eq22-spectral-covariance", "eq23-spatial-covariance"])
-        assert len(results) == 2
-        assert all(isinstance(result, ExperimentResult) for result in results)
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import j0
 
 from repro.channels import (
-    CustomScenario,
     DopplerSettings,
     MIMOArrayScenario,
     OFDMScenario,
@@ -155,26 +154,3 @@ class TestMIMOArrayScenario:
     def test_invalid_array_rejected(self):
         with pytest.raises(SpecificationError):
             MIMOArrayScenario(n_antennas=2, spacing_wavelengths=0.5, angular_spread_rad=0.0)
-
-
-class TestCustomScenario:
-    def test_covariance_spec_from_components(self):
-        rxx = np.array([[0.0, 0.3], [0.3, 0.0]])
-        rxy = np.array([[0.0, 0.1], [-0.1, 0.0]])
-        scenario = CustomScenario(rxx=rxx, ryy=rxx, rxy=rxy, ryx=-rxy)
-        spec = scenario.covariance_spec(np.ones(2))
-        assert spec.matrix[0, 1] == pytest.approx(0.6 - 0.2j)
-
-    def test_shape_consistency_enforced(self):
-        with pytest.raises(DimensionError):
-            CustomScenario(
-                rxx=np.zeros((2, 2)), ryy=np.zeros((3, 3)),
-                rxy=np.zeros((2, 2)), ryx=np.zeros((2, 2)),
-            )
-
-    def test_n_branches(self):
-        scenario = CustomScenario(
-            rxx=np.zeros((4, 4)), ryy=np.zeros((4, 4)),
-            rxy=np.zeros((4, 4)), ryx=np.zeros((4, 4)),
-        )
-        assert scenario.n_branches == 4

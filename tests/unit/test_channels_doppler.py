@@ -7,7 +7,6 @@ from scipy.special import j0
 from repro.channels import (
     filter_autocorrelation,
     filter_output_variance,
-    jakes_doppler_psd,
     young_beaulieu_filter,
 )
 from repro.channels.doppler import validate_doppler_parameters
@@ -157,25 +156,3 @@ class TestFilterAutocorrelation:
         with pytest.raises(ValueError):
             filter_autocorrelation(coeffs, 0.5, max_lag=64)
 
-
-class TestJakesDopplerPsd:
-    def test_zero_outside_band(self):
-        psd = jakes_doppler_psd(np.array([-80.0, 80.0]), max_doppler_hz=50.0)
-        assert np.allclose(psd, 0.0)
-
-    def test_partial_integral_matches_arcsine_law(self):
-        # int_{-a}^{a} S(f) df = (2/pi) arcsin(a / Fm); use a = Fm/2 where the
-        # integrand is smooth so the numerical quadrature is accurate.
-        freqs = np.linspace(-25.0, 25.0, 100_001)
-        psd = jakes_doppler_psd(freqs, 50.0)
-        integral = np.trapezoid(psd, freqs)
-        assert integral == pytest.approx((2.0 / np.pi) * np.arcsin(0.5), abs=1e-3)
-
-    def test_u_shape_minimum_at_zero(self):
-        freqs = np.array([0.0, 25.0, 45.0])
-        psd = jakes_doppler_psd(freqs, 50.0)
-        assert psd[0] < psd[1] < psd[2]
-
-    def test_invalid_doppler(self):
-        with pytest.raises(DopplerError):
-            jakes_doppler_psd(np.array([0.0]), 0.0)

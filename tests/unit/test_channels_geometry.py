@@ -1,15 +1,13 @@
 """Unit tests for repro.channels.geometry."""
 
-import numpy as np
 import pytest
 
 from repro.channels import (
     max_doppler_frequency,
     normalized_doppler,
-    uniform_linear_array_positions,
     wavelength,
 )
-from repro.channels.geometry import SPEED_OF_LIGHT, kmh_to_ms
+from repro.channels.geometry import SPEED_OF_LIGHT
 from repro.exceptions import SpecificationError
 
 
@@ -28,7 +26,7 @@ class TestWavelength:
 class TestMaxDoppler:
     def test_paper_scenario_60kmh_900mhz(self):
         # The paper quotes Fm = 50 Hz for 900 MHz at 60 km/h (using c ~ 3e8).
-        speed = kmh_to_ms(60.0)
+        speed = 60.0 / 3.6  # m/s
         fm = max_doppler_frequency(speed, 900e6)
         assert fm == pytest.approx(50.0, rel=0.01)
 
@@ -55,22 +53,3 @@ class TestNormalizedDoppler:
         with pytest.raises(SpecificationError):
             normalized_doppler(-1.0, 1000.0)
 
-
-class TestArrayPositions:
-    def test_spacing_and_count(self):
-        positions = uniform_linear_array_positions(4, 0.5)
-        assert np.allclose(positions, [0.0, 0.5, 1.0, 1.5])
-
-    def test_single_antenna(self):
-        assert np.allclose(uniform_linear_array_positions(1, 1.0), [0.0])
-
-    def test_invalid_count(self):
-        with pytest.raises(SpecificationError):
-            uniform_linear_array_positions(0, 1.0)
-
-    def test_negative_spacing(self):
-        with pytest.raises(SpecificationError):
-            uniform_linear_array_positions(3, -1.0)
-
-    def test_kmh_conversion(self):
-        assert kmh_to_ms(36.0) == pytest.approx(10.0)

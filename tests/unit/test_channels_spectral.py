@@ -4,51 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from repro.channels import SpectralCorrelationModel, spectral_covariance_pair
+from repro.channels import SpectralCorrelationModel
 from repro.channels.spectral import spectral_covariance_components
 from repro.exceptions import DimensionError, SpecificationError
-
-
-class TestSpectralCovariancePair:
-    def test_zero_delay_zero_separation_gives_half_power(self):
-        rxx, ryy, rxy, ryx = spectral_covariance_pair(
-            power=2.0, max_doppler_hz=50.0, delay_s=0.0,
-            frequency_separation_hz=0.0, rms_delay_spread_s=1e-6,
-        )
-        assert rxx == pytest.approx(1.0)  # sigma^2 / 2
-        assert ryy == rxx
-        assert rxy == 0.0 and ryx == 0.0
-
-    def test_symmetry_relations(self):
-        rxx, ryy, rxy, ryx = spectral_covariance_pair(1.0, 50.0, 1e-3, 200e3, 1e-6)
-        assert rxx == ryy
-        assert rxy == -ryx
-
-    def test_eq3_formula(self):
-        power, fm, tau, df, st = 1.0, 50.0, 1e-3, 200e3, 1e-6
-        rxx, _, rxy, _ = spectral_covariance_pair(power, fm, tau, df, st)
-        dws = 2 * np.pi * df * st
-        expected_rxx = power * j0(2 * np.pi * fm * tau) / (2 * (1 + dws**2))
-        assert rxx == pytest.approx(expected_rxx)
-        assert rxy == pytest.approx(-dws * expected_rxx)
-
-    def test_sign_flips_with_frequency_order(self):
-        _, _, rxy_pos, _ = spectral_covariance_pair(1.0, 50.0, 1e-3, 200e3, 1e-6)
-        _, _, rxy_neg, _ = spectral_covariance_pair(1.0, 50.0, 1e-3, -200e3, 1e-6)
-        assert rxy_pos == pytest.approx(-rxy_neg)
-
-    def test_larger_separation_reduces_correlation(self):
-        rxx_near, *_ = spectral_covariance_pair(1.0, 50.0, 0.0, 100e3, 1e-6)
-        rxx_far, *_ = spectral_covariance_pair(1.0, 50.0, 0.0, 800e3, 1e-6)
-        assert abs(rxx_far) < abs(rxx_near)
-
-    def test_invalid_power(self):
-        with pytest.raises(SpecificationError):
-            spectral_covariance_pair(0.0, 50.0, 0.0, 0.0, 1e-6)
-
-    def test_negative_delay_spread(self):
-        with pytest.raises(SpecificationError):
-            spectral_covariance_pair(1.0, 50.0, 0.0, 0.0, -1e-6)
 
 
 class TestSpectralCovarianceComponents:
@@ -93,6 +51,38 @@ class TestSpectralCovarianceComponents:
         )
         assert rxx[0, 1] == pytest.approx(2.0 * rxx_unit[0, 1])
 
+    @staticmethod
+    def _pair(tau, df):
+        """Components of two unit-power branches ``df`` apart, ``tau`` s apart."""
+        delays = np.array([[0.0, tau], [tau, 0.0]])
+        return spectral_covariance_components(
+            np.ones(2), 50.0, delays, np.array([900e6 + df, 900e6]), 1e-6
+        )
+
+    def test_eq3_formula(self):
+        fm, tau, df, st = 50.0, 1e-3, 200e3, 1e-6
+        rxx, _, rxy, _ = self._pair(tau, df)
+        dws = 2 * np.pi * df * st
+        expected_rxx = j0(2 * np.pi * fm * tau) / (2 * (1 + dws**2))
+        assert rxx[0, 1] == pytest.approx(expected_rxx)
+        assert rxy[0, 1] == pytest.approx(-dws * expected_rxx)
+
+    def test_sign_flips_with_frequency_order(self):
+        _, _, rxy_pos, _ = self._pair(1e-3, 200e3)
+        _, _, rxy_neg, _ = self._pair(1e-3, -200e3)
+        assert rxy_pos[0, 1] == pytest.approx(-rxy_neg[0, 1])
+
+    def test_larger_separation_reduces_correlation(self):
+        rxx_near, *_ = self._pair(0.0, 100e3)
+        rxx_far, *_ = self._pair(0.0, 800e3)
+        assert abs(rxx_far[0, 1]) < abs(rxx_near[0, 1])
+
+    def test_invalid_power(self):
+        with pytest.raises(SpecificationError):
+            spectral_covariance_components(
+                np.array([1.0, 0.0]), 50.0, np.zeros((2, 2)), np.array([1e9, 2e9]), 1e-6
+            )
+
     def test_asymmetric_delay_matrix_rejected(self):
         delays = np.array([[0.0, 1e-3], [2e-3, 0.0]])
         with pytest.raises(SpecificationError):
@@ -133,6 +123,15 @@ class TestSpectralCorrelationModel:
                 delays_s=np.zeros((1, 1)),
                 max_doppler_hz=-1.0,
                 rms_delay_spread_s=1e-6,
+            )
+
+    def test_negative_delay_spread_rejected(self):
+        with pytest.raises(SpecificationError):
+            SpectralCorrelationModel(
+                frequencies_hz=np.array([1e9]),
+                delays_s=np.zeros((1, 1)),
+                max_doppler_hz=10.0,
+                rms_delay_spread_s=-1e-6,
             )
 
     def test_components_delegate(self):

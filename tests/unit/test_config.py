@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import DEFAULTS, NumericDefaults, with_overrides
+from repro.config import DEFAULTS, NumericDefaults
 
 
 class TestNumericDefaults:
@@ -28,24 +28,3 @@ class TestNumericDefaults:
 
     def test_default_seed_is_an_int(self):
         assert isinstance(DEFAULTS.default_rng_seed, int)
-
-
-class TestWithOverrides:
-    def test_override_single_field(self):
-        custom = with_overrides(psd_tol=1e-6)
-        assert custom.psd_tol == 1e-6
-        assert custom.hermitian_atol == DEFAULTS.hermitian_atol
-
-    def test_original_defaults_unchanged(self):
-        with_overrides(psd_tol=1e-6)
-        assert DEFAULTS.psd_tol != 1e-6
-
-    def test_override_from_custom_base(self):
-        base = with_overrides(psd_tol=1e-6)
-        layered = with_overrides(base, eig_clip_tol=1e-9)
-        assert layered.psd_tol == 1e-6
-        assert layered.eig_clip_tol == 1e-9
-
-    def test_unknown_field_raises(self):
-        with pytest.raises(TypeError):
-            with_overrides(not_a_field=1.0)

@@ -9,10 +9,10 @@ from repro.core import (
     covariance_match_report,
     envelope_power_report,
 )
-from repro.core.statistics import (
-    empirical_covariance,
-    theoretical_envelope_mean,
-    theoretical_envelope_variance,
+from repro.core.statistics import empirical_covariance
+from repro.core.variance import (
+    rayleigh_mean_from_gaussian_power,
+    rayleigh_variance_from_gaussian_power,
 )
 from repro.channels import MIMOArrayScenario
 from repro.exceptions import DimensionError, SpecificationError
@@ -21,10 +21,11 @@ from repro.types import EnvelopeBlock, GaussianBlock
 
 class TestTheoreticalValues:
     def test_mean_formula(self):
-        assert theoretical_envelope_mean(np.array([1.0]))[0] == pytest.approx(0.8862, abs=1e-4)
+        mean = rayleigh_mean_from_gaussian_power(np.array([1.0]))[0]
+        assert mean == pytest.approx(0.8862, abs=1e-4)
 
     def test_variance_formula(self):
-        assert theoretical_envelope_variance(np.array([2.0]))[0] == pytest.approx(
+        assert rayleigh_variance_from_gaussian_power(np.array([2.0]))[0] == pytest.approx(
             2.0 * 0.2146, abs=1e-3
         )
 

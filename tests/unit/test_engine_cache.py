@@ -1,9 +1,11 @@
 """Unit tests for the decomposition cache: keys, LRU behaviour, counters."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.config import with_overrides
+from repro.config import DEFAULTS
 from repro.core.coloring import compute_coloring
 from repro.engine import DecompositionCache, decomposition_cache_key
 
@@ -29,7 +31,7 @@ class TestCacheKey:
         assert decomposition_cache_key(matrix, epsilon=1e-3) != base
 
     def test_sensitive_to_tolerances(self, matrix):
-        overridden = with_overrides(eig_clip_tol=1e-9)
+        overridden = dataclasses.replace(DEFAULTS, eig_clip_tol=1e-9)
         assert decomposition_cache_key(matrix) != decomposition_cache_key(
             matrix, defaults=overridden
         )

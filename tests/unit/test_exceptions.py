@@ -21,7 +21,6 @@ class TestHierarchy:
             exc.DopplerError,
             exc.FilterDesignError,
             exc.GenerationError,
-            exc.ValidationError,
             exc.ExperimentError,
             exc.ParallelExecutionError,
         ],

@@ -9,13 +9,16 @@ from repro.engine import NumpyBackend
 from repro.exceptions import CholeskyError, CovarianceError, DimensionError
 from repro.linalg import (
     batched_cholesky_factor,
-    batched_clip_negative_eigenvalues,
-    batched_force_positive_semidefinite,
     batched_hermitian_eigendecomposition,
     batched_hermitian_part,
-    clip_negative_eigenvalues,
     hermitian_eigendecomposition,
 )
+from repro.linalg.batched import _force_psd_stack
+
+
+def force_stack(stack, method="clip", **kwargs):
+    """The per-slice forcing results of the stacked pass compile runs."""
+    return _force_psd_stack(stack, method, **kwargs)[0]
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +99,7 @@ class TestBatchedCholesky:
 
 class TestBatchedPSDForcing:
     def test_clip_matches_single(self, mixed_stack):
-        batched = batched_force_positive_semidefinite(mixed_stack, method="clip")
+        batched = force_stack(mixed_stack, method="clip")
         for index in range(mixed_stack.shape[0]):
             single = force_positive_semidefinite(mixed_stack[index], method="clip")
             assert np.array_equal(single.matrix, batched[index].matrix)
@@ -107,9 +110,7 @@ class TestBatchedPSDForcing:
             )
 
     def test_epsilon_matches_single(self, mixed_stack):
-        batched = batched_force_positive_semidefinite(
-            mixed_stack, method="epsilon", epsilon=1e-5
-        )
+        batched = force_stack(mixed_stack, method="epsilon", epsilon=1e-5)
         for index in range(mixed_stack.shape[0]):
             single = force_positive_semidefinite(
                 mixed_stack[index], method="epsilon", epsilon=1e-5
@@ -118,14 +119,14 @@ class TestBatchedPSDForcing:
             assert batched[index].was_modified  # epsilon always perturbs
 
     def test_higham_matches_single(self, mixed_stack):
-        batched = batched_force_positive_semidefinite(mixed_stack, method="higham")
+        batched = force_stack(mixed_stack, method="higham")
         for index in range(mixed_stack.shape[0]):
             single = force_positive_semidefinite(mixed_stack[index], method="higham")
             assert np.array_equal(single.matrix, batched[index].matrix)
 
     def test_unknown_method_rejected(self, psd_stack):
         with pytest.raises(ValueError):
-            batched_force_positive_semidefinite(psd_stack, method="nope")
+            force_stack(psd_stack, method="nope")
 
     def test_clip_reconstructs_only_the_repaired_slices(self, mixed_stack):
         shapes = []
@@ -135,7 +136,7 @@ class TestBatchedPSDForcing:
                 shapes.append(a.shape)
                 return super().matmul(a, b)
 
-        batched = batched_force_positive_semidefinite(
+        batched = force_stack(
             mixed_stack, method="clip", backend=MatmulCountingBackend()
         )
         assert shapes == [(1, 4, 4)]  # only the indefinite slice 2
@@ -146,7 +147,7 @@ class TestBatchedPSDForcing:
         stack = np.stack([np.eye(2), [[1.0, 1e308], [1e308, 1.0]], 2.0 * np.eye(2)])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(CovarianceError, match="at stack index 1;") as info:
-                batched_force_positive_semidefinite(stack, method="clip")
+                force_stack(stack, method="clip")
         assert info.value.stack_index == 1
 
     @pytest.mark.parametrize("method", ["clip", "epsilon"])
@@ -156,7 +157,7 @@ class TestBatchedPSDForcing:
         stack = np.stack([np.eye(4), 2.0 * np.eye(4), bad])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(CovarianceError, match="at stack index 2;") as info:
-                batched_force_positive_semidefinite(stack, method=method)
+                force_stack(stack, method=method)
         assert info.value.stack_index == 2
 
     def test_eigh_failure_names_its_first_failing_slice(self):
@@ -170,16 +171,9 @@ class TestBatchedPSDForcing:
 
         stack = np.stack([np.eye(2), np.diag([3.0, 4.0]), np.eye(2)])
         with pytest.raises(CovarianceError, match="at stack index 1 ") as info:
-            batched_force_positive_semidefinite(stack, backend=FailingBackend())
+            force_stack(stack, backend=FailingBackend())
         assert info.value.stack_index == 1
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
-
-    def test_clip_helper_matches_single(self, mixed_stack):
-        repaired = batched_clip_negative_eigenvalues(mixed_stack)
-        for index in range(mixed_stack.shape[0]):
-            assert np.array_equal(
-                clip_negative_eigenvalues(mixed_stack[index]), repaired[index]
-            )
 
 
 class TestBatchedColoring:

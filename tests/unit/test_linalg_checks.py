@@ -11,7 +11,6 @@ from repro.linalg import (
     assert_square,
     hermitian_part,
     is_hermitian,
-    is_positive_definite,
     is_positive_semidefinite,
     min_eigenvalue,
 )
@@ -151,18 +150,14 @@ class TestAllClose:
 
 
 class TestDefiniteness:
-    def test_identity_is_pd_and_psd(self):
-        assert is_positive_definite(np.eye(4))
+    def test_identity_is_psd(self):
         assert is_positive_semidefinite(np.eye(4))
 
-    def test_rank_deficient_is_psd_not_pd(self):
-        matrix = np.ones((3, 3))
-        assert is_positive_semidefinite(matrix)
-        assert not is_positive_definite(matrix)
+    def test_rank_deficient_is_psd(self):
+        assert is_positive_semidefinite(np.ones((3, 3)))
 
-    def test_indefinite_is_neither(self, indefinite_covariance):
+    def test_indefinite_is_not_psd(self, indefinite_covariance):
         assert not is_positive_semidefinite(indefinite_covariance)
-        assert not is_positive_definite(indefinite_covariance)
 
     def test_scaling_invariance(self, indefinite_covariance):
         assert not is_positive_semidefinite(indefinite_covariance * 1e8)
@@ -176,4 +171,3 @@ class TestDefiniteness:
 
     def test_complex_hermitian_psd(self, eq22_covariance):
         assert is_positive_semidefinite(eq22_covariance)
-        assert is_positive_definite(eq22_covariance)

@@ -165,7 +165,7 @@ class TestHighamFeedsTheEigenColoring:
     def test_batched_forcing_names_the_slice_that_did_not_converge(self, monkeypatch):
         from repro.exceptions import CovarianceError
         from repro.linalg import nearest
-        from repro.linalg.batched import batched_force_positive_semidefinite
+        from repro.linalg.batched import _force_psd_stack
 
         real = nearest.nearest_psd_higham
         monkeypatch.setattr(
@@ -179,5 +179,5 @@ class TestHighamFeedsTheEigenColoring:
         good = np.eye(3, dtype=complex)
         bad = next(_indefinite_unit_diagonal_family())
         with pytest.raises(CovarianceError, match="stack index 1") as excinfo:
-            batched_force_positive_semidefinite(np.stack([good, bad]), method="higham")
+            _force_psd_stack(np.stack([good, bad]), "higham")
         assert excinfo.value.stack_index == 1

@@ -1,11 +1,21 @@
 """Tests of the public package surface: exports, version, module entry point."""
 
+import importlib
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+README = Path(__file__).resolve().parents[2] / "README.md"
+
+#: Every ``repro.``-qualified name the README migration table marks removed.
+REMOVED_PATHS = sorted(
+    set(re.findall(r"^\| `(repro(?:\.\w+)+)[^`]*` \*removed\*", README.read_text("utf8"), re.M))
+)
 
 
 class TestPublicExports:
@@ -93,6 +103,18 @@ class TestPublicExports:
             if not module.__doc__:
                 missing.append(module_info.name)
         assert not missing, f"modules without docstrings: {missing}"
+
+
+@pytest.mark.parametrize("path", REMOVED_PATHS)
+def test_names_the_readme_marks_removed_are_gone(path):
+    module_name, _, name = path.rpartition(".")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(path)
+    try:
+        module = importlib.import_module(module_name)
+    except ModuleNotFoundError:
+        return
+    assert not hasattr(module, name), f"{path} is marked removed but still defined"
 
 
 class TestModuleEntryPoint:

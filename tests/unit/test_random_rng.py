@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import DEFAULTS
-from repro.random import SeedSequenceFactory, ensure_rng, spawn_rngs
+from repro.random import ensure_rng, spawn_rngs
 
 
 class TestEnsureRng:
@@ -62,42 +62,3 @@ class TestSpawnRngs:
         with pytest.raises(ValueError):
             spawn_rngs(0, 0)
 
-
-class TestSeedSequenceFactory:
-    def test_same_name_same_seed(self):
-        factory = SeedSequenceFactory(10)
-        assert factory.seed_for("doppler") == factory.seed_for("doppler")
-
-    def test_different_names_different_seeds(self):
-        factory = SeedSequenceFactory(10)
-        assert factory.seed_for("a") != factory.seed_for("b")
-
-    def test_name_seed_is_order_independent(self):
-        f1 = SeedSequenceFactory(10)
-        f1.seed_for("a")
-        seed_b_after_a = f1.seed_for("b")
-        f2 = SeedSequenceFactory(10)
-        seed_b_first = f2.seed_for("b")
-        assert seed_b_after_a == seed_b_first
-
-    def test_different_roots_differ(self):
-        assert SeedSequenceFactory(1).seed_for("x") != SeedSequenceFactory(2).seed_for("x")
-
-    def test_rng_for_is_reproducible(self):
-        a = SeedSequenceFactory(3).rng_for("x").normal(size=4)
-        b = SeedSequenceFactory(3).rng_for("x").normal(size=4)
-        assert np.allclose(a, b)
-
-    def test_next_rng_advances(self):
-        factory = SeedSequenceFactory(3)
-        a = factory.next_rng().normal(size=4)
-        b = factory.next_rng().normal(size=4)
-        assert not np.allclose(a, b)
-
-    def test_assigned_names_recorded(self):
-        factory = SeedSequenceFactory(3)
-        factory.seed_for("alpha")
-        assert "alpha" in factory.assigned_names()
-
-    def test_root_seed_property(self):
-        assert SeedSequenceFactory(77).root_seed == 77

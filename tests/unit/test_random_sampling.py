@@ -1,16 +1,10 @@
-"""Unit tests for complex Gaussian and Rayleigh sampling."""
+"""Unit tests for complex Gaussian sampling and its Rayleigh moduli."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import PowerError
-from repro.random import (
-    complex_gaussian,
-    complex_gaussian_pair,
-    rayleigh_from_gaussian,
-    rayleigh_samples,
-    standard_complex_gaussian,
-)
+from repro.random import complex_gaussian
 
 
 class TestComplexGaussian:
@@ -49,52 +43,21 @@ class TestComplexGaussian:
         with pytest.raises(PowerError):
             complex_gaussian(4, variance=variance, rng=0)
 
-    def test_standard_has_unit_variance(self):
-        samples = standard_complex_gaussian(100_000, rng=6)
+    def test_default_has_unit_variance(self):
+        samples = complex_gaussian(100_000, rng=6)
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, rel=0.02)
 
 
-class TestComplexGaussianPair:
-    def test_returns_two_real_arrays(self):
-        a, b = complex_gaussian_pair(16, rng=0)
-        assert a.shape == (16,) and b.shape == (16,)
-        assert not np.iscomplexobj(a) and not np.iscomplexobj(b)
-
-    def test_per_dimension_variance(self):
-        a, b = complex_gaussian_pair(200_000, variance_per_dimension=0.5, rng=1)
-        assert np.var(a) == pytest.approx(0.5, rel=0.02)
-        assert np.var(b) == pytest.approx(0.5, rel=0.02)
-
-    def test_sequences_are_independent(self):
-        a, b = complex_gaussian_pair(200_000, rng=2)
-        assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
-
-    def test_invalid_variance_raises(self):
-        with pytest.raises(PowerError):
-            complex_gaussian_pair(4, variance_per_dimension=-0.5, rng=0)
-
-
-class TestRayleigh:
-    def test_samples_non_negative(self):
-        assert np.all(rayleigh_samples(1000, rng=0) >= 0)
-
+class TestRayleighModuli:
     def test_mean_matches_eq14(self):
         # E{r} = sigma_g * sqrt(pi)/2 for gaussian power sigma_g^2.
-        samples = rayleigh_samples(400_000, gaussian_variance=4.0, rng=1)
+        samples = np.abs(complex_gaussian(400_000, variance=4.0, rng=1))
         assert np.mean(samples) == pytest.approx(2.0 * np.sqrt(np.pi) / 2.0, rel=0.01)
 
     def test_variance_matches_eq15(self):
-        samples = rayleigh_samples(400_000, gaussian_variance=4.0, rng=2)
+        samples = np.abs(complex_gaussian(400_000, variance=4.0, rng=2))
         assert np.var(samples) == pytest.approx(4.0 * (1 - np.pi / 4), rel=0.02)
 
     def test_second_moment_is_gaussian_power(self):
-        samples = rayleigh_samples(400_000, gaussian_variance=2.5, rng=3)
+        samples = np.abs(complex_gaussian(400_000, variance=2.5, rng=3))
         assert np.mean(samples**2) == pytest.approx(2.5, rel=0.01)
-
-    def test_invalid_power_raises(self):
-        with pytest.raises(PowerError):
-            rayleigh_samples(10, gaussian_variance=0.0, rng=0)
-
-    def test_rayleigh_from_gaussian_is_abs(self):
-        z = np.array([3 + 4j, -1 + 0j])
-        assert np.allclose(rayleigh_from_gaussian(z), [5.0, 1.0])

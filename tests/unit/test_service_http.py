@@ -9,13 +9,21 @@ asserted, not a client's interpretation of them.
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import Simulator
 from repro.engine import SimulationPlan
 from repro.engine.backends import NumpyBackend
@@ -461,6 +469,31 @@ class TestRoutes:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("field", ["epsilon", "sample_variance", "matrix.re"])
+    def test_over_range_number_maps_to_400(self, field):
+        """A JSON integer past the float range once escaped as a 500."""
+        payload = plan_to_payload(_plan(), 32)
+        entry = payload["entries"][0]
+        if field == "matrix.re":
+            entry["matrix"]["re"][0][1] = 10**400
+        else:
+            entry[field] = 10**400
+
+        async def scenario():
+            sim = Simulator(cache=DecompositionCache())
+            async with _serve(sim) as (service, server):
+                status, _headers, raw = await _request(
+                    server.port, "POST", "/v1/plans", body=payload
+                )
+                assert status == 400
+                assert "entry at index 0" in json.loads(raw)["error"]
+                status, _headers, _raw = await _request(server.port, "GET", "/healthz")
+                assert status == 200
+                assert service.metrics()["requests_submitted"] == 0
+            sim.close()
+
+        asyncio.run(scenario())
+
     def test_non_finite_covariance_maps_to_400(self):
         """JSON's ``Infinity`` never reaches a flight: submit answers 400."""
 
@@ -865,3 +898,47 @@ class TestHighamOverHttp:
         finally:
             reference_sim.close()
         assert blocks[0].tobytes() == want.tobytes()
+
+
+def _healthz(port):
+    """The ``/healthz`` status, or ``None`` while nothing listens."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        conn.request("GET", "/healthz")
+        return conn.getresponse().status
+    except ConnectionRefusedError:
+        return None
+    finally:
+        conn.close()
+
+
+class TestShutdown:
+    def test_sigterm_stops_serve_with_status_0_and_frees_the_port(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("REPRO_CACHE_DIR", None)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1", "--port", str(port)],
+            env=env,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while _healthz(port) != 200:
+                assert process.poll() is None, process.stdout.read()
+                assert time.monotonic() < deadline, "serve never answered /healthz"
+                time.sleep(0.05)
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=10) == 0, process.stdout.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+        assert _healthz(port) is None

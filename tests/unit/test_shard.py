@@ -18,6 +18,7 @@ launcher's lifetime.  Bit-identity across shards is exercised by
 """
 
 import base64
+import hashlib
 import json
 
 import numpy as np
@@ -55,6 +56,11 @@ def _sweep_plan(n_entries: int) -> SimulationPlan:
 #: subnormals and the edge of the finite range.
 _EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e308, -1e308]
 
+
+
+def _wire(payload) -> bytes:
+    """A (possibly malformed) slice payload object as wire bytes."""
+    return json.dumps(payload).encode("utf8")
 
 @st.composite
 def _hermitian_matrices(draw):
@@ -150,10 +156,8 @@ class TestSliceWireRoundTrip:
     def test_round_trip_preserves_fading_and_seeds(self):
         plan = self._fancy_plan()
         (plan_slice,) = partition_plan(plan, 1)
-        # Through real JSON text, not just dict equality: the payload must
-        # be exactly what a worker reads off disk.
-        wire = json.dumps(slice_to_payload(plan_slice, 96), sort_keys=True)
-        decoded, n_samples = slice_from_payload(json.loads(wire))
+        # Through the wire bytes a worker reads off disk.
+        decoded, n_samples = slice_from_payload(slice_to_payload(plan_slice, 96))
 
         assert n_samples == 96
         assert (decoded.index, decoded.n_shards, decoded.start) == (0, 1, 0)
@@ -187,8 +191,7 @@ class TestSliceWireRoundTrip:
     def test_decoded_slice_hashes_to_the_same_plan_key(self):
         plan = self._fancy_plan()
         for plan_slice in partition_plan(plan, 2):
-            wire = json.dumps(slice_to_payload(plan_slice, 64))
-            decoded, _ = slice_from_payload(json.loads(wire))
+            decoded, _ = slice_from_payload(slice_to_payload(plan_slice, 64))
             assert compiled_plan_cache_key(decoded.plan) == compiled_plan_cache_key(
                 plan_slice.plan
             )
@@ -227,22 +230,57 @@ class TestSliceWireRoundTrip:
             )
         assert compiled_plan_cache_key(reseeded) == key_second
 
+    def test_wire_bytes_are_pinned(self):
+        """A ``--retry-failed`` rerun reuses an output only when the slice
+        bytes hash the same, so the encoding must not drift."""
+        plan = SimulationPlan()
+        plan.add(np.array([[1.0, 0.5j], [-0.5j, 2.0]]), seed=7, label="pin")
+        (plan_slice,) = partition_plan(plan, 1)
+        assert slice_to_payload(plan_slice, 64) == (
+            b'{"entries": [{"coloring_method": "eigen", "doppler": null, '
+            b'"epsilon": 1e-06, "fading": null, "label": "pin", "matrix": '
+            b'{"c16": "AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAA4D8AAAAAAAAAgAAAAAAAAOC/'
+            b'AAAAAAAAAEAAAAAAAAAAAA==", "n": 2}, "psd_method": "clip", '
+            b'"sample_variance": 1.0, "seed": 7}], "n_samples": 64, "slice": '
+            b'{"index": 0, "n_shards": 1, "start": 0}, "version": 1}'
+        )
+        digests = [
+            hashlib.sha256(slice_to_payload(plan_slice, 96)).hexdigest()
+            for n_shards in (1, 2)
+            for plan_slice in partition_plan(self._fancy_plan(), n_shards)
+        ]
+        assert digests == [
+            "4fd968d832b27cf20139e06892700af541e51457e36eb271c5464e89c371385d",
+            "697d317050b4694896863f029dcf5ffb647524e83c2f9abee203b3771e45ead6",
+            "e630724039d6ede564b2d33aa9478001311401bd73e92c0b1f496af825eb8ffc",
+        ]
+
+    @pytest.mark.parametrize("field", ["epsilon", "sample_variance"])
+    def test_over_range_number_is_a_specification_error(self, field):
+        (plan_slice,) = partition_plan(_sweep_plan(2), 1)
+        payload = json.loads(slice_to_payload(plan_slice, 32))
+        payload["entries"][1][field] = 10**400
+        with pytest.raises(SpecificationError, match="entry at index 1"):
+            slice_from_payload(_wire(payload))
+
     def test_malformed_payloads_rejected(self):
         plan = _sweep_plan(2)
         (plan_slice,) = partition_plan(plan, 1)
-        good = slice_to_payload(plan_slice, 32)
+        good = json.loads(slice_to_payload(plan_slice, 32))
 
-        with pytest.raises(SpecificationError):
-            slice_from_payload("not a dict")
+        deep = b"[" * 100_000 + b"]" * 100_000
+        for bad in (b"not json", b"\xff\xfe", deep, {"version": 1}, _wire("not a dict")):
+            with pytest.raises(SpecificationError):
+                slice_from_payload(bad)
         bad_version = dict(good, version=99)
         with pytest.raises(SpecificationError):
-            slice_from_payload(bad_version)
+            slice_from_payload(_wire(bad_version))
         no_slice = {key: value for key, value in good.items() if key != "slice"}
         with pytest.raises(SpecificationError):
-            slice_from_payload(no_slice)
+            slice_from_payload(_wire(no_slice))
         bad_meta = dict(good, slice={"index": "x"})
         with pytest.raises(SpecificationError):
-            slice_from_payload(bad_meta)
+            slice_from_payload(_wire(bad_meta))
 
     @given(matrix=_hermitian_matrices())
     @settings(max_examples=60, deadline=None)
@@ -250,8 +288,7 @@ class TestSliceWireRoundTrip:
         plan = SimulationPlan()
         plan.add(matrix, seed=3)
         (plan_slice,) = partition_plan(plan, 1)
-        wire = json.dumps(slice_to_payload(plan_slice, 8), sort_keys=True)
-        decoded, _ = slice_from_payload(json.loads(wire))
+        decoded, _ = slice_from_payload(slice_to_payload(plan_slice, 8))
         assert decoded.plan[0].spec.matrix.tobytes() == matrix.tobytes()
         assert compiled_plan_cache_key(decoded.plan) == compiled_plan_cache_key(
             plan_slice.plan
@@ -302,19 +339,19 @@ class TestSliceWireRoundTrip:
     )
     def test_malformed_binary_covariance_is_a_specification_error(self, matrix):
         (plan_slice,) = partition_plan(_sweep_plan(2), 1)
-        payload = slice_to_payload(plan_slice, 32)
+        payload = json.loads(slice_to_payload(plan_slice, 32))
         payload["entries"][1]["matrix"] = matrix
         with pytest.raises(SpecificationError):
-            slice_from_payload(payload)
+            slice_from_payload(_wire(payload))
 
     @pytest.mark.parametrize("value", [float("inf"), 1.5, True], ids=repr)
     @pytest.mark.parametrize("field", ["index", "n_shards", "start"])
     def test_slice_fields_must_be_integers(self, field, value):
         (plan_slice,) = partition_plan(_sweep_plan(2), 1)
-        payload = slice_to_payload(plan_slice, 32)
+        payload = json.loads(slice_to_payload(plan_slice, 32))
         payload["slice"][field] = value
         with pytest.raises(SpecificationError, match=f"slice.{field} must be an integer"):
-            slice_from_payload(payload)
+            slice_from_payload(_wire(payload))
 
 
 class TestSeedPayloads:
@@ -690,13 +727,10 @@ class TestMalformedWorkerMeta:
 
     @staticmethod
     def _published(tmp_path):
-        import hashlib
-
         from repro.shard.worker import _write_outputs, run_slice
 
         (plan_slice, _) = partition_plan(_sweep_plan(4), 2)
-        payload = json.dumps(slice_to_payload(plan_slice, 16), sort_keys=True)
-        digest = hashlib.sha256(payload.encode("utf8")).hexdigest()
+        digest = hashlib.sha256(slice_to_payload(plan_slice, 16)).hexdigest()
         result, meta = run_slice(plan_slice, 16)
         meta["slice_sha256"] = digest
         prefix = tmp_path / "work" / "shard_0"
@@ -897,15 +931,13 @@ class TestTornOutputs:
         _assert_matches_solo(again, plan, 96)
 
     def test_bad_layout_allocates_less_than_the_file(self, tmp_path):
-        import hashlib
         import tracemalloc
 
         from repro.shard.runner import _load_output
         from repro.shard.worker import _write_outputs, run_slice
 
         (plan_slice,) = partition_plan(_sweep_plan(2), 1)
-        payload = json.dumps(slice_to_payload(plan_slice, 4096), sort_keys=True)
-        digest = hashlib.sha256(payload.encode("utf8")).hexdigest()
+        digest = hashlib.sha256(slice_to_payload(plan_slice, 4096)).hexdigest()
         result, meta = run_slice(plan_slice, 4096)
         meta["slice_sha256"] = digest
         prefix = tmp_path / "shard_0"

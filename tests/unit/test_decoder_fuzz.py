@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import DopplerSpec, FadingSpec, SimulationPlan
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SpecificationError
 from repro.service.protocol import plan_from_payload, plan_to_payload
 from repro.shard import partition_plan, slice_from_payload, slice_to_payload
 
@@ -130,3 +131,69 @@ class TestSliceFromPayload:
     @given(payload=_mutated(_SLICE_PAYLOAD))
     def test_one_field_mutations(self, payload):
         _decodes_or_refuses(slice_from_payload, json.dumps(payload).encode())
+
+
+#: Every numeric field of a wire entry, as a path into the entry dict.
+_NUMERIC_FIELDS = [
+    ("epsilon",),
+    ("sample_variance",),
+    ("seed",),
+    ("doppler", "normalized_doppler"),
+    ("doppler", "input_variance_per_dim"),
+    ("doppler", "n_points"),
+    ("fading", "shape"),
+    ("fading", "shadowing_sigma_db"),
+]
+#: What JSON carries but no field may hold: an integer past the float
+#: range, and the ``Infinity``/``NaN`` literals Python's json accepts.
+_UNREPRESENTABLE = {"over-range": 10**400, "Infinity": float("inf"), "NaN": float("nan")}
+
+
+def _numeric_cases(fields):
+    for path in fields:
+        for value_name, value in _UNREPRESENTABLE.items():
+            # Python ints of any size are valid numpy seeds.
+            if path != ("seed",) or value_name != "over-range":
+                yield pytest.param(path, value, id=f"{'.'.join(map(str, path))}-{value_name}")
+
+
+def _decode_slice_object(payload):
+    return slice_from_payload(json.dumps(payload).encode())
+
+
+def _refused(decode, payload, path, value) -> str:
+    """Set ``path`` of entry 1 to ``value``; return the refusal's message."""
+    payload = json.loads(json.dumps(payload))
+    *parents, last = path
+    owner = payload["entries"][1]
+    for key in parents:
+        owner = owner[key]
+    owner[last] = value
+    with pytest.raises(SpecificationError) as refused:
+        decode(payload)
+    return str(refused.value)
+
+
+class TestNumericFieldsRefuseUnrepresentableValues:
+    """Both decoders refuse, not only survive, what no field can hold.
+
+    The fuzz targets above accept a decode as well as a refusal; these
+    cases pin that the value is refused, and that the refusal points at
+    the entry or the field.
+    """
+
+    @pytest.mark.parametrize("path, value", _numeric_cases(_NUMERIC_FIELDS))
+    def test_plan_payload(self, path, value):
+        message = _refused(plan_from_payload, _PLAN_PAYLOAD, path, value)
+        assert "index 1" in message or path[0] in message
+
+    @pytest.mark.parametrize(
+        "path, value", _numeric_cases([("matrix", "re", 0, 1), ("matrix", "im", 1, 0)])
+    )
+    def test_plan_payload_matrix(self, path, value):
+        _refused(plan_from_payload, _PLAN_PAYLOAD, path, value)
+
+    @pytest.mark.parametrize("path, value", _numeric_cases(_NUMERIC_FIELDS))
+    def test_slice_payload(self, path, value):
+        message = _refused(_decode_slice_object, _SLICE_PAYLOAD, path, value)
+        assert "index 1" in message or path[0] in message

@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import ast
 import re
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Set, Tuple
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
@@ -185,8 +188,29 @@ def surface_findings(
     return findings
 
 
+@lru_cache(maxsize=1)
+def _names_the_other_tests_use() -> Set[str]:
+    names: Set[str] = set()
+    for path in sorted((REPO_ROOT / "tests").rglob("*.py")):
+        if path.resolve() != Path(__file__).resolve():
+            tree = ast.parse(path.read_text(encoding="utf8"), filename=str(path))
+            names.update(_names(tree, _docstrings(tree)))
+    return names
+
+
 def test_every_public_definition_has_a_shipped_referrer():
     assert surface_findings(PACKAGE_ROOT, REPO_ROOT, PUBLIC_SURFACE) == []
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(module, name) for module, names in sorted(PUBLIC_SURFACE.items()) for name in names],
+)
+def test_every_listed_definition_is_used_by_a_test(module, name):
+    """A table entry stays because a test calls it; once none does, it is dead."""
+    assert name in _names_the_other_tests_use(), (
+        f"{module}: {name} is listed but no test uses it; delete it and unlist it"
+    )
 
 
 def test_the_guard_sees_test_only_definitions(tmp_path):

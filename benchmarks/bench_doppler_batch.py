@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.realtime import RealTimeRayleighGenerator
-from repro.engine import DecompositionCache, DopplerSpec, SimulationEngine, SimulationPlan
+from repro.engine import DopplerSpec, SimulationEngine, SimulationPlan
 from repro.experiments import run_experiment
 from repro.experiments.scaling import batch_sweep_specs
 
@@ -55,7 +55,6 @@ def test_bench_looped_realtime_generation(benchmark, batch_size):
                 normalized_doppler=NORMALIZED_DOPPLER,
                 n_points=N_POINTS,
                 rng=seed,
-                cache=DecompositionCache(maxsize=0),
             ).generate_gaussian(1)
             for spec, seed in zip(specs, seeds)
         ]
@@ -69,7 +68,7 @@ def test_bench_looped_realtime_generation(benchmark, batch_size):
 def test_bench_doppler_batched_warm_cache(benchmark, batch_size):
     """Time: Doppler plan -> compile -> execute with every decomposition cached."""
     _, plan, _ = _plan_and_seeds(batch_size)
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     engine.run(plan, N_POINTS)  # populate the cache
 
     result = benchmark(engine.run, plan, N_POINTS)
@@ -84,7 +83,7 @@ def test_bench_doppler_batched_warm_cache(benchmark, batch_size):
 def test_bench_doppler_execute_precompiled(benchmark, batch_size):
     """Time: execute-only on a precompiled Doppler plan (compile-once usage)."""
     _, plan, _ = _plan_and_seeds(batch_size)
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     compiled = engine.compile(plan)
 
     result = benchmark(engine.run, compiled, N_POINTS)
@@ -94,7 +93,7 @@ def test_bench_doppler_execute_precompiled(benchmark, batch_size):
 def test_bench_doppler_batched_equals_looped():
     """Correctness guard: the timed paths produce bit-identical samples."""
     specs, plan, seeds = _plan_and_seeds(256)
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     result = engine.run(plan, N_POINTS)
     for spec, seed, block in zip(specs, seeds, result.blocks):
         reference = RealTimeRayleighGenerator(
@@ -102,6 +101,5 @@ def test_bench_doppler_batched_equals_looped():
             normalized_doppler=NORMALIZED_DOPPLER,
             n_points=N_POINTS,
             rng=seed,
-            cache=DecompositionCache(maxsize=0),
         ).generate_gaussian(1)
         assert np.array_equal(reference.samples, block.samples)

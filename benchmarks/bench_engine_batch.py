@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.generator import RayleighFadingGenerator
-from repro.engine import DecompositionCache, SimulationEngine, SimulationPlan
+from repro.engine import SimulationEngine, SimulationPlan
 from repro.experiments import run_experiment
 from repro.experiments.scaling import batch_sweep_specs
 from repro.models import coerce_fading, get_fading_model, reference_fading_samples
@@ -46,9 +46,7 @@ def test_bench_looped_generation(benchmark, batch_size):
 
     def kernel():
         return [
-            RayleighFadingGenerator(
-                spec, rng=seed, cache=DecompositionCache(maxsize=0)
-            ).generate_gaussian(N_SAMPLES)
+            RayleighFadingGenerator(spec, rng=seed).generate_gaussian(N_SAMPLES)
             for spec, seed in zip(specs, seeds)
         ]
 
@@ -61,7 +59,7 @@ def test_bench_looped_generation(benchmark, batch_size):
 def test_bench_batched_warm_cache(benchmark, batch_size):
     """Time: plan -> compile -> execute with every decomposition cached."""
     _, plan, _ = _plan_and_seeds(batch_size)
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     engine.run(plan, N_SAMPLES)  # populate the cache
 
     result = benchmark(engine.run, plan, N_SAMPLES)
@@ -74,7 +72,7 @@ def test_bench_batched_warm_cache(benchmark, batch_size):
 def test_bench_execute_precompiled(benchmark, batch_size):
     """Time: execute-only on a precompiled plan (compile-once usage)."""
     _, plan, _ = _plan_and_seeds(batch_size)
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     compiled = engine.compile(plan)
 
     result = benchmark(engine.run, compiled, N_SAMPLES)
@@ -94,7 +92,7 @@ def test_bench_execute_precompiled_rician(benchmark, batch_size):
     plan = SimulationPlan.from_specs(
         specs, seed=batch_size, fading={"model": "rician", "shape": 4.0}
     )
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     compiled = engine.compile(plan)
 
     result = benchmark(engine.run, compiled, N_SAMPLES)
@@ -115,7 +113,7 @@ def test_bench_execute_precompiled_nakagami(benchmark, batch_size):
     fading = coerce_fading({"model": "nakagami", "shape": 1.5})
     specs = batch_sweep_specs(batch_size, N_BRANCHES)
     plan = SimulationPlan.from_specs(specs, seed=batch_size, fading=fading)
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     compiled = engine.compile(plan)
 
     result = benchmark(engine.run, compiled, N_SAMPLES)
@@ -133,10 +131,8 @@ def test_bench_execute_precompiled_nakagami(benchmark, batch_size):
 def test_bench_batched_equals_looped():
     """Correctness guard: the timed paths produce bit-identical samples."""
     specs, plan, seeds = _plan_and_seeds(256)
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     result = engine.run(plan, N_SAMPLES)
     for spec, seed, block in zip(specs, seeds, result.blocks):
-        reference = RayleighFadingGenerator(
-            spec, rng=seed, cache=DecompositionCache(maxsize=0)
-        ).generate_gaussian(N_SAMPLES)
+        reference = RayleighFadingGenerator(spec, rng=seed).generate_gaussian(N_SAMPLES)
         assert np.array_equal(reference.samples, block.samples)

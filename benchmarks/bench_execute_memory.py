@@ -37,8 +37,6 @@ import pytest
 from repro.channels.idft_generator import batched_doppler_blocks
 from repro.engine import (
     CompiledPlanCache,
-    DecompositionCache,
-    DopplerFilterCache,
     DopplerSpec,
     SimulationEngine,
     SimulationPlan,
@@ -121,11 +119,9 @@ def test_bench_warm_run_memory_tier(benchmark, cache_root):
 
 def _disk_hit_run(cache_dir, plan):
     """One warm ``run(plan)`` served from disk: a fresh plan cache per run."""
-    return SimulationEngine(
-        cache=DecompositionCache(),
-        filter_cache=DopplerFilterCache(),
-        plan_cache=CompiledPlanCache(cache_dir),
-    ).run(plan, WARM_SAMPLES)
+    return SimulationEngine(plan_cache=CompiledPlanCache(cache_dir)).run(
+        plan, WARM_SAMPLES
+    )
 
 
 def test_bench_warm_run_disk_tier(benchmark, cache_root):
@@ -141,7 +137,7 @@ def test_bench_warm_run_disk_tier(benchmark, cache_root):
 @pytest.mark.parametrize("batch_size", EXEC_BATCHES)
 def test_bench_execute_snapshot(benchmark, batch_size):
     """Time: fused execute of a compiled snapshot plan."""
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     compiled = engine.compile(_exec_plan(batch_size, doppler=False))
     result = benchmark(execute_plan, compiled, EXEC_SAMPLES)
     assert result.n_entries == batch_size
@@ -150,7 +146,7 @@ def test_bench_execute_snapshot(benchmark, batch_size):
 @pytest.mark.parametrize("batch_size", EXEC_BATCHES)
 def test_bench_execute_doppler(benchmark, batch_size):
     """Time: fused execute of a compiled Doppler plan."""
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     compiled = engine.compile(_exec_plan(batch_size, doppler=True))
     result = benchmark(execute_plan, compiled, EXEC_SAMPLES)
     assert result.n_entries == batch_size
@@ -205,7 +201,7 @@ def _unfused_doppler_reference(compiled, n_samples):
 @pytest.mark.parametrize("batch_size", EXEC_BATCHES)
 def test_peak_allocation_doppler(alloc_records, batch_size):
     """Record the fused Doppler execute's peak allocation (gated metric)."""
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     compiled = engine.compile(_exec_plan(batch_size, doppler=True))
     peak = _peak_alloc(lambda: execute_plan(compiled, EXEC_SAMPLES))
     alloc_records[f"peak_alloc_doppler[B={batch_size}]"] = peak
@@ -216,7 +212,7 @@ def test_peak_allocation_doppler(alloc_records, batch_size):
 @pytest.mark.parametrize("batch_size", EXEC_BATCHES)
 def test_peak_allocation_snapshot(alloc_records, batch_size):
     """Record the fused snapshot execute's peak allocation (gated metric)."""
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     compiled = engine.compile(_exec_plan(batch_size, doppler=False))
     peak = _peak_alloc(lambda: execute_plan(compiled, EXEC_SAMPLES))
     alloc_records[f"peak_alloc_snapshot[B={batch_size}]"] = peak
@@ -226,7 +222,7 @@ def test_fused_doppler_allocation_beats_unfused(alloc_records):
     """The fused Doppler execute at B=256 allocates ≥ 25% less at peak than
     the unfused two-pass reference it replaced (the PR 6 acceptance bar)."""
     batch_size = EXEC_BATCHES[-1]
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     compiled = engine.compile(_exec_plan(batch_size, doppler=True))
     fused = _peak_alloc(lambda: execute_plan(compiled, EXEC_SAMPLES))
     unfused = _peak_alloc(lambda: _unfused_doppler_reference(compiled, EXEC_SAMPLES))
@@ -258,7 +254,7 @@ def test_report_execute_memory(cache_root, capsys):
     warm_disk = best_of(lambda: _disk_hit_run(cache_dir, plan))
 
     batch_size = EXEC_BATCHES[-1]
-    compiled = SimulationEngine(cache=DecompositionCache()).compile(
+    compiled = SimulationEngine().compile(
         _exec_plan(batch_size, doppler=True)
     )
     fused = _peak_alloc(lambda: execute_plan(compiled, EXEC_SAMPLES))

@@ -31,7 +31,6 @@ import pytest
 
 from repro.api import Simulator
 from repro.engine import SimulationPlan
-from repro.engine.cache import DecompositionCache
 from repro.service import EnvelopeService
 
 N_CLIENTS = 16
@@ -102,7 +101,7 @@ def _serve_waves(n_waves):
     """Run ``n_waves`` client waves against a fresh service; all latencies."""
 
     async def scenario():
-        sim = Simulator(cache=DecompositionCache(), max_workers=DISPATCH_SLOTS)
+        sim = Simulator(max_workers=DISPATCH_SLOTS)
         collected = []
         async with EnvelopeService(
             sim,

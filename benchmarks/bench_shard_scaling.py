@@ -27,12 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import (
-    CompiledPlanCache,
-    DecompositionCache,
-    DopplerFilterCache,
-    SimulationEngine,
-)
+from repro.engine import SimulationEngine
 from repro.experiments.scaling import shard_sweep_plan
 from repro.shard import partition_plan, run_sharded
 
@@ -101,11 +96,7 @@ def test_bench_sharded_warm_sweep(benchmark, warm_cache_dir, tmp_path, n_shards)
 def test_bench_sharded_equals_solo(warm_cache_dir, tmp_path):
     """Correctness guard (standing invariant 7): merged == solo, per count."""
     plan = _plan()
-    solo = SimulationEngine(
-        cache=DecompositionCache(),
-        filter_cache=DopplerFilterCache(),
-        plan_cache=CompiledPlanCache(),
-    ).run(plan, N_SAMPLES)
+    solo = SimulationEngine().run(plan, N_SAMPLES)
     for n_shards in SHARD_COUNTS:
         outcome = run_sharded(
             plan,

@@ -9,7 +9,6 @@ guarantee against a looped single-spec generator.
 import numpy as np
 
 from repro import (
-    DecompositionCache,
     MIMOArrayScenario,
     RayleighFadingGenerator,
     ScenarioSweep,
@@ -27,7 +26,7 @@ def main() -> None:
     plan = sweep.to_plan([1.0, 1.0, 1.0, 1.0], seed=2005)
     print(f"sweep of {len(sweep)} scenarios -> plan with {plan.n_entries} entries")
 
-    engine = SimulationEngine(cache=DecompositionCache())
+    engine = SimulationEngine()
     result = engine.run(plan, n_samples=20_000)
     report = result.compile_report
     print(

@@ -95,7 +95,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         ".engine": (
             "BatchResult",
-            "CacheStats",
             "DecompositionCache",
             "DopplerFilterCache",
             "DopplerSpec",
@@ -143,7 +142,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
     )
     from .engine import (
         BatchResult,
-        CacheStats,
         DecompositionCache,
         DopplerFilterCache,
         DopplerSpec,
@@ -205,7 +203,6 @@ __all__ = [
     "IDFTRayleighGenerator",
     "SumOfSinusoidsGenerator",
     "BatchResult",
-    "CacheStats",
     "DecompositionCache",
     "DopplerFilterCache",
     "LinalgBackend",

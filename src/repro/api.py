@@ -18,12 +18,13 @@ plans it runs:
 >>> blocks = list(sim.stream(plan, block_size=128, n_blocks=4))  # bounded memory
 >>> ensemble = sim.run(SimulationPlan.from_specs([K] * 8, seed=123), 500)  # replicas
 
-Sessions own three resources:
+Sessions own three kinds of resource:
 
 * a **linalg backend** (``backend=``) — the pluggable decompose-stack /
   matmul implementation from :mod:`repro.engine.backends`;
-* a **decomposition cache** (``cache=``) — shared across every run the
-  session executes (``None`` uses the process-wide cache);
+* its **caches** — a decomposition cache (``cache=``), a Doppler filter
+  cache and a compiled-plan cache, shared across every run the session
+  executes and by no other session (``None`` builds the session's own);
 * a **thread budget** (``max_workers=``) — the size of the thread pool
   :meth:`Simulator.submit` runs on.
 
@@ -83,13 +84,12 @@ class Simulator:
         same seeds.
     cache:
         Decomposition cache shared by every run of this session.  ``None``
-        uses the process-wide cache; pass ``DecompositionCache(maxsize=0)``
+        builds one the session owns; pass ``DecompositionCache(maxsize=0)``
         to disable reuse.
     cache_dir:
         Persistent cache directory for this session: builds a private
         compiled-plan cache whose entries spill to its ``plans/``
-        namespace, next to private memory-only decomposition and filter
-        caches, so repeated processes sharing the directory skip
+        namespace, so repeated processes sharing the directory skip
         recompilation — a warm run loads whole compiled plans without a
         single ``eigh``/``cholesky`` or filter build (see the README's
         "Caching & persistence" and ``docs/ARCHITECTURE.md``).  Conflicts

@@ -34,8 +34,7 @@ Subcommands
     delivery, with a bounded submission queue (``429`` + ``Retry-After``
     under backpressure), per-client fair scheduling, and in-flight
     request coalescing.  The session persists compiled plans under
-    ``--cache-dir`` or, when omitted, ``REPRO_CACHE_DIR`` (in memory only
-    when neither is given).
+    ``--cache-dir`` (in memory only without it).
 ``shard --shards K --cache-dir DIR [--entries B] [...]``
     Run a deterministic sweep as ``K`` independent worker subprocesses
     sharing one ``cache_dir`` (see the "Sharding layer" section of
@@ -48,11 +47,9 @@ Subcommands
     reused only if its payload is unchanged).  ``--check`` verifies
     the merged result byte-for-byte against an in-process solo run
     (standing invariant 7).
-``cache {stats,clear} [--cache-dir DIR]``
+``cache {stats,clear} --cache-dir DIR``
     Inspect or empty the persistent cache — its one namespace, compiled
-    plans (``plans/``).  The directory comes from ``--cache-dir`` or, when
-    omitted, the ``REPRO_CACHE_DIR`` environment variable (as for
-    ``shard``).
+    plans (``plans/``), under the directory ``--cache-dir`` names.
 
 All output is plain text; the experiments regenerate the paper's tables and
 figures as numbers (and ASCII traces with ``--ascii-plots``).
@@ -86,14 +83,15 @@ def _backend_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cache_dir_argument(parser: argparse.ArgumentParser) -> None:
+def _cache_dir_argument(parser: argparse.ArgumentParser, *, required: bool) -> None:
     """Add the shared ``--cache-dir`` option (persistent artifact cache)."""
     parser.add_argument(
         "--cache-dir",
         type=Path,
+        required=required,
         default=None,
         help="directory of the persistent compiled-plan cache (its plans/ "
-        "namespace); defaults to $REPRO_CACHE_DIR when set",
+        "namespace)",
     )
 
 
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="flights executing concurrently (default: 4)",
     )
     _backend_argument(serve_parser)
-    _cache_dir_argument(serve_parser)
+    _cache_dir_argument(serve_parser, required=False)
 
     shard_parser = subparsers.add_parser(
         "shard",
@@ -332,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         "result is byte-identical (standing invariant 7)",
     )
     _backend_argument(shard_parser)
-    _cache_dir_argument(shard_parser)
+    _cache_dir_argument(shard_parser, required=True)
 
     cache_parser = subparsers.add_parser(
         "cache", help="inspect or clear the persistent artifact cache"
@@ -343,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stats: print per-tier entry counts and sizes; clear: remove "
         "every persisted entry",
     )
-    _cache_dir_argument(cache_parser)
+    _cache_dir_argument(cache_parser, required=True)
 
     lint_parser = subparsers.add_parser(
         "lint",
@@ -385,31 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolved_cache_dir(cache_dir: Optional[Path]) -> Path:
-    """The cache directory from ``--cache-dir`` or ``REPRO_CACHE_DIR``."""
-    from .config import CACHE_DIR_ENV, cache_dir_from_env
-
-    resolved = cache_dir or cache_dir_from_env()
-    if resolved is None:
-        raise SystemExit(
-            f"no cache directory: pass --cache-dir or set {CACHE_DIR_ENV}"
-        )
-    return resolved
-
-
-def _run_cache_command(action: str, cache_dir: Optional[Path]) -> int:
+def _run_cache_command(action: str, cache_dir: Path) -> int:
     """Implement ``repro-experiments cache {stats,clear}`` over ``plans/``."""
     from .engine import CompiledPlanCache
 
-    resolved = _resolved_cache_dir(cache_dir)
-    plans = CompiledPlanCache(cache_dir=resolved)
+    plans = CompiledPlanCache(cache_dir=cache_dir)
 
     if action == "clear":
         removed = plans.clear_disk()
-        print(f"cache cleared: removed {removed} entries under {resolved}")
+        print(f"cache cleared: removed {removed} entries under {cache_dir}")
         return 0
 
-    print(f"cache directory: {resolved}")
+    print(f"cache directory: {cache_dir}")
     entries, n_bytes = plans.disk_usage()
     print(f"  compiled plans: {entries} entries, {n_bytes / 1024:.1f} KiB")
     return 0
@@ -436,7 +421,6 @@ def _run_shard_command(args) -> int:
             DopplerSpec(normalized_doppler=args.fm, n_points=args.points)
         except ReproError as exc:
             raise SystemExit(f"invalid --fm/--points combination: {exc}")
-    resolved = _resolved_cache_dir(args.cache_dir)
     seed = 20050413 if args.seed is None else args.seed
     plan = shard_sweep_plan(
         args.entries,
@@ -454,7 +438,7 @@ def _run_shard_command(args) -> int:
         plan,
         args.samples,
         n_shards=args.shards,
-        cache_dir=resolved,
+        cache_dir=args.cache_dir,
         backend=args.backend,
         work_dir=args.work_dir,
         retry_failed=args.retry_failed,
@@ -463,7 +447,7 @@ def _run_shard_command(args) -> int:
     totals = outcome.tier_totals()
     print(
         f"sharded sweep: {len(plan)} entries over {len(outcome.slices)} shards "
-        f"in {outcome.wall_seconds:.2f}s (cache_dir={resolved})"
+        f"in {outcome.wall_seconds:.2f}s (cache_dir={args.cache_dir})"
     )
     print(
         "  compiled plans: "
@@ -481,19 +465,11 @@ def _run_shard_command(args) -> int:
     assert merged is not None
     print(f"merged result: {len(merged.blocks)} blocks x {merged.n_samples} samples")
     if args.check:
-        from .engine import (
-            DecompositionCache,
-            DopplerFilterCache,
-            SimulationEngine,
-        )
+        from .engine import SimulationEngine
 
-        # A fully detached solo engine: the reference must not touch the
+        # A memory-only solo engine: the reference must not touch the
         # shared cache_dir.
-        reference = SimulationEngine(
-            cache=DecompositionCache(),
-            filter_cache=DopplerFilterCache(),
-            backend=args.backend,
-        ).run(plan, args.samples)
+        reference = SimulationEngine(backend=args.backend).run(plan, args.samples)
         identical = len(reference.blocks) == len(merged.blocks) and all(
             ref.samples.tobytes() == got.samples.tobytes()
             for ref, got in zip(reference.blocks, merged.blocks)
@@ -531,7 +507,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "serve":
         from .api import Simulator
-        from .config import cache_dir_from_env
         from .service.http import run_server
 
         if args.max_queue < 1:
@@ -542,7 +517,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         simulator = Simulator(
             backend=args.backend,
-            cache_dir=args.cache_dir or cache_dir_from_env(),
+            cache_dir=args.cache_dir,
             max_workers=args.dispatch_slots,
         )
         print(

@@ -1,4 +1,4 @@
-"""Library-wide numeric defaults, tolerances, and environment configuration.
+"""Library-wide numeric defaults and tolerances.
 
 Centralizing the tolerances keeps the numerical behaviour of the package
 consistent:  the same Hermitian-symmetry tolerance is used when *checking*
@@ -11,40 +11,19 @@ can be read as ``config.DEFAULTS.hermitian_atol`` or overridden locally by
 constructing a new :class:`NumericDefaults` and passing it to the few
 functions that accept one.
 
-Environment configuration is read through small helpers so every consumer
-agrees on the variable names: ``REPRO_CACHE_DIR`` is the fallback of the
-CLI's ``--cache-dir`` (:func:`cache_dir_from_env`).  The library itself
-reads no environment variable.
+No cache directory comes from the environment: a persistent cache is
+always named explicitly (``cache_dir=``, or ``--cache-dir`` on the command
+line).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
 __all__ = [
     "NumericDefaults",
     "DEFAULTS",
-    "CACHE_DIR_ENV",
-    "cache_dir_from_env",
 ]
-
-#: Environment variable naming the persistent cache directory (the root of
-#: the compiled-plan cache's ``plans/`` namespace).
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-
-def cache_dir_from_env() -> Optional[Path]:
-    """The persistent cache directory named by ``REPRO_CACHE_DIR``, if any.
-
-    Returns ``None`` when the variable is unset or blank.  The directory is
-    not created here — the cache tiers create it lazily on first write — so
-    merely importing the package never touches the filesystem.
-    """
-    value = os.environ.get(CACHE_DIR_ENV, "").strip()
-    return Path(value) if value else None
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from ..exceptions import GenerationError, PowerError
 from ..linalg import ColoringDecomposition
 from ..random import complex_gaussian, ensure_rng
 from ..types import ComplexArray, EnvelopeBlock, GaussianBlock, SeedLike
+from .coloring import compute_coloring
 from .covariance import CovarianceSpec
 
 __all__ = ["RayleighFadingGenerator"]
@@ -59,16 +60,10 @@ class RayleighFadingGenerator:
         it to equal the Doppler-filter output variance of Eq. (19).
     rng:
         Seed or generator.
-    cache:
-        Decomposition cache consulted for the coloring matrix.  ``None``
-        (default) uses the process-wide
-        :func:`repro.engine.cache.default_decomposition_cache`, so sweeps
-        that construct many generators over repeated covariance matrices
-        decompose each matrix only once.  Pass a private
-        :class:`repro.engine.cache.DecompositionCache` to isolate (or, with
-        ``maxsize=0``, disable) the reuse.  Cached decompositions are
-        bit-identical to fresh ones, so generation never depends on cache
-        state.
+
+    The generator decomposes its covariance itself with
+    :func:`repro.core.coloring.compute_coloring` and shares no state with
+    any cache, so it is an independent reference for the batched engine.
 
     Examples
     --------
@@ -90,7 +85,6 @@ class RayleighFadingGenerator:
         sample_variance: float = 1.0,
         rng: SeedLike = None,
         defaults: NumericDefaults = DEFAULTS,
-        cache=None,
     ) -> None:
         if not isinstance(spec, CovarianceSpec):
             spec = CovarianceSpec.from_covariance_matrix(np.asarray(spec, dtype=complex))
@@ -100,13 +94,7 @@ class RayleighFadingGenerator:
             )
         self._spec = spec
         self._defaults = defaults
-        # Import at call time: repro.engine builds on repro.core, so the
-        # delegation back to the engine's cache must not run at import time.
-        from ..engine.cache import default_decomposition_cache
-
-        if cache is None:
-            cache = default_decomposition_cache()
-        self._coloring = cache.coloring_for(
+        self._coloring = compute_coloring(
             spec.matrix, method=coloring_method, psd_method=psd_method, defaults=defaults
         )
         self._sample_variance = float(sample_variance)

@@ -39,6 +39,7 @@ from typing import Union
 
 import numpy as np
 
+from ..channels.doppler import filter_output_variance, young_beaulieu_filter
 from ..channels.idft_generator import batched_doppler_blocks
 from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import GenerationError
@@ -80,16 +81,10 @@ class RealTimeRayleighGenerator:
         :class:`repro.engine.backends.LinalgBackend`) running the stacked
         branch IDFT; ``None`` uses numpy.  Backends with ``tolerance == 0.0``
         are bit-identical to the default.
-    cache:
-        Decomposition cache for the coloring matrix (as in
-        :class:`repro.core.generator.RayleighFadingGenerator`); ``None``
-        uses the process-wide cache.
-    filter_cache:
-        Young–Beaulieu filter cache
-        (:class:`repro.engine.filters.DopplerFilterCache`); ``None`` uses
-        the process-wide cache, so repeated generators over the same
-        Doppler settings build the filter once per process (once ever, with
-        a persistent ``cache_dir``).
+
+    Like :class:`repro.core.generator.RayleighFadingGenerator`, the
+    generator builds its filter and coloring itself and shares no state with
+    any cache.
 
     Examples
     --------
@@ -115,8 +110,6 @@ class RealTimeRayleighGenerator:
         rng: SeedLike = None,
         defaults: NumericDefaults = DEFAULTS,
         backend=None,
-        cache=None,
-        filter_cache=None,
     ) -> None:
         if not isinstance(spec, CovarianceSpec):
             spec = CovarianceSpec.from_covariance_matrix(np.asarray(spec, dtype=complex))
@@ -135,20 +128,9 @@ class RealTimeRayleighGenerator:
             self._backend = resolve_backend(backend)
 
         # Design the Doppler filter once; all branches share it (the paper
-        # assumes a common Doppler spectrum across branches).  The build is
-        # resolved through the process-wide filter cache, so repeated
-        # generators over the same (M, f_m, sigma_orig^2) — a looped sweep —
-        # share one frozen coefficient array, bit-identical to a fresh
-        # young_beaulieu_filter() build.
-        if filter_cache is None:
-            # Import at call time: repro.engine builds on repro.core, so the
-            # cache resolution must not run at import time.
-            from ..engine.filters import default_filter_cache
-
-            filter_cache = default_filter_cache()
-        self._filter, self._output_variance, _ = filter_cache.get(
-            self._n_points, self._normalized_doppler, self._input_variance
-        )
+        # assumes a common Doppler spectrum across branches).
+        self._filter = young_beaulieu_filter(self._n_points, self._normalized_doppler)
+        self._output_variance = filter_output_variance(self._filter, self._input_variance)
         effective_sample_variance = (
             self._output_variance if self._compensate_variance else 1.0
         )
@@ -162,7 +144,6 @@ class RealTimeRayleighGenerator:
             sample_variance=effective_sample_variance,
             rng=rng,
             defaults=defaults,
-            cache=cache,
         )
 
         self._rng = ensure_rng(rng)

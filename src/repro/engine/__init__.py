@@ -34,11 +34,11 @@ sweeps and Monte-Carlo grids:
     :class:`SimulationEngine` / :class:`repro.api.Simulator`.
 :mod:`repro.engine.cache` / :mod:`repro.engine.filters` /
 :mod:`repro.engine.plancache` / :mod:`repro.engine.store`
-    The artifact caches.  The content-hashed LRU :class:`DecompositionCache`
-    and the process-wide :class:`DopplerFilterCache` of Young–Beaulieu
-    filters live in memory; the executor-level :class:`CompiledPlanCache`
-    also persists *whole* compiled plans under the ``cache_dir`` it is
-    built with through
+    The artifact caches, each owned by the session that builds it.  The
+    content-hashed LRU :class:`DecompositionCache` and the
+    :class:`DopplerFilterCache` of Young–Beaulieu filters live in memory;
+    the executor-level :class:`CompiledPlanCache` also persists *whole*
+    compiled plans under the ``cache_dir`` it is built with through
     :class:`ArtifactStore` (atomic writes, digest verification,
     quarantine-on-corrupt, LRU byte-bounded eviction), so a later process
     skips ``eigh``/``cholesky`` and filter construction.  A disk hit is
@@ -66,13 +66,8 @@ from .backends import (
     register_backend,
     resolve_backend,
 )
-from .cache import (
-    CacheStats,
-    DecompositionCache,
-    decomposition_cache_key,
-    default_decomposition_cache,
-)
-from .filters import DopplerFilterCache, FilterCacheStats, default_filter_cache
+from .cache import DecompositionCache, decomposition_cache_key
+from .filters import DopplerFilterCache
 from .plan import (
     DopplerSpec,
     FadingSpec,
@@ -81,11 +76,7 @@ from .plan import (
     doppler_block_size,
     partition_counts,
 )
-from .plancache import (
-    CompiledPlanCache,
-    PlanCacheStats,
-    compiled_plan_cache_key,
-)
+from .plancache import CompiledPlanCache, compiled_plan_cache_key
 from .store import ArtifactStore, StoreStats
 from .tiered import TieredCache, TierStats
 from .compile import CompiledGroup, CompiledPlan, CompileReport, compile_plan
@@ -102,19 +93,14 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend",
-    "CacheStats",
     "DecompositionCache",
     "decomposition_cache_key",
-    "default_decomposition_cache",
     "DopplerFilterCache",
-    "FilterCacheStats",
-    "default_filter_cache",
     "ArtifactStore",
     "StoreStats",
     "TieredCache",
     "TierStats",
     "CompiledPlanCache",
-    "PlanCacheStats",
     "compiled_plan_cache_key",
     "DopplerSpec",
     "FadingSpec",

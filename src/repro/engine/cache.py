@@ -11,13 +11,19 @@ parameter that influences the decomposition (coloring method, PSD-forcing
 method, epsilon, numeric tolerances).  Hit/miss/eviction counters are exposed
 for the benchmark harness.
 
+A cache belongs to whoever builds it: each
+:class:`repro.engine.SimulationEngine` (and so each
+:class:`repro.api.Simulator` session) builds its own unless one is passed
+in, and there is no process-wide instance.
+
 The cache is a memory LRU of ``maxsize`` entries — the shared
 :class:`repro.engine.tiered.TieredCache` without a disk tier.  Repeated
 *processes* skip recompilation through the compiled-plan cache's
 ``plans/`` namespace instead: at the paper's sizes an ``eigh`` costs less
 than a verified disk load of its result (ROADMAP item 8).
 
-The cache stores the exact object the single-matrix
+The cache stores the decompositions the batched compiler computes, which
+are bit-identical to what the single-matrix
 :func:`repro.core.coloring.compute_coloring` pipeline produces, so a cache
 hit is bit-identical to a fresh computation: generation results never
 depend on the cache state.
@@ -32,13 +38,11 @@ import numpy as np
 
 from ..config import DEFAULTS, NumericDefaults
 from ..linalg import ColoringDecomposition
-from .tiered import TieredCache, TierStats, process_default
+from .tiered import TieredCache
 
 __all__ = [
     "decomposition_cache_key",
-    "CacheStats",
     "DecompositionCache",
-    "default_decomposition_cache",
 ]
 
 
@@ -87,11 +91,6 @@ def decomposition_cache_key(
     return hasher.hexdigest()
 
 
-#: Snapshot type of :attr:`DecompositionCache.stats` (the shared
-#: :class:`~repro.engine.tiered.TierStats`).
-CacheStats = TierStats
-
-
 def _freeze(decomposition: ColoringDecomposition) -> ColoringDecomposition:
     """Make the pipeline-computed arrays of a decomposition read-only.
 
@@ -119,12 +118,15 @@ class DecompositionCache(TieredCache[ColoringDecomposition]):
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.engine import DecompositionCache
+    >>> from repro.core.coloring import compute_coloring
+    >>> from repro.engine import DecompositionCache, decomposition_cache_key
     >>> cache = DecompositionCache(maxsize=8)
     >>> K = np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex)
-    >>> first = cache.coloring_for(K)
-    >>> second = cache.coloring_for(K)   # served from the cache
-    >>> second is first
+    >>> key = decomposition_cache_key(K)
+    >>> cache.lookup(key) is None          # a miss: compute and store
+    True
+    >>> cache.store(key, compute_coloring(K))
+    >>> cache.lookup(key) is not None      # served from the cache
     True
     >>> cache.stats.hits, cache.stats.misses
     (1, 1)
@@ -150,44 +152,3 @@ class DecompositionCache(TieredCache[ColoringDecomposition]):
         object a cache hit would hand out.
         """
         self._put(key, decomposition)
-
-    def coloring_for(
-        self,
-        matrix: np.ndarray,
-        *,
-        method: str = "eigen",
-        psd_method: str = "clip",
-        epsilon: float = 1e-6,
-        defaults: NumericDefaults = DEFAULTS,
-    ) -> ColoringDecomposition:
-        """Return the coloring decomposition for ``matrix``, computing on miss.
-
-        This is the single-matrix entry point used by
-        :class:`repro.core.generator.RayleighFadingGenerator`; the batched
-        compiler uses :meth:`lookup`/:meth:`store` directly so it can batch
-        the misses into one stacked decomposition.
-        """
-        from ..core.coloring import compute_coloring
-
-        key = decomposition_cache_key(
-            matrix, method=method, psd_method=psd_method, epsilon=epsilon, defaults=defaults
-        )
-        cached = self.lookup(key)
-        if cached is not None:
-            return cached
-        decomposition = compute_coloring(
-            matrix, method=method, psd_method=psd_method, epsilon=epsilon, defaults=defaults
-        )
-        self.store(key, decomposition)
-        return decomposition
-
-
-def default_decomposition_cache() -> DecompositionCache:
-    """The process-wide decomposition cache.
-
-    Shared by every :class:`repro.api.Simulator` built without an explicit
-    cache and by :class:`repro.core.generator.RayleighFadingGenerator` instances that are
-    not given an explicit cache, so sweeps that construct many generators
-    over repeated covariance matrices decompose each matrix once.
-    """
-    return process_default(DecompositionCache)

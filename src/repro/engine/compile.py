@@ -22,9 +22,9 @@ entries into ready-to-execute coloring matrices:
 5. Doppler groups additionally resolve the Young–Beaulieu filter ``F[k]``
    of Eq. (21) **once** per unique ``(M, f_m, sigma_orig^2)`` in the plan
    (the looped path builds ``N + 1`` filters per scenario) through the
-   process-wide :class:`repro.engine.filters.DopplerFilterCache` — so a key
-   any earlier compile of the process already built is served from the
-   shared cache instead of rebuilt —
+   caller's :class:`repro.engine.filters.DopplerFilterCache` — so a key an
+   earlier compile of the same session already built is served from that
+   cache instead of rebuilt —
    record its Eq. (19) output variance, and set each entry's effective
    sample variance to that output variance (or 1.0 when the entry opts out
    of compensation).
@@ -58,11 +58,11 @@ from ..exceptions import (
 )
 from ..linalg import ColoringDecomposition
 from .backends import BackendSpec, LinalgBackend, resolve_backend
-from .cache import DecompositionCache, default_decomposition_cache
+from .cache import DecompositionCache
+from .filters import DopplerFilterCache
 from .plan import DopplerSpec, PlanEntry, SimulationPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from .filters import DopplerFilterCache
     from .plancache import CompiledPlanCache
 
 __all__ = ["CompileReport", "CompiledGroup", "CompiledPlan", "compile_plan"]
@@ -102,7 +102,7 @@ class CompileReport:
         have built ``N + 1`` filters for each of them.
     doppler_filter_cache_hits:
         How many of the ``doppler_filters_built`` keys were served by the
-        process-wide filter cache instead of being constructed
+        session's filter cache instead of being constructed
         during this pass.
     plan_cache_hits:
         1 when this whole compilation was served from the compiled-plan
@@ -257,8 +257,8 @@ def compile_plan(
     plan:
         The simulation plan to compile.
     cache:
-        Decomposition cache to consult and populate; defaults to the
-        process-wide cache.  Pass ``DecompositionCache(maxsize=0)`` to
+        Decomposition cache to consult and populate; ``None`` builds a
+        fresh one for this call.  Pass ``DecompositionCache(maxsize=0)`` to
         disable reuse (e.g. for cold-path benchmarking).  Decompositions
         stay in memory; only whole compiled plans persist.
     defaults:
@@ -271,8 +271,8 @@ def compile_plan(
         so only backends bit-identical to numpy share cached
         decompositions.
     filter_cache:
-        Young–Beaulieu filter cache for Doppler-mode entries; defaults to
-        the process-wide :func:`repro.engine.filters.default_filter_cache`.
+        Young–Beaulieu filter cache for Doppler-mode entries; ``None``
+        builds a fresh one for this call.
         The filter does not depend on the linalg backend (it is a closed-form
         coefficient vector), so filter entries are never backend-namespaced.
     plan_cache:
@@ -280,15 +280,14 @@ def compile_plan(
         detached :class:`repro.engine.plancache.CompiledPlanCache`,
         compiles without one.
     """
-    from .filters import default_filter_cache
     from .plancache import compiled_plan_cache_key
 
     backend_obj = resolve_backend(backend)
     cache_token = backend_obj.cache_token
     if cache is None:
-        cache = default_decomposition_cache()
+        cache = DecompositionCache()
     if filter_cache is None:
-        filter_cache = default_filter_cache()
+        filter_cache = DopplerFilterCache()
     if plan_cache is None or not plan_cache.enabled:
         # No plan tier to share results through: no lookup, no singleflight.
         return _compile_plan_fresh(
@@ -406,8 +405,8 @@ def _compile_plan_fresh(
     doppler_entries = 0
     # Young–Beaulieu filters are resolved once per unique
     # (M, f_m, sigma_orig^2) across the whole plan — groups differing only
-    # in N share a resolution — through the process-wide filter cache, which
-    # serves keys built by earlier compiles without rebuilding.  The
+    # in N share a resolution — through the session's filter cache, which
+    # serves keys built by its earlier compiles without rebuilding.  The
     # per-plan memo also keeps the "literally shared array" guarantee
     # within one compiled plan.
     filter_memo: Dict[Tuple[int, float, float], Tuple[np.ndarray, float]] = {}

@@ -1,8 +1,9 @@
 """The simulation engine facade: plan → compile → execute in one object.
 
-:class:`SimulationEngine` binds a decomposition cache and numeric defaults
-to the compile/execute pipeline so callers can hold one engine for a whole
-study and reuse decompositions across runs.  It is the seam behind
+:class:`SimulationEngine` binds its caches (decomposition, Doppler filter
+and compiled plan, each owned by the engine unless passed in) and numeric
+defaults to the compile/execute pipeline, so callers can hold one engine
+for a whole study and reuse decompositions across runs.  It is the seam behind
 :class:`repro.api.Simulator`, the package's one front door.
 """
 
@@ -15,13 +16,14 @@ from pathlib import Path
 from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import SpecificationError
 from .backends import BackendSpec, LinalgBackend, resolve_backend
-from .cache import CacheStats, DecompositionCache, default_decomposition_cache
+from .cache import DecompositionCache
 from .compile import CompiledPlan, compile_plan
 from .execute import check_stream_arguments, execute_plan, stream_plan
-from .filters import DopplerFilterCache, default_filter_cache
+from .filters import DopplerFilterCache
 from .plan import SimulationPlan
 from .plancache import CompiledPlanCache
 from .result import BatchResult
+from .tiered import TierStats
 
 __all__ = ["SimulationEngine"]
 
@@ -32,9 +34,9 @@ class SimulationEngine:
     Parameters
     ----------
     cache:
-        Decomposition cache consulted during compilation.  ``None`` uses the
-        process-wide shared cache; pass ``DecompositionCache(maxsize=0)`` for
-        a cache-less engine.
+        Decomposition cache consulted during compilation.  ``None`` builds
+        one this engine owns; pass ``DecompositionCache(maxsize=0)`` for a
+        cache-less engine.
     defaults:
         Numeric tolerance bundle for the decomposition pipeline.
     backend:
@@ -43,7 +45,7 @@ class SimulationEngine:
         or ``None`` for the numpy default.
     filter_cache:
         Young–Beaulieu filter cache for Doppler-mode compilation.  ``None``
-        uses the process-wide shared cache.
+        builds one this engine owns.
     plan_cache:
         Compiled-plan cache (the executor-level tier of the artifact
         store): an in-memory LRU tier over a content-addressed disk tier,
@@ -53,9 +55,8 @@ class SimulationEngine:
     cache_dir:
         Convenience: build a *private* persistent
         :class:`repro.engine.plancache.CompiledPlanCache` rooted at this
-        directory (its ``plans/`` namespace), next to private memory-only
-        decomposition and filter caches.  Only valid when every explicit
-        cache argument is ``None`` — pass
+        directory (its ``plans/`` namespace).  Only valid when every
+        explicit cache argument is ``None`` — pass
         ``plan_cache=CompiledPlanCache(cache_dir)`` yourself to mix.
 
     Examples
@@ -87,12 +88,10 @@ class SimulationEngine:
                     "explicit cache/filter_cache/plan_cache; pass "
                     "plan_cache=CompiledPlanCache(cache_dir) yourself instead"
                 )
-            cache = DecompositionCache()
-            filter_cache = DopplerFilterCache()
             plan_cache = CompiledPlanCache(cache_dir)
-        self._cache = default_decomposition_cache() if cache is None else cache
+        self._cache = DecompositionCache() if cache is None else cache
         self._filter_cache = (
-            default_filter_cache() if filter_cache is None else filter_cache
+            DopplerFilterCache() if filter_cache is None else filter_cache
         )
         self._plan_cache = CompiledPlanCache() if plan_cache is None else plan_cache
         self._defaults = defaults
@@ -124,7 +123,7 @@ class SimulationEngine:
         return self._backend
 
     @property
-    def cache_stats(self) -> CacheStats:
+    def cache_stats(self) -> TierStats:
         """Snapshot of the cache's hit/miss/eviction counters."""
         return self._cache.stats
 

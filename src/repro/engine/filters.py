@@ -1,16 +1,14 @@
-"""Process-wide cache of Young–Beaulieu Doppler filters.
+"""Cache of Young–Beaulieu Doppler filters.
 
 Building the Eq. (21) filter ``F[k]`` is cheap next to an ``O(N^3)``
 decomposition, but it is pure overhead to repeat: the filter depends only on
 ``(M, f_m)`` and its Eq. (19) output variance additionally on
 ``sigma_orig^2``, and real workloads reuse a handful of keys across
 thousands of scenarios.  :class:`DopplerFilterCache` keeps one build per
-key per process, so:
-
-* every :func:`repro.engine.compile.compile_plan` pass in a process shares
-  one build per unique ``(M, f_m, sigma_orig^2)``;
-* every :class:`repro.core.realtime.RealTimeRayleighGenerator` constructed
-  for the same Doppler settings shares the same coefficients.
+key, so every :func:`repro.engine.compile.compile_plan` pass of one session
+(:class:`repro.engine.SimulationEngine`) shares one build per unique
+``(M, f_m, sigma_orig^2)``.  Each session owns its cache; there is no
+process-wide instance.
 
 The cache is the shared :class:`repro.engine.tiered.TieredCache` without a
 disk tier: a memory LRU bounded to :data:`FILTER_MEMORY_MAX_BYTES` of
@@ -18,8 +16,8 @@ coefficients (so client-chosen Doppler frequencies cannot grow it without
 bound).  A build takes tens of microseconds, less than reading one back
 from disk, so repeated processes rebuild filters or load them inside a
 whole compiled plan from the ``plans/`` namespace.  Cached coefficient
-arrays are frozen read-only — they are shared across compiles and
-generators — and a cache hit is bit-identical to a fresh
+arrays are frozen read-only — they are shared across compiles — and a
+cache hit is bit-identical to a fresh
 :func:`repro.channels.doppler.young_beaulieu_filter` build.
 """
 
@@ -30,13 +28,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .tiered import TieredCache, TierStats, process_default
+from .tiered import TieredCache
 
 __all__ = [
     "FILTER_MEMORY_MAX_BYTES",
-    "FilterCacheStats",
     "DopplerFilterCache",
-    "default_filter_cache",
 ]
 
 #: Byte bound of the filter memory tier.  Fixed, not a parameter: every
@@ -48,10 +44,6 @@ FILTER_MEMORY_MAX_BYTES = 64 * 1024 * 1024
 #: A filter key: ``(M, f_m, sigma_orig^2)``, matching
 #: :attr:`repro.engine.plan.DopplerSpec.filter_key`.
 FilterKey = Tuple[int, float, float]
-
-#: Snapshot type of :attr:`DopplerFilterCache.stats` (the shared
-#: :class:`~repro.engine.tiered.TierStats`).
-FilterCacheStats = TierStats
 
 
 def _key_hash(key: FilterKey) -> str:
@@ -68,7 +60,7 @@ def _key_hash(key: FilterKey) -> str:
 
 
 def _freeze_filter(coefficients: np.ndarray) -> np.ndarray:
-    """Coefficient arrays are shared across compiles and generators."""
+    """Coefficient arrays are shared across compiles."""
     coefficients.flags.writeable = False
     return coefficients
 
@@ -122,13 +114,3 @@ class DopplerFilterCache(TieredCache[np.ndarray]):
             coefficients, _ = self._put(digest, young_beaulieu_filter(key[0], key[1]))
         return coefficients, filter_output_variance(coefficients, key[2]), was_cached
 
-
-def default_filter_cache() -> DopplerFilterCache:
-    """The process-wide Young–Beaulieu filter cache.
-
-    Shared by every :func:`repro.engine.compile.compile_plan` pass and every
-    :class:`repro.core.realtime.RealTimeRayleighGenerator` that is not given
-    an explicit cache, so each unique ``(M, f_m, sigma_orig^2)`` is built
-    once per process.
-    """
-    return process_default(DopplerFilterCache)

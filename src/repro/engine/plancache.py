@@ -83,7 +83,7 @@ import numpy as np
 from ..config import DEFAULTS, NumericDefaults
 from ..linalg import ColoringDecomposition
 from .store import DEFAULT_DISK_MAX_BYTES, ArtifactStore
-from .tiered import TieredCache, TierStats
+from .tiered import TieredCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .backends import LinalgBackend
@@ -92,7 +92,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 
 __all__ = [
     "DEFAULT_MEMORY_MAX_BYTES",
-    "PlanCacheStats",
     "CompiledPlanCache",
     "compiled_plan_cache_key",
 ]
@@ -419,11 +418,6 @@ def _rebind(
     return CompiledPlan(
         plan=plan, groups=tuple(groups), report=report, backend=backend
     )
-
-
-#: Snapshot type of :attr:`CompiledPlanCache.stats` (the shared
-#: :class:`~repro.engine.tiered.TierStats`).
-PlanCacheStats = TierStats
 
 
 class CompiledPlanCache(TieredCache[_ResidentPlan]):

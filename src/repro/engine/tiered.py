@@ -17,9 +17,11 @@ serves a repeated plan across processes (ROADMAP item 8 has the numbers).
 
 :class:`TieredCache` is that machinery, written once.  It owns the memory
 LRU, the lock, the hit/miss/eviction counters and their :class:`TierStats`
-snapshot, disk-hit promotion (when a store is given), the compile
-singleflight table, and the process-wide default instances
-(:func:`process_default`).
+snapshot, disk-hit promotion (when a store is given) and the compile
+singleflight table.  Every instance has one owner: a session
+(:class:`repro.engine.SimulationEngine`) or a caller that builds one and
+passes it in.  No cache is shared across the process behind a caller's
+back.
 The three caches built on it — :class:`repro.engine.cache.DecompositionCache`,
 :class:`repro.engine.filters.DopplerFilterCache` and
 :class:`repro.engine.plancache.CompiledPlanCache` — each supply a key, a
@@ -48,11 +50,9 @@ from .store import ArtifactStore, StoreStats
 __all__ = [
     "TierStats",
     "TieredCache",
-    "process_default",
 ]
 
 V = TypeVar("V")
-C = TypeVar("C")
 
 
 @dataclass(frozen=True)
@@ -387,17 +387,3 @@ class TieredCache(Generic[V]):
         if self._store is not None:
             self._store.reset_stats()
 
-
-#: Process-wide instances, one per factory (see :func:`process_default`).
-_DEFAULTS: Dict[Callable[..., Any], Any] = {}
-_DEFAULTS_LOCK = threading.Lock()
-
-
-def process_default(factory: Callable[[], C]) -> C:
-    """The process-wide instance ``factory()`` builds, created on first use."""
-    with _DEFAULTS_LOCK:
-        cache = _DEFAULTS.get(factory)
-        if cache is None:
-            cache = factory()
-            _DEFAULTS[factory] = cache
-        return cache

@@ -20,7 +20,6 @@ __all__ = [
     "NORMALIZED_DOPPLER",
     "KM_EXPECTED",
     "CARRIER_FREQUENCY_HZ",
-    "MOBILE_SPEED_KMH",
     "FREQUENCY_SEPARATION_HZ",
     "RMS_DELAY_SPREAD_S",
     "ARRIVAL_DELAYS_S",
@@ -58,9 +57,6 @@ KM_EXPECTED = 204
 
 #: Carrier frequency used to motivate Fm ("900 MHz").
 CARRIER_FREQUENCY_HZ = 900e6
-
-#: Mobile speed used to motivate Fm ("v = 60 km/hr").
-MOBILE_SPEED_KMH = 60.0
 
 #: Frequency separation between adjacent carriers ("200 kHz, e.g. GSM 900").
 FREQUENCY_SEPARATION_HZ = 200e3

@@ -37,13 +37,7 @@ import numpy as np
 from ..core.covariance import CovarianceSpec
 from ..core.generator import RayleighFadingGenerator
 from ..core.realtime import RealTimeRayleighGenerator
-from ..engine import (
-    DecompositionCache,
-    DopplerFilterCache,
-    DopplerSpec,
-    SimulationEngine,
-    SimulationPlan,
-)
+from ..engine import DopplerSpec, SimulationEngine, SimulationPlan
 from ..models import coerce_fading, reference_fading_samples
 from ..validation.metrics import relative_frobenius_error
 from . import paper_values as pv
@@ -296,13 +290,13 @@ def run_batch(
         )
         entry_seeds = [entry.seed for entry in plan]
 
-        # Looped baseline: per-spec generators with caching disabled (the
-        # pre-engine execution model pays one decomposition per generator).
+        # Looped baseline: per-spec generators (the pre-engine execution
+        # model pays one decomposition per generator).
         looped_time, looped_blocks = _best_time(
             lambda: [
-                RayleighFadingGenerator(
-                    spec, rng=entry_seed, cache=DecompositionCache(maxsize=0)
-                ).generate_gaussian(n_samples)
+                RayleighFadingGenerator(spec, rng=entry_seed).generate_gaussian(
+                    n_samples
+                )
                 for spec, entry_seed in zip(specs, entry_seeds)
             ],
             repeats,
@@ -311,13 +305,11 @@ def run_batch(
         # Cold: a fresh cache per repeat, so every repeat pays the stacked
         # decomposition (the best-of timing stays a true cold measurement).
         cold_time, cold = _best_time(
-            lambda: SimulationEngine(cache=DecompositionCache(), backend=backend).run(
-                plan, n_samples
-            ),
+            lambda: SimulationEngine(backend=backend).run(plan, n_samples),
             repeats,
         )
 
-        engine = SimulationEngine(cache=DecompositionCache(), backend=backend)
+        engine = SimulationEngine(backend=backend)
         engine.run(plan, n_samples)  # populate the cache
         engine.cache.reset_stats()
         warm_time, warm = _best_time(lambda: engine.run(plan, n_samples), repeats)
@@ -495,11 +487,9 @@ def run_doppler_batch(
         plan = SimulationPlan.from_specs(specs, seed=seed + batch_size, doppler=doppler)
         entry_seeds = [entry.seed for entry in plan]
 
-        # Looped baseline: per-spec real-time generators with caching
-        # disabled (the pre-engine model pays a decomposition and a filter
-        # build per generator, and runs one IDFT per branch).  Each
-        # generator gets a private filter cache so the process-wide filter
-        # cache cannot quietly serve the baseline.
+        # Looped baseline: per-spec real-time generators (the pre-engine
+        # model pays a decomposition and a filter build per generator, and
+        # runs one IDFT per branch).
         looped_time, looped_blocks = _best_time(
             lambda: [
                 RealTimeRayleighGenerator(
@@ -507,15 +497,13 @@ def run_doppler_batch(
                     normalized_doppler=doppler.normalized_doppler,
                     n_points=doppler.n_points,
                     rng=entry_seed,
-                    cache=DecompositionCache(maxsize=0),
-                    filter_cache=DopplerFilterCache(),
                 ).generate_gaussian(1)
                 for spec, entry_seed in zip(specs, entry_seeds)
             ],
             repeats,
         )
 
-        engine = SimulationEngine(cache=DecompositionCache(), backend=backend)
+        engine = SimulationEngine(backend=backend)
         engine.run(plan, n_points)  # populate the decomposition cache
         warm_time, warm = _best_time(lambda: engine.run(plan, n_points), repeats)
 

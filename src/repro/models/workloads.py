@@ -44,7 +44,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..engine import DopplerSpec, SimulationEngine, SimulationPlan
-from ..engine.cache import DecompositionCache
 from ..exceptions import SpecificationError
 from .fading import coerce_fading
 
@@ -306,7 +305,7 @@ def run_suite(
     count = default_samples if n_samples is None else int(n_samples)
     if count < 1:
         raise SpecificationError(f"n_samples must be >= 1, got {count}")
-    engine = SimulationEngine(cache=DecompositionCache(), backend=backend)
+    engine = SimulationEngine(backend=backend)
     result = engine.run(plan, count)
     entries = []
     for entry, block in zip(plan, result.blocks):

@@ -249,7 +249,8 @@ class ServiceHTTPServer:
             payload = json.loads(body.decode("utf8"))
             plan, n_samples = plan_from_payload(payload)
             client_id = str(payload.get("client_id") or "anonymous")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack allows.
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             await self._send_json(writer, 400, {"error": f"invalid JSON: {exc}"})
             return
         except ReproError as exc:

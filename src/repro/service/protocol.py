@@ -178,7 +178,8 @@ def seed_from_payload(raw: Any) -> Any:
         generator = np.random.Generator(getattr(np.random, name)())
         try:
             generator.bit_generator.state = state
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # IndexError: an MT19937 key shorter than its 624 words.
+        except (KeyError, TypeError, ValueError, OverflowError, IndexError) as exc:
             raise SpecificationError(f"malformed generator state: {exc}") from exc
         return generator
     return int_from_payload(raw, "seed")
@@ -211,7 +212,12 @@ def _matrix_to_floats(matrix: np.ndarray) -> Dict[str, Any]:
 def _matrix_from_floats(raw: Any) -> np.ndarray:
     real = np.asarray(raw["re"], dtype=float)
     imag = np.asarray(raw["im"], dtype=float)
-    return real + 1j * imag
+    # Assign the parts: ``real + 1j * imag`` computes 0 * inf = NaN into
+    # the real part of an entry whose imaginary part is infinite.
+    matrix = np.empty(np.broadcast_shapes(real.shape, imag.shape), dtype=complex)
+    matrix.real = real
+    matrix.imag = imag
+    return matrix
 
 
 def _entries_to_payload(

@@ -3,21 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
 __all__ = [
-    "ArrayLike",
     "ComplexArray",
     "FloatArray",
     "SeedLike",
     "EnvelopeBlock",
     "GaussianBlock",
 ]
-
-#: Anything numpy will accept as array input.
-ArrayLike = Union[Sequence[float], Sequence[complex], np.ndarray]
 
 #: A complex-valued ndarray.
 ComplexArray = np.ndarray

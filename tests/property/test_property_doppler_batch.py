@@ -72,7 +72,6 @@ def _looped_reference(spec, doppler, seed, n_samples):
         input_variance_per_dim=doppler.input_variance_per_dim,
         compensate_variance=doppler.compensate_variance,
         rng=seed,
-        cache=DecompositionCache(maxsize=0),
     )
     return generator.generate_gaussian(n_blocks)
 
@@ -136,7 +135,7 @@ class TestBatchedDopplerEqualsLooped:
         plan.add(spec, seed=doppler_seed, doppler=doppler)
         result = SimulationEngine(cache=DecompositionCache()).run(plan, n_samples)
         snapshot_reference = RayleighFadingGenerator(
-            spec, rng=snapshot_seed, cache=DecompositionCache(maxsize=0)
+            spec, rng=snapshot_seed
         ).generate_gaussian(n_samples)
         assert np.array_equal(
             snapshot_reference.samples, result.blocks[0].samples
@@ -239,9 +238,7 @@ class TestFusedExecuteBitIdentity:
         plan.add(spec, seed=202, doppler=doppler)
         n_samples = 250  # not a multiple of M = 96
         result = SimulationEngine(cache=DecompositionCache()).run(plan, n_samples)
-        snapshot = RayleighFadingGenerator(
-            spec, rng=101, cache=DecompositionCache(maxsize=0)
-        ).generate_gaussian(n_samples)
+        snapshot = RayleighFadingGenerator(spec, rng=101).generate_gaussian(n_samples)
         assert result.blocks[0].samples.tobytes() == snapshot.samples.tobytes()
         looped = _looped_reference(spec, doppler, 202, n_samples)
         assert (

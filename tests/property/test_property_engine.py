@@ -56,7 +56,7 @@ class TestBatchedEqualsLooped:
         result = engine.run(plan, n_samples)
         for spec, seed, block in zip(specs, seeds, result.blocks):
             reference = RayleighFadingGenerator(
-                spec, rng=seed, cache=DecompositionCache(maxsize=0)
+                spec, rng=seed
             ).generate_gaussian(n_samples)
             assert np.array_equal(reference.samples, block.samples)
             assert np.array_equal(reference.variances, block.variances)
@@ -93,7 +93,6 @@ class TestBatchedEqualsLooped:
                 rng=seed,
                 coloring_method=coloring_method,
                 psd_method=psd_method,
-                cache=DecompositionCache(maxsize=0),
             ).generate_gaussian(8)
             assert np.array_equal(reference.samples, block.samples)
 
@@ -105,9 +104,7 @@ class TestBatchedEqualsLooped:
         engine = SimulationEngine(cache=DecompositionCache())
         streamed = list(engine.stream(plan, block_size=16, n_blocks=3))
         for index, (spec, seed) in enumerate(zip(specs, seeds)):
-            generator = RayleighFadingGenerator(
-                spec, rng=seed, cache=DecompositionCache(maxsize=0)
-            )
+            generator = RayleighFadingGenerator(spec, rng=seed)
             expected = np.concatenate(
                 [generator.generate_gaussian(16).samples for _ in range(3)], axis=1
             )
@@ -134,7 +131,7 @@ class TestSessionAPIEqualsLooped:
         result = simulator.run(plan, n_samples)
         for spec, seed, block in zip(specs, seeds, result.blocks):
             reference = RayleighFadingGenerator(
-                spec, rng=seed, cache=DecompositionCache(maxsize=0)
+                spec, rng=seed
             ).generate_gaussian(n_samples)
             assert np.array_equal(reference.samples, block.samples)
             assert np.array_equal(reference.variances, block.variances)
@@ -153,7 +150,7 @@ class TestSessionAPIEqualsLooped:
             spec, n_samples, seed=entry_seed
         )
         reference = RayleighFadingGenerator(
-            spec, rng=entry_seed, cache=DecompositionCache(maxsize=0)
+            spec, rng=entry_seed
         ).generate_envelopes(n_samples)
         assert np.array_equal(via_session.envelopes, reference.envelopes)
 
@@ -165,9 +162,7 @@ class TestSessionAPIEqualsLooped:
         simulator = Simulator(backend="numpy", cache=DecompositionCache())
         streamed = list(simulator.stream(plan, block_size=7, n_blocks=3))
         for index, (spec, seed) in enumerate(zip(specs, seeds)):
-            generator = RayleighFadingGenerator(
-                spec, rng=seed, cache=DecompositionCache(maxsize=0)
-            )
+            generator = RayleighFadingGenerator(spec, rng=seed)
             expected = np.concatenate(
                 [generator.generate_gaussian(7).samples for _ in range(3)], axis=1
             )

@@ -131,9 +131,7 @@ class TestModelInvariantsAgainstScalarReference:
         engine = SimulationEngine(cache=DecompositionCache())
         result = engine.run(plan, 48)
         for spec, seed, block in zip(specs, seeds, result.blocks):
-            base = RayleighFadingGenerator(
-                spec, rng=seed, cache=DecompositionCache(maxsize=0)
-            ).generate_gaussian(48)
+            base = RayleighFadingGenerator(spec, rng=seed).generate_gaussian(48)
             reference = reference_fading_samples(
                 base.samples, spec.gaussian_variances, fading, seed=seed
             )

@@ -30,7 +30,6 @@ from repro.engine import (
     DecompositionCache,
     DopplerSpec,
     SimulationPlan,
-    default_decomposition_cache,
     doppler_block_size,
 )
 from repro.exceptions import GenerationError, ParallelExecutionError, SpecificationError
@@ -57,7 +56,7 @@ class TestConstruction:
         sim = Simulator()
         assert sim.backend.name == "numpy"
         assert sim.max_workers is None
-        assert sim.cache is default_decomposition_cache()  # the shared cache
+        assert isinstance(sim.cache, DecompositionCache)
 
     def test_invalid_max_workers_rejected(self):
         with pytest.raises(SpecificationError):
@@ -72,7 +71,6 @@ class TestConstruction:
     def test_cache_dir_builds_persistent_session(self, tmp_path):
         with Simulator(cache_dir=tmp_path) as sim:
             assert sim.cache_dir == str(tmp_path)
-            assert sim.cache is not default_decomposition_cache()
             reference = sim.run(_plan(2), 8)
         # A new session over the same directory loads the whole compiled
         # plan from disk — no per-matrix lookups at all — and reproduces
@@ -97,23 +95,57 @@ class TestConstruction:
             assert sim.cache_dir is None
 
     def test_default_session_ignores_env_dir(self, tmp_path, monkeypatch):
-        import repro.engine.tiered as tiered_module
-
+        # The session builds its caches with the variable set: still no tier.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        # Fresh process-wide defaults, built with the variable set (the
-        # originals come back at teardown): the session still has no tier.
-        monkeypatch.setattr(tiered_module, "_DEFAULTS", {})
         with Simulator() as sim:
             assert sim.cache_dir is None
+
+
+
+class TestSessionsShareNoCache:
+    """Each session owns its caches: no other session or generator reaches them."""
+
+    @staticmethod
+    def _doppler_plan():
+        plan = _plan(3)
+        plan.add(K2, seed=9, doppler=DopplerSpec(0.05, 64))
+        return plan
+
+    @staticmethod
+    def _caches(sim):
+        return (sim.cache, sim.engine.filter_cache, sim.engine.plan_cache)
+
+    def test_default_sessions_and_a_generator_share_no_cache(self):
+        with Simulator() as first, Simulator() as second:
+            for mine, theirs in zip(self._caches(first), self._caches(second)):
+                assert mine is not theirs
+            first.run(self._doppler_plan(), 8)
+            RayleighFadingGenerator(K2, rng=1)
+            RealTimeRayleighGenerator(K2, normalized_doppler=0.05, n_points=64, rng=1)
+            # Nothing the first session or the generators did shows up in
+            # the second session's counters or entries.
+            for cache in self._caches(second):
+                assert cache.stats.lookups == 0
+                assert len(cache) == 0
+            second.run(self._doppler_plan(), 8)
+            assert second.cache_stats.hits == 0
+            assert second.cache_stats.misses == first.cache_stats.misses == 4
+            assert second.engine.filter_cache.stats.misses == 1
+            # Clearing one session leaves the other's entries in place.
+            for cache in self._caches(second):
+                cache.clear()
+            assert len(first.cache) == 4
+            assert len(first.engine.filter_cache) == 1
+            rerun = first.run(self._doppler_plan(), 8)
+            assert rerun.compile_report.cache_hits == 4
+            assert rerun.compile_report.cache_misses == 0
 
 
 class TestEnvelopes:
     def test_bit_identical_to_standalone_generator(self):
         spec = CovarianceSpec.from_covariance_matrix(K2)
         block = Simulator().envelopes(spec, 128, seed=5, return_gaussian=True)
-        reference = RayleighFadingGenerator(
-            spec, rng=5, cache=DecompositionCache(maxsize=0)
-        ).generate_gaussian(128)
+        reference = RayleighFadingGenerator(spec, rng=5).generate_gaussian(128)
         assert np.array_equal(block.samples, reference.samples)
 
     def test_envelope_powers_variant_matches_standalone_generator(self):
@@ -122,9 +154,7 @@ class TestEnvelopes:
         spec = CovarianceSpec.from_envelope_variances(
             np.real(np.diag(matrix)), correlation_coefficient_matrix(matrix)
         )
-        reference = RayleighFadingGenerator(
-            spec, rng=2, cache=DecompositionCache(maxsize=0)
-        ).generate_envelopes(64)
+        reference = RayleighFadingGenerator(spec, rng=2).generate_envelopes(64)
         assert np.array_equal(block.envelopes, reference.envelopes)
 
     def test_doppler_mode_matches_standalone_realtime_generator(self):
@@ -134,7 +164,6 @@ class TestEnvelopes:
             normalized_doppler=0.05,
             n_points=doppler_block_size(100, 0.05),
             rng=3,
-            cache=DecompositionCache(maxsize=0),
         ).generate_envelopes(n_blocks=1)
         assert block.envelopes.shape == (2, 100)
         assert np.array_equal(block.envelopes, reference.envelopes[:, :100])
@@ -146,7 +175,7 @@ class TestEnvelopes:
         powers = np.ones(3)
         block = Simulator().envelopes(scenario, 64, seed=4, gaussian_powers=powers)
         reference = RayleighFadingGenerator(
-            scenario.covariance_spec(powers), rng=4, cache=DecompositionCache(maxsize=0)
+            scenario.covariance_spec(powers), rng=4
         ).generate_envelopes(64)
         assert np.array_equal(block.envelopes, reference.envelopes)
 
@@ -168,7 +197,7 @@ class TestRun:
         result = Simulator(cache=DecompositionCache()).run(plan, 32)
         for entry, block in zip(plan, result.blocks):
             reference = RayleighFadingGenerator(
-                entry.spec, rng=entry.seed, cache=DecompositionCache(maxsize=0)
+                entry.spec, rng=entry.seed
             ).generate_gaussian(32)
             assert np.array_equal(reference.samples, block.samples)
 
@@ -456,9 +485,7 @@ class TestStream:
             batch.blocks[0].samples
             for batch in Simulator().stream(plan, block_size=128, n_blocks=3)
         ]
-        generator = RayleighFadingGenerator(
-            eq22_covariance, rng=6, cache=DecompositionCache(maxsize=0)
-        )
+        generator = RayleighFadingGenerator(eq22_covariance, rng=6)
         for block in streamed:
             assert block.tobytes() == generator.generate_gaussian(128).samples.tobytes()
 
@@ -541,7 +568,7 @@ class TestReplicaEnsemble:
         result = Simulator(cache=DecompositionCache()).run(plan, 200)
         for entry, block in zip(plan, result.blocks):
             reference = RayleighFadingGenerator(
-                eq22_covariance, rng=entry.seed, cache=DecompositionCache(maxsize=0)
+                eq22_covariance, rng=entry.seed
             ).generate_gaussian(200)
             assert block.samples.tobytes() == reference.samples.tobytes()
 

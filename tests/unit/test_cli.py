@@ -222,16 +222,14 @@ class TestCacheDirOption:
         (cache_dir,) = seen
         return cache_dir
 
-    def test_serve_falls_back_to_env_cache_dir(self, tmp_path, monkeypatch, capsys):
+    def test_serve_ignores_env_cache_dir(self, tmp_path, monkeypatch, capsys):
+        # Only --cache-dir names a directory; without it serve is memory-only.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert self._served_cache_dir(monkeypatch, []) == str(tmp_path)
+        assert self._served_cache_dir(monkeypatch, []) is None
 
-    def test_serve_cache_dir_flag_wins_over_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+    def test_serve_cache_dir_flag(self, tmp_path, monkeypatch, capsys):
         flag = tmp_path / "flag"
         assert self._served_cache_dir(monkeypatch, ["--cache-dir", str(flag)]) == str(flag)
-        monkeypatch.delenv("REPRO_CACHE_DIR")
-        assert self._served_cache_dir(monkeypatch, []) is None
 
 
 class TestCacheSubcommand:
@@ -247,11 +245,13 @@ class TestCacheSubcommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "frobnicate"])
 
-    def test_stats_without_directory_errors(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    def test_stats_without_directory_errors(self, tmp_path, monkeypatch, capsys):
+        # The environment names no directory: --cache-dir is required.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         with pytest.raises(SystemExit) as excinfo:
             main(["cache", "stats"])
-        assert "REPRO_CACHE_DIR" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
 
     @staticmethod
     def _populate_plans(tmp_path):
@@ -264,13 +264,6 @@ class TestCacheSubcommand:
             SimulationEngine(cache_dir=tmp_path).run(
                 SimulationPlan.from_specs([scale * matrix], seed=1), 8
             )
-
-    def test_stats_reads_directory_from_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["cache", "stats"]) == 0
-        out = capsys.readouterr().out
-        assert str(tmp_path) in out
-        assert "compiled plans: 0 entries" in out
 
     def test_stats_counts_compiled_plans(self, tmp_path, capsys):
         self._populate_plans(tmp_path)

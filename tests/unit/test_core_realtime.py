@@ -159,19 +159,23 @@ class TestBackendAndCache:
                 covariance, normalized_doppler=0.05, n_points=64, backend="nope"
             )
 
-    def test_private_cache_isolates_decompositions(self):
-        from repro.engine import DecompositionCache
+    def test_generators_build_their_own_filter_and_coloring(self):
+        from repro.channels.doppler import young_beaulieu_filter
+        from repro.core.coloring import compute_coloring
 
         covariance = np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex)
-        cache = DecompositionCache()
-        RealTimeRayleighGenerator(
-            covariance, normalized_doppler=0.05, n_points=64, rng=1, cache=cache
+        first, second = (
+            RealTimeRayleighGenerator(
+                covariance, normalized_doppler=0.05, n_points=64, rng=1
+            )
+            for _ in range(2)
         )
-        assert len(cache) == 1
-        # Disabled cache: construction still works, nothing is stored.
-        disabled = DecompositionCache(maxsize=0)
-        generator = RealTimeRayleighGenerator(
-            covariance, normalized_doppler=0.05, n_points=64, rng=1, cache=disabled
+        # Fresh builds, not one shared cached object.
+        assert second._filter is not first._filter
+        assert second._snapshot.coloring is not first._snapshot.coloring
+        assert first._filter.tobytes() == young_beaulieu_filter(64, 0.05).tobytes()
+        assert (
+            first._snapshot.coloring.coloring_matrix.tobytes()
+            == compute_coloring(covariance).coloring_matrix.tobytes()
         )
-        assert len(disabled) == 0
-        assert generator.generate(1).shape == (2, 64)
+        assert first.generate(1).shape == (2, 64)

@@ -3,10 +3,11 @@
 ``plan_from_payload`` decodes untrusted HTTP submissions and
 ``slice_from_payload`` the shard slice files; a crash of either other than
 :class:`~repro.exceptions.ReproError` would answer 500 or kill a worker
-with a traceback.  Each target gets arbitrary JSON values and one-field
-mutations of a valid payload (a field replaced by an arbitrary value, or
-removed).  The leaves include integers past the float range, which JSON
-carries but ``float()`` refuses.
+with a traceback.  ``seed_from_payload``, which both reach for every
+entry's seed, is fuzzed on its own as well.  Each target gets arbitrary
+JSON values and one-field mutations of a valid payload (a field replaced by
+an arbitrary value, or removed).  The leaves include integers past the
+float range, which JSON carries but ``float()`` refuses.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from hypothesis import strategies as st
 
 from repro.engine import DopplerSpec, FadingSpec, SimulationPlan
 from repro.exceptions import ReproError, SpecificationError
-from repro.service.protocol import plan_from_payload, plan_to_payload
+from repro.service.protocol import (
+    BIT_GENERATORS,
+    plan_from_payload,
+    plan_to_payload,
+    seed_from_payload,
+    seed_to_payload,
+)
 from repro.shard import partition_plan, slice_from_payload, slice_to_payload
 
 BUDGET = settings(max_examples=200, deadline=None, derandomize=True)
@@ -56,22 +63,26 @@ def _valid_plan() -> SimulationPlan:
     return plan
 
 
-def _field_paths(value, path=()):
-    """Every path to a field of a JSON object tree (list items included)."""
+def _field_paths(value, path=(), max_items=None):
+    """Every path to a field of a JSON object tree (list items included).
+
+    ``max_items`` keeps only the first items of each list, so a long list
+    (an MT19937 key has 624 words) does not crowd out the other fields.
+    """
     if isinstance(value, dict):
         children = value.items()
     elif isinstance(value, list):
-        children = enumerate(value)
+        children = enumerate(value[:max_items])
     else:
         return
     for key, child in children:
         yield path + (key,)
-        yield from _field_paths(child, path + (key,))
+        yield from _field_paths(child, path + (key,), max_items)
 
 
-def _mutated(valid):
+def _mutated(valid, max_items=None):
     """Strategy: ``valid`` with one field replaced by JSON or removed."""
-    paths = sorted(_field_paths(valid), key=repr)
+    paths = sorted(_field_paths(valid, max_items=max_items), key=repr)
 
     @st.composite
     def mutate(draw):
@@ -131,6 +142,38 @@ class TestSliceFromPayload:
     @given(payload=_mutated(_SLICE_PAYLOAD))
     def test_one_field_mutations(self, payload):
         _decodes_or_refuses(slice_from_payload, json.dumps(payload).encode())
+
+
+#: A valid seed payload per whitelisted bit generator, as JSON carries it.
+_SEED_PAYLOADS = {
+    name: json.loads(
+        json.dumps(seed_to_payload(np.random.Generator(getattr(np.random, name)(7))))
+    )
+    for name in sorted(BIT_GENERATORS)
+}
+
+
+def _seed_decodes_or_refuses(value) -> None:
+    """A seed payload decodes to ``None``, an int or a Generator, or is refused."""
+    try:
+        seed = seed_from_payload(value)
+    except SpecificationError:
+        return
+    assert seed is None or isinstance(seed, (int, np.random.Generator))
+
+
+class TestSeedFromPayload:
+    @BUDGET
+    @given(value=_JSON)
+    def test_arbitrary_json(self, value):
+        _seed_decodes_or_refuses(value)
+
+    @pytest.mark.parametrize("name", sorted(BIT_GENERATORS))
+    @settings(max_examples=40, deadline=None, derandomize=True)  # 200 in all
+    @given(data=st.data())
+    def test_one_field_mutations(self, name, data):
+        payload = data.draw(_mutated(_SEED_PAYLOADS[name], max_items=2))
+        _seed_decodes_or_refuses(payload)
 
 
 #: Every numeric field of a wire entry, as a path into the entry dict.

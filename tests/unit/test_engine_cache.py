@@ -7,7 +7,12 @@ import pytest
 
 from repro.config import DEFAULTS
 from repro.core.coloring import compute_coloring
-from repro.engine import DecompositionCache, decomposition_cache_key
+from repro.engine import (
+    DecompositionCache,
+    SimulationPlan,
+    compile_plan,
+    decomposition_cache_key,
+)
 
 
 @pytest.fixture()
@@ -44,25 +49,34 @@ class TestCacheKey:
 class TestCacheBehaviour:
     def test_miss_then_hit(self, matrix):
         cache = DecompositionCache()
-        first = cache.coloring_for(matrix)
-        second = cache.coloring_for(matrix)
-        assert second is first
+        key = decomposition_cache_key(matrix)
+        assert cache.lookup(key) is None
+        decomposition = compute_coloring(matrix)
+        cache.store(key, decomposition)
+        assert cache.lookup(key) is decomposition
         stats = cache.stats
         assert (stats.hits, stats.misses) == (1, 1)
         assert stats.lookups == 2
         assert stats.hit_rate == 0.5
 
-    def test_cached_equals_fresh_computation(self, matrix):
+    def test_compiled_entry_equals_fresh_computation(self, matrix):
+        # What the batched compiler stores is what the single-matrix
+        # pipeline computes.
         cache = DecompositionCache()
-        cached = cache.coloring_for(matrix)
+        compile_plan(SimulationPlan.from_specs([matrix], seed=1), cache=cache)
+        cached = cache.lookup(decomposition_cache_key(matrix))
         fresh = compute_coloring(matrix)
         assert np.array_equal(cached.coloring_matrix, fresh.coloring_matrix)
         assert np.array_equal(cached.effective_covariance, fresh.effective_covariance)
 
     def test_different_methods_cached_separately(self, matrix):
         cache = DecompositionCache()
-        eigen = cache.coloring_for(matrix, method="eigen")
-        cholesky = cache.coloring_for(matrix, method="cholesky")
+        for method in ("eigen", "cholesky"):
+            key = decomposition_cache_key(matrix, method=method)
+            assert cache.lookup(key) is None
+            cache.store(key, compute_coloring(matrix, method=method))
+        eigen = cache.lookup(decomposition_cache_key(matrix, method="eigen"))
+        cholesky = cache.lookup(decomposition_cache_key(matrix, method="cholesky"))
         assert eigen.method == "eigen"
         assert cholesky.method == "cholesky"
         assert cache.stats.misses == 2
@@ -70,8 +84,10 @@ class TestCacheBehaviour:
 
     def test_maxsize_zero_disables_storage(self, matrix):
         cache = DecompositionCache(maxsize=0)
-        cache.coloring_for(matrix)
-        cache.coloring_for(matrix)
+        key = decomposition_cache_key(matrix)
+        for _ in range(2):
+            assert cache.lookup(key) is None
+            cache.store(key, compute_coloring(matrix))
         stats = cache.stats
         assert (stats.hits, stats.misses) == (0, 2)
         assert len(cache) == 0
@@ -84,7 +100,7 @@ class TestCacheBehaviour:
         cache = DecompositionCache()
         key = decomposition_cache_key(matrix)
         assert key not in cache
-        cache.coloring_for(matrix)
+        cache.store(key, compute_coloring(matrix))
         assert key in cache
 
 
@@ -97,14 +113,21 @@ class TestStoreFreezesArrays:
     corrupted results only in one configuration.
     """
 
+    @staticmethod
+    def _stored(matrix, maxsize):
+        decomposition = compute_coloring(matrix)
+        DecompositionCache(maxsize=maxsize).store(
+            decomposition_cache_key(matrix), decomposition
+        )
+        return decomposition
+
     @pytest.mark.parametrize("maxsize", [0, 256])
     def test_writeable_flag_matches_across_configurations(self, matrix, maxsize):
-        cache = DecompositionCache(maxsize=maxsize)
-        decomposition = cache.coloring_for(matrix)
+        decomposition = self._stored(matrix, maxsize)
         assert not decomposition.coloring_matrix.flags.writeable
         assert not decomposition.effective_covariance.flags.writeable
 
     def test_mutation_fails_loudly_with_disabled_cache(self, matrix):
-        decomposition = DecompositionCache(maxsize=0).coloring_for(matrix)
+        decomposition = self._stored(matrix, 0)
         with pytest.raises(ValueError):
             decomposition.coloring_matrix[0, 0] = 999.0

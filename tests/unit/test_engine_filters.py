@@ -1,4 +1,4 @@
-"""Unit tests for the process-wide Young–Beaulieu filter cache."""
+"""Unit tests for the session-owned Young–Beaulieu filter cache."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.engine import (
     DopplerSpec,
     SimulationPlan,
     compile_plan,
-    default_filter_cache,
 )
 
 
@@ -89,9 +88,6 @@ class TestDopplerFilterCache:
         assert not was_cached
         assert rebuilt.tobytes() == first_bytes
 
-    def test_default_cache_is_process_wide(self):
-        assert default_filter_cache() is default_filter_cache()
-
 
 class TestCompileIntegration:
     def _doppler_plan(self, matrix):
@@ -138,38 +134,9 @@ class TestCompileIntegration:
 
 
 class TestRealtimeIntegration:
-    def test_generators_share_one_build(self, matrix):
-        filter_cache = DopplerFilterCache()
-        first = RealTimeRayleighGenerator(
-            matrix, normalized_doppler=0.05, n_points=64, rng=1,
-            cache=DecompositionCache(maxsize=0), filter_cache=filter_cache,
-        )
-        second = RealTimeRayleighGenerator(
-            matrix, normalized_doppler=0.05, n_points=64, rng=2,
-            cache=DecompositionCache(maxsize=0), filter_cache=filter_cache,
-        )
-        assert filter_cache.stats.misses == 1
-        assert second._filter is first._filter
-
-    def test_cached_filter_keeps_bit_identity(self, matrix):
-        # The shared filter must not change what the generator produces.
-        filter_cache = DopplerFilterCache()
-        filter_cache.get(64, 0.05)  # pre-warm so the generator gets a hit
-        warm = RealTimeRayleighGenerator(
-            matrix, normalized_doppler=0.05, n_points=64, rng=7,
-            cache=DecompositionCache(maxsize=0), filter_cache=filter_cache,
-        ).generate_gaussian(2)
-        cold = RealTimeRayleighGenerator(
-            matrix, normalized_doppler=0.05, n_points=64, rng=7,
-            cache=DecompositionCache(maxsize=0), filter_cache=DopplerFilterCache(),
-        ).generate_gaussian(2)
-        assert np.array_equal(warm.samples, cold.samples)
-
     def test_output_variance_matches_eq19(self, matrix):
         generator = RealTimeRayleighGenerator(
-            matrix, normalized_doppler=0.05, n_points=64, rng=1,
-            cache=DecompositionCache(maxsize=0),
-            filter_cache=DopplerFilterCache(),
+            matrix, normalized_doppler=0.05, n_points=64, rng=1
         )
         expected = filter_output_variance(young_beaulieu_filter(64, 0.05), 0.5)
         assert generator.filter_output_variance == expected

@@ -574,16 +574,11 @@ class TestOnlyPlansPersist:
 
 
 class TestLibraryReadsNoCacheEnv:
-    """``REPRO_CACHE_DIR`` is a CLI fallback: the library never persists by it."""
+    """An exported ``REPRO_CACHE_DIR`` never makes the library persist."""
 
     @pytest.fixture()
     def env_dir(self, tmp_path, monkeypatch):
-        import repro.engine.tiered as tiered_module
-
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        # Fresh process-wide defaults, built with the variable set (the
-        # originals come back at teardown).
-        monkeypatch.setattr(tiered_module, "_DEFAULTS", {})
         return tmp_path
 
     def test_simulator_run_leaves_env_dir_empty(self, base_matrix, env_dir):
@@ -604,10 +599,6 @@ class TestLibraryReadsNoCacheEnv:
         assert list(env_dir.iterdir()) == []
 
     def test_compile_plan_leaves_env_dir_empty(self, base_matrix, env_dir):
-        from repro.engine import default_decomposition_cache, default_filter_cache
-
-        default_decomposition_cache().coloring_for(base_matrix)
-        default_filter_cache().get(64, 0.05)
         for _ in range(2):
             compiled = compile_plan(_mixed_plan(base_matrix))  # every default
             assert compiled.report.plan_cache_hits == 0

@@ -16,6 +16,7 @@ import pytest
 
 import repro.engine.filters as filters_module
 import repro.engine.plancache as plancache_module
+from repro.core.coloring import compute_coloring
 from repro.engine import (
     CompiledPlanCache,
     DecompositionCache,
@@ -36,7 +37,13 @@ class _DecompositionTier:
         return DecompositionCache(256 if bound is None else bound)
 
     def serve(self, cache, index):
-        return cache.coloring_for(_matrix(index))
+        # What the compiler does: look up, and on a miss compute and store.
+        key = self.key(index)
+        decomposition = cache.lookup(key)
+        if decomposition is None:
+            decomposition = compute_coloring(_matrix(index))
+            cache.store(key, decomposition)
+        return decomposition
 
     def key(self, index):
         return decomposition_cache_key(_matrix(index))

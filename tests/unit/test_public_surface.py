@@ -1,11 +1,12 @@
 """Every public top-level definition in ``repro`` has a referrer that ships.
 
-A public (no leading underscore) top-level ``def`` or ``class`` under
-``src/repro`` must be reached from code outside ``tests/`` and
-``benchmarks/``: the package itself, ``examples/``, ``perfbench/`` or an
-entry point in ``pyproject.toml``.  A definition that nothing ships with
-reaches is either deleted with its tests or listed in
-:data:`PUBLIC_SURFACE` with the reason it stays.
+A public (no leading underscore) top-level ``def``, ``class`` or
+single-name assignment (a constant or an alias) under ``src/repro`` must
+be reached from code outside ``tests/`` and ``benchmarks/``: the package
+itself, ``examples/``, ``perfbench/`` or an entry point in
+``pyproject.toml``.  A definition that nothing ships with reaches is either
+deleted with its tests or listed in :data:`PUBLIC_SURFACE` with the reason
+it stays.
 
 Reach is transitive and by name: module-level code, the examples, perfbench
 and the table entries are the roots; a definition is reached when a reached
@@ -46,6 +47,10 @@ PUBLIC_SURFACE: Dict[str, Dict[str, str]] = {
         "acceptance tests (ROADMAP item 11)",
         "rician_moments": "analytic target of the planned statistical "
         "acceptance tests (ROADMAP item 11)",
+    },
+    "experiments/paper_values.py": {
+        "KM_EXPECTED": "the paper's stated k_m = 204; a test checks that the "
+        "Doppler parameters reproduce it",
     },
     "engine/backends.py": {
         "available_backends": "backend discovery; the --backend help and the "
@@ -134,6 +139,8 @@ def _scan(package: Path):
             elif not name:
                 roots.update(_names(stmt, docstrings))
                 continue
+            else:
+                definitions.append((relative, stmt.lineno, name))
             edges.setdefault(name, set()).update(
                 other for other in _names(stmt, docstrings) if other != name
             )
@@ -226,7 +233,7 @@ def test_the_guard_sees_test_only_definitions(tmp_path):
         "from .api import run, dead_export\n"
         '__all__ = ["run", "dead_export", "dead_all"]\n'
     )
-    (package / "cli.py").write_text("def main():\n    return 0\n")
+    (package / "cli.py").write_text("def main():\n    return LIVE_CONSTANT\n")
     (package / "api.py").write_text(
         "from .reg import register\n"
         "def run():\n    return _helper() + used_by_helper()\n"
@@ -240,6 +247,10 @@ def test_the_guard_sees_test_only_definitions(tmp_path):
         "def stale():\n    return run()\n"
         "@register\nclass Registered:\n    pass\n"
         "class Probed:\n    def call(self):\n        return _helper()\n"
+        "DEAD_CONSTANT = 5\n"
+        "LIVE_CONSTANT: int = 6\n"
+        "_PRIVATE = 7\n"
+        "PAIR_A, PAIR_B = 1, 2\n"
     )
     (package / "reg.py").write_text("def register(cls):\n    return cls\n")
     table = {
@@ -252,6 +263,7 @@ def test_the_guard_sees_test_only_definitions(tmp_path):
         "api.py:12: dead_doc has no referrer outside tests/ and benchmarks/",
         "api.py:14: dead_all has no referrer outside tests/ and benchmarks/",
         "api.py:18: stale has no referrer outside tests/ and benchmarks/",
+        "api.py:26: DEAD_CONSTANT has no referrer outside tests/ and benchmarks/",
         "api.py: run is listed but has a referrer; unlist it",
         "cli.py: gone is listed but not defined there",
     ]

@@ -271,6 +271,22 @@ class TestRoutes:
 
         asyncio.run(scenario())
 
+    def test_deeply_nested_json_400_and_the_server_survives(self):
+        # json.loads raises RecursionError on this body.
+        body = b"[" * 100_000 + b"]" * 100_000
+
+        async def scenario():
+            sim = Simulator()
+            async with _serve(sim) as (service, server):
+                assert await _submit_raw(server.port, body) == 400
+                status, _headers, raw = await _request(server.port, "GET", "/healthz")
+                assert status == 200
+                assert json.loads(raw)["running"]
+                assert service.metrics()["requests_submitted"] == 0
+            sim.close()
+
+        asyncio.run(scenario())
+
     def test_bad_content_length_400_and_oversized_413(self):
         from repro.service.http import MAX_BODY_BYTES
 
@@ -441,6 +457,22 @@ class TestRoutes:
 
         asyncio.run(scenario())
 
+    def test_short_mt19937_key_maps_to_400(self):
+        short = {"bit_generator": "MT19937", "state": {"key": [1] * 10, "pos": 0}}
+        payload = plan_to_payload(_plan(), 32)
+        payload["entries"][0]["seed"] = {"kind": "generator", "state": short}
+
+        async def scenario():
+            sim = Simulator()
+            async with _serve(sim) as (_service, server):
+                status, _headers, raw = await _request(
+                    server.port, "POST", "/v1/plans", body=payload
+                )
+                assert status == 400
+                assert "generator state" in json.loads(raw)["error"]
+            sim.close()
+
+        asyncio.run(scenario())
 
     @pytest.mark.parametrize(
         "field, literal",

@@ -32,6 +32,7 @@ from repro.service import (
     result_to_lines,
 )
 from repro.service.protocol import BIT_GENERATORS, seed_from_payload, seed_to_payload
+from repro.shard import partition_plan, slice_from_payload, slice_to_payload
 
 BASE = np.array(
     [
@@ -171,6 +172,19 @@ class TestPlanPayload:
             plan_from_payload(
                 {"version": PROTOCOL_VERSION, "n_samples": 8, "entries": []}
             )
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_imaginary_part_keeps_its_real_part(self):
+        # An infinite imaginary part leaves the real part as sent, with no
+        # numpy warning (``re + 1j * im`` computes 0 * inf = nan).
+        from repro.service.protocol import _matrix_from_floats
+
+        decoded = _matrix_from_floats({"re": [[1.0]], "im": [[float("inf")]]})
+        assert decoded[0, 0] == complex(1.0, float("inf"))
+        payload = plan_to_payload(_rich_plan(), 64)
+        payload["entries"][0]["matrix"]["im"][0][1] = float("inf")
+        with pytest.raises(SpecificationError):
+            plan_from_payload(payload)
 
     def test_rejects_malformed_entry_with_index(self):
         payload = plan_to_payload(_rich_plan(), 64)
@@ -319,6 +333,22 @@ class TestSeedPayloadTrustBoundary:
         }
         with pytest.raises(SpecificationError, match="malformed generator state"):
             seed_from_payload({"kind": "generator", "state": state})
+
+    def test_short_mt19937_key_is_a_specification_error(self):
+        # numpy indexes all 624 key words, so a shorter key raises its
+        # IndexError unless the decoder refuses it.
+        short = {"bit_generator": "MT19937", "state": {"key": [1] * 10, "pos": 0}}
+        seed = {"kind": "generator", "state": short}
+        with pytest.raises(SpecificationError, match="malformed generator state"):
+            seed_from_payload(seed)
+        payload = plan_to_payload(_rich_plan(), 64)
+        payload["entries"][0]["seed"] = seed
+        with pytest.raises(SpecificationError):
+            plan_from_payload(payload)
+        sliced = json.loads(slice_to_payload(partition_plan(_rich_plan(), 1)[0], 64))
+        sliced["entries"][0]["seed"] = seed
+        with pytest.raises(SpecificationError):
+            slice_from_payload(json.dumps(sliced).encode())
 
 
 class TestResultStream:

@@ -497,16 +497,24 @@ class TestMergeResults:
 
 
 class TestShardCLI:
-    def test_shard_command_parses_with_defaults(self):
+    def test_shard_command_parses_with_defaults(self, tmp_path):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["shard"])
+        args = build_parser().parse_args(["shard", "--cache-dir", str(tmp_path)])
         assert args.command == "shard"
+        assert args.cache_dir == tmp_path
         assert args.shards == 2
         assert args.entries == 8
         assert args.samples == 64
         assert not args.retry_failed
         assert not args.check
+
+    def test_shard_command_requires_cache_dir(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["shard"])
+        assert "--cache-dir" in capsys.readouterr().err
 
     def test_shard_command_parses_overrides(self, tmp_path):
         from repro.cli import build_parser

@@ -55,7 +55,6 @@ from ._version import __version__
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".config": ("DEFAULTS", "NumericDefaults"),
         ".exceptions": (
             "ReproError",
             "SpecificationError",
@@ -123,7 +122,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
         SpectralCorrelationModel,
         SumOfSinusoidsGenerator,
     )
-    from .config import DEFAULTS, NumericDefaults
     from .core import (
         CovarianceSpec,
         RayleighFadingGenerator,
@@ -168,8 +166,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
 
 __all__ = [
     "__version__",
-    "DEFAULTS",
-    "NumericDefaults",
     "ReproError",
     "SpecificationError",
     "CovarianceError",

@@ -52,7 +52,6 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULTS, NumericDefaults
 from .engine import (
     BackendSpec,
     BatchResult,
@@ -100,8 +99,6 @@ class Simulator:
         :class:`~concurrent.futures.ThreadPoolExecutor` choose).  :meth:`run`
         always executes in-process; partition a plan across processes with
         :mod:`repro.shard`.
-    defaults:
-        Numeric tolerance bundle for the decomposition pipeline.
 
     Examples
     --------
@@ -120,13 +117,10 @@ class Simulator:
         cache: Optional[DecompositionCache] = None,
         cache_dir: Union[None, str, "Path"] = None,
         max_workers: Optional[int] = None,
-        defaults: NumericDefaults = DEFAULTS,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise SpecificationError(f"max_workers must be >= 1, got {max_workers}")
-        self._engine = SimulationEngine(
-            cache=cache, defaults=defaults, backend=backend, cache_dir=cache_dir
-        )
+        self._engine = SimulationEngine(cache=cache, backend=backend, cache_dir=cache_dir)
         self._max_workers = max_workers
         self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()

@@ -20,7 +20,7 @@ difference.  The unnormalized covariances follow from Eq. (7):
 ``R = sigma^2 * R_tilde / 2``.
 
 The Bessel series are summed adaptively: summation stops once a term falls
-below :data:`repro.config.DEFAULTS.bessel_series_tol` (terms of ``J_q(x)``
+below :data:`repro.config.BESSEL_SERIES_TOL` (terms of ``J_q(x)``
 decay super-exponentially once ``q`` exceeds ``|x|``), with a hard cap to
 guarantee termination.
 """
@@ -32,7 +32,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
+from ..config import BESSEL_SERIES_TERMS, BESSEL_SERIES_TOL
 from ..exceptions import DimensionError, SpecificationError
 
 __all__ = [
@@ -62,8 +62,6 @@ def spatial_correlation_real(
     spacing_wavelengths: float,
     mean_angle_rad: float,
     angular_spread_rad: float,
-    *,
-    defaults: NumericDefaults = DEFAULTS,
 ) -> float:
     """Normalized covariance ``R~xx = R~yy`` between two array elements (Eq. 5).
 
@@ -89,7 +87,7 @@ def spatial_correlation_real(
     z = 2.0 * np.pi * spacing_wavelengths
     argument = z * float(element_separation)
     total = float(jv(0, argument))
-    for m in range(1, defaults.bessel_series_terms + 1):
+    for m in range(1, BESSEL_SERIES_TERMS + 1):
         order = 2 * m
         phase = 2.0 * m * angular_spread_rad
         term = (
@@ -100,7 +98,7 @@ def spatial_correlation_real(
             / phase
         )
         total += term
-        if order > abs(argument) and abs(term) < defaults.bessel_series_tol:
+        if order > abs(argument) and abs(term) < BESSEL_SERIES_TOL:
             break
     return total
 
@@ -110,8 +108,6 @@ def spatial_correlation_imag(
     spacing_wavelengths: float,
     mean_angle_rad: float,
     angular_spread_rad: float,
-    *,
-    defaults: NumericDefaults = DEFAULTS,
 ) -> float:
     """Normalized covariance ``R~xy = -R~yx`` between two array elements (Eq. 6)."""
     mean_angle_rad, angular_spread_rad = _validate_angles(mean_angle_rad, angular_spread_rad)
@@ -124,7 +120,7 @@ def spatial_correlation_imag(
     z = 2.0 * np.pi * spacing_wavelengths
     argument = z * float(element_separation)
     total = 0.0
-    for m in range(0, defaults.bessel_series_terms + 1):
+    for m in range(0, BESSEL_SERIES_TERMS + 1):
         order = 2 * m + 1
         phase = order * angular_spread_rad
         term = (
@@ -135,7 +131,7 @@ def spatial_correlation_imag(
             / phase
         )
         total += term
-        if order > abs(argument) and abs(term) < defaults.bessel_series_tol:
+        if order > abs(argument) and abs(term) < BESSEL_SERIES_TOL:
             break
     return total
 
@@ -145,8 +141,6 @@ def spatial_covariance_components(
     spacing_wavelengths: float,
     mean_angle_rad: float,
     angular_spread_rad: float,
-    *,
-    defaults: NumericDefaults = DEFAULTS,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Covariance component matrices ``(Rxx, Ryy, Rxy, Ryx)`` for a uniform array.
 
@@ -179,13 +173,13 @@ def spatial_covariance_components(
     separations = np.arange(-(n - 1), n)
     real_by_sep = {
         int(d): spatial_correlation_real(
-            d, spacing_wavelengths, mean_angle_rad, angular_spread_rad, defaults=defaults
+            d, spacing_wavelengths, mean_angle_rad, angular_spread_rad
         )
         for d in separations
     }
     imag_by_sep = {
         int(d): spatial_correlation_imag(
-            d, spacing_wavelengths, mean_angle_rad, angular_spread_rad, defaults=defaults
+            d, spacing_wavelengths, mean_angle_rad, angular_spread_rad
         )
         for d in separations
     }

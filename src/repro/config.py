@@ -1,15 +1,13 @@
-"""Library-wide numeric defaults and tolerances.
+"""Library-wide numeric tolerances.
 
-Centralizing the tolerances keeps the numerical behaviour of the package
-consistent:  the same Hermitian-symmetry tolerance is used when *checking*
+The paper's generator is one fixed numerical recipe, and these are its
+constants.  Centralizing them keeps the numerical behaviour of the package
+consistent: the same Hermitian-symmetry tolerance is used when *checking*
 covariance matrices and when *symmetrizing* them, the same eigenvalue cutoff
 is used by the forced-PSD procedure and by the positive-semi-definiteness
-predicate, and so on.
-
-The values are module-level constants grouped in a frozen dataclass so they
-can be read as ``config.DEFAULTS.hermitian_atol`` or overridden locally by
-constructing a new :class:`NumericDefaults` and passing it to the few
-functions that accept one.
+predicate, and so on.  They are not settable: the cache keys fold in the
+four decomposition tolerances, so editing one here is a change of method
+that invalidates every stored compiled plan.
 
 No cache directory comes from the environment: a persistent cache is
 always named explicitly (``cache_dir=``, or ``--cache-dir`` on the command
@@ -18,59 +16,45 @@ line).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
-    "NumericDefaults",
-    "DEFAULTS",
+    "HERMITIAN_ATOL",
+    "HERMITIAN_RTOL",
+    "EIG_CLIP_TOL",
+    "PSD_TOL",
+    "CHOLESKY_JITTER",
+    "BESSEL_SERIES_TERMS",
+    "BESSEL_SERIES_TOL",
+    "DEFAULT_RNG_SEED",
 ]
 
+#: Absolute tolerance when testing ``K == K^H``.
+HERMITIAN_ATOL = 1e-10
 
-@dataclass(frozen=True)
-class NumericDefaults:
-    """Collection of numeric tolerances used across the package.
+#: Relative tolerance when testing ``K == K^H``.
+HERMITIAN_RTOL = 1e-8
 
-    Attributes
-    ----------
-    hermitian_atol:
-        Absolute tolerance when testing ``K == K^H``.
-    hermitian_rtol:
-        Relative tolerance when testing ``K == K^H``.
-    eig_clip_tol:
-        Eigenvalues in ``[-eig_clip_tol, 0)`` are treated as numerical zeros
-        (clipped to zero without counting as "negative" for diagnostics).
-    psd_tol:
-        Eigenvalue threshold below which a matrix is declared *not* positive
-        semi-definite (relative to the largest eigenvalue magnitude).
-    cholesky_jitter:
-        Diagonal jitter that baseline methods may add before retrying a
-        failed Cholesky factorization (kept tiny; the proposed method never
-        needs it).
-    bessel_series_terms:
-        Number of terms used when summing the Salz-Winters Bessel series
-        (Eq. 5-6) before the adaptive stopping criterion kicks in.
-    bessel_series_tol:
-        Adaptive stopping tolerance for the Bessel series: summation stops
-        once a term's magnitude drops below this value.
-    default_rng_seed:
-        Seed used by convenience constructors when the caller does not supply
-        a seed or generator.  Experiments always pass explicit seeds.
-    covariance_check_rtol:
-        Relative tolerance used by statistical validation when comparing an
-        empirical covariance against the desired covariance.
-    """
+#: Eigenvalues in ``[-EIG_CLIP_TOL, 0)`` (relative to the largest magnitude)
+#: are numerical zeros: clipped to zero without counting as "negative" for
+#: diagnostics.
+EIG_CLIP_TOL = 1e-12
 
-    hermitian_atol: float = 1e-10
-    hermitian_rtol: float = 1e-8
-    eig_clip_tol: float = 1e-12
-    psd_tol: float = 1e-10
-    cholesky_jitter: float = 1e-12
-    bessel_series_terms: int = 64
-    bessel_series_tol: float = 1e-14
-    default_rng_seed: int = 20050408  # date of the IPDPS 2005 conference
-    covariance_check_rtol: float = 0.15
+#: Eigenvalue threshold, relative to the largest eigenvalue magnitude,
+#: below which a matrix is declared *not* positive semi-definite.
+PSD_TOL = 1e-10
 
+#: Diagonal jitter that the Cholesky baseline adds before retrying a failed
+#: factorization (kept tiny; the proposed eigen method never needs it).
+CHOLESKY_JITTER = 1e-12
 
-#: The package-wide default tolerances.
-DEFAULTS = NumericDefaults()
+#: Number of terms summed of the Salz-Winters Bessel series (Eq. 5-6)
+#: before the adaptive stopping criterion can end it early.
+BESSEL_SERIES_TERMS = 64
 
+#: Adaptive stopping tolerance for the Bessel series: summation stops once
+#: a term's magnitude drops below this value.
+BESSEL_SERIES_TOL = 1e-14
+
+#: Seed used when the caller supplies neither a seed nor a generator, so an
+#: unseeded run is still reproducible.  Experiments always pass explicit
+#: seeds.  (The date of the IPDPS 2005 conference.)
+DEFAULT_RNG_SEED = 20050408

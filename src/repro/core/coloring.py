@@ -33,7 +33,7 @@ from typing import List
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
+from ..config import EIG_CLIP_TOL
 from ..exceptions import ColoringError
 from ..linalg import (
     ColoringDecomposition,
@@ -55,9 +55,7 @@ __all__ = [
 ]
 
 
-def coloring_matrix_eigen(
-    covariance: np.ndarray, *, defaults: NumericDefaults = DEFAULTS
-) -> np.ndarray:
+def coloring_matrix_eigen(covariance: np.ndarray) -> np.ndarray:
     """Coloring matrix ``L = V sqrt(Lambda)`` by Hermitian eigendecomposition.
 
     The input must already be positive semi-definite (eigenvalues below the
@@ -72,7 +70,7 @@ def coloring_matrix_eigen(
     """
     decomp = hermitian_eigendecomposition(covariance)
     scale = max(abs(decomp.max_eigenvalue), 1.0)
-    tol = defaults.eig_clip_tol * scale
+    tol = EIG_CLIP_TOL * scale
     if decomp.min_eigenvalue < -tol:
         raise ColoringError(
             "eigen coloring requires a positive semi-definite matrix "
@@ -130,7 +128,6 @@ def compute_coloring(
     *,
     psd_method: str = "clip",
     epsilon: float = 1e-6,
-    defaults: NumericDefaults = DEFAULTS,
 ) -> ColoringDecomposition:
     """Force positive semi-definiteness, then compute a coloring matrix.
 
@@ -161,11 +158,9 @@ def compute_coloring(
         raise ValueError(
             f"unknown coloring method {method!r}; choose from {sorted(_STRATEGIES)}"
         )
-    forcing = force_positive_semidefinite(
-        covariance, method=psd_method, epsilon=epsilon, defaults=defaults
-    )
+    forcing = force_positive_semidefinite(covariance, method=psd_method, epsilon=epsilon)
     if method == "eigen":
-        factor = coloring_matrix_eigen(forcing.matrix, defaults=defaults)
+        factor = coloring_matrix_eigen(forcing.matrix)
     elif method == "cholesky":
         factor = coloring_matrix_cholesky(forcing.matrix)
     else:
@@ -191,7 +186,6 @@ def compute_coloring_batch(
     *,
     psd_method: str = "clip",
     epsilon: float = 1e-6,
-    defaults: NumericDefaults = DEFAULTS,
     backend=None,
 ) -> List[ColoringDecomposition]:
     """Force PSD and color every covariance matrix in a ``(B, N, N)`` stack.
@@ -224,7 +218,7 @@ def compute_coloring_batch(
         )
     arr = assert_matrix_stack(np.asarray(stack, dtype=complex), "covariance stack")
     forcings, requested_decomp = _force_psd_stack(
-        arr, method=psd_method, epsilon=epsilon, defaults=defaults, backend=backend
+        arr, method=psd_method, epsilon=epsilon, backend=backend
     )
     forced_stack = np.stack([forcing.matrix for forcing in forcings])
 
@@ -241,7 +235,7 @@ def compute_coloring_batch(
             eigenvalues[repaired] = decomp.eigenvalues
             eigenvectors[repaired] = decomp.eigenvectors
         scales = np.maximum(np.abs(eigenvalues[:, 0]), 1.0)
-        tols = defaults.eig_clip_tol * scales
+        tols = EIG_CLIP_TOL * scales
         for index in range(arr.shape[0]):
             if eigenvalues[index, -1] < -tols[index]:
                 raise ColoringError(

@@ -29,7 +29,6 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import CovarianceError, DimensionError, PowerError
 from ..linalg import assert_hermitian, assert_square, is_positive_semidefinite
 from ..linalg.checks import all_close
@@ -68,8 +67,6 @@ def build_covariance_matrix(
     ryy: np.ndarray,
     rxy: np.ndarray,
     ryx: np.ndarray,
-    *,
-    defaults: NumericDefaults = DEFAULTS,
 ) -> np.ndarray:
     """Assemble the Hermitian covariance matrix ``K`` from its components (Eq. 12–13).
 
@@ -111,7 +108,7 @@ def build_covariance_matrix(
     matrix = matrix.astype(complex)
     np.fill_diagonal(matrix, variances.astype(complex))
     try:
-        assert_hermitian(matrix, "assembled covariance matrix", defaults=defaults)
+        assert_hermitian(matrix, "assembled covariance matrix")
     except CovarianceError as exc:
         raise CovarianceError(
             "the covariance components are inconsistent: the assembled matrix is not "
@@ -279,9 +276,9 @@ class CovarianceSpec:
         """Number of correlated branches."""
         return int(self.matrix.shape[0])
 
-    def is_positive_semidefinite(self, *, defaults: NumericDefaults = DEFAULTS) -> bool:
+    def is_positive_semidefinite(self) -> bool:
         """Whether the requested covariance matrix is positive semi-definite."""
-        return is_positive_semidefinite(self.matrix, defaults=defaults)
+        return is_positive_semidefinite(self.matrix)
 
     def correlation_coefficients(self) -> np.ndarray:
         """Unit-diagonal complex correlation-coefficient matrix."""

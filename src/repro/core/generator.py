@@ -27,7 +27,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import GenerationError, PowerError
 from ..linalg import ColoringDecomposition
 from ..random import complex_gaussian, ensure_rng
@@ -84,7 +83,6 @@ class RayleighFadingGenerator:
         psd_method: str = "clip",
         sample_variance: float = 1.0,
         rng: SeedLike = None,
-        defaults: NumericDefaults = DEFAULTS,
     ) -> None:
         if not isinstance(spec, CovarianceSpec):
             spec = CovarianceSpec.from_covariance_matrix(np.asarray(spec, dtype=complex))
@@ -93,9 +91,8 @@ class RayleighFadingGenerator:
                 f"sample_variance must be positive and finite, got {sample_variance!r}"
             )
         self._spec = spec
-        self._defaults = defaults
         self._coloring = compute_coloring(
-            spec.matrix, method=coloring_method, psd_method=psd_method, defaults=defaults
+            spec.matrix, method=coloring_method, psd_method=psd_method
         )
         self._sample_variance = float(sample_variance)
         self._rng = ensure_rng(rng)

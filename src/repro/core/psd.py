@@ -29,7 +29,7 @@ from typing import Any, Dict
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
+from ..config import EIG_CLIP_TOL
 from ..exceptions import CovarianceError
 from ..linalg import (
     clip_negative_eigenvalues,
@@ -81,7 +81,6 @@ def force_positive_semidefinite(
     method: str = "clip",
     *,
     epsilon: float = 1e-6,
-    defaults: NumericDefaults = DEFAULTS,
 ) -> PSDForcingResult:
     """Force a (Hermitian) covariance matrix to be positive semi-definite.
 
@@ -95,8 +94,6 @@ def force_positive_semidefinite(
         ``"higham"`` (diagonal-preserving nearest PSD).
     epsilon:
         Replacement value for the ``"epsilon"`` method.
-    defaults:
-        Tolerance bundle.
 
     Returns
     -------
@@ -107,7 +104,7 @@ def force_positive_semidefinite(
 
     decomp = hermitian_eigendecomposition(covariance)
     scale = max(abs(decomp.max_eigenvalue), 1.0)
-    negatives = decomp.eigenvalues[decomp.eigenvalues < -defaults.eig_clip_tol * scale]
+    negatives = decomp.eigenvalues[decomp.eigenvalues < -EIG_CLIP_TOL * scale]
     already_psd = negatives.size == 0
 
     extra: Dict[str, Any] = {"min_eigenvalue": decomp.min_eigenvalue}
@@ -118,17 +115,17 @@ def force_positive_semidefinite(
             # Keep the caller's matrix bit-for-bit when nothing needs fixing.
             repaired = requested.copy()
         else:
-            repaired = clip_negative_eigenvalues(requested, defaults=defaults)
+            repaired = clip_negative_eigenvalues(requested)
     elif method == "epsilon":
-        repaired = replace_nonpositive_eigenvalues(requested, epsilon=epsilon, defaults=defaults)
+        repaired = replace_nonpositive_eigenvalues(requested, epsilon=epsilon)
         extra["epsilon"] = epsilon
     else:  # higham
         if already_psd:
             repaired = requested.copy()
         else:
-            repaired = nearest_psd_higham(requested, preserve_diagonal=True, defaults=defaults)
+            repaired = nearest_psd_higham(requested, preserve_diagonal=True)
 
-    if not is_positive_semidefinite(repaired, defaults=defaults):
+    if not is_positive_semidefinite(repaired):
         raise CovarianceError(
             f"PSD forcing with method {method!r} failed to produce a positive "
             "semi-definite matrix; this indicates a severely ill-conditioned input"
@@ -149,7 +146,6 @@ def compare_forcing_methods(
     covariance: np.ndarray,
     *,
     epsilon: float = 1e-6,
-    defaults: NumericDefaults = DEFAULTS,
 ) -> Dict[str, PSDForcingResult]:
     """Run every forcing strategy on the same matrix and return all results.
 
@@ -159,8 +155,6 @@ def compare_forcing_methods(
     of [6].
     """
     return {
-        method: force_positive_semidefinite(
-            covariance, method=method, epsilon=epsilon, defaults=defaults
-        )
+        method: force_positive_semidefinite(covariance, method=method, epsilon=epsilon)
         for method in _METHODS
     }

@@ -41,7 +41,6 @@ import numpy as np
 
 from ..channels.doppler import filter_output_variance, young_beaulieu_filter
 from ..channels.idft_generator import batched_doppler_blocks
-from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import GenerationError
 from ..random import ensure_rng, spawn_rngs
 from ..types import EnvelopeBlock, GaussianBlock, SeedLike
@@ -108,7 +107,6 @@ class RealTimeRayleighGenerator:
         coloring_method: str = "eigen",
         psd_method: str = "clip",
         rng: SeedLike = None,
-        defaults: NumericDefaults = DEFAULTS,
         backend=None,
     ) -> None:
         if not isinstance(spec, CovarianceSpec):
@@ -143,7 +141,6 @@ class RealTimeRayleighGenerator:
             psd_method=psd_method,
             sample_variance=effective_sample_variance,
             rng=rng,
-            defaults=defaults,
         )
 
         self._rng = ensure_rng(rng)

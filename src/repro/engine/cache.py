@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
+from ..config import EIG_CLIP_TOL, HERMITIAN_ATOL, HERMITIAN_RTOL, PSD_TOL
 from ..linalg import ColoringDecomposition
 from .tiered import TieredCache
 
@@ -45,6 +45,13 @@ __all__ = [
     "DecompositionCache",
 ]
 
+#: The numeric tolerances a decomposition depends on, in the order and
+#: ``repr`` form every key folds them: editing one in :mod:`repro.config`
+#: changes every key, so no stored compiled plan is served after it.
+_TOLERANCE_TOKEN = "|".join(
+    repr(tol) for tol in (EIG_CLIP_TOL, PSD_TOL, HERMITIAN_ATOL, HERMITIAN_RTOL)
+)
+
 
 def decomposition_cache_key(
     matrix: np.ndarray,
@@ -52,7 +59,6 @@ def decomposition_cache_key(
     method: str = "eigen",
     psd_method: str = "clip",
     epsilon: float = 1e-6,
-    defaults: NumericDefaults = DEFAULTS,
     cache_token: str = "numpy",
 ) -> str:
     """Content hash identifying one coloring-decomposition computation.
@@ -81,10 +87,7 @@ def decomposition_cache_key(
                 method,
                 psd_method,
                 repr(float(epsilon)),
-                repr(defaults.eig_clip_tol),
-                repr(defaults.psd_tol),
-                repr(defaults.hermitian_atol),
-                repr(defaults.hermitian_rtol),
+                _TOLERANCE_TOKEN,
             )
         ).encode("utf8")
     )

@@ -49,7 +49,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import (
     CholeskyError,
     ColoringError,
@@ -237,7 +236,6 @@ def compile_plan(
     plan: SimulationPlan,
     *,
     cache: Optional[DecompositionCache] = None,
-    defaults: NumericDefaults = DEFAULTS,
     backend: BackendSpec = None,
     filter_cache: Optional["DopplerFilterCache"] = None,
     plan_cache: Optional["CompiledPlanCache"] = None,
@@ -261,8 +259,6 @@ def compile_plan(
         fresh one for this call.  Pass ``DecompositionCache(maxsize=0)`` to
         disable reuse (e.g. for cold-path benchmarking).  Decompositions
         stay in memory; only whole compiled plans persist.
-    defaults:
-        Numeric tolerance bundle forwarded to the decomposition pipeline.
     backend:
         Linalg backend performing the stacked decompositions — a registered
         name, a :class:`repro.engine.backends.LinalgBackend` instance, or
@@ -290,13 +286,14 @@ def compile_plan(
         filter_cache = DopplerFilterCache()
     if plan_cache is None or not plan_cache.enabled:
         # No plan tier to share results through: no lookup, no singleflight.
-        return _compile_plan_fresh(
-            plan, cache, defaults, backend_obj, cache_token, filter_cache
-        )
+        return _compile_plan_fresh(plan, cache, backend_obj, cache_token, filter_cache)
 
     # Executor-level short-circuit: a stored compiled plan skips grouping,
     # hashing-per-matrix, decomposition and filter resolution entirely.
-    loaded = plan_cache.lookup(plan, defaults=defaults, backend=backend_obj)
+    # The plan is hashed once here; the lookups, the singleflight table and
+    # the put all use this key.
+    key = compiled_plan_cache_key(plan, cache_token=cache_token)
+    loaded = plan_cache.lookup(plan, key, backend=backend_obj)
     if loaded is not None:
         return loaded
 
@@ -305,32 +302,27 @@ def compile_plan(
     # in the cache instead of duplicating the eigh/cholesky work.  Exactly
     # one waiter per round becomes the leader; a leader that fails wakes the
     # waiters, which miss and elect a new leader — so the loop terminates.
-    inflight_key = compiled_plan_cache_key(
-        plan, defaults=defaults, cache_token=cache_token
-    )
     while True:
-        event = plan_cache.join_inflight(inflight_key)
+        event = plan_cache.join_inflight(key)
         if event is None:
             break  # this thread leads the compile for the key
         event.wait()
-        loaded = plan_cache.lookup(plan, defaults=defaults, backend=backend_obj)
+        loaded = plan_cache.lookup(plan, key, backend=backend_obj)
         if loaded is not None:
             return _coalesced(loaded)
     try:
         # A leader that put the plan and released the key after this
         # thread's miss but before its join left no event to wait on: probe
         # once more, or this thread would compile the plan a second time.
-        loaded = plan_cache.lookup_memory(plan, inflight_key, backend=backend_obj)
+        loaded = plan_cache.lookup_memory(plan, key, backend=backend_obj)
         if loaded is not None:
             return _coalesced(loaded)
-        compiled = _compile_plan_fresh(
-            plan, cache, defaults, backend_obj, cache_token, filter_cache
-        )
+        compiled = _compile_plan_fresh(plan, cache, backend_obj, cache_token, filter_cache)
         # Idempotent per key, so repeated compiles serialize once.
-        plan_cache.put(compiled, defaults=defaults)
+        plan_cache.put(compiled, key)
         return compiled
     finally:
-        plan_cache.finish_inflight(inflight_key)
+        plan_cache.finish_inflight(key)
 
 
 def _coalesced(loaded: CompiledPlan) -> CompiledPlan:
@@ -343,7 +335,6 @@ def _coalesced(loaded: CompiledPlan) -> CompiledPlan:
 def _compile_plan_fresh(
     plan: SimulationPlan,
     cache: DecompositionCache,
-    defaults: NumericDefaults,
     backend_obj: LinalgBackend,
     cache_token: str,
     filter_cache: "DopplerFilterCache",
@@ -370,7 +361,7 @@ def _compile_plan_fresh(
     for group_key, indices in group_members.items():
         signature = group_key[:4]
         for index in indices:
-            key = entries[index].cache_key(defaults, cache_token)
+            key = entries[index].cache_key(cache_token)
             entry_keys[index] = key
             if key in resolved or key in miss_index:
                 continue
@@ -390,7 +381,6 @@ def _compile_plan_fresh(
                 method=coloring_method,
                 psd_method=psd_method,
                 epsilon=epsilon,
-                defaults=defaults,
                 backend=backend_obj,
             )
         except (CovarianceError, ColoringError, CholeskyError) as exc:

@@ -1,9 +1,9 @@
 """The simulation engine facade: plan → compile → execute in one object.
 
 :class:`SimulationEngine` binds its caches (decomposition, Doppler filter
-and compiled plan, each owned by the engine unless passed in) and numeric
-defaults to the compile/execute pipeline, so callers can hold one engine
-for a whole study and reuse decompositions across runs.  It is the seam behind
+and compiled plan, each owned by the engine unless passed in) to the
+compile/execute pipeline, so callers can hold one engine for a whole study
+and reuse decompositions across runs.  It is the seam behind
 :class:`repro.api.Simulator`, the package's one front door.
 """
 
@@ -13,7 +13,6 @@ from typing import Iterator, Optional, Union
 
 from pathlib import Path
 
-from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import SpecificationError
 from .backends import BackendSpec, LinalgBackend, resolve_backend
 from .cache import DecompositionCache
@@ -37,8 +36,6 @@ class SimulationEngine:
         Decomposition cache consulted during compilation.  ``None`` builds
         one this engine owns; pass ``DecompositionCache(maxsize=0)`` for a
         cache-less engine.
-    defaults:
-        Numeric tolerance bundle for the decomposition pipeline.
     backend:
         Linalg backend for the stacked decompositions and the coloring
         multiply — a registered name (``"numpy"``, ``"scipy"``), a :class:`repro.engine.backends.LinalgBackend` instance,
@@ -75,7 +72,6 @@ class SimulationEngine:
         self,
         *,
         cache: Optional[DecompositionCache] = None,
-        defaults: NumericDefaults = DEFAULTS,
         backend: BackendSpec = None,
         filter_cache: Optional[DopplerFilterCache] = None,
         plan_cache: Optional[CompiledPlanCache] = None,
@@ -94,7 +90,6 @@ class SimulationEngine:
             DopplerFilterCache() if filter_cache is None else filter_cache
         )
         self._plan_cache = CompiledPlanCache() if plan_cache is None else plan_cache
-        self._defaults = defaults
         self._backend = resolve_backend(backend)
 
     @property
@@ -113,11 +108,6 @@ class SimulationEngine:
         return self._plan_cache
 
     @property
-    def defaults(self) -> NumericDefaults:
-        """The numeric tolerance bundle this engine compiles with."""
-        return self._defaults
-
-    @property
     def backend(self) -> LinalgBackend:
         """The linalg backend this engine compiles and executes on."""
         return self._backend
@@ -132,7 +122,6 @@ class SimulationEngine:
         return compile_plan(
             plan,
             cache=self._cache,
-            defaults=self._defaults,
             backend=self._backend,
             filter_cache=self._filter_cache,
             plan_cache=self._plan_cache,

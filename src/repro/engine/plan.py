@@ -38,6 +38,7 @@ import numpy as np
 from ..core.covariance import CovarianceSpec
 from ..exceptions import SpecificationError
 from ..models.fading import FadingLike, FadingSpec, coerce_fading
+from ..random.rng import SEED_TYPES
 from ..types import SeedLike
 
 __all__ = [
@@ -228,8 +229,10 @@ class PlanEntry:
     spec:
         The covariance specification to realize.
     seed:
-        Seed (or generator) for this entry's white-sample stream.  Feeding
-        the same seed to a standalone
+        Seed for this entry's white-sample stream: ``None``, an int or
+        numpy integer, or a :class:`numpy.random.Generator` (what
+        :func:`repro.random.ensure_rng` accepts).  Feeding the same seed to
+        a standalone
         :class:`repro.core.generator.RayleighFadingGenerator` yields
         bit-identical samples.
     coloring_method, psd_method, epsilon:
@@ -269,6 +272,12 @@ class PlanEntry:
         if not isinstance(self.spec, CovarianceSpec):
             raise SpecificationError(
                 f"PlanEntry.spec must be a CovarianceSpec, got {type(self.spec).__name__}"
+            )
+        if self.seed is not None and not isinstance(self.seed, SEED_TYPES):
+            # Refused here, not at execute: the plan would compile first.
+            raise SpecificationError(
+                "PlanEntry.seed must be None, an int or a numpy Generator, got "
+                f"{type(self.seed).__name__}"
             )
         if self.coloring_method not in _COLORING_METHODS:
             raise SpecificationError(
@@ -316,40 +325,31 @@ class PlanEntry:
         """Number of correlated branches of this entry."""
         return self.spec.n_branches
 
-    def cache_key(self, defaults, cache_token: str = "numpy") -> str:
+    def cache_key(self, cache_token: str = "numpy") -> str:
         """Content-hash cache key of this entry's decomposition (memoized).
 
         The entry is frozen and the library treats covariance matrices as
-        immutable, so the hash is computed once per (tolerance bundle,
-        backend cache token) and reused by subsequent compiles of the same
-        plan object.  ``cache_token`` namespaces the key by the backend
-        computing the decomposition (see
-        :func:`repro.engine.cache.decomposition_cache_key`).
+        immutable, so the hash is computed once per backend cache token and
+        reused by subsequent compiles of the same plan object.
+        ``cache_token`` namespaces the key by the backend computing the
+        decomposition (see :func:`repro.engine.cache.decomposition_cache_key`).
         """
         from .cache import decomposition_cache_key
 
-        memo_key = (
-            cache_token,
-            defaults.eig_clip_tol,
-            defaults.psd_tol,
-            defaults.hermitian_atol,
-            defaults.hermitian_rtol,
-        )
         memo = self.__dict__.get("_cache_key_memo")
         if memo is None:
             memo = {}
             object.__setattr__(self, "_cache_key_memo", memo)
-        key = memo.get(memo_key)
+        key = memo.get(cache_token)
         if key is None:
             key = decomposition_cache_key(
                 self.spec.matrix,
                 method=self.coloring_method,
                 psd_method=self.psd_method,
                 epsilon=self.epsilon,
-                defaults=defaults,
                 cache_token=cache_token,
             )
-            memo[memo_key] = key
+            memo[cache_token] = key
         return key
 
     @property

@@ -80,7 +80,6 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
 from ..linalg import ColoringDecomposition
 from .store import DEFAULT_DISK_MAX_BYTES, ArtifactStore
 from .tiered import TieredCache
@@ -110,7 +109,6 @@ _DISK_FORMAT_VERSION = 3
 def compiled_plan_cache_key(
     plan: "SimulationPlan",
     *,
-    defaults: NumericDefaults = DEFAULTS,
     cache_token: str = "numpy",
 ) -> str:
     """Content hash identifying one ``(plan, backend namespace)`` compilation.
@@ -129,7 +127,7 @@ def compiled_plan_cache_key(
     for entry in plan:
         # The entry cache key already folds the matrix bytes, methods,
         # epsilon, tolerances, and the backend token (memoized per entry).
-        hasher.update(entry.cache_key(defaults, cache_token).encode("ascii"))
+        hasher.update(entry.cache_key(cache_token).encode("ascii"))
         doppler = entry.doppler
         doppler_token = (
             None
@@ -489,17 +487,15 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
         return self._store.usage()
 
     def lookup(
-        self,
-        plan: "SimulationPlan",
-        *,
-        defaults: NumericDefaults = DEFAULTS,
-        backend: "LinalgBackend",
+        self, plan: "SimulationPlan", key: str, *, backend: "LinalgBackend"
     ) -> Optional["CompiledPlan"]:
-        """Serve the compiled form of ``plan``, or ``None`` (a miss).
+        """Serve the compiled form of ``plan`` under its ``key``, or ``None``
+        (a miss).
 
-        A detached cache returns ``None`` immediately — before
-        hashing the plan — so plain in-memory compiles pay nothing for
-        this cache.  Tiers are probed memory-first; either kind of hit is
+        ``key`` is :func:`compiled_plan_cache_key` of ``plan`` under
+        ``backend``'s cache token; :func:`repro.engine.compile.compile_plan`
+        computes it once per compile.  A detached cache returns ``None``
+        immediately.  Tiers are probed memory-first; either kind of hit is
         re-bound to the caller's ``plan`` (seeds and labels come from it),
         records ``plan_cache_hits=1`` (plus ``plan_memory_hits=1`` for the
         memory tier) with ``compile_seconds`` measuring the serve, and is
@@ -509,9 +505,6 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
         if not self.enabled:
             return None
         start = time.perf_counter()
-        key = compiled_plan_cache_key(
-            plan, defaults=defaults, cache_token=backend.cache_token
-        )
         return self._lookup(
             key,
             lambda resident, from_disk: _rebind(
@@ -545,13 +538,9 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
             ),
         )
 
-    def put(
-        self,
-        compiled: "CompiledPlan",
-        *,
-        defaults: NumericDefaults = DEFAULTS,
-    ) -> bool:
-        """Store one compiled plan in both tiers; ``True`` if disk-written.
+    def put(self, compiled: "CompiledPlan", key: str) -> bool:
+        """Store one compiled plan in both tiers under its ``key`` (as for
+        :meth:`lookup`); ``True`` if disk-written.
 
         Idempotent per key (the store remembers persisted and unwritable
         keys; the memory tier keeps its first insert), so compiling the
@@ -559,10 +548,4 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
         """
         if not self.enabled:
             return False
-        backend = compiled.backend
-        key = compiled_plan_cache_key(
-            compiled.plan,
-            defaults=defaults,
-            cache_token="numpy" if backend is None else backend.cache_token,
-        )
         return self._put(key, _resident_from_compiled(compiled))[1]

@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
+from ..config import EIG_CLIP_TOL, PSD_TOL
 from ..exceptions import CholeskyError, CovarianceError, DimensionError
 
 __all__ = [
@@ -216,7 +216,6 @@ def _force_psd_stack(
     method: str = "clip",
     *,
     epsilon: float = 1e-6,
-    defaults: NumericDefaults = DEFAULTS,
     backend=None,
 ) -> Tuple[List["PSDForcingResult"], BatchedEigenDecomposition]:
     """Force every matrix in a ``(B, N, N)`` stack positive semi-definite.
@@ -267,7 +266,7 @@ def _force_psd_stack(
         )
     decomp = _eigh_hermitian_stack(herm, backend)
     scales = np.maximum(np.abs(decomp.max_eigenvalues), 1.0)
-    negative_mask = decomp.eigenvalues < (-defaults.eig_clip_tol * scales)[:, np.newaxis]
+    negative_mask = decomp.eigenvalues < (-EIG_CLIP_TOL * scales)[:, np.newaxis]
     already_psd = ~np.any(negative_mask, axis=-1)
 
     if method == "higham":
@@ -277,9 +276,7 @@ def _force_psd_stack(
         for index in range(arr.shape[0]):
             try:
                 results.append(
-                    force_positive_semidefinite(
-                        arr[index], method="higham", epsilon=epsilon, defaults=defaults
-                    )
+                    force_positive_semidefinite(arr[index], method="higham", epsilon=epsilon)
                 )
             except CovarianceError as exc:
                 raise CovarianceError(
@@ -312,7 +309,7 @@ def _force_psd_stack(
     repaired_eigenvalues = _per_stack(
         np.linalg.eigvalsh, batched_hermitian_part(repaired_stack), "PSD check"
     )
-    tolerances = defaults.psd_tol * np.maximum(
+    tolerances = PSD_TOL * np.maximum(
         np.max(np.abs(repaired_eigenvalues), axis=-1), 1.0
     )
     failed = np.flatnonzero(~(np.min(repaired_eigenvalues, axis=-1) >= -tolerances))

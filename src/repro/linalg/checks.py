@@ -1,7 +1,7 @@
 """Structural checks for covariance matrices.
 
 Every predicate takes the matrix as-is (no copies unless needed) and uses the
-package-wide tolerances from :mod:`repro.config` unless overridden, so that
+package-wide tolerances from :mod:`repro.config`, so that
 the notion of "Hermitian" or "positive semi-definite" is identical everywhere
 in the library.
 """
@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
+from ..config import HERMITIAN_ATOL, HERMITIAN_RTOL, PSD_TOL
 from ..exceptions import DimensionError, NotHermitianError
 
 __all__ = [
@@ -58,23 +58,17 @@ def assert_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
 def is_hermitian(
     matrix: np.ndarray,
     *,
-    defaults: NumericDefaults = DEFAULTS,
     atol: Optional[float] = None,
     rtol: Optional[float] = None,
 ) -> bool:
     """Return ``True`` if ``matrix`` equals its conjugate transpose within tolerance."""
     arr = assert_square(matrix)
-    atol = defaults.hermitian_atol if atol is None else atol
-    rtol = defaults.hermitian_rtol if rtol is None else rtol
+    atol = HERMITIAN_ATOL if atol is None else atol
+    rtol = HERMITIAN_RTOL if rtol is None else rtol
     return all_close(arr, arr.conj().T, atol=atol, rtol=rtol)
 
 
-def assert_hermitian(
-    matrix: np.ndarray,
-    name: str = "covariance matrix",
-    *,
-    defaults: NumericDefaults = DEFAULTS,
-) -> np.ndarray:
+def assert_hermitian(matrix: np.ndarray, name: str = "covariance matrix") -> np.ndarray:
     """Validate Hermitian symmetry, returning the array.
 
     Raises
@@ -83,7 +77,7 @@ def assert_hermitian(
         If the matrix is not Hermitian within tolerance.
     """
     arr = assert_square(matrix, name)
-    if not is_hermitian(arr, defaults=defaults):
+    if not is_hermitian(arr):
         max_asym = float(np.max(np.abs(arr - arr.conj().T)))
         raise NotHermitianError(
             f"{name} is not Hermitian (max |K - K^H| element = {max_asym:.3e})"
@@ -113,7 +107,6 @@ def min_eigenvalue(matrix: np.ndarray) -> float:
 def is_positive_semidefinite(
     matrix: np.ndarray,
     *,
-    defaults: NumericDefaults = DEFAULTS,
     tol: Optional[float] = None,
 ) -> bool:
     """Return ``True`` if the Hermitian matrix has no eigenvalue below ``-tol_eff``.
@@ -124,7 +117,7 @@ def is_positive_semidefinite(
     herm = hermitian_part(matrix)
     eigvals = np.linalg.eigvalsh(herm)
     scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    base_tol = defaults.psd_tol if tol is None else tol
+    base_tol = PSD_TOL if tol is None else tol
     tol_eff = base_tol * max(scale, 1.0)
     return bool(np.min(eigvals) >= -tol_eff)
 

@@ -16,11 +16,15 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
+from ..config import CHOLESKY_JITTER
 from ..exceptions import CholeskyError
 from .checks import assert_square, hermitian_part
 
 __all__ = ["CholeskyResult", "cholesky_factor", "try_cholesky"]
+
+#: Jitter magnitudes ``try_cholesky`` tries, from ``CHOLESKY_JITTER`` up by
+#: a factor of 10 each.
+_JITTER_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,6 @@ def try_cholesky(
     matrix: np.ndarray,
     *,
     allow_jitter: bool = False,
-    defaults: NumericDefaults = DEFAULTS,
-    max_jitter_attempts: int = 3,
 ) -> CholeskyResult:
     """Attempt a Cholesky factorization without raising.
 
@@ -84,13 +86,9 @@ def try_cholesky(
     allow_jitter:
         If ``True`` and the plain factorization fails, retry with a small
         multiple of the identity added to the diagonal (growing by a factor
-        of 10 each attempt).  This mimics the ad-hoc repairs practitioners
-        apply to Cholesky-based generators; the proposed algorithm never
-        needs it.
-    defaults:
-        Tolerance bundle supplying the initial jitter size.
-    max_jitter_attempts:
-        Number of jitter magnitudes to try.
+        of 10 each of three attempts).  This mimics the ad-hoc repairs
+        practitioners apply to Cholesky-based generators; the proposed
+        algorithm never needs it.
 
     Returns
     -------
@@ -106,9 +104,9 @@ def try_cholesky(
 
     if allow_jitter:
         scale = float(np.max(np.abs(np.diag(herm)))) or 1.0
-        jitter = defaults.cholesky_jitter * scale
+        jitter = CHOLESKY_JITTER * scale
         identity = np.eye(herm.shape[0], dtype=herm.dtype)
-        for _ in range(max_jitter_attempts):
+        for _ in range(_JITTER_ATTEMPTS):
             try:
                 factor = np.linalg.cholesky(herm + jitter * identity)
                 return CholeskyResult(

@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import DEFAULTS, NumericDefaults
 from ..exceptions import CovarianceError
 from .checks import assert_square, hermitian_part, is_positive_semidefinite
 from .eigen import hermitian_eigendecomposition, reconstruct_from_eigen
@@ -44,11 +43,7 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b, ord="fro"))
 
 
-def clip_negative_eigenvalues(
-    matrix: np.ndarray,
-    *,
-    defaults: NumericDefaults = DEFAULTS,
-) -> np.ndarray:
+def clip_negative_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Force positive semi-definiteness by zeroing negative eigenvalues.
 
     Implements the approximation of Section 4.2 of the paper:
@@ -71,8 +66,6 @@ def clip_negative_eigenvalues(
 def replace_nonpositive_eigenvalues(
     matrix: np.ndarray,
     epsilon: float = 1e-6,
-    *,
-    defaults: NumericDefaults = DEFAULTS,
 ) -> np.ndarray:
     """Force positive definiteness by replacing non-positive eigenvalues with ``epsilon``.
 
@@ -102,7 +95,6 @@ def nearest_psd_higham(
     preserve_diagonal: bool = False,
     max_iterations: int = 100,
     tol: float = 1e-10,
-    defaults: NumericDefaults = DEFAULTS,
 ) -> np.ndarray:
     """Nearest positive-semi-definite matrix by Higham's alternating projections.
 
@@ -131,35 +123,35 @@ def nearest_psd_higham(
     yields the Frobenius-nearest PSD matrix, so this function only iterates
     when ``preserve_diagonal`` is requested.
 
-    The iterate the loop stops at is PSD only to ``defaults.psd_tol``, while
-    the eigen coloring rejects negative eigenvalues below the tighter
-    ``defaults.eig_clip_tol``.  So the eigenvalues are clipped once more and
+    The iterate the loop stops at is PSD only to ``PSD_TOL``, while the
+    eigen coloring rejects negative eigenvalues below the tighter
+    ``EIG_CLIP_TOL`` (both in :mod:`repro.config`).  So the eigenvalues are clipped once more and
     the requested diagonal ``d`` is restored by the congruence ``S·Y·S``
     with ``S = diag(sqrt(d / diag(Y)))``, which keeps the matrix PSD.
     """
     arr = hermitian_part(assert_square(matrix, "covariance matrix"))
     if not preserve_diagonal:
-        return clip_negative_eigenvalues(arr, defaults=defaults)
+        return clip_negative_eigenvalues(arr)
 
     original_diagonal = np.diag(arr).copy()
     y = arr.copy()
     delta = np.zeros_like(arr)
     for _ in range(max_iterations):
         r = y - delta
-        x = clip_negative_eigenvalues(r, defaults=defaults)
+        x = clip_negative_eigenvalues(r)
         delta = x - r
         y_next = x.copy()
         np.fill_diagonal(y_next, original_diagonal)
         change = frobenius_distance(y_next, y)
         y = y_next
-        if change < tol and is_positive_semidefinite(y, defaults=defaults):
+        if change < tol and is_positive_semidefinite(y):
             break
     else:
         raise CovarianceError(
             "Higham's alternating projections did not converge within "
             f"{max_iterations} iterations"
         )
-    clipped = clip_negative_eigenvalues(y, defaults=defaults)
+    clipped = clip_negative_eigenvalues(y)
     current = np.diag(clipped).real
     # A zero diagonal entry of the clipped matrix scales its row and column
     # to zero; the requested entry written back below keeps it PSD.

@@ -9,28 +9,29 @@ in a reproducible way, mirroring numpy's ``SeedSequence.spawn`` mechanism.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from ..config import DEFAULTS
+from ..config import DEFAULT_RNG_SEED
 from ..types import SeedLike
 
 __all__ = ["ensure_rng", "spawn_rngs"]
 
+#: What :func:`ensure_rng` accepts as a seed besides ``None``.
+SEED_TYPES = (int, np.integer, np.random.Generator)
 
-def ensure_rng(seed: SeedLike = None, *, default_seed: Optional[int] = None) -> np.random.Generator:
+
+def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     """Normalize ``seed`` into a :class:`numpy.random.Generator`.
 
     Parameters
     ----------
     seed:
-        ``None`` (use ``default_seed`` or the package default),
-        an integer seed, or an existing generator (returned unchanged).
-    default_seed:
-        Seed to use when ``seed is None``.  When both are ``None`` the
-        package-wide :data:`repro.config.DEFAULTS.default_rng_seed` is used so
-        that "no seed supplied" still means "reproducible".
+        ``None`` (use the package-wide
+        :data:`repro.config.DEFAULT_RNG_SEED`, so that "no seed supplied"
+        still means "reproducible"), an integer seed, or an existing
+        generator (returned unchanged).
 
     Returns
     -------
@@ -39,8 +40,8 @@ def ensure_rng(seed: SeedLike = None, *, default_seed: Optional[int] = None) -> 
     if isinstance(seed, np.random.Generator):
         return seed
     if seed is None:
-        seed = DEFAULTS.default_rng_seed if default_seed is None else default_seed
-    if not isinstance(seed, (int, np.integer)):
+        seed = DEFAULT_RNG_SEED
+    elif not isinstance(seed, SEED_TYPES):
         raise TypeError(
             f"seed must be None, an int, or a numpy Generator; got {type(seed).__name__}"
         )
@@ -66,7 +67,7 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
         children = seed_seq.spawn(n)
         return [np.random.default_rng(child) for child in children]
     if seed is None:
-        seed = DEFAULTS.default_rng_seed
+        seed = DEFAULT_RNG_SEED
     seq = np.random.SeedSequence(int(seed))
     return [np.random.default_rng(child) for child in seq.spawn(n)]
 

@@ -50,7 +50,6 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..api import Simulator
-from ..config import DEFAULTS, NumericDefaults
 from ..engine import BatchResult, SimulationPlan
 from ..engine.plancache import compiled_plan_cache_key
 from ..exceptions import (
@@ -76,8 +75,9 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 
-#: Completed/failed/cancelled requests kept for status polling.
-DEFAULT_HISTORY_LIMIT = 1024
+#: Completed/failed/cancelled requests kept for status polling before
+#: eviction.
+HISTORY_LIMIT = 1024
 
 #: Largest result record (complex128 samples, Σ N·n·16 bytes) a request
 #: may ask for; larger plans are refused at submit (HTTP 413).
@@ -117,7 +117,6 @@ def request_key(
     plan: SimulationPlan,
     n_samples: int,
     *,
-    defaults: NumericDefaults = DEFAULTS,
     cache_token: str = "numpy",
 ) -> Optional[str]:
     """Coalescing key of one request, or ``None`` when coalescing is unsafe.
@@ -139,7 +138,7 @@ def request_key(
         if seed is None or not isinstance(seed, (int, np.integer)):
             return None
         seeds.append((int(seed), entry.label))
-    base = compiled_plan_cache_key(plan, defaults=defaults, cache_token=cache_token)
+    base = compiled_plan_cache_key(plan, cache_token=cache_token)
     hasher = hashlib.sha256(base.encode("ascii"))
     hasher.update(repr((int(n_samples), seeds)).encode("utf8"))
     return hasher.hexdigest()
@@ -235,8 +234,8 @@ class EnvelopeService:
         Fixed back-off hint (seconds) for rejected submits; ``None``
         (default) estimates it from the observed flight duration and the
         queue depth.
-    history_limit:
-        Finished requests kept for status polling before eviction.
+
+    The last :data:`HISTORY_LIMIT` finished requests stay pollable.
     """
 
     def __init__(
@@ -246,7 +245,6 @@ class EnvelopeService:
         max_queue: int = 64,
         dispatch_slots: int = 4,
         retry_after: Optional[float] = None,
-        history_limit: int = DEFAULT_HISTORY_LIMIT,
     ) -> None:
         if max_queue < 1:
             raise SpecificationError(f"max_queue must be >= 1, got {max_queue}")
@@ -263,7 +261,6 @@ class EnvelopeService:
         self._max_queue = int(max_queue)
         self._dispatch_slots = int(dispatch_slots)
         self._retry_after = retry_after
-        self._history_limit = int(history_limit)
         self._metrics = ServiceMetrics()
         self._requests: Dict[str, _Request] = {}
         self._done_ids: Deque[str] = deque()
@@ -545,9 +542,8 @@ class EnvelopeService:
             return False
         engine = self._sim.engine
         cache = engine.cache
-        defaults = engine.defaults
         token = engine.backend.cache_token
-        return all(entry.cache_key(defaults, token) in cache for entry in flight.plan)
+        return all(entry.cache_key(token) in cache for entry in flight.plan)
 
     async def _execute_flight(self, flight: _Flight) -> None:
         """Run one flight and fan its outcome out.
@@ -642,7 +638,7 @@ class EnvelopeService:
     def _retire(self, request: _Request) -> None:
         """Keep a bounded history of finished requests for status polling."""
         self._done_ids.append(request.request_id)
-        while len(self._done_ids) > self._history_limit:
+        while len(self._done_ids) > HISTORY_LIMIT:
             evicted = self._done_ids.popleft()
             self._requests.pop(evicted, None)
 

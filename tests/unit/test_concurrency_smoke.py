@@ -14,7 +14,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.config import DEFAULTS
 from repro.engine import (
     CompiledPlanCache,
     DecompositionCache,
@@ -75,9 +74,7 @@ class TestCompiledPlanCacheMemoryTier:
         plan, compiled = compiled_plan
         cache = CompiledPlanCache(tmp_path)
         backend = get_backend("numpy")
-        key = compiled_plan_cache_key(
-            plan, defaults=DEFAULTS, cache_token=backend.cache_token
-        )
+        key = compiled_plan_cache_key(plan, cache_token=backend.cache_token)
         lookup_counts = [0] * N_THREADS
         byte_samples = []
 
@@ -85,13 +82,11 @@ class TestCompiledPlanCacheMemoryTier:
             for iteration in range(N_ITERATIONS):
                 step = (index + iteration) % 4
                 if step == 0:
-                    cache.put(compiled, defaults=DEFAULTS)
+                    cache.put(compiled, key)
                 elif step == 3 and index % 2:
                     cache.invalidate(key)
                 else:
-                    served = cache.lookup(
-                        plan, defaults=DEFAULTS, backend=backend
-                    )
+                    served = cache.lookup(plan, key, backend=backend)
                     lookup_counts[index] += 1
                     if served is not None:
                         assert served.n_entries == compiled.n_entries
@@ -117,14 +112,15 @@ class TestCompiledPlanCacheMemoryTier:
         plan, compiled = compiled_plan
         cache = CompiledPlanCache(tmp_path)
         backend = get_backend("numpy")
+        key = compiled_plan_cache_key(plan, cache_token=backend.cache_token)
 
         def worker(index):
             for _ in range(N_ITERATIONS):
-                cache.put(compiled, defaults=DEFAULTS)
-                cache.lookup(plan, defaults=DEFAULTS, backend=backend)
+                cache.put(compiled, key)
+                cache.lookup(plan, key, backend=backend)
 
         _hammer(worker)
-        served = cache.lookup(plan, defaults=DEFAULTS, backend=backend)
+        served = cache.lookup(plan, key, backend=backend)
         assert served is not None
         for group, fresh_group in zip(served.groups, compiled.groups):
             np.testing.assert_array_equal(

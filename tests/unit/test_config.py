@@ -1,30 +1,20 @@
 """Unit tests for repro.config."""
 
-import dataclasses
-
-import pytest
-
-from repro.config import DEFAULTS, NumericDefaults
+from repro import config
 
 
-class TestNumericDefaults:
-    def test_defaults_is_a_numeric_defaults_instance(self):
-        assert isinstance(DEFAULTS, NumericDefaults)
-
-    def test_defaults_are_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            DEFAULTS.hermitian_atol = 1.0  # type: ignore[misc]
-
+class TestConstants:
     def test_tolerances_are_positive(self):
-        assert DEFAULTS.hermitian_atol > 0
-        assert DEFAULTS.hermitian_rtol > 0
-        assert DEFAULTS.eig_clip_tol > 0
-        assert DEFAULTS.psd_tol > 0
-        assert DEFAULTS.cholesky_jitter > 0
-        assert DEFAULTS.bessel_series_tol > 0
+        assert config.HERMITIAN_ATOL > 0
+        assert config.HERMITIAN_RTOL > 0
+        assert config.EIG_CLIP_TOL > 0
+        assert config.PSD_TOL > 0
+        assert config.CHOLESKY_JITTER > 0
+        assert config.BESSEL_SERIES_TOL > 0
 
     def test_bessel_terms_is_reasonably_large(self):
-        assert DEFAULTS.bessel_series_terms >= 32
+        assert isinstance(config.BESSEL_SERIES_TERMS, int)
+        assert config.BESSEL_SERIES_TERMS >= 32
 
     def test_default_seed_is_an_int(self):
-        assert isinstance(DEFAULTS.default_rng_seed, int)
+        assert isinstance(config.DEFAULT_RNG_SEED, int)

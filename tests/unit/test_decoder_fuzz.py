@@ -8,6 +8,10 @@ entry's seed, is fuzzed on its own as well.  Each target gets arbitrary
 JSON values and one-field mutations of a valid payload (a field replaced by
 an arbitrary value, or removed).  The leaves include integers past the
 float range, which JSON carries but ``float()`` refuses.
+
+The shard result reader ``_read_sample_record`` is fuzzed too: it trusts
+neither the marker's ``layout`` and ``crc32`` nor the ``.bin`` file, so a
+torn slice reads as ``None`` and is recomputed, never a crash.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Simulator
 from repro.engine import DopplerSpec, FadingSpec, SimulationPlan
 from repro.exceptions import ReproError, SpecificationError
 from repro.service.protocol import (
@@ -29,6 +34,7 @@ from repro.service.protocol import (
     seed_to_payload,
 )
 from repro.shard import partition_plan, slice_from_payload, slice_to_payload
+from repro.shard.slicing import _read_sample_record, _sample_record
 
 BUDGET = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -240,3 +246,82 @@ class TestNumericFieldsRefuseUnrepresentableValues:
     def test_slice_payload(self, path, value):
         message = _refused(_decode_slice_object, _SLICE_PAYLOAD, path, value)
         assert "index 1" in message or path[0] in message
+
+
+#: A valid shard result record: the sample arrays, the ``.bin`` bytes a
+#: worker writes, and the marker fields describing them.
+_RECORD_PLAN = SimulationPlan.from_specs(
+    [np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex), np.eye(3, dtype=complex)], seed=3
+)
+_RECORD_SAMPLES, _RECORD_MARKER = _sample_record(Simulator().run(_RECORD_PLAN, 16).blocks)
+_RECORD_BYTES = b"".join(samples.tobytes() for samples in _RECORD_SAMPLES)
+_RECORD_MARKER = json.loads(json.dumps(_RECORD_MARKER))
+
+
+@pytest.fixture(scope="module")
+def record_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
+def _read_record(directory, data: bytes, layout, crc32):
+    """Read ``data`` as a ``.bin`` under the marker fields; check the property.
+
+    The reader returns ``None`` or blocks holding exactly the bytes written,
+    and raises nothing but :class:`OSError`.
+    """
+    path = directory / "shard_0.bin"
+    path.write_bytes(data)
+    try:
+        blocks = _read_sample_record(path, layout, crc32, len(_RECORD_SAMPLES))
+    except OSError:
+        return None
+    if blocks is not None:
+        assert b"".join(samples.tobytes() for samples, _ in blocks) == data
+    return blocks
+
+
+@st.composite
+def _damaged(draw):
+    """The valid record truncated, extended, or with one byte flipped."""
+    size = len(_RECORD_BYTES)
+    how = draw(st.sampled_from(["truncated", "extended", "flipped"]))
+    if how == "truncated":
+        return _RECORD_BYTES[: draw(st.integers(0, size - 1))]
+    if how == "extended":
+        return _RECORD_BYTES + draw(st.binary(min_size=1, max_size=32))
+    data = bytearray(_RECORD_BYTES)
+    data[draw(st.integers(0, size - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+class TestReadSampleRecord:
+    def test_the_valid_record_reads_back(self, record_dir):
+        blocks = _read_record(
+            record_dir, _RECORD_BYTES, _RECORD_MARKER["layout"], _RECORD_MARKER["crc32"]
+        )
+        assert blocks is not None
+        for (samples, variances), written, item in zip(
+            blocks, _RECORD_SAMPLES, _RECORD_MARKER["layout"]
+        ):
+            assert samples.tobytes() == written.tobytes()
+            assert variances.tolist() == item["variances"]
+
+    @BUDGET
+    @given(layout=_JSON, crc32=_JSON | st.just(_RECORD_MARKER["crc32"]))
+    def test_arbitrary_marker_fields(self, record_dir, layout, crc32):
+        _read_record(record_dir, _RECORD_BYTES, layout, crc32)
+
+    @BUDGET
+    @given(marker=_mutated(_RECORD_MARKER))
+    def test_one_field_mutations_of_the_marker(self, record_dir, marker):
+        _read_record(record_dir, _RECORD_BYTES, marker.get("layout"), marker.get("crc32"))
+
+    @BUDGET
+    @given(data=_damaged())
+    def test_damaged_file_reads_as_none(self, record_dir, data):
+        assert (
+            _read_record(
+                record_dir, data, _RECORD_MARKER["layout"], _RECORD_MARKER["crc32"]
+            )
+            is None
+        )

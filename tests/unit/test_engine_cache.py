@@ -1,18 +1,55 @@
 """Unit tests for the decomposition cache: keys, LRU behaviour, counters."""
 
-import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.config import DEFAULTS
+import repro
 from repro.core.coloring import compute_coloring
 from repro.engine import (
     DecompositionCache,
     SimulationPlan,
     compile_plan,
+    compiled_plan_cache_key,
     decomposition_cache_key,
 )
+
+#: The pinned keys' matrix.  ``plans/`` directories written by earlier
+#: releases keep hitting only while these keys stay byte-identical.
+PINNED_MATRIX = np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex)
+PINNED_DECOMPOSITION_KEY = "190964bccade6ac8a63a2b3a57e6bf2a00e6db9ad77293c2db7c4d3a8d193735"
+PINNED_PLAN_KEY = "25b965bea2843eb350e5789196cb9836c476f32cde7912db8cf05872055250b6"
+
+#: Prints the pinned matrix's decomposition key after scaling one constant
+#: of ``repro.config`` by a factor, before anything reads it.
+_KEY_AFTER_EDIT = """
+import sys
+import numpy as np
+import repro.config as config
+name, factor = sys.argv[1], float(sys.argv[2])
+setattr(config, name, getattr(config, name) * factor)
+from repro.engine import decomposition_cache_key
+print(decomposition_cache_key(np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex)))
+"""
+
+
+def _key_after_edit(name: str, factor: float) -> str:
+    env = dict(os.environ)
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _KEY_AFTER_EDIT, name, repr(factor)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    return completed.stdout.strip()
 
 
 @pytest.fixture()
@@ -35,11 +72,20 @@ class TestCacheKey:
         assert decomposition_cache_key(matrix, psd_method="epsilon") != base
         assert decomposition_cache_key(matrix, epsilon=1e-3) != base
 
-    def test_sensitive_to_tolerances(self, matrix):
-        overridden = dataclasses.replace(DEFAULTS, eig_clip_tol=1e-9)
-        assert decomposition_cache_key(matrix) != decomposition_cache_key(
-            matrix, defaults=overridden
-        )
+    def test_keys_are_pinned(self):
+        assert decomposition_cache_key(PINNED_MATRIX) == PINNED_DECOMPOSITION_KEY
+        plan = SimulationPlan.from_specs([PINNED_MATRIX, 2 * PINNED_MATRIX], seed=3)
+        assert compiled_plan_cache_key(plan) == PINNED_PLAN_KEY
+
+    def test_unedited_constants_give_the_pinned_key_in_a_fresh_process(self):
+        assert _key_after_edit("EIG_CLIP_TOL", 1.0) == PINNED_DECOMPOSITION_KEY
+
+    @pytest.mark.parametrize(
+        "name", ["EIG_CLIP_TOL", "PSD_TOL", "HERMITIAN_ATOL", "HERMITIAN_RTOL"]
+    )
+    def test_editing_a_decomposition_tolerance_changes_the_key(self, name):
+        """A tolerance edit must miss every stored ``plans/`` artifact."""
+        assert _key_after_edit(name, 10.0) != PINNED_DECOMPOSITION_KEY
 
     def test_sensitive_to_shape(self):
         flat = np.eye(4, dtype=complex)

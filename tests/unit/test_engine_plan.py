@@ -38,6 +38,21 @@ class TestPlanEntry:
         with pytest.raises(SpecificationError):
             PlanEntry(spec=spec, epsilon=-1.0)
 
+    @pytest.mark.parametrize(
+        "seed", [None, 7, np.int64(7), np.uint32(7), np.random.default_rng(7)]
+    )
+    def test_accepts_what_ensure_rng_accepts(self, spec, seed):
+        assert PlanEntry(spec=spec, seed=seed).seed is seed
+
+    @pytest.mark.parametrize(
+        "seed", [1.5, np.float64(3.0), "7", [7], np.random.SeedSequence(7)]
+    )
+    def test_rejects_an_unusable_seed_at_admission(self, spec, seed):
+        with pytest.raises(SpecificationError, match=type(seed).__name__):
+            PlanEntry(spec=spec, seed=seed)
+        with pytest.raises(SpecificationError, match=type(seed).__name__):
+            SimulationPlan().add(spec, seed=seed)
+
     def test_group_key_contents(self, spec):
         entry = PlanEntry(spec=spec, coloring_method="svd", psd_method="epsilon")
         assert entry.group_key == (2, "svd", "epsilon", 1e-6, None, None)

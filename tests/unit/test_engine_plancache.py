@@ -11,7 +11,6 @@ artifact is a miss that recompiles and re-spills, never an error.
 import numpy as np
 import pytest
 
-from repro.config import DEFAULTS
 from repro.engine import (
     CompiledPlanCache,
     DecompositionCache,
@@ -787,10 +786,10 @@ class TestInflightSingleflight:
         a_done = threading.Event()
         lookup = cache.lookup
 
-        def lookup_then_stall(plan, **kwargs):
+        def lookup_then_stall(plan, key, **kwargs):
             # B's first lookup misses, then B stalls until A has finished:
             # exactly the window between B's miss and its join_inflight.
-            loaded = lookup(plan, **kwargs)
+            loaded = lookup(plan, key, **kwargs)
             if threading.current_thread().name == "B" and not b_missed.is_set():
                 b_missed.set()
                 assert a_done.wait(timeout=10)
@@ -838,6 +837,29 @@ class TestInflightSingleflight:
             execute_plan(_compile(results["B"].plan), 32).blocks,
         ):
             assert got.samples.tobytes() == want.samples.tobytes()
+
+
+class TestHashOncePerCompile:
+    """compile_plan hashes a plan once, whether the plan tier hits or misses."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["miss", "hit"])
+    def test_one_plan_hash_per_compile(self, base_matrix, tmp_path, monkeypatch, warm):
+        import repro.engine.plancache as plancache_module
+
+        cache = CompiledPlanCache(tmp_path)
+        if warm:
+            compile_plan(_mixed_plan(base_matrix), plan_cache=cache)
+        calls = []
+        real_key = plancache_module.compiled_plan_cache_key
+
+        def counting_key(plan, **kwargs):
+            calls.append(plan)
+            return real_key(plan, **kwargs)
+
+        monkeypatch.setattr(plancache_module, "compiled_plan_cache_key", counting_key)
+        compiled = compile_plan(_mixed_plan(base_matrix), plan_cache=cache)
+        assert compiled.report.plan_cache_hits == int(warm)
+        assert len(calls) == 1
 
 
 class TestStatsFields:

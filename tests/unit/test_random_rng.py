@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import DEFAULTS
+from repro.config import DEFAULT_RNG_SEED
 from repro.random import ensure_rng, spawn_rngs
 
 
@@ -24,12 +24,7 @@ class TestEnsureRng:
 
     def test_none_uses_package_default_seed(self):
         a = ensure_rng(None).normal(size=5)
-        b = ensure_rng(DEFAULTS.default_rng_seed).normal(size=5)
-        assert np.allclose(a, b)
-
-    def test_none_with_default_seed_override(self):
-        a = ensure_rng(None, default_seed=99).normal(size=5)
-        b = ensure_rng(99).normal(size=5)
+        b = ensure_rng(DEFAULT_RNG_SEED).normal(size=5)
         assert np.allclose(a, b)
 
     def test_invalid_seed_type_raises(self):

@@ -11,11 +11,15 @@ overhead per shard count and ``compare_benchmarks.py`` flags regressions
 (a slowdown here means the runner, worker, or store lock path got heavier
 — the engine itself is covered by the other benches).
 
-Workers fork from a warm launcher, but the launcher's own start-up
-(interpreter + numpy import, paid by the first run in a process and again
-when the shard count changes the worker environment) is far longer than a
-warm execute, so rounds are bounded with ``benchmark.pedantic`` instead
-of letting calibration fork hundreds of workers.
+Workers fork from a warm launcher and stay: each later slice goes to an
+idle worker, which builds a fresh engine for it, so after a phase's first
+round no round forks.  The launcher's own start-up (interpreter + numpy
+import, paid by the first run in a process and again when the shard
+count changes the worker environment, which also retires the previous
+launcher's workers) and the first round's forks are far longer than a
+warm execute, so ``benchmark.pedantic`` runs one untimed warm-up round
+and a bounded number of timed ones instead of letting calibration
+average over them.
 
 A correctness guard pins the invariant the numbers depend on (standing
 invariant 7): the merged sharded result is byte-identical to the solo run

@@ -38,7 +38,7 @@ import numpy as np
 from ..core.covariance import CovarianceSpec
 from ..exceptions import SpecificationError
 from ..models.fading import FadingLike, FadingSpec, coerce_fading
-from ..random.rng import SEED_TYPES
+from ..random.rng import _is_seed
 from ..types import SeedLike
 
 __all__ = [
@@ -273,7 +273,7 @@ class PlanEntry:
             raise SpecificationError(
                 f"PlanEntry.spec must be a CovarianceSpec, got {type(self.spec).__name__}"
             )
-        if self.seed is not None and not isinstance(self.seed, SEED_TYPES):
+        if self.seed is not None and not _is_seed(self.seed):
             # Refused here, not at execute: the plan would compile first.
             raise SpecificationError(
                 "PlanEntry.seed must be None, an int or a numpy Generator, got "

@@ -18,8 +18,15 @@ from ..types import SeedLike
 
 __all__ = ["ensure_rng", "spawn_rngs"]
 
-#: What :func:`ensure_rng` accepts as a seed besides ``None``.
+#: What :func:`ensure_rng` accepts as a seed besides ``None``; ``bool``,
+#: an ``int`` subclass, is refused (see ``_is_seed``).
 SEED_TYPES = (int, np.integer, np.random.Generator)
+
+
+def _is_seed(value: object) -> bool:
+    """Whether ``value`` is a seed other than ``None``: a :data:`SEED_TYPES`
+    instance that is not a ``bool``, which the wire refuses as well."""
+    return isinstance(value, SEED_TYPES) and not isinstance(value, bool)
 
 
 def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -41,7 +48,7 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
         return seed
     if seed is None:
         seed = DEFAULT_RNG_SEED
-    elif not isinstance(seed, SEED_TYPES):
+    elif not _is_seed(seed):
         raise TypeError(
             f"seed must be None, an int, or a numpy Generator; got {type(seed).__name__}"
         )

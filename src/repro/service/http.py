@@ -11,7 +11,8 @@ POST      ``/v1/plans``               submit a plan payload → ``202`` with a
                                       request id; ``429`` + ``Retry-After``
                                       under backpressure; ``400`` on a
                                       malformed payload or
-                                      ``Content-Length``; ``413`` above
+                                      ``Content-Length``, or a body
+                                      shorter than it; ``413`` above
                                       ``MAX_BODY_BYTES`` (body never read)
                                       or for a result record above
                                       ``MAX_RESULT_BYTES`` (never queued)
@@ -197,12 +198,22 @@ class ServiceHTTPServer:
         # non-ASCII digits.
         if not (raw_length.isascii() and raw_length.isdigit()):
             raise _RequestError(400, f"invalid Content-Length header: {raw_length!r}")
-        length = int(raw_length)
-        if length > MAX_BODY_BYTES:
+        # Measured as text first: int() refuses more than 4300 digits.
+        digits = raw_length.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            shown = digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} digits)"
             raise _RequestError(
-                413, f"Content-Length {length} exceeds the {MAX_BODY_BYTES}-byte limit"
+                413, f"Content-Length {shown} exceeds the {MAX_BODY_BYTES}-byte limit"
             )
-        body = await reader.readexactly(length) if length else b""
+        length = int(digits)
+        try:
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            raise _RequestError(
+                400,
+                f"request body ended after {len(exc.partial)} of the "
+                f"{length} bytes its Content-Length announced",
+            ) from None
         return method.upper(), path, headers, body
 
     async def _dispatch(

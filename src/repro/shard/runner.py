@@ -18,18 +18,25 @@ the CRC, and hands out one view per block.
 Worker start-up: importing numpy and the engine costs a fresh interpreter
 far more than a slice's own work, so the runner keeps one warm *launcher*
 (``python -m repro.shard.worker --launcher FD``, see
-:mod:`repro.shard.worker`) per process and forks each slice's worker from
-it.  The launcher is started with exactly the worker environment below and
-is keyed on it: a run whose environment differs (another shard count,
-other ``extra_env``) starts a new one and retires the old one, which
-exits once the workers it forked have exited.  A launcher exits when its
-control socket closes, so it never outlives the process that started it,
-and one that does not answer by a worker's timeout is killed.  The
-saving is per process: the first sharded run in a process (or the first
-after the worker environment changes) pays the launcher's start-up
-serially, and later runs pay only a fork per slice.  A worker
-handle is shaped like :class:`subprocess.Popen` (``stdout``, ``poll``,
-``wait``, ``kill``, ``returncode``), and where ``os.fork``,
+:mod:`repro.shard.worker`) per process, and the launcher keeps every
+worker it forks: each slice goes to an idle worker, and a new one is
+forked only when none is idle.  A worker runs one slice at a time with a
+fresh engine, as a fresh process would, but pays its per-process costs
+(argument parsing set-up, the first ``plans/`` load, first-call decode,
+fresh memory) once rather than per slice.  The launcher does no numerical
+work and workers never fork.  The launcher is started with exactly the
+worker environment below and is keyed on it: a run whose environment
+differs (another shard count, other ``extra_env``) starts a new one and
+retires the old one, which ends its workers once their slices are done.
+A launcher also ends its workers and exits when its control socket
+closes, so no worker outlives the process that started the launcher, and
+one that does not answer by a worker's timeout is killed.  The saving is
+per process: the first sharded run in a process (or the first after the
+worker environment changes) pays the launcher's start-up serially and a
+fork per worker, and later runs pay neither.  A slice handle is shaped
+like :class:`subprocess.Popen` (``stdout``, ``pid``, ``poll``, ``wait``,
+``kill``, ``returncode``); a kill names its slice, so it never reaches a
+worker that has moved on to another one.  Where ``os.fork``,
 ``socket.send_fds`` or ``AF_UNIX`` ``SOCK_SEQPACKET`` sockets are missing
 the runner starts ``python -m repro.shard.worker`` per slice instead,
 with the same argv.
@@ -67,6 +74,7 @@ from __future__ import annotations
 import atexit
 import functools
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -75,10 +83,9 @@ import sys
 import tempfile
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..engine import CompileReport, SimulationPlan
 from ..engine.result import BatchResult
@@ -249,10 +256,10 @@ def _load_output(
 #: The worker module the launcher and the per-slice fallback both run.
 _WORKER = [sys.executable, "-m", "repro.shard.worker"]
 
-#: Exit status of a worker whose launcher exited before reporting it.
+#: Exit status of a slice whose launcher exited before reporting it.
 _UNKNOWN_EXIT = 255
 
-#: Room for one launcher message (a pid and an exit code).
+#: Room for one launcher message (a slice number, a pid or an exit code).
 _MESSAGE_BYTES = 4096
 
 
@@ -274,16 +281,14 @@ class _Launcher:
             )
         self._sock = ours
         self._lock = threading.Lock()
-        # Spawn answers arrive in request order; exits arrive by pid.
-        self._forks: Deque[Future] = deque()
-        self._exits: Dict[int, Future] = {}
+        # Per slice number: the (started, exited) futures of its handle.
+        self._slices: Dict[int, Tuple[Future, Future]] = {}
+        self._numbers = itertools.count()
         self.lost = False
         self.killed = False
         threading.Thread(target=self._read, name="shard-launcher", daemon=True).start()
 
     def _read(self) -> None:
-        from concurrent.futures import Future
-
         while True:
             try:
                 data = self._sock.recv(_MESSAGE_BYTES)
@@ -294,21 +299,21 @@ class _Launcher:
             message = json.loads(data.decode("utf8"))
             with self._lock:
                 if "exited" in message:
-                    future = self._exits.pop(message["exited"])
-                    outcome: Any = message["code"]
+                    future = self._slices.pop(message["exited"])[1]
+                    outcome = message["code"]
                 else:
-                    future, pid = self._forks.popleft(), message["forked"]
-                    outcome = None if pid is None else (
-                        pid, self._exits.setdefault(pid, Future())
-                    )
+                    number, outcome = message["started"], message["pid"]
+                    future = self._slices[number][0]
+                    if outcome is None:  # never started, so never exits
+                        del self._slices[number]
             future.set_result(outcome)
         with self._lock:
             self.lost = True
-            pending = list(self._forks) + list(self._exits.values())
-            self._forks.clear()
-            self._exits.clear()
+            pending = [future for pair in self._slices.values() for future in pair]
+            self._slices.clear()
         for future in pending:
-            future.set_result(None)
+            if not future.done():
+                future.set_result(None)
         self._sock.close()
         self.process.wait()
 
@@ -326,21 +331,28 @@ class _Launcher:
         from concurrent.futures import Future
 
         read_fd, write_fd = os.pipe()
-        forked: Future = Future()
+        started: Future = Future()
+        exited: Future = Future()
         try:
             with self._lock:
+                number = next(self._numbers)
                 if self.lost:
-                    forked.set_result(None)
+                    started.set_result(None)
                 else:
-                    self._forks.append(forked)
-            if not forked.done():
-                self.send({"op": "spawn", "argv": argv, "cwd": os.getcwd()}, (write_fd,))
+                    self._slices[number] = (started, exited)
+            if not started.done():
+                self.send(
+                    {"op": "spawn", "slice": number, "argv": argv, "cwd": os.getcwd()},
+                    (write_fd,),
+                )
         finally:
             os.close(write_fd)
-        return _ForkedWorker(self, forked, _WORKER + argv, open(read_fd, errors="replace"))
+        return _ForkedWorker(
+            self, number, started, exited, _WORKER + argv, open(read_fd, errors="replace")
+        )
 
     def retire(self) -> None:
-        """Let the launcher exit once the children it runs have exited."""
+        """Let the launcher end its workers and exit once no slice runs."""
         self.send({"op": "retire"})
 
     def abandon(self) -> None:
@@ -364,24 +376,39 @@ class _Launcher:
 
 
 class _ForkedWorker:
-    """A worker forked by a launcher, shaped like :class:`subprocess.Popen`.
+    """One slice run by a launcher's worker, shaped like :class:`subprocess.Popen`.
 
-    ``forked`` settles with ``(pid, exited)`` once the launcher has forked
-    the child (``None`` if it never did), and ``exited`` with the exit code
-    the launcher reports when it reaps the child (``None`` if the launcher
-    was lost first, read as exit 255).  ``kill`` goes through the launcher,
-    which signals only children it has not reaped.  A launcher that has not
-    forked the child when ``kill`` comes has stopped answering: it is
-    killed, and every worker it never forked reads as SIGKILLed.
+    ``started`` settles with the pid of the worker the launcher handed the
+    slice to (``None`` if it never did), and ``exited`` with the slice's
+    exit code (``None`` if the launcher was lost first, read as exit 255).
+    ``kill`` goes through the launcher and names the slice, so it reaches
+    only the worker still serving it.  A launcher that has not started the
+    slice when ``kill`` comes has stopped answering: it is killed, and
+    every slice it never started reads as SIGKILLed.
     """
 
-    def __init__(self, launcher: _Launcher, forked: Future, args: List[str], stdout) -> None:
+    def __init__(
+        self,
+        launcher: _Launcher,
+        number: int,
+        started: Future,
+        exited: Future,
+        args: List[str],
+        stdout,
+    ) -> None:
         self.args = args
         self.stdout = stdout
         self.returncode: Optional[int] = None
         self._launcher = launcher
-        self._forked = forked
+        self._number = number
+        self._started = started
+        self._exited = exited
         self._lock = threading.Lock()
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The serving worker's pid, once the launcher has handed it the slice."""
+        return self._started.result() if self._started.done() else None
 
     def _settle(self, code: Optional[int]) -> int:
         with self._lock:
@@ -389,16 +416,15 @@ class _ForkedWorker:
                 self.returncode = _UNKNOWN_EXIT if code is None else int(code)
             return self.returncode
 
-    def _unforked(self) -> Optional[int]:
+    def _unstarted(self) -> Optional[int]:
         return -signal.SIGKILL if self._launcher.killed else None
 
     def poll(self) -> Optional[int]:
-        if self._forked.done():
-            forked = self._forked.result()
-            if forked is None:
-                return self._settle(self._unforked())
-            if forked[1].done():
-                return self._settle(forked[1].result())
+        if self._started.done():
+            if self._started.result() is None:
+                return self._settle(self._unstarted())
+            if self._exited.done():
+                return self._settle(self._exited.result())
         return None
 
     def wait(self, timeout: Optional[float] = None) -> int:
@@ -406,11 +432,10 @@ class _ForkedWorker:
 
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            forked = self._forked.result(timeout)
-            if forked is None:
-                return self._settle(self._unforked())
+            if self._started.result(timeout) is None:
+                return self._settle(self._unstarted())
             left = None if deadline is None else max(0.0, deadline - time.monotonic())
-            return self._settle(forked[1].result(left))
+            return self._settle(self._exited.result(left))
         except FutureTimeout:
             raise subprocess.TimeoutExpired(self.args, timeout) from None
 
@@ -418,20 +443,19 @@ class _ForkedWorker:
         with self._lock:
             if self.returncode is not None:
                 return
-            if not self._forked.done():
+            if not self._started.done():
                 self._launcher.abandon()
                 return
-        forked = self._forked.result()
-        if forked is not None and not forked[1].done():
-            self._launcher.send({"op": "kill", "pid": forked[0]})
+        if self._started.result() is not None and not self._exited.done():
+            self._launcher.send({"op": "kill", "slice": self._number})
 
 
 _LAUNCHER_LOCK = threading.Lock()
 _LAUNCHER: Optional[_Launcher] = None
 
 
-def _fork_worker(env: Dict[str, str], argv: List[str]) -> _ForkedWorker:
-    """Fork a worker from this process's launcher for ``env``.
+def _start_slice(env: Dict[str, str], argv: List[str]) -> _ForkedWorker:
+    """Hand a slice to a worker of this process's launcher for ``env``.
 
     A launcher for another environment is retired and replaced.  The spawn
     request goes out under the same lock, so it always reaches the
@@ -509,7 +533,7 @@ def _spawn(
     if backend is not None:
         argv += ["--backend", str(backend)]
     if _can_fork():
-        return _fork_worker(env, argv)
+        return _start_slice(env, argv)
     return subprocess.Popen(
         _WORKER + argv,
         stdout=subprocess.PIPE,
@@ -542,9 +566,10 @@ def _drain(
     timer.start()
     try:
         assert process.stdout is not None
-        for line in process.stdout:
-            if progress is not None:
-                progress(index, line.rstrip("\n"))
+        with process.stdout:
+            for line in process.stdout:
+                if progress is not None:
+                    progress(index, line.rstrip("\n"))
         code = process.wait()
     finally:
         timer.cancel()

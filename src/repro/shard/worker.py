@@ -1,9 +1,10 @@
-"""The shard worker: one process, one :class:`PlanSlice`, one engine run.
+"""The shard worker: one :class:`PlanSlice`, one engine run.
 
 The worker CLI is ``python -m repro.shard.worker <slice.json> --out PREFIX
 [--cache-dir DIR] [--backend NAME]``.  The runner normally runs it in a
-child forked from a warm *launcher* (see below) rather than in a fresh
-interpreter; the files, exit code and output are the same.  The worker
+warm worker process forked from a *launcher* (see below), which serves
+one slice after another, rather than in a fresh interpreter; the files,
+exit code and output are the same.  The worker
 decodes its slice payload, builds a private
 :class:`~repro.engine.SimulationEngine` whose compiled-plan cache attaches
 to the caller-supplied shared ``cache_dir``, compiles the sub-plan,
@@ -38,32 +39,47 @@ recover bit-identically from the warm cache.
 
 Launcher
 --------
-``python -m repro.shard.worker --launcher FD`` is the runner's warm worker
+``python -m repro.shard.worker --launcher FD`` is the runner's warm
 process: it has imported this module (numpy and the engine, nothing else)
 and serves requests on the control socket ``FD`` (an ``AF_UNIX``
-``SOCK_SEQPACKET`` end, one JSON message per packet):
+``SOCK_SEQPACKET`` end, one JSON message per packet).  It keeps every
+worker it forks:
 
-* ``spawn`` (with the pipe for the child's stdout and stderr attached)
-  forks a child that runs :func:`main` on the given argv in the given
-  directory, and answers ``{"forked": pid}`` (``null`` if the fork
-  failed).  Requests are served in order, so the answers come in the
-  order of the requests;
-* ``kill`` SIGKILLs a child that has not been reaped;
-* ``retire`` makes the launcher exit once its running children have
-  exited.
+* ``spawn`` (with the pipe for the slice's stdout and stderr attached,
+  and a ``slice`` number the runner chose) hands the slice to an idle
+  worker, forking a new one only when none is idle, and answers
+  ``{"started": slice, "pid": pid}`` (``pid`` is ``null`` if the fork
+  failed).  Requests are served in order;
+* ``kill`` names a slice and SIGKILLs the worker serving it, if one still
+  does, so it never reaches a worker that has moved on to another slice;
+* ``retire`` makes the launcher end its workers and exit once no slice
+  is running.
 
-The launcher reaps each child as soon as it exits (on ``SIGCHLD``) and
-sends ``{"exited": pid, "code": code}`` unasked, with the exit code
-``subprocess`` would report (negative for a signal).  Reaping and killing
-happen in the launcher's one thread, and a kill reaches only a child it
-has not reaped yet, so no signal reaches a reaped (and reusable) pid.
+A worker serves one slice at a time: it changes to the request's
+directory, puts the slice's pipe on fd 1 and 2, runs :func:`main` (whose
+:func:`run_slice` builds a fresh engine for every slice), flushes, and
+puts the descriptors it started with back, so the runner reads EOF on
+the pipe.
+It then answers with the slice's exit code, and the launcher sends
+``{"exited": slice, "code": code}`` unasked.  After a non-zero code the
+worker exits and is never handed another slice; a worker killed by a
+signal is reaped on ``SIGCHLD`` and its slice reported with the code
+``subprocess`` would give (negative for a signal).  Reaping and killing
+happen in the launcher's one thread, so no signal reaches a reaped pid.
+
+Lifetime: the launcher ends its workers when it is retired or when its
+control socket reaches EOF (the runner exited).  Idle workers leave when
+their channel to the launcher closes; a worker still running a slice for
+a runner that is gone is killed.  The launcher waits for every worker
+before it exits, so no process outlives the runner.  A worker whose
+launcher is killed leaves once its slice is done.
 
 Fork safety: the launcher does no numerical work, draws no random numbers
-and starts no thread, so a child starts from the state a fresh worker
-would have after its imports.  A child flushes its streams, runs the
-registered :mod:`atexit` callbacks and leaves with :func:`os._exit`,
-skipping the interpreter teardown.  The launcher leaves the same way when
-its control socket reaches EOF, which happens when the runner exits.
+and starts no thread, and workers never fork, so a worker starts from the
+state a fresh worker process would have after its imports.  A worker
+flushes its streams, runs the registered :mod:`atexit` callbacks and
+leaves with :func:`os._exit`, skipping the interpreter teardown; the
+launcher leaves the same way, skipping the callbacks.
 """
 
 from __future__ import annotations
@@ -74,12 +90,13 @@ import hashlib
 import json
 import os
 import signal
+import socket
 import sys
 import tempfile
 import traceback
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, NoReturn, Optional, Set, Tuple
+from typing import Any, Dict, List, NoReturn, Optional, Tuple
 
 from ..engine import SimulationEngine
 from ..engine.result import BatchResult
@@ -93,6 +110,9 @@ KILL_SLICE_ENV = "REPRO_SHARD_KILL_SLICE"
 
 #: Largest control request the launcher reads (a spawn's argv and cwd).
 _MAX_REQUEST = 1 << 16
+
+#: How long an ending launcher waits for its workers before killing them.
+_END_SECONDS = 5.0
 
 #: Compiled-plan cache counters each worker reports in
 #: ``meta["tiers"]["plans"]`` (the runner sums them into ``tier_totals()``
@@ -228,112 +248,259 @@ def _exit_code(exc: SystemExit) -> int:
     return 1
 
 
-def _run_forked(request: Dict[str, Any], out_fd: int, inherited: Tuple[int, ...]) -> NoReturn:
-    """A forked child: run :func:`main` with its output on ``out_fd``, then exit."""
+def _flush_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            pass
+
+
+def _run_request(request: Dict[str, Any], out_fd: int, idle: Tuple[int, int]) -> int:
+    """Run :func:`main` for one slice with fd 1 and 2 on ``out_fd``.
+
+    Afterwards fd 1 and 2 go back to ``idle``, so no descriptor of the
+    slice's pipe is left open and the runner reads its EOF.
+    """
+    os.dup2(out_fd, 1)
+    os.dup2(out_fd, 2)
+    os.close(out_fd)
+    try:
+        os.chdir(request["cwd"])
+        return main(list(request["argv"]))
+    except SystemExit as exc:
+        return _exit_code(exc)
+    except Exception:
+        traceback.print_exc()
+        return 1
+    finally:
+        _flush_streams()
+        os.dup2(idle[0], 1)
+        os.dup2(idle[1], 2)
+
+
+def _serve(channel: socket.socket) -> NoReturn:
+    """A forked worker: serve slices sent on ``channel`` until it closes.
+
+    Each request is answered with ``{"code": code}``; after a non-zero
+    code the worker exits with that code instead of waiting for the next.
+    """
     code = 1
     try:
-        signal.set_wakeup_fd(-1)
-        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.default_int_handler)
-        for fd in inherited:
-            os.close(fd)
-        os.dup2(out_fd, 1)
-        os.dup2(out_fd, 2)
-        os.close(out_fd)
-        os.chdir(request["cwd"])
         # A fresh interpreter seeds numpy's legacy global generator from OS
-        # entropy; without this every child would share the launcher's.
+        # entropy; without this every worker would share the launcher's.
         # (The engine draws only from per-entry seeds.)
         legacy = sys.modules.get("numpy.random")
         if legacy is not None:
             legacy.seed()
-        code = main(list(request["argv"]))
-    except SystemExit as exc:
-        code = _exit_code(exc)
-    except BaseException:
-        traceback.print_exc()
-        code = 1
+        idle = (os.dup(1), os.dup(2))
+        code = 0
+        while code == 0:
+            try:
+                data, fds, _flags, _address = socket.recv_fds(channel, _MAX_REQUEST, 1)
+            except OSError:
+                data = b""
+            if not data:
+                break  # the launcher ended this worker
+            code = 1  # what a slice interrupted by a signal exits with
+            code = _run_request(json.loads(data.decode("utf8")), fds[0], idle)
+            try:
+                channel.send(json.dumps({"code": code}).encode("utf8"))
+            except OSError:
+                break
     finally:
         # What a normal exit would do, minus the interpreter teardown:
         # atexit callbacks (site hooks dump their records there), then
         # the buffered streams.
         atexit._run_exitfuncs()
-        for stream in (sys.stdout, sys.stderr):
-            try:
-                stream.flush()
-            except (OSError, ValueError):
-                pass
+        _flush_streams()
         os._exit(code)
 
 
+class _Worker:
+    """The launcher's end of one forked worker."""
+
+    def __init__(self, pid: int, channel: socket.socket) -> None:
+        self.pid = pid
+        self.channel: Optional[socket.socket] = channel
+        #: The slice it serves; ``None`` while idle.
+        self.slice: Optional[int] = None
+        self.killed = False
+
+    def fileno(self) -> int:
+        assert self.channel is not None
+        return self.channel.fileno()
+
+    def hang_up(self) -> None:
+        if self.channel is not None:
+            self.channel.close()
+            self.channel = None
+
+
 def _launch(control_fd: int) -> NoReturn:
-    """Serve fork requests on ``control_fd`` (module docs)."""
+    """Serve slice requests on ``control_fd`` with warm workers (module docs)."""
     import select
-    import socket
+    import time
 
     control = socket.socket(fileno=control_fd)
-    wake_read, wake_write = os.pipe()
-    os.set_blocking(wake_read, False)
-    os.set_blocking(wake_write, False)
-    # SIGCHLD writes to the wake-up pipe, so a child's exit interrupts the
-    # select below and is reported at once.
-    signal.set_wakeup_fd(wake_write)
+    wake_read, wake_write = socket.socketpair()
+    wake_read.setblocking(False)
+    wake_write.setblocking(False)
+    # SIGCHLD writes to the wake-up socket, so a worker's exit interrupts
+    # the select below and is reported at once.
+    signal.set_wakeup_fd(wake_write.fileno())
     signal.signal(signal.SIGCHLD, lambda signum, frame: None)
     # Ctrl-C reaches the whole process group; the runner decides what stops.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    live: Set[int] = set()
+    workers: Dict[int, _Worker] = {}
+    idle: List[_Worker] = []
     retiring = False
+
+    def end() -> NoReturn:
+        """End every worker, wait for them, and exit.
+
+        Idle workers leave on their own once their channel closes; a worker
+        still serving a slice is only left when the runner is gone, and
+        nobody would read its output.
+        """
+        for worker in workers.values():
+            if worker.slice is not None:
+                os.kill(worker.pid, signal.SIGKILL)
+            worker.hang_up()
+        deadline = time.monotonic() + _END_SECONDS
+        while workers and time.monotonic() < deadline:
+            pid, _status = os.waitpid(-1, os.WNOHANG)
+            if pid:
+                workers.pop(pid, None)
+            else:
+                time.sleep(0.01)
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        # The runner's atexit callbacks belong to a process that did no
+        # work: skip them.
+        os._exit(0)
 
     def send(message: Dict[str, Any]) -> None:
         try:
             control.send(json.dumps(message).encode("utf8"))
         except OSError:
-            os._exit(0)
+            end()
 
-    def spawn(request: Dict[str, Any], out_fd: int) -> Optional[int]:
+    def report(worker: _Worker, code: int) -> None:
+        served, worker.slice = worker.slice, None
+        if served is not None:
+            send({"exited": served, "code": code})
+
+    def fork_worker(out_fd: int) -> _Worker:
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         try:
             pid = os.fork()
-        except OSError as exc:
-            os.write(out_fd, f"shard worker launcher: fork failed: {exc}\n".encode("utf8"))
-            os.close(out_fd)
-            return None
+        except OSError:
+            ours.close()
+            theirs.close()
+            raise
         if pid == 0:
-            _run_forked(request, out_fd, (control.fileno(), wake_read, wake_write))
-        os.close(out_fd)
-        live.add(pid)
-        return pid
+            signal.set_wakeup_fd(-1)
+            signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            for sock in [control, wake_read, wake_write, ours] + [
+                worker.channel for worker in workers.values() if worker.channel
+            ]:
+                sock.close()
+            os.close(out_fd)  # the request hands the worker its own copy
+            _serve(theirs)
+        theirs.close()
+        workers[pid] = _Worker(pid, ours)
+        return workers[pid]
 
-    while live or not retiring:
-        ready = select.select([control, wake_read], [], [])[0]
-        if wake_read in ready:
-            try:
-                while os.read(wake_read, 4096):
-                    pass
-            except BlockingIOError:
-                pass
-        if control in ready:
-            try:
-                data, fds, _flags, _address = socket.recv_fds(control, _MAX_REQUEST, 1)
-            except OSError:
-                data, fds = b"", []
-            if not data:
-                # The runner exited.  Its atexit callbacks belong to a
-                # process that did no work: skip them.
-                os._exit(0)
-            request = json.loads(data.decode("utf8"))
-            if request["op"] == "spawn":
-                send({"forked": spawn(request, fds[0])})
-            elif request["op"] == "kill" and request["pid"] in live:
-                os.kill(request["pid"], signal.SIGKILL)
-            elif request["op"] == "retire":
-                retiring = True
-        while live:
+    def start(request: Dict[str, Any], out_fd: int) -> Optional[int]:
+        """Hand the slice to an idle worker, forking one if none is idle."""
+        message = json.dumps({"argv": request["argv"], "cwd": request["cwd"]})
+        try:
+            while True:
+                try:
+                    worker = idle.pop() if idle else fork_worker(out_fd)
+                except OSError as exc:
+                    os.write(out_fd, f"shard worker launcher: fork failed: {exc}\n".encode())
+                    return None
+                try:
+                    socket.send_fds(worker.channel, [message.encode("utf8")], [out_fd])
+                except OSError:
+                    worker.hang_up()  # it died while idle; the reap collects it
+                    continue
+                worker.slice = request["slice"]
+                return worker.pid
+        finally:
+            os.close(out_fd)
+
+    def retire(worker: _Worker) -> None:
+        """Close the worker's channel and never hand it another slice."""
+        worker.hang_up()
+        if worker in idle:
+            idle.remove(worker)
+
+    def receive(worker: _Worker) -> None:
+        """Read a worker's answer: the exit code of the slice it served."""
+        try:
+            data = worker.channel.recv(_MAX_REQUEST)
+        except OSError:
+            data = b""
+        if not data:
+            retire(worker)  # it exited; the reap reports its slice
+            return
+        code = json.loads(data.decode("utf8"))["code"]
+        report(worker, code)
+        if code == 0 and not worker.killed:
+            idle.append(worker)
+
+    def serve_control() -> None:
+        nonlocal retiring
+        try:
+            data, fds, _flags, _address = socket.recv_fds(control, _MAX_REQUEST, 1)
+        except OSError:
+            data, fds = b"", []
+        if not data:
+            end()  # the runner exited
+        request = json.loads(data.decode("utf8"))
+        if request["op"] == "spawn":
+            send({"started": request["slice"], "pid": start(request, fds[0])})
+        elif request["op"] == "kill":
+            # Only the worker serving that slice now: never one that has
+            # moved on to another slice.
+            for worker in workers.values():
+                if worker.slice == request["slice"] and not worker.killed:
+                    os.kill(worker.pid, signal.SIGKILL)
+                    worker.killed = True
+        elif request["op"] == "retire":
+            retiring = True
+
+    def reap() -> None:
+        while workers:
             pid, status = os.waitpid(-1, os.WNOHANG)
             if pid == 0:
-                break
-            live.discard(pid)
-            send({"exited": pid, "code": os.waitstatus_to_exitcode(status)})
-    os._exit(0)
+                return
+            worker = workers.pop(pid)
+            if worker.channel is not None:
+                receive(worker)  # an answer it sent before it exited comes first
+            retire(worker)
+            report(worker, os.waitstatus_to_exitcode(status))
+
+    while not retiring or any(worker.slice is not None for worker in workers.values()):
+        channels = [worker for worker in workers.values() if worker.channel is not None]
+        for ready in select.select([control, wake_read, *channels], [], [])[0]:
+            if ready is control:
+                serve_control()
+            elif ready is wake_read:
+                try:
+                    while wake_read.recv(4096):
+                        pass
+                except BlockingIOError:
+                    pass
+            elif ready.channel is not None:
+                receive(ready)
+        reap()
+    end()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

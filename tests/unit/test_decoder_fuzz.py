@@ -12,10 +12,16 @@ float range, which JSON carries but ``float()`` refuses.
 The shard result reader ``_read_sample_record`` is fuzzed too: it trusts
 neither the marker's ``layout`` and ``crc32`` nor the ``.bin`` file, so a
 torn slice reads as ``None`` and is recomputed, never a crash.
+
+So is the HTTP request reader ``ServiceHTTPServer._read_request``, on
+arbitrary bytes and one-field mutations of a valid request: it returns a
+parsed request or ``None``, or refuses with a 4xx, since anything else is
+answered 500.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import numpy as np
@@ -26,6 +32,7 @@ from hypothesis import strategies as st
 from repro.api import Simulator
 from repro.engine import DopplerSpec, FadingSpec, SimulationPlan
 from repro.exceptions import ReproError, SpecificationError
+from repro.service.http import MAX_BODY_BYTES, ServiceHTTPServer, _RequestError
 from repro.service.protocol import (
     BIT_GENERATORS,
     plan_from_payload,
@@ -325,3 +332,87 @@ class TestReadSampleRecord:
             )
             is None
         )
+
+
+_REQUEST_BODY = json.dumps(_PLAN_PAYLOAD).encode("utf8")
+_REQUEST_LINE = b"POST /v1/plans HTTP/1.1"
+_REQUEST_HEADERS = [b"Host: localhost", b"Content-Length: %d" % len(_REQUEST_BODY)]
+#: ``Content-Length`` values that are not a plain count, or are too large.
+_CONTENT_LENGTHS = st.sampled_from(
+    ["-5", "+5", "1_0", "\u0661\u0660", "\uff11\uff10", " ", "",
+     str(MAX_BODY_BYTES + 1), "9" * 5000]
+) | st.text(max_size=8)
+_LINES = st.binary(max_size=64) | st.text(max_size=64).map(lambda text: text.encode("utf8"))
+
+
+def _request_bytes(request_line: bytes, headers, body: bytes) -> bytes:
+    return b"\r\n".join([request_line, *headers, b""]) + b"\r\n" + body
+
+
+@st.composite
+def _mutated_request(draw):
+    """The valid request with its request line, a header line, the
+    ``Content-Length`` value or the body changed."""
+    request_line, headers, body = _REQUEST_LINE, list(_REQUEST_HEADERS), _REQUEST_BODY
+    field = draw(st.sampled_from(["request line", "header", "content-length", "body"]))
+    if field == "request line":
+        request_line = draw(_LINES | st.just(b"GET /" + b"a" * 70_000 + b" HTTP/1.1"))
+    elif field == "header":
+        index = draw(st.integers(0, len(headers) - 1))
+        how = draw(st.sampled_from(["replace", "insert", "remove"]))
+        if how == "remove":
+            del headers[index]
+        else:
+            headers[index : index + (how == "replace")] = [draw(_LINES)]
+    elif field == "content-length":
+        headers[1] = b"Content-Length: " + draw(_CONTENT_LENGTHS).encode("utf8")
+    elif draw(st.booleans()):
+        body = body[: draw(st.integers(0, len(body) - 1))]
+    else:
+        body += draw(st.binary(min_size=1, max_size=16))
+    return _request_bytes(request_line, headers, body)
+
+
+def _parse(data: bytes):
+    """Feed ``data`` then EOF to the request reader; return what it returns."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        # The reader uses no service.
+        return await ServiceHTTPServer(service=None)._read_request(reader)
+
+    return asyncio.run(read())
+
+
+def _parses_or_refuses(data: bytes) -> None:
+    """The reader returns a parsed request or ``None``, or refuses with a 4xx."""
+    try:
+        parsed = _parse(data)
+    except _RequestError as exc:
+        assert 400 <= exc.status < 500, exc
+        return
+    if parsed is not None:
+        method, path, headers, body = parsed
+        assert isinstance(method, str) and isinstance(path, str)
+        assert isinstance(headers, dict) and isinstance(body, bytes)
+
+
+class TestReadRequest:
+    def test_the_valid_request_parses(self):
+        method, path, headers, body = _parse(
+            _request_bytes(_REQUEST_LINE, _REQUEST_HEADERS, _REQUEST_BODY)
+        )
+        assert (method, path, body) == ("POST", "/v1/plans", _REQUEST_BODY)
+        assert headers["content-length"] == str(len(_REQUEST_BODY))
+
+    @BUDGET
+    @given(data=st.binary(max_size=256))
+    def test_arbitrary_bytes(self, data):
+        _parses_or_refuses(data)
+
+    @BUDGET
+    @given(data=_mutated_request())
+    def test_one_field_mutations(self, data):
+        _parses_or_refuses(data)

@@ -45,9 +45,11 @@ class TestPlanEntry:
         assert PlanEntry(spec=spec, seed=seed).seed is seed
 
     @pytest.mark.parametrize(
-        "seed", [1.5, np.float64(3.0), "7", [7], np.random.SeedSequence(7)]
+        "seed", [1.5, np.float64(3.0), "7", [7], np.random.SeedSequence(7), True, False]
     )
     def test_rejects_an_unusable_seed_at_admission(self, spec, seed):
+        # A bool is an int to isinstance, but the wire refuses it
+        # (seed_from_payload), so the library does too.
         with pytest.raises(SpecificationError, match=type(seed).__name__):
             PlanEntry(spec=spec, seed=seed)
         with pytest.raises(SpecificationError, match=type(seed).__name__):

@@ -31,6 +31,11 @@ class TestEnsureRng:
         with pytest.raises(TypeError):
             ensure_rng("not-a-seed")  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_seed_raises(self, seed):
+        with pytest.raises(TypeError, match="bool"):
+            ensure_rng(seed)
+
 
 class TestSpawnRngs:
     def test_returns_requested_count(self):

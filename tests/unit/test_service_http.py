@@ -130,12 +130,14 @@ async def _submit_raw(port, raw_bytes):
     return status
 
 
-async def _send_head(port, head):
+async def _send_head(port, head, end_request=False):
     """Send raw request-head bytes; return the answer's ``(status, json body)``.
 
     The server may answer and close before it has read the whole head, so
     the exchange runs on the bare socket: a failed send is tolerated, and
     the answer already received is read before the connection reset.
+    ``end_request`` shuts the write side after sending, so the server
+    reads EOF where it expects more.
     """
     loop = asyncio.get_running_loop()
     with socket.socket() as sock:
@@ -143,6 +145,8 @@ async def _send_head(port, head):
         await loop.sock_connect(sock, ("127.0.0.1", port))
         try:
             await loop.sock_sendall(sock, head)
+            if end_request:
+                sock.shutdown(socket.SHUT_WR)
         except ConnectionError:
             pass
         data = b""
@@ -293,6 +297,8 @@ class TestRoutes:
         cases = [("abc", 400), ("-5", 400), ("1_0", 400)]
         # No body follows an oversized length: the 413 must come unread.
         cases += [(str(MAX_BODY_BYTES + 1), 413), ("99999999999", 413)]
+        # More digits than int() converts.
+        cases += [("9" * 5000, 413)]
 
         async def scenario():
             sim = Simulator(cache=DecompositionCache())
@@ -307,6 +313,12 @@ class TestRoutes:
             sim.close()
 
         asyncio.run(scenario())
+
+    def test_truncated_body_400_and_the_server_survives(self):
+        """A body that ends before its Content-Length is a client error,
+        never the 500 an unexpected EOF once read as."""
+        head = b"POST /v1/plans HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nabc"
+        self._assert_rejected(head, 400, "Content-Length", end_request=True)
 
     def test_oversized_request_line_414(self):
         from repro.service.http import MAX_HEAD_BYTES
@@ -350,11 +362,11 @@ class TestRoutes:
         asyncio.run(scenario())
 
     @staticmethod
-    def _assert_rejected(head, expected, part):
+    def _assert_rejected(head, expected, part, end_request=False):
         async def scenario():
             sim = Simulator(cache=DecompositionCache())
             async with _serve(sim) as (service, server):
-                status, body = await _send_head(server.port, head)
+                status, body = await _send_head(server.port, head, end_request)
                 assert status == expected
                 assert part in body["error"]
                 status, _headers, raw = await _request(server.port, "GET", "/healthz")

@@ -1121,6 +1121,124 @@ _needs_fork = pytest.mark.skipif(
 )
 
 
+def _record_spawns(monkeypatch) -> list:
+    """Record every slice handle the runner starts, in start order."""
+    from repro.shard import runner
+
+    handles = []
+    real_spawn = runner._spawn
+
+    def spawn(*args, **kwargs):
+        handles.append(real_spawn(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(runner, "_spawn", spawn)
+    return handles
+
+
+#: A worker environment whose BLAS split does not depend on the shard
+#: count, so runs with different counts share one launcher.
+_ONE_BLAS_THREAD = dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"
+)
+
+
+@_needs_fork
+@pytest.mark.usefixtures("clean_env")
+class TestWarmWorkers:
+    """A launcher keeps its workers across slices and runs; a worker whose
+    slice failed is never reused, and a kill reaches only the slice it
+    names."""
+
+    def test_back_to_back_runs_share_the_workers(self, tmp_path, monkeypatch):
+        from repro.shard import run_sharded
+
+        handles = _record_spawns(monkeypatch)
+        plan = _sweep_plan(4)
+        for name in ("a", "b"):
+            result = run_sharded(
+                plan,
+                16,
+                n_shards=2,
+                work_dir=tmp_path / name,
+                extra_env={"REPRO_TEST_ENV": "back-to-back"},
+            )
+            _assert_matches_solo(result, plan, 16)
+        first, second = {h.pid for h in handles[:2]}, {h.pid for h in handles[2:]}
+        assert len(first) == 2
+        assert second == first
+
+    @pytest.mark.parametrize("failure", ["exit-1", "sigkill"])
+    def test_a_failed_slice_retires_its_worker(self, tmp_path, monkeypatch, failure):
+        from repro.shard import runner
+        from repro.shard.worker import KILL_SLICE_ENV
+
+        handles = []
+        real_spawn = runner._spawn
+
+        def spawn(slice_path, out_prefix, **kwargs):
+            if failure == "exit-1" and slice_path.name == "slice_1.json":
+                slice_path = tmp_path / "missing.json"
+            handles.append(real_spawn(slice_path, out_prefix, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(runner, "_spawn", spawn)
+        env = dict(_ONE_BLAS_THREAD, REPRO_TEST_ENV=f"failed-{failure}")
+        if failure == "sigkill":
+            env[KILL_SLICE_ENV] = "1"
+        broken = runner.run_sharded(
+            _sweep_plan(6), 16, n_shards=3, work_dir=tmp_path / "broken", extra_env=env
+        )
+        assert broken.failed == (1,)
+        assert handles[1].returncode == (1 if failure == "exit-1" else -9)
+        survivors = {handles[0].pid, handles[2].pid}
+        failed_pid = handles[1].pid
+        assert failed_pid not in survivors
+        # Slice 0 of a one-shard run: an idle survivor serves it.
+        plan = _sweep_plan(2)
+        result = runner.run_sharded(
+            plan, 16, n_shards=1, work_dir=tmp_path / "next", extra_env=env
+        )
+        _assert_matches_solo(result, plan, 16)
+        assert handles[3].pid in survivors
+        assert _gone_within(failed_pid, 10.0)
+
+    def test_a_stale_kill_never_reaches_the_next_slice(self, tmp_path):
+        """A kill for a slice whose exit report is still on its way (sent
+        here directly, as such a race would send it) finds its worker
+        serving another slice and must leave that slice running."""
+        import os
+
+        from repro.shard import runner
+
+        plan_slice = partition_plan(_sweep_plan(2), 1)[0]
+        payload = slice_to_payload(plan_slice, 16)
+        (tmp_path / "slice.json").write_bytes(payload)
+        env = runner._worker_env({"REPRO_TEST_ENV": "stale-kill"}, 1)
+
+        def spawn(slice_path, out_name):
+            return runner._spawn(
+                slice_path, tmp_path / out_name, cache_dir=None, backend=None, env=env
+            )
+
+        finished = spawn(tmp_path / "slice.json", "finished")
+        assert runner._drain(finished, 0, None, 60.0) == 0
+        fifo = tmp_path / "slice.fifo"
+        os.mkfifo(fifo)
+        # The same worker now blocks opening a FIFO nobody writes to yet.
+        blocked = spawn(fifo, "blocked")
+        finished._launcher.send({"op": "kill", "slice": finished._number})
+        # The launcher serves requests in order: once this slice has
+        # started, the stale kill has been handled.
+        other = spawn(tmp_path / "slice.json", "other")
+        assert runner._drain(other, 0, None, 60.0) == 0
+        assert blocked.pid == finished.pid != other.pid
+        assert blocked.poll() is None and _alive(blocked.pid)
+        with open(fifo, "wb") as handle:
+            handle.write(payload)
+        assert runner._drain(blocked, 0, None, 60.0) == 0
+
+
 @_needs_fork
 @pytest.mark.usefixtures("clean_env")
 class TestForkedWorkerContract:
@@ -1181,8 +1299,10 @@ class TestForkedWorkerContract:
         """Identical covariances with ``seed=None`` over 2 shards: each shard
         draws from its entry's seed (``None`` is the package default seed, so
         the blocks equal each other and the solo run), and the legacy global
-        generators a hook in the child sees are not the launcher's copy."""
-        from repro.shard import run_sharded
+        generators a hook in the child sees are not the launcher's copy.
+        The hook writes its draws when a worker exits, so the launcher is
+        closed (its workers end with it) before they are read."""
+        from repro.shard import run_sharded, runner
 
         hook = tmp_path / "hook"
         hook.mkdir()
@@ -1211,6 +1331,7 @@ class TestForkedWorkerContract:
         _assert_matches_solo(result, plan, 64)
         first, second = result.merged.blocks
         assert first.samples.tobytes() == second.samples.tobytes()
+        runner._close_launcher()
         numpy_draws, python_draws = zip(
             *(path.read_text(encoding="utf8").split() for path in draws.iterdir())
         )
@@ -1310,22 +1431,36 @@ class TestLauncherLifetime:
     environment replaces the launcher instead of adding one."""
 
     def test_launcher_dies_with_a_killed_parent(self, tmp_path):
+        """The launcher and its workers go with a SIGKILLed parent, the
+        idle workers and one still serving a slice (blocked opening a
+        FIFO nobody writes to) alike."""
         import os
         import subprocess
         import sys
 
         import repro
 
+        fifo = tmp_path / "slice.fifo"
+        os.mkfifo(fifo)
         script = (
-            "import os, signal\n"
+            "import os, signal, time\n"
+            "from pathlib import Path\n"
             "import numpy as np\n"
             "from repro.engine import SimulationPlan\n"
             "from repro.shard import run_sharded, runner\n"
+            "handles = []\n"
+            "spawn = runner._spawn\n"
+            "runner._spawn = lambda *a, **k: handles.append(spawn(*a, **k)) or handles[-1]\n"
             "plan = SimulationPlan()\n"
             "for index in range(4):\n"
             "    plan.add(np.eye(2) * (1 + index), seed=index)\n"
             f"assert run_sharded(plan, 16, n_shards=2, work_dir={str(tmp_path)!r}).ok\n"
-            "print(runner._LAUNCHER.process.pid, flush=True)\n"
+            f"blocked = runner._spawn(Path({str(fifo)!r}), Path({str(tmp_path)!r}) / 'blocked',\n"
+            "    cache_dir=None, backend=None, env=runner._worker_env(None, 2))\n"
+            "while blocked.pid is None:\n"
+            "    time.sleep(0.01)\n"
+            "assert blocked.poll() is None\n"
+            "print(runner._LAUNCHER.process.pid, *(h.pid for h in handles), flush=True)\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n"
         )
         env = dict(os.environ)
@@ -1339,17 +1474,21 @@ class TestLauncherLifetime:
             timeout=120,
         )
         assert completed.returncode == -9, completed.stderr
-        launcher_pid = int(completed.stdout.split()[-1])
-        assert _gone_within(launcher_pid, 10.0)
+        launcher_pid, *worker_pids = map(int, completed.stdout.split())
+        assert len(worker_pids) == 3 and len(set(worker_pids)) == 2
+        for pid in [launcher_pid, *worker_pids]:
+            assert _gone_within(pid, 10.0)
 
-    def test_another_worker_env_replaces_the_launcher(self, tmp_path):
+    def test_another_worker_env_replaces_the_launcher(self, tmp_path, monkeypatch):
         from repro.shard import run_sharded, runner
 
+        handles = _record_spawns(monkeypatch)
         plan = _sweep_plan(4)
         assert run_sharded(
             plan, 16, n_shards=2, work_dir=tmp_path / "a", extra_env={"REPRO_TEST_ENV": "a"}
         ).ok
         first = runner._LAUNCHER
+        first_workers = {handle.pid for handle in handles}
         assert run_sharded(
             plan, 16, n_shards=2, work_dir=tmp_path / "b", extra_env={"REPRO_TEST_ENV": "a"}
         ).ok
@@ -1363,6 +1502,9 @@ class TestLauncherLifetime:
         assert second is not first
         assert second.process.pid != first.process.pid
         assert _gone_within(first.process.pid, 10.0)
+        assert len(first_workers) == 2
+        for pid in first_workers:
+            assert _gone_within(pid, 10.0)
         assert _alive(second.process.pid)
 
     def test_concurrent_runs_with_different_envs_all_complete(self, tmp_path):

@@ -1,8 +1,9 @@
 """The unified session API: one :class:`Simulator` in front of the engine.
 
 A :class:`Simulator` is the package's one front door.  It fronts the
-plan/compile/execute engine of :mod:`repro.engine` and runs
-:class:`repro.channels.scenario.ScenarioSweep` sweeps; one-call generation,
+plan/compile/execute engine of :mod:`repro.engine` (a
+:class:`repro.channels.scenario.ScenarioSweep` runs as ``sweep.to_plan(...)``);
+one-call generation,
 Monte-Carlo replica ensembles (``R`` entries sharing one spec) and
 bounded-memory records (a one-entry plan streamed block by block) are all
 plans it runs:
@@ -48,7 +49,7 @@ import functools
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -65,10 +66,6 @@ from .exceptions import ParallelExecutionError, SpecificationError
 from .types import EnvelopeBlock, GaussianBlock, SeedLike
 
 __all__ = ["Simulator"]
-
-#: What :meth:`Simulator.run` accepts as work.
-RunnableWork = Union[SimulationPlan, CompiledPlan, "ScenarioSweepLike"]
-
 
 class Simulator:
     """A simulation session: one entry point over the batched engine.
@@ -141,11 +138,6 @@ class Simulator:
         return self._engine.cache
 
     @property
-    def cache_stats(self):
-        """Snapshot of the session cache's hit/miss/eviction counters."""
-        return self._engine.cache_stats
-
-    @property
     def cache_dir(self) -> Optional[str]:
         """The directory of the session's ``plans/`` tier (``None`` if in-memory)."""
         cache_dir = self._engine.plan_cache.cache_dir
@@ -181,58 +173,20 @@ class Simulator:
         """Compile a plan once for repeated :meth:`run` / :meth:`stream` calls."""
         return self._engine.compile(plan)
 
-    def _coerce_plan(
-        self,
-        work: RunnableWork,
-        *,
-        gaussian_powers=None,
-        seed: SeedLike = None,
-        seeds: Optional[Sequence[SeedLike]] = None,
-    ) -> Union[SimulationPlan, CompiledPlan]:
-        """Accept a plan, a compiled plan, or a scenario sweep as work."""
-        if isinstance(work, (SimulationPlan, CompiledPlan)):
-            return work
-        if hasattr(work, "to_plan"):  # ScenarioSweep (or anything sweep-shaped)
-            if gaussian_powers is None:
-                raise SpecificationError(
-                    "running a scenario sweep requires gaussian_powers (one "
-                    "per-branch power vector, or one per scenario)"
-                )
-            return work.to_plan(gaussian_powers, seed=seed, seeds=seeds)
-        raise SpecificationError(
-            "work must be a SimulationPlan, a CompiledPlan, or a ScenarioSweep; "
-            f"got {type(work).__name__}"
-        )
-
-    def run(
-        self,
-        work: RunnableWork,
-        n_samples: int,
-        *,
-        gaussian_powers=None,
-        seed: SeedLike = None,
-        seeds: Optional[Sequence[SeedLike]] = None,
-    ) -> BatchResult:
-        """Execute a plan, compiled plan, or scenario sweep as one batch.
+    def run(self, work: Union[SimulationPlan, CompiledPlan], n_samples: int) -> BatchResult:
+        """Execute a plan or compiled plan as one batch.
 
         Always in-process, on this session's engine: results are
-        bit-identical whatever ``max_workers`` is.
-
-        Parameters
-        ----------
-        work:
-            A :class:`SimulationPlan`, a :class:`CompiledPlan`, or a
-            :class:`repro.channels.scenario.ScenarioSweep`.
-        n_samples:
-            Time samples per branch for every entry.
-        gaussian_powers, seed, seeds:
-            Only used when ``work`` is a scenario sweep (forwarded to
-            :meth:`~repro.channels.scenario.ScenarioSweep.to_plan`).
+        bit-identical whatever ``max_workers`` is.  A
+        :class:`repro.channels.scenario.ScenarioSweep` becomes a plan with
+        ``sweep.to_plan(gaussian_powers, seed=s)``.
         """
-        plan = self._coerce_plan(
-            work, gaussian_powers=gaussian_powers, seed=seed, seeds=seeds
-        )
-        return self._engine.run(plan, n_samples)
+        if not isinstance(work, (SimulationPlan, CompiledPlan)):
+            raise SpecificationError(
+                "work must be a SimulationPlan or a CompiledPlan (a ScenarioSweep "
+                f"becomes one with sweep.to_plan(...)); got {type(work).__name__}"
+            )
+        return self._engine.run(work, n_samples)
 
     def stream(
         self,
@@ -267,13 +221,7 @@ class Simulator:
             return self._thread_pool
 
     async def submit(
-        self,
-        work: RunnableWork,
-        n_samples: int,
-        *,
-        gaussian_powers=None,
-        seed: SeedLike = None,
-        seeds: Optional[Sequence[SeedLike]] = None,
+        self, work: Union[SimulationPlan, CompiledPlan], n_samples: int
     ) -> BatchResult:
         """Awaitable :meth:`run`: execute a plan in the session's thread pool.
 
@@ -298,14 +246,7 @@ class Simulator:
         Either way :attr:`pending_submissions` drops back when the
         underlying future resolves — cancellation never leaks a slot.
         """
-        call = functools.partial(
-            self.run,
-            work,
-            n_samples,
-            gaussian_powers=gaussian_powers,
-            seed=seed,
-            seeds=seeds,
-        )
+        call = functools.partial(self.run, work, n_samples)
         executor = self._executor()
         with self._pool_lock:
             self._pending_submissions += 1

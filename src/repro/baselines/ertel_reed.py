@@ -93,14 +93,6 @@ class ErtelReedGenerator(BaselineGenerator):
         """The complex Gaussian correlation coefficient being realized."""
         return self._rho
 
-    def covariance_matrix(self) -> np.ndarray:
-        """The 2 x 2 complex covariance matrix this generator realizes."""
-        sigma2 = self._power
-        return np.array(
-            [[sigma2, sigma2 * self._rho], [sigma2 * np.conj(self._rho), sigma2]],
-            dtype=complex,
-        )
-
     def generate(self, n_samples: int, rng: Optional[SeedLike] = None) -> ComplexArray:
         """Generate ``(2, n_samples)`` correlated complex Gaussian samples."""
         n_samples = self._validate_n_samples(n_samples)

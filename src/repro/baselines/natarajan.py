@@ -65,15 +65,6 @@ class NatarajanGenerator(BaselineGenerator):
         """Number of correlated branches."""
         return self._spec.n_branches
 
-    @property
-    def realified_covariance(self) -> np.ndarray:
-        """The covariance matrix actually realized (real parts only; copy)."""
-        return self._realified.copy()
-
-    def covariance_distortion(self) -> float:
-        """Frobenius norm of the imaginary covariance content this method discards."""
-        return float(np.linalg.norm(np.imag(self._spec.matrix), ord="fro"))
-
     def generate(self, n_samples: int, rng: Optional[SeedLike] = None) -> ComplexArray:
         """Generate ``(N, n_samples)`` correlated complex Gaussian samples."""
         n_samples = self._validate_n_samples(n_samples)

@@ -117,11 +117,6 @@ class SalzWintersGenerator(BaselineGenerator):
         """Number of correlated branches."""
         return self._spec.n_branches
 
-    @property
-    def real_covariance(self) -> np.ndarray:
-        """The 2N x 2N real composite covariance matrix (copy)."""
-        return self._real_covariance.copy()
-
     def generate(self, n_samples: int, rng: Optional[SeedLike] = None) -> ComplexArray:
         """Generate ``(N, n_samples)`` correlated complex Gaussian samples."""
         n_samples = self._validate_n_samples(n_samples)

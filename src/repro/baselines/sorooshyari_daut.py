@@ -1,4 +1,4 @@
-"""Baseline [6]: Sorooshyari & Daut's method, including its real-time defect.
+"""Baseline [6]: Sorooshyari & Daut's method.
 
 Sorooshyari & Daut (PIMRC 2003) generate ``N`` equal-power correlated
 Rayleigh envelopes and relax the positive-definiteness requirement by
@@ -14,13 +14,10 @@ changes the variance to ``sigma_g^2 = 2 sigma_orig^2 / M^2 * sum F[k]^2``
 the central defect the proposed algorithm fixes by measuring and compensating
 the filter-output variance.
 
-Both behaviours are reproduced here:
-
-* :meth:`SorooshyariDautGenerator.generate` — snapshot mode with the epsilon
-  PSD approximation and Cholesky coloring;
-* :meth:`SorooshyariDautGenerator.generate_realtime` — Doppler mode *without*
-  variance compensation, so the achieved covariance differs from the request
-  by the factor ``sigma_g^2``.
+:meth:`SorooshyariDautGenerator.generate` reproduces the snapshot mode with
+the epsilon PSD approximation and Cholesky coloring.  The real-time defect is
+measured by the ``variance-compensation`` experiment, which runs the Doppler
+mode with and without the compensation.
 """
 
 from __future__ import annotations
@@ -29,15 +26,18 @@ from typing import Optional
 
 import numpy as np
 
-from ..channels.idft_generator import IDFTRayleighGenerator
 from ..core.covariance import CovarianceSpec
 from ..core.psd import force_positive_semidefinite
 from ..linalg import cholesky_factor, try_cholesky
-from ..random import complex_gaussian, ensure_rng, spawn_rngs
+from ..random import complex_gaussian
 from ..types import ComplexArray, SeedLike
 from .base import BaselineGenerator, require_equal_powers
 
 __all__ = ["SorooshyariDautGenerator"]
+
+#: Replacement value for non-positive eigenvalues (the method's
+#: positive-definiteness repair).
+_EPSILON = 1e-6
 
 
 class SorooshyariDautGenerator(BaselineGenerator):
@@ -48,9 +48,6 @@ class SorooshyariDautGenerator(BaselineGenerator):
     spec:
         Covariance specification (or raw complex covariance matrix) with
         equal branch powers.
-    epsilon:
-        Replacement value for non-positive eigenvalues (the method's
-        positive-definiteness repair).
     rng:
         Seed or generator.
     """
@@ -58,18 +55,16 @@ class SorooshyariDautGenerator(BaselineGenerator):
     name = "sorooshyari-daut"
     reference = "[6]"
 
-    def __init__(self, spec, *, epsilon: float = 1e-6, rng: SeedLike = None) -> None:
+    def __init__(self, spec, *, rng: SeedLike = None) -> None:
         super().__init__(rng=rng)
         if not isinstance(spec, CovarianceSpec):
             spec = CovarianceSpec.from_covariance_matrix(np.asarray(spec, dtype=complex))
         self._spec = spec
         self._power = require_equal_powers(spec.gaussian_variances, self.name)
-        self._epsilon = float(epsilon)
 
         # Epsilon repair (their approximation), then Cholesky (their coloring).
-        forcing = force_positive_semidefinite(spec.matrix, method="epsilon", epsilon=self._epsilon)
+        forcing = force_positive_semidefinite(spec.matrix, method="epsilon", epsilon=_EPSILON)
         self._effective_covariance = forcing.matrix
-        self._approximation_error = forcing.frobenius_error
         result = try_cholesky(self._effective_covariance, allow_jitter=True)
         if not result.success:
             # Mirror the documented MATLAB behaviour: the factorization can
@@ -87,19 +82,9 @@ class SorooshyariDautGenerator(BaselineGenerator):
         return self._spec.n_branches
 
     @property
-    def epsilon(self) -> float:
-        """The eigenvalue replacement value used by the PSD repair."""
-        return self._epsilon
-
-    @property
     def effective_covariance(self) -> np.ndarray:
         """The (epsilon-repaired) covariance matrix actually targeted (copy)."""
         return self._effective_covariance.copy()
-
-    @property
-    def approximation_error(self) -> float:
-        """Frobenius distance between the repaired and the requested covariance."""
-        return self._approximation_error
 
     # ------------------------------------------------------------------ #
     # Generation
@@ -109,38 +94,4 @@ class SorooshyariDautGenerator(BaselineGenerator):
         n_samples = self._validate_n_samples(n_samples)
         gen = self._resolve_rng(rng)
         white = complex_gaussian((self.n_branches, n_samples), variance=1.0, rng=gen)
-        return self._coloring @ white
-
-    def generate_realtime(
-        self,
-        normalized_doppler: float,
-        n_points: int = 4096,
-        input_variance_per_dim: float = 0.5,
-        rng: Optional[SeedLike] = None,
-    ) -> ComplexArray:
-        """Doppler mode *without* variance compensation (the method's defect).
-
-        The Young–Beaulieu branch outputs are colored directly, assuming unit
-        variance; the realized covariance therefore equals the desired one
-        multiplied by the filter-output variance of Eq. (19) — i.e. it is
-        wrong by several orders of magnitude for typical parameters.
-
-        Returns
-        -------
-        numpy.ndarray
-            Complex samples of shape ``(N, n_points)``.
-        """
-        gen = ensure_rng(rng) if rng is not None else self._rng
-        branch_rngs = spawn_rngs(gen, self.n_branches)
-        white = np.empty((self.n_branches, int(n_points)), dtype=complex)
-        for index, branch_rng in enumerate(branch_rngs):
-            branch = IDFTRayleighGenerator(
-                n_points=int(n_points),
-                normalized_doppler=float(normalized_doppler),
-                input_variance_per_dim=float(input_variance_per_dim),
-                rng=branch_rng,
-            )
-            white[index] = branch.generate_block()
-        # No division by the filter-output standard deviation: this is the
-        # uncompensated combination of [6].
         return self._coloring @ white

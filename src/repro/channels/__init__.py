@@ -14,16 +14,12 @@ generator; that is the Young–Beaulieu IDFT method (Section 5) implemented in
 :mod:`repro.channels.doppler` and :mod:`repro.channels.idft_generator`.
 
 High-level scenario dataclasses in :mod:`repro.channels.scenario` turn
-physical parameters (carrier frequency, mobile speed, antenna spacing, delay
-spread, ...) into a :class:`repro.core.covariance.CovarianceSpec` ready for
-the generator.
+physical parameters (antenna spacing, angular spread, delay spread, ...)
+into a :class:`repro.core.covariance.CovarianceSpec` ready for the
+generator.
 """
 
-from .geometry import (
-    wavelength,
-    max_doppler_frequency,
-    normalized_doppler,
-)
+from .geometry import normalized_doppler
 from .spectral import (
     spectral_covariance_components,
     SpectralCorrelationModel,
@@ -50,8 +46,6 @@ from .scenario import (
 )
 
 __all__ = [
-    "wavelength",
-    "max_doppler_frequency",
     "normalized_doppler",
     "spectral_covariance_components",
     "SpectralCorrelationModel",

@@ -39,7 +39,7 @@ def clarke_autocorrelation(lags: np.ndarray, normalized_doppler: float) -> np.nd
 
 
 def autocorrelation_error(
-    empirical: np.ndarray, normalized_doppler: float, *, max_lag: int | None = None
+    empirical: np.ndarray, normalized_doppler: float
 ) -> Tuple[float, float]:
     """RMS and maximum absolute deviation of an empirical normalized autocorrelation
     from the Clarke reference.
@@ -50,9 +50,6 @@ def autocorrelation_error(
         Empirical normalized autocorrelation, ``empirical[0]`` being lag 0.
     normalized_doppler:
         Design value ``f_m``.
-    max_lag:
-        Restrict the comparison to lags ``0..max_lag`` (defaults to the whole
-        input).
 
     Returns
     -------
@@ -61,8 +58,6 @@ def autocorrelation_error(
     emp = np.asarray(empirical, dtype=float)
     if emp.ndim != 1 or emp.shape[0] == 0:
         raise ValueError("empirical autocorrelation must be a non-empty 1-D array")
-    if max_lag is not None:
-        emp = emp[: max_lag + 1]
     lags = np.arange(emp.shape[0])
     reference = clarke_autocorrelation(lags, normalized_doppler)
     deviation = emp - reference

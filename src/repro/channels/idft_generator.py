@@ -256,10 +256,6 @@ class IDFTRayleighGenerator:
             input_variance_per_dim=self._input_variance,
         )[0]
 
-    def generate_envelope_block(self, rng: Optional[SeedLike] = None) -> np.ndarray:
-        """Generate one block and return its Rayleigh envelope ``|u[l]|``."""
-        return np.abs(self.generate_block(rng=rng))
-
     def generate_blocks(self, n_blocks: int, rng: Optional[SeedLike] = None) -> ComplexArray:
         """Generate ``n_blocks`` consecutive independent blocks.
 

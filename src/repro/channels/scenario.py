@@ -32,7 +32,7 @@ import numpy as np
 
 from ..exceptions import DimensionError, SpecificationError
 from ..types import SeedLike
-from .geometry import max_doppler_frequency, normalized_doppler
+from .geometry import normalized_doppler
 from .spatial import SpatialCorrelationModel
 from .spectral import SpectralCorrelationModel
 
@@ -80,23 +80,6 @@ class DopplerSettings:
     def normalized_doppler(self) -> float:
         """Normalized maximum Doppler frequency ``f_m = F_m / F_s``."""
         return normalized_doppler(self.max_doppler_hz, self.sampling_frequency_hz)
-
-    @classmethod
-    def from_mobile_speed(
-        cls,
-        speed_ms: float,
-        carrier_frequency_hz: float,
-        sampling_frequency_hz: float,
-        n_points: int = 4096,
-        input_variance_per_dim: float = 0.5,
-    ) -> "DopplerSettings":
-        """Build Doppler settings from a mobile speed and carrier frequency."""
-        return cls(
-            sampling_frequency_hz=sampling_frequency_hz,
-            max_doppler_hz=max_doppler_frequency(speed_ms, carrier_frequency_hz),
-            n_points=n_points,
-            input_variance_per_dim=input_variance_per_dim,
-        )
 
 
 def _pairwise_delay_matrix(delays: np.ndarray, n: int) -> np.ndarray:
@@ -299,11 +282,8 @@ class ScenarioSweep:
     :class:`repro.engine.SimulationPlan` with independent per-scenario seeds,
     ready for one batched plan → compile → execute pass.
 
-    Sweeps are directly runnable through the session API:
-    :meth:`repro.api.Simulator.run` accepts a sweep (plus
-    ``gaussian_powers`` and an optional root ``seed``) and converts it via
-    :meth:`to_plan` internally, so the grid-expansion → plan → engine chain
-    is one call.
+    :meth:`to_plan` is the one way a sweep becomes runnable:
+    ``Simulator().run(sweep.to_plan(gaussian_powers, seed=s), n)``.
 
     Examples
     --------
@@ -320,7 +300,7 @@ class ScenarioSweep:
     >>> plan.n_entries
     6
     >>> from repro.api import Simulator
-    >>> result = Simulator().run(sweep, 64, gaussian_powers=[1.0, 1.0, 1.0], seed=11)
+    >>> result = Simulator().run(sweep.to_plan([1.0, 1.0, 1.0], seed=11), 64)
     >>> result.n_entries
     6
     """
@@ -441,27 +421,17 @@ class ScenarioSweep:
         gaussian_powers: Union[np.ndarray, Sequence[np.ndarray]],
         *,
         seed: SeedLike = None,
-        seeds: Optional[Sequence[SeedLike]] = None,
-        coloring_method: str = "eigen",
-        psd_method: str = "clip",
-        fading: Any = None,
     ):
         """Build a :class:`repro.engine.SimulationPlan` covering the sweep.
 
         Each entry carries its scenario's label and an independent seed
         derived from ``seed`` (see
-        :meth:`repro.engine.SimulationPlan.from_specs`).  ``fading``
-        optionally applies one fading model (a name, mapping, or
-        :class:`repro.models.FadingSpec`) to every swept scenario.
+        :meth:`repro.engine.SimulationPlan.from_specs`).
         """
         from ..engine import SimulationPlan
 
         return SimulationPlan.from_specs(
             self.specs(gaussian_powers),
             seed=seed,
-            seeds=seeds,
-            coloring_method=coloring_method,
-            psd_method=psd_method,
             labels=self._labels,
-            fading=fading,
         )

@@ -129,18 +129,3 @@ class SumOfSinusoidsGenerator:
         arguments = np.outer(doppler_per_wave, time_indices) + phases[:, np.newaxis]
         samples = np.exp(1j * arguments).sum(axis=0)
         return np.sqrt(self._output_variance / self._n_sinusoids) * samples
-
-    def generate_envelope_block(self, rng: Optional[SeedLike] = None) -> np.ndarray:
-        """Generate one block and return its envelope ``|u[l]|``."""
-        return np.abs(self.generate_block(rng=rng))
-
-    def theoretical_autocorrelation(self, lags: np.ndarray) -> np.ndarray:
-        """Ensemble autocorrelation of the construction: ``J0(2 pi f_m d)``.
-
-        With uniformly distributed angles the ensemble-average normalized
-        autocorrelation equals the Clarke reference exactly; finite ``N_s``
-        only affects the per-realization fluctuation around it.
-        """
-        from .autocorrelation import clarke_autocorrelation
-
-        return clarke_autocorrelation(np.asarray(lags, dtype=float), self._normalized_doppler)

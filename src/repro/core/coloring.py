@@ -127,7 +127,6 @@ def compute_coloring(
     method: str = "eigen",
     *,
     psd_method: str = "clip",
-    epsilon: float = 1e-6,
 ) -> ColoringDecomposition:
     """Force positive semi-definiteness, then compute a coloring matrix.
 
@@ -146,9 +145,9 @@ def compute_coloring(
         semi-definite but not definite) — the residual weakness of the
         conventional approach.
     psd_method:
-        Strategy passed to :func:`repro.core.psd.force_positive_semidefinite`.
-    epsilon:
-        Epsilon for the ``"epsilon"`` PSD method.
+        Strategy passed to :func:`repro.core.psd.force_positive_semidefinite`
+        (``"epsilon"`` replaces non-positive eigenvalues by its default
+        ``epsilon``, 1e-6).
 
     Returns
     -------
@@ -158,7 +157,7 @@ def compute_coloring(
         raise ValueError(
             f"unknown coloring method {method!r}; choose from {sorted(_STRATEGIES)}"
         )
-    forcing = force_positive_semidefinite(covariance, method=psd_method, epsilon=epsilon)
+    forcing = force_positive_semidefinite(covariance, method=psd_method)
     if method == "eigen":
         factor = coloring_matrix_eigen(forcing.matrix)
     elif method == "cholesky":

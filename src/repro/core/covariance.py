@@ -252,22 +252,6 @@ class CovarianceSpec:
             metadata=dict(metadata or {}),
         )
 
-    @classmethod
-    def uncorrelated(
-        cls, gaussian_variances: np.ndarray, metadata: Optional[Dict[str, Any]] = None
-    ) -> "CovarianceSpec":
-        """Spec for independent branches: a diagonal covariance matrix."""
-        variances = np.asarray(gaussian_variances, dtype=float)
-        if variances.ndim != 1 or variances.size == 0:
-            raise DimensionError("gaussian_variances must be a non-empty 1-D array")
-        if np.any(variances <= 0):
-            raise PowerError("all gaussian variances must be positive")
-        return cls(
-            matrix=np.diag(variances.astype(complex)),
-            gaussian_variances=variances,
-            metadata=dict(metadata or {}),
-        )
-
     # ------------------------------------------------------------------ #
     # Properties / helpers
     # ------------------------------------------------------------------ #
@@ -283,20 +267,3 @@ class CovarianceSpec:
     def correlation_coefficients(self) -> np.ndarray:
         """Unit-diagonal complex correlation-coefficient matrix."""
         return correlation_coefficient_matrix(self.matrix)
-
-    def implied_envelope_variances(self) -> np.ndarray:
-        """Envelope variances implied by the Gaussian powers (Eq. 15)."""
-        from .variance import gaussian_power_to_envelope_power
-
-        return gaussian_power_to_envelope_power(self.gaussian_variances)
-
-    def with_metadata(self, **extra: Any) -> "CovarianceSpec":
-        """Return a copy with additional metadata entries."""
-        merged = dict(self.metadata)
-        merged.update(extra)
-        return CovarianceSpec(
-            matrix=self.matrix,
-            gaussian_variances=self.gaussian_variances,
-            envelope_variances=self.envelope_variances,
-            metadata=merged,
-        )

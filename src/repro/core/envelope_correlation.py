@@ -51,6 +51,12 @@ ArrayOrFloat = Union[float, np.ndarray]
 #: Rayleigh variance factor 1 - pi/4, reused locally to avoid circular imports.
 _VAR_FACTOR = 1.0 - np.pi / 4.0
 
+#: Bisection tolerance on ``|rho_g|`` when inverting the exact map.
+_BISECTION_TOL = 1e-12
+
+#: Bisection iteration cap when inverting the exact map.
+_BISECTION_MAX_ITERATIONS = 200
+
 
 def _validate_magnitude(value: ArrayOrFloat, name: str, upper_inclusive: bool) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
@@ -98,27 +104,16 @@ def envelope_correlation_approximation(gaussian_correlation: ArrayOrFloat) -> np
     return magnitude**2
 
 
-def gaussian_correlation_from_envelope(
-    envelope_correlation: ArrayOrFloat,
-    *,
-    exact: bool = True,
-    tolerance: float = 1e-12,
-    max_iterations: int = 200,
-) -> np.ndarray:
+def gaussian_correlation_from_envelope(envelope_correlation: ArrayOrFloat) -> np.ndarray:
     """Invert the envelope-correlation map: return ``|rho_g|`` for a given ``rho_r``.
+
+    The exact hypergeometric relation is inverted by bisection (the map is
+    strictly increasing) to ``_BISECTION_TOL`` on ``|rho_g|``.
 
     Parameters
     ----------
     envelope_correlation:
         Desired envelope correlation coefficient(s) in ``[0, 1)``.
-    exact:
-        If ``True`` (default) invert the exact hypergeometric relation by
-        bisection (the map is strictly increasing); otherwise use the
-        ``sqrt`` of the approximation.
-    tolerance:
-        Bisection tolerance on ``|rho_g|``.
-    max_iterations:
-        Bisection iteration cap.
 
     Returns
     -------
@@ -126,9 +121,6 @@ def gaussian_correlation_from_envelope(
         Magnitude(s) ``|rho_g|`` in ``[0, 1)``.
     """
     target = _validate_magnitude(envelope_correlation, "envelope correlation", upper_inclusive=False)
-    if not exact:
-        return np.sqrt(target)
-
     flat = np.atleast_1d(target).astype(float)
     result = np.empty_like(flat)
     for index, value in enumerate(flat):
@@ -136,13 +128,13 @@ def gaussian_correlation_from_envelope(
             result[index] = 0.0
             continue
         low, high = 0.0, 1.0
-        for _ in range(max_iterations):
+        for _ in range(_BISECTION_MAX_ITERATIONS):
             mid = 0.5 * (low + high)
             if float(envelope_correlation_from_gaussian(mid)) < value:
                 low = mid
             else:
                 high = mid
-            if high - low < tolerance:
+            if high - low < _BISECTION_TOL:
                 break
         result[index] = 0.5 * (low + high)
     return result.reshape(np.shape(target)) if np.ndim(target) else result[0] * np.ones(())
@@ -150,8 +142,6 @@ def gaussian_correlation_from_envelope(
 
 def gaussian_correlation_matrix_from_envelope(
     envelope_correlation_matrix: np.ndarray,
-    *,
-    exact: bool = True,
 ) -> np.ndarray:
     """Convert an envelope correlation matrix into a Gaussian correlation matrix.
 
@@ -179,6 +169,6 @@ def gaussian_correlation_matrix_from_envelope(
                 raise SpecificationError(
                     f"envelope correlations must lie in [0, 1); entry ({k}, {j}) is {value}"
                 )
-            rho_g = float(gaussian_correlation_from_envelope(value, exact=exact))
+            rho_g = float(gaussian_correlation_from_envelope(value))
             out[k, j] = out[j, k] = rho_g
     return out

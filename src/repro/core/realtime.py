@@ -71,15 +71,8 @@ class RealTimeRayleighGenerator:
         If ``True`` (default, the paper's algorithm) the coloring step is
         normalized by the filter-output variance of Eq. (19).  If ``False``
         the output variance is assumed to be 1 — the defect of [6].
-    coloring_method, psd_method:
-        Passed through to the underlying snapshot machinery.
     rng:
         Seed or generator; each branch receives an independent child stream.
-    backend:
-        Optional linalg backend (a name or
-        :class:`repro.engine.backends.LinalgBackend`) running the stacked
-        branch IDFT; ``None`` uses numpy.  Backends with ``tolerance == 0.0``
-        are bit-identical to the default.
 
     Like :class:`repro.core.generator.RayleighFadingGenerator`, the
     generator builds its filter and coloring itself and shares no state with
@@ -104,10 +97,7 @@ class RealTimeRayleighGenerator:
         n_points: int = 4096,
         input_variance_per_dim: float = 0.5,
         compensate_variance: bool = True,
-        coloring_method: str = "eigen",
-        psd_method: str = "clip",
         rng: SeedLike = None,
-        backend=None,
     ) -> None:
         if not isinstance(spec, CovarianceSpec):
             spec = CovarianceSpec.from_covariance_matrix(np.asarray(spec, dtype=complex))
@@ -116,14 +106,6 @@ class RealTimeRayleighGenerator:
         self._normalized_doppler = float(normalized_doppler)
         self._input_variance = float(input_variance_per_dim)
         self._compensate_variance = bool(compensate_variance)
-        if backend is None:
-            self._backend = None
-        else:
-            # Import at call time: repro.engine builds on repro.core, so the
-            # backend resolution must not run at import time.
-            from ..engine.backends import resolve_backend
-
-            self._backend = resolve_backend(backend)
 
         # Design the Doppler filter once; all branches share it (the paper
         # assumes a common Doppler spectrum across branches).
@@ -137,8 +119,6 @@ class RealTimeRayleighGenerator:
         # steps 6-7 (its sample_variance is the sigma_g^2 of step 6).
         self._snapshot = RayleighFadingGenerator(
             spec,
-            coloring_method=coloring_method,
-            psd_method=psd_method,
             sample_variance=effective_sample_variance,
             rng=rng,
         )
@@ -180,11 +160,6 @@ class RealTimeRayleighGenerator:
         return self._output_variance
 
     @property
-    def compensates_variance(self) -> bool:
-        """Whether the Eq. (19) variance compensation is applied."""
-        return self._compensate_variance
-
-    @property
     def effective_covariance(self) -> np.ndarray:
         """The covariance matrix actually targeted by the coloring step."""
         return self._snapshot.effective_covariance
@@ -218,7 +193,6 @@ class RealTimeRayleighGenerator:
             self._branch_rngs,
             n_blocks=int(n_blocks),
             input_variance_per_dim=self._input_variance,
-            backend=self._backend,
         )
 
         colored = self._snapshot.color(white)

@@ -16,7 +16,6 @@ integration tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -72,10 +71,6 @@ class CovarianceMatchReport:
     relative_error: float
     max_entry_error: float
     n_samples: int
-
-    def within(self, relative_tolerance: float) -> bool:
-        """Whether the relative Frobenius error is below ``relative_tolerance``."""
-        return self.relative_error <= relative_tolerance
 
     def summary(self) -> str:
         """One-line human-readable summary."""
@@ -158,8 +153,6 @@ class EnvelopePowerReport:
 def envelope_power_report(
     envelopes: np.ndarray,
     gaussian_variances: np.ndarray,
-    *,
-    expected_mean: Optional[np.ndarray] = None,
 ) -> EnvelopePowerReport:
     """Compare measured envelope statistics against the Rayleigh relations.
 
@@ -169,8 +162,6 @@ def envelope_power_report(
         Array of shape ``(n_branches, n_samples)``.
     gaussian_variances:
         Desired powers ``sigma_g_j^2`` of the underlying Gaussian branches.
-    expected_mean:
-        Override of the expected envelope means (defaults to Eq. 14).
     """
     env = np.asarray(envelopes, dtype=float)
     if env.ndim == 1:
@@ -182,11 +173,8 @@ def envelope_power_report(
         raise DimensionError(
             f"gaussian_variances must have shape ({env.shape[0]},), got {variances.shape}"
         )
-    exp_mean = (
-        rayleigh_mean_from_gaussian_power(variances) if expected_mean is None else expected_mean
-    )
     return EnvelopePowerReport(
-        expected_mean=np.asarray(exp_mean, dtype=float),
+        expected_mean=rayleigh_mean_from_gaussian_power(variances),
         measured_mean=np.mean(env, axis=1),
         expected_variance=rayleigh_variance_from_gaussian_power(variances),
         measured_variance=np.var(env, axis=1),

@@ -277,10 +277,8 @@ _INSTANCES: Dict[str, LinalgBackend] = {}
 _LOCK = threading.Lock()
 
 
-def register_backend(
-    name: str, factory: Callable[[], LinalgBackend], *, replace: bool = False
-) -> None:
-    """Register a backend factory under ``name``.
+def register_backend(name: str, factory: Callable[[], LinalgBackend]) -> None:
+    """Register a backend factory under ``name`` (once per name).
 
     The factory is called lazily on first :func:`get_backend` lookup and may
     raise :class:`repro.exceptions.BackendError` for missing dependencies —
@@ -290,10 +288,8 @@ def register_backend(
     if not name or not isinstance(name, str):
         raise BackendError(f"backend name must be a non-empty string, got {name!r}")
     with _LOCK:
-        if name in _REGISTRY and not replace:
-            raise BackendError(
-                f"backend {name!r} is already registered; pass replace=True to override"
-            )
+        if name in _REGISTRY:
+            raise BackendError(f"backend {name!r} is already registered")
         _REGISTRY[name] = factory
         _INSTANCES.pop(name, None)
 

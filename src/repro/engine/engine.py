@@ -22,7 +22,6 @@ from .filters import DopplerFilterCache
 from .plan import SimulationPlan
 from .plancache import CompiledPlanCache
 from .result import BatchResult
-from .tiered import TierStats
 
 __all__ = ["SimulationEngine"]
 
@@ -112,11 +111,6 @@ class SimulationEngine:
         """The linalg backend this engine compiles and executes on."""
         return self._backend
 
-    @property
-    def cache_stats(self) -> TierStats:
-        """Snapshot of the cache's hit/miss/eviction counters."""
-        return self._cache.stats
-
     def compile(self, plan: SimulationPlan) -> CompiledPlan:
         """Compile a plan (stacked decompositions, cache dedup) for reuse."""
         return compile_plan(
@@ -138,20 +132,9 @@ class SimulationEngine:
         self,
         plan: Union[SimulationPlan, CompiledPlan],
         n_samples: int,
-        *,
-        measure_allocation: bool = False,
     ) -> BatchResult:
-        """Compile (if necessary) and execute a plan in one call.
-
-        With ``measure_allocation=True`` the execute pass is traced with
-        :mod:`tracemalloc` and its peak allocation is reported in
-        :attr:`repro.engine.result.BatchResult.peak_alloc_bytes`.
-        """
-        return execute_plan(
-            self._ensure_compiled(plan),
-            n_samples,
-            measure_allocation=measure_allocation,
-        )
+        """Compile (if necessary) and execute a plan in one call."""
+        return execute_plan(self._ensure_compiled(plan), n_samples)
 
     def stream(
         self,

@@ -30,8 +30,8 @@ one-entry plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -127,12 +127,7 @@ _MIN_DOPPLER_POINTS = 64
 _MAX_DOPPLER_POINTS = 1 << 26
 
 
-def doppler_block_size(
-    n_samples: int,
-    normalized_doppler: float,
-    *,
-    max_points: int = _MAX_DOPPLER_POINTS,
-) -> int:
+def doppler_block_size(n_samples: int, normalized_doppler: float) -> int:
     """Smallest power-of-two IDFT block length for the Doppler mode.
 
     The block must hold ``n_samples`` output samples and keep at least one
@@ -145,9 +140,9 @@ def doppler_block_size(
     ------
     SpecificationError
         If ``normalized_doppler`` is outside ``(0, 0.5)`` or the passband
-        constraint cannot be met with a block of at most ``max_points``
-        samples (tiny normalized Doppler would otherwise grow the block —
-        and the memory footprint — without bound).
+        constraint cannot be met with a block of at most 2**26 samples
+        (tiny normalized Doppler would otherwise grow the block — and the
+        memory footprint — without bound).
     """
     doppler = float(normalized_doppler)
     if not 0.0 < doppler < 0.5:
@@ -166,11 +161,11 @@ def doppler_block_size(
         # log2 round-off can land one power of two short of the passband
         # bound; the next power is exact.
         n_points <<= 1
-    if n_points > max_points:
+    if n_points > _MAX_DOPPLER_POINTS:
         raise SpecificationError(
             f"normalized_doppler={doppler!r} needs an IDFT block of {n_points} points "
             f"to keep one bin in the filter passband, exceeding the limit of "
-            f"{max_points}; increase the Doppler (or the sampling period) instead"
+            f"{_MAX_DOPPLER_POINTS}; increase the Doppler (or the sampling period) instead"
         )
     return n_points
 
@@ -384,10 +379,6 @@ class PlanEntry:
             fading_key,
         )
 
-    def with_seed(self, seed: SeedLike) -> "PlanEntry":
-        """Return a copy of this entry with a different seed."""
-        return replace(self, seed=seed)
-
 
 def partition_counts(total: int, n_partitions: int) -> List[int]:
     """Split ``total`` into ``n_partitions`` non-negative counts summing to ``total``.
@@ -480,39 +471,6 @@ class SimulationPlan:
         self._entries.append(entry)
         return len(self._entries) - 1
 
-    def add_scenario(
-        self,
-        scenario: Any,
-        gaussian_powers: np.ndarray,
-        *,
-        seed: SeedLike = None,
-        coloring_method: str = "eigen",
-        psd_method: str = "clip",
-        epsilon: float = 1e-6,
-        sample_variance: float = 1.0,
-        doppler: DopplerLike = None,
-        fading: FadingLike = None,
-        label: Optional[str] = None,
-    ) -> int:
-        """Append a physical scenario (any object with ``covariance_spec``)."""
-        if not hasattr(scenario, "covariance_spec"):
-            raise SpecificationError(
-                "scenario must expose a covariance_spec(gaussian_powers) method; got "
-                f"{type(scenario).__name__}"
-            )
-        spec = scenario.covariance_spec(np.asarray(gaussian_powers, dtype=float))
-        return self.add(
-            spec,
-            seed=seed,
-            coloring_method=coloring_method,
-            psd_method=psd_method,
-            epsilon=epsilon,
-            sample_variance=sample_variance,
-            doppler=doppler,
-            fading=fading,
-            label=label,
-        )
-
     @classmethod
     def from_specs(
         cls,
@@ -522,8 +480,6 @@ class SimulationPlan:
         seeds: Optional[Sequence[SeedLike]] = None,
         coloring_method: str = "eigen",
         psd_method: str = "clip",
-        epsilon: float = 1e-6,
-        sample_variance: float = 1.0,
         doppler: DopplerLike = None,
         fading: FadingLike = None,
         labels: Optional[Sequence[Optional[str]]] = None,
@@ -551,6 +507,11 @@ class SimulationPlan:
             Fading model applied to every entry (``None``, a model name, a
             mapping, or a :class:`~repro.models.fading.FadingSpec`).
         """
+        if seed is not None and not _is_seed(seed):
+            raise SpecificationError(
+                "SimulationPlan.from_specs seed must be None, an int or a numpy "
+                f"Generator, got {type(seed).__name__}"
+            )
         specs = list(specs)
         if seeds is not None:
             seeds = list(seeds)
@@ -581,8 +542,6 @@ class SimulationPlan:
                 seed=seeds[index],
                 coloring_method=coloring_method,
                 psd_method=psd_method,
-                epsilon=epsilon,
-                sample_variance=sample_variance,
                 doppler=doppler_spec,
                 fading=fading_spec,
                 label=None if labels is None else labels[index],
@@ -610,13 +569,6 @@ class SimulationPlan:
 
     def __getitem__(self, index: int) -> PlanEntry:
         return self._entries[index]
-
-    def group_sizes(self) -> Dict[Tuple, int]:
-        """Entries per compilation group (diagnostic)."""
-        sizes: Dict[Tuple, int] = {}
-        for entry in self._entries:
-            sizes[entry.group_key] = sizes.get(entry.group_key, 0) + 1
-        return sizes
 
     # ------------------------------------------------------------------ #
     # Partitioning (for the sharding layer)

@@ -5,9 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
-from ..exceptions import DimensionError
 from ..types import EnvelopeBlock, GaussianBlock
 from .compile import CompileReport
 
@@ -115,16 +112,3 @@ class BatchResult:
                 f"({self.peak_alloc_bytes / (1024 * 1024):.2f} MiB)"
             )
         return "\n".join(lines)
-
-    def stacked_samples(self) -> np.ndarray:
-        """All samples as one ``(B, N, n_samples)`` array.
-
-        Only defined when every entry has the same number of branches.
-        """
-        shapes = {block.samples.shape for block in self.blocks}
-        if len(shapes) != 1:
-            raise DimensionError(
-                f"entries have heterogeneous shapes {sorted(shapes)}; "
-                "stacking requires a homogeneous plan"
-            )
-        return np.stack([block.samples for block in self.blocks])

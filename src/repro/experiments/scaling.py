@@ -172,7 +172,6 @@ def shard_sweep_plan(
     doppler_every: int = 0,
     normalized_doppler: float = 0.05,
     n_points: int = 64,
-    fading=None,
 ) -> SimulationPlan:
     """A deterministic labelled sweep plan for the sharded runner.
 
@@ -197,7 +196,6 @@ def shard_sweep_plan(
             spec,
             seed=seed + index,
             doppler=doppler,
-            fading=fading,
             label=f"sweep-{index}",
         )
     return plan

@@ -8,8 +8,6 @@ in the library.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..config import HERMITIAN_ATOL, HERMITIAN_RTOL, PSD_TOL
@@ -55,17 +53,14 @@ def assert_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def is_hermitian(
-    matrix: np.ndarray,
-    *,
-    atol: Optional[float] = None,
-    rtol: Optional[float] = None,
-) -> bool:
-    """Return ``True`` if ``matrix`` equals its conjugate transpose within tolerance."""
+def is_hermitian(matrix: np.ndarray) -> bool:
+    """Return ``True`` if ``matrix`` equals its conjugate transpose.
+
+    The tolerance is :data:`repro.config.HERMITIAN_ATOL` and
+    :data:`repro.config.HERMITIAN_RTOL`.
+    """
     arr = assert_square(matrix)
-    atol = HERMITIAN_ATOL if atol is None else atol
-    rtol = HERMITIAN_RTOL if rtol is None else rtol
-    return all_close(arr, arr.conj().T, atol=atol, rtol=rtol)
+    return all_close(arr, arr.conj().T, atol=HERMITIAN_ATOL, rtol=HERMITIAN_RTOL)
 
 
 def assert_hermitian(matrix: np.ndarray, name: str = "covariance matrix") -> np.ndarray:
@@ -104,20 +99,16 @@ def min_eigenvalue(matrix: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(herm)))
 
 
-def is_positive_semidefinite(
-    matrix: np.ndarray,
-    *,
-    tol: Optional[float] = None,
-) -> bool:
+def is_positive_semidefinite(matrix: np.ndarray) -> bool:
     """Return ``True`` if the Hermitian matrix has no eigenvalue below ``-tol_eff``.
 
-    The effective tolerance scales with the largest absolute eigenvalue so the
-    predicate is invariant to uniform scaling of the matrix.
+    The effective tolerance is :data:`repro.config.PSD_TOL` scaled by the
+    largest absolute eigenvalue, so the predicate is invariant to uniform
+    scaling of the matrix.
     """
     herm = hermitian_part(matrix)
     eigvals = np.linalg.eigvalsh(herm)
     scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    base_tol = PSD_TOL if tol is None else tol
-    tol_eff = base_tol * max(scale, 1.0)
+    tol_eff = PSD_TOL * max(scale, 1.0)
     return bool(np.min(eigvals) >= -tol_eff)
 

@@ -68,12 +68,3 @@ class ColoringDecomposition:
     def reconstruction_error(self) -> float:
         """Frobenius distance between ``L L^H`` and the effective covariance."""
         return frobenius_distance(self.reconstruction(), self.effective_covariance)
-
-    def approximation_error(self) -> float:
-        """Frobenius distance between the effective and the requested covariance.
-
-        Zero when no repair was needed; otherwise this is the quantity the
-        paper uses ("from Frobenius point of view") to argue that clipping
-        approximates the desired covariance better than epsilon replacement.
-        """
-        return frobenius_distance(self.effective_covariance, self.requested_covariance)

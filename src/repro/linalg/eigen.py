@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import EIG_CLIP_TOL
 from .checks import assert_square, hermitian_part
 
 __all__ = ["EigenDecomposition", "hermitian_eigendecomposition", "reconstruct_from_eigen"]
@@ -49,19 +48,6 @@ class EigenDecomposition:
     def max_eigenvalue(self) -> float:
         """Largest eigenvalue."""
         return float(self.eigenvalues[0])
-
-    def negative_count(self) -> int:
-        """Number of eigenvalues below ``-EIG_CLIP_TOL`` (genuinely negative)."""
-        return int(np.sum(self.eigenvalues < -EIG_CLIP_TOL))
-
-    def numerical_rank(self) -> int:
-        """Number of eigenvalues whose magnitude exceeds the clip tolerance."""
-        scale = max(abs(self.max_eigenvalue), 1.0)
-        return int(np.sum(np.abs(self.eigenvalues) > EIG_CLIP_TOL * scale))
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the (Hermitian) matrix ``V diag(lambda) V^H``."""
-        return reconstruct_from_eigen(self.eigenvalues, self.eigenvectors)
 
 
 def hermitian_eigendecomposition(matrix: np.ndarray) -> EigenDecomposition:

@@ -18,8 +18,6 @@ matrices, and never mutate their argument.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..exceptions import CovarianceError
@@ -32,6 +30,12 @@ __all__ = [
     "nearest_psd_higham",
     "frobenius_distance",
 ]
+
+#: Most alternating-projection sweeps :func:`nearest_psd_higham` runs.
+_HIGHAM_MAX_ITERATIONS = 100
+
+#: Convergence tolerance on the Frobenius norm of a Higham sweep's update.
+_HIGHAM_TOL = 1e-10
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -93,8 +97,6 @@ def nearest_psd_higham(
     matrix: np.ndarray,
     *,
     preserve_diagonal: bool = False,
-    max_iterations: int = 100,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Nearest positive-semi-definite matrix by Higham's alternating projections.
 
@@ -107,15 +109,12 @@ def nearest_psd_higham(
         which computes the nearest matrix in the *correlation-matrix* sense
         (unit/fixed diagonal), useful when the diagonal carries the branch
         powers that must not change.
-    max_iterations:
-        Maximum number of alternating-projection sweeps.
-    tol:
-        Convergence tolerance on the Frobenius norm of the update.
 
     Raises
     ------
     CovarianceError
-        If the iteration does not converge within ``max_iterations``.
+        If the iteration does not converge within ``_HIGHAM_MAX_ITERATIONS``
+        sweeps (to ``_HIGHAM_TOL``).
 
     Notes
     -----
@@ -136,7 +135,7 @@ def nearest_psd_higham(
     original_diagonal = np.diag(arr).copy()
     y = arr.copy()
     delta = np.zeros_like(arr)
-    for _ in range(max_iterations):
+    for _ in range(_HIGHAM_MAX_ITERATIONS):
         r = y - delta
         x = clip_negative_eigenvalues(r)
         delta = x - r
@@ -144,12 +143,12 @@ def nearest_psd_higham(
         np.fill_diagonal(y_next, original_diagonal)
         change = frobenius_distance(y_next, y)
         y = y_next
-        if change < tol and is_positive_semidefinite(y):
+        if change < _HIGHAM_TOL and is_positive_semidefinite(y):
             break
     else:
         raise CovarianceError(
             "Higham's alternating projections did not converge within "
-            f"{max_iterations} iterations"
+            f"{_HIGHAM_MAX_ITERATIONS} iterations"
         )
     clipped = clip_negative_eigenvalues(y)
     current = np.diag(clipped).real

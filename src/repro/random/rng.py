@@ -29,6 +29,12 @@ def _is_seed(value: object) -> bool:
     return isinstance(value, SEED_TYPES) and not isinstance(value, bool)
 
 
+def _seed_type_error(seed: object) -> TypeError:
+    return TypeError(
+        f"seed must be None, an int, or a numpy Generator; got {type(seed).__name__}"
+    )
+
+
 def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     """Normalize ``seed`` into a :class:`numpy.random.Generator`.
 
@@ -49,9 +55,7 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     if seed is None:
         seed = DEFAULT_RNG_SEED
     elif not _is_seed(seed):
-        raise TypeError(
-            f"seed must be None, an int, or a numpy Generator; got {type(seed).__name__}"
-        )
+        raise _seed_type_error(seed)
     return np.random.default_rng(int(seed))
 
 
@@ -66,6 +70,12 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
         fresh :class:`numpy.random.SeedSequence` is built from it.
     n:
         Number of child generators; must be positive.
+
+    Raises
+    ------
+    TypeError
+        For a seed :func:`ensure_rng` refuses too (a ``bool``, a float, a
+        string, ...), rather than truncating it to an integer.
     """
     if n <= 0:
         raise ValueError(f"number of spawned generators must be positive, got {n}")
@@ -75,6 +85,8 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
         return [np.random.default_rng(child) for child in children]
     if seed is None:
         seed = DEFAULT_RNG_SEED
+    elif not _is_seed(seed):
+        raise _seed_type_error(seed)
     seq = np.random.SeedSequence(int(seed))
     return [np.random.default_rng(child) for child in seq.spawn(n)]
 

@@ -230,10 +230,6 @@ class EnvelopeService:
         Concurrent flights in execution: the number of worker loops pulling
         from the queue, each running one flight at a time (a pooled flight
         awaits ``Simulator.submit``).
-    retry_after:
-        Fixed back-off hint (seconds) for rejected submits; ``None``
-        (default) estimates it from the observed flight duration and the
-        queue depth.
 
     The last :data:`HISTORY_LIMIT` finished requests stay pollable.
     """
@@ -244,7 +240,6 @@ class EnvelopeService:
         *,
         max_queue: int = 64,
         dispatch_slots: int = 4,
-        retry_after: Optional[float] = None,
     ) -> None:
         if max_queue < 1:
             raise SpecificationError(f"max_queue must be >= 1, got {max_queue}")
@@ -260,7 +255,6 @@ class EnvelopeService:
         self._owns_simulator = simulator is None
         self._max_queue = int(max_queue)
         self._dispatch_slots = int(dispatch_slots)
-        self._retry_after = retry_after
         self._metrics = ServiceMetrics()
         self._requests: Dict[str, _Request] = {}
         self._done_ids: Deque[str] = deque()
@@ -646,8 +640,6 @@ class EnvelopeService:
         self._avg_flight_seconds += 0.2 * (seconds - self._avg_flight_seconds)
 
     def _estimate_retry_after(self) -> float:
-        if self._retry_after is not None:
-            return self._retry_after
         # A full queue drains through the dispatch slots at the observed
         # average flight duration; suggest waiting for about one slot's
         # share of that backlog.

@@ -167,6 +167,9 @@ class ShardRunResult:
         return dict(self._tier_totals)
 
 
+#: Seconds a worker may run from its start before its slice is killed.
+_SLICE_TIMEOUT = 600.0
+
 #: Thread-count variables of the BLAS builds numpy may link against.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -586,7 +589,6 @@ def run_sharded(
     work_dir: Union[None, str, Path] = None,
     retry_failed: bool = False,
     progress: Optional[ProgressFn] = None,
-    timeout: float = 600.0,
     extra_env: Optional[Dict[str, str]] = None,
 ) -> ShardRunResult:
     """Execute ``plan`` as ``n_shards`` subprocess workers and merge.
@@ -594,10 +596,10 @@ def run_sharded(
     Parameters beyond the obvious: ``work_dir`` holds slice payloads and
     worker outputs (a fresh temporary directory when ``None``);
     ``retry_failed`` reloads valid outputs already in ``work_dir`` and
-    only re-runs slices without one; ``timeout`` bounds each worker from
-    its start; ``extra_env`` adds variables to worker
-    environments (the fault-injection tests inject the worker kill hook
-    through it).
+    only re-runs slices without one; a worker is killed once it has run
+    ``_SLICE_TIMEOUT`` seconds from its start; ``extra_env`` adds variables
+    to worker environments (the fault-injection tests inject the worker
+    kill hook through it).
     """
     if n_samples < 1:
         raise SpecificationError(f"n_samples must be >= 1, got {n_samples}")
@@ -633,7 +635,7 @@ def run_sharded(
     env = _worker_env(extra_env, len(pending))
 
     def _collect(index: int, process: subprocess.Popen) -> None:
-        code = _drain(process, index, progress, timeout)
+        code = _drain(process, index, progress, _SLICE_TIMEOUT)
         if code != 0 and progress is not None:
             progress(index, f"shard {index}/{len(slices)}: FAILED (exit {code})")
         if code == 0:

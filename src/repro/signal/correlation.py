@@ -36,8 +36,10 @@ def _as_1d(x: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def autocorrelation(x: np.ndarray, max_lag: Optional[int] = None, *, unbiased: bool = False) -> np.ndarray:
+def autocorrelation(x: np.ndarray, max_lag: Optional[int] = None) -> np.ndarray:
     """Sample autocorrelation ``r[d] = E{x[l] conj(x[l-d])}`` for lags ``0..max_lag``.
+
+    Every lag is normalized by ``n`` (the biased estimator).
 
     Parameters
     ----------
@@ -46,9 +48,6 @@ def autocorrelation(x: np.ndarray, max_lag: Optional[int] = None, *, unbiased: b
         removed, matching the zero-mean processes of the paper).
     max_lag:
         Largest lag to compute (inclusive).  Defaults to ``len(x) - 1``.
-    unbiased:
-        If ``True`` normalize each lag by the number of overlapping samples
-        (``n - d``); otherwise by ``n`` (biased estimator, default).
 
     Returns
     -------
@@ -68,22 +67,16 @@ def autocorrelation(x: np.ndarray, max_lag: Optional[int] = None, *, unbiased: b
     acf_full = np.fft.ifft(spectrum * np.conj(spectrum))[: max_lag + 1]
     if np.isrealobj(arr):
         acf_full = acf_full.real
-    if unbiased:
-        norm = n - np.arange(max_lag + 1)
-    else:
-        norm = np.full(max_lag + 1, n, dtype=float)
-    return acf_full / norm
+    return acf_full / n
 
 
-def normalized_autocorrelation(
-    x: np.ndarray, max_lag: Optional[int] = None, *, unbiased: bool = False
-) -> np.ndarray:
+def normalized_autocorrelation(x: np.ndarray, max_lag: Optional[int] = None) -> np.ndarray:
     """Autocorrelation normalized by the lag-0 value (so ``rho[0] == 1``).
 
     This is the quantity the paper compares against ``J0(2 pi f_m d)``
     (Eq. 20).
     """
-    acf = autocorrelation(x, max_lag=max_lag, unbiased=unbiased)
+    acf = autocorrelation(x, max_lag=max_lag)
     r0 = acf[0]
     if np.abs(r0) == 0:
         raise ValueError("cannot normalize the autocorrelation of an all-zero sequence")

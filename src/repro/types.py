@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 import numpy as np
 
@@ -97,18 +97,3 @@ class EnvelopeBlock:
     def rms(self) -> FloatArray:
         """Per-branch root-mean-square envelope value."""
         return np.sqrt(np.mean(self.envelopes**2, axis=-1))
-
-    def to_db(self, reference: Optional[FloatArray] = None) -> FloatArray:
-        """Express the envelopes in dB relative to ``reference``.
-
-        Parameters
-        ----------
-        reference:
-            Per-branch reference amplitude.  Defaults to the per-branch rms
-            value, matching the "dB around rms value" axis of Fig. 4 in the
-            paper.
-        """
-        ref = self.rms() if reference is None else np.asarray(reference, dtype=float)
-        ref = np.where(ref <= 0.0, np.finfo(float).tiny, ref)
-        safe = np.maximum(self.envelopes, np.finfo(float).tiny)
-        return 20.0 * np.log10(safe / ref[..., np.newaxis])

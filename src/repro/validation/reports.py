@@ -171,7 +171,6 @@ def validate_block(
     power_tolerance: float = 0.1,
     rayleigh_statistic: float = 0.05,
     normalized_doppler: Optional[float] = None,
-    autocorrelation_tolerance: float = 0.12,
 ) -> ValidationReport:
     """Run the full validation suite on a generated block.
 
@@ -195,9 +194,5 @@ def validate_block(
         check_rayleigh_fit(envelopes, block.variances, max_statistic=rayleigh_statistic)
     )
     if normalized_doppler is not None:
-        report.add(
-            check_autocorrelation(
-                block.samples, normalized_doppler, tolerance=autocorrelation_tolerance
-            )
-        )
+        report.add(check_autocorrelation(block.samples, normalized_doppler))
     return report

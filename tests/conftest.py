@@ -95,6 +95,15 @@ class FlakyStore(ArtifactStore):
 
 
 @pytest.fixture()
+def isolated_backend_registry(monkeypatch):
+    """Backends a test registers are unregistered when it ends."""
+    from repro.engine import backends
+
+    monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
+    monkeypatch.setattr(backends, "_INSTANCES", dict(backends._INSTANCES))
+
+
+@pytest.fixture()
 def flaky_backend():
     """Factory for :class:`FlakyBackend` instances (``fail_at`` 1-based)."""
 

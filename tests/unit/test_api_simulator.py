@@ -65,7 +65,7 @@ class TestConstruction:
     def test_cache_stats_snapshot(self):
         sim = Simulator(cache=DecompositionCache())
         sim.run(_plan(2), 4)
-        stats = sim.cache_stats
+        stats = sim.cache.stats
         assert stats.misses > 0
 
     def test_cache_dir_builds_persistent_session(self, tmp_path):
@@ -79,7 +79,7 @@ class TestConstruction:
             result = warm.run(_plan(2), 8)
             assert result.compile_report.plan_cache_hits == 1
             assert warm.engine.plan_cache.stats.hits == 1
-            assert warm.cache_stats.lookups == 0  # decomposition tier untouched
+            assert warm.cache.stats.lookups == 0  # decomposition tier untouched
         for block, expected in zip(result.blocks, reference.blocks):
             assert block.samples.tobytes() == expected.samples.tobytes()
 
@@ -128,8 +128,8 @@ class TestSessionsShareNoCache:
                 assert cache.stats.lookups == 0
                 assert len(cache) == 0
             second.run(self._doppler_plan(), 8)
-            assert second.cache_stats.hits == 0
-            assert second.cache_stats.misses == first.cache_stats.misses == 4
+            assert second.cache.stats.hits == 0
+            assert second.cache.stats.misses == first.cache.stats.misses == 4
             assert second.engine.filter_cache.stats.misses == 1
             # Clearing one session leaves the other's entries in place.
             for cache in self._caches(second):
@@ -210,34 +210,14 @@ class TestRun:
             sim.run(plan, 16).blocks[0].samples,
         )
 
-    def test_run_accepts_scenario_sweep(self):
-        sweep = ScenarioSweep.product(
-            MIMOArrayScenario,
-            n_antennas=[3],
-            spacing_wavelengths=[0.5, 1.0],
-            angular_spread_rad=[0.1, 0.2],
-        )
-        result = Simulator(cache=DecompositionCache()).run(
-            sweep, 16, gaussian_powers=[1.0, 1.0, 1.0], seed=13
-        )
-        assert result.n_entries == len(sweep)
-        labels = [block.metadata["label"] for block in result.blocks]
-        assert labels == list(sweep.labels)
-        # Equivalent to converting the sweep by hand.
-        manual = Simulator(cache=DecompositionCache()).run(
-            sweep.to_plan([1.0, 1.0, 1.0], seed=13), 16
-        )
-        for via_sweep, via_plan in zip(result.blocks, manual.blocks):
-            assert np.array_equal(via_sweep.samples, via_plan.samples)
-
-    def test_sweep_requires_powers(self):
+    def test_run_points_a_sweep_at_to_plan(self):
         sweep = ScenarioSweep.product(
             MIMOArrayScenario,
             n_antennas=[2],
             spacing_wavelengths=[0.5],
             angular_spread_rad=[0.1],
         )
-        with pytest.raises(SpecificationError, match="gaussian_powers"):
+        with pytest.raises(SpecificationError, match="to_plan"):
             Simulator().run(sweep, 8)
 
     def test_rejects_unrunnable_work(self):
@@ -279,10 +259,10 @@ class TestRun:
         )
         powers = np.array([[1.0, 2.0], [3.0, 4.0]])
         via_array = Simulator(cache=DecompositionCache()).run(
-            sweep, 8, gaussian_powers=powers, seed=21
+            sweep.to_plan(powers, seed=21), 8
         )
         via_list = Simulator(cache=DecompositionCache()).run(
-            sweep, 8, gaussian_powers=[powers[0], powers[1]], seed=21
+            sweep.to_plan([powers[0], powers[1]], seed=21), 8
         )
         for a, b in zip(via_array.blocks, via_list.blocks):
             assert np.array_equal(a.samples, b.samples)
@@ -590,21 +570,6 @@ class TestSubmit:
             for got, expected in zip(result.blocks, sync.blocks):
                 assert np.array_equal(got.samples, expected.samples)
         sim.close()
-
-    def test_submit_accepts_sweeps(self):
-        sweep = ScenarioSweep.product(
-            MIMOArrayScenario,
-            n_antennas=[2],
-            spacing_wavelengths=[0.5, 1.0],
-            angular_spread_rad=[0.1],
-        )
-
-        async def one():
-            with Simulator(cache=DecompositionCache()) as sim:
-                return await sim.submit(sweep, 8, gaussian_powers=[1.0, 1.0], seed=2)
-
-        result = asyncio.run(one())
-        assert result.n_entries == 2
 
     def test_closed_session_rejects_submit(self):
         sim = Simulator()

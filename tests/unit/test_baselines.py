@@ -57,10 +57,6 @@ class TestSalzWinters:
             SalzWintersGenerator(indefinite_covariance, rng=0)
         assert excinfo.value.min_eigenvalue < 0
 
-    def test_real_covariance_is_2n_by_2n(self, eq22_covariance):
-        generator = SalzWintersGenerator(eq22_covariance, rng=0)
-        assert generator.real_covariance.shape == (6, 6)
-
     def test_output_shape(self, eq23_covariance):
         generator = SalzWintersGenerator(eq23_covariance, rng=1)
         assert generator.generate(16).shape == (3, 16)
@@ -80,13 +76,13 @@ class TestErtelReed:
         generator = ErtelReedGenerator(envelope_correlation=0.49, rng=0)
         assert abs(generator.gaussian_correlation) == pytest.approx(0.7)
 
-    def test_achieved_gaussian_correlation_matches_covariance_matrix(self):
-        # E{z1 conj(z2)} must equal the off-diagonal of covariance_matrix().
+    def test_achieved_gaussian_correlation_matches_the_request(self):
+        # E{z1 conj(z2)} must equal power * rho, the requested off-diagonal.
         rho = 0.6 + 0.2j
         generator = ErtelReedGenerator(gaussian_correlation=rho, power=1.0, rng=1)
         samples = generator.generate(300_000)
         achieved = np.mean(samples[0] * np.conj(samples[1]))
-        assert abs(achieved - generator.covariance_matrix()[0, 1]) < 0.02
+        assert abs(achieved - rho) < 0.02
 
     def test_achieved_envelope_correlation(self):
         generator = ErtelReedGenerator(envelope_correlation=0.49, rng=2)
@@ -99,12 +95,6 @@ class TestErtelReed:
         samples = generator.generate(200_000)
         powers = np.mean(np.abs(samples) ** 2, axis=1)
         assert np.allclose(powers, 2.0, rtol=0.03)
-
-    def test_covariance_matrix_helper(self):
-        generator = ErtelReedGenerator(gaussian_correlation=0.5j, power=3.0, rng=0)
-        matrix = generator.covariance_matrix()
-        assert matrix[0, 1] == pytest.approx(1.5j)
-        assert np.allclose(matrix, matrix.conj().T)
 
     def test_requires_some_correlation_argument(self):
         with pytest.raises(SpecificationError):
@@ -161,10 +151,6 @@ class TestNatarajan:
         assert np.max(np.abs(achieved - np.real(eq22_covariance))) < 0.03
         assert np.max(np.abs(achieved - eq22_covariance)) > 0.3
 
-    def test_covariance_distortion_metric(self, eq22_covariance):
-        generator = NatarajanGenerator(eq22_covariance, rng=0)
-        assert generator.covariance_distortion() > 0.5
-
     def test_fails_on_indefinite(self, indefinite_covariance):
         with pytest.raises(CholeskyError):
             NatarajanGenerator(indefinite_covariance, rng=0)
@@ -178,24 +164,14 @@ class TestSorooshyariDaut:
         assert np.max(np.abs(achieved - eq22_covariance)) < 0.03
 
     def test_epsilon_repair_allows_indefinite_requests(self, indefinite_covariance):
-        generator = SorooshyariDautGenerator(indefinite_covariance, epsilon=1e-4, rng=1)
-        assert generator.approximation_error > 0
+        generator = SorooshyariDautGenerator(indefinite_covariance, rng=1)
+        assert not np.allclose(generator.effective_covariance, indefinite_covariance)
         samples = generator.generate(1000)
         assert samples.shape == (3, 1000)
 
     def test_rejects_unequal_power(self, unequal_power_covariance):
         with pytest.raises(PowerError):
             SorooshyariDautGenerator(unequal_power_covariance, rng=0)
-
-    def test_realtime_mode_misses_desired_power(self, eq22_covariance):
-        generator = SorooshyariDautGenerator(eq22_covariance, rng=2)
-        samples = generator.generate_realtime(
-            normalized_doppler=0.05, n_points=2048, rng=3
-        )
-        powers = np.mean(np.abs(samples) ** 2, axis=1)
-        # The defect: branch powers collapse to the filter output variance
-        # instead of the requested unit power.
-        assert np.all(powers < 0.01)
 
     def test_effective_covariance_copy(self, eq22_covariance):
         generator = SorooshyariDautGenerator(eq22_covariance, rng=0)

@@ -55,13 +55,6 @@ class TestDopplerSettings:
         settings = DopplerSettings(sampling_frequency_hz=1000.0, max_doppler_hz=50.0)
         assert settings.normalized_doppler == pytest.approx(0.05)
 
-    def test_from_mobile_speed(self):
-        settings = DopplerSettings.from_mobile_speed(
-            speed_ms=60.0 * 1000 / 3600, carrier_frequency_hz=900e6,
-            sampling_frequency_hz=1000.0,
-        )
-        assert settings.max_doppler_hz == pytest.approx(50.0, rel=0.01)
-
     def test_invalid_values(self):
         with pytest.raises(SpecificationError):
             DopplerSettings(sampling_frequency_hz=0.0, max_doppler_hz=50.0)

@@ -91,7 +91,7 @@ class TestComputeColoring:
         assert decomp.reconstruction_error() < 1e-10
 
     def test_epsilon_psd_method_passthrough(self, indefinite_covariance):
-        decomp = compute_coloring(indefinite_covariance, psd_method="epsilon", epsilon=1e-3)
+        decomp = compute_coloring(indefinite_covariance, psd_method="epsilon")
         assert decomp.extra["psd_method"] == "epsilon"
         assert np.min(np.linalg.eigvalsh(decomp.effective_covariance)) > 0
 

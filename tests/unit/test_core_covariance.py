@@ -113,10 +113,6 @@ class TestCovarianceSpec:
         with pytest.raises(CovarianceError):
             CovarianceSpec.from_envelope_variances(np.ones(2), bad_rho)
 
-    def test_uncorrelated_builder(self):
-        spec = CovarianceSpec.uncorrelated(np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(spec.matrix, np.diag([1.0, 2.0, 3.0]))
-
     def test_non_hermitian_matrix_rejected(self):
         matrix = np.array([[1.0, 0.5], [0.1, 1.0]], dtype=complex)
         with pytest.raises(CovarianceError):
@@ -136,15 +132,6 @@ class TestCovarianceSpec:
         spec = CovarianceSpec.from_covariance_matrix(eq23_covariance)
         rho = spec.correlation_coefficients()
         assert rho[0, 1] == pytest.approx(0.8123, abs=1e-4)
-
-    def test_implied_envelope_variances(self):
-        spec = CovarianceSpec.uncorrelated(np.array([2.0]))
-        assert spec.implied_envelope_variances()[0] == pytest.approx(2.0 * (1 - np.pi / 4))
-
-    def test_with_metadata_merges(self, eq22_spec):
-        extended = eq22_spec.with_metadata(source="test")
-        assert extended.metadata["source"] == "test"
-        assert "source" not in eq22_spec.metadata
 
     def test_wrong_envelope_shape_rejected(self, eq22_covariance):
         with pytest.raises(DimensionError):

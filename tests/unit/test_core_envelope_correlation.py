@@ -66,9 +66,6 @@ class TestInverseMap:
             recovered = float(gaussian_correlation_from_envelope(rho_r))
             assert recovered == pytest.approx(rho_g, abs=1e-6)
 
-    def test_approximate_inverse_is_sqrt(self):
-        assert gaussian_correlation_from_envelope(0.25, exact=False) == pytest.approx(0.5)
-
     def test_vector_input(self):
         result = gaussian_correlation_from_envelope(np.array([0.1, 0.4]))
         assert result.shape == (2,)

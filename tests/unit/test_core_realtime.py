@@ -26,7 +26,7 @@ class TestConstruction:
         assert generator.n_points == 4096
         assert generator.normalized_doppler == 0.05
         assert generator.n_branches == 3
-        assert generator.compensates_variance
+        assert generator.generate_gaussian().metadata["compensate_variance"] is True
 
     def test_filter_output_variance_exposed(self, small_generator):
         # For M = 2048, fm = 0.05, sigma_orig^2 = 0.5 the output variance is
@@ -138,26 +138,6 @@ class TestStatisticalProperties:
 
 class TestBackendAndCache:
     """The realtime generator rides the batched substrate and engine seam."""
-
-    def test_scipy_backend_bit_identical(self):
-        pytest.importorskip("scipy")
-        covariance = np.array([[1.0, 0.5 + 0.3j], [0.5 - 0.3j, 1.0]])
-        reference = RealTimeRayleighGenerator(
-            covariance, normalized_doppler=0.05, n_points=256, rng=11
-        ).generate(2)
-        via_scipy = RealTimeRayleighGenerator(
-            covariance, normalized_doppler=0.05, n_points=256, rng=11, backend="scipy"
-        ).generate(2)
-        assert np.array_equal(reference, via_scipy)
-
-    def test_unknown_backend_rejected(self):
-        from repro.exceptions import BackendError
-
-        covariance = np.eye(2, dtype=complex)
-        with pytest.raises(BackendError):
-            RealTimeRayleighGenerator(
-                covariance, normalized_doppler=0.05, n_points=64, backend="nope"
-            )
 
     def test_generators_build_their_own_filter_and_coloring(self):
         from repro.channels.doppler import young_beaulieu_filter

@@ -98,11 +98,11 @@ class TestRegistry:
         with pytest.raises(BackendError, match="must be a name"):
             get_backend(3.14)
 
-    def test_duplicate_registration_needs_replace(self):
-        register_backend("test-duplicate", NumpyBackend, replace=True)
+    @pytest.mark.usefixtures("isolated_backend_registry")
+    def test_a_name_registers_once(self):
+        register_backend("test-duplicate", NumpyBackend)
         with pytest.raises(BackendError, match="already registered"):
             register_backend("test-duplicate", NumpyBackend)
-        register_backend("test-duplicate", NumpyBackend, replace=True)
 
     def test_invalid_name_rejected(self):
         with pytest.raises(BackendError):
@@ -297,6 +297,7 @@ class TestFFTContract:
 
 
 class TestCustomBackend:
+    @pytest.mark.usefixtures("isolated_backend_registry")
     def test_registered_custom_backend_flows_through_engine(self):
         # The fused execute path prefers the `_into` hooks, so a counting
         # backend instruments both call forms of each transform.
@@ -326,7 +327,7 @@ class TestCustomBackend:
                 calls["ifft"] += 1
                 return super().ifft_into(array, out, axis=axis)
 
-        register_backend("test-counting", CountingBackend, replace=True)
+        register_backend("test-counting", CountingBackend)
         plan = _mixed_plan(seed=11)
         engine = SimulationEngine(cache=DecompositionCache(), backend="test-counting")
         result = engine.run(plan, 8)

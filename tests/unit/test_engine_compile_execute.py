@@ -22,7 +22,6 @@ from repro.exceptions import (
     CholeskyError,
     ColoringError,
     CovarianceError,
-    DimensionError,
     GenerationError,
 )
 
@@ -168,16 +167,6 @@ class TestExecute:
         with pytest.raises(GenerationError):
             execute_plan(compiled, 0)
 
-    def test_stacked_samples_requires_homogeneous_plan(self, mixed_plan):
-        result = Simulator().run(mixed_plan, 4)
-        with pytest.raises(DimensionError):
-            result.stacked_samples()
-
-    def test_stacked_samples_on_homogeneous_plan(self):
-        plan = SimulationPlan.from_specs([_matrix(1.0), _matrix(2.0)], seed=0)
-        result = Simulator().run(plan, 6)
-        assert result.stacked_samples().shape == (2, 2, 6)
-
     def test_envelopes(self, mixed_plan):
         result = Simulator().run(mixed_plan, 4)
         envelopes = result.envelopes()
@@ -229,7 +218,7 @@ class TestEngineFacade:
     def test_cache_stats_exposed(self, mixed_plan):
         engine = SimulationEngine(cache=DecompositionCache())
         engine.run(mixed_plan, 2)
-        assert engine.cache_stats.misses == 3
+        assert engine.cache.stats.misses == 3
 
 
 _NAKAGAMI = {"model": "nakagami", "shape": 2.0}
@@ -244,7 +233,7 @@ def _indefinite(size, power=1.0):
 
 
 @pytest.fixture()
-def eigh_calls():
+def eigh_calls(isolated_backend_registry):
     """Shapes of every stacked ``eigh`` a registered counting backend ran."""
     shapes = []
 
@@ -256,7 +245,7 @@ def eigh_calls():
             shapes.append(stack.shape)
             return super().eigh(stack)
 
-    register_backend("test-eigh-counting", EighCountingBackend, replace=True)
+    register_backend("test-eigh-counting", EighCountingBackend)
     return shapes
 
 

@@ -55,15 +55,16 @@ class TestPlanEntry:
         with pytest.raises(SpecificationError, match=type(seed).__name__):
             SimulationPlan().add(spec, seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, np.float64(1.5), "7", [7], True, False])
+    def test_from_specs_rejects_an_unusable_root_seed(self, spec, seed):
+        # The root seed is spawned into per-entry seeds, never stored, so
+        # from_specs checks it itself rather than truncating it.
+        with pytest.raises(SpecificationError, match=type(seed).__name__):
+            SimulationPlan.from_specs([spec, spec], seed=seed)
+
     def test_group_key_contents(self, spec):
         entry = PlanEntry(spec=spec, coloring_method="svd", psd_method="epsilon")
         assert entry.group_key == (2, "svd", "epsilon", 1e-6, None, None)
-
-    def test_with_seed_copies(self, spec):
-        entry = PlanEntry(spec=spec, seed=1)
-        other = entry.with_seed(2)
-        assert other.seed == 2 and entry.seed == 1
-        assert other.spec is entry.spec
 
 
 class TestDopplerSpec:
@@ -163,9 +164,9 @@ class TestDopplerSpec:
         plan.add(spec)
         plan.add(spec, doppler=DopplerSpec(0.05, n_points=64))
         plan.add(spec, doppler=DopplerSpec(0.05, n_points=64))
-        sizes = plan.group_sizes()
-        assert sizes[(2, "eigen", "clip", 1e-6, None, None)] == 1
-        assert sizes[(2, "eigen", "clip", 1e-6, (64, 0.05, 0.5), None)] == 2
+        keys = [entry.group_key for entry in plan]
+        assert keys[0] == (2, "eigen", "clip", 1e-6, None, None)
+        assert keys[1] == keys[2] == (2, "eigen", "clip", 1e-6, (64, 0.05, 0.5), None)
 
 
 class TestSimulationPlan:
@@ -175,18 +176,6 @@ class TestSimulationPlan:
         assert index == 0
         assert plan[0].spec.n_branches == 3
         assert plan[0].seed == 5
-
-    def test_add_scenario(self):
-        plan = SimulationPlan()
-        scenario = MIMOArrayScenario(n_antennas=3, spacing_wavelengths=0.5)
-        plan.add_scenario(scenario, np.ones(3), label="mimo")
-        assert plan.n_entries == 1
-        assert plan[0].label == "mimo"
-        assert plan[0].spec.metadata["scenario"] == "mimo-spatial"
-
-    def test_add_scenario_requires_interface(self):
-        with pytest.raises(SpecificationError):
-            SimulationPlan().add_scenario(object(), np.ones(2))
 
     def test_from_specs_derives_independent_integer_seeds(self):
         matrices = [np.eye(2, dtype=complex)] * 4
@@ -212,15 +201,16 @@ class TestSimulationPlan:
         with pytest.raises(SpecificationError):
             SimulationPlan.from_specs([np.eye(2, dtype=complex)], labels=["a", "b"])
 
-    def test_group_sizes(self, spec):
+    def test_group_keys(self, spec):
         plan = SimulationPlan()
         plan.add(spec)
         plan.add(spec, coloring_method="svd")
         plan.add(np.eye(3, dtype=complex))
-        sizes = plan.group_sizes()
-        assert sizes[(2, "eigen", "clip", 1e-6, None, None)] == 1
-        assert sizes[(2, "svd", "clip", 1e-6, None, None)] == 1
-        assert sizes[(3, "eigen", "clip", 1e-6, None, None)] == 1
+        assert [entry.group_key for entry in plan] == [
+            (2, "eigen", "clip", 1e-6, None, None),
+            (2, "svd", "clip", 1e-6, None, None),
+            (3, "eigen", "clip", 1e-6, None, None),
+        ]
 
     def test_iteration_and_len(self, spec):
         plan = SimulationPlan()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import HERMITIAN_ATOL, HERMITIAN_RTOL
 from repro.exceptions import DimensionError, NotHermitianError
 from repro.linalg import (
     assert_hermitian,
@@ -126,12 +127,14 @@ class TestAllClose:
             expected = bool(np.isclose(a, b, rtol=rtol, atol=atol).all())
             assert all_close(a, b, rtol=rtol, atol=atol) is expected
 
-    @given(matrix=near_hermitian(), rtol=tolerances, atol=tolerances)
+    @given(matrix=near_hermitian())
     @settings(max_examples=300, deadline=None)
-    def test_is_hermitian_equals_np_allclose(self, matrix, rtol, atol):
+    def test_is_hermitian_equals_np_allclose(self, matrix):
         with np.errstate(over="ignore"):
-            expected = np.allclose(matrix, matrix.conj().T, rtol=rtol, atol=atol)
-            assert is_hermitian(matrix, rtol=rtol, atol=atol) is expected
+            expected = np.allclose(
+                matrix, matrix.conj().T, rtol=HERMITIAN_RTOL, atol=HERMITIAN_ATOL
+            )
+            assert is_hermitian(matrix) is expected
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64])
     def test_integer_and_bool_inputs_match(self, dtype):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.coloring import compute_coloring
-from repro.linalg import ColoringDecomposition
+from repro.linalg import ColoringDecomposition, frobenius_distance
 
 
 class TestColoringDecomposition:
@@ -12,15 +12,15 @@ class TestColoringDecomposition:
         decomp = compute_coloring(eq22_covariance)
         assert decomp.reconstruction_error() < 1e-10
 
-    def test_approximation_error_zero_when_not_repaired(self, eq22_covariance):
+    def test_effective_is_requested_when_not_repaired(self, eq22_covariance):
         decomp = compute_coloring(eq22_covariance)
         assert not decomp.was_repaired
-        assert decomp.approximation_error() < 1e-12
+        assert frobenius_distance(decomp.effective_covariance, eq22_covariance) < 1e-12
 
-    def test_approximation_error_positive_when_repaired(self, indefinite_covariance):
+    def test_effective_differs_when_repaired(self, indefinite_covariance):
         decomp = compute_coloring(indefinite_covariance)
         assert decomp.was_repaired
-        assert decomp.approximation_error() > 0.01
+        assert frobenius_distance(decomp.effective_covariance, indefinite_covariance) > 0.01
 
     def test_size(self, eq22_covariance):
         assert compute_coloring(eq22_covariance).size == 3

@@ -13,7 +13,8 @@ class TestHermitianEigendecomposition:
 
     def test_reconstruction_matches_input(self, eq22_covariance):
         decomp = hermitian_eigendecomposition(eq22_covariance)
-        assert np.allclose(decomp.reconstruct(), eq22_covariance, atol=1e-12)
+        rebuilt = reconstruct_from_eigen(decomp.eigenvalues, decomp.eigenvectors)
+        assert np.allclose(rebuilt, eq22_covariance, atol=1e-12)
 
     def test_eigenvalues_are_real(self, eq22_covariance):
         decomp = hermitian_eigendecomposition(eq22_covariance)
@@ -33,19 +34,6 @@ class TestHermitianEigendecomposition:
         eigs = np.linalg.eigvalsh(indefinite_covariance)
         assert decomp.min_eigenvalue == pytest.approx(np.min(eigs))
         assert decomp.max_eigenvalue == pytest.approx(np.max(eigs))
-
-    def test_negative_count(self, indefinite_covariance):
-        decomp = hermitian_eigendecomposition(indefinite_covariance)
-        assert decomp.negative_count() == 1
-
-    def test_negative_count_zero_for_psd(self, eq23_covariance):
-        assert hermitian_eigendecomposition(eq23_covariance).negative_count() == 0
-
-    def test_numerical_rank_full(self, eq22_covariance):
-        assert hermitian_eigendecomposition(eq22_covariance).numerical_rank() == 3
-
-    def test_numerical_rank_deficient(self):
-        assert hermitian_eigendecomposition(np.ones((4, 4))).numerical_rank() == 1
 
     def test_size_property(self, eq22_covariance):
         assert hermitian_eigendecomposition(eq22_covariance).size == 3

@@ -10,6 +10,7 @@ from repro.linalg import (
     nearest_psd_higham,
     replace_nonpositive_eigenvalues,
 )
+from repro.linalg import nearest
 
 
 class TestFrobeniusDistance:
@@ -97,7 +98,7 @@ class TestNearestPsdHigham:
 
     def test_preserve_diagonal_result_is_psd(self, indefinite_covariance):
         higham = nearest_psd_higham(indefinite_covariance, preserve_diagonal=True)
-        assert is_positive_semidefinite(higham, tol=1e-7)
+        assert is_positive_semidefinite(higham)
 
     def test_psd_input_unchanged(self, eq23_covariance):
         higham = nearest_psd_higham(eq23_covariance, preserve_diagonal=True)
@@ -117,12 +118,12 @@ def _indefinite_unit_diagonal_family(seed=2024, per_size=20):
                 yield matrix.astype(complex)
 
 
-def _alternating_projections(matrix, max_iterations=100, tol=1e-10):
+def _alternating_projections(matrix):
     """The projection loop alone: the iterate the final clip starts from."""
     diagonal = np.diag(matrix).copy()
     y = matrix.copy()
     delta = np.zeros_like(matrix)
-    for _ in range(max_iterations):
+    for _ in range(nearest._HIGHAM_MAX_ITERATIONS):
         r = y - delta
         x = clip_negative_eigenvalues(r)
         delta = x - r
@@ -130,7 +131,7 @@ def _alternating_projections(matrix, max_iterations=100, tol=1e-10):
         np.fill_diagonal(y_next, diagonal)
         change = frobenius_distance(y_next, y)
         y = y_next
-        if change < tol and is_positive_semidefinite(y):
+        if change < nearest._HIGHAM_TOL and is_positive_semidefinite(y):
             break
     return y
 
@@ -155,27 +156,19 @@ class TestHighamFeedsTheEigenColoring:
         assert count == 120
         assert failures == []
 
-    def test_exhausted_iterations_raise(self):
+    def test_exhausted_iterations_raise(self, monkeypatch):
         from repro.exceptions import CovarianceError
 
+        monkeypatch.setattr(nearest, "_HIGHAM_MAX_ITERATIONS", 1)
         matrix = next(_indefinite_unit_diagonal_family())
         with pytest.raises(CovarianceError, match="did not converge within 1 "):
-            nearest_psd_higham(matrix, preserve_diagonal=True, max_iterations=1)
+            nearest_psd_higham(matrix, preserve_diagonal=True)
 
     def test_batched_forcing_names_the_slice_that_did_not_converge(self, monkeypatch):
         from repro.exceptions import CovarianceError
-        from repro.linalg import nearest
         from repro.linalg.batched import _force_psd_stack
 
-        real = nearest.nearest_psd_higham
-        monkeypatch.setattr(
-            nearest,
-            "nearest_psd_higham",
-            lambda matrix, **kwargs: real(matrix, **{**kwargs, "max_iterations": 1}),
-        )
-        monkeypatch.setattr(
-            "repro.core.psd.nearest_psd_higham", nearest.nearest_psd_higham
-        )
+        monkeypatch.setattr(nearest, "_HIGHAM_MAX_ITERATIONS", 1)
         good = np.eye(3, dtype=complex)
         bad = next(_indefinite_unit_diagonal_family())
         with pytest.raises(CovarianceError, match="stack index 1") as excinfo:

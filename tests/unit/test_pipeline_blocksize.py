@@ -47,10 +47,11 @@ class TestDopplerBlockSize:
         with pytest.raises(SpecificationError):
             doppler_block_size(0, 0.05)
 
-    def test_custom_max_points(self):
-        with pytest.raises(SpecificationError):
-            doppler_block_size(1, 0.001, max_points=512)
-        assert doppler_block_size(1, 0.01, max_points=512) == 128
+    def test_block_limit_is_inclusive(self):
+        limit = 1 << 26
+        assert doppler_block_size(1, 1.0 / limit) == limit
+        with pytest.raises(SpecificationError, match=str(limit)):
+            doppler_block_size(1, 0.5 / limit)
 
 
 class TestPipelineDopplerMode:

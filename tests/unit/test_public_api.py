@@ -1,6 +1,7 @@
 """Tests of the public package surface: exports, version, module entry point."""
 
 import importlib
+import inspect
 import re
 import subprocess
 import sys
@@ -12,9 +13,18 @@ import repro
 
 README = Path(__file__).resolve().parents[2] / "README.md"
 
-#: Every ``repro.``-qualified name the README migration table marks removed.
-REMOVED_PATHS = sorted(
-    set(re.findall(r"^\| `(repro(?:\.\w+)+)[^`]*` \*removed\*", README.read_text("utf8"), re.M))
+#: Every ``repro.``-qualified row the README migration table marks removed,
+#: as ``(path, keywords)``: a row naming keywords removes those parameters
+#: from ``path``; any other row removes ``path`` itself.
+REMOVED_ROWS = sorted(
+    {
+        (path, tuple(re.findall(r"(\w+)=", arguments)))
+        for path, arguments in re.findall(
+            r"^\| `(repro(?:\.\w+)+)(\([^`]*\))?[^`]*` \*removed\*",
+            README.read_text("utf8"),
+            re.M,
+        )
+    }
 )
 
 
@@ -105,16 +115,35 @@ class TestPublicExports:
         assert not missing, f"modules without docstrings: {missing}"
 
 
-@pytest.mark.parametrize("path", REMOVED_PATHS)
-def test_names_the_readme_marks_removed_are_gone(path):
-    module_name, _, name = path.rpartition(".")
+def _resolve(parts):
+    """The object ``parts`` names, or ``None`` once a module or member is gone."""
+    for cut in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            owner = getattr(owner, name, None)
+        return owner
+    return None
+
+
+@pytest.mark.parametrize(
+    "path, keywords",
+    REMOVED_ROWS,
+    ids=[path + "".join(f"({keyword}=)" for keyword in keywords) for path, keywords in REMOVED_ROWS],
+)
+def test_names_the_readme_marks_removed_are_gone(path, keywords):
+    parts = path.split(".")
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(path)
-    try:
-        module = importlib.import_module(module_name)
-    except ModuleNotFoundError:
+    target = _resolve(parts)
+    if not keywords or target is None:
+        assert target is None, f"{path} is marked removed but still defined"
         return
-    assert not hasattr(module, name), f"{path} is marked removed but still defined"
+    parameters = inspect.signature(target).parameters
+    kept = [keyword for keyword in keywords if keyword in parameters]
+    assert not kept, f"{path} still takes {kept}, which the README marks removed"
 
 
 class TestModuleEntryPoint:

@@ -62,3 +62,11 @@ class TestSpawnRngs:
         with pytest.raises(ValueError):
             spawn_rngs(0, 0)
 
+    @pytest.mark.parametrize("seed", [True, False, 1.5, np.float64(1.5), "7"])
+    def test_refuses_what_ensure_rng_refuses(self, seed):
+        # int() would truncate these to a seed (True seeds as 1, 1.5 as 1).
+        with pytest.raises(TypeError, match=type(seed).__name__):
+            ensure_rng(seed)
+        with pytest.raises(TypeError, match=type(seed).__name__):
+            spawn_rngs(seed, 2)
+

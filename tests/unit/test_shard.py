@@ -557,7 +557,7 @@ class TestShardCLI:
 
 
 class TestWorkerTimeout:
-    """``run_sharded(timeout=)`` holds even when a worker stops printing."""
+    """The slice timeout holds even when a worker stops printing."""
 
     @staticmethod
     def _sleeper(script):
@@ -619,11 +619,10 @@ class TestWorkerTimeout:
             return process
 
         monkeypatch.setattr(runner, "_spawn", fake_spawn)
+        monkeypatch.setattr(runner, "_SLICE_TIMEOUT", 1.0)
         started = time.monotonic()
         try:
-            result = runner.run_sharded(
-                _sweep_plan(4), 8, n_shards=2, work_dir=tmp_path, timeout=1.0
-            )
+            result = runner.run_sharded(_sweep_plan(4), 8, n_shards=2, work_dir=tmp_path)
         finally:
             for process in spawned:
                 process.kill()
@@ -1038,7 +1037,6 @@ class TestConcurrentWorkers:
             32,
             n_shards=3,
             work_dir=tmp_path / "work",
-            timeout=60.0,
             progress=lambda index, line: lines.append((index, line)),
         )
         assert result.failed == (0,)
@@ -1339,12 +1337,16 @@ class TestForkedWorkerContract:
         assert len(set(numpy_draws)) == 2
         assert len(set(python_draws)) == 2
 
-    def test_unresponsive_launcher_fails_the_run_within_the_timeout(self, tmp_path):
+    def test_unresponsive_launcher_fails_the_run_within_the_timeout(
+        self, tmp_path, monkeypatch
+    ):
         """A launcher that never answers (here: stuck importing ``site``) is
         killed at the workers' timeout, and every slice reads as failed."""
         import time
 
         from repro.shard import runner
+
+        monkeypatch.setattr(runner, "_SLICE_TIMEOUT", 2.0)
 
         hook = tmp_path / "hook"
         hook.mkdir()
@@ -1358,7 +1360,6 @@ class TestForkedWorkerContract:
             16,
             n_shards=2,
             work_dir=tmp_path / "work",
-            timeout=2.0,
             extra_env={"PYTHONPATH": str(hook)},
             progress=lambda index, line: lines.append(line),
         )

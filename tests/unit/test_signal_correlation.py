@@ -28,14 +28,6 @@ class TestAutocorrelation:
         assert acf[0] == pytest.approx(1.0)
         assert np.all(np.abs(acf[1:]) < 0.02)
 
-    def test_biased_vs_unbiased_scaling(self):
-        x = np.arange(1.0, 9.0)
-        biased = autocorrelation(x, max_lag=3)
-        unbiased = autocorrelation(x, max_lag=3, unbiased=True)
-        n = len(x)
-        for d in range(1, 4):
-            assert unbiased[d] == pytest.approx(biased[d] * n / (n - d))
-
     def test_matches_direct_computation(self, rng):
         x = rng.normal(size=64) + 1j * rng.normal(size=64)
         acf = autocorrelation(x, max_lag=5)

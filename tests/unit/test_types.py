@@ -48,31 +48,6 @@ class TestEnvelopeBlock:
         assert rms[0] == pytest.approx(np.sqrt(12.5))
         assert rms[1] == pytest.approx(1.0)
 
-    def test_to_db_default_reference_is_rms(self):
-        env = EnvelopeBlock(
-            envelopes=np.array([[2.0, 2.0, 2.0, 2.0]]),
-            gaussian_variances=np.array([1.0]),
-        )
-        db = env.to_db()
-        assert np.allclose(db, 0.0)
-
-    def test_to_db_custom_reference(self):
-        env = EnvelopeBlock(
-            envelopes=np.array([[10.0, 1.0]]),
-            gaussian_variances=np.array([1.0]),
-        )
-        db = env.to_db(reference=np.array([1.0]))
-        assert db[0, 0] == pytest.approx(20.0)
-        assert db[0, 1] == pytest.approx(0.0)
-
-    def test_to_db_handles_zero_envelope_without_warnings(self):
-        env = EnvelopeBlock(
-            envelopes=np.array([[0.0, 1.0]]),
-            gaussian_variances=np.array([1.0]),
-        )
-        db = env.to_db()
-        assert np.isfinite(db).all()
-
     def test_shape_properties(self):
         env = EnvelopeBlock(envelopes=np.ones((4, 7)), gaussian_variances=np.ones(4))
         assert env.n_branches == 4

@@ -1,8 +1,9 @@
 """Reproduction of the paper's evaluation (Section 6) plus ablations.
 
-Each module implements one experiment from the index in ``DESIGN.md`` and
-returns an :class:`repro.experiments.reporting.ExperimentResult` that records
-the paper's stated values next to the measured ones.  The registry in
+Each module implements one experiment from the experiment table in the
+README's "Experiments and benchmarks" section and returns an
+:class:`repro.experiments.reporting.ExperimentResult` that records the
+paper's stated values next to the measured ones.  The registry in
 :mod:`repro.experiments.runner` maps experiment identifiers to callables and
 backs both the command line (``python -m repro``) and the benchmark harness.
 

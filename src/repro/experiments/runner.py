@@ -1,7 +1,7 @@
 """Experiment registry and execution helpers.
 
-Maps the experiment identifiers documented in ``DESIGN.md`` to their ``run``
-callables.  Used by the command line (``python -m repro``), the benchmark
+Maps the experiment identifiers of the README's experiment table to their
+``run`` callables.  Used by the command line (``python -m repro``), the benchmark
 harness, and the integration tests.
 """
 
@@ -51,7 +51,7 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 
 
 def list_experiments() -> List[str]:
-    """Identifiers of all registered experiments, in DESIGN.md order."""
+    """Identifiers of all registered experiments, in README table order."""
     return list(EXPERIMENTS)
 
 

@@ -1,21 +1,23 @@
 """The JSON wire protocol of the serving layer: plans in, envelopes out.
 
-Plans travel as plain JSON — covariance matrices as nested ``re``/``im``
-float lists — which round-trips **bit-exactly**: Python's JSON encoder
-emits the shortest repr that parses back to the same IEEE-754 double, so a
-decoded plan hashes to the same compiled-plan key and produces the same
-samples as the in-process original.  Results stream as NDJSON: one header
-line (sample count, backend, the full :class:`CompileReport`), one line
-per entry carrying its complex sample block as a base64 ``.npy`` payload
-(exact bytes, no text round-trip), and one terminator line — a shape the
-HTTP front end maps 1:1 onto chunked transfer encoding.
+Plans travel as JSON, every covariance matrix as ``{"n": N, "c16": ...}``:
+the base64 of its ``16·N²`` little-endian ``complex128`` bytes, which
+decodes with one :func:`numpy.frombuffer` instead of parsing ``2·N²`` float
+reprs.  The other doubles travel as JSON numbers, whose shortest repr
+parses back to the same IEEE-754 double.  Both round-trip **bit-exactly**,
+so a decoded plan hashes to the same compiled-plan key and produces the
+same samples as the in-process original.  Results stream as NDJSON: one
+header line (sample count, backend, the full :class:`CompileReport`), one
+line per entry carrying its complex sample block as a base64 ``.npy``
+payload (exact bytes, no text round-trip), and one terminator line — a
+shape the HTTP front end maps 1:1 onto chunked transfer encoding.
 
-Seeds travel losslessly too: ``None`` and integers as themselves (the
-original version-1 shape), and live :class:`numpy.random.Generator` seeds
-as their bit-generator state, which restores to a generator drawing the
-identical stream — the sharding layer (:mod:`repro.shard`) reuses this
-entry encoding for its :class:`~repro.shard.PlanSlice` payloads, with its
-own matrix encoding (raw ``complex128`` bytes) in place of the float lists.
+Seeds travel losslessly too: ``None`` and integers as themselves, and live
+:class:`numpy.random.Generator` seeds as their bit-generator state, which
+restores to a generator drawing the identical stream.  The sharding layer
+(:mod:`repro.shard`) builds its :class:`~repro.shard.PlanSlice` payloads on
+:func:`plan_to_payload` and :func:`plan_from_payload`, so a slice file and
+an HTTP submission share one encoding.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import dataclasses
 import functools
 import io
 import json
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +52,7 @@ __all__ = [
 ]
 
 #: Version stamped on every payload; decoding rejects unknown versions.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: The numpy bit generators a seed payload may name.
 BIT_GENERATORS = frozenset({"PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"})
@@ -136,8 +138,7 @@ def int_from_payload(value: Any, field: str) -> int:
 def seed_to_payload(seed: Any) -> Any:
     """Encode one plan-entry seed as a JSON-able value.
 
-    ``None`` and integers pass through unchanged (the original version-1
-    wire shape, so existing clients are unaffected); a
+    ``None`` and integers pass through unchanged; a
     :class:`numpy.random.Generator` is captured as its bit-generator state,
     which restores to a generator producing the *identical* stream — the
     sharding layer relies on this to slice plans carrying live generators
@@ -205,83 +206,45 @@ def _fading_to_payload(fading: FadingSpec) -> Dict[str, Any]:
     }
 
 
-def _matrix_to_floats(matrix: np.ndarray) -> Dict[str, Any]:
-    return {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}
+#: Wire dtype of covariance matrices.
+_C16 = np.dtype("<c16")
 
 
-def _matrix_from_floats(raw: Any) -> np.ndarray:
-    real = np.asarray(raw["re"], dtype=float)
-    imag = np.asarray(raw["im"], dtype=float)
-    # Assign the parts: ``real + 1j * imag`` computes 0 * inf = NaN into
-    # the real part of an entry whose imaginary part is infinite.
-    matrix = np.empty(np.broadcast_shapes(real.shape, imag.shape), dtype=complex)
-    matrix.real = real
-    matrix.imag = imag
-    return matrix
+def _matrix_to_c16(matrix: np.ndarray) -> Dict[str, Any]:
+    data = np.ascontiguousarray(matrix, dtype=_C16)
+    return {
+        "n": int(data.shape[0]),
+        "c16": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
 
 
-def _entries_to_payload(
-    plan: SimulationPlan, encode_matrix: Callable[[np.ndarray], Any]
-) -> List[Dict[str, Any]]:
-    """Every entry of ``plan`` as a wire dict, its matrix via ``encode_matrix``.
-
-    The one entry encoding of the package: the HTTP plan payload encodes
-    matrices as float lists, the shard slice payload as raw bytes
-    (:mod:`repro.shard.slicing`); every other field is shared.
-    """
-    return [
-        {
-            "matrix": encode_matrix(entry.spec.matrix),
-            "seed": seed_to_payload(entry.seed),
-            "coloring_method": entry.coloring_method,
-            "psd_method": entry.psd_method,
-            "epsilon": float(entry.epsilon),
-            "sample_variance": float(entry.sample_variance),
-            "doppler": (
-                None if entry.doppler is None else _doppler_to_payload(entry.doppler)
-            ),
-            "fading": (
-                None if entry.fading is None else _fading_to_payload(entry.fading)
-            ),
-            "label": entry.label,
-        }
-        for entry in plan
-    ]
-
-
-def _entries_from_payload(
-    raw_entries: Any, decode_matrix: Callable[[Any], np.ndarray]
-) -> SimulationPlan:
-    """Inverse of :func:`_entries_to_payload` with the matching decoder.
-
-    ``decode_matrix`` may raise :class:`SpecificationError`, ``KeyError``,
-    ``TypeError``, ``ValueError`` or ``OverflowError`` (a JSON integer past
-    the float range); all of them reject the entry with a
+def _matrix_from_c16(raw: Any) -> np.ndarray:
+    """Inverse of :func:`_matrix_to_c16`; malformed input raises
     :class:`SpecificationError`.
+
+    The text length is checked against ``n`` before anything is decoded,
+    so a huge ``n`` with short data allocates nothing.
     """
-    if not isinstance(raw_entries, list) or not raw_entries:
-        raise SpecificationError("submission payload needs a non-empty entry list")
-    plan = SimulationPlan()
-    for index, raw in enumerate(raw_entries):
-        try:
-            plan.add(
-                decode_matrix(raw["matrix"]),
-                seed=seed_from_payload(raw.get("seed")),
-                coloring_method=str(raw.get("coloring_method", "eigen")),
-                psd_method=str(raw.get("psd_method", "clip")),
-                epsilon=float(raw.get("epsilon", 1e-6)),
-                sample_variance=float(raw.get("sample_variance", 1.0)),
-                doppler=coerce_doppler(raw.get("doppler")),
-                fading=coerce_fading(raw.get("fading")),
-                label=raw.get("label"),
-            )
-        except SpecificationError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SpecificationError(
-                f"malformed plan entry at index {index}: {exc}"
-            ) from exc
-    return plan
+    if not isinstance(raw, dict):
+        raise SpecificationError("a matrix must be an object")
+    n = int_from_payload(raw.get("n"), "matrix.n")
+    if n < 1:
+        raise SpecificationError(f"matrix.n must be >= 1, got {n}")
+    encoded = raw.get("c16")
+    n_bytes = _C16.itemsize * n * n
+    if not isinstance(encoded, str) or len(encoded) != 4 * -(-n_bytes // 3):
+        raise SpecificationError(
+            f"matrix.c16 must be the base64 of {n_bytes} bytes for n = {n}"
+        )
+    try:
+        data = base64.b64decode(encoded, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise SpecificationError(f"matrix.c16 is not base64: {exc}") from exc
+    if len(data) != n_bytes:
+        raise SpecificationError(
+            f"matrix.c16 holds {len(data)} bytes, expected {n_bytes} for n = {n}"
+        )
+    return np.frombuffer(data, dtype=_C16).reshape(n, n)
 
 
 def plan_to_payload(
@@ -291,7 +254,24 @@ def plan_to_payload(
     payload: Dict[str, Any] = {
         "version": PROTOCOL_VERSION,
         "n_samples": int(n_samples),
-        "entries": _entries_to_payload(plan, _matrix_to_floats),
+        "entries": [
+            {
+                "matrix": _matrix_to_c16(entry.spec.matrix),
+                "seed": seed_to_payload(entry.seed),
+                "coloring_method": entry.coloring_method,
+                "psd_method": entry.psd_method,
+                "epsilon": float(entry.epsilon),
+                "sample_variance": float(entry.sample_variance),
+                "doppler": (
+                    None if entry.doppler is None else _doppler_to_payload(entry.doppler)
+                ),
+                "fading": (
+                    None if entry.fading is None else _fading_to_payload(entry.fading)
+                ),
+                "label": entry.label,
+            }
+            for entry in plan
+        ],
     }
     if client_id is not None:
         payload["client_id"] = str(client_id)
@@ -302,9 +282,10 @@ def plan_from_payload(payload: Dict[str, Any]) -> Tuple[SimulationPlan, int]:
     """Decode a submission payload back into ``(plan, n_samples)``.
 
     Raises :class:`~repro.exceptions.SpecificationError` on structural
-    problems (unknown version, missing fields, ragged matrices); the
-    numeric validation of covariances happens downstream in the plan, so
-    a malformed matrix fails the request, not the service.
+    problems (unknown version, missing fields, malformed matrices); a
+    refused entry is named by its index.  The numeric validation of
+    covariances happens in the plan, so a malformed matrix fails the
+    request, not the service.
     """
     if not isinstance(payload, dict):
         raise SpecificationError("submission payload must be a JSON object")
@@ -319,7 +300,29 @@ def plan_from_payload(payload: Dict[str, Any]) -> Tuple[SimulationPlan, int]:
         raw_entries = payload["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecificationError(f"malformed submission payload: {exc}") from exc
-    return _entries_from_payload(raw_entries, _matrix_from_floats), n_samples
+    if not isinstance(raw_entries, list) or not raw_entries:
+        raise SpecificationError("submission payload needs a non-empty entry list")
+    plan = SimulationPlan()
+    for index, raw in enumerate(raw_entries):
+        try:
+            plan.add(
+                _matrix_from_c16(raw["matrix"]),
+                seed=seed_from_payload(raw.get("seed")),
+                coloring_method=str(raw.get("coloring_method", "eigen")),
+                psd_method=str(raw.get("psd_method", "clip")),
+                epsilon=float(raw.get("epsilon", 1e-6)),
+                sample_variance=float(raw.get("sample_variance", 1.0)),
+                doppler=coerce_doppler(raw.get("doppler")),
+                fading=coerce_fading(raw.get("fading")),
+                label=raw.get("label"),
+            )
+        # SpecificationError is a ValueError; OverflowError is a JSON
+        # integer past the float range.
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SpecificationError(
+                f"malformed plan entry at index {index}: {exc}"
+            ) from exc
+    return plan, n_samples
 
 
 def result_to_lines(result: BatchResult) -> Iterator[str]:

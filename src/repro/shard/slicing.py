@@ -10,16 +10,13 @@ pure pieces of that story, the two wire formats among them:
   :meth:`SimulationPlan.partition`), each remembering where its entries
   live in the original plan;
 * :func:`slice_to_payload` / :func:`slice_from_payload` — a slice's wire
-  bytes and their decoder: sorted-key JSON through *the serving layer's
-  entry encoding* (:mod:`repro.service.protocol`), so per-entry seeds
-  (``None``, ints, and live numpy Generators), labels, Doppler specs and
-  fading specs all round-trip bit-exactly.  Only the covariance differs
-  from the HTTP plan payload: it travels as ``{"n": N, "c16": ...}``, the
-  base64 of its ``16·N²`` little-endian ``complex128`` bytes, which a
-  worker decodes with one :func:`numpy.frombuffer` instead of parsing
-  ``2·N²`` float reprs.  A decoded slice therefore holds the same matrix
-  bytes and hashes to the same compiled-plan cache key as the in-process
-  original;
+  bytes and their decoder: the serving layer's plan payload
+  (:func:`repro.service.protocol.plan_to_payload`) plus a ``"slice"``
+  object, as sorted-key JSON.  Per-entry seeds (``None``, ints, and live
+  numpy Generators), labels, Doppler specs, fading specs and the
+  covariances' raw ``complex128`` bytes all round-trip bit-exactly, so a
+  decoded slice hashes to the same compiled-plan cache key as the
+  in-process original;
 * ``_sample_record`` / ``_read_sample_record`` — a worker's result as one
   raw ``.bin`` record, every block's samples as little-endian
   ``complex128`` bytes back to back, described by marker fields:
@@ -44,7 +41,6 @@ regression-tested by ``tests/unit/test_shard.py``.
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import zlib
@@ -57,12 +53,7 @@ import numpy as np
 from ..engine import CompileReport, SimulationPlan
 from ..engine.result import BatchResult
 from ..exceptions import SpecificationError
-from ..service.protocol import (
-    PROTOCOL_VERSION,
-    _entries_from_payload,
-    _entries_to_payload,
-    int_from_payload,
-)
+from ..service.protocol import int_from_payload, plan_from_payload, plan_to_payload
 from ..types import GaussianBlock
 
 __all__ = [
@@ -127,68 +118,23 @@ def partition_plan(plan: SimulationPlan, n_shards: int) -> List[PlanSlice]:
     return slices
 
 
-#: Wire dtype of covariances in slice payloads and of samples in ``.bin``
-#: records.
+#: Wire dtype of samples in ``.bin`` records.
 _C16 = np.dtype("<c16")
-
-
-def _matrix_to_c16(matrix: np.ndarray) -> Dict[str, Any]:
-    data = np.ascontiguousarray(matrix, dtype=_C16)
-    return {
-        "n": int(data.shape[0]),
-        "c16": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
-
-
-def _matrix_from_c16(raw: Any) -> np.ndarray:
-    """Inverse of :func:`_matrix_to_c16`; malformed input raises
-    :class:`SpecificationError`.
-
-    The text length is checked against ``n`` before anything is decoded,
-    so a huge ``n`` with short data allocates nothing.
-    """
-    if not isinstance(raw, dict):
-        raise SpecificationError("a slice matrix must be an object")
-    n = int_from_payload(raw.get("n"), "matrix.n")
-    if n < 1:
-        raise SpecificationError(f"matrix.n must be >= 1, got {n}")
-    encoded = raw.get("c16")
-    n_bytes = _C16.itemsize * n * n
-    if not isinstance(encoded, str) or len(encoded) != 4 * -(-n_bytes // 3):
-        raise SpecificationError(
-            f"matrix.c16 must be the base64 of {n_bytes} bytes for n = {n}"
-        )
-    try:
-        data = base64.b64decode(encoded, validate=True)
-    except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise SpecificationError(f"matrix.c16 is not base64: {exc}") from exc
-    if len(data) != n_bytes:
-        raise SpecificationError(
-            f"matrix.c16 holds {len(data)} bytes, expected {n_bytes} for n = {n}"
-        )
-    return np.frombuffer(data, dtype=_C16).reshape(n, n)
 
 
 def slice_to_payload(plan_slice: PlanSlice, n_samples: int) -> bytes:
     """Encode one slice (plus the run's sample count) as its wire bytes.
 
-    The bytes are the ASCII text of ``json.dumps(..., sort_keys=True)``:
-    exactly what the runner writes to the slice file and hashes into the
-    ``slice_sha256`` a ``--retry-failed`` rerun compares.  The entries use
-    the serving layer's entry encoding, so every guarantee of it —
-    bit-exact doubles, lossless seeds, fading/Doppler round-trip — carries
-    over to shard workers; covariances travel as raw ``complex128`` bytes
-    (module docs).
+    The bytes are the ASCII text of ``json.dumps(..., sort_keys=True)`` of
+    :func:`~repro.service.protocol.plan_to_payload` plus a ``"slice"``
+    object: exactly what the runner writes to the slice file and hashes
+    into the ``slice_sha256`` a ``--retry-failed`` rerun compares.
     """
-    payload = {
-        "version": PROTOCOL_VERSION,
-        "slice": {
-            "index": int(plan_slice.index),
-            "n_shards": int(plan_slice.n_shards),
-            "start": int(plan_slice.start),
-        },
-        "n_samples": int(n_samples),
-        "entries": _entries_to_payload(plan_slice.plan, _matrix_to_c16),
+    payload = plan_to_payload(plan_slice.plan, n_samples)
+    payload["slice"] = {
+        "index": int(plan_slice.index),
+        "n_shards": int(plan_slice.n_shards),
+        "start": int(plan_slice.start),
     }
     return json.dumps(payload, sort_keys=True).encode("ascii")
 
@@ -203,14 +149,7 @@ def slice_from_payload(data: bytes) -> Tuple[PlanSlice, int]:
         payload = json.loads(data)
     except (TypeError, ValueError, RecursionError) as exc:  # not bytes, UTF-8 or JSON
         raise SpecificationError(f"slice payload is not JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SpecificationError("slice payload must be a JSON object")
-    version = payload.get("version")
-    if version != PROTOCOL_VERSION:
-        raise SpecificationError(
-            f"unsupported slice payload version {version!r} "
-            f"(this runner speaks {PROTOCOL_VERSION})"
-        )
+    plan, n_samples = plan_from_payload(payload)
     meta = payload.get("slice")
     if not isinstance(meta, dict):
         raise SpecificationError("slice payload needs a 'slice' object")
@@ -218,10 +157,8 @@ def slice_from_payload(data: bytes) -> Tuple[PlanSlice, int]:
         index = int_from_payload(meta["index"], "slice.index")
         n_shards = int_from_payload(meta["n_shards"], "slice.n_shards")
         start = int_from_payload(meta["start"], "slice.start")
-        n_samples = int_from_payload(payload["n_samples"], "n_samples")
     except KeyError as exc:
         raise SpecificationError(f"malformed slice metadata: {exc}") from exc
-    plan = _entries_from_payload(payload.get("entries"), _matrix_from_c16)
     return PlanSlice(index=index, n_shards=n_shards, start=start, plan=plan), n_samples
 
 

@@ -76,7 +76,6 @@ json.dump(
 def _run_worker(cache_dir: Path, out_path: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_CACHE_DIR", None)  # only the explicit cache_dir may act
     subprocess.run(
         [sys.executable, "-c", _WORKER, str(cache_dir), str(out_path)],
         check=True,

@@ -85,10 +85,7 @@ def _assert_bit_identical(merged, reference) -> None:
 
 @pytest.mark.slow
 class TestShardedBitIdentity:
-    def test_warm_rerun_loads_whole_plans_from_shared_cache(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    def test_warm_rerun_loads_whole_plans_from_shared_cache(self, tmp_path):
         plan = _mixed_plan()
         reference = _solo_reference(plan)
         cache_dir = tmp_path / "cache"
@@ -118,10 +115,7 @@ class TestShardedBitIdentity:
 
 @pytest.mark.slow
 class TestShardCrashTolerance:
-    def test_sigkilled_slice_reported_then_retried_bit_identically(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    def test_sigkilled_slice_reported_then_retried_bit_identically(self, tmp_path):
         plan = _mixed_plan()
         reference = _solo_reference(plan)
         cache_dir = tmp_path / "cache"

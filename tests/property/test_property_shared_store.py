@@ -126,7 +126,6 @@ class TestConcurrentEvictionStress:
         cache_dir.mkdir()
         env = dict(os.environ)
         env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_CACHE_DIR", None)
 
         out_paths = [tmp_path / f"worker-{index}.json" for index in range(N_WORKERS)]
         procs = [

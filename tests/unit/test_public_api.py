@@ -1,7 +1,10 @@
 """Tests of the public package surface: exports, version, module entry point."""
 
+import asyncio
+import http.client
 import importlib
 import inspect
+import json
 import re
 import subprocess
 import sys
@@ -10,6 +13,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.api import Simulator
+from repro.experiments import list_experiments
+from repro.service import PROTOCOL_VERSION, EnvelopeService, ServiceHTTPServer
 
 README = Path(__file__).resolve().parents[2] / "README.md"
 
@@ -144,6 +150,66 @@ def test_names_the_readme_marks_removed_are_gone(path, keywords):
     parameters = inspect.signature(target).parameters
     kept = [keyword for keyword in keywords if keyword in parameters]
     assert not kept, f"{path} still takes {kept}, which the README marks removed"
+
+
+#: The README's migration row for the float-list covariances of protocol
+#: version 1.
+VERSION_1_MATRIX_ROW = (
+    '| `POST /v1/plans` entry field `"matrix": {"re": [[...]], "im": [[...]]}` '
+    "of protocol version 1 *removed* | "
+    '`"matrix": {"n": N, "c16": "<base64>"}` under `"version": 2`, as '
+    "`repro.service.plan_to_payload(plan, n)` builds it; a version-1 body "
+    "answers `400` |"
+)
+
+
+class TestVersion1RequestBody:
+    """The ``re``/``im`` request field is gone: the README says so, and a
+    version-1 body answers 400 naming the version the server speaks."""
+
+    def test_the_readme_marks_the_float_list_matrix_removed(self):
+        assert VERSION_1_MATRIX_ROW in README.read_text("utf8").splitlines()
+
+    def test_a_version_1_body_answers_400_naming_version_2(self):
+        body = json.dumps(
+            {
+                "version": 1,
+                "n_samples": 32,
+                "entries": [{"matrix": {"re": [[1.0]], "im": [[0.0]]}, "seed": 1}],
+            }
+        )
+
+        def post(port):
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                connection.request("POST", "/v1/plans", body=body)
+                response = connection.getresponse()
+                return response.status, json.loads(response.read())
+            finally:
+                connection.close()
+
+        async def scenario():
+            simulator = Simulator()
+            service = EnvelopeService(simulator)
+            await service.start()
+            server = ServiceHTTPServer(service, "127.0.0.1", 0)
+            await server.start()
+            try:
+                return await asyncio.to_thread(post, server.port)
+            finally:
+                await server.stop()
+                await service.stop()
+                simulator.close()
+
+        status, answer = asyncio.run(scenario())
+        assert PROTOCOL_VERSION == 2
+        assert status == 400
+        assert answer["error"] == "unsupported protocol version 1 (this server speaks 2)"
+
+
+def test_the_readme_experiment_table_lists_every_experiment_in_order():
+    listed = re.findall(r"^\| `([a-z0-9-]+)` \| ", README.read_text("utf8"), re.M)
+    assert listed == list_experiments()
 
 
 class TestModuleEntryPoint:

@@ -9,6 +9,7 @@ asserted, not a client's interpretation of them.
 from __future__ import annotations
 
 import asyncio
+import base64
 import http.client
 import json
 import os
@@ -29,6 +30,7 @@ from repro.engine import SimulationPlan
 from repro.engine.backends import NumpyBackend
 from repro.engine.cache import DecompositionCache
 from repro.service import (
+    PROTOCOL_VERSION,
     EnvelopeService,
     ServiceHTTPServer,
     plan_to_payload,
@@ -513,15 +515,11 @@ class TestRoutes:
 
         asyncio.run(scenario())
 
-    @pytest.mark.parametrize("field", ["epsilon", "sample_variance", "matrix.re"])
+    @pytest.mark.parametrize("field", ["epsilon", "sample_variance"])
     def test_over_range_number_maps_to_400(self, field):
         """A JSON integer past the float range once escaped as a 500."""
         payload = plan_to_payload(_plan(), 32)
-        entry = payload["entries"][0]
-        if field == "matrix.re":
-            entry["matrix"]["re"][0][1] = 10**400
-        else:
-            entry[field] = 10**400
+        payload["entries"][0][field] = 10**400
 
         async def scenario():
             sim = Simulator(cache=DecompositionCache())
@@ -539,19 +537,30 @@ class TestRoutes:
         asyncio.run(scenario())
 
     def test_non_finite_covariance_maps_to_400(self):
-        """JSON's ``Infinity`` never reaches a flight: submit answers 400."""
+        """Infinite or NaN covariance bytes never reach a flight: submit
+        answers 400."""
 
         async def scenario():
             sim = Simulator(cache=DecompositionCache())
             async with _serve(sim) as (service, server):
-                for real in ([[1.0, np.inf], [np.inf, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+                for matrix, refusal in (
+                    ([[1.0, np.inf], [np.inf, 1.0]], "non-finite"),
+                    ([[np.inf, 0.0], [0.0, 1.0]], "non-finite"),
+                    # NaN fails the Hermitian check first: NaN != NaN.
+                    ([[1.0, np.nan], [np.nan, 1.0]], "not Hermitian"),
+                ):
                     payload = plan_to_payload(_plan(), 32)
-                    payload["entries"][0]["matrix"] = {"re": real, "im": [[0.0] * 2] * 2}
+                    data = np.array(matrix, dtype="<c16").tobytes()
+                    payload["entries"][0]["matrix"] = {
+                        "n": 2,
+                        "c16": base64.b64encode(data).decode("ascii"),
+                    }
                     status, _headers, raw = await _request(
                         server.port, "POST", "/v1/plans", body=payload
                     )
                     assert status == 400
-                    assert "non-finite" in json.loads(raw)["error"]
+                    error = json.loads(raw)["error"]
+                    assert "index 0" in error and refusal in error
                 assert service.metrics()["requests_submitted"] == 0
             sim.close()
 
@@ -693,12 +702,11 @@ class TestFailures:
         async def scenario():
             sim = Simulator(cache=DecompositionCache())
             async with _serve(sim, dispatch_slots=1) as (_service, server):
+                matrix = np.eye(4)
+                matrix[0, 1] = matrix[1, 0] = 1e308
                 plan = SimulationPlan()
-                plan.add(np.eye(4), seed=1, label="bad")
+                plan.add(matrix, seed=1, label="bad")
                 payload = plan_to_payload(plan, 32)
-                matrix = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
-                matrix[0][1] = matrix[1][0] = 1e308
-                payload["entries"][0]["matrix"]["re"] = matrix
                 status, _h, raw = await _request(server.port, "POST", "/v1/plans", body=payload)
                 if status == 202:
                     request_id = json.loads(raw)["request_id"]
@@ -719,11 +727,9 @@ class TestFailures:
         async def scenario():
             sim = Simulator(cache=DecompositionCache())
             async with _serve(sim, dispatch_slots=1) as (_service, server):
-                payload = plan_to_payload(_plan(), 32)
-                payload["entries"][0]["matrix"] = {
-                    "re": [[1.0, 1e308], [1e308, 1.0]],
-                    "im": [[0.0, 0.0], [0.0, 0.0]],
-                }
+                plan = SimulationPlan()
+                plan.add(np.array([[1.0, 1e308], [1e308, 1.0]]), seed=7)
+                payload = plan_to_payload(plan, 32)
                 status, _h, raw = await _request(server.port, "POST", "/v1/plans", body=payload)
                 assert status == 202
                 request_id = json.loads(raw)["request_id"]
@@ -762,7 +768,6 @@ async def _raw_exchange(port, method, path):
 
 def _per_line_response(result):
     """A result response as it was written before: one write per line piece."""
-    import base64
     import io
     from dataclasses import asdict
 
@@ -775,7 +780,7 @@ def _per_line_response(result):
         json.dumps(
             {
                 "type": "result",
-                "version": 1,
+                "version": PROTOCOL_VERSION,
                 "n_entries": len(result.blocks),
                 "n_samples": int(result.n_samples),
                 "backend": result.backend,
@@ -964,7 +969,6 @@ class TestShutdown:
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop("REPRO_CACHE_DIR", None)
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1", "--port", str(port)],
             env=env,

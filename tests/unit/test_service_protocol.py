@@ -44,34 +44,36 @@ BASE = np.array(
 )
 
 
-#: ``plan_to_payload`` of the mixed plan below, as it read before the shard
-#: payload moved to binary covariances.
+#: ``plan_to_payload`` of the mixed plan below.  The second matrix's
+#: ``c16`` text carries a ``-0.0``, a subnormal ``1e-310`` and ``1e+300``.
 _PINNED_MIXED_PAYLOAD = (
     '{"client_id": "lab-7", "entries": [{"coloring_method": "eigen", '
     '"doppler": null, "epsilon": 1e-06, "fading": null, "label": "plain", '
-    '"matrix": {"im": [[0.0, 0.1], [-0.1, 0.0]], "re": [[1.0, 0.4], [0.4, '
-    '2.0]]}, "psd_method": "clip", "sample_variance": 1.0, "seed": null}, '
+    '"matrix": {"c16": "AAAAAAAA8D8AAAAAAAAAAJqZmZmZmdk/mpmZmZmZuT+amZmZmZnZP5qZmZmZmbm/'
+    'AAAAAAAAAEAAAAAAAAAAAA==", "n": 2}, "psd_method": "clip", '
+    '"sample_variance": 1.0, "seed": null}, '
     '{"coloring_method": "cholesky", "doppler": null, "epsilon": 1e-09, '
     '"fading": {"model": "rician", "shadowing_sigma_db": 0.0, "shape": 3.5}, '
-    '"label": "rician", "matrix": {"im": [[0.0, 1e-310], [-1e-310, 0.0]], '
-    '"re": [[0.3, 0.0], [-0.0, 1e+300]]}, "psd_method": "clip", '
+    '"label": "rician", '
+    '"matrix": {"c16": "MzMzMzMz0z8AAAAAAAAAAAAAAAAAAAAAK+Zwi2gSAAAAAAAAAAAAgCvmcItoEgCA'
+    'nHUAiDzkN34AAAAAAAAAAA==", "n": 2}, "psd_method": "clip", '
     '"sample_variance": 0.5, "seed": 7}, {"coloring_method": "eigen", '
     '"doppler": {"compensate_variance": true, "input_variance_per_dim": 0.5, '
     '"n_points": 64, "normalized_doppler": 0.05}, "epsilon": 1e-06, '
     '"fading": {"model": "weibull", "shadowing_sigma_db": 2.0, '
-    '"shape": 1.75}, "label": "shadowed-doppler", "matrix": {"im": [[0.0, '
-    '0.03333333333333333], [-0.03333333333333333, 0.0]], '
-    '"re": [[0.3333333333333333, 0.13333333333333333], [0.13333333333333333, '
-    '0.6666666666666666]]}, "psd_method": "clip", "sample_variance": 1.0, '
-    '"seed": 11}, {"coloring_method": "eigen", "doppler": null, '
-    '"epsilon": 1e-06, "fading": null, "label": null, '
-    '"matrix": {"im": [[0.0, 0.1], [-0.1, 0.0]], "re": [[1.0, 0.4], [0.4, '
-    '2.0]]}, "psd_method": "clip", "sample_variance": 1.0, '
+    '"shape": 1.75}, "label": "shadowed-doppler", '
+    '"matrix": {"c16": "VVVVVVVV1T8AAAAAAAAAABEREREREcE/ERERERERoT8RERERERHBPxEREREREaG/'
+    'VVVVVVVV5T8AAAAAAAAAAA==", "n": 2}, "psd_method": "clip", '
+    '"sample_variance": 1.0, "seed": 11}, {"coloring_method": "eigen", '
+    '"doppler": null, "epsilon": 1e-06, "fading": null, "label": null, '
+    '"matrix": {"c16": "AAAAAAAA8D8AAAAAAAAAAJqZmZmZmdk/mpmZmZmZuT+amZmZmZnZP5qZmZmZmbm/'
+    'AAAAAAAAAEAAAAAAAAAAAA==", "n": 2}, "psd_method": "clip", '
+    '"sample_variance": 1.0, '
     '"seed": {"kind": "generator", "state": {"bit_generator": "PCG64", '
     '"has_uint32": 0, '
     '"state": {"inc": 107381791681050441119675421997145146149, '
     '"state": 29299324949094424543410418505067287561}, "uinteger": 0}}}], '
-    '"n_samples": 96, "version": 1}'
+    '"n_samples": 96, "version": 2}'
 )
 
 
@@ -175,15 +177,16 @@ class TestPlanPayload:
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_imaginary_part_keeps_its_real_part(self):
-        # An infinite imaginary part leaves the real part as sent, with no
-        # numpy warning (``re + 1j * im`` computes 0 * inf = nan).
-        from repro.service.protocol import _matrix_from_floats
+        # ``1 + inf·j`` sent as c16 bytes decodes to exactly those bytes,
+        # with no numpy warning, and the plan refuses it.
+        from repro.service.protocol import _matrix_from_c16
 
-        decoded = _matrix_from_floats({"re": [[1.0]], "im": [[float("inf")]]})
-        assert decoded[0, 0] == complex(1.0, float("inf"))
+        sent = np.array([[complex(1.0, float("inf"))]])
+        wire = {"n": 1, "c16": base64.b64encode(sent.astype("<c16").tobytes()).decode()}
+        assert _matrix_from_c16(wire).tobytes() == sent.tobytes()
         payload = plan_to_payload(_rich_plan(), 64)
-        payload["entries"][0]["matrix"]["im"][0][1] = float("inf")
-        with pytest.raises(SpecificationError):
+        payload["entries"][0]["matrix"] = wire
+        with pytest.raises(SpecificationError, match="index 0"):
             plan_from_payload(payload)
 
     def test_rejects_malformed_entry_with_index(self):
@@ -211,9 +214,9 @@ class TestPlanPayload:
         assert json.dumps(plan_to_payload(decoded, n_samples), sort_keys=True) == text
 
     def test_mixed_plan_payload_text_is_pinned(self):
-        """The HTTP plan payload is a published format: the shard slice
-        payload shares its entry encoding but not its matrix encoding, and
-        this text must not move when either changes."""
+        """The HTTP plan payload is a published format, and the shard slice
+        payload is built on it: this text must not move when either
+        changes."""
         from repro.engine import FadingSpec
 
         base = np.array([[1.0, 0.4 + 0.1j], [0.4 - 0.1j, 2.0]], dtype=complex)

@@ -242,7 +242,7 @@ class TestSliceWireRoundTrip:
             b'{"c16": "AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAA4D8AAAAAAAAAgAAAAAAAAOC/'
             b'AAAAAAAAAEAAAAAAAAAAAA==", "n": 2}, "psd_method": "clip", '
             b'"sample_variance": 1.0, "seed": 7}], "n_samples": 64, "slice": '
-            b'{"index": 0, "n_shards": 1, "start": 0}, "version": 1}'
+            b'{"index": 0, "n_shards": 1, "start": 0}, "version": 2}'
         )
         digests = [
             hashlib.sha256(slice_to_payload(plan_slice, 96)).hexdigest()
@@ -250,9 +250,9 @@ class TestSliceWireRoundTrip:
             for plan_slice in partition_plan(self._fancy_plan(), n_shards)
         ]
         assert digests == [
-            "4fd968d832b27cf20139e06892700af541e51457e36eb271c5464e89c371385d",
-            "697d317050b4694896863f029dcf5ffb647524e83c2f9abee203b3771e45ead6",
-            "e630724039d6ede564b2d33aa9478001311401bd73e92c0b1f496af825eb8ffc",
+            "fb1d27280bc97f5e032be5a97e1ff759fc38f9b5c86127da775e2234328166ef",
+            "85b993dcbca2bf2c4d06ba1964edae399f50736eb65e27f2c2a71dbf8ff080e7",
+            "af83bdfb076513d7b13aa88610b059a09e6b0c09deb2b05200b32b6a883f82c7",
         ]
 
     @pytest.mark.parametrize("field", ["epsilon", "sample_variance"])
@@ -672,12 +672,6 @@ def _assert_matches_solo(result, plan: SimulationPlan, n_samples: int) -> None:
         assert got.samples.tobytes() == want.samples.tobytes()
 
 
-@pytest.fixture
-def clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-
-
-@pytest.mark.usefixtures("clean_env")
 class TestRetryNeverReusesStaleOutputs:
     """A ``retry_failed`` run reuses an output only when its worker read
     exactly the slice payload this run writes."""
@@ -814,7 +808,7 @@ class TestMalformedWorkerMeta:
         assert loaded is not None
         assert [b.metadata["label"] for b in loaded[0].blocks] == [None, None]
 
-    def test_retry_recomputes_a_slice_with_bad_labels(self, tmp_path, clean_env):
+    def test_retry_recomputes_a_slice_with_bad_labels(self, tmp_path):
         from repro.shard import run_sharded
 
         _, _, prefix = self._published(tmp_path)
@@ -882,7 +876,6 @@ _TEARS = {
 }
 
 
-@pytest.mark.usefixtures("clean_env")
 class TestTornOutputs:
     """A damaged ``.bin`` or layout reads as a failed slice, on the run that
     published it and under ``retry_failed``, and the retry recomputes just
@@ -985,7 +978,6 @@ class TestTornOutputs:
             assert peak < file_size, name
 
 
-@pytest.mark.usefixtures("clean_env")
 class TestConcurrentWorkers:
     """Every worker starts and compiles at once, and the BLAS threads are
     split between workers."""
@@ -1142,7 +1134,6 @@ _ONE_BLAS_THREAD = dict.fromkeys(
 
 
 @_needs_fork
-@pytest.mark.usefixtures("clean_env")
 class TestWarmWorkers:
     """A launcher keeps its workers across slices and runs; a worker whose
     slice failed is never reused, and a kill reaches only the slice it
@@ -1238,7 +1229,6 @@ class TestWarmWorkers:
 
 
 @_needs_fork
-@pytest.mark.usefixtures("clean_env")
 class TestForkedWorkerContract:
     """A worker forked from the launcher behaves like the ``Popen`` it
     replaces: exit codes, signals, ``poll``, the timeout kill."""
@@ -1426,7 +1416,6 @@ class TestForkedWorkerContract:
 
 
 @_needs_fork
-@pytest.mark.usefixtures("clean_env")
 class TestLauncherLifetime:
     """No launcher outlives the process that started it, and a new worker
     environment replaces the launcher instead of adding one."""

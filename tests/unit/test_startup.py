@@ -44,7 +44,6 @@ LAZY_ROOTS = (
 def _python(code_or_args, *, extra_path=(), timeout=120):
     """Run a fresh interpreter with ``extra_path`` ahead of the sources."""
     env = dict(os.environ)
-    env.pop("REPRO_CACHE_DIR", None)
     path = [*extra_path, SRC_ROOT]
     if env.get("PYTHONPATH"):
         path.append(env["PYTHONPATH"])

@@ -8,7 +8,7 @@ Two claims are measured here:
   path, a compiled-plan *disk* hit per run (a fresh
   ``CompiledPlanCache(cache_dir)`` per run, whose memory tier is empty).
 * **Fused, allocation-light execute** — the IDFT→coloring pipeline runs
-  through preallocated scratch (``matmul_into``/``ifft_into``, in-place
+  through preallocated scratch (``out=`` matmul and IDFT, in-place
   Gaussian scaling, a ring buffer for Doppler leftovers), so peak execute
   allocation drops versus the unfused two-pass kernels it replaced.  The
   unfused reference is reproduced inline (fresh arrays at every stage,

@@ -12,7 +12,7 @@ Quick start
 >>> import numpy as np
 >>> from repro import Simulator
 >>> K = np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, 1.0]])
->>> sim = Simulator()   # or Simulator(backend="scipy", max_workers=4, cache=...)
+>>> sim = Simulator()   # or Simulator(max_workers=4, cache=...)
 >>> envelopes = sim.envelopes(K, 100_000, seed=1).envelopes
 
 Package map
@@ -20,7 +20,7 @@ Package map
 ``repro.api``
     The one front door: :class:`Simulator` (one-call generation, batched
     runs — replica ensembles included — bounded-memory streaming, async
-    submission, pluggable linalg backends).
+    submission).
 ``repro.core``
     The paper's algorithm: covariance assembly, forced PSD, eigen coloring,
     snapshot and real-time generators.
@@ -98,13 +98,9 @@ __getattr__, __dir__ = lazy_exports(
             "DopplerFilterCache",
             "DopplerSpec",
             "FadingSpec",
-            "LinalgBackend",
             "PlanEntry",
             "SimulationEngine",
             "SimulationPlan",
-            "available_backends",
-            "get_backend",
-            "register_backend",
         ),
         ".api": ("Simulator",),
     },
@@ -144,13 +140,9 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
         DopplerFilterCache,
         DopplerSpec,
         FadingSpec,
-        LinalgBackend,
         PlanEntry,
         SimulationEngine,
         SimulationPlan,
-        available_backends,
-        get_backend,
-        register_backend,
     )
     from .exceptions import (
         CholeskyError,
@@ -201,14 +193,10 @@ __all__ = [
     "BatchResult",
     "DecompositionCache",
     "DopplerFilterCache",
-    "LinalgBackend",
     "PlanEntry",
     "SimulationEngine",
     "SimulationPlan",
     "DopplerSpec",
     "FadingSpec",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "Simulator",
 ]

@@ -7,9 +7,6 @@ that the property-test suites can only sample dynamically:
   without it (:mod:`repro.analysis.lock_discipline`);
 * ``hot-path-allocation`` — no allocating numpy constructors in the
   fused execute kernels (:mod:`repro.analysis.hot_path`);
-* ``backend-into-contract`` — ``LinalgBackend`` subclasses match the
-  base contract and ``*_into`` methods return ``out`` without
-  allocating (:mod:`repro.analysis.backend_contract`);
 * ``cache-key-purity`` — content-hash builders stay deterministic
   (:mod:`repro.analysis.key_purity`).
 
@@ -35,7 +32,7 @@ from .framework import (
 )
 
 # Importing the rule modules registers them.
-from . import backend_contract, hot_path, key_purity, lock_discipline  # noqa: F401
+from . import hot_path, key_purity, lock_discipline  # noqa: F401
 from .cli import build_parser, main
 
 __all__ = [

@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-analysis",
         description=(
             "reprolint: static checks for the project invariants (lock "
-            "discipline, hot-path allocation, backend _into contract, "
+            "discipline, hot-path allocation, "
             "cache-key purity)."
         ),
     )

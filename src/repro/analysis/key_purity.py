@@ -3,11 +3,11 @@
 The cache keys (``decomposition_cache_key``, ``compiled_plan_cache_key``,
 ``PlanEntry.cache_key``, ``DopplerSpec.filter_key``, the filter-cache
 ``_key_hash``) are pure functions of *content*: the same covariance
-matrices, tolerances, Doppler parameters, and backend cache token must
-hash to the same key on every host and every run.  Seeds and labels are
-deliberately excluded (execution re-binds them); wall-clock time, RNG
-state, and environment variables must never leak in — at multi-host
-scale an impure key silently splits (or worse, aliases) cache entries.
+matrices, tolerances, and Doppler parameters must hash to the same key on
+every host and every run.  Seeds and labels are deliberately excluded
+(execution re-binds them); wall-clock time, RNG state, and environment
+variables must never leak in — at multi-host scale an impure key silently
+splits (or worse, aliases) cache entries.
 
 The rule builds a project-wide call graph from the key-builder roots
 (functions named like the builders above) and flags any reachable

@@ -13,8 +13,8 @@ state (see docs/ARCHITECTURE.md, "Static guarantees"):
 
 * **Module globals.**  Names written inside ``with <LOCK>:`` blocks of
   module functions (where ``<LOCK>`` is a module-level ``threading.Lock``)
-  are guarded the same way — this covers the default-singleton and
-  backend-registry patterns.
+  are guarded the same way — this covers the module-level table and
+  launcher patterns.
 
 "Written" includes in-place mutation: direct assignment, ``+=``, ``del``,
 subscript stores (``d[k] = v``), and mutating method calls (``.pop``,

@@ -10,7 +10,7 @@ plans it runs:
 
 >>> import numpy as np
 >>> from repro.api import Simulator
->>> sim = Simulator(backend="numpy")
+>>> sim = Simulator()
 >>> K = np.array([[1.0, 0.4], [0.4, 1.0]], dtype=complex)
 >>> envelopes = sim.envelopes(K, 1000, seed=7)          # one-call generation
 >>> from repro.engine import SimulationPlan
@@ -19,11 +19,9 @@ plans it runs:
 >>> blocks = list(sim.stream(plan, block_size=128, n_blocks=4))  # bounded memory
 >>> ensemble = sim.run(SimulationPlan.from_specs([K] * 8, seed=123), 500)  # replicas
 
-Sessions own three kinds of resource:
+Sessions own two kinds of resource:
 
-* a **linalg backend** (``backend=``) — the pluggable decompose-stack /
-  matmul implementation from :mod:`repro.engine.backends`;
-* its **caches** — a decomposition cache (``cache=``), a Doppler filter
+* their **caches** — a decomposition cache (``cache=``), a Doppler filter
   cache and a compiled-plan cache, shared across every run the session
   executes and by no other session (``None`` builds the session's own);
 * a **thread budget** (``max_workers=``) — the size of the thread pool
@@ -54,11 +52,9 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .engine import (
-    BackendSpec,
     BatchResult,
     CompiledPlan,
     DecompositionCache,
-    LinalgBackend,
     SimulationEngine,
     SimulationPlan,
 )
@@ -70,14 +66,11 @@ __all__ = ["Simulator"]
 class Simulator:
     """A simulation session: one entry point over the batched engine.
 
+    Every result is bit-identical to looping single-spec generators with
+    the same seeds.
+
     Parameters
     ----------
-    backend:
-        Linalg backend name (``"numpy"``, ``"scipy"``), a
-        :class:`repro.engine.backends.LinalgBackend` instance,
-        or ``None`` for the numpy default.  With the numpy backend, every
-        result is bit-identical to looping single-spec generators with the
-        same seeds.
     cache:
         Decomposition cache shared by every run of this session.  ``None``
         builds one the session owns; pass ``DecompositionCache(maxsize=0)``
@@ -110,14 +103,13 @@ class Simulator:
     def __init__(
         self,
         *,
-        backend: BackendSpec = None,
         cache: Optional[DecompositionCache] = None,
         cache_dir: Union[None, str, "Path"] = None,
         max_workers: Optional[int] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise SpecificationError(f"max_workers must be >= 1, got {max_workers}")
-        self._engine = SimulationEngine(cache=cache, backend=backend, cache_dir=cache_dir)
+        self._engine = SimulationEngine(cache=cache, cache_dir=cache_dir)
         self._max_workers = max_workers
         self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -127,11 +119,6 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def backend(self) -> LinalgBackend:
-        """The linalg backend this session compiles and executes on."""
-        return self._engine.backend
-
     @property
     def cache(self) -> DecompositionCache:
         """The decomposition cache shared by this session's runs."""
@@ -305,8 +292,7 @@ class Simulator:
             a whole number of IDFT blocks and then truncated.
         seed:
             Seed or generator for the white-sample stream.  The same seed
-            fed to a standalone generator produces bit-identical samples on
-            the numpy backend.
+            fed to a standalone generator produces bit-identical samples.
         gaussian_powers:
             Per-branch complex-Gaussian powers, required when ``source`` is
             a scenario object.
@@ -321,9 +307,8 @@ class Simulator:
         normalized_doppler:
             If given (``0 < f_m < 0.5``), use the real-time Doppler-shaped
             generator of the paper's Section 5; scenarios carrying their own
-            Doppler settings supply it implicitly.  Both the coloring path
-            and the IDFT substrate run on the session backend (a Doppler
-            one-entry plan of the batched engine).
+            Doppler settings supply it implicitly (a Doppler one-entry plan
+            of the batched engine).
         n_points:
             IDFT block length ``M`` for Doppler mode.  ``None`` picks the
             smallest valid power of two holding ``n_samples``
@@ -410,7 +395,7 @@ class Simulator:
                     "carrying Doppler settings)"
                 )
             # The snapshot path is the B = 1 case of the batched engine: a
-            # one-entry plan compiled against the session cache and backend.
+            # one-entry plan compiled against the session cache.
             plan.add(
                 spec,
                 seed=seed,
@@ -463,6 +448,5 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Simulator(backend={self.backend.name!r}, "
-            f"max_workers={self._max_workers!r}, cache_size={len(self.cache)})"
+            f"Simulator(max_workers={self._max_workers!r}, cache_size={len(self.cache)})"
         )

@@ -61,7 +61,6 @@ def batched_doppler_blocks(  # reprolint: hot-path
     *,
     n_blocks: int = 1,
     input_variance_per_dim: float = 0.5,
-    backend=None,
     workspace=None,
 ) -> ComplexArray:
     """Generate many Doppler-shaped streams with one stacked IDFT call.
@@ -89,8 +88,8 @@ def batched_doppler_blocks(  # reprolint: hot-path
     wherever the product is nonzero; only the signs of stopband zeros can
     differ, which the IDFT's nonzero sums absorb), the draw buffer is
     dropped before the transform, and the IDFT runs *in place* in the
-    weighted buffer via ``out=`` / ``ifft_into`` where the backend supports
-    it (bit-identical to the out-of-place transform) — so at most two
+    weighted buffer via ``out=`` (bit-identical to the out-of-place
+    transform) — so at most two
     block-sized arrays are live at any instant.
 
     Parameters
@@ -105,12 +104,6 @@ def batched_doppler_blocks(  # reprolint: hot-path
         Number of consecutive ``M``-sample blocks per stream.
     input_variance_per_dim:
         Variance ``sigma_orig^2`` of each real input sequence.
-    backend:
-        Optional object providing ``ifft(array, axis=-1)`` and (optionally)
-        ``ifft_into(array, out, axis=-1)`` (a
-        :class:`repro.engine.backends.LinalgBackend`); ``None`` uses
-        ``np.fft.ifft``.  Duck-typed so this low-level module stays free of
-        engine imports.
     workspace:
         Optional dict owned by the caller in which the kernel keeps its
         block buffer across calls.  **The returned array aliases this
@@ -156,14 +149,7 @@ def batched_doppler_blocks(  # reprolint: hot-path
     np.negative(weighted.imag, out=weighted.imag)
     del draws  # free the draw buffer before the transform allocates/runs
     flat = weighted.reshape(n_streams * n_blocks, m)
-    if backend is None:
-        np.fft.ifft(flat, axis=-1, out=flat)
-    else:
-        ifft_into = getattr(backend, "ifft_into", None)
-        if ifft_into is not None:
-            ifft_into(flat, flat, axis=-1)
-        else:
-            np.copyto(flat, backend.ifft(flat, axis=-1))
+    np.fft.ifft(flat, axis=-1, out=flat)
     return weighted.reshape(n_streams, n_blocks * m)
 
 

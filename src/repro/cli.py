@@ -54,10 +54,7 @@ Subcommands
 All output is plain text; the experiments regenerate the paper's tables and
 figures as numbers (and ASCII traces with ``--ascii-plots``).
 
-``--version`` prints the package version.  ``run`` and ``batch`` accept
-``--backend`` to select the engine's linalg backend (``numpy`` default,
-``scipy``); experiments that never touch the batched engine ignore it.
-The ``batch`` summary ends with the decomposition cache's aggregate
+``--version`` prints the package version.  The ``batch`` summary ends with the decomposition cache's aggregate
 hit/miss counters for the run.
 """
 
@@ -71,16 +68,6 @@ from typing import List, Optional
 from ._version import __version__
 
 __all__ = ["main", "build_parser"]
-
-
-def _backend_argument(parser: argparse.ArgumentParser) -> None:
-    """Add the shared ``--backend`` option (engine linalg backend)."""
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="linalg backend for the batched engine (e.g. numpy, scipy); "
-        "see repro.engine.available_backends()",
-    )
 
 
 def _cache_dir_argument(parser: argparse.ArgumentParser, *, required: bool) -> None:
@@ -123,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="render numeric series as ASCII plots in the report",
     )
-    _backend_argument(run_parser)
 
     export_parser = subparsers.add_parser(
         "export", help="run an experiment and write its report and series to files"
@@ -194,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="log-normal shadowing spread in dB composed on top of --model "
         "(default: 0, disabled)",
     )
-    _backend_argument(batch_parser)
 
     suite_parser = subparsers.add_parser(
         "suite",
@@ -231,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the workload's n_samples",
     )
-    _backend_argument(suite_parser)
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -263,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="flights executing concurrently (default: 4)",
     )
-    _backend_argument(serve_parser)
     _cache_dir_argument(serve_parser, required=False)
 
     shard_parser = subparsers.add_parser(
@@ -329,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the plan solo in-process and verify the merged "
         "result is byte-identical (standing invariant 7)",
     )
-    _backend_argument(shard_parser)
     _cache_dir_argument(shard_parser, required=True)
 
     cache_parser = subparsers.add_parser(
@@ -348,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run reprolint, the project-invariant static analyzer",
         description=(
             "Run the reprolint rules (lock discipline, hot-path allocation, "
-            "backend _into contract, cache-key purity) over source paths. "
+            "cache-key purity) over source paths. "
             "Exit codes: 0 clean, 1 findings, 2 analyzer error."
         ),
     )
@@ -439,7 +421,6 @@ def _run_shard_command(args) -> int:
         args.samples,
         n_shards=args.shards,
         cache_dir=args.cache_dir,
-        backend=args.backend,
         work_dir=args.work_dir,
         retry_failed=args.retry_failed,
         progress=progress,
@@ -469,7 +450,7 @@ def _run_shard_command(args) -> int:
 
         # A memory-only solo engine: the reference must not touch the
         # shared cache_dir.
-        reference = SimulationEngine(backend=args.backend).run(plan, args.samples)
+        reference = SimulationEngine().run(plan, args.samples)
         identical = len(reference.blocks) == len(merged.blocks) and all(
             ref.samples.tobytes() == got.samples.tobytes()
             for ref, got in zip(reference.blocks, merged.blocks)
@@ -516,14 +497,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"--dispatch-slots must be >= 1, got {args.dispatch_slots}"
             )
         simulator = Simulator(
-            backend=args.backend,
-            cache_dir=args.cache_dir,
-            max_workers=args.dispatch_slots,
+            cache_dir=args.cache_dir, max_workers=args.dispatch_slots
         )
         print(
             f"serving envelopes on http://{args.host}:{args.port} "
-            f"(max_queue={args.max_queue}, dispatch_slots={args.dispatch_slots}, "
-            f"backend={simulator.backend.name}) — Ctrl-C to stop"
+            f"(max_queue={args.max_queue}, dispatch_slots={args.dispatch_slots}) "
+            "— Ctrl-C to stop"
         )
         try:
             run_server(
@@ -565,9 +544,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if args.file is not None
                 else workloads.get_suite(args.suite)
             )
-            summary = workloads.run_suite(
-                workload, n_samples=args.samples, backend=args.backend
-            )
+            summary = workloads.run_suite(workload, n_samples=args.samples)
         except ReproError as exc:
             # Malformed workloads exit with the field-naming message, not a
             # traceback — the CLI face of the coercion-error contract.
@@ -595,8 +572,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         exit_code = 0
         for experiment_id in _run_ids(list(args.experiments)):
             kwargs = {} if args.seed is None else {"seed": args.seed}
-            if args.backend is not None:
-                kwargs["backend"] = args.backend
             result = run_experiment(experiment_id, **kwargs)
             print(result.render(include_series=args.ascii_plots))
             print("=" * 78)
@@ -643,8 +618,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
         if args.seed is not None:
             kwargs["seed"] = args.seed
-        if args.backend is not None:
-            kwargs["backend"] = args.backend
         if args.doppler:
             if fading is not None:
                 raise SystemExit(

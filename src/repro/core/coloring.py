@@ -185,7 +185,6 @@ def compute_coloring_batch(
     *,
     psd_method: str = "clip",
     epsilon: float = 1e-6,
-    backend=None,
 ) -> List[ColoringDecomposition]:
     """Force PSD and color every covariance matrix in a ``(B, N, N)`` stack.
 
@@ -202,12 +201,6 @@ def compute_coloring_batch(
     step is inherently per-matrix); ``"eigen"`` (the paper's method) and
     ``"cholesky"`` are fully batched.
 
-    ``backend`` is an optional :class:`repro.engine.backends.LinalgBackend`
-    supplying the stacked ``eigh`` / ``cholesky`` / ``matmul``; ``None``
-    (default) runs numpy directly, byte-for-byte the pre-backend path.  The
-    ``"svd"`` strategy and the ``"higham"`` PSD iteration always run on
-    numpy regardless of the backend (neither has a stacked formulation).
-
     A PSD-forcing, eigen or Cholesky failure on one slice raises with that
     slice's index in its message and in the exception's ``stack_index``.
     """
@@ -216,9 +209,7 @@ def compute_coloring_batch(
             f"unknown coloring method {method!r}; choose from {sorted(_STRATEGIES)}"
         )
     arr = assert_matrix_stack(np.asarray(stack, dtype=complex), "covariance stack")
-    forcings, requested_decomp = _force_psd_stack(
-        arr, method=psd_method, epsilon=epsilon, backend=backend
-    )
+    forcings, requested_decomp = _force_psd_stack(arr, method=psd_method, epsilon=epsilon)
     forced_stack = np.stack([forcing.matrix for forcing in forcings])
 
     if method == "eigen":
@@ -226,9 +217,7 @@ def compute_coloring_batch(
         eigenvectors = requested_decomp.eigenvectors
         repaired = np.flatnonzero([forcing.was_modified for forcing in forcings])
         if repaired.size:
-            decomp = batched_hermitian_eigendecomposition(
-                forced_stack[repaired], backend=backend
-            )
+            decomp = batched_hermitian_eigendecomposition(forced_stack[repaired])
             eigenvalues = eigenvalues.copy()
             eigenvectors = eigenvectors.copy()
             eigenvalues[repaired] = decomp.eigenvalues
@@ -247,7 +236,7 @@ def compute_coloring_batch(
         eigenvalues = np.clip(eigenvalues, 0.0, None)
         factors = eigenvectors * np.sqrt(eigenvalues)[:, np.newaxis, :]
     elif method == "cholesky":
-        factors = batched_cholesky_factor(forced_stack, backend=backend)
+        factors = batched_cholesky_factor(forced_stack)
     else:  # svd
         factors = np.stack(
             [coloring_matrix_svd(forced_stack[index]) for index in range(arr.shape[0])]

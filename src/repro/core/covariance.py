@@ -158,9 +158,12 @@ class CovarianceSpec:
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=complex)
-        assert_hermitian(matrix, "covariance matrix")
+        # Finiteness before symmetry: NaN != NaN, so a NaN matrix would
+        # otherwise be refused as "not Hermitian".  Shape errors still win.
         if not np.isfinite(matrix).all():
+            assert_square(matrix, "covariance matrix")
             raise CovarianceError("the covariance matrix has non-finite entries")
+        assert_hermitian(matrix, "covariance matrix")
         variances = np.asarray(self.gaussian_variances, dtype=float)
         if variances.shape != (matrix.shape[0],):
             raise DimensionError(

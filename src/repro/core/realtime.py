@@ -26,8 +26,8 @@ uses to demonstrate the resulting covariance error.
 
 The branch substrate runs through the *batched* IDFT path
 (:func:`repro.channels.idft_generator.batched_doppler_blocks`): all ``N``
-branch blocks go through one stacked IDFT call — on the generator's linalg
-backend when one is supplied — instead of ``N`` separate transforms.  The
+branch blocks go through one stacked IDFT call instead of ``N`` separate
+transforms.  The
 samples are bit-identical to the historical per-branch loop, and identical
 to a Doppler-mode plan entry of the batched engine with the same seed (this
 generator *is* the engine's ``B = 1`` reference).

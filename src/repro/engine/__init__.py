@@ -24,14 +24,8 @@ sweeps and Monte-Carlo grids:
     records in fixed-size blocks with bounded memory.  Doppler-mode entries
     (a :class:`DopplerSpec` on the plan entry) draw Young–Beaulieu IDFT
     branch streams instead — all branches of all entries of a group through
-    one stacked backend ``ifft`` — and normalize the coloring by the
+    one stacked ``np.fft.ifft`` — and normalize the coloring by the
     Eq. (19) filter-output variance.
-:mod:`repro.engine.backends`
-    The :class:`LinalgBackend` decompose-stack / matmul / fft contract the
-    compile and execute steps run on, with a registry of implementations
-    (``"numpy"`` default, ``"scipy"`` LAPACK-driver variant) so backend
-    choice is a constructor argument of
-    :class:`SimulationEngine` / :class:`repro.api.Simulator`.
 :mod:`repro.engine.cache` / :mod:`repro.engine.filters` /
 :mod:`repro.engine.plancache` / :mod:`repro.engine.store`
     The artifact caches, each owned by the session that builds it.  The
@@ -56,16 +50,6 @@ branch, for Doppler entries) from the same seeds.  Doppler entries are
 bit-identical to looping :class:`repro.core.realtime.RealTimeRayleighGenerator`.
 """
 
-from .backends import (
-    BackendSpec,
-    LinalgBackend,
-    NumpyBackend,
-    ScipyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
 from .cache import DecompositionCache, decomposition_cache_key
 from .filters import DopplerFilterCache
 from .plan import (
@@ -85,14 +69,6 @@ from .result import BatchResult
 from .engine import SimulationEngine
 
 __all__ = [
-    "BackendSpec",
-    "LinalgBackend",
-    "NumpyBackend",
-    "ScipyBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
     "DecompositionCache",
     "decomposition_cache_key",
     "DopplerFilterCache",

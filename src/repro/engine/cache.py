@@ -45,6 +45,11 @@ __all__ = [
     "DecompositionCache",
 ]
 
+#: The linalg token every key folds.  Keys have always hashed this
+#: literal; it stays so they (and stored ``plans/`` artifacts) keep their
+#: bytes.
+LINALG_TOKEN = "numpy"
+
 #: The numeric tolerances a decomposition depends on, in the order and
 #: ``repr`` form every key folds them: editing one in :mod:`repro.config`
 #: changes every key, so no stored compiled plan is served after it.
@@ -59,7 +64,6 @@ def decomposition_cache_key(
     method: str = "eigen",
     psd_method: str = "clip",
     epsilon: float = 1e-6,
-    cache_token: str = "numpy",
 ) -> str:
     """Content hash identifying one coloring-decomposition computation.
 
@@ -68,13 +72,6 @@ def decomposition_cache_key(
     contents) and every algorithm parameter are folded into a SHA-256 digest.
     Floating-point matrices that differ in even one ULP hash differently —
     the cache never equates "close" matrices.
-
-    ``cache_token`` namespaces the key by the linalg backend that computes
-    the decomposition (:attr:`repro.engine.backends.LinalgBackend.cache_token`).
-    Backends that are bit-identical to numpy share the default ``"numpy"``
-    token — their decompositions are interchangeable bytes — while every
-    other backend hashes under its own token so, e.g., a ``scipy-evr``
-    decomposition is never served to a numpy run.
     """
     arr = np.ascontiguousarray(np.asarray(matrix, dtype=complex))
     hasher = hashlib.sha256()
@@ -83,7 +80,7 @@ def decomposition_cache_key(
     hasher.update(
         "|".join(
             (
-                cache_token,
+                LINALG_TOKEN,
                 method,
                 psd_method,
                 repr(float(epsilon)),

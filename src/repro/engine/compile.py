@@ -56,7 +56,6 @@ from ..exceptions import (
     DecompositionError,
 )
 from ..linalg import ColoringDecomposition
-from .backends import BackendSpec, LinalgBackend, resolve_backend
 from .cache import DecompositionCache
 from .filters import DopplerFilterCache
 from .plan import DopplerSpec, PlanEntry, SimulationPlan
@@ -209,15 +208,12 @@ class CompiledPlan:
 
     The executor (:mod:`repro.engine.execute`) consumes this object; it can
     be executed many times (different sample counts, streaming blocks)
-    without recompiling.  ``backend`` records the linalg backend the plan
-    was compiled with; the executor colors samples through the same backend
-    (``None`` means the numpy default).
+    without recompiling.
     """
 
     plan: SimulationPlan
     groups: Tuple[CompiledGroup, ...]
     report: CompileReport
-    backend: Optional[LinalgBackend] = None
 
     @property
     def n_entries(self) -> int:
@@ -236,16 +232,15 @@ def compile_plan(
     plan: SimulationPlan,
     *,
     cache: Optional[DecompositionCache] = None,
-    backend: BackendSpec = None,
     filter_cache: Optional["DopplerFilterCache"] = None,
     plan_cache: Optional["CompiledPlanCache"] = None,
 ) -> CompiledPlan:
     """Compile a plan into stacked, cached coloring decompositions.
 
     When a ``plan_cache`` built with a ``cache_dir`` is given, the whole
-    pass is first looked up by the content hash of the ``(plan, backend
-    namespace)`` pair: on a hit the full :class:`CompiledPlan` — coloring
-    stacks, Doppler filters, per-entry variances — is served from memory or
+    pass is first looked up by the content hash of the plan: on a hit the
+    full :class:`CompiledPlan` — coloring stacks, Doppler filters,
+    per-entry variances — is served from memory or
     loads from one verified artifact with *zero* ``eigh``/``cholesky``/
     filter-build calls, bit-identical to a fresh compilation; on a miss the
     compiled result is stored for later compiles and processes.
@@ -259,18 +254,9 @@ def compile_plan(
         fresh one for this call.  Pass ``DecompositionCache(maxsize=0)`` to
         disable reuse (e.g. for cold-path benchmarking).  Decompositions
         stay in memory; only whole compiled plans persist.
-    backend:
-        Linalg backend performing the stacked decompositions — a registered
-        name, a :class:`repro.engine.backends.LinalgBackend` instance, or
-        ``None`` for the numpy default.  Cache keys are namespaced by the
-        backend's :attr:`~repro.engine.backends.LinalgBackend.cache_token`,
-        so only backends bit-identical to numpy share cached
-        decompositions.
     filter_cache:
         Young–Beaulieu filter cache for Doppler-mode entries; ``None``
         builds a fresh one for this call.
-        The filter does not depend on the linalg backend (it is a closed-form
-        coefficient vector), so filter entries are never backend-namespaced.
     plan_cache:
         Compiled-plan cache (the executor-level tier).  ``None``, like a
         detached :class:`repro.engine.plancache.CompiledPlanCache`,
@@ -278,27 +264,25 @@ def compile_plan(
     """
     from .plancache import compiled_plan_cache_key
 
-    backend_obj = resolve_backend(backend)
-    cache_token = backend_obj.cache_token
     if cache is None:
         cache = DecompositionCache()
     if filter_cache is None:
         filter_cache = DopplerFilterCache()
     if plan_cache is None or not plan_cache.enabled:
         # No plan tier to share results through: no lookup, no singleflight.
-        return _compile_plan_fresh(plan, cache, backend_obj, cache_token, filter_cache)
+        return _compile_plan_fresh(plan, cache, filter_cache)
 
     # Executor-level short-circuit: a stored compiled plan skips grouping,
     # hashing-per-matrix, decomposition and filter resolution entirely.
     # The plan is hashed once here; the lookups, the singleflight table and
     # the put all use this key.
-    key = compiled_plan_cache_key(plan, cache_token=cache_token)
-    loaded = plan_cache.lookup(plan, key, backend=backend_obj)
+    key = compiled_plan_cache_key(plan)
+    loaded = plan_cache.lookup(plan, key)
     if loaded is not None:
         return loaded
 
     # In-flight coalescing (singleflight): when another thread is already
-    # compiling this exact (plan, backend) key, wait for its result to land
+    # compiling this exact key, wait for its result to land
     # in the cache instead of duplicating the eigh/cholesky work.  Exactly
     # one waiter per round becomes the leader; a leader that fails wakes the
     # waiters, which miss and elect a new leader — so the loop terminates.
@@ -307,17 +291,17 @@ def compile_plan(
         if event is None:
             break  # this thread leads the compile for the key
         event.wait()
-        loaded = plan_cache.lookup(plan, key, backend=backend_obj)
+        loaded = plan_cache.lookup(plan, key)
         if loaded is not None:
             return _coalesced(loaded)
     try:
         # A leader that put the plan and released the key after this
         # thread's miss but before its join left no event to wait on: probe
         # once more, or this thread would compile the plan a second time.
-        loaded = plan_cache.lookup_memory(plan, key, backend=backend_obj)
+        loaded = plan_cache.lookup_memory(plan, key)
         if loaded is not None:
             return _coalesced(loaded)
-        compiled = _compile_plan_fresh(plan, cache, backend_obj, cache_token, filter_cache)
+        compiled = _compile_plan_fresh(plan, cache, filter_cache)
         # Idempotent per key, so repeated compiles serialize once.
         plan_cache.put(compiled, key)
         return compiled
@@ -335,8 +319,6 @@ def _coalesced(loaded: CompiledPlan) -> CompiledPlan:
 def _compile_plan_fresh(
     plan: SimulationPlan,
     cache: DecompositionCache,
-    backend_obj: LinalgBackend,
-    cache_token: str,
     filter_cache: "DopplerFilterCache",
 ) -> CompiledPlan:
     """The uncached compilation pass: group, deduplicate, decompose."""
@@ -361,7 +343,7 @@ def _compile_plan_fresh(
     for group_key, indices in group_members.items():
         signature = group_key[:4]
         for index in indices:
-            key = entries[index].cache_key(cache_token)
+            key = entries[index].cache_key()
             entry_keys[index] = key
             if key in resolved or key in miss_index:
                 continue
@@ -381,7 +363,6 @@ def _compile_plan_fresh(
                 method=coloring_method,
                 psd_method=psd_method,
                 epsilon=epsilon,
-                backend=backend_obj,
             )
         except (CovarianceError, ColoringError, CholeskyError) as exc:
             if exc.stack_index is None:
@@ -465,9 +446,7 @@ def _compile_plan_fresh(
         doppler_entries=doppler_entries,
         doppler_filter_cache_hits=filter_cache_hits,
     )
-    return CompiledPlan(
-        plan=plan, groups=tuple(groups), report=report, backend=backend_obj
-    )
+    return CompiledPlan(plan=plan, groups=tuple(groups), report=report)
 
 
 def _at_plan_entry(

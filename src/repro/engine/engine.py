@@ -14,7 +14,6 @@ from typing import Iterator, Optional, Union
 from pathlib import Path
 
 from ..exceptions import SpecificationError
-from .backends import BackendSpec, LinalgBackend, resolve_backend
 from .cache import DecompositionCache
 from .compile import CompiledPlan, compile_plan
 from .execute import check_stream_arguments, execute_plan, stream_plan
@@ -35,10 +34,6 @@ class SimulationEngine:
         Decomposition cache consulted during compilation.  ``None`` builds
         one this engine owns; pass ``DecompositionCache(maxsize=0)`` for a
         cache-less engine.
-    backend:
-        Linalg backend for the stacked decompositions and the coloring
-        multiply — a registered name (``"numpy"``, ``"scipy"``), a :class:`repro.engine.backends.LinalgBackend` instance,
-        or ``None`` for the numpy default.
     filter_cache:
         Young–Beaulieu filter cache for Doppler-mode compilation.  ``None``
         builds one this engine owns.
@@ -71,7 +66,6 @@ class SimulationEngine:
         self,
         *,
         cache: Optional[DecompositionCache] = None,
-        backend: BackendSpec = None,
         filter_cache: Optional[DopplerFilterCache] = None,
         plan_cache: Optional[CompiledPlanCache] = None,
         cache_dir: Union[None, str, Path] = None,
@@ -89,7 +83,6 @@ class SimulationEngine:
             DopplerFilterCache() if filter_cache is None else filter_cache
         )
         self._plan_cache = CompiledPlanCache() if plan_cache is None else plan_cache
-        self._backend = resolve_backend(backend)
 
     @property
     def cache(self) -> DecompositionCache:
@@ -106,17 +99,11 @@ class SimulationEngine:
         """The two-tier compiled-plan cache this engine compiles against."""
         return self._plan_cache
 
-    @property
-    def backend(self) -> LinalgBackend:
-        """The linalg backend this engine compiles and executes on."""
-        return self._backend
-
     def compile(self, plan: SimulationPlan) -> CompiledPlan:
         """Compile a plan (stacked decompositions, cache dedup) for reuse."""
         return compile_plan(
             plan,
             cache=self._cache,
-            backend=self._backend,
             filter_cache=self._filter_cache,
             plan_cache=self._plan_cache,
         )

@@ -12,7 +12,7 @@ correlated samples:
   input sequences from its own spawned child stream (exactly the streams a
   standalone :class:`repro.core.realtime.RealTimeRayleighGenerator` would
   spawn), the group's shared filter weights all frequency-domain blocks, and
-  one stacked ``(B·N·n_blocks, M)`` backend IDFT produces every time-domain
+  one stacked ``(B·N·n_blocks, M)`` IDFT produces every time-domain
   block at once (:func:`repro.channels.idft_generator.batched_doppler_blocks`);
 * each compiled group colors all of its entries with a single stacked
   ``matmul`` (one BLAS gufunc dispatch for the whole ``(B, N, n)`` batch),
@@ -34,7 +34,7 @@ correlated samples:
   scratch (Doppler kernel workspaces, snapshot white-draw buffers,
   normalization columns) that persists across streamed blocks, the IDFT
   runs in place, and the coloring matmul writes straight into the per-call
-  record via the backend's ``matmul_into`` hook.  At most two block-sized
+  record through ``matmul``'s ``out=``.  At most two block-sized
   buffers are live at any instant; only the records handed to callers are
   freshly allocated.
 """
@@ -189,11 +189,9 @@ class _ExecutionState:
         return scratch
 
 
-def _matmul_into(backend, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Stacked coloring matmul written into ``out`` through the backend."""
-    if backend is None:
-        return np.matmul(a, b, out=out)
-    return backend.matmul_into(a, b, out)
+def _matmul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Stacked coloring matmul written into ``out``."""
+    return np.matmul(a, b, out=out)
 
 
 def _apply_fading(  # reprolint: hot-path
@@ -224,14 +222,13 @@ def _doppler_colored_blocks(
     state: _ExecutionState,
     group_index: int,
     n_samples: int,
-    backend,
 ) -> np.ndarray:
     """Colored Doppler samples ``(B, N, n_samples)`` for one group.
 
     Serves the request leftover-first from the group's ring buffer, then
     generates whole IDFT blocks (all entries and branches through one
-    stacked backend IDFT in reused workspace), colors the fresh record
-    with one stacked ``matmul_into`` into a fresh exact-size record, and
+    stacked IDFT in reused workspace), colors the fresh record
+    with one stacked ``_matmul_into`` into a fresh exact-size record, and
     banks the sub-block remainder in the ring — so arbitrary ``n_samples``
     compose into bit-identical continuous streams.  When the request
     starts block-aligned (no leftover) the caller gets a view of the
@@ -255,12 +252,11 @@ def _doppler_colored_blocks(
             state.branch_rngs(group_index, group),
             n_blocks=n_blocks,
             input_variance_per_dim=doppler.input_variance_per_dim,
-            backend=backend,
             workspace=state.workspace(group_index),
         ).reshape(group.batch_size, group.n_branches, n_blocks * m)
         # reprolint: disable=hot-path-allocation (fresh result record: callers keep views of it)
         colored = np.empty_like(fresh)
-        _matmul_into(backend, group.coloring_stack, fresh, colored)
+        _matmul_into(group.coloring_stack, fresh, colored)
         colored /= state.norm(group_index, group)
         # Fading applies before the remainder is banked, so the ring buffer
         # only ever holds finished samples and any block split reads the
@@ -304,19 +300,13 @@ def _generate_block(
     ``state`` holds one random stream per plan entry (plan order) plus the
     Doppler group buffers; drawing advances them, which is what lets
     :func:`stream_plan` produce consecutive blocks from continuous streams.
-    The IDFT and coloring multiplies run through the backend the plan was
-    compiled with (numpy when ``None``).
     """
-    backend = compiled.backend
-    backend_name = "numpy" if backend is None else backend.name
     blocks: List[Optional[GaussianBlock]] = [None] * compiled.n_entries
     for group_index, group in enumerate(compiled.groups):
         batch_size = group.batch_size
         n_branches = group.n_branches
         if group.is_doppler:
-            colored = _doppler_colored_blocks(
-                group, state, group_index, n_samples, backend
-            )
+            colored = _doppler_colored_blocks(group, state, group_index, n_samples)
         else:
             white = state.white_scratch(
                 group_index, (batch_size, n_branches, n_samples)
@@ -333,7 +323,7 @@ def _generate_block(
             # are bit-identical to per-entry `L @ w`.
             # reprolint: disable=hot-path-allocation (fresh result record: callers keep views of it)
             colored = np.empty((batch_size, n_branches, n_samples), dtype=np.complex128)
-            _matmul_into(backend, group.coloring_stack, white, colored)
+            _matmul_into(group.coloring_stack, white, colored)
             colored /= state.norm(group_index, group)
             _apply_fading(state, group_index, group, colored)
         for position, (index, entry) in enumerate(zip(group.indices, group.entries)):
@@ -353,7 +343,6 @@ def _generate_block(
                     "coloring_method": decomposition.method,
                     "was_repaired": decomposition.was_repaired,
                     "engine": "batch",
-                    "backend": backend_name,
                     "plan_index": index,
                     "batch_size": batch_size,
                 }
@@ -429,7 +418,6 @@ def execute_plan(
         n_samples=int(n_samples),
         compile_report=compiled.report,
         execute_seconds=time.perf_counter() - start,
-        backend="numpy" if compiled.backend is None else compiled.backend.name,
         peak_alloc_bytes=peak,
     )
 
@@ -467,7 +455,6 @@ def _stream_blocks(
     compiled: CompiledPlan, block_size: int, n_blocks: int
 ) -> Iterator[BatchResult]:
     state = _ExecutionState(compiled)
-    backend_name = "numpy" if compiled.backend is None else compiled.backend.name
     for _ in range(n_blocks):
         start = time.perf_counter()
         blocks = _generate_block(compiled, block_size, state)
@@ -476,5 +463,4 @@ def _stream_blocks(
             n_samples=block_size,
             compile_report=compiled.report,
             execute_seconds=time.perf_counter() - start,
-            backend=backend_name,
         )

@@ -320,31 +320,25 @@ class PlanEntry:
         """Number of correlated branches of this entry."""
         return self.spec.n_branches
 
-    def cache_key(self, cache_token: str = "numpy") -> str:
+    def cache_key(self) -> str:
         """Content-hash cache key of this entry's decomposition (memoized).
 
         The entry is frozen and the library treats covariance matrices as
-        immutable, so the hash is computed once per backend cache token and
-        reused by subsequent compiles of the same plan object.
-        ``cache_token`` namespaces the key by the backend computing the
-        decomposition (see :func:`repro.engine.cache.decomposition_cache_key`).
+        immutable, so the hash is computed once and reused by subsequent
+        compiles of the same plan object
+        (see :func:`repro.engine.cache.decomposition_cache_key`).
         """
-        from .cache import decomposition_cache_key
-
-        memo = self.__dict__.get("_cache_key_memo")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_cache_key_memo", memo)
-        key = memo.get(cache_token)
+        key = self.__dict__.get("_cache_key_memo")
         if key is None:
+            from .cache import decomposition_cache_key
+
             key = decomposition_cache_key(
                 self.spec.matrix,
                 method=self.coloring_method,
                 psd_method=self.psd_method,
                 epsilon=self.epsilon,
-                cache_token=cache_token,
             )
-            memo[cache_token] = key
+            object.__setattr__(self, "_cache_key_memo", key)
         return key
 
     @property

@@ -6,7 +6,7 @@ namespace, ``plans/``, and only when a caller builds the cache with one
 :class:`CompiledPlanCache` is the executor-level cache on top of the
 :class:`repro.engine.store.ArtifactStore` that short-circuits the whole
 compile pass: :func:`repro.engine.compile.compile_plan` content-hashes the
-``(plan, backend namespace)`` pair and, on a hit, serves the full
+plan and, on a hit, serves the full
 :class:`~repro.engine.compile.CompiledPlan` — grouping, coloring stacks,
 filters, per-entry effective variances — without touching
 ``eigh``/``cholesky`` or filter construction at all.  The decomposition and
@@ -41,10 +41,10 @@ Keying
 ------
 :func:`compiled_plan_cache_key` folds, per entry *in plan order*, the
 decomposition cache key (covariance bytes, coloring/PSD methods, epsilon,
-numeric tolerances, backend ``cache_token``) plus the white-sample variance,
-the full Doppler tuple (``M``, ``f_m``, ``sigma_orig^2``, the Eq. (19)
-compensation flag), and the fading-model token
-(:meth:`repro.models.fading.FadingSpec.fading_token`: model, shape
+numeric tolerances, the constant linalg token ``numpy``) plus the
+white-sample variance, the full Doppler tuple (``M``, ``f_m``,
+``sigma_orig^2``, the Eq. (19) compensation flag), and the fading-model
+token (:meth:`repro.models.fading.FadingSpec.fading_token`: model, shape
 parameter, shadowing spread).  Seeds and labels are deliberately *excluded*: they do
 not influence compilation, so a sweep that only re-seeds its scenarios
 warm-starts from the same artifact.  Because grouping is a pure function of
@@ -81,11 +81,11 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..linalg import ColoringDecomposition
+from .cache import LINALG_TOKEN
 from .store import DEFAULT_DISK_MAX_BYTES, ArtifactStore
 from .tiered import TieredCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from .backends import LinalgBackend
     from .compile import CompiledGroup, CompiledPlan, CompileReport
     from .plan import SimulationPlan
 
@@ -106,28 +106,22 @@ DEFAULT_MEMORY_MAX_BYTES = 256 * 1024 * 1024
 _DISK_FORMAT_VERSION = 3
 
 
-def compiled_plan_cache_key(
-    plan: "SimulationPlan",
-    *,
-    cache_token: str = "numpy",
-) -> str:
-    """Content hash identifying one ``(plan, backend namespace)`` compilation.
+def compiled_plan_cache_key(plan: "SimulationPlan") -> str:
+    """Content hash identifying one plan's compilation.
 
     Two plans receive the same key exactly when :func:`compile_plan` would
     produce structurally identical compiled plans for them: every
     compilation input — per-entry covariance bytes, algorithm options,
-    numeric tolerances, sample variance, Doppler parameters, fading-model
-    token, and the
-    backend's :attr:`~repro.engine.backends.LinalgBackend.cache_token` — is
-    folded in, in plan order.  Seeds and labels are excluded (they are
+    numeric tolerances, sample variance, Doppler parameters and fading-model
+    token — is folded in, in plan order.  Seeds and labels are excluded (they are
     execution-time inputs), so re-seeded sweeps share one artifact.
     """
     hasher = hashlib.sha256()
-    hasher.update(f"compiled-plan|{_DISK_FORMAT_VERSION}|{cache_token}".encode("utf8"))
+    hasher.update(f"compiled-plan|{_DISK_FORMAT_VERSION}|{LINALG_TOKEN}".encode("utf8"))
     for entry in plan:
         # The entry cache key already folds the matrix bytes, methods,
-        # epsilon, tolerances, and the backend token (memoized per entry).
-        hasher.update(entry.cache_key(cache_token).encode("ascii"))
+        # epsilon, tolerances, and the linalg token (memoized per entry).
+        hasher.update(entry.cache_key().encode("ascii"))
         doppler = entry.doppler
         doppler_token = (
             None
@@ -377,7 +371,6 @@ def _resident_bytes(resident: _ResidentPlan) -> int:
 def _rebind(
     resident: _ResidentPlan,
     plan: "SimulationPlan",
-    backend: "LinalgBackend",
     elapsed: float,
     *,
     from_disk: bool,
@@ -413,9 +406,7 @@ def _rebind(
         plan_cache_hits=1,
         plan_memory_hits=int(not from_disk),
     )
-    return CompiledPlan(
-        plan=plan, groups=tuple(groups), report=report, backend=backend
-    )
+    return CompiledPlan(plan=plan, groups=tuple(groups), report=report)
 
 
 class CompiledPlanCache(TieredCache[_ResidentPlan]):
@@ -486,14 +477,12 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
         """``(n_files, total_bytes)`` of the disk tier (``(0, 0)`` if none)."""
         return self._store.usage()
 
-    def lookup(
-        self, plan: "SimulationPlan", key: str, *, backend: "LinalgBackend"
-    ) -> Optional["CompiledPlan"]:
+    def lookup(self, plan: "SimulationPlan", key: str) -> Optional["CompiledPlan"]:
         """Serve the compiled form of ``plan`` under its ``key``, or ``None``
         (a miss).
 
-        ``key`` is :func:`compiled_plan_cache_key` of ``plan`` under
-        ``backend``'s cache token; :func:`repro.engine.compile.compile_plan`
+        ``key`` is :func:`compiled_plan_cache_key` of ``plan``;
+        :func:`repro.engine.compile.compile_plan`
         computes it once per compile.  A detached cache returns ``None``
         immediately.  Tiers are probed memory-first; either kind of hit is
         re-bound to the caller's ``plan`` (seeds and labels come from it),
@@ -508,16 +497,12 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
         return self._lookup(
             key,
             lambda resident, from_disk: _rebind(
-                resident,
-                plan,
-                backend,
-                time.perf_counter() - start,
-                from_disk=from_disk,
+                resident, plan, time.perf_counter() - start, from_disk=from_disk
             ),
         )
 
     def lookup_memory(
-        self, plan: "SimulationPlan", key: str, *, backend: "LinalgBackend"
+        self, plan: "SimulationPlan", key: str
     ) -> Optional["CompiledPlan"]:
         """Serve ``plan`` from the memory tier alone under its already
         computed ``key``; a hit is counted, a miss is not.
@@ -530,11 +515,7 @@ class CompiledPlanCache(TieredCache[_ResidentPlan]):
         return self._lookup_memory(
             key,
             lambda resident, from_disk: _rebind(
-                resident,
-                plan,
-                backend,
-                time.perf_counter() - start,
-                from_disk=from_disk,
+                resident, plan, time.perf_counter() - start, from_disk=from_disk
             ),
         )
 

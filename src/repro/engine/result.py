@@ -29,8 +29,6 @@ class BatchResult:
         matrices (cache hits/misses, dedup counts).
     execute_seconds:
         Wall-clock time of the execution pass.
-    backend:
-        Name of the linalg backend that compiled and executed the plan.
     peak_alloc_bytes:
         Peak memory allocated by the execute pass (tracemalloc), or ``None``
         when the run was not traced (``measure_allocation=False``, the
@@ -41,7 +39,6 @@ class BatchResult:
     n_samples: int
     compile_report: CompileReport
     execute_seconds: float
-    backend: str = "numpy"
     peak_alloc_bytes: Optional[int] = None
 
     @property
@@ -60,7 +57,7 @@ class BatchResult:
     def summary(self) -> str:
         """Human-readable run summary, including per-tier cache stats.
 
-        One line per pipeline stage: what ran, on which backend, how the
+        One line per pipeline stage: what ran, how the
         decomposition cache behaved for this run's compile pass (hits,
         misses, deduplicated entries), and — when the compilation was served
         whole from the compiled-plan cache — a line naming the tier that
@@ -73,8 +70,7 @@ class BatchResult:
         lookups = report.cache_hits + report.cache_misses
         hit_rate = report.cache_hits / lookups if lookups else 0.0
         lines = [
-            f"BatchResult: {self.n_entries} entries x {self.n_samples} samples "
-            f"[backend={self.backend}]",
+            f"BatchResult: {self.n_entries} entries x {self.n_samples} samples",
             f"  compile: {report.n_groups} groups, "
             f"{report.n_unique_matrices} unique matrices "
             f"({report.deduplicated} deduplicated), "

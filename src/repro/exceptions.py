@@ -25,7 +25,6 @@ __all__ = [
     "GenerationError",
     "ExperimentError",
     "ParallelExecutionError",
-    "BackendError",
     "ServiceError",
     "BackpressureError",
     "RequestTooLargeError",
@@ -115,15 +114,6 @@ class ExperimentError(ReproError, RuntimeError):
 
 class ParallelExecutionError(ReproError, RuntimeError):
     """Concurrent execution refused or failed (e.g. a submit to a closed session)."""
-
-
-class BackendError(ReproError, RuntimeError):
-    """A linear-algebra backend is unknown, unavailable, or failed to load.
-
-    Raised by :func:`repro.engine.backends.get_backend` when the requested
-    backend name is not registered or its import-gated dependency (scipy)
-    is missing from the environment.
-    """
 
 
 class ServiceError(ReproError, RuntimeError):

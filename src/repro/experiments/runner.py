@@ -7,7 +7,6 @@ harness, and the integration tests.
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, Dict, List
 
 from ..exceptions import ExperimentError
@@ -58,12 +57,6 @@ def list_experiments() -> List[str]:
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     """Run one experiment by id.
 
-    A ``backend`` keyword (the engine's linalg backend, selected via the
-    CLI's ``--backend``) is forwarded only to experiments whose ``run``
-    callable declares the parameter; experiments that never touch the
-    batched engine silently ignore it, so ``run all --backend scipy``
-    works across the whole registry.
-
     Raises
     ------
     ExperimentError
@@ -75,13 +68,5 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
         raise ExperimentError(
             f"unknown experiment {experiment_id!r}; available: {list_experiments()}"
         ) from exc
-    if "backend" in kwargs:
-        parameters = inspect.signature(runner).parameters
-        accepts_backend = "backend" in parameters or any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values()
-        )
-        if not accepts_backend:
-            kwargs = {key: value for key, value in kwargs.items() if key != "backend"}
     return runner(**kwargs)
 

@@ -218,15 +218,9 @@ def run_batch(
     n_branches: int = 4,
     n_samples: int = 64,
     repeats: int = 3,
-    backend: str = "numpy",
     fading=None,
 ) -> ExperimentResult:
     """Run the batched-engine vs. looped-generation sweep.
-
-    ``backend`` selects the engine's linalg backend
-    (:mod:`repro.engine.backends`); the looped baseline always runs the
-    plain numpy single-spec path, so the bit-identity acceptance criterion
-    doubles as a backend parity check.
 
     ``fading`` optionally applies one fading model (a name, mapping, or
     :class:`repro.models.FadingSpec`) to every plan entry.  The looped
@@ -303,11 +297,11 @@ def run_batch(
         # Cold: a fresh cache per repeat, so every repeat pays the stacked
         # decomposition (the best-of timing stays a true cold measurement).
         cold_time, cold = _best_time(
-            lambda: SimulationEngine(backend=backend).run(plan, n_samples),
+            lambda: SimulationEngine().run(plan, n_samples),
             repeats,
         )
 
-        engine = SimulationEngine(backend=backend)
+        engine = SimulationEngine()
         engine.run(plan, n_samples)  # populate the cache
         engine.cache.reset_stats()
         warm_time, warm = _best_time(lambda: engine.run(plan, n_samples), repeats)
@@ -403,7 +397,6 @@ def run_batch(
             "n_branches": n_branches,
             "n_samples": n_samples,
             "seed": seed,
-            "backend": backend,
             "fading": (
                 None
                 if fading_spec is None
@@ -436,7 +429,6 @@ def run_doppler_batch(
     n_points: int = 128,
     normalized_doppler: float = pv.NORMALIZED_DOPPLER,
     repeats: int = 3,
-    backend: str = "numpy",
 ) -> ExperimentResult:
     """Run the batched-Doppler vs. looped real-time generation sweep.
 
@@ -501,7 +493,7 @@ def run_doppler_batch(
             repeats,
         )
 
-        engine = SimulationEngine(backend=backend)
+        engine = SimulationEngine()
         engine.run(plan, n_points)  # populate the decomposition cache
         warm_time, warm = _best_time(lambda: engine.run(plan, n_points), repeats)
 
@@ -566,7 +558,6 @@ def run_doppler_batch(
             "n_points": int(n_points),
             "normalized_doppler": float(normalized_doppler),
             "seed": seed,
-            "backend": backend,
         },
         metrics=metrics,
         passed=all_identical,

@@ -15,12 +15,8 @@ batched; cheap per-slice scalar diagnostics (Frobenius errors, eigenvalue
 counts) are computed in ordinary Python loops, exactly as the single-matrix
 code paths compute them.
 
-Every heavy entry point accepts an optional ``backend`` — an object
-satisfying the :class:`repro.engine.backends.LinalgBackend` contract
-(``eigh`` / ``cholesky`` / ``matmul`` over host arrays).  ``None`` (the
-default) runs numpy's gufuncs directly, which keeps this module importable
-without the engine package and makes the default path byte-for-byte the
-pre-backend implementation.
+Every stacked ``eigh`` of the package passes through one function,
+:func:`_eigh_hermitian_stack`.
 """
 
 from __future__ import annotations
@@ -105,14 +101,11 @@ class BatchedEigenDecomposition:
         return self.eigenvalues[:, 0]
 
 
-def batched_hermitian_eigendecomposition(
-    stack: np.ndarray, *, backend=None
-) -> BatchedEigenDecomposition:
+def batched_hermitian_eigendecomposition(stack: np.ndarray) -> BatchedEigenDecomposition:
     """Eigendecompose every (nearly) Hermitian matrix in a ``(B, N, N)`` stack.
 
-    One ``np.linalg.eigh`` call on the symmetrized stack (or the given
-    backend's ``eigh``); each slice of the default-backend result is
-    bit-identical to
+    One ``np.linalg.eigh`` call on the symmetrized stack; each slice of the
+    result is bit-identical to
     :func:`repro.linalg.eigen.hermitian_eigendecomposition` applied to the
     corresponding single matrix, including the descending eigenvalue order.
 
@@ -122,13 +115,12 @@ def batched_hermitian_eigendecomposition(
         If ``eigh`` does not converge; ``stack_index`` names the first
         slice it fails on.
     """
-    return _eigh_hermitian_stack(batched_hermitian_part(stack), backend)
+    return _eigh_hermitian_stack(batched_hermitian_part(stack))
 
 
-def _eigh_hermitian_stack(herm: np.ndarray, backend) -> BatchedEigenDecomposition:
+def _eigh_hermitian_stack(herm: np.ndarray) -> BatchedEigenDecomposition:
     """:func:`batched_hermitian_eigendecomposition` of an already-Hermitian stack."""
-    eigh = np.linalg.eigh if backend is None else backend.eigh
-    eigenvalues, eigenvectors = _per_stack(eigh, herm, "eigendecomposition")
+    eigenvalues, eigenvectors = _per_stack(np.linalg.eigh, herm, "eigendecomposition")
     # eigh returns ascending order per slice; flip to descending with the
     # same argsort-and-reverse the single-matrix wrapper uses.
     order = np.argsort(eigenvalues, axis=-1)[:, ::-1]
@@ -161,21 +153,18 @@ def _per_stack(fn, herm: np.ndarray, what: str):
         raise CovarianceError(f"{what} failed on the stack ({exc})") from exc
 
 
-def batched_cholesky_factor(stack: np.ndarray, *, backend=None) -> np.ndarray:
+def batched_cholesky_factor(stack: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factors of every matrix in a stack.
 
     Raises
     ------
     CholeskyError
         If any matrix in the stack is not positive definite; the message and
-        ``stack_index`` name the first offending slice (the diagnosis re-runs
-        numpy slice-wise regardless of the backend).
+        ``stack_index`` name the first offending slice.
     """
     herm = batched_hermitian_part(stack)
     try:
-        if backend is None:
-            return np.linalg.cholesky(herm)
-        return backend.cholesky(herm)
+        return np.linalg.cholesky(herm)
     except np.linalg.LinAlgError as exc:
         # The stacked call fails as a whole; find the first offender so the
         # error is as informative as the single-matrix path's.
@@ -195,7 +184,7 @@ def batched_cholesky_factor(stack: np.ndarray, *, backend=None) -> np.ndarray:
 
 
 def batched_reconstruct_from_eigen(
-    eigenvalues: np.ndarray, eigenvectors: np.ndarray, *, backend=None
+    eigenvalues: np.ndarray, eigenvectors: np.ndarray
 ) -> np.ndarray:
     """Return ``V_b diag(w_b) V_b^H`` for every matrix in the stack."""
     eigenvalues = np.asarray(eigenvalues)
@@ -206,9 +195,7 @@ def batched_reconstruct_from_eigen(
         )
     scaled = eigenvectors * eigenvalues[:, np.newaxis, :]
     adjoint = eigenvectors.conj().transpose(0, 2, 1)
-    if backend is None:
-        return np.matmul(scaled, adjoint)
-    return backend.matmul(scaled, adjoint)
+    return np.matmul(scaled, adjoint)
 
 
 def _force_psd_stack(
@@ -216,7 +203,6 @@ def _force_psd_stack(
     method: str = "clip",
     *,
     epsilon: float = 1e-6,
-    backend=None,
 ) -> Tuple[List["PSDForcingResult"], BatchedEigenDecomposition]:
     """Force every matrix in a ``(B, N, N)`` stack positive semi-definite.
 
@@ -264,7 +250,7 @@ def _force_psd_stack(
             f"stack index {index}; its Hermitian part is not finite",
             stack_index=index,
         )
-    decomp = _eigh_hermitian_stack(herm, backend)
+    decomp = _eigh_hermitian_stack(herm)
     scales = np.maximum(np.abs(decomp.max_eigenvalues), 1.0)
     negative_mask = decomp.eigenvalues < (-EIG_CLIP_TOL * scales)[:, np.newaxis]
     already_psd = ~np.any(negative_mask, axis=-1)
@@ -295,13 +281,11 @@ def _force_psd_stack(
             eigenvalues = decomp.eigenvalues[repair]
             clipped = np.where(eigenvalues >= 0.0, eigenvalues, 0.0)
             repaired_stack[repair] = batched_reconstruct_from_eigen(
-                clipped, decomp.eigenvectors[repair], backend=backend
+                clipped, decomp.eigenvectors[repair]
             )
     else:  # epsilon
         replaced = np.where(decomp.eigenvalues > 0.0, decomp.eigenvalues, epsilon)
-        repaired_stack = batched_reconstruct_from_eigen(
-            replaced, decomp.eigenvectors, backend=backend
-        )
+        repaired_stack = batched_reconstruct_from_eigen(replaced, decomp.eigenvectors)
 
     # The single-matrix PSD check (``is_positive_semidefinite``) on every
     # slice at once: numpy's stacked eigvalsh runs the same LAPACK routine

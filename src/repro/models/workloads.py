@@ -292,7 +292,6 @@ def run_suite(
     workload: Union[str, Mapping[str, Any]],
     *,
     n_samples: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one workload (a suite name or mapping) and summarize the result.
 
@@ -305,8 +304,7 @@ def run_suite(
     count = default_samples if n_samples is None else int(n_samples)
     if count < 1:
         raise SpecificationError(f"n_samples must be >= 1, got {count}")
-    engine = SimulationEngine(backend=backend)
-    result = engine.run(plan, count)
+    result = SimulationEngine().run(plan, count)
     entries = []
     for entry, block in zip(plan, result.blocks):
         envelopes = np.abs(block.samples)
@@ -323,7 +321,6 @@ def run_suite(
         "description": payload.get("description"),
         "n_entries": plan.n_entries,
         "n_samples": count,
-        "backend": result.backend,
         "compile_seconds": float(result.compile_report.compile_seconds),
         "execute_seconds": float(result.execute_seconds),
         "entries": entries,

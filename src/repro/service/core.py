@@ -113,12 +113,7 @@ def plan_cost(plan: SimulationPlan, n_samples: int) -> Tuple[int, int]:
     return work, n_branches * n_samples * 16
 
 
-def request_key(
-    plan: SimulationPlan,
-    n_samples: int,
-    *,
-    cache_token: str = "numpy",
-) -> Optional[str]:
+def request_key(plan: SimulationPlan, n_samples: int) -> Optional[str]:
     """Coalescing key of one request, or ``None`` when coalescing is unsafe.
 
     Two requests may share one compile/execute only when their *results*
@@ -138,7 +133,7 @@ def request_key(
         if seed is None or not isinstance(seed, (int, np.integer)):
             return None
         seeds.append((int(seed), entry.label))
-    base = compiled_plan_cache_key(plan, cache_token=cache_token)
+    base = compiled_plan_cache_key(plan)
     hasher = hashlib.sha256(base.encode("ascii"))
     hasher.update(repr((int(n_samples), seeds)).encode("utf8"))
     return hasher.hexdigest()
@@ -369,11 +364,7 @@ class EnvelopeService:
         loop = asyncio.get_running_loop()
         key = None
         if coalesce:
-            key = request_key(
-                plan,
-                n_samples,
-                cache_token=self._sim.backend.cache_token,
-            )
+            key = request_key(plan, n_samples)
         flight = self._flights.get(key) if key is not None else None
         request_id = f"req-{next(self._ids):06d}"
         if flight is not None and not flight.cancel_requested:
@@ -534,10 +525,8 @@ class EnvelopeService:
         """
         if flight.work > INLINE_WORK_LIMIT:
             return False
-        engine = self._sim.engine
-        cache = engine.cache
-        token = engine.backend.cache_token
-        return all(entry.cache_key(token) in cache for entry in flight.plan)
+        cache = self._sim.engine.cache
+        return all(entry.cache_key() in cache for entry in flight.plan)
 
     async def _execute_flight(self, flight: _Flight) -> None:
         """Run one flight and fan its outcome out.
@@ -548,8 +537,8 @@ class EnvelopeService:
         awaits ``Simulator.submit`` on the simulator's thread pool, so the
         loop keeps answering while it runs.
 
-        A flight failure (a backend fault, a store fault, a malformed plan
-        surfacing at compile time) resolves only that flight's waiters —
+        A flight failure (a decomposition fault, a store fault, a malformed
+        plan surfacing at compile time) resolves only that flight's waiters —
         the exception is consumed here and the worker loop survives to
         serve the next flight.  Only the worker's own cancellation
         (service stop) propagates.

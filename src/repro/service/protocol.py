@@ -7,7 +7,7 @@ reprs.  The other doubles travel as JSON numbers, whose shortest repr
 parses back to the same IEEE-754 double.  Both round-trip **bit-exactly**,
 so a decoded plan hashes to the same compiled-plan key and produces the
 same samples as the in-process original.  Results stream as NDJSON: one
-header line (sample count, backend, the full :class:`CompileReport`), one
+header line (sample count, the full :class:`CompileReport`), one
 line per entry carrying its complex sample block as a base64 ``.npy``
 payload (exact bytes, no text round-trip), and one terminator line — a
 shape the HTTP front end maps 1:1 onto chunked transfer encoding.
@@ -341,7 +341,6 @@ def result_to_lines(result: BatchResult) -> Iterator[str]:
             "version": PROTOCOL_VERSION,
             "n_entries": len(result.blocks),
             "n_samples": int(result.n_samples),
-            "backend": result.backend,
             "execute_seconds": float(result.execute_seconds),
             "compile_report": {name: getattr(report, name) for name in _REPORT_FIELDS},
         }

@@ -247,7 +247,6 @@ def _load_output(
             n_samples=int(meta["n_samples"]),
             compile_report=report,
             execute_seconds=float(meta.get("execute_seconds", 0.0)),
-            backend=str(meta.get("backend", "numpy")),
         )
     except (OSError, KeyError, OverflowError, TypeError, ValueError):
         # A half-written or stale output reads as a failed slice, never an
@@ -527,14 +526,11 @@ def _spawn(
     out_prefix: Path,
     *,
     cache_dir: Optional[Union[str, Path]],
-    backend: Optional[str],
     env: Dict[str, str],
 ) -> Union[subprocess.Popen, _ForkedWorker]:
     argv = [str(slice_path), "--out", str(out_prefix)]
     if cache_dir is not None:
         argv += ["--cache-dir", str(cache_dir)]
-    if backend is not None:
-        argv += ["--backend", str(backend)]
     if _can_fork():
         return _start_slice(env, argv)
     return subprocess.Popen(
@@ -585,7 +581,6 @@ def run_sharded(
     *,
     n_shards: int,
     cache_dir: Union[None, str, Path] = None,
-    backend: Optional[str] = None,
     work_dir: Union[None, str, Path] = None,
     retry_failed: bool = False,
     progress: Optional[ProgressFn] = None,
@@ -648,7 +643,6 @@ def run_sharded(
             work / f"slice_{index}.json",
             work / f"shard_{index}",
             cache_dir=cache_dir,
-            backend=backend,
             env=env,
         )
         for index in pending
@@ -673,9 +667,6 @@ def run_sharded(
             [results[plan_slice.index] for plan_slice in slices],
             n_samples=n_samples,
             wall_seconds=wall,
-            backend=next(
-                (meta["backend"] for meta in metas if meta is not None), "numpy"
-            ),
         )
     return ShardRunResult(
         slices=tuple(slices),

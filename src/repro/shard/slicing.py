@@ -269,7 +269,6 @@ def merge_results(
     *,
     n_samples: int,
     wall_seconds: float = 0.0,
-    backend: str = "numpy",
 ) -> BatchResult:
     """Reassemble per-shard results into one plan-ordered :class:`BatchResult`.
 
@@ -309,5 +308,4 @@ def merge_results(
         n_samples=int(n_samples),
         compile_report=report,
         execute_seconds=float(wall_seconds),
-        backend=backend,
     )

@@ -1,7 +1,7 @@
 """The shard worker: one :class:`PlanSlice`, one engine run.
 
 The worker CLI is ``python -m repro.shard.worker <slice.json> --out PREFIX
-[--cache-dir DIR] [--backend NAME]``.  The runner normally runs it in a
+[--cache-dir DIR]``.  The runner normally runs it in a
 warm worker process forked from a *launcher* (see below), which serves
 one slice after another, rather than in a fresh interpreter; the files,
 exit code and output are the same.  The worker
@@ -32,7 +32,7 @@ Crash-tolerance hook
 Setting ``REPRO_SHARD_KILL_SLICE=<index>`` makes the worker whose slice
 matches SIGKILL itself *after* executing but *before* publishing — the
 deterministic fault-injection point of the sharding suite (the subprocess
-analogue of the ``FlakyBackend``/``FlakyStore`` fail-at-exactly-N harness
+analogue of the ``FlakyEigh``/``FlakyStore`` fail-at-exactly-N harness
 in ``tests/conftest.py``): the slice's compiled plan is already in the
 shared cache, its output is not, so a ``--retry-failed`` rerun must
 recover bit-identically from the warm cache.
@@ -132,7 +132,6 @@ def run_slice(
     n_samples: int,
     *,
     cache_dir: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[BatchResult, Dict[str, Any]]:
     """Execute one slice and return ``(result, meta)``.
 
@@ -140,7 +139,7 @@ def run_slice(
     internals: slice addressing, labels, the compile report, and the
     compiled-plan cache counters.
     """
-    engine = SimulationEngine(backend=backend, cache_dir=cache_dir)
+    engine = SimulationEngine(cache_dir=cache_dir)
     result = engine.run(plan_slice.plan, n_samples)
     plans = engine.plan_cache.stats
     meta: Dict[str, Any] = {
@@ -149,7 +148,6 @@ def run_slice(
         "start": plan_slice.start,
         "n_entries": plan_slice.n_entries,
         "n_samples": int(n_samples),
-        "backend": result.backend,
         "execute_seconds": float(result.execute_seconds),
         "labels": [entry.label for entry in plan_slice.plan],
         "compile_report": asdict(result.compile_report),
@@ -205,7 +203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--out", type=Path, required=True, help="output path prefix (.bin/.json)"
     )
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--backend", default=None)
     args = parser.parse_args(argv)
 
     raw = args.slice_path.read_bytes()
@@ -215,12 +212,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"entries={plan_slice.n_entries} n_samples={n_samples}",
         flush=True,
     )
-    result, meta = run_slice(
-        plan_slice,
-        n_samples,
-        cache_dir=args.cache_dir,
-        backend=args.backend,
-    )
+    result, meta = run_slice(plan_slice, n_samples, cache_dir=args.cache_dir)
     meta["slice_sha256"] = hashlib.sha256(raw).hexdigest()
     if os.environ.get(KILL_SLICE_ENV, "") == str(plan_slice.index):
         # Die without cleanup between execute and publish (see module docs).

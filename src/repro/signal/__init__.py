@@ -4,8 +4,8 @@ Provides the correlation estimators used by the validation layer and the
 experiments, and classic fading-channel metrics (dB scaling relative to the
 rms level, level-crossing rate, average fade duration) used by the
 experiments that regenerate the paper's figures.  The IDFT Rayleigh
-generator does its Fourier transforms through the linalg backend
-(``np.fft`` by default), not through this package.
+generator does its Fourier transforms with ``np.fft``, not through this
+package.
 """
 
 from .correlation import (

@@ -1,11 +1,14 @@
 """Shared fixtures for the repro test-suite.
 
 Besides the paper's reference covariances, this hosts the deterministic
-fault-injection harness of the serving-layer test pass: ``FlakyBackend``
-fails the Nth ``eigh`` call and ``FlakyStore`` fails the Nth disk
+fault-injection harness of the serving-layer test pass: ``FlakyEigh``
+fails the Nth stacked ``eigh`` and ``FlakyStore`` fails the Nth disk
 ``lookup``/``put``, so tests can prove that a mid-compile fault fails only
 the affected request — never the service loop — at an exactly chosen
-point.
+point.  ``GatedEigh`` holds every stacked ``eigh`` until the test
+releases it.  Both ``eigh`` fakes are patched over
+``repro.linalg.batched._eigh_hermitian_stack``, the one function every
+stacked eigendecomposition passes through.
 """
 
 from __future__ import annotations
@@ -16,27 +19,26 @@ import numpy as np
 import pytest
 
 from repro.core.covariance import CovarianceSpec
-from repro.engine.backends import NumpyBackend
 from repro.engine.store import ArtifactStore
 from repro.experiments import paper_values as pv
+from repro.linalg import batched
 
 
 class InjectedFault(RuntimeError):
     """The deterministic error the flaky fixtures raise."""
 
 
-class FlakyBackend(NumpyBackend):
-    """A numpy backend whose Nth ``eigh`` call fails deterministically.
+#: The unpatched stacked ``eigh``, which every fake below calls through.
+_EIGH = batched._eigh_hermitian_stack
+
+
+class FlakyEigh:
+    """A stacked ``eigh`` whose Nth call fails deterministically.
 
     ``fail_at`` is 1-based; ``fail_at=2`` serves the first decomposition
-    and fails the second.  Counting is thread-safe (compiles run on the
-    simulator's pool threads).  The backend advertises its own name and a
-    non-zero tolerance so it never shares cache namespaces with the real
-    numpy backend.
+    and fails the second, and ``fail_at=0`` never fires (a pure counter).
+    Counting is thread-safe (compiles run on the simulator's pool threads).
     """
-
-    name = "flaky-numpy"
-    tolerance = 1e-300  # non-zero: never cache-aliased with numpy
 
     def __init__(self, fail_at: int = 1) -> None:
         self._fail_at = int(fail_at)
@@ -48,13 +50,27 @@ class FlakyBackend(NumpyBackend):
         with self._count_lock:
             return self._calls
 
-    def eigh(self, stack):
+    def __call__(self, herm):
         with self._count_lock:
             self._calls += 1
             calls = self._calls
         if calls == self._fail_at:
             raise InjectedFault(f"injected backend fault at eigh call {calls}")
-        return super().eigh(stack)
+        return _EIGH(herm)
+
+
+class GatedEigh:
+    """A stacked ``eigh`` that blocks until the test sets ``release``."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, herm):
+        self.entered.set()
+        if not self.release.wait(timeout=10):
+            raise RuntimeError("gate never released")  # pragma: no cover
+        return _EIGH(herm)
 
 
 class FlakyStore(ArtifactStore):
@@ -95,22 +111,25 @@ class FlakyStore(ArtifactStore):
 
 
 @pytest.fixture()
-def isolated_backend_registry(monkeypatch):
-    """Backends a test registers are unregistered when it ends."""
-    from repro.engine import backends
+def flaky_eigh(monkeypatch):
+    """Factory that patches a fresh :class:`FlakyEigh` in (``fail_at``
+    1-based) and returns it; a later call replaces the earlier fake."""
 
-    monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
-    monkeypatch.setattr(backends, "_INSTANCES", dict(backends._INSTANCES))
+    def _install(fail_at: int = 1) -> FlakyEigh:
+        fake = FlakyEigh(fail_at=fail_at)
+        monkeypatch.setattr(batched, "_eigh_hermitian_stack", fake)
+        return fake
+
+    return _install
 
 
 @pytest.fixture()
-def flaky_backend():
-    """Factory for :class:`FlakyBackend` instances (``fail_at`` 1-based)."""
-
-    def _make(fail_at: int = 1) -> FlakyBackend:
-        return FlakyBackend(fail_at=fail_at)
-
-    return _make
+def gated_eigh(monkeypatch):
+    """A :class:`GatedEigh` patched in for the test."""
+    fake = GatedEigh()
+    monkeypatch.setattr(batched, "_eigh_hermitian_stack", fake)
+    yield fake
+    fake.release.set()
 
 
 @pytest.fixture()

@@ -263,7 +263,7 @@ class TestSessionDopplerEqualsLooped:
         size = int(rng.integers(1, 4))
         spec = _random_spec(rng, size)
         entry_seed = int(rng.integers(0, 2**62))
-        simulator = Simulator(backend="numpy", cache=DecompositionCache())
+        simulator = Simulator(cache=DecompositionCache())
         block = simulator.envelopes(
             spec,
             n_samples,

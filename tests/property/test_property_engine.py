@@ -117,7 +117,7 @@ class TestBatchedEqualsLooped:
 class TestSessionAPIEqualsLooped:
     """The session API inherits the engine guarantee unchanged.
 
-    ``Simulator(backend="numpy")`` must be bit-identical to looping
+    ``Simulator()`` must be bit-identical to looping
     single-spec generators for the same seeds, for batched runs and
     one-call ``envelopes`` alike.
     """
@@ -127,7 +127,7 @@ class TestSessionAPIEqualsLooped:
     def test_simulator_run_bit_identical_to_looped(self, plan_data, n_samples):
         specs, seeds = plan_data
         plan = SimulationPlan.from_specs(specs, seeds=seeds)
-        simulator = Simulator(backend="numpy", cache=DecompositionCache())
+        simulator = Simulator(cache=DecompositionCache())
         result = simulator.run(plan, n_samples)
         for spec, seed, block in zip(specs, seeds, result.blocks):
             reference = RayleighFadingGenerator(
@@ -146,7 +146,7 @@ class TestSessionAPIEqualsLooped:
         size = int(rng.integers(1, 5))
         spec = _random_spec(rng, size, non_psd=size >= 2 and bool(rng.integers(0, 2)))
         entry_seed = int(rng.integers(0, 2**62))
-        via_session = Simulator(backend="numpy", cache=DecompositionCache()).envelopes(
+        via_session = Simulator(cache=DecompositionCache()).envelopes(
             spec, n_samples, seed=entry_seed
         )
         reference = RayleighFadingGenerator(
@@ -159,7 +159,7 @@ class TestSessionAPIEqualsLooped:
     def test_simulator_stream_concatenation_matches_chunked_loop(self, plan_data):
         specs, seeds = plan_data
         plan = SimulationPlan.from_specs(specs, seeds=seeds)
-        simulator = Simulator(backend="numpy", cache=DecompositionCache())
+        simulator = Simulator(cache=DecompositionCache())
         streamed = list(simulator.stream(plan, block_size=7, n_blocks=3))
         for index, (spec, seed) in enumerate(zip(specs, seeds)):
             generator = RayleighFadingGenerator(spec, rng=seed)

@@ -7,7 +7,7 @@ end-to-end:
 * **bit-identity** — every response equals a direct ``Simulator.run`` of the
   same plan on a fresh session, coalesced or not;
 * **single compile per unique plan hash** — proven two ways: a counting
-  backend observes exactly one ``eigh`` batch per unique covariance, and the
+  ``eigh`` observes exactly one batch per unique covariance, and the
   ``CompileReport`` counters on the fanned-out results show exactly one
   fresh compile per unique plan hash;
 * **conservation** — queue slots and pool slots are conserved through
@@ -33,8 +33,6 @@ from repro.engine import SimulationPlan
 from repro.engine.cache import DecompositionCache
 from repro.exceptions import BackpressureError
 from repro.service import EnvelopeService
-
-from conftest import FlakyBackend
 
 BASE = np.array(
     [
@@ -78,9 +76,11 @@ def _references():
 
 
 class TestThirtyTwoClients:
-    def test_coalesced_fanout_is_bit_identical_and_compiles_once(self, tmp_path):
+    def test_coalesced_fanout_is_bit_identical_and_compiles_once(
+        self, tmp_path, flaky_eigh
+    ):
         """The acceptance criterion: 32 clients, 16 unique plans, 1 compile each."""
-        backend = FlakyBackend(fail_at=0)  # fail_at=0 never fires: pure counter
+        counter = flaky_eigh(fail_at=0)  # fail_at=0 never fires: pure counter
         unique = len(_all_combos())
         total = N_CLIENTS * REQUESTS_PER_CLIENT
 
@@ -88,9 +88,7 @@ class TestThirtyTwoClients:
             # cache_dir attaches the compiled-plan tier (memory + disk), so
             # request-level coalescing sits above compile-level singleflight
             # exactly as in production `serve` runs.
-            sim = Simulator(
-                backend=backend, cache_dir=str(tmp_path), max_workers=4
-            )
+            sim = Simulator(cache_dir=str(tmp_path), max_workers=4)
             async with EnvelopeService(
                 sim, max_queue=unique, dispatch_slots=4
             ) as service:
@@ -119,6 +117,7 @@ class TestThirtyTwoClients:
             return outcomes, metrics
 
         outcomes, metrics = asyncio.run(scenario())
+        service_eigh_calls = counter.eigh_calls
         references = _references()
 
         assert len(outcomes) == total
@@ -136,18 +135,18 @@ class TestThirtyTwoClients:
         assert metrics["requests_coalesced"] == total - unique
         assert metrics["requests_completed"] == total
 
-        # One compile per unique covariance: the counting backend saw
-        # exactly the serial baseline's eigh traffic per distinct matrix
+        # One compile per unique covariance: the counting eigh saw
+        # exactly the serial baseline's traffic per distinct matrix
         # (seeds share the compiled plan), with zero duplicated compiles.
-        probe = FlakyBackend(fail_at=0)
-        probe_sim = Simulator(backend=probe, cache=DecompositionCache())
+        probe = flaky_eigh(fail_at=0)
+        probe_sim = Simulator(cache=DecompositionCache())
         try:
             probe_sim.run(_combo_plan(0), N_SAMPLES)
         finally:
             probe_sim.close()
         eigh_calls_per_compile = probe.eigh_calls
         assert eigh_calls_per_compile > 0
-        assert backend.eigh_calls == eigh_calls_per_compile * len(SCALES)
+        assert service_eigh_calls == eigh_calls_per_compile * len(SCALES)
 
         # ...and the CompileReport counters agree: per unique plan hash
         # (= per covariance scale) exactly one flight compiled fresh; every

@@ -104,7 +104,6 @@ class TestAnalysisMain:
         for name in (
             "lock-discipline",
             "hot-path-allocation",
-            "backend-into-contract",
             "cache-key-purity",
         ):
             assert name in out

@@ -285,99 +285,6 @@ class TestHotPathAllocation:
 
 
 # --------------------------------------------------------------------- #
-# backend-into-contract
-# --------------------------------------------------------------------- #
-class TestBackendIntoContract:
-    GOOD_BACKEND = textwrap.dedent("""
-        import numpy as np
-
-        class GoodBackend(LinalgBackend):
-            def eigh(self, stack):
-                return np.linalg.eigh(stack)
-
-            def cholesky(self, stack):
-                return np.linalg.cholesky(stack)
-
-            def matmul_into(self, a, b, out):
-                return np.matmul(a, b, out=out)
-    """)
-
-    def test_compliant_subclass_is_clean(self, tmp_path):
-        assert lint_snippet(
-            tmp_path, self.GOOD_BACKEND, ["backend-into-contract"]
-        ) == []
-
-    def test_missing_required_override_fires(self, tmp_path):
-        source = """
-            class Partial(LinalgBackend):
-                def eigh(self, stack):
-                    return stack
-        """
-        findings = lint_snippet(tmp_path, source, ["backend-into-contract"])
-        assert len(findings) == 1
-        assert "cholesky" in findings[0].message
-
-    def test_signature_mismatch_fires(self, tmp_path):
-        source = self.GOOD_BACKEND.replace(
-            "def eigh(self, stack):", "def eigh(self, matrix):"
-        ).replace("np.linalg.eigh(stack)", "np.linalg.eigh(matrix)")
-        findings = lint_snippet(tmp_path, source, ["backend-into-contract"])
-        assert len(findings) == 1
-        assert "signature" in findings[0].message
-
-    def test_into_method_not_returning_out_fires(self, tmp_path):
-        source = self.GOOD_BACKEND.replace(
-            "return np.matmul(a, b, out=out)",
-            "result = np.matmul(a, b)\n        return result",
-        )
-        findings = lint_snippet(tmp_path, source, ["backend-into-contract"])
-        assert findings
-        assert any("return" in f.message for f in findings)
-
-    def test_into_method_allocating_fires(self, tmp_path):
-        source = self.GOOD_BACKEND.replace(
-            "return np.matmul(a, b, out=out)",
-            "tmp = np.empty(out.shape)\n        np.matmul(a, b, out=tmp)\n"
-            "        np.copyto(out, tmp)\n        return out",
-        )
-        findings = lint_snippet(tmp_path, source, ["backend-into-contract"])
-        assert len(findings) == 1
-        assert "np.empty" in findings[0].message
-
-    def test_gufunc_out_keyword_return_is_accepted(self, tmp_path):
-        # `return np.matmul(a, b, out=out)` IS returning out (gufunc idiom).
-        assert lint_snippet(
-            tmp_path, self.GOOD_BACKEND, ["backend-into-contract"]
-        ) == []
-
-    def test_transitive_subclass_inherits_required_methods(self, tmp_path):
-        source = self.GOOD_BACKEND + textwrap.dedent("""
-            class Derived(GoodBackend):
-                def matmul_into(self, a, b, out):
-                    return np.matmul(a, b, out=out)
-        """)
-        assert lint_snippet(
-            tmp_path, source, ["backend-into-contract"]
-        ) == []
-
-    def test_suppression_silences(self, tmp_path):
-        source = """
-            class Partial(LinalgBackend):  # reprolint: disable=backend-into-contract
-                def eigh(self, stack):
-                    return stack
-        """
-        assert lint_snippet(tmp_path, source, ["backend-into-contract"]) == []
-
-    def test_unrelated_classes_are_ignored(self, tmp_path):
-        source = """
-            class NotABackend:
-                def frob_into(self, a):
-                    return None
-        """
-        assert lint_snippet(tmp_path, source, ["backend-into-contract"]) == []
-
-
-# --------------------------------------------------------------------- #
 # cache-key-purity
 # --------------------------------------------------------------------- #
 class TestCacheKeyPurity:

@@ -2,9 +2,8 @@
 
 This is the standing static gate: any PR that introduces an unguarded
 read of lock-protected state, an allocating constructor in the fused
-execute path, a broken ``*_into`` override, or an impure cache-key
-reference fails here — before the (sampled, dynamic) property suites
-would ever catch it.  Deliberate exceptions are visible in the diff as
+execute path, or an impure cache-key reference fails here — before the
+(sampled, dynamic) property suites would ever catch it.  Deliberate exceptions are visible in the diff as
 ``# reprolint:`` directives (see docs/ARCHITECTURE.md, "Static
 guarantees").
 """
@@ -19,12 +18,11 @@ PACKAGE_DIR = Path(repro.__file__).resolve().parent
 EXPECTED_RULES = {
     "lock-discipline",
     "hot-path-allocation",
-    "backend-into-contract",
     "cache-key-purity",
 }
 
 
-def test_all_four_rule_families_are_registered():
+def test_all_three_rule_families_are_registered():
     assert {rule.name for rule in all_rules()} >= EXPECTED_RULES
 
 

@@ -21,7 +21,7 @@ from repro.exceptions import DopplerError, SpecificationError
 
 @pytest.fixture()
 def simulator():
-    return Simulator(backend="numpy", cache=DecompositionCache())
+    return Simulator(cache=DecompositionCache())
 
 
 @pytest.fixture()

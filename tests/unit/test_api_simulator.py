@@ -1,6 +1,6 @@
 """Unit tests for the unified session API (:mod:`repro.api`).
 
-The acceptance contract: ``Simulator(backend="numpy")`` results are
+The acceptance contract: ``Simulator()`` results are
 bit-identical to looped single-spec generators for the same seeds, and
 ``asyncio.gather`` over several ``sim.submit(...)`` calls completes with
 per-plan results matching the synchronous ``sim.run(...)``.
@@ -54,7 +54,6 @@ def _plan(n_entries=5, seed=31, n_branches=3):
 class TestConstruction:
     def test_default_session_properties(self):
         sim = Simulator()
-        assert sim.backend.name == "numpy"
         assert sim.max_workers is None
         assert isinstance(sim.cache, DecompositionCache)
 
@@ -235,21 +234,6 @@ class TestRun:
             assert np.array_equal(seq_block.samples, par_block.samples)
         assert [b.metadata["plan_index"] for b in parallel.blocks] == list(range(6))
 
-    def test_parallel_run_with_unregistered_backend_instance(self):
-        # The instance itself is used; no registry lookup.
-        from repro.engine import ScipyBackend
-
-        backend = ScipyBackend(driver="evd")
-        plan = _plan(4)
-        with Simulator(
-            cache=DecompositionCache(), backend=backend, max_workers=2
-        ) as sim:
-            parallel = sim.run(plan, 12)
-        sequential = Simulator(cache=DecompositionCache(), backend=backend).run(plan, 12)
-        for par_block, seq_block in zip(parallel.blocks, sequential.blocks):
-            assert np.array_equal(par_block.samples, seq_block.samples)
-        assert parallel.backend == "scipy"
-
     def test_sweep_accepts_2d_array_of_per_scenario_powers(self):
         sweep = ScenarioSweep.product(
             MIMOArrayScenario,
@@ -293,14 +277,6 @@ class TestRun:
         with pytest.raises(GenerationError, match="n_samples"):
             Simulator(cache=DecompositionCache()).run(_plan(2), 0)
 
-    def test_scipy_backend_session_matches_numpy(self):
-        # The migration target of the removed parallel.run_plan_parallel
-        # wrapper, backend argument included: Simulator(...).run(plan, n).blocks.
-        plan = _plan(3)
-        via_scipy = Simulator(backend="scipy", cache=DecompositionCache()).run(plan, 8)
-        _same_bytes(via_scipy, Simulator(cache=DecompositionCache()).run(plan, 8))
-        assert via_scipy.backend == "scipy"
-
     def test_run_plan_parallel_wrapper_is_gone(self):
         # The whole repro.parallel package went with it: replica ensembles
         # are plans and repro.shard is the one multiprocess path.
@@ -314,7 +290,6 @@ class TestRun:
         assert "decomposition cache" in summary
         assert "3 hits" in summary
         assert "hit rate" in summary
-        assert "backend=numpy" in summary
 
 
 def _same_bytes(result, reference):
@@ -599,7 +574,7 @@ class TestSubmit:
         assert sim.pending_submissions == 0
         sim.close()
 
-    def test_cancelled_submit_releases_pool_slot(self):
+    def test_cancelled_submit_releases_pool_slot(self, flaky_eigh):
         """Regression: cancelling the awaitable must not orphan the work.
 
         With a single pool thread deliberately occupied, the submitted call
@@ -609,10 +584,8 @@ class TestSubmit:
         """
         import threading
 
-        from conftest import FlakyBackend
-
-        backend = FlakyBackend(fail_at=0)  # fail_at=0 never fires: pure counter
-        sim = Simulator(backend=backend, cache=DecompositionCache(), max_workers=1)
+        counter = flaky_eigh(fail_at=0)  # fail_at=0 never fires: pure counter
+        sim = Simulator(cache=DecompositionCache(), max_workers=1)
         gate = threading.Event()
         release = threading.Event()
 
@@ -638,6 +611,6 @@ class TestSubmit:
             blocker.result(timeout=5)
 
         asyncio.run(scenario())
-        # The cancelled compile never reached the backend.
-        assert backend.eigh_calls == 0
+        # The cancelled compile never reached eigh.
+        assert counter.eigh_calls == 0
         sim.close()

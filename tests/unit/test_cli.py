@@ -53,7 +53,6 @@ class TestParser:
                 "--port", "0",
                 "--max-queue", "8",
                 "--dispatch-slots", "2",
-                "--backend", "scipy",
                 "--cache-dir", str(tmp_path),
             ]
         )
@@ -61,7 +60,6 @@ class TestParser:
         assert args.port == 0
         assert args.max_queue == 8
         assert args.dispatch_slots == 2
-        assert args.backend == "scipy"
 
     def test_serve_rejects_degenerate_limits(self):
         with pytest.raises(SystemExit):
@@ -140,38 +138,23 @@ class TestVersionFlag:
         assert excinfo.value.code == 0
 
 
-class TestBackendOption:
-    def test_batch_accepts_backend(self, capsys):
-        code = main(
-            [
-                "batch",
-                "--batch-sizes",
-                "1,4",
-                "--samples",
-                "16",
-                "--repeats",
-                "1",
-                "--backend",
-                "scipy",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "backend" in out
-        assert "scipy" in out
-
-    def test_batch_rejects_unknown_backend(self):
-        from repro.exceptions import BackendError
-
-        with pytest.raises(BackendError):
-            main(["batch", "--batch-sizes", "1", "--samples", "8", "--repeats", "1",
-                  "--backend", "not-a-backend"])
-
-    def test_run_forwards_backend_only_where_supported(self, capsys):
-        # eq22 has no backend parameter; the runner must drop the kwarg.
-        code = main(["run", "eq22-spectral-covariance", "--backend", "scipy"])
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out
+class TestBackendOptionRemoved:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "eq22-spectral-covariance"],
+            ["batch"],
+            ["suite", "rayleigh-baseline"],
+            ["serve"],
+            ["shard", "--cache-dir", "cache"],
+        ],
+        ids=["run", "batch", "suite", "serve", "shard"],
+    )
+    def test_backend_flag_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestBatchCacheSummary:
@@ -308,15 +291,6 @@ class TestBatchDopplerMode:
         assert "scaling-doppler-batch" in out
         assert "doppler filters:" in out
         assert "entries served" in out
-
-    def test_doppler_batch_accepts_backend(self, capsys):
-        code = main(
-            ["batch", "--doppler", "--batch-sizes", "1", "--points", "64",
-             "--repeats", "1", "--backend", "scipy"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "scipy" in out
 
     def test_doppler_rejects_out_of_range_fm(self):
         with pytest.raises(SystemExit):

@@ -22,7 +22,6 @@ from repro.engine import (
     SimulationPlan,
     compile_plan,
     compiled_plan_cache_key,
-    get_backend,
 )
 
 N_THREADS = 8
@@ -73,8 +72,7 @@ class TestCompiledPlanCacheMemoryTier:
     ):
         plan, compiled = compiled_plan
         cache = CompiledPlanCache(tmp_path)
-        backend = get_backend("numpy")
-        key = compiled_plan_cache_key(plan, cache_token=backend.cache_token)
+        key = compiled_plan_cache_key(plan)
         lookup_counts = [0] * N_THREADS
         byte_samples = []
 
@@ -86,7 +84,7 @@ class TestCompiledPlanCacheMemoryTier:
                 elif step == 3 and index % 2:
                     cache.invalidate(key)
                 else:
-                    served = cache.lookup(plan, key, backend=backend)
+                    served = cache.lookup(plan, key)
                     lookup_counts[index] += 1
                     if served is not None:
                         assert served.n_entries == compiled.n_entries
@@ -111,16 +109,15 @@ class TestCompiledPlanCacheMemoryTier:
     ):
         plan, compiled = compiled_plan
         cache = CompiledPlanCache(tmp_path)
-        backend = get_backend("numpy")
-        key = compiled_plan_cache_key(plan, cache_token=backend.cache_token)
+        key = compiled_plan_cache_key(plan)
 
         def worker(index):
             for _ in range(N_ITERATIONS):
                 cache.put(compiled, key)
-                cache.lookup(plan, key, backend=backend)
+                cache.lookup(plan, key)
 
         _hammer(worker)
-        served = cache.lookup(plan, key, backend=backend)
+        served = cache.lookup(plan, key)
         assert served is not None
         for group, fresh_group in zip(served.groups, compiled.groups):
             np.testing.assert_array_equal(

@@ -197,8 +197,8 @@ class TestCovarianceAdmission:
                 lambda: CovarianceSpec.from_covariance_matrix(
                     np.array([[1.0, np.nan], [np.nan, 1.0]])
                 ),
-                NotHermitianError,
-                NOT_HERMITIAN.format("nan"),
+                CovarianceError,
+                "the covariance matrix has non-finite entries",
             ),
             (
                 lambda: CovarianceSpec(matrix=K2, gaussian_variances=np.array([1.0, 2.5])),
@@ -239,11 +239,14 @@ class TestCovarianceAdmission:
             [[1.0, np.inf], [np.inf, 1.0]],
             [[np.inf, 0.0], [0.0, 1.0]],
             [[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[1.0, 0.5], [0.5, np.nan]],
         ],
-        ids=["off-diagonal", "diagonal", "imaginary"],
+        ids=["off-diagonal", "diagonal", "imaginary", "nan", "nan-diagonal"],
     )
     def test_non_finite_entries_rejected(self, matrix):
-        """Hermitian by np.isclose's rule (matching infinities), yet not a covariance."""
+        """Infinities are Hermitian by np.isclose's rule and NaN is not, yet
+        both are refused for what they are: non-finite."""
         with pytest.raises(CovarianceError) as info:
             SimulationPlan().add(np.array(matrix, dtype=complex))
         assert type(info.value) is CovarianceError

@@ -12,6 +12,8 @@ import repro
 from repro.core.coloring import compute_coloring
 from repro.engine import (
     DecompositionCache,
+    DopplerSpec,
+    SimulationEngine,
     SimulationPlan,
     compile_plan,
     compiled_plan_cache_key,
@@ -137,6 +139,23 @@ class TestCacheBehaviour:
         stats = cache.stats
         assert (stats.hits, stats.misses) == (0, 2)
         assert len(cache) == 0
+
+    def test_doppler_mode_does_not_change_cache_keys(self):
+        """A Doppler entry and a snapshot entry over the same matrix share
+        one decomposition — the cache key is Doppler-agnostic."""
+        # Not PSD, so the shared decomposition includes the Section 4.2 repair.
+        matrix = np.array(
+            [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]], dtype=complex
+        )
+        cache = DecompositionCache()
+        snapshot_plan = SimulationPlan.from_specs([matrix], seed=1)
+        SimulationEngine(cache=cache).run(snapshot_plan, 4)
+        doppler_plan = SimulationPlan.from_specs(
+            [matrix], seed=2, doppler=DopplerSpec(0.05, 64)
+        )
+        result = SimulationEngine(cache=cache).run(doppler_plan, 4)
+        assert result.compile_report.cache_hits == 1
+        assert result.compile_report.cache_misses == 0
 
     def test_negative_maxsize_rejected(self):
         with pytest.raises(ValueError):

@@ -10,12 +10,10 @@ from repro.core.coloring import compute_coloring
 from repro.engine import (
     DecompositionCache,
     DopplerSpec,
-    NumpyBackend,
     SimulationEngine,
     SimulationPlan,
     compile_plan,
     execute_plan,
-    register_backend,
     stream_plan,
 )
 from repro.exceptions import (
@@ -233,19 +231,18 @@ def _indefinite(size, power=1.0):
 
 
 @pytest.fixture()
-def eigh_calls(isolated_backend_registry):
-    """Shapes of every stacked ``eigh`` a registered counting backend ran."""
+def eigh_calls(monkeypatch):
+    """Shapes of every stacked ``eigh`` the test ran."""
+    from repro.linalg import batched
+
     shapes = []
+    eigh = batched._eigh_hermitian_stack
 
-    class EighCountingBackend(NumpyBackend):
-        name = "test-eigh-counting"
-        tolerance = 0.0
+    def counting(herm):
+        shapes.append(herm.shape)
+        return eigh(herm)
 
-        def eigh(self, stack):
-            shapes.append(stack.shape)
-            return super().eigh(stack)
-
-    register_backend("test-eigh-counting", EighCountingBackend)
+    monkeypatch.setattr(batched, "_eigh_hermitian_stack", counting)
     return shapes
 
 
@@ -269,9 +266,7 @@ class TestPlanWideDecomposition:
         plan.add(matrix, seed=1)
         plan.add(matrix, seed=2, doppler=DopplerSpec(0.05, 64))
         plan.add(matrix, seed=3, fading=_NAKAGAMI)
-        compiled = compile_plan(
-            plan, cache=DecompositionCache(maxsize=0), backend="test-eigh-counting"
-        )
+        compiled = compile_plan(plan, cache=DecompositionCache(maxsize=0))
         assert compiled.report.n_groups == 3
         # One forcing eigh over one slice; the PSD matrix is not repaired,
         # so the coloring reuses that decomposition.
@@ -307,9 +302,7 @@ class TestPlanWideDecomposition:
         ]
         for index, (matrix, extra) in enumerate(zip(matrices, options)):
             plan.add(matrix, seed=index, **extra)
-        compiled = compile_plan(
-            plan, cache=DecompositionCache(maxsize=0), backend="test-eigh-counting"
-        )
+        compiled = compile_plan(plan, cache=DecompositionCache(maxsize=0))
         for index, matrix in enumerate(matrices):
             _assert_same_decomposition(
                 compiled.decomposition_for(index), compute_coloring(matrix)

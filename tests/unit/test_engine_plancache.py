@@ -1,7 +1,7 @@
 """Unit tests for the compiled-plan cache (:mod:`repro.engine.plancache`).
 
 The executor-level tier: whole :class:`CompiledPlan` artifacts on disk,
-keyed by the content hash of the ``(plan, backend namespace)`` pair.  The
+keyed by the content hash of the plan.  The
 two standing invariants are exercised at this level too: a disk hit is
 bit-identical to a fresh compilation (and performs **zero**
 ``eigh``/``cholesky``/filter-build calls), and a corrupt or truncated
@@ -94,13 +94,6 @@ class TestKey:
         variance = SimulationPlan()
         variance.add(base_matrix, seed=1, sample_variance=2.0)
         assert compiled_plan_cache_key(variance) != base_key
-
-    def test_backend_token_namespaces_keys(self, base_matrix):
-        plan = SimulationPlan()
-        plan.add(base_matrix, seed=1)
-        assert compiled_plan_cache_key(plan, cache_token="numpy") != compiled_plan_cache_key(
-            plan, cache_token="gpu"
-        )
 
     def test_entry_order_matters(self, base_matrix):
         forward = SimulationPlan()
@@ -654,34 +647,13 @@ class TestInflightSingleflight:
         assert stats.inflight_coalesced == 0
 
     def test_concurrent_equal_compiles_share_one_fresh_compile(
-        self, base_matrix, tmp_path
+        self, base_matrix, tmp_path, gated_eigh
     ):
         """N threads, equal plan hash: one leader compiles, N-1 coalesce."""
         import threading
 
-        from repro.engine.backends import NumpyBackend
-
         n_threads = 4
-
-        class GatedBackend(NumpyBackend):
-            name = "gated-numpy"
-            tolerance = 1e-299
-
-            def __init__(self):
-                self.entered = threading.Event()
-                self.release = threading.Event()
-                self.eigh_calls = 0
-                self._lock = threading.Lock()
-
-            def eigh(self, stack):
-                with self._lock:
-                    self.eigh_calls += 1
-                self.entered.set()
-                if not self.release.wait(timeout=10):  # pragma: no cover
-                    raise RuntimeError("gate never released")
-                return super().eigh(stack)
-
-        backend = GatedBackend()
+        gate = gated_eigh
         cache = CompiledPlanCache(tmp_path)
         decomp = DecompositionCache()
         filters = DopplerFilterCache()
@@ -698,7 +670,6 @@ class TestInflightSingleflight:
                     cache=decomp,
                     filter_cache=filters,
                     plan_cache=cache,
-                    backend=backend,
                 )
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
@@ -710,13 +681,13 @@ class TestInflightSingleflight:
             thread.start()
         # The leader is stalled inside eigh; wait until every other thread
         # has registered as an in-flight follower, then open the gate.
-        assert backend.entered.wait(timeout=10)
+        assert gate.entered.wait(timeout=10)
         deadline = 100
         while cache.stats.inflight_coalesced < n_threads - 1 and deadline:
             deadline -= 1
             threading.Event().wait(0.02)
         assert cache.stats.inflight_coalesced == n_threads - 1
-        backend.release.set()
+        gate.release.set()
         for thread in threads:
             thread.join(timeout=10)
         assert not errors
@@ -731,11 +702,13 @@ class TestInflightSingleflight:
         assert all(r.report.plan_inflight_hits == 1 for r in followers)
         assert leaders[0].report.plan_inflight_hits == 0
 
-    def test_leader_failure_releases_key_for_reelection(self, base_matrix, tmp_path):
+    def test_leader_failure_releases_key_for_reelection(
+        self, base_matrix, tmp_path, flaky_eigh
+    ):
         """A failing leader must not strand followers or poison the key."""
-        from conftest import FlakyBackend, InjectedFault
+        from conftest import InjectedFault
 
-        backend = FlakyBackend(fail_at=1)
+        flaky_eigh(fail_at=1)
         cache = CompiledPlanCache(tmp_path)
         plan = SimulationPlan()
         plan.add(base_matrix, seed=7)
@@ -745,7 +718,6 @@ class TestInflightSingleflight:
                 cache=DecompositionCache(),
                 filter_cache=DopplerFilterCache(),
                 plan_cache=cache,
-                backend=backend,
             )
         # The in-flight table is clean: no stuck event for the key.
         assert cache._inflight == {}
@@ -755,7 +727,6 @@ class TestInflightSingleflight:
             cache=DecompositionCache(),
             filter_cache=DopplerFilterCache(),
             plan_cache=cache,
-            backend=backend,
         )
         assert compiled.report.plan_cache_hits == 0
         assert cache.stats.inflight_leads == 2

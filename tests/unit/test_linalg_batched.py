@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.coloring import compute_coloring, compute_coloring_batch
 from repro.core.psd import force_positive_semidefinite
-from repro.engine import NumpyBackend
 from repro.exceptions import CholeskyError, CovarianceError, DimensionError
 from repro.linalg import (
     batched_cholesky_factor,
@@ -128,17 +127,18 @@ class TestBatchedPSDForcing:
         with pytest.raises(ValueError):
             force_stack(psd_stack, method="nope")
 
-    def test_clip_reconstructs_only_the_repaired_slices(self, mixed_stack):
+    def test_clip_reconstructs_only_the_repaired_slices(self, mixed_stack, monkeypatch):
+        from repro.linalg import batched as batched_linalg
+
         shapes = []
+        reconstruct = batched_linalg.batched_reconstruct_from_eigen
 
-        class MatmulCountingBackend(NumpyBackend):
-            def matmul(self, a, b):
-                shapes.append(a.shape)
-                return super().matmul(a, b)
+        def counting(eigenvalues, eigenvectors):
+            shapes.append(eigenvectors.shape)
+            return reconstruct(eigenvalues, eigenvectors)
 
-        batched = force_stack(
-            mixed_stack, method="clip", backend=MatmulCountingBackend()
-        )
+        monkeypatch.setattr(batched_linalg, "batched_reconstruct_from_eigen", counting)
+        batched = force_stack(mixed_stack, method="clip")
         assert shapes == [(1, 4, 4)]  # only the indefinite slice 2
         for index in (0, 1):
             assert batched[index].matrix.tobytes() == mixed_stack[index].tobytes()
@@ -160,18 +160,19 @@ class TestBatchedPSDForcing:
                 force_stack(stack, method=method)
         assert info.value.stack_index == 2
 
-    def test_eigh_failure_names_its_first_failing_slice(self):
-        class FailingBackend(NumpyBackend):
-            """``eigh`` fails on any stack holding a matrix with trace 7."""
+    def test_eigh_failure_names_its_first_failing_slice(self, monkeypatch):
+        eigh = np.linalg.eigh
 
-            def eigh(self, a):
-                if np.any(np.isclose(np.trace(a, axis1=1, axis2=2).real, 7.0)):
-                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-                return super().eigh(a)
+        def failing(a):
+            """``eigh`` that fails on any stack holding a matrix with trace 7."""
+            if np.any(np.isclose(np.trace(a, axis1=1, axis2=2).real, 7.0)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
 
+        monkeypatch.setattr(np.linalg, "eigh", failing)
         stack = np.stack([np.eye(2), np.diag([3.0, 4.0]), np.eye(2)])
         with pytest.raises(CovarianceError, match="at stack index 1 ") as info:
-            force_stack(stack, backend=FailingBackend())
+            force_stack(stack)
         assert info.value.stack_index == 1
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 

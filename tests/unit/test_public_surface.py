@@ -120,10 +120,6 @@ PUBLIC_SURFACE: Dict[str, Dict[str, str]] = {
         "KM_EXPECTED": "the paper's stated k_m = 204; a test checks that the "
         "Doppler parameters reproduce it",
     },
-    "engine/backends.py": {
-        "available_backends": "backend discovery; the --backend help and the "
-        "README point users to it",
-    },
     "service/core.py": {
         "EnvelopeService.queue_depth": "the service property suite checks the "
         "queue drains through it",

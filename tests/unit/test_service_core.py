@@ -1,9 +1,9 @@
 """Unit tests of the serving core (:mod:`repro.service.core`).
 
-The fault-injection half uses the deterministic ``FlakyBackend`` /
+The fault-injection half uses the deterministic ``flaky_eigh`` /
 ``flaky_plan_cache`` harness from ``tests/conftest.py`` to prove the
-tentpole's robustness claim: a mid-compile fault — a backend blowing up in
-``eigh``, a plan-cache store failing a disk probe — fails only the affected
+serving core's robustness claim: a mid-compile fault — ``eigh`` blowing
+up, a plan-cache store failing a disk probe — fails only the affected
 request; the worker loops survive and keep serving.
 """
 
@@ -16,7 +16,6 @@ import pytest
 
 from repro.api import Simulator
 from repro.engine import SimulationPlan
-from repro.engine.backends import NumpyBackend
 from repro.engine.cache import DecompositionCache
 from repro.exceptions import BackpressureError, ServiceError, SpecificationError
 from repro.service import EnvelopeService, request_key
@@ -254,11 +253,12 @@ class TestCancellation:
 
 
 class TestFaultInjection:
-    def test_backend_fault_fails_request_not_service(self, flaky_backend):
+    def test_backend_fault_fails_request_not_service(self, flaky_eigh):
         """A mid-compile eigh fault resolves one request; the loop survives."""
+        flaky_eigh(fail_at=1)
 
         async def scenario():
-            sim = Simulator(backend=flaky_backend(fail_at=1), cache=DecompositionCache())
+            sim = Simulator(cache=DecompositionCache())
             async with EnvelopeService(sim, dispatch_slots=1) as service:
                 doomed = service.submit(_plan(seed=1), 16)
                 with pytest.raises(InjectedFault, match="injected backend fault"):
@@ -278,9 +278,11 @@ class TestFaultInjection:
 
         asyncio.run(scenario())
 
-    def test_backend_fault_fans_out_to_every_coalesced_waiter(self, flaky_backend):
+    def test_backend_fault_fans_out_to_every_coalesced_waiter(self, flaky_eigh):
+        flaky_eigh(fail_at=1)
+
         async def scenario():
-            sim = Simulator(backend=flaky_backend(fail_at=1), cache=DecompositionCache())
+            sim = Simulator(cache=DecompositionCache())
             async with EnvelopeService(sim, dispatch_slots=1) as service:
                 ids = [
                     service.submit(_plan(seed=1), 16, client_id=f"c{i}")
@@ -370,17 +372,28 @@ def _wire_blocks(result):
     return result_from_lines(iter(list(result_to_lines(result))))["blocks"]
 
 
-class _ExecuteFaultBackend(NumpyBackend):
-    """A numpy backend whose coloring multiply fails once when armed."""
+class _ExecuteFault:
+    """A coloring multiply that fails once when armed."""
 
-    def __init__(self) -> None:
+    def __init__(self, matmul_into) -> None:
+        self._matmul_into = matmul_into
         self.armed = False
 
-    def matmul_into(self, a, b, out):
+    def __call__(self, a, b, out):
         if self.armed:
             self.armed = False
             raise InjectedFault("injected execute fault")
-        return super().matmul_into(a, b, out)
+        return self._matmul_into(a, b, out)
+
+
+@pytest.fixture()
+def execute_fault(monkeypatch):
+    """An :class:`_ExecuteFault` patched over the executor's coloring multiply."""
+    from repro.engine import execute
+
+    fault = _ExecuteFault(execute._matmul_into)
+    monkeypatch.setattr(execute, "_matmul_into", fault)
+    return fault
 
 
 class TestPlacement:
@@ -441,14 +454,12 @@ class TestPlacement:
         report = result.compile_report
         assert (report.cache_hits, report.cache_misses) == (1, 0)
 
-    def test_inline_failure_resolves_only_its_waiters(self):
-        backend = _ExecuteFaultBackend()
-
+    def test_inline_failure_resolves_only_its_waiters(self, execute_fault):
         async def scenario():
-            sim = Simulator(backend=backend, cache=DecompositionCache(), max_workers=1)
+            sim = Simulator(cache=DecompositionCache(), max_workers=1)
             async with EnvelopeService(sim, dispatch_slots=1) as service:
                 await service.result(service.submit(_plan(seed=1), 32))
-                backend.armed = True
+                execute_fault.armed = True
                 doomed = [
                     service.submit(_plan(seed=2), 32, client_id=f"c{i}") for i in range(2)
                 ]

@@ -17,7 +17,6 @@ import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -27,7 +26,6 @@ import pytest
 import repro
 from repro.api import Simulator
 from repro.engine import SimulationPlan
-from repro.engine.backends import NumpyBackend
 from repro.engine.cache import DecompositionCache
 from repro.service import (
     PROTOCOL_VERSION,
@@ -37,8 +35,6 @@ from repro.service import (
     result_from_lines,
 )
 
-from conftest import FlakyBackend
-
 BASE = np.array([[1.0, 0.45 + 0.15j], [0.45 - 0.15j, 1.7]], dtype=complex)
 
 
@@ -46,23 +42,6 @@ def _plan(seed=7, scale=1.0):
     plan = SimulationPlan()
     plan.add(scale * BASE, seed=seed)
     return plan
-
-
-class GatedBackend(NumpyBackend):
-    """A numpy backend whose ``eigh`` blocks until the test releases it."""
-
-    name = "gated-numpy"
-    tolerance = 1e-299  # never cache-aliased with numpy
-
-    def __init__(self) -> None:
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def eigh(self, stack):
-        self.entered.set()
-        if not self.release.wait(timeout=10):
-            raise RuntimeError("gate never released")  # pragma: no cover
-        return super().eigh(stack)
 
 
 async def _request(port, method, path, body=None):
@@ -546,8 +525,7 @@ class TestRoutes:
                 for matrix, refusal in (
                     ([[1.0, np.inf], [np.inf, 1.0]], "non-finite"),
                     ([[np.inf, 0.0], [0.0, 1.0]], "non-finite"),
-                    # NaN fails the Hermitian check first: NaN != NaN.
-                    ([[1.0, np.nan], [np.nan, 1.0]], "not Hermitian"),
+                    ([[1.0, np.nan], [np.nan, 1.0]], "non-finite"),
                 ):
                     payload = plan_to_payload(_plan(), 32)
                     data = np.array(matrix, dtype="<c16").tobytes()
@@ -568,11 +546,11 @@ class TestRoutes:
 
 
 class TestBackpressureAndCancellation:
-    def test_full_queue_429_with_retry_after(self):
-        backend = GatedBackend()
+    def test_full_queue_429_with_retry_after(self, gated_eigh):
+        gate = gated_eigh
 
         async def scenario():
-            sim = Simulator(backend=backend, cache=DecompositionCache(), max_workers=1)
+            sim = Simulator(cache=DecompositionCache(), max_workers=1)
             async with _serve(sim, max_queue=1, dispatch_slots=1) as (
                 _service,
                 server,
@@ -585,7 +563,7 @@ class TestBackpressureAndCancellation:
                     body=plan_to_payload(_plan(seed=1), 32),
                 )
                 assert status == 202
-                await asyncio.to_thread(backend.entered.wait, 10)
+                await asyncio.to_thread(gate.entered.wait, 10)
                 # Second plan fills the one queue slot.
                 status, _h, _r = await _request(
                     server.port,
@@ -605,16 +583,16 @@ class TestBackpressureAndCancellation:
                 assert int(headers["retry-after"]) >= 1
                 body = json.loads(raw)
                 assert body["retry_after"] > 0
-                backend.release.set()
+                gate.release.set()
             sim.close()
 
         asyncio.run(scenario())
 
-    def test_delete_cancels_queued_request_409_result(self):
-        backend = GatedBackend()
+    def test_delete_cancels_queued_request_409_result(self, gated_eigh):
+        gate = gated_eigh
 
         async def scenario():
-            sim = Simulator(backend=backend, cache=DecompositionCache(), max_workers=1)
+            sim = Simulator(cache=DecompositionCache(), max_workers=1)
             async with _serve(sim, max_queue=4, dispatch_slots=1) as (
                 _service,
                 server,
@@ -626,7 +604,7 @@ class TestBackpressureAndCancellation:
                     body=plan_to_payload(_plan(seed=1), 32),
                 )
                 assert status == 202
-                await asyncio.to_thread(backend.entered.wait, 10)
+                await asyncio.to_thread(gate.entered.wait, 10)
                 # Queued behind the gated flight: cancellable before dispatch.
                 status, _h, raw = await _request(
                     server.port,
@@ -652,18 +630,18 @@ class TestBackpressureAndCancellation:
                 )
                 assert status == 409
                 assert "cancelled" in json.loads(raw)["error"]
-                backend.release.set()
+                gate.release.set()
             sim.close()
 
         asyncio.run(scenario())
 
 
 class TestFailures:
-    def test_failed_flight_maps_to_500_with_fault_name(self, flaky_backend):
+    def test_failed_flight_maps_to_500_with_fault_name(self, flaky_eigh):
+        flaky_eigh(fail_at=1)
+
         async def scenario():
-            sim = Simulator(
-                backend=flaky_backend(fail_at=1), cache=DecompositionCache()
-            )
+            sim = Simulator(cache=DecompositionCache())
             async with _serve(sim, dispatch_slots=1) as (_service, server):
                 status, _h, raw = await _request(
                     server.port,
@@ -783,7 +761,6 @@ def _per_line_response(result):
                 "version": PROTOCOL_VERSION,
                 "n_entries": len(result.blocks),
                 "n_samples": int(result.n_samples),
-                "backend": result.backend,
                 "execute_seconds": float(result.execute_seconds),
                 "compile_report": asdict(result.compile_report),
             }

@@ -368,7 +368,7 @@ class TestResultStream:
         lines = list(result_to_lines(result))
         decoded = result_from_lines(iter(lines))
         assert decoded["header"]["n_entries"] == len(result.blocks)
-        assert decoded["header"]["backend"] == result.backend
+        assert "backend" not in decoded["header"]
         assert decoded["header"]["compile_report"]["n_entries"] == 3
         assert decoded["labels"] == ["plain", "scaled", "doppler"]
         assert len(decoded["blocks"]) == len(result.blocks)
@@ -407,7 +407,6 @@ def _dumped_lines(result):
             "version": PROTOCOL_VERSION,
             "n_entries": len(result.blocks),
             "n_samples": int(result.n_samples),
-            "backend": result.backend,
             "execute_seconds": float(result.execute_seconds),
             "compile_report": asdict(result.compile_report),
         }

@@ -418,7 +418,6 @@ def _partial(plan_slice: PlanSlice, n_samples: int = 8, **report_overrides) -> B
         n_samples=n_samples,
         compile_report=_report(plan_slice.n_entries, **report_overrides),
         execute_seconds=0.1,
-        backend="numpy",
     )
 
 
@@ -432,7 +431,6 @@ class TestMergeResults:
             [partials[2], partials[0], partials[1]],
             n_samples=8,
             wall_seconds=1.5,
-            backend="numpy",
         )
         assert len(merged.blocks) == 7
         for index, block in enumerate(merged.blocks):
@@ -481,7 +479,6 @@ class TestMergeResults:
             n_samples=short.n_samples,
             compile_report=short.compile_report,
             execute_seconds=short.execute_seconds,
-            backend=short.backend,
         )
         with pytest.raises(SpecificationError, match="blocks"):
             merge_results(slices, [short, _partial(slices[1])], n_samples=8)
@@ -1207,7 +1204,7 @@ class TestWarmWorkers:
 
         def spawn(slice_path, out_name):
             return runner._spawn(
-                slice_path, tmp_path / out_name, cache_dir=None, backend=None, env=env
+                slice_path, tmp_path / out_name, cache_dir=None, env=env
             )
 
         finished = spawn(tmp_path / "slice.json", "finished")
@@ -1269,7 +1266,6 @@ class TestForkedWorkerContract:
             fifo,
             tmp_path / "shard_0",
             cache_dir=None,
-            backend=None,
             env=runner._worker_env(None, 1),
         )
         assert isinstance(process, runner._ForkedWorker)
@@ -1446,7 +1442,7 @@ class TestLauncherLifetime:
             "    plan.add(np.eye(2) * (1 + index), seed=index)\n"
             f"assert run_sharded(plan, 16, n_shards=2, work_dir={str(tmp_path)!r}).ok\n"
             f"blocked = runner._spawn(Path({str(fifo)!r}), Path({str(tmp_path)!r}) / 'blocked',\n"
-            "    cache_dir=None, backend=None, env=runner._worker_env(None, 2))\n"
+            "    cache_dir=None, env=runner._worker_env(None, 2))\n"
             "while blocked.pid is None:\n"
             "    time.sleep(0.01)\n"
             "assert blocked.poll() is None\n"

@@ -202,7 +202,7 @@ class TestScipyOptional:
             plan = SimulationPlan()
             plan.add(K, seed=1)
             plan.add(K, seed=2, doppler={"normalized_doppler": 0.05, "n_points": 64})
-            result = SimulationEngine(backend="numpy").run(plan, 128)
+            result = SimulationEngine().run(plan, 128)
             assert [b.samples.shape for b in result.blocks] == [(2, 128), (2, 128)]
             assert repro.Simulator().envelopes(K, 64, seed=3).envelopes.shape == (2, 64)
             try:

@@ -23,7 +23,7 @@ guarantees").
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 from .framework import Finding, ModuleInfo, Project, Rule, register_rule
 

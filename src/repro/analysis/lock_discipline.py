@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from .framework import Finding, ModuleInfo, Rule, register_rule
 

@@ -49,8 +49,6 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-import numpy as np
-
 from .engine import (
     BatchResult,
     CompiledPlan,
@@ -59,7 +57,7 @@ from .engine import (
     SimulationPlan,
 )
 from .exceptions import ParallelExecutionError, SpecificationError
-from .types import EnvelopeBlock, GaussianBlock, SeedLike
+from .types import EnvelopeBlock
 
 __all__ = ["Simulator"]
 
@@ -258,172 +256,20 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # One-call generation
     # ------------------------------------------------------------------ #
-    def envelopes(
-        self,
-        source,
-        n_samples: int,
-        *,
-        seed: SeedLike = None,
-        gaussian_powers=None,
-        envelope_powers: bool = False,
-        mode: str = "auto",
-        normalized_doppler: Optional[float] = None,
-        n_points: Optional[int] = None,
-        compensate_variance: bool = True,
-        coloring_method: str = "eigen",
-        psd_method: str = "clip",
-        fading=None,
-        return_gaussian: bool = False,
-    ) -> Union[EnvelopeBlock, GaussianBlock]:
-        """Generate correlated Rayleigh envelopes for one specification.
+    def envelopes(self, covariance, n_samples: int, **entry) -> EnvelopeBlock:
+        """Generate the envelopes of one entry: a one-entry plan run by :meth:`run`.
 
-        Pass a :class:`repro.core.covariance.CovarianceSpec`, a raw covariance
-        matrix, or a scenario object exposing
-        ``covariance_spec(gaussian_powers)`` (the OFDM / MIMO scenario
-        dataclasses), and get the envelope (or Gaussian) block back.
-
-        Parameters
-        ----------
-        source:
-            Covariance spec, raw complex covariance matrix, or scenario
-            object.  Scenario objects require ``gaussian_powers``.
-        n_samples:
-            Time samples per branch.  In Doppler mode this is rounded up to
-            a whole number of IDFT blocks and then truncated.
-        seed:
-            Seed or generator for the white-sample stream.  The same seed
-            fed to a standalone generator produces bit-identical samples.
-        gaussian_powers:
-            Per-branch complex-Gaussian powers, required when ``source`` is
-            a scenario object.
-        envelope_powers:
-            For raw matrices: interpret diagonal powers as *envelope*
-            variances and convert through Eq. (11).
-        mode:
-            ``"auto"`` (default) selects Doppler mode exactly when a
-            normalized Doppler is given or inferred; ``"doppler"`` requires
-            one (explicit or scenario-inferred) and raises otherwise;
-            ``"snapshot"`` forbids one.
-        normalized_doppler:
-            If given (``0 < f_m < 0.5``), use the real-time Doppler-shaped
-            generator of the paper's Section 5; scenarios carrying their own
-            Doppler settings supply it implicitly (a Doppler one-entry plan
-            of the batched engine).
-        n_points:
-            IDFT block length ``M`` for Doppler mode.  ``None`` picks the
-            smallest valid power of two holding ``n_samples``
-            (:func:`repro.engine.doppler_block_size`); an explicit
-            smaller value makes the engine concatenate (and truncate)
-            multiple blocks.
-        compensate_variance:
-            Doppler mode only: apply the Eq. (19) variance compensation
-            (default, the paper's algorithm) or reproduce the uncompensated
-            defect of [6].
-        coloring_method, psd_method:
-            Algorithm variants (defaults are the paper's choices).
-        fading:
-            Optional fading model (see :mod:`repro.models.fading`): a model
-            name, a ``{"model", "shape", "shadowing_sigma_db"}`` mapping, or
-            a :class:`repro.models.FadingSpec`.  ``None`` (default) is the
-            paper's Rayleigh — byte-identical to the pre-model-zoo path.
-        return_gaussian:
-            Return the complex :class:`GaussianBlock` instead of envelopes.
+        ``covariance`` and the keywords are exactly those of
+        :meth:`repro.engine.SimulationPlan.add` (``seed``, ``doppler``,
+        ``fading``, the algorithm options, ...), so the result is
+        bit-identical to ``sim.run(plan, n_samples).blocks[0].envelopes()``
+        for that plan.  Gaussian samples are that plan's ``blocks[0]``; a
+        scenario passes ``scenario.covariance_spec(powers)``, and envelope
+        powers pass :meth:`repro.core.CovarianceSpec.from_envelope_variances`.
         """
-        from .core.covariance import CovarianceSpec
-        from .engine import DopplerSpec, doppler_block_size
-
-        if mode not in ("auto", "snapshot", "doppler"):
-            raise SpecificationError(
-                f"mode must be 'auto', 'snapshot', or 'doppler'; got {mode!r}"
-            )
-        if n_samples < 1:
-            raise SpecificationError(f"n_samples must be >= 1, got {n_samples}")
-        if mode == "snapshot" and normalized_doppler is not None:
-            raise SpecificationError(
-                "mode='snapshot' conflicts with an explicit normalized_doppler; "
-                "drop one of the two"
-            )
-
-        if isinstance(source, CovarianceSpec):
-            spec = source
-        elif hasattr(source, "covariance_spec"):
-            if gaussian_powers is None:
-                raise SpecificationError(
-                    "scenario sources require gaussian_powers (per-branch "
-                    "complex-Gaussian powers)"
-                )
-            spec = source.covariance_spec(np.asarray(gaussian_powers, dtype=float))
-            if normalized_doppler is None and mode != "snapshot":
-                normalized_doppler = getattr(source, "default_normalized_doppler", None)
-        elif gaussian_powers is not None:
-            raise SpecificationError(
-                "gaussian_powers applies to scenario sources, which must expose a "
-                f"covariance_spec(gaussian_powers) method; got {type(source).__name__}"
-            )
-        else:
-            matrix = np.asarray(source, dtype=complex)
-            if envelope_powers:
-                from .core.covariance import correlation_coefficient_matrix
-
-                env_powers = np.real(np.diag(matrix)).copy()
-                rho = correlation_coefficient_matrix(matrix)
-                spec = CovarianceSpec.from_envelope_variances(env_powers, rho)
-            else:
-                spec = CovarianceSpec.from_covariance_matrix(matrix)
-
-        if mode == "doppler" and normalized_doppler is None:
-            raise SpecificationError(
-                "mode='doppler' requires a normalized_doppler (explicitly, or "
-                "inferred from a scenario carrying Doppler settings)"
-            )
-
         plan = SimulationPlan()
-        if normalized_doppler is None:
-            # Doppler-only knobs must not be dropped silently on the
-            # snapshot path — a forgotten normalized_doppler would otherwise
-            # return un-shaped samples with no signal.
-            if n_points is not None:
-                raise SpecificationError(
-                    "n_points applies to Doppler mode only; pass "
-                    "normalized_doppler (or mode='doppler' with a scenario "
-                    "carrying Doppler settings)"
-                )
-            if compensate_variance is not True:
-                raise SpecificationError(
-                    "compensate_variance applies to Doppler mode only; pass "
-                    "normalized_doppler (or mode='doppler' with a scenario "
-                    "carrying Doppler settings)"
-                )
-            # The snapshot path is the B = 1 case of the batched engine: a
-            # one-entry plan compiled against the session cache.
-            plan.add(
-                spec,
-                seed=seed,
-                coloring_method=coloring_method,
-                psd_method=psd_method,
-                fading=fading,
-            )
-        else:
-            # Doppler mode is the B = 1 case of the batched Doppler
-            # substrate: bit-identical to a standalone
-            # RealTimeRayleighGenerator with the same seed.
-            if n_points is None:
-                n_points = doppler_block_size(n_samples, normalized_doppler)
-            plan.add(
-                spec,
-                seed=seed,
-                coloring_method=coloring_method,
-                psd_method=psd_method,
-                doppler=DopplerSpec(
-                    normalized_doppler=float(normalized_doppler),
-                    n_points=int(n_points),
-                    compensate_variance=compensate_variance,
-                ),
-                fading=fading,
-            )
-        gaussian = self._engine.run(plan, n_samples).blocks[0]
-
-        return gaussian if return_gaussian else gaussian.envelopes()
+        plan.add(covariance, **entry)
+        return self.run(plan, n_samples).blocks[0].envelopes()
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -144,11 +144,6 @@ class OFDMScenario:
         """Number of correlated branches."""
         return int(self.carrier_frequencies_hz.shape[0])
 
-    @property
-    def default_normalized_doppler(self) -> float:
-        """Normalized Doppler used when the caller does not override it."""
-        return self.doppler.normalized_doppler
-
     def correlation_model(self) -> SpectralCorrelationModel:
         """The underlying Jakes spectral-correlation model."""
         return SpectralCorrelationModel(
@@ -222,11 +217,6 @@ class MIMOArrayScenario:
     def n_branches(self) -> int:
         """Number of correlated branches."""
         return int(self.n_antennas)
-
-    @property
-    def default_normalized_doppler(self) -> Optional[float]:
-        """Normalized Doppler, when Doppler settings were supplied."""
-        return None if self.doppler is None else self.doppler.normalized_doppler
 
     def correlation_model(self) -> SpatialCorrelationModel:
         """The underlying Salz–Winters spatial-correlation model."""

@@ -10,8 +10,8 @@ sweeps and Monte-Carlo grids:
     :class:`SimulationPlan` collects many :class:`~repro.core.covariance.CovarianceSpec`
     entries (each with its own seed and algorithm options) before any linear
     algebra runs — a sweep, a heterogeneous mix, or a Monte-Carlo replica
-    ensemble of one spec.  :func:`doppler_block_size` sizes Doppler IDFT
-    blocks; :func:`partition_counts` balances a plan's shards.
+    ensemble of one spec.  :func:`partition_counts` balances a plan's
+    shards.
 :mod:`repro.engine.compile`
     :func:`compile_plan` groups same-shape entries, deduplicates covariance
     matrices by content hash against the LRU
@@ -57,7 +57,6 @@ from .plan import (
     FadingSpec,
     PlanEntry,
     SimulationPlan,
-    doppler_block_size,
     partition_counts,
 )
 from .plancache import CompiledPlanCache, compiled_plan_cache_key
@@ -82,7 +81,6 @@ __all__ = [
     "FadingSpec",
     "PlanEntry",
     "SimulationPlan",
-    "doppler_block_size",
     "partition_counts",
     "CompiledGroup",
     "CompiledPlan",

@@ -15,8 +15,6 @@ IDFT generator outputs (Doppler-shaped temporal correlation), and the
 coloring step is normalized by the Eq. (19) filter-output variance.  For the
 same per-entry seeds, a Doppler entry is bit-identical to a standalone
 :class:`repro.core.realtime.RealTimeRayleighGenerator`.
-:func:`doppler_block_size` picks the smallest valid IDFT block length for a
-record.
 
 Plans are the unit of work the engine compiles (:mod:`repro.engine.compile`)
 and the unit the sharding layer partitions across worker processes
@@ -29,7 +27,6 @@ one-entry plan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -46,7 +43,6 @@ __all__ = [
     "FadingSpec",
     "PlanEntry",
     "SimulationPlan",
-    "doppler_block_size",
     "partition_counts",
 ]
 
@@ -116,58 +112,6 @@ class DopplerSpec:
         normalization, not the filter).
         """
         return (self.n_points, self.normalized_doppler, self.input_variance_per_dim)
-
-
-#: Smallest IDFT block the Doppler mode will use (the historical default).
-_MIN_DOPPLER_POINTS = 64
-
-#: Largest IDFT block the Doppler mode will accept before declaring the
-#: passband constraint unsatisfiable (2**26 complex samples per branch is
-#: already a ~1 GiB working set).
-_MAX_DOPPLER_POINTS = 1 << 26
-
-
-def doppler_block_size(n_samples: int, normalized_doppler: float) -> int:
-    """Smallest power-of-two IDFT block length for the Doppler mode.
-
-    The block must hold ``n_samples`` output samples and keep at least one
-    DFT bin inside the Doppler filter passband
-    (``floor(normalized_doppler * n_points) >= 1``), which requires
-    ``n_points >= 1 / normalized_doppler``.  Both bounds are closed-form
-    powers of two, so no search loop is needed.
-
-    Raises
-    ------
-    SpecificationError
-        If ``normalized_doppler`` is outside ``(0, 0.5)`` or the passband
-        constraint cannot be met with a block of at most 2**26 samples
-        (tiny normalized Doppler would otherwise grow the block — and the
-        memory footprint — without bound).
-    """
-    doppler = float(normalized_doppler)
-    if not 0.0 < doppler < 0.5:
-        raise SpecificationError(
-            f"normalized_doppler must lie in (0, 0.5), got {normalized_doppler!r}"
-        )
-    if n_samples < 1:
-        raise SpecificationError(f"n_samples must be >= 1, got {n_samples}")
-    exponent = max(
-        _MIN_DOPPLER_POINTS.bit_length() - 1,
-        (int(n_samples) - 1).bit_length(),
-        math.ceil(math.log2(1.0 / doppler)),
-    )
-    n_points = 1 << exponent
-    if doppler * n_points < 1.0:
-        # log2 round-off can land one power of two short of the passband
-        # bound; the next power is exact.
-        n_points <<= 1
-    if n_points > _MAX_DOPPLER_POINTS:
-        raise SpecificationError(
-            f"normalized_doppler={doppler!r} needs an IDFT block of {n_points} points "
-            f"to keep one bin in the filter passband, exceeding the limit of "
-            f"{_MAX_DOPPLER_POINTS}; increase the Doppler (or the sampling period) instead"
-        )
-    return n_points
 
 
 _DOPPLER_FIELDS = (
@@ -448,9 +392,15 @@ class SimulationPlan:
         (the JSON schema), or ``None`` for Rayleigh.
         """
         if not isinstance(covariance, CovarianceSpec):
-            covariance = CovarianceSpec.from_covariance_matrix(
-                np.asarray(covariance, dtype=complex)
-            )
+            try:
+                matrix = np.asarray(covariance, dtype=complex)
+            except (TypeError, ValueError) as exc:
+                raise SpecificationError(
+                    "covariance must be a CovarianceSpec or a complex matrix, got "
+                    f"{type(covariance).__name__} (a scenario passes "
+                    "scenario.covariance_spec(powers))"
+                ) from exc
+            covariance = CovarianceSpec.from_covariance_matrix(matrix)
         entry = PlanEntry(
             spec=covariance,
             seed=seed,

@@ -21,10 +21,13 @@ Gaussian powers and correlation coefficient (a float, or ``[re, im]`` for a
 complex coefficient), or supplies the matrix directly as
 ``{"matrix": {"re": [[...]], "im": [[...]]}}``.  The ``fading`` value is
 the :func:`repro.models.fading.coerce_fading` schema; ``doppler`` carries
-the :class:`repro.engine.DopplerSpec` fields.  Malformed workloads raise
+the :class:`repro.engine.DopplerSpec` fields, decoded by
+:func:`repro.engine.plan.coerce_doppler` (an unknown field is refused by
+name).  Malformed workloads raise
 :class:`~repro.exceptions.SpecificationError` (a ``ValueError``) naming
-the offending field, which the CLI and HTTP layers surface as exit code
-2 / status 400 — never a traceback.
+the offending field, which ``repro-experiments suite`` prints as one
+``workload error:`` line before exiting with status 1 — never a
+traceback.
 
 :data:`NAMED_SUITES` ships one ready workload per fading model (plus
 the shadowing composition); ``repro-experiments suite --list`` prints
@@ -43,7 +46,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..engine import DopplerSpec, SimulationEngine, SimulationPlan
+from ..engine import SimulationEngine, SimulationPlan
+from ..engine.plan import coerce_doppler
 from ..exceptions import SpecificationError
 from .fading import coerce_fading
 
@@ -149,25 +153,16 @@ def plan_from_workload(payload: Mapping[str, Any]) -> Tuple[SimulationPlan, int]
             f"workload.seed must be an integer, got {seed!r}"
         )
     fading = coerce_fading(payload.get("fading"))
-    doppler_obj = payload.get("doppler")
-    if doppler_obj is None:
-        doppler = None
-    elif isinstance(doppler_obj, Mapping):
-        try:
-            doppler = DopplerSpec(
-                normalized_doppler=float(doppler_obj["normalized_doppler"]),
-                n_points=int(doppler_obj.get("n_points", 4096)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecificationError(
-                f"workload.doppler must carry a normalized_doppler (and "
-                f"optional n_points): {exc}"
-            ) from exc
-    else:
+    doppler = payload.get("doppler")
+    if doppler is not None and not isinstance(doppler, Mapping):
         raise SpecificationError(
             "workload.doppler must be a mapping with normalized_doppler, got "
-            f"{type(doppler_obj).__name__}"
+            f"{type(doppler).__name__}"
         )
+    try:
+        doppler = coerce_doppler(doppler)
+    except ValueError as exc:
+        raise SpecificationError(f"workload.doppler: {exc}") from exc
     entries = payload.get("entries")
     if not isinstance(entries, list) or not entries:
         raise SpecificationError(

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro import (
+    DopplerSpec,
     MIMOArrayScenario,
-    OFDMScenario,
     RayleighFadingGenerator,
     Simulator,
     covariance_match_report,
@@ -66,13 +66,22 @@ class TestEq23EndToEnd:
 class TestScenarioRoundTrip:
     def test_scenario_objects_used_directly_by_pipeline(self):
         scenario = MIMOArrayScenario(n_antennas=3, spacing_wavelengths=1.0)
-        block = Simulator().envelopes(scenario, 50_000, gaussian_powers=np.ones(3), seed=105)
+        block = Simulator().envelopes(
+            scenario.covariance_spec(np.ones(3)), 50_000, seed=105
+        )
         measured_power = np.mean(block.envelopes**2, axis=1)
         assert np.allclose(measured_power, 1.0, atol=0.05)
 
     def test_ofdm_scenario_doppler_defaults_into_pipeline(self):
         scenario = pv.paper_ofdm_scenario(n_points=1024)
-        block = Simulator().envelopes(scenario, 1024, gaussian_powers=np.ones(3), seed=106)
+        block = Simulator().envelopes(
+            scenario.covariance_spec(np.ones(3)),
+            1024,
+            seed=106,
+            doppler=DopplerSpec(
+                scenario.doppler.normalized_doppler, n_points=scenario.doppler.n_points
+            ),
+        )
         # Doppler shaping makes neighbouring samples strongly correlated.
         branch = block.envelopes[0]
         neighbour_correlation = np.corrcoef(branch[:-1], branch[1:])[0, 1]

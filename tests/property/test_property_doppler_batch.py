@@ -264,17 +264,11 @@ class TestSessionDopplerEqualsLooped:
         spec = _random_spec(rng, size)
         entry_seed = int(rng.integers(0, 2**62))
         simulator = Simulator(cache=DecompositionCache())
-        block = simulator.envelopes(
-            spec,
-            n_samples,
-            seed=entry_seed,
-            normalized_doppler=0.1,
-            n_points=64,
-            compensate_variance=compensate,
-            return_gaussian=True,
-        )
         doppler = DopplerSpec(
             normalized_doppler=0.1, n_points=64, compensate_variance=compensate
         )
+        plan = SimulationPlan()
+        plan.add(spec, seed=entry_seed, doppler=doppler)
+        block = simulator.run(plan, n_samples).blocks[0]
         reference = _looped_reference(spec, doppler, entry_seed, n_samples)
         assert np.array_equal(reference.samples[:, :n_samples], block.samples)

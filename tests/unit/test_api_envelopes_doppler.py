@@ -1,22 +1,35 @@
 """Edge-case tests for ``Simulator.envelopes`` Doppler mode.
 
-The Doppler path of the session API now runs as a one-entry Doppler plan of
+The Doppler path of the session API runs as a one-entry Doppler plan of
 the batched engine.  These tests pin down its edges: sample counts not
 divisible by the IDFT block length, the single-branch ``N = 1`` case,
-inferred vs. explicit normalized Doppler, the ``mode`` selector, and the
-error paths (invalid ``f_m``, zero samples, conflicting or missing mode
-arguments).
+the paper's default block length, the README's closed form for the block
+length the session once picked by itself, and the error paths (invalid
+``f_m``, an empty passband, zero samples).
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.api import Simulator
-from repro.channels import DopplerSettings, OFDMScenario
 from repro.core import CovarianceSpec
 from repro.core.realtime import RealTimeRayleighGenerator
-from repro.engine import DecompositionCache
-from repro.exceptions import DopplerError, SpecificationError
+from repro.engine import DecompositionCache, DopplerSpec, SimulationPlan
+from repro.exceptions import (
+    DopplerError,
+    FilterDesignError,
+    GenerationError,
+    SpecificationError,
+)
+
+
+def _gaussian(simulator, covariance, n_samples, **entry):
+    """The Gaussian block of the one-entry plan ``envelopes`` runs."""
+    plan = SimulationPlan()
+    plan.add(covariance, **entry)
+    return simulator.run(plan, n_samples).blocks[0]
 
 
 @pytest.fixture()
@@ -31,25 +44,14 @@ def spec():
     )
 
 
-@pytest.fixture()
-def scenario():
-    """An OFDM scenario carrying its own Doppler settings (f_m = 100/2000)."""
-    return OFDMScenario(
-        carrier_frequencies_hz=np.array([2.0e9, 2.001e9]),
-        delays_s=np.array([0.0, 1e-6]),
-        rms_delay_spread_s=1e-6,
-        doppler=DopplerSettings(sampling_frequency_hz=2000.0, max_doppler_hz=100.0),
-    )
-
-
 class TestBlockHandling:
     def test_non_divisible_sample_count_truncates_a_continuous_record(
         self, simulator, spec
     ):
         """n_samples that is not a multiple of M: blocks are concatenated and
         truncated, matching the looped generator's record prefix."""
-        block = simulator.envelopes(
-            spec, 150, seed=9, normalized_doppler=0.05, n_points=64, return_gaussian=True
+        block = _gaussian(
+            simulator, spec, 150, seed=9, doppler=DopplerSpec(0.05, n_points=64)
         )
         assert block.samples.shape == (2, 150)
         reference = RealTimeRayleighGenerator(
@@ -57,26 +59,23 @@ class TestBlockHandling:
         ).generate_gaussian(3)  # ceil(150 / 64) = 3 blocks
         assert np.array_equal(reference.samples[:, :150], block.samples)
 
-    def test_default_block_size_holds_the_whole_record(self, simulator, spec):
-        """Without n_points the block length is the doppler_block_size choice:
-        one block covering n_samples (the historical behaviour)."""
-        block = simulator.envelopes(
-            spec, 100, seed=3, normalized_doppler=0.05, return_gaussian=True
-        )
-        assert block.samples.shape == (2, 100)
-        assert block.metadata["n_points"] == 128  # smallest power of two >= 100
+    def test_bare_doppler_uses_the_paper_block_length(self, simulator, spec):
+        """A bare normalized Doppler takes ``DopplerSpec``'s M = 4096."""
+        block = simulator.envelopes(spec, 100, seed=3, doppler=0.05)
+        assert block.envelopes.shape == (2, 100)
+        assert block.metadata["n_points"] == 4096
         reference = RealTimeRayleighGenerator(
-            spec, normalized_doppler=0.05, n_points=128, rng=3
-        ).generate_gaussian(1)
-        assert np.array_equal(reference.samples[:, :100], block.samples)
+            spec, normalized_doppler=0.05, n_points=4096, rng=3
+        ).generate_envelopes(1)
+        assert np.array_equal(reference.envelopes[:, :100], block.envelopes)
 
     def test_single_branch_spec(self, simulator):
         """N = 1: one branch, one IDFT stream, scalar coloring."""
         single = CovarianceSpec.from_covariance_matrix(
             np.array([[2.0]], dtype=complex)
         )
-        block = simulator.envelopes(
-            single, 70, seed=4, normalized_doppler=0.1, n_points=64, return_gaussian=True
+        block = _gaussian(
+            simulator, single, 70, seed=4, doppler=DopplerSpec(0.1, n_points=64)
         )
         assert block.samples.shape == (1, 70)
         reference = RealTimeRayleighGenerator(
@@ -85,14 +84,12 @@ class TestBlockHandling:
         assert np.array_equal(reference.samples[:, :70], block.samples)
 
     def test_compensation_toggle_matches_realtime_generator(self, simulator, spec):
-        block = simulator.envelopes(
+        block = _gaussian(
+            simulator,
             spec,
             64,
             seed=5,
-            normalized_doppler=0.05,
-            n_points=64,
-            compensate_variance=False,
-            return_gaussian=True,
+            doppler=DopplerSpec(0.05, n_points=64, compensate_variance=False),
         )
         assert block.metadata["compensate_variance"] is False
         reference = RealTimeRayleighGenerator(
@@ -105,67 +102,52 @@ class TestBlockHandling:
         assert np.array_equal(reference.samples, block.samples)
 
 
-class TestModeSelection:
-    def test_scenario_infers_normalized_doppler(self, simulator, scenario):
+def _historical_search(n_samples, normalized_doppler):
+    """The doubling search that once picked ``envelopes``' block length."""
+    n_points = 64
+    while n_points < n_samples or int(np.floor(normalized_doppler * n_points)) < 1:
+        n_points *= 2
+    return n_points
+
+
+def _readme_rule(n_samples, normalized_doppler):
+    """The README's closed form: the smallest power of two ``M`` with
+    ``M >= 64``, ``M >= n`` and ``f * M >= 1``."""
+    least = max(64, n_samples, math.ceil(1.0 / normalized_doppler))
+    return 1 << (least - 1).bit_length()
+
+
+class TestOldBlockLengthRule:
+    """A caller who relied on the automatic block length gets the old bytes
+    back by passing the README's ``M`` in a ``DopplerSpec``."""
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 63, 64, 65, 100, 1000, 4096, 100_000])
+    @pytest.mark.parametrize(
+        "normalized_doppler",
+        [0.4999, 0.25, 0.1, 0.05, 1 / 64, 1 / 128, 1 / 512, 0.003, 1e-4, 1e-6],
+    )
+    def test_readme_rule_reproduces_the_old_automatic_bytes(
+        self, simulator, spec, n_samples, normalized_doppler
+    ):
+        n_points = _readme_rule(n_samples, normalized_doppler)
+        assert n_points == _historical_search(n_samples, normalized_doppler)
         block = simulator.envelopes(
-            scenario, 64, seed=7, gaussian_powers=np.ones(2), return_gaussian=True
+            spec,
+            n_samples,
+            seed=11,
+            doppler=DopplerSpec(normalized_doppler, n_points=n_points),
         )
-        assert block.metadata["method"] == "realtime"
-        assert block.metadata["normalized_doppler"] == pytest.approx(0.05)
-
-    def test_explicit_doppler_overrides_scenario(self, simulator, scenario):
-        block = simulator.envelopes(
-            scenario,
-            64,
-            seed=7,
-            gaussian_powers=np.ones(2),
-            normalized_doppler=0.2,
-            return_gaussian=True,
-        )
-        assert block.metadata["normalized_doppler"] == 0.2
-
-    def test_mode_doppler_accepts_inferred_doppler(self, simulator, scenario):
-        block = simulator.envelopes(
-            scenario,
-            64,
-            seed=7,
-            gaussian_powers=np.ones(2),
-            mode="doppler",
-            return_gaussian=True,
-        )
-        assert block.metadata["method"] == "realtime"
-
-    def test_mode_snapshot_suppresses_scenario_doppler(self, simulator, scenario):
-        block = simulator.envelopes(
-            scenario,
-            64,
-            seed=7,
-            gaussian_powers=np.ones(2),
-            mode="snapshot",
-            return_gaussian=True,
-        )
-        assert block.metadata["method"] == "snapshot"
-
-    def test_mode_doppler_without_doppler_raises(self, simulator, spec):
-        with pytest.raises(SpecificationError, match="mode='doppler'"):
-            simulator.envelopes(spec, 64, seed=1, mode="doppler")
-
-    def test_mode_snapshot_conflicts_with_explicit_doppler(self, simulator, spec):
-        with pytest.raises(SpecificationError, match="conflicts"):
-            simulator.envelopes(
-                spec, 64, seed=1, mode="snapshot", normalized_doppler=0.05
-            )
-
-    def test_unknown_mode_rejected(self, simulator, spec):
-        with pytest.raises(SpecificationError, match="mode"):
-            simulator.envelopes(spec, 64, seed=1, mode="realtime")
+        reference = RealTimeRayleighGenerator(
+            spec, normalized_doppler=normalized_doppler, n_points=n_points, rng=11
+        ).generate_envelopes(-(-n_samples // n_points))
+        assert np.array_equal(reference.envelopes[:, :n_samples], block.envelopes)
 
 
 class TestErrorPaths:
     @pytest.mark.parametrize("bad_fm", [0.0, -0.05, 0.5, 0.9])
     def test_invalid_normalized_doppler_rejected(self, simulator, spec, bad_fm):
         with pytest.raises((SpecificationError, DopplerError)):
-            simulator.envelopes(spec, 64, seed=1, normalized_doppler=bad_fm)
+            simulator.envelopes(spec, 64, seed=1, doppler=bad_fm)
 
     @pytest.mark.parametrize("bad_fm", [0.0, 0.5])
     def test_invalid_doppler_rejected_with_explicit_block_size(
@@ -173,15 +155,14 @@ class TestErrorPaths:
     ):
         with pytest.raises((SpecificationError, DopplerError)):
             simulator.envelopes(
-                spec, 64, seed=1, normalized_doppler=bad_fm, n_points=64
+                spec, 64, seed=1, doppler={"normalized_doppler": bad_fm, "n_points": 64}
             )
+
+    def test_unsatisfiable_doppler_raises_before_generation(self, simulator, spec):
+        with pytest.raises(FilterDesignError, match="passband"):
+            simulator.envelopes(spec, 10, seed=5, doppler=1e-12)
 
     @pytest.mark.parametrize("bad_count", [0, -3])
     def test_zero_or_negative_samples_rejected(self, simulator, spec, bad_count):
-        with pytest.raises(SpecificationError, match="n_samples"):
-            simulator.envelopes(spec, bad_count, seed=1, normalized_doppler=0.05)
-
-    def test_tiny_doppler_with_unbounded_block_rejected(self, simulator, spec):
-        # doppler_block_size refuses to grow the IDFT block beyond its cap.
-        with pytest.raises(SpecificationError, match="exceeding the limit"):
-            simulator.envelopes(spec, 16, seed=1, normalized_doppler=1e-9)
+        with pytest.raises(GenerationError, match="n_samples"):
+            simulator.envelopes(spec, bad_count, seed=1, doppler=0.05)

@@ -9,6 +9,7 @@ per-plan results matching the synchronous ``sim.run(...)``.
 import asyncio
 import gc
 import importlib
+import inspect
 import multiprocessing
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,6 @@ from repro.engine import (
     DecompositionCache,
     DopplerSpec,
     SimulationPlan,
-    doppler_block_size,
 )
 from repro.exceptions import GenerationError, ParallelExecutionError, SpecificationError
 
@@ -143,25 +143,29 @@ class TestSessionsShareNoCache:
 class TestEnvelopes:
     def test_bit_identical_to_standalone_generator(self):
         spec = CovarianceSpec.from_covariance_matrix(K2)
-        block = Simulator().envelopes(spec, 128, seed=5, return_gaussian=True)
+        plan = SimulationPlan()
+        plan.add(spec, seed=5)
+        block = Simulator().run(plan, 128).blocks[0]
         reference = RayleighFadingGenerator(spec, rng=5).generate_gaussian(128)
         assert np.array_equal(block.samples, reference.samples)
 
     def test_envelope_powers_variant_matches_standalone_generator(self):
         matrix = np.array([[2.0, 0.5], [0.5, 3.0]], dtype=complex)
-        block = Simulator().envelopes(matrix, 64, seed=2, envelope_powers=True)
         spec = CovarianceSpec.from_envelope_variances(
             np.real(np.diag(matrix)), correlation_coefficient_matrix(matrix)
         )
+        block = Simulator().envelopes(spec, 64, seed=2)
         reference = RayleighFadingGenerator(spec, rng=2).generate_envelopes(64)
         assert np.array_equal(block.envelopes, reference.envelopes)
 
     def test_doppler_mode_matches_standalone_realtime_generator(self):
-        block = Simulator().envelopes(K2, 100, seed=3, normalized_doppler=0.05)
+        block = Simulator().envelopes(
+            K2, 100, seed=3, doppler=DopplerSpec(0.05, n_points=128)
+        )
         reference = RealTimeRayleighGenerator(
             K2,
             normalized_doppler=0.05,
-            n_points=doppler_block_size(100, 0.05),
+            n_points=128,
             rng=3,
         ).generate_envelopes(n_blocks=1)
         assert block.envelopes.shape == (2, 100)
@@ -172,7 +176,7 @@ class TestEnvelopes:
             n_antennas=3, spacing_wavelengths=0.5, angular_spread_rad=0.2
         )
         powers = np.ones(3)
-        block = Simulator().envelopes(scenario, 64, seed=4, gaussian_powers=powers)
+        block = Simulator().envelopes(scenario.covariance_spec(powers), 64, seed=4)
         reference = RayleighFadingGenerator(
             scenario.covariance_spec(powers), rng=4
         ).generate_envelopes(64)
@@ -182,12 +186,67 @@ class TestEnvelopes:
         scenario = MIMOArrayScenario(
             n_antennas=2, spacing_wavelengths=0.5, angular_spread_rad=0.2
         )
-        with pytest.raises(SpecificationError, match="gaussian_powers"):
+        with pytest.raises(SpecificationError, match="covariance_spec"):
             Simulator().envelopes(scenario, 16)
 
     def test_invalid_sample_count_rejected(self):
-        with pytest.raises(SpecificationError):
+        with pytest.raises(GenerationError, match="n_samples"):
             Simulator().envelopes(K2, 0)
+
+
+# Not positive semidefinite, so the PSD-forcing keywords change the bytes.
+K3_INDEFINITE = np.array(
+    [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]], dtype=complex
+)
+
+# One non-default value for every keyword of ``SimulationPlan.add``.
+ENTRY_KEYWORDS = {
+    "seed": 17,
+    "coloring_method": "svd",
+    "psd_method": "higham",
+    "epsilon": 1e-2,
+    "sample_variance": 2.0,
+    "doppler": DopplerSpec(0.05, n_points=64),
+    "fading": {"model": "rician", "shape": 2.0},
+    "label": "entry",
+}
+
+REMOVED_KEYWORDS = (
+    "mode",
+    "gaussian_powers",
+    "envelope_powers",
+    "normalized_doppler",
+    "n_points",
+    "compensate_variance",
+    "return_gaussian",
+)
+
+
+class TestEnvelopesEntryKeywords:
+    """``envelopes`` describes an entry only through ``SimulationPlan.add``."""
+
+    def test_every_plan_add_keyword_is_covered(self):
+        keyword_only = [
+            name
+            for name, parameter in inspect.signature(SimulationPlan.add).parameters.items()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        ]
+        assert sorted(keyword_only) == sorted(ENTRY_KEYWORDS)
+
+    @pytest.mark.parametrize("keyword", sorted(ENTRY_KEYWORDS))
+    def test_keyword_gives_the_one_entry_plan_bytes(self, keyword):
+        entry = {"seed": 3, keyword: ENTRY_KEYWORDS[keyword]}
+        block = Simulator().envelopes(K3_INDEFINITE, 96, **entry)
+        plan = SimulationPlan()
+        plan.add(K3_INDEFINITE, **entry)
+        reference = Simulator().run(plan, 96).blocks[0].envelopes()
+        assert np.array_equal(block.envelopes, reference.envelopes)
+        assert block.metadata == reference.metadata
+
+    @pytest.mark.parametrize("keyword", REMOVED_KEYWORDS)
+    def test_removed_keyword_is_refused_by_name(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            Simulator().envelopes(K2, 16, **{keyword: 1})
 
 
 class TestRun:

@@ -91,15 +91,6 @@ class TestOFDMScenario:
         assert scenario.delays_s[0, 1] == pytest.approx(2e-3)
         assert scenario.delays_s[1, 0] == pytest.approx(2e-3)
 
-    def test_default_normalized_doppler(self, paper_doppler):
-        scenario = OFDMScenario(
-            carrier_frequencies_hz=np.array([1e9, 1.0002e9]),
-            delays_s=np.zeros((2, 2)),
-            rms_delay_spread_s=1e-6,
-            doppler=paper_doppler,
-        )
-        assert scenario.default_normalized_doppler == pytest.approx(0.05)
-
     def test_wrong_power_shape_rejected(self, paper_doppler):
         scenario = OFDMScenario(
             carrier_frequencies_hz=np.array([1e9, 1.0002e9]),
@@ -128,16 +119,6 @@ class TestMIMOArrayScenario:
         )
         spec = scenario.covariance_spec(np.ones(3))
         assert np.allclose(spec.matrix, eq23_covariance, atol=2e-4)
-
-    def test_no_doppler_means_none(self):
-        scenario = MIMOArrayScenario(n_antennas=2, spacing_wavelengths=0.5)
-        assert scenario.default_normalized_doppler is None
-
-    def test_doppler_passthrough(self, paper_doppler):
-        scenario = MIMOArrayScenario(
-            n_antennas=2, spacing_wavelengths=0.5, doppler=paper_doppler
-        )
-        assert scenario.default_normalized_doppler == pytest.approx(0.05)
 
     def test_metadata_records_scenario(self):
         scenario = MIMOArrayScenario(n_antennas=2, spacing_wavelengths=0.5)

@@ -18,7 +18,6 @@ from repro.engine import (
     CompiledPlanCache,
     DecompositionCache,
     DopplerFilterCache,
-    DopplerSpec,
     SimulationPlan,
     compile_plan,
     compiled_plan_cache_key,

@@ -3,8 +3,8 @@
 Rician fading runs as the ``rician`` model of a plan entry: the colored
 diffuse block is scaled by ``1/sqrt(K+1)`` and a static per-branch LOS
 amplitude ``sqrt(K Omega / (K+1))`` is added.  These tests drive it through
-:meth:`repro.api.Simulator.envelopes` and check the closed-form targets of
-:func:`repro.core.rician_moments`.
+one-entry plans run by :meth:`repro.api.Simulator.run` and check the
+closed-form targets of :func:`repro.core.rician_moments`.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import Simulator
 from repro.core import rician_moments
+from repro.engine import DopplerSpec, SimulationPlan
 from repro.exceptions import SpecificationError
 from repro.validation import empirical_correlation_coefficients
 
@@ -26,19 +27,21 @@ def covariance_2x2():
     return np.array([[POWERS[0], cross], [cross, POWERS[1]]], dtype=complex)
 
 
+def entry_samples(covariance, n_samples, **entry):
+    """Complex samples of a one-entry plan, shape ``(N, n_samples)``."""
+    plan = SimulationPlan()
+    plan.add(covariance, **entry)
+    return Simulator().run(plan, n_samples).blocks[0].samples
+
+
 def rician_samples(covariance, n_samples, k_factor, seed, **kwargs):
     """Complex Rician samples of one plan entry, shape ``(N, n_samples)``."""
-    return (
-        Simulator()
-        .envelopes(
-            covariance,
-            n_samples,
-            seed=seed,
-            fading={"model": "rician", "shape": k_factor},
-            return_gaussian=True,
-            **kwargs,
-        )
-        .samples
+    return entry_samples(
+        covariance,
+        n_samples,
+        seed=seed,
+        fading={"model": "rician", "shape": k_factor},
+        **kwargs,
     )
 
 
@@ -68,18 +71,8 @@ class TestRicianMoments:
 class TestRicianPlanModel:
     @pytest.mark.parametrize("doppler", [None, 0.05])
     def test_k_zero_is_byte_identical_to_rayleigh(self, covariance_2x2, doppler):
-        rayleigh = (
-            Simulator()
-            .envelopes(
-                covariance_2x2,
-                1000,
-                seed=1,
-                normalized_doppler=doppler,
-                return_gaussian=True,
-            )
-            .samples
-        )
-        rician = rician_samples(covariance_2x2, 1000, 0.0, 1, normalized_doppler=doppler)
+        rayleigh = entry_samples(covariance_2x2, 1000, seed=1, doppler=doppler)
+        rician = rician_samples(covariance_2x2, 1000, 0.0, 1, doppler=doppler)
         assert rician.tobytes() == rayleigh.tobytes()
 
     @pytest.mark.parametrize("k_factor", [0.5, 4.0])
@@ -111,7 +104,7 @@ class TestRicianPlanModel:
     @pytest.mark.parametrize("k_factor", [0.0, 2.0])
     def test_doppler_envelopes_are_slowly_varying(self, covariance_2x2, k_factor):
         samples = rician_samples(
-            covariance_2x2, 1500, k_factor, 7, normalized_doppler=0.05, n_points=2048
+            covariance_2x2, 1500, k_factor, 7, doppler=DopplerSpec(0.05, n_points=2048)
         )
         assert samples.shape == (2, 1500)
         for branch in np.abs(samples):

@@ -6,6 +6,7 @@ import pytest
 from repro.api import Simulator
 from repro.core import (
     CovarianceSpec,
+    correlation_coefficient_matrix,
     covariance_match_report,
     envelope_power_report,
 )
@@ -15,7 +16,8 @@ from repro.core.variance import (
     rayleigh_variance_from_gaussian_power,
 )
 from repro.channels import MIMOArrayScenario
-from repro.exceptions import DimensionError, SpecificationError
+from repro.engine import SimulationPlan
+from repro.exceptions import DimensionError, GenerationError, SpecificationError
 from repro.types import EnvelopeBlock, GaussianBlock
 
 
@@ -100,16 +102,21 @@ class TestEnvelopesFromCovariance:
         assert block.envelopes.shape == (3, 100)
 
     def test_gaussian_output_option(self, eq22_covariance):
-        block = Simulator().envelopes(eq22_covariance, 100, seed=0, return_gaussian=True)
+        plan = SimulationPlan()
+        plan.add(eq22_covariance, seed=0)
+        block = Simulator().run(plan, 100).blocks[0]
         assert isinstance(block, GaussianBlock)
 
     def test_doppler_mode_length(self, eq22_covariance):
-        block = Simulator().envelopes(eq22_covariance, 300, normalized_doppler=0.05, seed=0)
+        block = Simulator().envelopes(eq22_covariance, 300, doppler=0.05, seed=0)
         assert block.envelopes.shape == (3, 300)
 
     def test_envelope_power_interpretation(self):
         covariance = np.diag([0.5, 1.0]).astype(complex)
-        block = Simulator().envelopes(covariance, 200_000, envelope_powers=True, seed=1)
+        spec = CovarianceSpec.from_envelope_variances(
+            np.real(np.diag(covariance)), correlation_coefficient_matrix(covariance)
+        )
+        block = Simulator().envelopes(spec, 200_000, seed=1)
         measured = np.var(block.envelopes, axis=1)
         assert np.allclose(measured, [0.5, 1.0], rtol=0.05)
 
@@ -118,23 +125,23 @@ class TestEnvelopesFromCovariance:
         assert block.n_branches == 3
 
     def test_invalid_sample_count(self, eq22_covariance):
-        with pytest.raises(SpecificationError):
+        with pytest.raises(GenerationError, match="n_samples"):
             Simulator().envelopes(eq22_covariance, 0, seed=0)
 
 
 class TestEnvelopesFromScenario:
     def test_mimo_scenario_snapshot(self):
         scenario = MIMOArrayScenario(n_antennas=3, spacing_wavelengths=1.0)
-        block = Simulator().envelopes(scenario, 64, gaussian_powers=np.ones(3), seed=0)
+        block = Simulator().envelopes(scenario.covariance_spec(np.ones(3)), 64, seed=0)
         assert block.envelopes.shape == (3, 64)
 
     def test_scenario_without_method_rejected(self):
         with pytest.raises(SpecificationError):
-            Simulator().envelopes(object(), 64, gaussian_powers=np.ones(3), seed=0)
+            Simulator().envelopes(object(), 64, seed=0)
 
     def test_explicit_doppler_overrides(self):
         scenario = MIMOArrayScenario(n_antennas=2, spacing_wavelengths=1.0)
         block = Simulator().envelopes(
-            scenario, 128, gaussian_powers=np.ones(2), normalized_doppler=0.1, seed=0
+            scenario.covariance_spec(np.ones(2)), 128, doppler=0.1, seed=0
         )
         assert block.envelopes.shape == (2, 128)

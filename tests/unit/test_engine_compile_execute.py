@@ -5,7 +5,6 @@ import pytest
 
 from repro.channels.doppler import filter_output_variance, young_beaulieu_filter
 from repro.api import Simulator
-from repro.core import CovarianceSpec
 from repro.core.coloring import compute_coloring
 from repro.engine import (
     DecompositionCache,

@@ -45,7 +45,9 @@ class TestRegistry:
         from repro.api import Simulator
 
         def samples(fading):
-            block = Simulator().envelopes(BASE, 256, seed=9, fading=fading, return_gaussian=True)
+            plan = SimulationPlan()
+            plan.add(BASE, seed=9, fading=fading)
+            block = Simulator().run(plan, 256).blocks[0]
             return block.samples
 
         rayleigh = samples(None)

@@ -73,7 +73,7 @@ class TestPublicExports:
         with pytest.raises(ModuleNotFoundError):
             import repro.core.rician  # noqa: F401
 
-    @pytest.mark.parametrize("name", ["doppler_block_size", "partition_counts"])
+    @pytest.mark.parametrize("name", ["partition_counts"])
     def test_plan_helpers_export_from_engine(self, name):
         import repro.engine
 

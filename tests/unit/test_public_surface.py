@@ -48,7 +48,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 SHIPPED_DIRS = ("examples", "perfbench")
 
-_README = "README-documented one-call API (Quickstart, Doppler and fading sections)"
 _ENGINE_SUITE = "the batch-equals-loop property suite (test_property_engine.py) sets it"
 _DISK_TIER = "part of the plan cache's disk tier, which ROADMAP item 8 deletes whole"
 
@@ -56,22 +55,6 @@ _DISK_TIER = "part of the plan cache's disk tier, which ROADMAP item 8 deletes w
 #: definition by name, a member as ``Class.member`` and a keyword-only
 #: parameter as ``callee(keyword=)``.
 PUBLIC_SURFACE: Dict[str, Dict[str, str]] = {
-    "api.py": {
-        f"Simulator.envelopes({keyword}=)": _README
-        for keyword in (
-            "seed",
-            "gaussian_powers",
-            "envelope_powers",
-            "mode",
-            "normalized_doppler",
-            "n_points",
-            "compensate_variance",
-            "coloring_method",
-            "psd_method",
-            "fading",
-            "return_gaussian",
-        )
-    },
     "core/covariance.py": {
         "covariance_entry": "inverse of decompose_covariance_entry; the "
         "covariance-spec property suite round-trips through it",
